@@ -1,0 +1,84 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"cptraffic/internal/cp"
+	"cptraffic/internal/sm"
+)
+
+// pinnedFitDigests are sha256 digests of ModelSet.Save for the world
+// toyTrace(60 UEs, 6 h, seed 11) with clusterOptSmall, keyed
+// "method/sketchK". They were recorded on the commit before Build's
+// ordering work was rewritten (sort once, merge after) and are absolute:
+// every other byte-identity test compares two paths that both run
+// Build, so a change that moves both sides passes them all. A digest
+// here changes only when the fitted bytes change — which is a bug unless
+// the change set out to alter the model, in which case re-record them
+// and say so. Recorded on amd64; architectures whose compilers fuse
+// x*y+z into one rounding (arm64, ppc64le, s390x) may legitimately
+// produce other floats, so the test skips there.
+var pinnedFitDigests = map[string]string{
+	"base/0":   "79310f577980d7c13a4ab2cb79003d949f7b8c917140de0d167466f08ac92cb5",
+	"base/256": "f602f21345c3ad83cd36ae2fae8c706a9a9d5d2ce25bf2747fff4872e1cb1dc0",
+	"v1/0":     "c53c4a7c39344b2048507ab79b11ca220b40054384c029e210ff5225867b8d9d",
+	"v1/256":   "accf2ceffa1decb7794497594c3b0f66f95600d170cfc7f88bdf62aabaf8cdf7",
+	"v2/0":     "021618b570ce6d9b67cd9162ca5e7de38e231450325f86e58b9b7f38a3515222",
+	"v2/256":   "7783b8de9cbd60514829112e7fab49317d19d0c8881025374898e03586be14c1",
+	"ours/0":   "51e450bed0114748757e5794392d1b9f1398d8598497f75bc55e35d47e5bfdb5",
+	"ours/256": "ed93e9fc46c64bd62bb35dbc48ca8056a431c637d6924fcd5fe0ffd3b21e5410",
+}
+
+// pinnedFitOptions mirrors baseline.Options (which core cannot import)
+// for the four Table 3 methods. The three SojournExp methods are the
+// ones whose float folds depend on the (UE, seq) sample order.
+func pinnedFitOptions(method string) FitOptions {
+	free := []cp.EventType{cp.Handover, cp.TrackingAreaUpdate}
+	switch method {
+	case "base":
+		return FitOptions{Machine: sm.EMMECM(), SojournKind: SojournExp, FreeEvents: free, NoClustering: true, Method: "base"}
+	case "v1":
+		return FitOptions{Machine: sm.EMMECM(), SojournKind: SojournExp, FreeEvents: free, Cluster: clusterOptSmall(), Method: "v1"}
+	case "v2":
+		return FitOptions{Machine: sm.LTE2Level(), SojournKind: SojournExp, Cluster: clusterOptSmall(), Method: "v2"}
+	default:
+		return FitOptions{Machine: sm.LTE2Level(), SojournKind: SojournTable, Cluster: clusterOptSmall(), Method: "ours"}
+	}
+}
+
+// TestFitModelDigestPinned pins the absolute model bytes of every
+// method, exact and sketched, fitted unsharded and as three hash shards
+// merged in reverse order.
+func TestFitModelDigestPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	tr := toyTrace(t, 60, 6*cp.Hour, 11)
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	for _, method := range []string{"base", "v1", "v2", "ours"} {
+		for _, k := range []int{0, 256} {
+			opt := pinnedFitOptions(method)
+			opt.SketchK = k
+			name := fmt.Sprintf("%s/%d", method, k)
+			want := pinnedFitDigests[name]
+			ms, err := Fit(tr, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(modelBytes(t, ms)); got != want {
+				t.Errorf("%s unsharded: digest %s, pinned %s", name, got, want)
+			}
+			sharded := mergeAndBuild(t, shardPartials(t, tr, 3, opt), []int{2, 1, 0})
+			if got := digest(sharded); got != want {
+				t.Errorf("%s 3 shards merged in reverse: digest %s, pinned %s", name, got, want)
+			}
+		}
+	}
+}
