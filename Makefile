@@ -1,7 +1,8 @@
 # Development targets. `make check` is the pre-commit gate: formatting,
 # vet, build, the cplint static-analysis suite, the full test suite, the
-# race detector over every package that runs its own goroutine pools,
-# and the steady-state allocation regression gate. cplint runs before
+# benchmark module's own vet and tests, the race detector over every
+# package that runs its own goroutine pools, and the steady-state
+# allocation regression gate. cplint runs before
 # the slow race/alloc stages so invariant violations fail fast.
 
 GO ?= go
@@ -12,9 +13,9 @@ RACE_PKGS = ./internal/par/ ./internal/trace/ ./internal/core/ ./internal/world/
 # fuzzing wall clock is twice this). CI raises it to 15s per target.
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build lint fix test race allocs fuzz-smoke scenarios shardcheck audit bench experiments
+.PHONY: check fmt vet build lint fix test bench-check race allocs fuzz-smoke scenarios shardcheck audit bench experiments
 
-check: fmt vet build lint test race allocs fuzz-smoke scenarios shardcheck
+check: fmt vet build lint test bench-check race allocs fuzz-smoke scenarios shardcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -46,6 +47,13 @@ fix:
 test:
 	$(GO) test ./...
 	$(GO) test -tags batchdebug ./internal/trace/
+
+# bench/ is a module of its own, so `go build ./... && go test ./...`
+# at the root neither builds nor tests it: a signature change in core,
+# stats or trace could break the benchmark the perf gate runs without
+# any root-module test noticing. About 5 s.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The fitting, generation, simulation, and pass-rate pipelines all fan
 # out over worker pools; any change to them must stay race-clean. The

@@ -13,8 +13,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cptraffic/internal/cp"
 )
@@ -97,7 +98,8 @@ func Partition(points []Point, opt Options) []Cluster {
 		return nil
 	}
 	ps := append([]Point(nil), points...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].UE < ps[j].UE })
+	// One point per UE, so UE ids never tie.
+	slices.SortFunc(ps, func(a, b Point) int { return cmp.Compare(a.UE, b.UE) })
 
 	var out []Cluster
 	var recurse func(ps []Point, depth int)
@@ -182,11 +184,11 @@ func splitDims(lo, hi, theta Features) (int, int) {
 		all[d] = ds{d, (hi[d] - lo[d]) / theta[d]}
 	}
 	s := all[:]
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].s != s[j].s {
-			return s[i].s > s[j].s
-		}
-		return s[i].d < s[j].d
+	// Widest spread first (spreads are finite: the features are counts
+	// and standard deviations); the dimension index breaks ties and is
+	// unique.
+	slices.SortFunc(s, func(a, b ds) int {
+		return cmp.Or(cmp.Compare(b.s, a.s), cmp.Compare(a.d, b.d))
 	})
 	return s[0].d, s[1].d
 }
@@ -196,7 +198,7 @@ func finalize(id int, ps []Point, lo, hi Features) Cluster {
 	for i, p := range ps {
 		ues[i] = p.UE
 	}
-	sort.Slice(ues, func(i, j int) bool { return ues[i] < ues[j] })
+	slices.Sort(ues) // plain values: equal ids are indistinguishable
 	return Cluster{ID: id, UEs: ues, Min: lo, Max: hi}
 }
 

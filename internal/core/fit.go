@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/cp"
@@ -511,11 +512,9 @@ func (a *acc) build(m *sm.Machine, opt FitOptions) ClusterModel {
 				P:     float64(c) / float64(a.WithEv),
 			})
 		}
-		sort.Slice(cats, func(i, j int) bool {
-			if cats[i].Event != cats[j].Event {
-				return cats[i].Event < cats[j].Event
-			}
-			return cats[i].State < cats[j].State
+		// One category per FirstCnt map key, so (Event, State) never ties.
+		slices.SortFunc(cats, func(x, y FirstCat) int {
+			return cmp.Or(cmp.Compare(x.Event, y.Event), cmp.Compare(x.State, y.State))
 		})
 		cm.First.Cats = cats
 		cm.First.Offset = FitSojourn(a.FirstOff, SojournTable)
@@ -523,8 +522,11 @@ func (a *acc) build(m *sm.Machine, opt FitOptions) ClusterModel {
 	return cm
 }
 
+// sortTransitions orders one state's outgoing transitions by event. A
+// state has one transition per event (the count maps are keyed by
+// (state, event)), so the comparator never ties.
 func sortTransitions(out []TransitionParam) {
-	sort.Slice(out, func(i, j int) bool { return out[i].Event < out[j].Event })
+	slices.SortFunc(out, func(x, y TransitionParam) int { return cmp.Compare(x.Event, y.Event) })
 }
 
 // --- clustering ---
@@ -578,14 +580,8 @@ func buildPersonas(ues []cp.UEID, assignments []map[cp.UEID]int) []Persona {
 		}
 		counts[k]++
 	}
-	sort.Slice(order, func(i, j int) bool {
-		for h := 0; h < HoursPerDay; h++ {
-			if order[i][h] != order[j][h] {
-				return order[i][h] < order[j][h]
-			}
-		}
-		return false
-	})
+	// order holds each distinct membership vector once, so no two tie.
+	slices.SortFunc(order, func(x, y key) int { return slices.Compare(x[:], y[:]) })
 	out := make([]Persona, len(order))
 	total := float64(len(ues))
 	for i, k := range order {

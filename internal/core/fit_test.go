@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"cptraffic/internal/cluster"
@@ -312,6 +313,27 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 func TestFitEmptyTraceFails(t *testing.T) {
 	if _, err := Fit(trace.New(), FitOptions{}); err == nil {
 		t.Fatal("empty trace accepted")
+	}
+	// Build on an empty partial is a validation failure, not a build: it
+	// says so every time and leaves the partial usable.
+	pf, err := NewPartialFit(FitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := pf.Build(); err == nil || !strings.Contains(err.Error(), "empty trace") {
+			t.Fatalf("Build %d on an empty partial: %v, want the empty-trace error", i+1, err)
+		}
+	}
+	if err := pf.AddSource(toyTrace(t, 6, cp.Hour, 3)); err != nil {
+		t.Fatalf("ingest after a refused Build: %v", err)
+	}
+	if _, err := pf.Build(); err != nil {
+		t.Fatal(err)
+	}
+	// The other order: a Build that succeeded consumes the partial.
+	if _, err := pf.Build(); err == nil || !strings.Contains(err.Error(), "already built") {
+		t.Fatalf("second Build after a successful one: %v, want already built", err)
 	}
 }
 

@@ -196,6 +196,7 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 	for _, e := range pf.opt.FreeEvents {
 		f.Options.FreeEvents = append(f.Options.FreeEvents, e.String())
 	}
+	var scratch []pitem // sortPitems' buffer, shared by every pool
 	for _, d := range cp.DeviceTypes {
 		dp := pf.devs[d]
 		if dp == nil || len(dp.ues) == 0 {
@@ -224,12 +225,7 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 			pd.Counts.N = append(pd.Counts.N, dp.counts[k])
 		}
 
-		pkeys := make([]poolKey, 0, len(dp.pools))
-		for k := range dp.pools {
-			pkeys = append(pkeys, k)
-		}
-		sort.Slice(pkeys, func(i, j int) bool { return poolKeyLess(pkeys[i], pkeys[j]) })
-		for _, k := range pkeys {
+		for _, k := range dp.poolKeys() {
 			p := dp.pools[k]
 			pp := partialPool{
 				Hour: int(k.Hour),
@@ -245,7 +241,7 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 			case poolFree:
 				pp.Event = cp.EventType(k.B).String()
 			}
-			for _, it := range p.canonicalItems() {
+			for _, it := range p.canonicalItems(&scratch) {
 				pp.UE = append(pp.UE, it.ue)
 				pp.Seq = append(pp.Seq, it.seq)
 				pp.V = append(pp.V, it.v)
@@ -278,19 +274,6 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&f)
-}
-
-func poolKeyLess(x, y poolKey) bool {
-	if x.Hour != y.Hour {
-		return x.Hour < y.Hour
-	}
-	if x.Kind != y.Kind {
-		return x.Kind < y.Kind
-	}
-	if x.A != y.A {
-		return x.A < y.A
-	}
-	return x.B < y.B
 }
 
 func encodeExtractor(ue cp.UEID, st *ueFitState) partialExtractor {
@@ -492,7 +475,7 @@ func decodePools(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDevi
 		} else if pp.Event != "" {
 			return fmt.Errorf("core: partial fit: pool kind %q takes no event", pp.Kind)
 		}
-		if pi > 0 && !poolKeyLess(prev, k) {
+		if pi > 0 && prev.ord() >= k.ord() {
 			return fmt.Errorf("core: partial fit: device %q pools not in canonical order", pd.Device)
 		}
 		prev = k

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/cp"
@@ -131,6 +132,12 @@ func decodeCntKey(k uint64, n int64) countRec {
 	}
 }
 
+// sortKey packs (hour, UE, kind, a, b) so that ascending keys are the
+// hour-major record order.
+func (r countRec) sortKey() uint64 {
+	return uint64(r.hour)<<51 | uint64(r.ue)<<19 | uint64(r.kind)<<16 | uint64(r.a)<<8 | uint64(r.b)
+}
+
 // countRecs decodes the count map into records sorted by
 // (hour, UE, kind, a, b) — hour-major so Build can slice per hour.
 func (dp *devPartial) countRecs() []countRec {
@@ -138,22 +145,8 @@ func (dp *devPartial) countRecs() []countRec {
 	for k, n := range dp.counts {
 		recs = append(recs, decodeCntKey(k, n))
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		x, y := recs[i], recs[j]
-		if x.hour != y.hour {
-			return x.hour < y.hour
-		}
-		if x.ue != y.ue {
-			return x.ue < y.ue
-		}
-		if x.kind != y.kind {
-			return x.kind < y.kind
-		}
-		if x.a != y.a {
-			return x.a < y.a
-		}
-		return x.b < y.b
-	})
+	// sortKey is a bijection of the map key, so no two records tie.
+	slices.SortFunc(recs, func(x, y countRec) int { return cmp.Compare(x.sortKey(), y.sortKey()) })
 	return recs
 }
 
@@ -199,6 +192,22 @@ func poolSalt(k poolKey) uint64 {
 	return uint64(k.Kind)<<24 | uint64(k.Hour)<<16 | uint64(k.A)<<8 | uint64(k.B)
 }
 
+// ord packs the key so that ascending ords are the canonical
+// (hour, kind, A, B) pool order; distinct keys have distinct ords.
+func (k poolKey) ord() uint32 {
+	return uint32(k.Hour)<<24 | uint32(k.Kind)<<16 | uint32(k.A)<<8 | uint32(k.B)
+}
+
+// poolKeys returns the device's pool keys in canonical order.
+func (dp *devPartial) poolKeys() []poolKey {
+	keys := make([]poolKey, 0, len(dp.pools))
+	for k := range dp.pools {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(x, y poolKey) int { return cmp.Compare(x.ord(), y.ord()) })
+	return keys
+}
+
 // pitem is one retained sample: the (UE, seq) identity that
 // reconstructs the serial fold order, and the value.
 type pitem struct {
@@ -207,19 +216,123 @@ type pitem struct {
 	v   float64
 }
 
-func sortPitems(items []pitem) {
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].ue != items[j].ue {
-			return items[i].ue < items[j].ue
+// key packs the sample identity so that ascending keys are (UE, seq)
+// order. A UE's sink numbers its retained samples 0, 1, 2, … across all
+// pools and a UE lives in exactly one partial, so no two samples of a
+// fit share a key: the order is total, and any correct sort — stable or
+// not, comparison or radix — produces the same sequence.
+func (it pitem) key() uint64 { return uint64(it.ue)<<32 | uint64(it.seq) }
+
+// pitemRadixCutoff is the slice length below which sortPitems hands
+// over to a comparison sort: a radix pass costs a 256-bucket histogram
+// whatever the length.
+const pitemRadixCutoff = 96
+
+// sortPitems sorts items by key with an LSD radix sort, one byte per
+// pass. The sweep that finds the already-sorted case (decoded
+// checkpoints, single-UE pools) also finds which key bytes vary at all;
+// passes over constant bytes — the high bytes of both halves, for the
+// small UE ids and sequence numbers real pools hold — are skipped.
+// *scratch is the ping-pong buffer, grown as needed and reusable across
+// calls.
+func sortPitems(items []pitem, scratch *[]pitem) {
+	sorted := true
+	and, or, prev := ^uint64(0), uint64(0), uint64(0)
+	for i := range items {
+		k := items[i].key()
+		sorted = sorted && prev <= k
+		and &= k
+		or |= k
+		prev = k
+	}
+	if sorted {
+		return
+	}
+	if len(items) < pitemRadixCutoff {
+		slices.SortFunc(items, func(x, y pitem) int { return cmp.Compare(x.key(), y.key()) })
+		return
+	}
+	if cap(*scratch) < len(items) {
+		*scratch = make([]pitem, len(items))
+	}
+	src, dst := items, (*scratch)[:len(items)]
+	varying := and ^ or // bits that differ somewhere in the slice
+	for shift := uint(0); shift < 64; shift += 8 {
+		if varying>>shift&0xff == 0 {
+			continue
 		}
-		return items[i].seq < items[j].seq
-	})
+		var next [256]int
+		for i := range src {
+			next[src[i].key()>>shift&0xff]++
+		}
+		sum := 0
+		for b, c := range next {
+			next[b] = sum
+			sum += c
+		}
+		for i := range src {
+			b := src[i].key() >> shift & 0xff
+			dst[next[b]] = src[i]
+			next[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &items[0] {
+		copy(items, src)
+	}
+}
+
+// mergePitems merges lists, each already in key order, into *buf
+// (overwritten, grown as needed, reusable across calls) and returns the
+// merged slice. It consumes the lists slice, not the items. Keys are
+// unique across the lists, so there is no tie to break. Each round
+// finds the list with the smallest head and the second-smallest head
+// key, then moves the whole run below that bound — typically a UE's
+// samples of one hour — rather than one item.
+func mergePitems(buf *[]pitem, lists [][]pitem) []pitem {
+	dst := (*buf)[:0]
+	live := lists[:0]
+	for _, l := range lists {
+		if len(l) > 0 {
+			live = append(live, l)
+		}
+	}
+	for len(live) > 1 {
+		best, bestKey, bound := 0, live[0][0].key(), uint64(math.MaxUint64)
+		for i := 1; i < len(live); i++ {
+			switch k := live[i][0].key(); {
+			case k < bestKey:
+				best, bestKey, bound = i, k, bestKey
+			case k < bound:
+				bound = k
+			}
+		}
+		l := live[best]
+		n := 1
+		for n < len(l) && l[n].key() < bound {
+			n++
+		}
+		dst = append(dst, l[:n]...)
+		if n < len(l) {
+			live[best] = l[n:]
+		} else {
+			live[best] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	}
+	if len(live) == 1 {
+		dst = append(dst, live[0]...)
+	}
+	*buf = dst
+	return dst
 }
 
 // pool is one sample pool: an exact tagged list, or a bottom-k sketch
 // when the partial runs in bounded-memory mode.
 type pool struct {
-	items []pitem       // exact mode
+	// items is the exact-mode list. Its order is not state — only the
+	// multiset is — so canonicalItems is free to sort it in place.
+	items []pitem
 	sk    *stats.Sketch // sketched mode (items unused)
 }
 
@@ -232,19 +345,18 @@ func (p *pool) count() int64 {
 }
 
 // canonicalItems returns the retained samples in (UE, seq) order — the
-// serial fold order within the pool.
-func (p *pool) canonicalItems() []pitem {
-	var items []pitem
+// serial fold order within the pool. An exact pool is sorted in place
+// and returned without a copy; scratch is sortPitems' buffer.
+func (p *pool) canonicalItems(scratch *[]pitem) []pitem {
+	items := p.items
 	if p.sk != nil {
 		ski := p.sk.Items()
 		items = make([]pitem, len(ski))
 		for i, it := range ski {
 			items[i] = pitem{ue: cp.UEID(it.Tag >> 32), seq: uint32(it.Tag), v: it.V}
 		}
-	} else {
-		items = append([]pitem(nil), p.items...)
 	}
-	sortPitems(items)
+	sortPitems(items, scratch)
 	return items
 }
 
@@ -266,24 +378,24 @@ func (dp *devPartial) addSample(k poolKey, sketchK int, ue cp.UEID, seq uint32, 
 	p.items = append(p.items, pitem{ue: ue, seq: seq, v: v})
 }
 
-// appendPool folds one pool sample into an accumulator's list for the
-// pool's key.
-func (a *acc) appendPool(k poolKey, v float64) {
+// setPool installs vs as the accumulator's complete sample list for
+// pool k; every (accumulator, pool) pair is written once. An empty list
+// leaves the accumulator without an entry for the pool.
+func (a *acc) setPool(k poolKey, vs []float64) {
+	if len(vs) == 0 {
+		return
+	}
 	switch k.Kind {
 	case poolTop:
-		tk := topKey{S: cp.UEState(k.A), E: cp.EventType(k.B)}
-		a.TopSoj[tk] = append(a.TopSoj[tk], v)
+		a.TopSoj[topKey{S: cp.UEState(k.A), E: cp.EventType(k.B)}] = vs
 	case poolBot:
-		bk := botKey{S: sm.State(k.A), E: cp.EventType(k.B)}
-		a.BotSoj[bk] = append(a.BotSoj[bk], v)
+		a.BotSoj[botKey{S: sm.State(k.A), E: cp.EventType(k.B)}] = vs
 	case poolCensor:
-		s := sm.State(k.A)
-		a.BotCensor[s] = append(a.BotCensor[s], v)
+		a.BotCensor[sm.State(k.A)] = vs
 	case poolFree:
-		e := cp.EventType(k.B)
-		a.FreeIA[e] = append(a.FreeIA[e], v)
+		a.FreeIA[cp.EventType(k.B)] = vs
 	case poolFirst:
-		a.FirstOff = append(a.FirstOff, v)
+		a.FirstOff = vs
 	}
 }
 
@@ -641,7 +753,7 @@ func (pf *PartialFit) Merge(other *PartialFit) error {
 		for k, n := range odp.counts {
 			dp.counts[k] += n
 		}
-		//cplint:ordered-ok per-key fold into the key's own pool; sketch merge is commutative and exact lists are re-sorted by (UE, seq) at Build
+		//cplint:ordered-ok per-key fold into the key's own pool; sketch merge is commutative and exact lists are sorted by (UE, seq) at Build
 		for k, p := range odp.pools {
 			mine := dp.pools[k]
 			if mine == nil {
@@ -664,7 +776,7 @@ func (pf *PartialFit) Merge(other *PartialFit) error {
 	for ue := range other.exts {
 		moved = append(moved, ue)
 	}
-	sort.Slice(moved, func(i, j int) bool { return moved[i] < moved[j] })
+	slices.Sort(moved)
 	for _, ue := range moved {
 		st := other.exts[ue]
 		st.sink.pf = pf
@@ -691,11 +803,11 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 	if pf.built {
 		return nil, fmt.Errorf("core: partial fit already built")
 	}
-	pf.built = true
 	total := len(pf.devOf)
 	if total == 0 {
 		return nil, fmt.Errorf("core: cannot fit an empty trace")
 	}
+	pf.built = true
 	// Finish every extractor in ascending UE order; a UE whose stream
 	// had no Category-1 event resolves and flushes its buffered prefix
 	// here. (Sample identity is (UE, seq)-tagged, so the finish order
@@ -705,7 +817,7 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 	for ue := range pf.exts {
 		finishOrder = append(finishOrder, ue)
 	}
-	sort.Slice(finishOrder, func(i, j int) bool { return finishOrder[i] < finishOrder[j] })
+	slices.Sort(finishOrder)
 	for _, ue := range finishOrder {
 		pf.exts[ue].ext.finish()
 	}
@@ -723,7 +835,7 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 		if dp == nil || len(dp.ues) == 0 {
 			continue
 		}
-		sort.Slice(dp.ues, func(i, j int) bool { return dp.ues[i] < dp.ues[j] })
+		slices.Sort(dp.ues)
 		dm := dp.build(pf, days)
 		dm.Share = float64(len(dp.ues)) / float64(total)
 		dm.TrainUEs = len(dp.ues)
@@ -732,36 +844,89 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 	return ms, nil
 }
 
+// ueCursor resolves UE ids to their index in an ascending UE list by a
+// forward walk: the ids asked for must themselves ascend and be in the
+// list, which holds for the UE-grouped records Build walks because
+// AddEvent and DecodePartial admit only registered UEs.
+type ueCursor struct {
+	ues []cp.UEID
+	i   int
+}
+
+func (c *ueCursor) index(ue cp.UEID) int {
+	for c.ues[c.i] != ue {
+		c.i++
+	}
+	return c.i
+}
+
+// ueRunEnd returns the end of the run of items[i]'s UE.
+func ueRunEnd(items []pitem, i int) int {
+	j := i + 1
+	for j < len(items) && items[j].ue == items[i].ue {
+		j++
+	}
+	return j
+}
+
+// pitemValues copies the items' values out, in order.
+func pitemValues(items []pitem) []float64 {
+	vs := make([]float64, len(items))
+	for i := range items {
+		vs[i] = items[i].v
+	}
+	return vs
+}
+
+// splitByCluster installs one canonical pool's values into the
+// per-cluster accumulators: a stable counting split (count per cluster,
+// then fill) into one block of exactly len(items) values, so each
+// cluster's list keeps the (UE, seq) order and nothing grows by append.
+// cl[i] is the cluster of ues[i]; the cluster is looked up once per UE
+// run, not per sample.
+func splitByCluster(accs []*acc, k poolKey, items []pitem, ues []cp.UEID, cl []int) {
+	end := make([]int, len(accs)) // per cluster: count, then fill position
+	cur := ueCursor{ues: ues}
+	for i := 0; i < len(items); {
+		j := ueRunEnd(items, i)
+		end[cl[cur.index(items[i].ue)]] += j - i
+		i = j
+	}
+	off := 0
+	for c, n := range end {
+		end[c] = off
+		off += n
+	}
+	block := make([]float64, len(items))
+	cur.i = 0
+	for i := 0; i < len(items); {
+		j := ueRunEnd(items, i)
+		c := cl[cur.index(items[i].ue)]
+		for ; i < j; i++ {
+			block[end[c]] = items[i].v
+			end[c]++
+		}
+	}
+	start := 0
+	for c, e := range end {
+		accs[c].setPool(k, block[start:e:e])
+		start = e
+	}
+}
+
 // build fits one device type's model from its partial state.
 func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 	opt := pf.opt
 	ues := dp.ues
 
-	// Canonicalize every pool once: items in (UE, seq) order.
+	// Put every pool in (UE, seq) order — the one sort a sample ever
+	// gets; everything downstream splits or merges these lists.
+	poolKeys := dp.poolKeys()
 	pools := make(map[poolKey][]pitem, len(dp.pools))
-	//cplint:ordered-ok each key is written once into its own slot from its own pool
-	for k, p := range dp.pools {
-		pools[k] = p.canonicalItems()
-	}
-	poolKeys := make([]poolKey, 0, len(pools))
-	for k := range pools {
-		poolKeys = append(poolKeys, k)
-	}
-	sort.Slice(poolKeys, func(i, j int) bool {
-		x, y := poolKeys[i], poolKeys[j]
-		if x.Hour != y.Hour {
-			return x.Hour < y.Hour
-		}
-		if x.Kind != y.Kind {
-			return x.Kind < y.Kind
-		}
-		if x.A != y.A {
-			return x.A < y.A
-		}
-		return x.B < y.B
-	})
+	var scratch []pitem // the sort's and the merges' buffer: one pool's worth
 	var hourKeys [HoursPerDay][]poolKey
 	for _, k := range poolKeys {
+		pools[k] = dp.pools[k].canonicalItems(&scratch)
 		hourKeys[k.Hour] = append(hourKeys[k.Hour], k)
 	}
 
@@ -777,14 +942,13 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		lo = hi
 	}
 
-	assignments, numClusters, weights := clusterHours(ues, opt, dp.featureFn(pf, pools, days))
+	assignments, numClusters, weights := clusterHours(ues, opt, dp.featureFn(pf, pools, days, &scratch))
 
 	dm := &DeviceModel{
 		Personas: buildPersonas(ues, assignments),
 		Hours:    make([]HourModel, HoursPerDay),
 	}
 	par.For(HoursPerDay, opt.Workers, func(h int) {
-		asg := assignments[h]
 		accs := make([]*acc, numClusters[h])
 		for c := range accs {
 			accs[c] = newAcc()
@@ -793,24 +957,25 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		// NumUEs/Cells are functions of the assignments alone — every
 		// UE contributes whether or not it produced samples, exactly
 		// like the serial per-UE fold.
-		for _, ue := range ues {
-			accs[asg[ue]].NumUEs++
-			accs[asg[ue]].Cells += days
+		cl := make([]int, len(ues))
+		for i, ue := range ues {
+			c := assignments[h][ue]
+			cl[i] = c
+			accs[c].NumUEs++
+			accs[c].Cells += days
 		}
 		agg.NumUEs = len(ues)
 		agg.Cells = len(ues) * days
+		// Count records and pool items are both UE-grouped in ascending
+		// UE order, so their clusters come from cl by a forward walk.
+		cur := ueCursor{ues: ues}
 		for _, r := range hourRecs[h] {
-			accs[asg[r.ue]].applyCount(r)
+			accs[cl[cur.index(r.ue)]].applyCount(r)
 			agg.applyCount(r)
 		}
-		// Pool items are (UE, seq)-ordered; a stable split per cluster
-		// keeps each cluster's list — and the aggregate's — in the
-		// serial fold order.
 		for _, k := range hourKeys[h] {
-			for _, it := range pools[k] {
-				accs[asg[it.ue]].appendPool(k, it.v)
-				agg.appendPool(k, it.v)
-			}
+			agg.setPool(k, pitemValues(pools[k]))
+			splitByCluster(accs, k, pools[k], ues, cl)
 		}
 		hm := &dm.Hours[h]
 		hm.Clusters = make([]ClusterModel, numClusters[h])
@@ -822,31 +987,27 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		hm.Weights = weights[h]
 	})
 
-	// Global fallback: hour-agnostic sums and hour-merged sample lists,
-	// restored to (UE, seq) order across hours.
+	// Global fallback: hour-agnostic sums, and each pool's per-hour
+	// lists merged back into one (UE, seq)-ordered list across hours.
 	global := newAcc()
 	global.NumUEs = len(ues)
 	global.Cells = len(ues) * days * HoursPerDay
 	for _, r := range recs {
 		global.applyCount(r)
 	}
-	type flatKey struct{ kind, a, b uint8 }
-	flat := make(map[flatKey][]pitem)
-	flatOrder := []flatKey{}
-	for _, k := range poolKeys {
-		fk := flatKey{k.Kind, k.A, k.B}
-		if _, ok := flat[fk]; !ok {
-			flatOrder = append(flatOrder, fk)
+	// flat moves the hour to the low byte: sorting by it makes the hours
+	// of one (kind, A, B) pool adjacent, and flat>>8 names that pool.
+	flat := func(k poolKey) uint32 { return k.ord()<<8 | uint32(k.Hour) }
+	slices.SortFunc(poolKeys, func(x, y poolKey) int { return cmp.Compare(flat(x), flat(y)) })
+	var lists [][]pitem
+	for lo := 0; lo < len(poolKeys); {
+		lists = lists[:0]
+		hi := lo
+		for ; hi < len(poolKeys) && flat(poolKeys[hi])>>8 == flat(poolKeys[lo])>>8; hi++ {
+			lists = append(lists, pools[poolKeys[hi]])
 		}
-		flat[fk] = append(flat[fk], pools[k]...)
-	}
-	for _, fk := range flatOrder {
-		items := flat[fk]
-		sortPitems(items)
-		k := poolKey{Kind: fk.kind, A: fk.a, B: fk.b}
-		for _, it := range items {
-			global.appendPool(k, it.v)
-		}
+		global.setPool(poolKeys[lo], pitemValues(mergePitems(&scratch, lists)))
+		lo = hi
 	}
 	g := global.build(opt.Machine, opt)
 	dm.Global = &g
@@ -861,7 +1022,7 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 // numerically equivalent but not bit-identical to the two-pass
 // computation: sketched fits are self-consistent (sharded == unsharded)
 // but intentionally diverge from exact fits.
-func (dp *devPartial) featureFn(pf *PartialFit, pools map[poolKey][]pitem, days int) func(i, h int) cluster.Features {
+func (dp *devPartial) featureFn(pf *PartialFit, pools map[poolKey][]pitem, days int, scratch *[]pitem) func(i, h int) cluster.Features {
 	ues := dp.ues
 	srvReq := func(ue cp.UEID, h int) float64 {
 		return float64(dp.counts[cntKey(ue, cntEvt, h, 0, uint8(cp.ServiceRequest))]) / float64(days)
@@ -880,43 +1041,43 @@ func (dp *devPartial) featureFn(pf *PartialFit, pools map[poolKey][]pitem, days 
 			}
 		}
 	}
-	var connStd, idleStd [HoursPerDay]map[cp.UEID]float64
+	var connStd, idleStd [HoursPerDay][]float64
 	for h := 0; h < HoursPerDay; h++ {
-		connStd[h] = sojournStds(pools, h, cp.StateConnected)
-		idleStd[h] = sojournStds(pools, h, cp.StateIdle)
+		connStd[h] = sojournStds(ues, pools, h, cp.StateConnected, scratch)
+		idleStd[h] = sojournStds(ues, pools, h, cp.StateIdle, scratch)
 	}
 	return func(i, h int) cluster.Features {
 		ue := ues[i]
 		return cluster.Features{
 			cluster.FSrvReqCount: srvReq(ue, h),
-			cluster.FConnStd:     connStd[h][ue],
+			cluster.FConnStd:     connStd[h][i],
 			cluster.FS1RelCount:  s1Rel(ue, h),
-			cluster.FIdleStd:     idleStd[h][ue],
+			cluster.FIdleStd:     idleStd[h][i],
 		}
 	}
 }
 
-// sojournStds recovers, for every UE with uncensored sojourns of macro
-// state s at hour h, the standard deviation of those sojourns in
-// emission order — exactly the list the per-UE extraction would have
-// built.
-func sojournStds(pools map[poolKey][]pitem, h int, s cp.UEState) map[cp.UEID]float64 {
-	var all []pitem
+// sojournStds recovers, for every UE (by index in ues) with uncensored
+// sojourns of macro state s at hour h, the standard deviation of those
+// sojourns in emission order — exactly the list the per-UE extraction
+// would have built; 0 for a UE with none. The per-event pools are
+// already canonical, so merging them restores the UE's emission order.
+func sojournStds(ues []cp.UEID, pools map[poolKey][]pitem, h int, s cp.UEState, scratch *[]pitem) []float64 {
+	lists := make([][]pitem, 0, cp.NumEventTypes)
 	for _, e := range cp.EventTypes {
-		all = append(all, pools[poolKey{Hour: uint8(h), Kind: poolTop, A: uint8(s), B: uint8(e)}]...)
+		lists = append(lists, pools[poolKey{Hour: uint8(h), Kind: poolTop, A: uint8(s), B: uint8(e)}])
 	}
-	sortPitems(all)
-	out := make(map[cp.UEID]float64)
+	all := mergePitems(scratch, lists)
+	out := make([]float64, len(ues))
+	cur := ueCursor{ues: ues}
+	var vs []float64
 	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].ue == all[i].ue {
-			j++
+		j := ueRunEnd(all, i)
+		vs = vs[:0]
+		for _, it := range all[i:j] {
+			vs = append(vs, it.v)
 		}
-		vs := make([]float64, j-i)
-		for k := i; k < j; k++ {
-			vs[k-i] = all[k].v
-		}
-		out[all[i].ue] = stats.StdDev(vs)
+		out[cur.index(all[i].ue)] = stats.StdDev(vs)
 		i = j
 	}
 	return out

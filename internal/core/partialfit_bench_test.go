@@ -1,0 +1,56 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"cptraffic/internal/cluster"
+	"cptraffic/internal/cp"
+)
+
+var benchBuilt *ModelSet
+
+// BenchmarkPartialFitBuild times Build alone — the layer bench/ reports
+// as core.fit.build_s — for an exact and a sketched fit of a 300-UE,
+// one-day toy world on one worker. Build consumes its partial, so every
+// iteration ingests the trace afresh with the timer stopped (a decoded
+// checkpoint would not do: its pools arrive already in canonical order).
+// ns/event and allocs/event are per ingested event, like the pipeline
+// metrics.
+func BenchmarkPartialFitBuild(b *testing.B) {
+	tr := toyTrace(b, 300, 24*cp.Hour, 11)
+	for _, bc := range []struct {
+		name    string
+		sketchK int
+	}{{"exact", 0}, {"sketch=256", 256}} {
+		b.Run(bc.name, func(b *testing.B) {
+			opt := FitOptions{Cluster: cluster.Options{ThetaN: 30}, Workers: 1, SketchK: bc.sketchK}
+			var ms runtime.MemStats
+			var mallocs uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				pf, err := NewPartialFit(opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := pf.AddSource(tr); err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				before := ms.Mallocs
+				b.StartTimer()
+				benchBuilt, err = pf.Build()
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				mallocs += ms.Mallocs - before
+			}
+			events := float64(b.N) * float64(tr.Len())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+			b.ReportMetric(float64(mallocs)/events, "allocs/event")
+		})
+	}
+}

@@ -1,6 +1,6 @@
 package stats
 
-import "sort"
+import "slices"
 
 // KaplanMeier estimates the marginal distribution of an event time from
 // right-censored observations: fired holds the observed (uncensored)
@@ -19,50 +19,35 @@ func KaplanMeier(fired, censored []float64) (q *QuantileTable, tail float64, ok 
 	if len(fired) == 0 {
 		return nil, 1, false
 	}
-	type obs struct {
-		t     float64
-		event bool
-	}
-	all := make([]obs, 0, len(fired)+len(censored))
-	for _, t := range fired {
-		all = append(all, obs{t, true})
-	}
-	for _, t := range censored {
-		all = append(all, obs{t, false})
-	}
-	// Sort by time; at ties, events before censorings (the standard
-	// convention: a unit censored at t was still at risk at t).
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].t != all[j].t {
-			return all[i].t < all[j].t
-		}
-		return all[i].event && !all[j].event
-	})
-
-	n := len(all)
+	// Sort each side as plain floats and walk the distinct event times:
+	// at time t, everything fired before t and everything censored
+	// strictly before t has left the risk set — a unit censored at t was
+	// still at risk at t, the standard convention — which is all the
+	// estimator needs of the merged (t, event) order.
+	f := slices.Clone(fired)
+	c := slices.Clone(censored)
+	slices.Sort(f)
+	slices.Sort(c)
+	n := len(f) + len(c)
 	type step struct {
 		t float64
 		F float64 // cumulative incidence 1 - S(t)
 	}
-	var steps []step
+	steps := make([]step, 0, len(f))
 	S := 1.0
-	i := 0
-	for i < n {
-		t := all[i].t
-		d := 0 // events at t
-		j := i
-		for j < n && all[j].t == t {
-			if all[j].event {
-				d++
-			}
-			j++
+	for fi, ci := 0, 0; fi < len(f); {
+		t := f[fi]
+		for ci < len(c) && c[ci] < t {
+			ci++
 		}
-		atRisk := n - i
-		if d > 0 {
-			S *= 1 - float64(d)/float64(atRisk)
-			steps = append(steps, step{t: t, F: 1 - S})
+		atRisk := n - fi - ci
+		d := 1 // events at t
+		for fi+d < len(f) && f[fi+d] == t {
+			d++
 		}
-		i = j
+		fi += d
+		S *= 1 - float64(d)/float64(atRisk)
+		steps = append(steps, step{t: t, F: 1 - S})
 	}
 	tail = S
 	fMax := 1 - S

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -129,5 +131,137 @@ func TestCensoredExpMLERecoversRate(t *testing.T) {
 	l, ok := CensoredExpMLE(fired, censored)
 	if !ok || math.Abs(l-2) > 0.05 {
 		t.Fatalf("lambda = %v", l)
+	}
+}
+
+// kaplanMeierSortSlice is the estimator as it was before the two sides
+// were sorted as plain floats: every observation materialised as a
+// (t, event) struct, reflection-sorted with events before censorings at
+// equal t. Kept only as the oracle for TestKaplanMeierMatchesSortSlice.
+func kaplanMeierSortSlice(fired, censored []float64) (q *QuantileTable, tail float64, ok bool) {
+	if len(fired) == 0 {
+		return nil, 1, false
+	}
+	type obs struct {
+		t     float64
+		event bool
+	}
+	all := make([]obs, 0, len(fired)+len(censored))
+	for _, t := range fired {
+		all = append(all, obs{t, true})
+	}
+	for _, t := range censored {
+		all = append(all, obs{t, false})
+	}
+	// Sort by time; at ties, events before censorings (the standard
+	// convention: a unit censored at t was still at risk at t).
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].t != all[j].t {
+			return all[i].t < all[j].t
+		}
+		return all[i].event && !all[j].event
+	})
+
+	n := len(all)
+	type step struct {
+		t float64
+		F float64 // cumulative incidence 1 - S(t)
+	}
+	var steps []step
+	S := 1.0
+	i := 0
+	for i < n {
+		t := all[i].t
+		d := 0 // events at t
+		j := i
+		for j < n && all[j].t == t {
+			if all[j].event {
+				d++
+			}
+			j++
+		}
+		atRisk := n - i
+		if d > 0 {
+			S *= 1 - float64(d)/float64(atRisk)
+			steps = append(steps, step{t: t, F: 1 - S})
+		}
+		i = j
+	}
+	tail = S
+	fMax := 1 - S
+	if fMax <= 0 {
+		return nil, 1, false
+	}
+	// Build the conditional-given-finite quantile table by inverting
+	// F(t)/fMax over an even probability grid.
+	// Always use the full grid: unlike a plain sample table, KM steps
+	// carry unequal probability masses, and a coarse grid would misplace
+	// them.
+	points := DefaultQuantilePoints
+	qv := make([]float64, points)
+	si := 0
+	for k := 0; k < points; k++ {
+		p := float64(k) / float64(points-1) * fMax
+		for si < len(steps)-1 && steps[si].F < p {
+			si++
+		}
+		qv[k] = steps[si].t
+	}
+	// Guarantee exact lower/upper endpoints.
+	qv[0] = steps[0].t
+	qv[points-1] = steps[len(steps)-1].t
+	return &QuantileTable{Q: qv}, tail, true
+}
+
+// TestKaplanMeierMatchesSortSlice demands bit-equal output from the
+// float-sort walk and the struct-sort reference on inputs heavy in ties:
+// times on a coarse grid, so equal t within and across the fired and
+// censored sides is the common case.
+func TestKaplanMeierMatchesSortSlice(t *testing.T) {
+	check := func(name string, fired, censored []float64) {
+		t.Helper()
+		f0, c0 := slices.Clone(fired), slices.Clone(censored)
+		wq, wtail, wok := kaplanMeierSortSlice(fired, censored)
+		gq, gtail, gok := KaplanMeier(fired, censored)
+		if gok != wok || math.Float64bits(gtail) != math.Float64bits(wtail) {
+			t.Fatalf("%s: got tail=%v ok=%v, reference tail=%v ok=%v", name, gtail, gok, wtail, wok)
+		}
+		if (gq == nil) != (wq == nil) {
+			t.Fatalf("%s: table nil-ness differs", name)
+		}
+		if gq != nil {
+			if len(gq.Q) != len(wq.Q) {
+				t.Fatalf("%s: table length %d, reference %d", name, len(gq.Q), len(wq.Q))
+			}
+			for i := range gq.Q {
+				if math.Float64bits(gq.Q[i]) != math.Float64bits(wq.Q[i]) {
+					t.Fatalf("%s: Q[%d] = %v, reference %v", name, i, gq.Q[i], wq.Q[i])
+				}
+			}
+		}
+		if !slices.Equal(fired, f0) || !slices.Equal(censored, c0) {
+			t.Fatalf("%s: KaplanMeier modified its arguments", name)
+		}
+	}
+	check("one element", []float64{3}, nil)
+	check("one element, censored at the same t", []float64{3}, []float64{3})
+	check("all duplicates", []float64{2, 2, 2, 2}, []float64{2, 2})
+	check("last event censored past", []float64{1, 1, 4}, []float64{0.5, 4, 4, 9})
+	r := NewRNG(99)
+	for trial := 0; trial < 400; trial++ {
+		grid := 1 + r.Intn(12) // distinct times available: few, so ties abound
+		draw := func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(r.Intn(grid)) / 4
+			}
+			return xs
+		}
+		fired := draw(1 + r.Intn(60))
+		var censored []float64
+		if trial%5 != 0 { // every fifth trial: empty censored
+			censored = draw(r.Intn(80))
+		}
+		check("random", fired, censored)
 	}
 }

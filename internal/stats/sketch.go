@@ -1,8 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sketch is a mergeable bounded-memory quantile sketch: a bottom-k
@@ -125,7 +126,11 @@ func (s *Sketch) Len() int { return len(s.items) }
 // canonical serialization order. The slice is a copy.
 func (s *Sketch) Items() []SketchItem {
 	out := append([]SketchItem(nil), s.items...)
-	sort.Slice(out, func(i, j int) bool { return itemLess(out[i], out[j]) })
+	// (Pri, Tag) ties only between items Add's contract calls duplicates;
+	// the fit's tags are unique per sample, so there it never ties.
+	slices.SortFunc(out, func(a, b SketchItem) int {
+		return cmp.Or(cmp.Compare(a.Pri, b.Pri), cmp.Compare(a.Tag, b.Tag))
+	})
 	return out
 }
 
@@ -138,7 +143,7 @@ func (s *Sketch) Values() []float64 {
 	for i, it := range items {
 		out[i] = it.V
 	}
-	sort.Float64s(out)
+	slices.Sort(out)
 	return out
 }
 
