@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 
 	"cptraffic/internal/cp"
 	"cptraffic/internal/sm"
+	"cptraffic/internal/trace"
 )
 
 // pinnedFitDigests are sha256 digests of ModelSet.Save for the world
@@ -78,6 +80,48 @@ func TestFitModelDigestPinned(t *testing.T) {
 			sharded := mergeAndBuild(t, shardPartials(t, tr, 3, opt), []int{2, 1, 0})
 			if got := digest(sharded); got != want {
 				t.Errorf("%s 3 shards merged in reverse: digest %s, pinned %s", name, got, want)
+			}
+		}
+	}
+}
+
+// pinnedGenerateDigest is the sha256 of trace.WriteBinaryTrace over
+// Generate(fitToy(60 UEs, 6 h, seed 11), 100 UEs from hour 5 for 50 h,
+// seed 17). It was recorded on the commit before Generate's assembly
+// moved from 16-byte events to packed 8-byte keys and is absolute for
+// the same reason pinnedFitDigests is: TestStreamMatchesGenerate and
+// TestSourceMatchesGenerate compare two paths that share the engine, so
+// a change that moves both passes them. The 50 h span makes the time
+// field of the sort key 28 bits wide (more than two radix digits), the
+// start hour makes t0 non-zero, and neither 3 nor 8 divides the
+// population. Worker count and engine must not move a byte.
+const pinnedGenerateDigest = "568d9f999d2915f919f89fb5d74fe7cc00ebe5e0c5ee1b9dfb965c3d3603254e"
+
+func TestGenerateDigestPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	ms := fitToy(t, 60, 6*cp.Hour, 11, FitOptions{})
+	for _, interpret := range []bool{false, true} {
+		for _, workers := range []int{1, 3, 8} {
+			tr, err := Generate(ms, GenOptions{
+				NumUEs: 100, StartHour: 5, Duration: 50 * cp.Hour, Seed: 17,
+				Workers: workers, Interpret: interpret,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tr.Sorted() { // WriteBinaryTrace would sort a copy and hide it
+				t.Fatalf("interpret=%v workers=%d: trace not in canonical order", interpret, workers)
+			}
+			var buf bytes.Buffer
+			if err := trace.WriteBinaryTrace(&buf, tr); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != pinnedGenerateDigest {
+				t.Errorf("interpret=%v workers=%d: %d events, digest %s, pinned %s",
+					interpret, workers, tr.Len(), got, pinnedGenerateDigest)
 			}
 		}
 	}
