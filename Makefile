@@ -64,10 +64,11 @@ race:
 	$(GO) test -race -short ./internal/lint/
 
 # The compiled generator and the world simulator must stay
-# zero-allocation in their steady-state step (the race build disables
-# these gates itself, so they need a non-race run).
+# zero-allocation in their steady-state step, and both Generates must
+# stay within 48 allocated bytes per assembled event (the race build
+# disables these gates itself, so they need a non-race run).
 allocs:
-	$(GO) test -run 'SteadyStateAllocs' ./internal/core/ ./internal/world/
+	$(GO) test -run 'SteadyStateAllocs|BytesPerEvent' ./internal/core/ ./internal/world/
 
 # Coverage-guided fuzzing over the two external input surfaces: the
 # scenario JSON parser (seeded from scenarios/*.json) and the

@@ -1,0 +1,160 @@
+package core
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"cptraffic/internal/cp"
+	"cptraffic/internal/sm"
+	"cptraffic/internal/trace"
+)
+
+// flushModel is a hand-built model (in the manner of mkDeviceModel) whose
+// every UE emits exactly three events and falls silent: a first-event TAU
+// at 10 s landing in TAU_S_IDLE with no bottom parameters, then — 2 s
+// later — a top-level SRV_REQ that is illegal from TAU_S_IDLE, so step's
+// case 1 flushes the sub-machine first: S1_CONN_REL at the firing time,
+// SRV_REQ one millisecond after it. CONNECTED has no parameters, so
+// nothing is pending afterwards.
+func flushModel(t *testing.T) *ModelSet {
+	t.Helper()
+	global := ClusterModel{Top: make([]StateParam, cp.NumUEStates)}
+	global.Top[cp.StateIdle].Out = []TransitionParam{{
+		Event: cp.ServiceRequest, P: 1, Sojourn: SojournModel{Kind: SojournConst, Value: 2},
+	}}
+	global.First = FirstEventModel{
+		Cats:   []FirstCat{{Event: cp.TrackingAreaUpdate, State: sm.LTETauSIdle, P: 1}},
+		Offset: SojournModel{Kind: SojournConst, Value: 10},
+	}
+	ms := &ModelSet{
+		MachineName: "LTE-2LEVEL",
+		Method:      "hand",
+		Devices:     make([]*DeviceModel, cp.NumDeviceTypes),
+	}
+	ms.Devices[cp.Phone] = &DeviceModel{Hours: make([]HourModel, HoursPerDay), Global: &global, Share: 1}
+	if err := ms.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
+// collected materializes the streaming merge path for opt.
+func collected(t *testing.T, ms *ModelSet, opt GenOptions) *trace.Trace {
+	t.Helper()
+	src, err := NewSource(ms, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Collect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestGenerateWindowEdgeOvershoot pins the window contract Generate's key
+// layout depends on: a firing one millisecond inside the window whose
+// case-1 flush steps `at` past end still emits its top event, stamped at
+// end itself — outside [t0, end) but inside the declared overshoot — and
+// the packed assembly and the streaming merge agree on it byte for byte,
+// on both engines.
+func TestGenerateWindowEdgeOvershoot(t *testing.T) {
+	ms := flushModel(t)
+	const start = 7
+	t0 := start * cp.Hour
+	end := t0 + 12*cp.Second + 1 // the SRV_REQ fires at end-1
+	for _, interpret := range []bool{false, true} {
+		opt := GenOptions{NumUEs: 5, StartHour: start, Duration: end - t0, Seed: 3, Interpret: interpret}
+		gen, err := Generate(ms, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := collected(t, ms, opt); !slices.Equal(gen.Events, want.Events) {
+			t.Fatalf("interpret=%v: Generate and Collect(Source) differ:\n%v\n%v", interpret, gen.Events, want.Events)
+		}
+		var want []trace.Event
+		for _, step := range []struct {
+			at cp.Millis
+			ev cp.EventType
+		}{
+			{t0 + 10*cp.Second, cp.TrackingAreaUpdate},
+			{end - 1, cp.S1ConnRelease},
+			{end, cp.ServiceRequest}, // the overshoot: T == end
+		} {
+			for ue := 0; ue < opt.NumUEs; ue++ {
+				want = append(want, trace.Event{T: step.at, UE: cp.UEID(ue), Type: step.ev})
+			}
+		}
+		if !slices.Equal(gen.Events, want) {
+			t.Fatalf("interpret=%v: events\n%v\nwant\n%v", interpret, gen.Events, want)
+		}
+		if last := gen.Events[len(gen.Events)-1].T; last < end || last >= end+windowOvershoot {
+			t.Fatalf("last event at %d, want inside the overshoot [%d, %d)", last, end, end+windowOvershoot)
+		}
+	}
+}
+
+// TestGenerateUnpackableSpan drives Generate's other assembly: a span too
+// long for a 64-bit key (2^60 ms of T, plus UE and type bits) must take
+// Collect(Source) and still return the same events as the packed path
+// does for a window that merely contains them.
+func TestGenerateUnpackableSpan(t *testing.T) {
+	ms := flushModel(t)
+	short := GenOptions{NumUEs: 3, Duration: cp.Minute, Seed: 3}
+	long := short
+	long.Duration = 1 << 60
+	if _, fits := trace.NewKeyLayout(0, long.Duration+windowOvershoot-1, cp.UEID(long.NumUEs-1)); fits {
+		t.Fatal("test is vacuous: the long span packs into 64 bits")
+	}
+	want, err := Generate(ms, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Events) != 3*short.NumUEs {
+		t.Fatalf("short window produced %d events, want %d", len(want.Events), 3*short.NumUEs)
+	}
+	for _, interpret := range []bool{false, true} {
+		long.Interpret = interpret
+		got, err := Generate(ms, long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Events, want.Events) {
+			t.Fatalf("interpret=%v: unpackable span produced\n%v\nwant\n%v", interpret, got.Events, want.Events)
+		}
+		if len(got.Device) != long.NumUEs {
+			t.Fatalf("interpret=%v: %d device registrations, want %d", interpret, len(got.Device), long.NumUEs)
+		}
+	}
+}
+
+// TestGenerateBytesPerEvent gates assembly's memory traffic beside
+// TestGenerateAllocsPerEvent's allocation count: bytes allocated per
+// emitted event, on a population large enough to amortize the fixed
+// histograms and the per-UE plan. The budget is the key run (8 B, an
+// eighth of forecast slack, and the sixteenth of it that grew
+// geometrically before KeyRun.Forecast), the partitioned keys (8 B) and
+// the events themselves (16 B) — measured 36.5; it was 118 B when
+// assembly concatenated and sorted 16-byte events, and 68 B with packed
+// keys but no forecast. TotalAlloc counts bytes, not time, so the figure
+// repeats (to within a few KB of the runtime's own allocations).
+func TestGenerateBytesPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	ms := fitToy(t, 60, 3*cp.Hour, 10, FitOptions{})
+	opt := GenOptions{NumUEs: 20000, StartHour: 0, Duration: 2 * cp.Hour, Seed: 3, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := Generate(ms, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tr.Events))
+	t.Logf("%d B / %d events = %.2f B/event", after.TotalAlloc-before.TotalAlloc, len(tr.Events), perEvent)
+	if perEvent > 48 {
+		t.Fatalf("allocated %.2f B/event, want <= 48", perEvent)
+	}
+}

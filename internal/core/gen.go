@@ -19,7 +19,9 @@ type GenOptions struct {
 	NumUEs int
 	// StartHour is the hour-of-day H at which generation starts (§7).
 	StartHour int
-	// Duration is the length of the synthesized trace.
+	// Duration is the length of the synthesized window: every event
+	// fires inside [StartHour*Hour, StartHour*Hour+Duration). A UE's last
+	// firing may stamp a few events just past the end (see Generate).
 	Duration cp.Millis
 	// Seed makes the output deterministic; each UE derives an
 	// independent stream from it.
@@ -50,36 +52,56 @@ const minSojournSec = 0.001
 
 // Generate synthesizes a control-plane trace for opt.NumUEs UEs starting
 // at hour opt.StartHour, by running one per-UE semi-Markov generator per
-// UE concurrently (§7). The result covers [StartHour*Hour,
-// StartHour*Hour+Duration) and is sorted.
+// UE concurrently (§7), and returns it sorted. Every event *fires* inside
+// the window [StartHour*Hour, StartHour*Hour+Duration), but a firing may
+// stamp events past its own time: when a top-level event is illegal from
+// the current sub-state, the engine first flushes the sub-machine (step,
+// case 1), one event per millisecond from the firing time, and the top
+// event follows them. A UE's last firing can therefore leave up to
+// windowOvershoot events with T in [end, end+windowOvershoot). Stream
+// and Source emit exactly the same events.
 //
 // The model is first lowered into a compiled form (compile.go) so the
 // per-event work is pure array indexing; the interpreted reference
 // engine is available via opt.Interpret and produces identical bytes.
+//
+// Assembly: each worker drains its UEs into one run of packed 8-byte keys
+// (trace.KeyLayout, fixed from the options before any event exists) and
+// trace.AssembleKeys sorts the runs and decodes them into the event
+// slice. The key's integer order is the canonical order and the key is
+// the whole event, so the result is byte-identical to the k-way merge the
+// streaming path uses. A key that cannot fit 64 bits (a span of
+// centuries) takes that streaming path instead.
 func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 	jobs, machine, t0, end, workers, err := planGeneration(ms, opt)
 	if err != nil {
 		return nil, err
 	}
+	lay, fits := trace.NewKeyLayout(t0, end+windowOvershoot-1, jobs[len(jobs)-1].ue)
+	if !fits {
+		return collectSource(ms, opt)
+	}
 	var cm *compiledModel
 	if !opt.Interpret {
 		cm = ms.lower(machine)
 	}
-	out := make([][]trace.Event, workers)
+	runs := make([]trace.KeyRun, workers)
 	par.Do(workers, func(w int) {
-		var evs []trace.Event
+		var run trace.KeyRun // local: workers must not share runs' cache lines
 		if cm != nil {
 			// Compiled fast path: one stack-resident ueGen reused across
 			// every UE of the stripe — zero per-UE allocations, no
 			// interface hop, bulk queue drains.
 			var g ueGen
-			for i := w; i < len(jobs); i += workers {
+			stripe := (len(jobs) - w + workers - 1) / workers
+			for i, done := w, 1; i < len(jobs); i, done = i+workers, done+1 {
 				cd := cm.dev(jobs[i].dev)
 				if cd == nil {
 					continue
 				}
 				g.init(cm, cd, jobs[i].ue, jobs[i].rng, t0, end)
-				evs = g.drainInto(evs)
+				g.drainInto(&lay, &run)
+				run.Forecast(done, stripe)
 			}
 		} else {
 			mk := genFactory(ms, machine, cm, t0, end)
@@ -89,40 +111,40 @@ func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 					continue
 				}
 				for {
-					ev, ok := it.Next()
-					if !ok {
+					ev, more := it.Next()
+					if !more {
 						break
 					}
-					evs = append(evs, ev)
+					run.Append(&lay, ev)
 				}
 			}
 		}
-		out[w] = evs
+		runs[w] = run
 	})
-
-	tr := trace.New()
+	// The registry first: it is the plan's last use, so the jobs (40 B per
+	// UE) are garbage before assembly reaches its peak.
+	tr := &trace.Trace{Device: make(map[cp.UEID]cp.DeviceType, len(jobs))}
 	for _, j := range jobs {
 		tr.Device[j.ue] = j.dev
 	}
-	n := 0
-	for _, evs := range out {
-		n += len(evs)
-	}
-	// Assembly: concatenate the per-worker runs and radix-sort the packed
-	// (T-t0, UE, Type) key — the canonical order is exactly the key's
-	// integer order, so the result is byte-identical to the k-way merge
-	// the streaming path uses, without the O(n log k) comparator work.
-	// The key-width check only fails for pathological spans (centuries)
-	// or UE ids; the comparison sort it falls back to defines the same
-	// order.
-	tr.Events = make([]trace.Event, 0, n)
-	for _, evs := range out {
-		tr.Events = append(tr.Events, evs...)
-	}
-	if !trace.RadixSortEvents(tr.Events, t0) {
-		tr.Sort()
+	var ok bool
+	if tr.Events, ok = trace.AssembleKeys(&lay, runs); !ok {
+		// An event outside the window contract above: an engine bug, but
+		// one the merge path orders correctly all the same.
+		return collectSource(ms, opt)
 	}
 	return tr, nil
+}
+
+// collectSource materializes the streaming Source: the assembly for
+// options whose packed key does not fit 64 bits. TestSourceMatchesGenerate
+// pins it byte for byte against the packed path.
+func collectSource(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
+	src, err := NewSource(ms, opt)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Collect(src)
 }
 
 // Stream synthesizes the same trace Generate would, but delivers events
@@ -441,9 +463,16 @@ type ueGen struct {
 	qlen  int
 }
 
+// windowOvershoot bounds how far past its own firing time one step can
+// stamp an event: the case-1 flush guard emits up to windowOvershoot
+// sub-machine events a millisecond apart before the top event. Firings
+// are strictly inside the window, so no event reaches end+windowOvershoot
+// — the span Generate's key layout declares.
+const windowOvershoot = 8
+
 // ueGenMaxPush is the most events one startup or step call can push: the
-// case-1 flush guard emits up to 8 sub-machine events plus the top event.
-const ueGenMaxPush = 9
+// flushed sub-machine events plus the top event.
+const ueGenMaxPush = windowOvershoot + 1
 
 // ueGenQueueCap leaves slack above ueGenMaxPush so the bound is not
 // load-bearing on the exact guard constant.
@@ -506,24 +535,24 @@ func (g *ueGen) Next() (trace.Event, bool) {
 	}
 }
 
-// drainInto runs the generator to exhaustion, appending every event to
-// evs — the bulk counterpart of looping Next used by Generate's workers.
-// Queued events move with one bounded copy per step instead of a pop per
-// event, and nothing crosses an interface.
+// drainInto runs the generator to exhaustion, appending every event's
+// packed key to run — the bulk counterpart of looping Next used by
+// Generate's workers. Queued events move one engine step at a time
+// instead of a pop per event, and nothing crosses an interface.
 //
-//cplint:hotpath the batch drain: one bulk append per engine step
-func (g *ueGen) drainInto(evs []trace.Event) []trace.Event {
+//cplint:hotpath the batch drain: one bulk pack-and-append per engine step
+func (g *ueGen) drainInto(lay *trace.KeyLayout, run *trace.KeyRun) {
 	for {
 		if g.qhead < g.qlen {
 			// Queued events deliver unconditionally, exactly like Next;
 			// the safety cap only stops further stepping.
-			evs = append(evs, g.queue[g.qhead:g.qlen]...)
+			run.Append(lay, g.queue[g.qhead:g.qlen]...)
 			g.emitted += g.qlen - g.qhead
 			g.qhead, g.qlen = 0, 0
 			continue
 		}
 		if g.exhausted || g.emitted >= maxEventsPerUE {
-			return evs
+			return
 		}
 		if !g.started {
 			g.startup()
@@ -660,7 +689,7 @@ func (g *ueGen) step() {
 		// protocol mandates the TAU's S1_CONN_REL before the connection
 		// can be re-established.
 		at := next
-		for guard := 0; guard < 8; guard++ {
+		for guard := 0; guard < windowOvershoot; guard++ {
 			if g.cm.next[g.bottom][g.topP.ev] >= 0 {
 				break
 			}

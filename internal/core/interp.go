@@ -168,7 +168,7 @@ func (g *ueInterp) step() {
 		// protocol mandates the TAU's S1_CONN_REL before the connection
 		// can be re-established.
 		at := next
-		for guard := 0; guard < 8; guard++ {
+		for guard := 0; guard < windowOvershoot; guard++ {
 			if _, ok := g.m.Next(g.bottom, g.topP.ev); ok {
 				break
 			}

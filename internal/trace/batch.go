@@ -308,7 +308,7 @@ func AsBatchIterator(it EventIterator) BatchIterator {
 
 // mergeRunSize is the per-leaf refill granularity of MergeBatches: long
 // enough to amortize the NextRun call, short enough that k leaves' run
-// buffers (k × 64 × 24 B) stay cache-resident for populations in the
+// buffers (k × 64 × 16 B) stay cache-resident for populations in the
 // thousands.
 const mergeRunSize = 64
 

@@ -1,0 +1,266 @@
+package trace
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"cptraffic/internal/cp"
+	"cptraffic/internal/stats"
+)
+
+// TestEventIs16Bytes pins the size the assembler's memory arithmetic
+// (8 B of key against 16 B of event), MergeBatches' run slab and
+// DESIGN.md all compute with.
+func TestEventIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, want 16", got)
+	}
+}
+
+// packRuns packs evs under l, dealing them into runs of the given
+// lengths (a last run takes the remainder).
+func packRuns(l *KeyLayout, evs []Event, lens []int) []KeyRun {
+	var runs []KeyRun
+	for _, n := range append(lens, len(evs)) {
+		n = min(n, len(evs))
+		var run KeyRun
+		run.Append(l, evs[:n]...)
+		runs = append(runs, run)
+		evs = evs[n:]
+	}
+	return runs
+}
+
+// TestAssembleKeysMatchesSort is the kernel's oracle: AssembleKeys over
+// packed runs must return exactly what Trace.Sort makes of the same
+// events, whatever the key width, the duplication, the skew across
+// top-digit buckets, the input size relative to the kernel's two size
+// thresholds, and the way the keys are dealt into runs.
+func TestAssembleKeysMatchesSort(t *testing.T) {
+	const t0 = 36 * cp.Hour
+	cases := []struct {
+		name   string
+		n      int
+		tRange int // events draw T from [t0, t0+tRange)
+		tMax   cp.Millis
+		ueMax  cp.UEID
+		lens   []int
+	}{
+		{"empty", 0, 1, t0, 0, nil},
+		{"no-runs", 0, 1, t0, 0, nil},
+		{"single", 1, 64, t0 + 63, 3, nil},
+		{"one-digit", 5000, 64, t0 + 63, 3, []int{100, 0, 2000}},                     // 6+2+3 = 11-bit key
+		{"two-digits", 5000, 1 << 9, t0 + 1<<9 - 1, 255, []int{1, 1, 1}},             // 9+8+3 = 20 bits
+		{"four-digits", 50000, 1 << 30, t0 + 1<<30 - 1, 1<<17 - 1, []int{7, 30000}},  // 30+17+3 = 50 bits
+		{"full-width", 20000, 1 << 29, t0 + 1<<29 - 1, math.MaxUint32, []int{19999}}, // 29+32+3 = 64 bits
+		{"dupes", 40000, 50, t0 + 49, 2, []int{0, 0, 13}},                            // few distinct keys, many copies
+		{"one-bucket", 40000, 1000, t0 + 1<<30 - 1, 1<<17 - 1, []int{20000}},         // every key in top-digit bucket 0
+		{"narrower-than-top-digit", 70000, 1, t0, 0, nil},                            // 3-bit key, 2-bit top digit
+		{"below-small-sort", smallSort - 1, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}},
+		{"at-small-sort", smallSort, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}},
+		{"above-small-sort", smallSort + 1, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}},
+		{"below-bucket-target", bucketTarget - 1, 1 << 20, t0 + 1<<20 - 1, 999, nil},
+		{"at-bucket-target", bucketTarget, 1 << 20, t0 + 1<<20 - 1, 999, nil},
+	}
+	r := stats.NewRNG(7)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, ok := NewKeyLayout(t0, tc.tMax, tc.ueMax)
+			if !ok {
+				t.Fatal("layout refused a key of at most 64 bits")
+			}
+			evs := make([]Event, tc.n)
+			for i := range evs {
+				evs[i] = Event{
+					T:    t0 + cp.Millis(r.Intn(tc.tRange)),
+					UE:   cp.UEID(r.Uint64() % (uint64(tc.ueMax) + 1)),
+					Type: cp.EventType(r.Intn(cp.NumEventTypes)),
+				}
+			}
+			runs := packRuns(&l, evs, tc.lens)
+			if tc.name == "no-runs" {
+				runs = nil
+			}
+			want := Trace{Events: evs}
+			want.Sort()
+			got, ok := AssembleKeys(&l, runs)
+			if !ok {
+				t.Fatal("AssembleKeys refused in-layout events")
+			}
+			if !slices.Equal(got, want.Events) {
+				t.Fatalf("AssembleKeys differs from Trace.Sort (%d vs %d events)", len(got), len(want.Events))
+			}
+			for i := range runs {
+				if runs[i].keys != nil {
+					t.Fatalf("run %d still referenced after assembly", i)
+				}
+			}
+		})
+	}
+}
+
+// TestKeyRoundTrip packs and unpacks the corner of every field, on the
+// widest layout that fits and on a narrow one with a negative t0.
+func TestKeyRoundTrip(t *testing.T) {
+	layouts := []struct {
+		t0, tMax cp.Millis
+		ueMax    cp.UEID
+	}{
+		{18 * cp.Hour, 18*cp.Hour + 1<<29 - 1, math.MaxUint32}, // exactly 64 bits
+		{-5, 5, 6},
+		{7, 7, 0}, // zero-width T and UE fields
+	}
+	for _, lc := range layouts {
+		l, ok := NewKeyLayout(lc.t0, lc.tMax, lc.ueMax)
+		if !ok {
+			t.Fatalf("layout %+v refused", lc)
+		}
+		var prev uint64
+		first := true
+		for _, tt := range slices.Compact([]cp.Millis{lc.t0, lc.tMax}) {
+			for _, ue := range slices.Compact([]cp.UEID{0, lc.ueMax}) {
+				for _, typ := range cp.EventTypes {
+					e := Event{T: tt, UE: ue, Type: typ}
+					k, ok := l.Pack(e)
+					if !ok {
+						t.Fatalf("layout %+v: Pack refused %v", lc, e)
+					}
+					if got := l.Unpack(k); got != e {
+						t.Fatalf("layout %+v: %v packed to %#x unpacked to %v", lc, e, k, got)
+					}
+					if k > l.maxKey() {
+						t.Fatalf("layout %+v: key %#x of %v above maxKey %#x", lc, k, e, l.maxKey())
+					}
+					// The loops ascend in (T, UE, Type): so must the keys.
+					if !first && k <= prev {
+						t.Fatalf("layout %+v: key order breaks canonical order at %v", lc, e)
+					}
+					prev, first = k, false
+				}
+			}
+		}
+	}
+}
+
+// TestKeyLayoutRefusals covers both checks: the fit check up front and
+// the range guard at pack time.
+func TestKeyLayoutRefusals(t *testing.T) {
+	if _, ok := NewKeyLayout(0, 1<<29, math.MaxUint32); ok {
+		t.Fatal("accepted a 65-bit key (30 + 32 + 3)")
+	}
+	if _, ok := NewKeyLayout(0, 1<<62, 1<<32-1); ok {
+		t.Fatal("accepted a 98-bit key")
+	}
+	if _, ok := NewKeyLayout(10, 9, 0); ok {
+		t.Fatal("accepted tMax below t0")
+	}
+	if _, ok := NewKeyLayout(math.MinInt64, math.MaxInt64, 0); ok {
+		t.Fatal("accepted a span of the whole int64 range")
+	}
+	l, ok := NewKeyLayout(1000, 1999, 9)
+	if !ok {
+		t.Fatal("refused a 17-bit key")
+	}
+	in := Event{T: 1500, UE: 9, Type: cp.Handover}
+	if _, ok := l.Pack(in); !ok {
+		t.Fatalf("Pack refused %v", in)
+	}
+	for _, e := range []Event{
+		{T: 999, UE: 9, Type: cp.Handover},           // below t0
+		{T: math.MinInt64, UE: 9, Type: cp.Handover}, // far below t0
+		{T: 2000, UE: 9, Type: cp.Handover},          // past the declared span
+		{T: math.MaxInt64, UE: 9, Type: cp.Handover},
+		{T: 1500, UE: 10, Type: cp.Handover},    // UE out of range
+		{T: 1500, UE: 9, Type: cp.EventType(8)}, // type beyond the type field
+		{T: 1500, UE: 9, Type: cp.EventType(math.MaxUint8)},
+	} {
+		if _, ok := l.Pack(e); ok {
+			t.Errorf("Pack accepted %v outside layout [1000,1999] x [0,9]", e)
+		}
+		// One such event anywhere poisons its run, and the run the assembly.
+		runs := packRuns(&l, []Event{in, e, in}, []int{1})
+		if evs, ok := AssembleKeys(&l, runs); ok || evs != nil {
+			t.Errorf("AssembleKeys assembled a run holding %v", e)
+		}
+		if len(runs[1].keys) != 2 {
+			t.Errorf("refused assembly consumed its runs")
+		}
+	}
+}
+
+// TestRadixSortRefusesWideType: a type that would spill into the key's UE
+// field must make the wrapper refuse rather than mis-sort.
+func TestRadixSortRefusesWideType(t *testing.T) {
+	evs := []Event{{T: 2, UE: 1, Type: cp.EventType(9)}, {T: 1, UE: 0, Type: cp.Attach}}
+	orig := slices.Clone(evs)
+	if RadixSortEvents(evs, 0) {
+		t.Fatal("accepted a type wider than the key's type field")
+	}
+	if !slices.Equal(evs, orig) {
+		t.Fatal("refused sort mutated the slice")
+	}
+}
+
+func ExampleKeyLayout() {
+	l, _ := NewKeyLayout(18*cp.Hour, 19*cp.Hour+7, 399999)
+	k, ok := l.Pack(Event{T: 18*cp.Hour + 5, UE: 3, Type: cp.Handover})
+	fmt.Printf("%#x %v %v\n", k, ok, l.Unpack(k))
+	// Output: 0x140001c true T=64800005 UE=3 HO
+}
+
+// TestKeyRunForecast: one reservation, a sixteenth of the way through
+// and no sooner than 64 UEs, sized from the density so far; after it a
+// population that keeps that density never reallocates, and one that
+// does not still appends correctly.
+func TestKeyRunForecast(t *testing.T) {
+	l, _ := NewKeyLayout(0, 1<<20, 1<<20)
+	const total, perUE = 4096, 20
+	var run KeyRun
+	var reservedAt, reserved int
+	for ue := 0; ue < total; ue++ {
+		for i := 0; i < perUE; i++ {
+			run.Append(&l, Event{T: cp.Millis(i), UE: cp.UEID(ue)})
+		}
+		before := cap(run.keys)
+		run.Forecast(ue+1, total)
+		if cap(run.keys) != before {
+			if reservedAt != 0 {
+				t.Fatalf("second reservation after UE %d (first after %d)", ue+1, reservedAt)
+			}
+			reservedAt, reserved = ue+1, cap(run.keys)
+		}
+	}
+	if reservedAt != total/16 {
+		t.Fatalf("reserved after %d UEs, want %d", reservedAt, total/16)
+	}
+	if n := total * perUE; reserved < n || reserved > n*5/4 {
+		t.Fatalf("reserved %d keys for %d", reserved, n)
+	}
+	if cap(run.keys) != reserved || len(run.keys) != total*perUE {
+		t.Fatalf("run of %d keys ended with capacity %d, reserved %d", len(run.keys), cap(run.keys), reserved)
+	}
+
+	var small KeyRun // under 64 UEs: no reservation at all
+	for ue := 0; ue < 63; ue++ {
+		small.Append(&l, Event{UE: cp.UEID(ue)})
+		before := cap(small.keys)
+		small.Forecast(ue+1, 63)
+		if cap(small.keys) != before {
+			t.Fatalf("reserved for a 63-UE stripe after UE %d", ue+1)
+		}
+	}
+
+	var late KeyRun // all the events come after the forecast: plain growth
+	for ue := 0; ue < 2048; ue++ {
+		if ue >= 1024 {
+			late.Append(&l, Event{UE: cp.UEID(ue)})
+		}
+		late.Forecast(ue+1, 2048)
+	}
+	if evs, ok := AssembleKeys(&l, []KeyRun{late}); !ok || len(evs) != 1024 {
+		t.Fatalf("assembled %d events, ok=%v, want 1024", len(evs), ok)
+	}
+}

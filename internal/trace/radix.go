@@ -1,109 +1,201 @@
 package trace
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 
 	"cptraffic/internal/cp"
 )
 
-// The canonical event order (Event.Before: time, then UE, then type, all
-// ascending and non-negative) is exactly the ascending order of the
-// packed integer key
+// Assembly sorts packed keys (key.go) in two stages, sized so that keys
+// cross main memory once.
 //
-//	(T - t0) << (ueBits + typeBits) | UE << typeBits | Type
+// Stage one is a single counting partition of every run on the key's top
+// digit into one n-key buffer: afterwards bucket b holds exactly the keys
+// whose top digit is b, so the buckets are already in their final
+// relative order. The digit is as narrow as the bucket target allows —
+// a few hundred write streams, which the TLB holds, against the 2 048 of
+// a fixed 11-bit pass.
 //
-// whenever the three fields' bit widths fit in one uint64. That makes
-// trace assembly a non-comparison sort: an LSD radix sort over the packed
-// key orders events identically to any Before-based merge or sort —
-// equal keys are identical events, so even ties cannot reorder distinct
-// records — at O(passes·n) with sequential memory traffic instead of
-// O(n log k) comparator work. Generate uses it to assemble per-worker
-// event runs without the loser tree; the key-width check falls back to a
-// comparison sort for pathological spans (centuries) or UE ids, which
-// produces the same bytes by definition of the key.
+// Stage two finishes each bucket on its own while it is cache-resident:
+// an LSD radix sort over all the remaining low bits, ping-ponging between
+// the bucket and a bucket-sized scratch, whose last pass decodes each key
+// straight into its final slot of the event slice. No pass moves a
+// 16-byte event, nothing is concatenated, and the event slice is the
+// only n-event allocation.
 
-// radixBits is the digit width per pass: 2048 counting buckets (8 KB per
-// pass histogram) stay L1-resident, and a one-hour ledger workload
-// (22-bit span + 11-bit UE + 3-bit type) sorts in four passes.
-const radixBits = 11
+const (
+	// bucketTarget is the bucket size stage one aims for. A bucket, its
+	// scratch and its slice of the output are 32 B per key together:
+	// 16 Ki keys keep all three (512 KiB) inside a 1 MiB L2.
+	bucketTarget = 1 << 14
+	// maxTopBits bounds stage one's fan-out; past it (n beyond 32 M)
+	// buckets outgrow the target instead.
+	maxTopBits = 11
+	// maxDigitBits bounds an in-bucket digit: 4 096 int32 counters per
+	// pass stay in L1.
+	maxDigitBits = 12
+	// smallSort is the bucket size below which clearing and summing the
+	// pass histograms costs more than comparison-sorting the keys.
+	smallSort = 256
+)
 
-const radixBuckets = 1 << radixBits
+// AssembleKeys sorts the keys of every run and returns the events they
+// decode to, in canonical order. It reports false, touching nothing, when
+// some run was given an event outside l's bounds: the caller must order
+// its events another way. Otherwise the runs are consumed: each is
+// emptied once its keys are partitioned, before the event slice is
+// allocated, so the collector can reclaim them first.
+func AssembleKeys(l *KeyLayout, runs []KeyRun) ([]Event, bool) {
+	for i := range runs {
+		if runs[i].outside {
+			return nil, false
+		}
+	}
+	part, bounds, lowBits := partitionKeys(l, runs)
+	clear(runs)
+	evs := make([]Event, len(part))
+	finishBuckets(l, part, bounds, lowBits, evs)
+	return evs, true
+}
 
-// maxRadixPasses covers a full 64-bit key at radixBits per pass.
-const maxRadixPasses = (64 + radixBits - 1) / radixBits
+// partitionKeys is stage one: it returns the keys of all runs grouped by
+// top digit, the bucket boundaries (bucket b is
+// part[bounds[b]:bounds[b+1]]), and how many low bits of the key the
+// digit left unsorted.
+func partitionKeys(l *KeyLayout, runs []KeyRun) (part []uint64, bounds []int, lowBits uint) {
+	n := 0
+	for i := range runs {
+		n += len(runs[i].keys)
+	}
+	topBits := min(uint(bits.Len(uint(n/bucketTarget))), maxTopBits, l.bits)
+	shift := l.bits - topBits
+	nb := int(l.maxKey()>>shift) + 1
+	bounds = make([]int, nb+1)
+	for i := range runs {
+		for _, k := range runs[i].keys {
+			bounds[k>>shift+1]++
+		}
+	}
+	for b := 0; b < nb; b++ {
+		bounds[b+1] += bounds[b]
+	}
+	part = make([]uint64, n)
+	next := slices.Clone(bounds[:nb])
+	for i := range runs {
+		scatterKeys(part, next, runs[i].keys, shift)
+	}
+	return part, bounds, shift
+}
+
+// scatterKeys appends each key of src to its top-digit bucket in dst.
+//
+//cplint:hotpath stage one's only write sweep: one store per key
+func scatterKeys(dst []uint64, next []int, src []uint64, shift uint) {
+	for _, k := range src {
+		b := k >> shift
+		dst[next[b]] = k
+		next[b]++
+	}
+}
+
+// finishBuckets is stage two: it sorts each bucket of part on its lowBits
+// low bits and decodes it into the same range of dst.
+func finishBuckets(l *KeyLayout, part []uint64, bounds []int, lowBits uint, dst []Event) {
+	nb := len(bounds) - 1
+	largest := 0
+	for b := 0; b < nb; b++ {
+		largest = max(largest, bounds[b+1]-bounds[b])
+	}
+	if largest == 0 {
+		return
+	}
+	// Every bucket sorts the same low bits, so passes and digit width are
+	// chosen once: as few passes as maxDigitBits allows, the bits spread
+	// evenly over them, and no digit wider than a bucket has keys for.
+	digit := uint(min(maxDigitBits, max(bits.Len(uint(largest))-2, 4)))
+	passes := max(int((lowBits+digit-1)/digit), 1)
+	digit = max((lowBits+uint(passes)-1)/uint(passes), 1)
+	scratch := make([]uint64, largest)
+	hist := make([]int32, passes<<digit)
+	for b := 0; b < nb; b++ {
+		lo, hi := bounds[b], bounds[b+1]
+		sortBucket(l, part[lo:hi], scratch[:hi-lo], dst[lo:hi], hist, passes, digit)
+	}
+}
+
+// sortBucket sorts keys by their low passes×digit bits — the bits above
+// are equal across a bucket — and decodes them into dst in order. keys
+// and scratch are left in an unspecified state.
+//
+//cplint:hotpath stage two: every in-cache pass over every key
+func sortBucket(l *KeyLayout, keys, scratch []uint64, dst []Event, hist []int32, passes int, digit uint) {
+	if len(keys) < smallSort || len(keys) > math.MaxInt32 { // int32 counters
+		slices.Sort(keys)
+		for i, k := range keys {
+			dst[i] = l.Unpack(k)
+		}
+		return
+	}
+	mask := uint64(1)<<digit - 1
+	clear(hist)
+	for _, k := range keys {
+		for p := 0; p < passes; p++ {
+			hist[uint64(p)<<digit|k>>(uint(p)*digit)&mask]++
+		}
+	}
+	for p := 0; p < passes; p++ {
+		h := hist[p<<digit : (p+1)<<digit]
+		sum := int32(0)
+		for i, c := range h {
+			h[i] = sum
+			sum += c
+		}
+		shift := uint(p) * digit
+		if p == passes-1 {
+			for _, k := range keys {
+				d := k >> shift & mask
+				dst[h[d]] = l.Unpack(k)
+				h[d]++
+			}
+			return
+		}
+		for _, k := range keys {
+			d := k >> shift & mask
+			scratch[h[d]] = k
+			h[d]++
+		}
+		keys, scratch = scratch, keys
+	}
+}
 
 // RadixSortEvents sorts evs in place into canonical (time, UE, type)
-// order using an LSD radix sort over the packed key above, with t0 a
-// known lower bound on every timestamp (pass 0 when unknown — correct,
-// just wider keys). It reports whether the key fit in 64 bits; on false
-// evs is left untouched and the caller must sort another way. Any
-// timestamp below t0 also reports false.
+// order, with t0 a known lower bound on every timestamp (pass 0 when
+// unknown — correct, just wider keys). It packs evs under the exact
+// layout one sweep finds, runs AssembleKeys' two stages and decodes back
+// into evs. It reports whether the key fit in 64 bits; on false evs is
+// left untouched and the caller must sort another way. A timestamp below
+// t0, or a type beyond the key's type field, also reports false.
 func RadixSortEvents(evs []Event, t0 cp.Millis) bool {
 	if len(evs) < 2 {
 		return true
 	}
-	if len(evs) > 1<<31-1 {
-		return false // int32 bucket counters
-	}
-	// One validation sweep finds the actual widths, so the fit check is
-	// exact rather than worst-case.
-	maxDelta := uint64(0)
-	maxUE := uint64(0)
+	tMax, ueMax := evs[0].T, evs[0].UE
 	for i := range evs {
-		if evs[i].T < t0 {
-			return false
-		}
-		if d := uint64(evs[i].T - t0); d > maxDelta {
-			maxDelta = d
-		}
-		if u := uint64(evs[i].UE); u > maxUE {
-			maxUE = u
-		}
+		tMax = max(tMax, evs[i].T)
+		ueMax = max(ueMax, evs[i].UE)
 	}
-	typeBits := uint(bits.Len(uint(cp.NumEventTypes - 1)))
-	ueBits := uint(bits.Len64(maxUE))
-	tBits := uint(bits.Len64(maxDelta))
-	totalBits := tBits + ueBits + typeBits
-	if totalBits > 64 {
+	l, ok := NewKeyLayout(t0, tMax, ueMax)
+	if !ok {
 		return false
 	}
-	ueShift := typeBits
-	tShift := typeBits + ueBits
-	passes := int((totalBits + radixBits - 1) / radixBits)
-	if passes == 0 {
-		passes = 1
+	run := KeyRun{keys: make([]uint64, 0, len(evs))}
+	run.Append(&l, evs...)
+	if run.outside {
+		return false
 	}
-
-	// All pass histograms are gathered in a single read sweep; the
-	// per-pass work is then pure prefix-sum + scatter.
-	var hist [maxRadixPasses][radixBuckets]int32
-	for i := range evs {
-		key := uint64(evs[i].T-t0)<<tShift | uint64(evs[i].UE)<<ueShift | uint64(evs[i].Type)
-		for p := 0; p < passes; p++ {
-			hist[p][(key>>(uint(p)*radixBits))&(radixBuckets-1)]++
-		}
-	}
-	tmp := make([]Event, len(evs))
-	src, dst := evs, tmp
-	for p := 0; p < passes; p++ {
-		h := &hist[p]
-		sum := int32(0)
-		for b := range h {
-			c := h[b]
-			h[b] = sum
-			sum += c
-		}
-		shift := uint(p) * radixBits
-		for i := range src {
-			key := uint64(src[i].T-t0)<<tShift | uint64(src[i].UE)<<ueShift | uint64(src[i].Type)
-			b := (key >> shift) & (radixBuckets - 1)
-			dst[h[b]] = src[i]
-			h[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &evs[0] {
-		copy(evs, src)
-	}
+	part, bounds, lowBits := partitionKeys(&l, []KeyRun{run})
+	finishBuckets(&l, part, bounds, lowBits, evs)
 	return true
 }

@@ -3,6 +3,7 @@ package world
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -116,5 +117,32 @@ func TestWorldAllocsPerEvent(t *testing.T) {
 	t.Logf("%.0f allocs / %d events = %.5f allocs/event", allocs, events, perEvent)
 	if perEvent > 0.02 {
 		t.Fatalf("allocs/event = %.5f, want <= 0.02", perEvent)
+	}
+}
+
+// TestWorldBytesPerEvent gates assembly's memory traffic beside
+// TestWorldAllocsPerEvent's allocation count: bytes allocated per emitted
+// event, on a population large enough to amortize the fixed histograms
+// and the per-UE plan. The budget is the key run (8 B, an eighth of
+// forecast slack, and the sixteenth of it that grew geometrically before
+// KeyRun.Forecast), the partitioned keys (8 B) and the events themselves
+// (16 B) — measured 37.2. TotalAlloc counts bytes, not time, so the
+// figure repeats (to within a few KB of the runtime's own allocations).
+func TestWorldBytesPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	opt := Options{NumUEs: 20000, Duration: 3 * cp.Hour, Offset: 9 * cp.Hour, Seed: 3, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := Generate(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tr.Events))
+	t.Logf("%d B / %d events = %.2f B/event", after.TotalAlloc-before.TotalAlloc, len(tr.Events), perEvent)
+	if perEvent > 48 {
+		t.Fatalf("allocated %.2f B/event, want <= 48", perEvent)
 	}
 }

@@ -135,10 +135,22 @@ func newUESim(opt Options, mix [cp.NumDeviceTypes]float64, root *stats.RNG, i in
 }
 
 // Generate simulates the UE population and returns the sorted trace.
+//
+// Assembly: each worker drains its UEs into one run of packed 8-byte keys
+// (trace.KeyLayout over [Offset, Offset+Duration), fixed before any event
+// exists) and trace.AssembleKeys sorts the runs and decodes them into the
+// event slice — identical bytes to the k-way merge the streaming Source
+// uses, since the key's integer order is the canonical order and the key
+// is the whole event. A key that cannot fit 64 bits takes that streaming
+// path instead.
 func Generate(opt Options) (*trace.Trace, error) {
 	mix, err := resolveMix(opt)
 	if err != nil {
 		return nil, err
+	}
+	lay, fits := trace.NewKeyLayout(opt.Offset, opt.Offset+opt.Duration-1, cp.UEID(opt.NumUEs-1))
+	if !fits {
+		return collectSource(opt)
 	}
 	workers := par.Workers(opt.Workers, opt.NumUEs)
 
@@ -151,41 +163,43 @@ func Generate(opt Options) (*trace.Trace, error) {
 		seeds[i], devices[i] = simPlan(mix, root, i)
 	}
 
-	out := make([][]trace.Event, workers)
+	runs := make([]trace.KeyRun, workers)
 	par.Do(workers, func(w int) {
 		// One reused simulator per worker: each UE's state is initialized
-		// in place and drained straight into the worker's buffer — no
+		// in place and drained straight into the worker's run — no
 		// per-UE heap objects, no per-event interface hop.
-		var evs []trace.Event
+		var run trace.KeyRun // local: workers must not share runs' cache lines
 		var sim ueSim
-		for i := w; i < opt.NumUEs; i += workers {
+		stripe := (opt.NumUEs - w + workers - 1) / workers
+		for i, done := w, 1; i < opt.NumUEs; i, done = i+workers, done+1 {
 			sim.init(opt, cp.UEID(i), devices[i], seeds[i])
-			evs = sim.drainInto(evs)
+			sim.drainInto(&lay, &run)
+			run.Forecast(done, stripe)
 		}
-		out[w] = evs
+		runs[w] = run
 	})
-
-	tr := trace.New()
+	tr := &trace.Trace{Device: make(map[cp.UEID]cp.DeviceType, opt.NumUEs)}
 	for i, d := range devices {
 		tr.Device[cp.UEID(i)] = d
 	}
-	n := 0
-	for _, evs := range out {
-		n += len(evs)
-	}
-	// Assembly: concatenate the per-worker runs and radix-sort the packed
-	// (T-Offset, UE, Type) key — identical bytes to the k-way merge the
-	// streaming Source uses, since the canonical order is exactly the
-	// key's integer order. Pathological spans fall back to a comparison
-	// sort defining the same order.
-	tr.Events = make([]trace.Event, 0, n)
-	for _, evs := range out {
-		tr.Events = append(tr.Events, evs...)
-	}
-	if !trace.RadixSortEvents(tr.Events, opt.Offset) {
-		tr.Sort()
+	var ok bool
+	if tr.Events, ok = trace.AssembleKeys(&lay, runs); !ok {
+		// An event outside [Offset, Offset+Duration): a simulator bug, but
+		// one the merge path orders correctly all the same.
+		return collectSource(opt)
 	}
 	return tr, nil
+}
+
+// collectSource materializes the streaming Source: the assembly for
+// options whose packed key does not fit 64 bits. TestSourceMatchesGenerate
+// pins it byte for byte against the packed path.
+func collectSource(opt Options) (*trace.Trace, error) {
+	src, err := NewSource(opt)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Collect(src)
 }
 
 // Source is a simulation-backed trace.EventSource: scanning it runs the
@@ -343,21 +357,21 @@ func (u *ueSim) Next() (trace.Event, bool) {
 	}
 }
 
-// drainInto runs the simulation to exhaustion, appending every event to
-// evs — the bulk counterpart of looping Next used by Generate's workers.
-// Queued events move with one bounded copy per decision instead of a pop
-// per event, and nothing crosses an interface.
+// drainInto runs the simulation to exhaustion, appending every event's
+// packed key to run — the bulk counterpart of looping Next used by
+// Generate's workers. Queued events move one decision at a time instead
+// of a pop per event, and nothing crosses an interface.
 //
-//cplint:hotpath the batch drain: one bulk append per simulation decision
-func (u *ueSim) drainInto(evs []trace.Event) []trace.Event {
+//cplint:hotpath the batch drain: one bulk pack-and-append per simulation decision
+func (u *ueSim) drainInto(lay *trace.KeyLayout, run *trace.KeyRun) {
 	for {
 		if u.qhead < len(u.queue) {
-			evs = append(evs, u.queue[u.qhead:]...)
+			run.Append(lay, u.queue[u.qhead:]...)
 			u.queue, u.qhead = u.queue[:0], 0
 			continue
 		}
 		if u.done {
-			return evs
+			return
 		}
 		if !u.started {
 			u.start0()

@@ -17,7 +17,9 @@
 # benches, the shard/merge fit, the bounded-memory (sketched) fit
 # with its peak-heap metric, PartialFit.Build alone (internal/core's
 # BenchmarkPartialFitBuild: the layer bench/ reports as
-# core.fit.build_s), and the cplint analysis cost
+# core.fit.build_s), trace assembly alone (internal/trace's
+# BenchmarkAssembleKeys: the layer bench/ reports as
+# trace.radix.ns_per_event), and the cplint analysis cost
 # (BenchmarkLintAnalyze: per analyzer, whole suite, real module), so
 # successive BENCH_* files track the same quantities across PRs. With -count N the .txt keeps every run
 # (benchstat can consume it directly) and the .json stores the median of
@@ -27,7 +29,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${PATTERN:-GenerateThroughput|WorldThroughput|StreamThroughput|GeneratorPerUEHour|Scanner|FitSharded|FitSketched|PartialFitBuild}"
+PATTERN="${PATTERN:-GenerateThroughput|WorldThroughput|StreamThroughput|GeneratorPerUEHour|Scanner|FitSharded|FitSketched|PartialFitBuild|AssembleKeys}"
 BENCHTIME="${BENCHTIME:-10x}"
 COUNT="${COUNT:-1}"
 while [ $# -gt 0 ]; do
@@ -65,7 +67,7 @@ done
 # iteration count keeps run time bounded. The per-step microbenchmark
 # needs millions of iterations to mean anything, so it gets a
 # time-based budget instead.
-go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem . ./internal/core/ | tee "$TXT"
+go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" -benchmem . ./internal/core/ ./internal/trace/ | tee "$TXT"
 go test -run '^$' -bench 'EngineStep' -benchtime "${STEPTIME:-2s}" -count "$COUNT" -benchmem \
 	./internal/core/ | tee -a "$TXT"
 
