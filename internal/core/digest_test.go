@@ -126,3 +126,70 @@ func TestGenerateDigestPinned(t *testing.T) {
 		}
 	}
 }
+
+// pinnedStreamDigests are the sha256 digests of the same fixture as
+// pinnedGenerateDigest streamed NewSource → writer, keyed by writer. They
+// were recorded on the commit before the generator-backed sources moved
+// from the k-way loser tree to windowed packed-key assembly, and are
+// absolute: TestSourceMatchesGenerate and TestBatchedMatchesStreamed
+// compare Scan, ScanBatches and Generate with each other, and Scan and
+// ScanBatches share one ordering path, so a change that moves them
+// together passes both. The binary digest equals pinnedGenerateDigest
+// because WriteBinaryTrace is a StreamWriter over the sorted trace.
+var pinnedStreamDigests = map[string]string{
+	"text":   "c2a196d2781167d953b283992c4fdcda2d4aa6bc0e2f909245661d3bb60e9210",
+	"binary": pinnedGenerateDigest,
+}
+
+// streamDigest pipes src into the named writer, batched or per event, and
+// returns the sha256 of the bytes written.
+func streamDigest(t *testing.T, src trace.EventSource, codec string, batched bool) string {
+	t.Helper()
+	var buf bytes.Buffer
+	var w interface {
+		trace.EventSink
+		Close() error
+	}
+	if codec == "text" {
+		w = trace.NewTextWriter(&buf)
+	} else {
+		w = trace.NewStreamWriter(&buf)
+	}
+	pipe := trace.Copy
+	if batched {
+		pipe = trace.CopyBatches
+	}
+	if err := pipe(w, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// TestSourceDigestPinned pins the absolute bytes of the streaming source:
+// both engines, both writers, batched (CopyBatches) and per event (Copy).
+func TestSourceDigestPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	ms := fitToy(t, 60, 6*cp.Hour, 11, FitOptions{})
+	for _, interpret := range []bool{false, true} {
+		src, err := NewSource(ms, GenOptions{
+			NumUEs: 100, StartHour: 5, Duration: 50 * cp.Hour, Seed: 17, Interpret: interpret,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, codec := range []string{"text", "binary"} {
+			for _, batched := range []bool{true, false} {
+				if got := streamDigest(t, src, codec, batched); got != pinnedStreamDigests[codec] {
+					t.Errorf("interpret=%v %s batched=%v: digest %s, pinned %s",
+						interpret, codec, batched, got, pinnedStreamDigests[codec])
+				}
+			}
+		}
+	}
+}
