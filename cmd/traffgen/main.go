@@ -17,9 +17,9 @@
 // behavioral world simulator and are ignored here — the fitted model
 // carries its own rates and mix.
 //
-// With -stream the per-UE generators are merged and written
-// incrementally — peak memory is O(UEs), not the trace size — producing
-// byte-identical output to the in-memory path.
+// With -stream the per-UE generators are advanced and written a time
+// window at a time — peak memory is O(UEs), not the trace size —
+// producing byte-identical output to the in-memory path.
 package main
 
 import (

@@ -1,7 +1,8 @@
 // Streaming: synthesize a large population without materializing the
-// trace — per-UE generators are heap-merged and events flow straight
-// into the simulated core in time order with O(UEs) memory. This is how
-// to drive a live MCN with populations whose full trace would not fit.
+// trace — per-UE generators advance a time window at a time and events
+// flow straight into the simulated core in time order with O(UEs) memory.
+// This is how to drive a live MCN with populations whose full trace would
+// not fit.
 //
 //	go run ./examples/stream
 package main

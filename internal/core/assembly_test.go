@@ -39,7 +39,7 @@ func flushModel(t *testing.T) *ModelSet {
 	return ms
 }
 
-// collected materializes the streaming merge path for opt.
+// collected materializes the streaming Source for opt.
 func collected(t *testing.T, ms *ModelSet, opt GenOptions) *trace.Trace {
 	t.Helper()
 	src, err := NewSource(ms, opt)
@@ -57,7 +57,7 @@ func collected(t *testing.T, ms *ModelSet, opt GenOptions) *trace.Trace {
 // layout depends on: a firing one millisecond inside the window whose
 // case-1 flush steps `at` past end still emits its top event, stamped at
 // end itself — outside [t0, end) but inside the declared overshoot — and
-// the packed assembly and the streaming merge agree on it byte for byte,
+// the packed assembly and the streaming source agree on it byte for byte,
 // on both engines.
 func TestGenerateWindowEdgeOvershoot(t *testing.T) {
 	ms := flushModel(t)
@@ -98,7 +98,8 @@ func TestGenerateWindowEdgeOvershoot(t *testing.T) {
 // TestGenerateUnpackableSpan drives Generate's other assembly: a span too
 // long for a 64-bit key (2^60 ms of T, plus UE and type bits) must take
 // Collect(Source) and still return the same events as the packed path
-// does for a window that merely contains them.
+// does for a window that merely contains them, and so must the Source
+// streamed directly.
 func TestGenerateUnpackableSpan(t *testing.T) {
 	ms := flushModel(t)
 	short := GenOptions{NumUEs: 3, Duration: cp.Minute, Seed: 3}
@@ -125,6 +126,11 @@ func TestGenerateUnpackableSpan(t *testing.T) {
 		}
 		if len(got.Device) != long.NumUEs {
 			t.Fatalf("interpret=%v: %d device registrations, want %d", interpret, len(got.Device), long.NumUEs)
+		}
+		// And the source itself, without Generate in front: its windows'
+		// keys are relative to each window, so no span is too long for it.
+		if streamed := collected(t, ms, long); !slices.Equal(streamed.Events, want.Events) {
+			t.Fatalf("interpret=%v: Source over the unpackable span produced\n%v\nwant\n%v", interpret, streamed.Events, want.Events)
 		}
 	}
 }
@@ -156,5 +162,50 @@ func TestGenerateBytesPerEvent(t *testing.T) {
 	t.Logf("%d B / %d events = %.2f B/event", after.TotalAlloc-before.TotalAlloc, len(tr.Events), perEvent)
 	if perEvent > 48 {
 		t.Fatalf("allocated %.2f B/event, want <= 48", perEvent)
+	}
+}
+
+// TestSourceScanBytesPerUE gates the streaming source's footprint: what one
+// ScanBatches allocates, per UE of a population large enough to amortize
+// the window buffers. The budget is the plan (40 B), the ueGen (400 B) and
+// the pending time (8 B) per UE, plus the window's keys, scratch and
+// columns (29 B a key, grown geometrically, at most one key per UE or
+// 16 Ki) — no per-UE run buffer; the loser tree's k × 64-event slab made it
+// 1.5 KiB per UE. The steady state allocates nothing, so allocations per
+// event are gated too. TotalAlloc counts bytes, not time, so the figures
+// repeat.
+func TestSourceScanBytesPerUE(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	ms := fitToy(t, 60, 3*cp.Hour, 10, FitOptions{})
+	opt := GenOptions{NumUEs: 20000, StartHour: 0, Duration: cp.Hour, Seed: 3}
+	src, err := NewSource(ms, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = src.ScanBatches(func(b *trace.Batch) error {
+		events += b.Len()
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events == 0 {
+		t.Fatal("generated no events; test is vacuous")
+	}
+	perUE := float64(after.TotalAlloc-before.TotalAlloc) / float64(opt.NumUEs)
+	perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
+	t.Logf("%d B / %d UEs = %.1f B/UE; %d allocs / %d events = %.5f allocs/event",
+		after.TotalAlloc-before.TotalAlloc, opt.NumUEs, perUE, after.Mallocs-before.Mallocs, events, perEvent)
+	if perUE > 640 {
+		t.Fatalf("allocated %.1f B/UE, want <= 640", perUE)
+	}
+	if perEvent > 0.02 {
+		t.Fatalf("allocs/event = %.5f, want <= 0.02", perEvent)
 	}
 }

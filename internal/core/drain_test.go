@@ -1,0 +1,177 @@
+package core
+
+import (
+	"slices"
+	"testing"
+
+	"cptraffic/internal/cp"
+	"cptraffic/internal/sm"
+	"cptraffic/internal/stats"
+	"cptraffic/internal/trace"
+)
+
+// newUEGen prepares a heap-allocated compiled generator; no work happens
+// until the first Next or drainUntil. The persona pick consumes the
+// stream's next draw exactly like DeviceModel.pickPersona.
+func newUEGen(cm *compiledModel, cd *cDevice, ue cp.UEID, rng stats.RNG, t0, end cp.Millis) *ueGen {
+	g := &ueGen{}
+	g.init(cm, cd, ue, rng, t0, end)
+	return g
+}
+
+// drained runs one drainUntil call and returns the events it delivered,
+// in canonical order, and the pending time it reported.
+func drained(t *testing.T, g *ueGen, limit cp.Millis, lay *trace.KeyLayout) ([]trace.Event, cp.Millis) {
+	t.Helper()
+	var run trace.KeyRun
+	pending := g.drainUntil(limit, lay, &run)
+	evs, ok := trace.AssembleKeys(lay, []trace.KeyRun{run})
+	if !ok {
+		t.Fatalf("drainUntil(%d) delivered an event outside the generation window", limit)
+	}
+	return evs, pending
+}
+
+// TestDrainUntilMatchesNext is the engine half of the windowed assembly's
+// contract: however the timeline is cut into limits — millisecond steps,
+// jumps of minutes, a limit far past the window's end — drainUntil
+// delivers exactly Next's events, each call exactly those before its
+// limit, never reports a pending time later than the next event or
+// earlier than the limit, and leaves the RNG where Next leaves it.
+func TestDrainUntilMatchesNext(t *testing.T) {
+	base, err := Fit(toyTrace(t, 60, 3*cp.Hour, 43), FitOptions{
+		Machine:      sm.EMMECM(),
+		SojournKind:  SojournExp,
+		FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
+		NoClustering: true,
+		Method:       "base",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := map[string]*ModelSet{
+		"ours":  fitToy(t, 50, 3*cp.Hour, 42, FitOptions{}),
+		"base":  base, // free-running HO/TAU clocks in the race
+		"flush": flushModel(t),
+	}
+	const t0, end = 22 * cp.Hour, 22*cp.Hour + 5*cp.Hour
+	for name, ms := range models {
+		machine, err := ms.Machine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := compile(ms, machine)
+		cd := cm.dev(cp.Phone)
+		if cd == nil {
+			t.Fatalf("%s: no phone model", name)
+		}
+		total := 0
+		for seed := uint64(1); seed <= 12; seed++ {
+			ref := newUEGen(cm, cd, 7, stats.NewRNGVal(seed), t0, end)
+			var want []trace.Event
+			for {
+				ev, ok := ref.Next()
+				if !ok {
+					break
+				}
+				want = append(want, ev)
+			}
+			total += len(want)
+
+			lay, fits := trace.NewKeyLayout(t0, end+windowOvershoot-1, 7)
+			if !fits {
+				t.Fatal("layout does not fit")
+			}
+			g := newUEGen(cm, cd, 7, stats.NewRNGVal(seed), t0, end)
+			cuts := stats.NewRNG(seed + 100)
+			limit, done := cp.Millis(t0), 0
+			for calls := 0; ; calls++ {
+				switch cuts.Intn(4) {
+				case 0:
+					limit++ // the finest window there is
+				case 1:
+					limit += cp.Millis(cuts.Intn(int(cp.Second)))
+				case 2:
+					limit += cp.Millis(cuts.Intn(int(20 * cp.Minute)))
+				default:
+					if calls > 40 {
+						limit = end + 1<<40 // far past the window
+					} else if done < len(want) {
+						limit = max(limit, want[done].T) // the next event sits exactly on the limit
+					}
+				}
+				got, pending := drained(t, g, limit, &lay)
+				n := 0
+				for done+n < len(want) && want[done+n].T < limit {
+					n++
+				}
+				if !slices.Equal(got, want[done:done+n]) {
+					t.Fatalf("%s seed %d: drainUntil(%d) delivered %v, Next's events before the limit are %v", name, seed, limit, got, want[done:done+n])
+				}
+				done += n
+				switch {
+				case done == len(want) && limit > end:
+					if pending != trace.NoPending {
+						t.Fatalf("%s seed %d: pending %d after the last event, want NoPending", name, seed, pending)
+					}
+				case pending < limit:
+					t.Fatalf("%s seed %d: pending %d is before the limit %d", name, seed, pending, limit)
+				case done < len(want) && pending > want[done].T:
+					t.Fatalf("%s seed %d: pending %d is later than the next event %v", name, seed, pending, want[done])
+				case done == len(want) && pending != trace.NoPending && pending >= end:
+					t.Fatalf("%s seed %d: pending %d is past the window's end", name, seed, pending)
+				}
+				if limit > end {
+					break
+				}
+			}
+			if g.rng != ref.rng {
+				t.Fatalf("%s seed %d: RNG state differs from Next's after the window", name, seed)
+			}
+			if g.emitted != ref.emitted {
+				t.Fatalf("%s seed %d: emitted %d, Next %d", name, seed, g.emitted, ref.emitted)
+			}
+		}
+		if total == 0 {
+			t.Fatalf("%s: no events; test is vacuous", name)
+		}
+	}
+}
+
+// TestDrainUntilFlushStraddlesLimit is the window-edge case of
+// TestGenerateWindowEdgeOvershoot seen from a window boundary: flushModel's
+// SRV_REQ fires at 12 s and its case-1 flush stamps S1_CONN_REL at the
+// firing time and the SRV_REQ one millisecond later. A limit between the
+// two must deliver the first, keep the second queued and report its time,
+// and the next call must deliver it — also when the firing is the window's
+// last and the queued event lies at end itself.
+func TestDrainUntilFlushStraddlesLimit(t *testing.T) {
+	ms := flushModel(t)
+	machine, err := ms.Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := compile(ms, machine)
+	const t0 = 7 * cp.Hour
+	fire := t0 + 12*cp.Second
+	for _, end := range []cp.Millis{t0 + cp.Minute, fire + 1} {
+		lay, _ := trace.NewKeyLayout(t0, end+windowOvershoot-1, 0)
+		g := newUEGen(cm, cm.dev(cp.Phone), 0, stats.NewRNGVal(3), t0, end)
+		steps := []struct {
+			limit   cp.Millis
+			want    []trace.Event
+			pending cp.Millis
+		}{
+			{fire, []trace.Event{{T: t0 + 10*cp.Second, Type: cp.TrackingAreaUpdate}}, fire},
+			{fire + 1, []trace.Event{{T: fire, Type: cp.S1ConnRelease}}, fire + 1},
+			{fire + 1, nil, fire + 1},
+			{fire + 2, []trace.Event{{T: fire + 1, Type: cp.ServiceRequest}}, trace.NoPending},
+		}
+		for _, s := range steps {
+			got, pending := drained(t, g, s.limit, &lay)
+			if !slices.Equal(got, s.want) || pending != s.pending {
+				t.Fatalf("end=%d: drainUntil(%d) = %v, pending %d; want %v, pending %d", end, s.limit, got, pending, s.want, s.pending)
+			}
+		}
+	}
+}

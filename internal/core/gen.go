@@ -26,8 +26,10 @@ type GenOptions struct {
 	// Seed makes the output deterministic; each UE derives an
 	// independent stream from it.
 	Seed uint64
-	// Workers bounds the number of concurrent per-UE generators; 0 means
-	// GOMAXPROCS. It never affects the output, only the wall clock.
+	// Workers bounds the number of concurrent per-UE generators in
+	// Generate; 0 means GOMAXPROCS. It never affects the output, only the
+	// wall clock. Stream and Source ignore it: they fill one time window
+	// at a time, serially.
 	Workers int
 	// DeviceMix optionally overrides the device-type population shares;
 	// nil uses the training trace's shares.
@@ -69,9 +71,10 @@ const minSojournSec = 0.001
 // (trace.KeyLayout, fixed from the options before any event exists) and
 // trace.AssembleKeys sorts the runs and decodes them into the event
 // slice. The key's integer order is the canonical order and the key is
-// the whole event, so the result is byte-identical to the k-way merge the
-// streaming path uses. A key that cannot fit 64 bits (a span of
-// centuries) takes that streaming path instead.
+// the whole event, so the result is byte-identical to what the streaming
+// Source emits window by window. A key that cannot fit 64 bits (a span of
+// centuries) takes that streaming path, whose keys are relative to each
+// window, instead.
 func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 	jobs, machine, t0, end, workers, err := planGeneration(ms, opt)
 	if err != nil {
@@ -100,13 +103,12 @@ func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 					continue
 				}
 				g.init(cm, cd, jobs[i].ue, jobs[i].rng, t0, end)
-				g.drainInto(&lay, &run)
+				g.drainUntil(trace.NoPending, &lay, &run)
 				run.Forecast(done, stripe)
 			}
 		} else {
-			mk := genFactory(ms, machine, cm, t0, end)
 			for i := w; i < len(jobs); i += workers {
-				it := mk(jobs[i])
+				it := interpFor(ms, machine, jobs[i], t0, end)
 				if it == nil {
 					continue
 				}
@@ -137,8 +139,9 @@ func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 }
 
 // collectSource materializes the streaming Source: the assembly for
-// options whose packed key does not fit 64 bits. TestSourceMatchesGenerate
-// pins it byte for byte against the packed path.
+// options whose packed key does not fit 64 bits — the Source's windowed
+// keys are relative to each window, so it orders any span.
+// TestSourceMatchesGenerate pins it byte for byte against the packed path.
 func collectSource(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 	src, err := NewSource(ms, opt)
 	if err != nil {
@@ -149,37 +152,29 @@ func collectSource(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 
 // Stream synthesizes the same trace Generate would, but delivers events
 // one at a time in global (time, UE) order with O(NumUEs) memory instead
-// of materializing everything: the per-UE generators are k-way merged
-// with trace.MergeScan. fn returning an error aborts the stream. The
-// device registration of every UE is reported through reg before any
-// event is delivered.
+// of materializing everything: it is Source.Scan with the registrations
+// delivered through reg first. fn returning an error aborts the stream.
 //
 // Use it to drive a live core with populations whose full trace would
 // not fit in memory, or to pipe events into another system as they are
 // drawn.
 func Stream(ms *ModelSet, opt GenOptions, reg func(cp.UEID, cp.DeviceType) error, fn func(trace.Event) error) error {
-	jobs, machine, t0, end, _, err := planGeneration(ms, opt)
+	src, err := NewSource(ms, opt)
 	if err != nil {
 		return err
 	}
 	if reg != nil {
-		for _, j := range jobs {
-			if err := reg(j.ue, j.dev); err != nil {
-				return err
-			}
+		if err := src.Devices(reg); err != nil {
+			return err
 		}
 	}
-	var cm *compiledModel
-	if !opt.Interpret {
-		cm = ms.lower(machine)
-	}
-	return mergeJobs(ms, machine, cm, jobs, t0, end, fn)
+	return src.Scan(fn)
 }
 
 // compiledGens prepares one slab of per-UE compiled generators for jobs:
 // a single allocation holds every ueGen, initialized in place, so the
-// streaming merge paths carry no per-UE heap objects. The returned slice
-// has one live generator per job with a device model, in job order.
+// streaming path carries no per-UE heap objects. The returned slice has
+// one live generator per job with a device model, in job order.
 func compiledGens(cm *compiledModel, jobs []genJob, t0, end cp.Millis) []ueGen {
 	gens := make([]ueGen, len(jobs))
 	m := 0
@@ -194,79 +189,27 @@ func compiledGens(cm *compiledModel, jobs []genJob, t0, end cp.Millis) []ueGen {
 	return gens[:m]
 }
 
-// mergeJobs k-way merges the per-UE iterators of jobs into fn.
-func mergeJobs(ms *ModelSet, machine *sm.Machine, cm *compiledModel, jobs []genJob, t0, end cp.Millis, fn func(trace.Event) error) error {
-	if cm != nil {
-		gens := compiledGens(cm, jobs, t0, end)
-		its := make([]trace.EventIterator, len(gens))
-		for i := range gens {
-			its[i] = &gens[i]
-		}
-		return trace.MergeScan(fn, its)
+// interpFor returns the interpreted reference iterator for one job, or nil
+// when the model has no device model for the job's device type. It
+// consumes the job's RNG stream exactly like ueGen.init and produces
+// identical events (TestCompiledMatchesInterpreted).
+func interpFor(ms *ModelSet, machine *sm.Machine, j genJob, t0, end cp.Millis) *ueInterp {
+	dm := ms.Device(j.dev)
+	if dm == nil {
+		return nil
 	}
-	mk := genFactory(ms, machine, cm, t0, end)
-	its := make([]trace.EventIterator, 0, len(jobs))
-	for _, j := range jobs {
-		if it := mk(j); it != nil {
-			its = append(its, it)
-		}
-	}
-	return trace.MergeScan(fn, its)
-}
-
-// mergeJobsBatches is the batch-refill counterpart of mergeJobs: the same
-// per-UE streams, interleaved by trace.MergeBatches so the merge makes
-// one NextRun call per ~64 events and one fn call per ~256.
-func mergeJobsBatches(ms *ModelSet, machine *sm.Machine, cm *compiledModel, jobs []genJob, t0, end cp.Millis, fn func(*trace.Batch) error) error {
-	if cm != nil {
-		gens := compiledGens(cm, jobs, t0, end)
-		its := make([]trace.BatchIterator, len(gens))
-		for i := range gens {
-			its[i] = &gens[i]
-		}
-		return trace.MergeBatches(fn, its)
-	}
-	mk := genFactory(ms, machine, cm, t0, end)
-	its := make([]trace.BatchIterator, 0, len(jobs))
-	for _, j := range jobs {
-		if it := mk(j); it != nil {
-			its = append(its, trace.AsBatchIterator(it))
-		}
-	}
-	return trace.MergeBatches(fn, its)
-}
-
-// genFactory returns the per-UE iterator builder for the selected
-// engine: compiled when cm is non-nil, the interpreted reference
-// otherwise. Both consume the job's RNG stream identically and produce
-// identical events (TestCompiledMatchesInterpreted). A nil return means
-// the model has no device model for the job's device type.
-func genFactory(ms *ModelSet, machine *sm.Machine, cm *compiledModel, t0, end cp.Millis) func(genJob) trace.EventIterator {
-	if cm == nil {
-		return func(j genJob) trace.EventIterator {
-			dm := ms.Device(j.dev)
-			if dm == nil {
-				return nil
-			}
-			rng := j.rng
-			return newUEInterp(machine, dm, j.ue, &rng, t0, end)
-		}
-	}
-	return func(j genJob) trace.EventIterator {
-		cd := cm.dev(j.dev)
-		if cd == nil {
-			return nil
-		}
-		return newUEGen(cm, cd, j.ue, j.rng, t0, end)
-	}
+	rng := j.rng
+	return newUEInterp(machine, dm, j.ue, &rng, t0, end)
 }
 
 // Source is a generator-backed trace.EventSource: scanning it draws the
 // synthetic population on the fly, so a trace of any size can be fitted,
-// evaluated, or written to disk without ever materializing it. Both
-// Devices and Scan re-derive the population plan from the seed, so the
-// source is re-iterable and successive passes agree. The compiled model
-// is built once in NewSource and shared by every Scan.
+// evaluated, or written to disk without ever materializing it. It holds
+// one ueGen (400 B) and one pending time per UE plus a window of events
+// whose size does not depend on the population. Both Devices and the scans
+// re-derive the population plan from the seed, so the source is
+// re-iterable and successive passes agree. The compiled model is built
+// once in NewSource and shared by every scan.
 type Source struct {
 	ms  *ModelSet
 	opt GenOptions
@@ -301,25 +244,39 @@ func (s *Source) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 	return nil
 }
 
-// Scan generates the population's events in canonical order.
+// Scan generates the population's events in canonical order: ScanBatches,
+// one event at a time.
 func (s *Source) Scan(fn func(trace.Event) error) error {
-	jobs, machine, t0, end, _, err := planGeneration(s.ms, s.opt)
-	if err != nil {
-		return err
-	}
-	return mergeJobs(s.ms, machine, s.cm, jobs, t0, end, fn)
+	return s.ScanBatches(trace.Unbatch(fn))
 }
 
-// ScanBatches implements trace.BatchSource natively: the per-UE
-// generators fill merge runs directly (one interface call per ~64 events)
-// and events are delivered in reused struct-of-arrays batches. The event
-// sequence is byte-identical to Scan's (TestBatchedMatchesStreamed).
+// ScanBatches implements trace.BatchSource natively, and is the source's
+// one ordering path: trace.AssembleWindows advances the population a time
+// window at a time — each generator drained up to the window's end
+// (drainUntil), the window's packed keys sorted in cache — and delivers
+// reused struct-of-arrays batches. The interpreted engine is ordered by
+// the loser tree (trace.MergeBatches) instead: it is the oracle, so
+// TestCompiledMatchesInterpreted holds the windowed assembly to a
+// different algorithm as well as a different engine.
 func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
 	jobs, machine, t0, end, _, err := planGeneration(s.ms, s.opt)
 	if err != nil {
 		return err
 	}
-	return mergeJobsBatches(s.ms, machine, s.cm, jobs, t0, end, fn)
+	if s.cm == nil {
+		its := make([]trace.BatchIterator, 0, len(jobs))
+		for _, j := range jobs {
+			if it := interpFor(s.ms, machine, j, t0, end); it != nil {
+				its = append(its, trace.AsBatchIterator(it))
+			}
+		}
+		return trace.MergeBatches(fn, its)
+	}
+	ueMax := jobs[len(jobs)-1].ue
+	gens := compiledGens(s.cm, jobs, t0, end)
+	return trace.AssembleWindows(fn, len(gens), ueMax, func(i int, limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
+		return gens[i].drainUntil(limit, lay, run)
+	})
 }
 
 // genJob is one UE's generation assignment. The RNG is held by value —
@@ -478,15 +435,6 @@ const ueGenMaxPush = windowOvershoot + 1
 // load-bearing on the exact guard constant.
 const ueGenQueueCap = 12
 
-// newUEGen prepares the compiled iterator; no work happens until the
-// first Next. The persona pick consumes the stream's next draw exactly
-// like DeviceModel.pickPersona.
-func newUEGen(cm *compiledModel, cd *cDevice, ue cp.UEID, rng stats.RNG, t0, end cp.Millis) *ueGen {
-	g := &ueGen{}
-	g.init(cm, cd, ue, rng, t0, end)
-	return g
-}
-
 // init (re)initializes the generator in place, so per-worker code can
 // reuse one ueGen value — or a slab of them — across the whole
 // population instead of heap-allocating one per UE.
@@ -535,53 +483,41 @@ func (g *ueGen) Next() (trace.Event, bool) {
 	}
 }
 
-// drainInto runs the generator to exhaustion, appending every event's
-// packed key to run — the bulk counterpart of looping Next used by
-// Generate's workers. Queued events move one engine step at a time
-// instead of a pop per event, and nothing crosses an interface.
+// drainUntil advances the generator up to limit: it appends the packed key
+// of every event with T < limit to run and returns the time of the
+// stream's next event — at least limit — or trace.NoPending once the
+// window is done. The engine runs one firing ahead: it steps whenever the
+// queue is empty, exactly as Next does, and whatever a step stamps at or
+// past limit waits in the queue (a case-1 flush can straddle it). The race
+// is therefore scanned once per firing, the time returned is exact, and
+// successive calls under rising limits deliver exactly the sequence
+// repeated Next calls would, from the same RNG draws. Generate's workers
+// call it once per UE with no limit; the streaming Source calls it once
+// per time window the UE fires in. Queued events move one engine step at
+// a time instead of a pop per event, and nothing crosses an interface.
 //
-//cplint:hotpath the batch drain: one bulk pack-and-append per engine step
-func (g *ueGen) drainInto(lay *trace.KeyLayout, run *trace.KeyRun) {
+//cplint:hotpath the bulk drain: one pack-and-append per engine step
+func (g *ueGen) drainUntil(limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
 	for {
 		if g.qhead < g.qlen {
 			// Queued events deliver unconditionally, exactly like Next;
 			// the safety cap only stops further stepping.
-			run.Append(lay, g.queue[g.qhead:g.qlen]...)
-			g.emitted += g.qlen - g.qhead
-			g.qhead, g.qlen = 0, 0
-			continue
-		}
-		if g.exhausted || g.emitted >= maxEventsPerUE {
-			return
-		}
-		if !g.started {
-			g.startup()
-			continue
-		}
-		g.step()
-	}
-}
-
-// NextRun implements trace.BatchIterator: it fills dst with the
-// generator's next events, one engine step at a time, delivering exactly
-// the sequence repeated Next calls would.
-//
-//cplint:hotpath the batched per-UE fill: one call per merge run instead of per event
-func (g *ueGen) NextRun(dst []trace.Event) int {
-	n := 0
-	for n < len(dst) {
-		if g.qhead < g.qlen {
-			dst[n] = g.queue[g.qhead]
-			n++
-			g.qhead++
-			g.emitted++
-			if g.qhead == g.qlen {
-				g.qhead, g.qlen = 0, 0
+			q := g.queue[g.qhead:g.qlen]
+			n := len(q)
+			if q[n-1].T >= limit { // time-ordered: otherwise all of it is due
+				for n = 0; q[n].T < limit; n++ {
+				}
 			}
-			continue
+			run.Append(lay, q[:n]...)
+			g.emitted += n
+			if n < len(q) {
+				g.qhead += n
+				return q[n].T
+			}
+			g.qhead, g.qlen = 0, 0
 		}
 		if g.exhausted || g.emitted >= maxEventsPerUE {
-			break
+			return trace.NoPending
 		}
 		if !g.started {
 			g.startup()
@@ -589,7 +525,6 @@ func (g *ueGen) NextRun(dst []trace.Event) int {
 		}
 		g.step()
 	}
-	return n
 }
 
 // cellAt resolves the compiled parameter cell for time t: the persona's

@@ -129,9 +129,9 @@ type BatchSink interface {
 }
 
 // BatchIterator yields one stream's events in time order a run at a time:
-// the pull-style batched counterpart of EventIterator. Per-UE generators
-// implement it so MergeBatches can interleave populations with one
-// method call per run instead of per event.
+// the pull-style batched counterpart of EventIterator, so MergeBatches
+// makes one method call per run instead of per event. SliceIterator
+// yields runs natively; AsBatchIterator adapts any EventIterator.
 type BatchIterator interface {
 	// NextRun fills dst from the front with the stream's next events,
 	// returning how many were written; 0 means the stream is exhausted
@@ -189,14 +189,21 @@ func (u *unbatchingSource) Devices(fn func(cp.UEID, cp.DeviceType) error) error 
 }
 
 func (u *unbatchingSource) Scan(fn func(Event) error) error {
-	return u.src.ScanBatches(func(b *Batch) error {
+	return u.src.ScanBatches(Unbatch(fn))
+}
+
+// Unbatch returns the batch callback that feeds fn one event at a time,
+// stopping at fn's first error: the per-event face of a source whose
+// native unit is the batch.
+func Unbatch(fn func(Event) error) func(*Batch) error {
+	return func(b *Batch) error {
 		for i := range b.T {
 			if err := fn(Event{T: b.T[i], UE: b.UE[i], Type: b.Type[i]}); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
+	}
 }
 
 // batchingSink adapts a per-event EventSink to BatchSink by unrolling
@@ -308,8 +315,11 @@ func AsBatchIterator(it EventIterator) BatchIterator {
 
 // mergeRunSize is the per-leaf refill granularity of MergeBatches: long
 // enough to amortize the NextRun call, short enough that k leaves' run
-// buffers (k × 64 × 16 B) stay cache-resident for populations in the
-// thousands.
+// buffers (k × 64 × 16 B, one slab) stay cache-resident for populations in
+// the thousands. Only MergeBatches' callers pay for the slab — the
+// interpreted engine's Source and the tests and benchmark replays that use
+// the merge as their oracle; the compiled sources order by window
+// (AssembleWindows) and hold no run buffers.
 const mergeRunSize = 64
 
 // MergeBatches is the batch-refill variant of MergeScan: it k-way merges

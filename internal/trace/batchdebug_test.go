@@ -60,3 +60,40 @@ func TestCopiesSurvivePoison(t *testing.T) {
 		}
 	}
 }
+
+// TestAssembleWindowsPoisonsHandedOutBatch holds the windowed assembler to
+// the same contract: the batch it hands out is a view of its window
+// columns, overwritten once the callback returns, so a view retained from
+// one callback reads poison by the next.
+func TestAssembleWindowsPoisonsHandedOutBatch(t *testing.T) {
+	// 1024 streams with one event each, all in the same millisecond: one
+	// window, four batches, nothing in between to refill the columns.
+	var retained []cp.Millis
+	calls := 0
+	err := AssembleWindows(func(b *Batch) error {
+		if calls++; calls == 2 {
+			for i, v := range retained {
+				if v != PoisonMillis {
+					t.Fatalf("retained slot %d of the first batch reads %d in the second callback, want poison", i, v)
+				}
+			}
+		}
+		if b.T[0] == PoisonMillis || b.Len() != DefaultBatchSize {
+			t.Fatalf("batch %d arrived with %d events, first T=%d", calls, b.Len(), b.T[0])
+		}
+		retained = b.T // the contract violation under test
+		return nil
+	}, 1024, 1023, func(i int, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis {
+		if limit <= 5 {
+			return 5
+		}
+		run.Append(l, Event{T: 5, UE: cp.UEID(i), Type: cp.Handover})
+		return NoPending
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 4 {
+		t.Fatalf("%d batches, want 4", calls)
+	}
+}

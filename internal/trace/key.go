@@ -104,6 +104,9 @@ func (r *KeyRun) Append(l *KeyLayout, evs ...Event) {
 	r.keys, r.outside = keys, outside
 }
 
+// Reset empties the run for reuse, keeping its storage.
+func (r *KeyRun) Reset() { r.keys, r.outside = r.keys[:0], false }
+
 // Forecast tells the run that done of its producer's total UEs have been
 // appended. Once, a sixteenth of the way through (and no sooner than 64
 // UEs), it reserves room for the rest at the density seen so far plus an

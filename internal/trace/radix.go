@@ -111,12 +111,8 @@ func finishBuckets(l *KeyLayout, part []uint64, bounds []int, lowBits uint, dst 
 	if largest == 0 {
 		return
 	}
-	// Every bucket sorts the same low bits, so passes and digit width are
-	// chosen once: as few passes as maxDigitBits allows, the bits spread
-	// evenly over them, and no digit wider than a bucket has keys for.
-	digit := uint(min(maxDigitBits, max(bits.Len(uint(largest))-2, 4)))
-	passes := max(int((lowBits+digit-1)/digit), 1)
-	digit = max((lowBits+uint(passes)-1)/uint(passes), 1)
+	// Every bucket sorts the same low bits, so the schedule is chosen once.
+	passes, digit := passPlan(largest, lowBits)
 	scratch := make([]uint64, largest)
 	hist := make([]int32, passes<<digit)
 	for b := 0; b < nb; b++ {
@@ -125,18 +121,29 @@ func finishBuckets(l *KeyLayout, part []uint64, bounds []int, lowBits uint, dst 
 	}
 }
 
-// sortBucket sorts keys by their low passes×digit bits — the bits above
-// are equal across a bucket — and decodes them into dst in order. keys
-// and scratch are left in an unspecified state.
+// passPlan chooses the LSD schedule that sorts lowBits low bits of buckets
+// holding at most largest keys: as few passes as maxDigitBits allows, the
+// bits spread evenly over them, and no digit wider than a bucket has keys
+// for. A pass histogram set is passes<<digit counters.
+func passPlan(largest int, lowBits uint) (passes int, digit uint) {
+	digit = uint(min(maxDigitBits, max(bits.Len(uint(largest))-2, 4)))
+	passes = max(int((lowBits+digit-1)/digit), 1)
+	return passes, max((lowBits+uint(passes)-1)/uint(passes), 1)
+}
+
+// sortPasses is the one radix kernel: it sorts keys by their low
+// passes×digit bits — the bits above are equal across a bucket — except
+// that it leaves the last pass's scatter to the caller, which decodes
+// while it stores. It returns the keys as that pass must read them, the
+// pass's running bucket offsets and its shift; nil offsets mean src is
+// already in order (a bucket small enough to comparison-sort). keys and
+// scratch are left in an unspecified state.
 //
-//cplint:hotpath stage two: every in-cache pass over every key
-func sortBucket(l *KeyLayout, keys, scratch []uint64, dst []Event, hist []int32, passes int, digit uint) {
+//cplint:hotpath stage two and the window sort: every in-cache pass over every key
+func sortPasses(keys, scratch []uint64, hist []int32, passes int, digit uint) (src []uint64, offs []int32, shift uint) {
 	if len(keys) < smallSort || len(keys) > math.MaxInt32 { // int32 counters
 		slices.Sort(keys)
-		for i, k := range keys {
-			dst[i] = l.Unpack(k)
-		}
-		return
+		return keys, nil, 0
 	}
 	mask := uint64(1)<<digit - 1
 	clear(hist)
@@ -145,21 +152,16 @@ func sortBucket(l *KeyLayout, keys, scratch []uint64, dst []Event, hist []int32,
 			hist[uint64(p)<<digit|k>>(uint(p)*digit)&mask]++
 		}
 	}
-	for p := 0; p < passes; p++ {
+	for p := 0; ; p++ {
 		h := hist[p<<digit : (p+1)<<digit]
 		sum := int32(0)
 		for i, c := range h {
 			h[i] = sum
 			sum += c
 		}
-		shift := uint(p) * digit
+		shift = uint(p) * digit
 		if p == passes-1 {
-			for _, k := range keys {
-				d := k >> shift & mask
-				dst[h[d]] = l.Unpack(k)
-				h[d]++
-			}
-			return
+			return keys, h, shift
 		}
 		for _, k := range keys {
 			d := k >> shift & mask
@@ -167,6 +169,25 @@ func sortBucket(l *KeyLayout, keys, scratch []uint64, dst []Event, hist []int32,
 			h[d]++
 		}
 		keys, scratch = scratch, keys
+	}
+}
+
+// sortBucket sorts keys (sortPasses) and decodes them into dst in order.
+//
+//cplint:hotpath stage two's last pass: one decode and one 16-byte store per key
+func sortBucket(l *KeyLayout, keys, scratch []uint64, dst []Event, hist []int32, passes int, digit uint) {
+	src, offs, shift := sortPasses(keys, scratch, hist, passes, digit)
+	if offs == nil {
+		for i, k := range src {
+			dst[i] = l.Unpack(k)
+		}
+		return
+	}
+	mask := uint64(1)<<digit - 1
+	for _, k := range src {
+		d := k >> shift & mask
+		dst[offs[d]] = l.Unpack(k)
+		offs[d]++
 	}
 }
 

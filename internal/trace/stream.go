@@ -114,8 +114,8 @@ func Collect(src EventSource) (*Trace, error) {
 }
 
 // EventIterator yields one stream's events in time order, pull-style.
-// Per-UE generators implement it so MergeScan can interleave populations
-// without materializing anyone's future.
+// Per-UE generators implement it, so MergeScan and MergeBatches can
+// interleave populations without materializing anyone's future.
 type EventIterator interface {
 	Next() (Event, bool)
 }

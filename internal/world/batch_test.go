@@ -146,3 +146,47 @@ func TestWorldBytesPerEvent(t *testing.T) {
 		t.Fatalf("allocated %.2f B/event, want <= 48", perEvent)
 	}
 }
+
+// TestSourceScanBytesPerUE gates the streaming source's footprint: what one
+// ScanBatches allocates, per UE of a population large enough to amortize
+// the window buffers. Beside the ueSim and the pending time, a UE owns its
+// event queue, grown by append to the longest connected visit it has
+// queued — two allocations a UE in this hour, and the only ones that scale
+// with anything: the gate on the count is per UE for that reason (per
+// event it would measure how short the hour is; the loser tree made the
+// same two). There is no per-UE run buffer: the tree's k × 64-event slab
+// alone was 1 KiB per UE, 1 362 B/UE in all against 334 now.
+func TestSourceScanBytesPerUE(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	opt := Options{NumUEs: 20000, Duration: cp.Hour, Offset: 9 * cp.Hour, Seed: 3}
+	src, err := NewSource(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = src.ScanBatches(func(b *trace.Batch) error {
+		events += b.Len()
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events == 0 {
+		t.Fatal("simulated no events; test is vacuous")
+	}
+	perUE := float64(after.TotalAlloc-before.TotalAlloc) / float64(opt.NumUEs)
+	allocsPerUE := float64(after.Mallocs-before.Mallocs) / float64(opt.NumUEs)
+	t.Logf("%d events: %d B / %d UEs = %.1f B/UE, %d allocs = %.3f allocs/UE",
+		events, after.TotalAlloc-before.TotalAlloc, opt.NumUEs, perUE, after.Mallocs-before.Mallocs, allocsPerUE)
+	if perUE > 640 {
+		t.Fatalf("allocated %.1f B/UE, want <= 640", perUE)
+	}
+	if allocsPerUE > 3 {
+		t.Fatalf("%.3f allocs/UE, want <= 3", allocsPerUE)
+	}
+}

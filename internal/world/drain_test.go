@@ -1,0 +1,108 @@
+package world
+
+import (
+	"slices"
+	"testing"
+
+	"cptraffic/internal/cp"
+	"cptraffic/internal/stats"
+	"cptraffic/internal/trace"
+)
+
+// newUESim derives UE i's stream and prepares its simulator on the heap —
+// the slab-free convenience form of simPlan + init.
+func newUESim(opt Options, mix [cp.NumDeviceTypes]float64, root *stats.RNG, i int) (*ueSim, cp.DeviceType) {
+	rng, dev := simPlan(mix, root, i)
+	u := &ueSim{}
+	u.init(opt, cp.UEID(i), dev, rng)
+	return u, dev
+}
+
+// TestDrainUntilMatchesNext is the simulator half of the windowed
+// assembly's contract: however the timeline is cut into limits —
+// millisecond steps, jumps of minutes, a limit far past the end —
+// drainUntil delivers exactly Next's events, each call exactly those
+// before its limit, never reports a pending time later than the next
+// event or earlier than the limit, and leaves the RNG where Next leaves
+// it.
+func TestDrainUntilMatchesNext(t *testing.T) {
+	opt := Options{NumUEs: 12, Duration: 9 * cp.Hour, Offset: 5*cp.Hour + 30*cp.Minute, Seed: 21}
+	mix, err := resolveMix(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := opt.Offset + opt.Duration
+	lay, fits := trace.NewKeyLayout(opt.Offset, end-1, cp.UEID(opt.NumUEs-1))
+	if !fits {
+		t.Fatal("layout does not fit")
+	}
+	total := 0
+	for i := 0; i < opt.NumUEs; i++ {
+		ref, _ := newUESim(opt, mix, stats.NewRNG(opt.Seed), i)
+		var want []trace.Event
+		for {
+			ev, ok := ref.Next()
+			if !ok {
+				break
+			}
+			want = append(want, ev)
+		}
+		total += len(want)
+
+		u, _ := newUESim(opt, mix, stats.NewRNG(opt.Seed), i)
+		cuts := stats.NewRNG(uint64(i) + 100)
+		limit, done := opt.Offset, 0
+		for calls := 0; ; calls++ {
+			switch cuts.Intn(4) {
+			case 0:
+				limit++ // the finest window there is
+			case 1:
+				limit += cp.Millis(cuts.Intn(int(cp.Second)))
+			case 2:
+				limit += cp.Millis(cuts.Intn(int(20 * cp.Minute)))
+			default:
+				if calls > 40 {
+					limit = trace.NoPending // no limit at all, as Generate drains
+				} else if done < len(want) {
+					limit = max(limit, want[done].T) // the next event sits exactly on the limit
+				}
+			}
+			var run trace.KeyRun
+			pending := u.drainUntil(limit, &lay, &run)
+			got, ok := trace.AssembleKeys(&lay, []trace.KeyRun{run})
+			if !ok {
+				t.Fatalf("UE %d: drainUntil(%d) delivered an event outside the simulated window", i, limit)
+			}
+			n := 0
+			for done+n < len(want) && want[done+n].T < limit {
+				n++
+			}
+			if !slices.Equal(got, want[done:done+n]) {
+				t.Fatalf("UE %d: drainUntil(%d) delivered %v, Next's events before the limit are %v", i, limit, got, want[done:done+n])
+			}
+			done += n
+			switch {
+			case limit == trace.NoPending:
+				if pending != trace.NoPending {
+					t.Fatalf("UE %d: pending %d after an unlimited drain, want NoPending", i, pending)
+				}
+			case pending < limit:
+				t.Fatalf("UE %d: pending %d is before the limit %d", i, pending, limit)
+			case done < len(want) && pending > want[done].T:
+				t.Fatalf("UE %d: pending %d is later than the next event %v", i, pending, want[done])
+			}
+			if limit == trace.NoPending {
+				break
+			}
+		}
+		if done != len(want) {
+			t.Fatalf("UE %d: delivered %d of %d events", i, done, len(want))
+		}
+		if u.rng != ref.rng {
+			t.Fatalf("UE %d: RNG state differs from Next's after the window", i)
+		}
+	}
+	if total == 0 {
+		t.Fatal("no events; test is vacuous")
+	}
+}

@@ -37,7 +37,8 @@ type Options struct {
 	// the calibrated default of 1.0. Same byte-identity property as
 	// MobilityScale.
 	ActivityScale float64
-	// Workers bounds concurrency; 0 means GOMAXPROCS.
+	// Workers bounds Generate's concurrency; 0 means GOMAXPROCS. The
+	// streaming Source ignores it.
 	Workers int
 }
 
@@ -125,24 +126,15 @@ func (u *ueSim) init(opt Options, ue cp.UEID, dev cp.DeviceType, rng stats.RNG) 
 	u.queue = q
 }
 
-// newUESim derives UE i's stream and prepares its simulator on the heap —
-// the slab-free convenience form of simPlan + init.
-func newUESim(opt Options, mix [cp.NumDeviceTypes]float64, root *stats.RNG, i int) (*ueSim, cp.DeviceType) {
-	rng, dev := simPlan(mix, root, i)
-	u := &ueSim{}
-	u.init(opt, cp.UEID(i), dev, rng)
-	return u, dev
-}
-
 // Generate simulates the UE population and returns the sorted trace.
 //
 // Assembly: each worker drains its UEs into one run of packed 8-byte keys
 // (trace.KeyLayout over [Offset, Offset+Duration), fixed before any event
 // exists) and trace.AssembleKeys sorts the runs and decodes them into the
-// event slice — identical bytes to the k-way merge the streaming Source
-// uses, since the key's integer order is the canonical order and the key
-// is the whole event. A key that cannot fit 64 bits takes that streaming
-// path instead.
+// event slice — identical bytes to what the streaming Source emits window
+// by window, since the key's integer order is the canonical order and the
+// key is the whole event. A key that cannot fit 64 bits takes that
+// streaming path, whose keys are relative to each window, instead.
 func Generate(opt Options) (*trace.Trace, error) {
 	mix, err := resolveMix(opt)
 	if err != nil {
@@ -173,7 +165,7 @@ func Generate(opt Options) (*trace.Trace, error) {
 		stripe := (opt.NumUEs - w + workers - 1) / workers
 		for i, done := w, 1; i < opt.NumUEs; i, done = i+workers, done+1 {
 			sim.init(opt, cp.UEID(i), devices[i], seeds[i])
-			sim.drainInto(&lay, &run)
+			sim.drainUntil(trace.NoPending, &lay, &run)
 			run.Forecast(done, stripe)
 		}
 		runs[w] = run
@@ -192,8 +184,9 @@ func Generate(opt Options) (*trace.Trace, error) {
 }
 
 // collectSource materializes the streaming Source: the assembly for
-// options whose packed key does not fit 64 bits. TestSourceMatchesGenerate
-// pins it byte for byte against the packed path.
+// options whose packed key does not fit 64 bits — the Source's windowed
+// keys are relative to each window, so it orders any span.
+// TestSourceMatchesGenerate pins it byte for byte against the packed path.
 func collectSource(opt Options) (*trace.Trace, error) {
 	src, err := NewSource(opt)
 	if err != nil {
@@ -203,10 +196,10 @@ func collectSource(opt Options) (*trace.Trace, error) {
 }
 
 // Source is a simulation-backed trace.EventSource: scanning it runs the
-// ground-truth behavioral simulation on the fly and k-way merges the
-// per-UE streams, holding O(NumUEs) state instead of the whole trace.
-// Devices and Scan both re-derive the population from the seed, so the
-// source is re-iterable and successive passes agree.
+// ground-truth behavioral simulation on the fly, a time window at a time,
+// holding one ueSim and one pending time per UE instead of the whole
+// trace. Devices and the scans re-derive the population from the seed, so
+// the source is re-iterable and successive passes agree.
 type Source struct {
 	opt Options
 	mix [cp.NumDeviceTypes]float64
@@ -247,32 +240,27 @@ func (s *Source) sims() []ueSim {
 }
 
 // Scan simulates the population and delivers its events in canonical
-// order.
+// order: ScanBatches, one event at a time.
 func (s *Source) Scan(fn func(trace.Event) error) error {
-	sims := s.sims()
-	its := make([]trace.EventIterator, len(sims))
-	for i := range sims {
-		its[i] = &sims[i]
-	}
-	return trace.MergeScan(fn, its)
+	return s.ScanBatches(trace.Unbatch(fn))
 }
 
-// ScanBatches implements trace.BatchSource natively: per-UE simulators
-// fill merge runs directly and events arrive in reused struct-of-arrays
-// batches, byte-identical to Scan (TestBatchedMatchesStreamed).
+// ScanBatches implements trace.BatchSource natively, and is the source's
+// one ordering path: trace.AssembleWindows advances the population a time
+// window at a time — each simulator drained up to the window's end
+// (drainUntil), the window's packed keys sorted in cache — and delivers
+// reused struct-of-arrays batches.
 func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
 	sims := s.sims()
-	its := make([]trace.BatchIterator, len(sims))
-	for i := range sims {
-		its[i] = &sims[i]
-	}
-	return trace.MergeBatches(fn, its)
+	return trace.AssembleWindows(fn, len(sims), cp.UEID(len(sims)-1), func(i int, limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
+		return sims[i].drainUntil(limit, lay, run)
+	})
 }
 
 // ueSim is the behavioral simulation of one UE, exposed as an
-// incremental iterator (it implements trace.EventIterator): Next
-// advances the simulation just far enough to produce the next event, so
-// a population can be streamed without holding anyone's future.
+// incremental iterator: drainUntil (and Next, its per-event form)
+// advances the simulation just far enough to produce the events asked
+// for, so a population can be streamed without holding anyone's future.
 type ueSim struct {
 	ue    cp.UEID
 	p     *params
@@ -357,49 +345,36 @@ func (u *ueSim) Next() (trace.Event, bool) {
 	}
 }
 
-// drainInto runs the simulation to exhaustion, appending every event's
-// packed key to run — the bulk counterpart of looping Next used by
-// Generate's workers. Queued events move one decision at a time instead
-// of a pop per event, and nothing crosses an interface.
+// drainUntil advances the simulation up to limit: it appends the packed
+// key of every event with T < limit to run and returns the time of the
+// UE's next event — at least limit — or trace.NoPending once the UE is
+// done. The simulation runs one decision ahead: it steps whenever the queue
+// is empty, exactly as Next does, and whatever a step stamps at or past
+// limit waits in the queue (a connected phase queues a whole visit). So
+// successive calls under rising limits deliver exactly the sequence
+// repeated Next calls would, from the same RNG draws. Generate's workers
+// call it once per UE with no limit; the streaming Source calls it once
+// per time window the UE has an event in.
 //
-//cplint:hotpath the batch drain: one bulk pack-and-append per simulation decision
-func (u *ueSim) drainInto(lay *trace.KeyLayout, run *trace.KeyRun) {
+//cplint:hotpath the bulk drain: one pack-and-append per simulation decision
+func (u *ueSim) drainUntil(limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
 	for {
 		if u.qhead < len(u.queue) {
-			run.Append(lay, u.queue[u.qhead:]...)
-			u.queue, u.qhead = u.queue[:0], 0
-			continue
-		}
-		if u.done {
-			return
-		}
-		if !u.started {
-			u.start0()
-			continue
-		}
-		u.step()
-	}
-}
-
-// NextRun implements trace.BatchIterator: it fills dst with the
-// simulation's next events, delivering exactly the sequence repeated
-// Next calls would.
-//
-//cplint:hotpath the batched per-UE fill: one call per merge run instead of per event
-func (u *ueSim) NextRun(dst []trace.Event) int {
-	n := 0
-	for n < len(dst) {
-		if u.qhead < len(u.queue) {
-			dst[n] = u.queue[u.qhead]
-			n++
-			u.qhead++
-			if u.qhead == len(u.queue) {
-				u.queue, u.qhead = u.queue[:0], 0
+			q := u.queue[u.qhead:]
+			n := len(q)
+			if q[n-1].T >= limit { // time-ordered: otherwise all of it is due
+				for n = 0; q[n].T < limit; n++ {
+				}
 			}
-			continue
+			run.Append(lay, q[:n]...)
+			if n < len(q) {
+				u.qhead += n
+				return q[n].T
+			}
+			u.queue, u.qhead = u.queue[:0], 0
 		}
 		if u.done {
-			break
+			return trace.NoPending
 		}
 		if !u.started {
 			u.start0()
@@ -407,7 +382,6 @@ func (u *ueSim) NextRun(dst []trace.Event) int {
 		}
 		u.step()
 	}
-	return n
 }
 
 // start0 draws the UE's per-lifetime latent state and initial condition.

@@ -19,7 +19,9 @@
 # BenchmarkPartialFitBuild: the layer bench/ reports as
 # core.fit.build_s), trace assembly alone (internal/trace's
 # BenchmarkAssembleKeys: the layer bench/ reports as
-# trace.radix.ns_per_event), and the cplint analysis cost
+# trace.radix.ns_per_event), windowed assembly alone (internal/trace's
+# BenchmarkWindowAssemble: what orders the streaming sources), and the
+# cplint analysis cost
 # (BenchmarkLintAnalyze: per analyzer, whole suite, real module), so
 # successive BENCH_* files track the same quantities across PRs. With -count N the .txt keeps every run
 # (benchstat can consume it directly) and the .json stores the median of
@@ -29,7 +31,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-PATTERN="${PATTERN:-GenerateThroughput|WorldThroughput|StreamThroughput|GeneratorPerUEHour|Scanner|FitSharded|FitSketched|PartialFitBuild|AssembleKeys}"
+PATTERN="${PATTERN:-GenerateThroughput|WorldThroughput|StreamThroughput|GeneratorPerUEHour|Scanner|FitSharded|FitSketched|PartialFitBuild|AssembleKeys|WindowAssemble}"
 BENCHTIME="${BENCHTIME:-10x}"
 COUNT="${COUNT:-1}"
 while [ $# -gt 0 ]; do
