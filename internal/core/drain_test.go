@@ -36,8 +36,8 @@ func drained(t *testing.T, g *ueGen, limit cp.Millis, lay *trace.KeyLayout) ([]t
 // contract: however the timeline is cut into limits — millisecond steps,
 // jumps of minutes, a limit far past the window's end — drainUntil
 // delivers exactly Next's events, each call exactly those before its
-// limit, never reports a pending time later than the next event or
-// earlier than the limit, and leaves the RNG where Next leaves it.
+// limit, reports the next event's time as pending (NoPending after the
+// last), and leaves the RNG where Next leaves it.
 func TestDrainUntilMatchesNext(t *testing.T) {
 	base, err := Fit(toyTrace(t, 60, 3*cp.Hour, 43), FitOptions{
 		Machine:      sm.EMMECM(),
@@ -109,17 +109,13 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 					t.Fatalf("%s seed %d: drainUntil(%d) delivered %v, Next's events before the limit are %v", name, seed, limit, got, want[done:done+n])
 				}
 				done += n
-				switch {
-				case done == len(want) && limit > end:
-					if pending != trace.NoPending {
-						t.Fatalf("%s seed %d: pending %d after the last event, want NoPending", name, seed, pending)
-					}
-				case pending < limit:
-					t.Fatalf("%s seed %d: pending %d is before the limit %d", name, seed, pending, limit)
-				case done < len(want) && pending > want[done].T:
-					t.Fatalf("%s seed %d: pending %d is later than the next event %v", name, seed, pending, want[done])
-				case done == len(want) && pending != trace.NoPending && pending >= end:
-					t.Fatalf("%s seed %d: pending %d is past the window's end", name, seed, pending)
+				// One firing ahead: the pending time is the next event's own.
+				next := trace.NoPending
+				if done < len(want) {
+					next = want[done].T
+				}
+				if pending != next {
+					t.Fatalf("%s seed %d: drainUntil(%d) reports pending %d, the next event is due at %d", name, seed, limit, pending, next)
 				}
 				if limit > end {
 					break

@@ -1,7 +1,8 @@
 // Package trace provides the control-plane trace data model: timestamped,
 // UE-labeled control events, in-memory traces, per-UE views, hour slicing,
-// and the ordering of per-UE event streams into one (packed-key assembly,
-// whole or a time window at a time, and the k-way merge they are held to).
+// and the ordering of per-UE event streams into one trace: packed-key
+// assembly, whole or a time window at a time, and the k-way merge that is
+// its oracle.
 //
 // A trace is the unit of exchange between every stage of the pipeline:
 // the world simulator emits one, the model fitter consumes one, the

@@ -129,10 +129,11 @@ func (a *windowAssembler) sortWindow(lay *KeyLayout) {
 	a.cols.UE = slices.Grow(a.cols.UE, n)[:held+n]
 	a.cols.Type = slices.Grow(a.cols.Type, n)[:held+n]
 	passes, digit := passPlan(n, lay.bits)
-	if need := passes << digit; cap(a.hist) < need {
+	need := passes << digit
+	if cap(a.hist) < need {
 		a.hist = make([]int32, need)
 	}
-	sortColumns(lay, keys, a.scratch, a.cols.T[held:], a.cols.UE[held:], a.cols.Type[held:], a.hist[:passes<<digit], passes, digit)
+	sortColumns(lay, keys, a.scratch, a.cols.T[held:], a.cols.UE[held:], a.cols.Type[held:], a.hist[:need], passes, digit)
 }
 
 // sortColumns is sortBucket with a struct-of-arrays destination.
