@@ -9,8 +9,8 @@ GO ?= go
 
 RACE_PKGS = ./internal/par/ ./internal/trace/ ./internal/core/ ./internal/world/ ./internal/eval/ ./internal/experiments/ ./internal/mcn/ ./internal/scenario/ ./cmd/stormsim/
 
-# Per-target fuzzing time for fuzz-smoke (two targets, so the total
-# fuzzing wall clock is twice this). CI raises it to 15s per target.
+# Per-target fuzzing time for fuzz-smoke (four targets, so the total
+# fuzzing wall clock is four times this). CI sets the same 15s per target.
 FUZZTIME ?= 15s
 
 .PHONY: check fmt vet build lint fix test bench-check race allocs fuzz-smoke scenarios shardcheck audit bench experiments
@@ -65,19 +65,24 @@ race:
 
 # The allocation gates, which the race build disables itself, so they
 # need a non-race run: the compiled generator's and the world simulator's
-# steady-state step allocate nothing; both Generates stay within 0.02
-# allocations and 48 allocated bytes per assembled event; one ScanBatches
-# of either streaming Source stays within 640 allocated bytes per UE.
+# steady-state drainUntil — the loop production runs — allocates nothing;
+# both Generates stay within 0.02 allocations and 48 allocated bytes per
+# assembled event; one ScanBatches of either streaming Source stays within
+# 640 allocated bytes per UE.
 allocs:
 	$(GO) test -run 'SteadyStateAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE' ./internal/core/ ./internal/world/
 
-# Coverage-guided fuzzing over the two external input surfaces: the
-# scenario JSON parser (seeded from scenarios/*.json) and the
-# partialfit/1 binary decoder (seeded from fresh encodings). Both
-# targets assert decode→encode round-trip byte stability.
+# Coverage-guided fuzzing over every decoder of external input: the
+# scenario JSON parser (seeded from scenarios/*.json), the partialfit/1
+# binary decoder (seeded from fresh encodings), and the whole-file text
+# and binary trace readers. The first two assert decode→encode round-trip
+# byte stability; the trace targets assert that nothing panics and that
+# whatever a reader accepts re-encodes and re-reads to the same shape.
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseScenario$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^FuzzDecodePartial$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzReadTrace$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^FuzzReadBinaryTrace$$' -fuzz '^FuzzReadBinaryTrace$$' -fuzztime $(FUZZTIME) ./internal/trace/
 
 # Smoke-run every starter scenario through stormsim at reduced scale:
 # validation, world simulation, storm replay, and the byte-identity

@@ -194,10 +194,10 @@ func mallocs() uint64 {
 }
 
 // BenchmarkGenerateThroughput is the headline perf-ledger benchmark:
-// steady-state event throughput of the per-UE generator, compiled
-// engine vs. the interpreted reference on the same model, seeds, and
-// population. The two produce byte-identical traces
-// (TestCompiledMatchesInterpreted); only the speed differs.
+// steady-state event throughput of core.Generate. The single
+// sub-benchmark keeps the name the recorded ledger rows carry
+// ("compiled", from when an interpreted row ran beside it; the
+// interpreter is now the test oracle in internal/core/interp_test.go).
 func BenchmarkGenerateThroughput(b *testing.B) {
 	l := lab(b)
 	models, err := l.Models()
@@ -205,35 +205,26 @@ func BenchmarkGenerateThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	ms := models["ours"]
-	for _, eng := range []struct {
-		name      string
-		interpret bool
-	}{
-		{"compiled", false},
-		{"interpreted", true},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			events := 0
-			b.ResetTimer()
-			m0 := mallocs()
-			for i := 0; i < b.N; i++ {
-				tr, err := core.Generate(ms, core.GenOptions{
-					NumUEs:    2000,
-					StartHour: 18,
-					Duration:  cp.Hour,
-					Seed:      uint64(i + 1),
-					Interpret: eng.interpret,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += tr.Len()
+	b.Run("compiled", func(b *testing.B) {
+		events := 0
+		b.ResetTimer()
+		m0 := mallocs()
+		for i := 0; i < b.N; i++ {
+			tr, err := core.Generate(ms, core.GenOptions{
+				NumUEs:    2000,
+				StartHour: 18,
+				Duration:  cp.Hour,
+				Seed:      uint64(i + 1),
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			allocs := mallocs() - m0
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(allocs)/float64(events), "allocs/event")
-		})
-	}
+			events += tr.Len()
+		}
+		allocs := mallocs() - m0
+		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+		b.ReportMetric(float64(allocs)/float64(events), "allocs/event")
+	})
 }
 
 // BenchmarkWorldThroughput measures the ground-truth world simulator's

@@ -12,10 +12,8 @@
 // With -stream the trace is consumed in struct-of-arrays batches
 // through an incremental scanner — peak memory is O(UEs) instead of the
 // trace size — and the reported statistics are identical. Both modes
-// report ingest throughput and the process's memory footprint; with a
-// re-readable (file) input, -stream additionally times the legacy
-// per-event ingest and reports the batched-vs-per-event delta in the
-// summary line.
+// read the input once and report ingest throughput and the process's
+// memory footprint.
 package main
 
 import (
@@ -232,7 +230,7 @@ func main() {
 		}
 		// Batched ingest: the scanner decodes whole struct-of-arrays
 		// batches, so the per-record interface hop disappears from the
-		// hot loop. The statistics are identical to per-event ingest.
+		// hot loop.
 		b := trace.NewBatch(trace.DefaultBatchSize)
 		for sc.ScanBatch(b) {
 			for i := 0; i < b.Len(); i++ {
@@ -262,40 +260,6 @@ func main() {
 	}
 	s.finish()
 	elapsed := time.Since(begin)
-
-	// With a re-readable input, measure the legacy per-event ingest too,
-	// so the summary line reports what batching bought on this trace.
-	var perEventElapsed time.Duration
-	if *stream && *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s2 := newStatCollector(m)
-		t2 := time.Now()
-		sc, err := trace.NewScanner(f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sc.Devices(s2.register); err != nil {
-			log.Fatal(err)
-		}
-		for sc.Scan() {
-			if err := s2.push(sc.Event()); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := sc.Err(); err != nil {
-			log.Fatal(err)
-		}
-		s2.finish()
-		perEventElapsed = time.Since(t2)
-		f.Close()
-		if s2.events != s.events || s2.violations != s.violations {
-			log.Fatalf("batched ingest diverged from per-event ingest: %d/%d events, %d/%d violations",
-				s.events, s2.events, s.violations, s2.violations)
-		}
-	}
 
 	fmt.Printf("UEs: %d   events: %d   span: [%.1f h, %.1f h)\n\n",
 		len(s.ues), s.events, s.lo.Seconds()/3600, s.hi.Seconds()/3600)
@@ -347,14 +311,7 @@ func main() {
 
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	rate := float64(s.events) / elapsed.Seconds()
-	delta := ""
-	if perEventElapsed > 0 && elapsed > 0 {
-		perEventRate := float64(s.events) / perEventElapsed.Seconds()
-		delta = fmt.Sprintf("   batched vs per-event: %+.0f%% (%.0f -> %.0f events/s)",
-			100*(rate-perEventRate)/perEventRate, perEventRate, rate)
-	}
-	fmt.Printf("Ingest: %d events in %.2f s (%.0f events/s)%s   heap: %.1f MiB live, %.1f MiB peak from OS\n",
-		s.events, elapsed.Seconds(), rate, delta,
+	fmt.Printf("Ingest: %d events in %.2f s (%.0f events/s)   heap: %.1f MiB live, %.1f MiB peak from OS\n",
+		s.events, elapsed.Seconds(), float64(s.events)/elapsed.Seconds(),
 		float64(mem.HeapAlloc)/(1<<20), float64(mem.Sys)/(1<<20))
 }

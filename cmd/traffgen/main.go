@@ -25,7 +25,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"os"
@@ -81,6 +80,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	var scn *scenario.Scenario
 	if *scnPath != "" {
 		if *nextg != "" {
 			log.Fatal("-scenario conflicts with -nextg; set sa_share in the file")
@@ -88,37 +88,9 @@ func main() {
 		if *stream {
 			log.Fatal("-scenario does not support -stream (the SA merge is in-memory)")
 		}
-		s, err := scenario.Load(*scnPath)
-		if err != nil {
+		if scn, err = scenario.Load(*scnPath); err != nil {
 			log.Fatal(err)
 		}
-		tr, err := generateScenario(ms, s, *workers, *hoFactor)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w := os.Stdout
-		if *out != "-" {
-			file, err := os.Create(*out)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer func() {
-				if err := file.Close(); err != nil {
-					log.Fatal(err)
-				}
-			}()
-			w = file
-		}
-		writeFn := trace.WriteTrace
-		if *binOut {
-			writeFn = trace.WriteBinaryTrace
-		}
-		if err := writeFn(w, tr); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "traffgen: scenario=%s sa_share=%.2f -> %d UEs, %d events\n",
-			s.Name, s.SAShare, tr.NumUEs(), tr.Len())
-		return
 	}
 
 	switch *nextg {
@@ -143,14 +115,6 @@ func main() {
 		log.Fatalf("unknown -nextg %q (want nsa or sa)", *nextg)
 	}
 
-	gopt := core.GenOptions{
-		NumUEs:    *ues,
-		StartHour: *start,
-		Duration:  cp.Millis(*hours) * cp.Hour,
-		Seed:      *seed,
-		Workers:   *workers,
-	}
-
 	w := os.Stdout
 	if *out != "-" {
 		file, err := os.Create(*out)
@@ -165,33 +129,36 @@ func main() {
 		w = file
 	}
 
-	if *stream {
-		src, err := core.NewSource(ms, gopt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		nUEs, nEvents, err := streamOut(w, src, *binOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "traffgen: method=%s machine=%s -> %d UEs, %d events (streamed)\n",
-			ms.Method, ms.MachineName, nUEs, nEvents)
-		return
+	gopt := core.GenOptions{
+		NumUEs:    *ues,
+		StartHour: *start,
+		Duration:  cp.Millis(*hours) * cp.Hour,
+		Seed:      *seed,
+		Workers:   *workers,
 	}
-
-	tr, err := core.Generate(ms, gopt)
+	// One output call: a scenario's merged trace, the streaming source and
+	// the in-memory trace go through the same writers, so -stream only
+	// decides the memory.
+	var src trace.EventSource
+	what, mode := fmt.Sprintf("method=%s machine=%s", ms.Method, ms.MachineName), ""
+	switch {
+	case scn != nil:
+		src, err = generateScenario(ms, scn, *workers, *hoFactor)
+		what = fmt.Sprintf("scenario=%s sa_share=%.2f", scn.Name, scn.SAShare)
+	case *stream:
+		src, err = core.NewSource(ms, gopt)
+		mode = " (streamed)"
+	default:
+		src, err = core.Generate(ms, gopt)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeFn := trace.WriteTrace
-	if *binOut {
-		writeFn = trace.WriteBinaryTrace
-	}
-	if err := writeFn(w, tr); err != nil {
+	nUEs, nEvents, err := trace.WriteSource(w, src, *binOut)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "traffgen: method=%s machine=%s -> %d UEs, %d events\n",
-		ms.Method, ms.MachineName, tr.NumUEs(), tr.Len())
+	fmt.Fprintf(os.Stderr, "traffgen: %s -> %d UEs, %d events%s\n", what, nUEs, nEvents, mode)
 }
 
 // generateScenario synthesizes a scenario's population from the fitted
@@ -258,53 +225,4 @@ func renumberUEs(tr *trace.Trace, offset cp.UEID) *trace.Trace {
 		out.Events = append(out.Events, e)
 	}
 	return out
-}
-
-// countingSink wraps an EventSink, tallying what passes through. It
-// forwards whole batches to the writer's native batched face, so
-// counting does not force the stream back onto the per-event path.
-type countingSink struct {
-	sink        trace.EventSink
-	bsink       trace.BatchSink
-	ues, events int
-}
-
-func newCountingSink(sink trace.EventSink) *countingSink {
-	return &countingSink{sink: sink, bsink: trace.AsBatchSink(sink)}
-}
-
-func (c *countingSink) SetDevice(ue cp.UEID, d cp.DeviceType) error {
-	c.ues++
-	return c.sink.SetDevice(ue, d)
-}
-
-func (c *countingSink) Write(e trace.Event) error {
-	c.events++
-	return c.sink.Write(e)
-}
-
-func (c *countingSink) WriteBatch(b *trace.Batch) error {
-	c.events += b.Len()
-	return c.bsink.WriteBatch(b)
-}
-
-// streamOut copies src into w in the chosen format over the batched
-// pipeline — the source fills struct-of-arrays batches and the writer
-// drains them whole — returning the counts for the summary line. The
-// bytes are identical to the per-event path (test-enforced).
-func streamOut(w io.Writer, src trace.EventSource, binary bool) (ues, events int, err error) {
-	var sink trace.EventSink
-	var closeFn func() error
-	if binary {
-		sw := trace.NewStreamWriter(w)
-		sink, closeFn = sw, sw.Close
-	} else {
-		tw := trace.NewTextWriter(w)
-		sink, closeFn = tw, tw.Close
-	}
-	cs := newCountingSink(sink)
-	if err := trace.CopyBatches(cs, src); err != nil {
-		return 0, 0, err
-	}
-	return cs.ues, cs.events, closeFn()
 }

@@ -21,7 +21,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
@@ -31,55 +30,6 @@ import (
 	"cptraffic/internal/trace"
 	"cptraffic/internal/world"
 )
-
-// countingSink wraps an EventSink, tallying what passes through. It
-// forwards whole batches to the writer's native batched face, so
-// counting does not force the stream back onto the per-event path.
-type countingSink struct {
-	sink        trace.EventSink
-	bsink       trace.BatchSink
-	ues, events int
-}
-
-func newCountingSink(sink trace.EventSink) *countingSink {
-	return &countingSink{sink: sink, bsink: trace.AsBatchSink(sink)}
-}
-
-func (c *countingSink) SetDevice(ue cp.UEID, d cp.DeviceType) error {
-	c.ues++
-	return c.sink.SetDevice(ue, d)
-}
-
-func (c *countingSink) Write(e trace.Event) error {
-	c.events++
-	return c.sink.Write(e)
-}
-
-func (c *countingSink) WriteBatch(b *trace.Batch) error {
-	c.events += b.Len()
-	return c.bsink.WriteBatch(b)
-}
-
-// streamOut copies src into w in the chosen format over the batched
-// pipeline — the source fills struct-of-arrays batches and the writer
-// drains them whole — returning the counts for the summary line. The
-// bytes are identical to the per-event path (test-enforced).
-func streamOut(w io.Writer, src trace.EventSource, binary bool) (ues, events int, err error) {
-	var sink trace.EventSink
-	var closeFn func() error
-	if binary {
-		sw := trace.NewStreamWriter(w)
-		sink, closeFn = sw, sw.Close
-	} else {
-		tw := trace.NewTextWriter(w)
-		sink, closeFn = tw, tw.Close
-	}
-	cs := newCountingSink(sink)
-	if err := trace.CopyBatches(cs, src); err != nil {
-		return 0, 0, err
-	}
-	return cs.ues, cs.events, closeFn()
-}
 
 func main() {
 	log.SetFlags(0)
@@ -145,29 +95,22 @@ func main() {
 		w = f
 	}
 
+	// One output call: the streaming source and the in-memory trace go
+	// through the same writers, so -stream only decides the memory.
+	var src trace.EventSource
+	mode := ""
 	if *stream {
-		src, err := world.NewSource(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		nUEs, nEvents, err := streamOut(w, src, *binOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "worldgen: %d UEs, %d events over %.1f h (streamed)\n", nUEs, nEvents, float64(opt.Duration)/float64(cp.Hour))
-		return
+		src, err = world.NewSource(opt)
+		mode = " (streamed)"
+	} else {
+		src, err = world.Generate(opt)
 	}
-
-	tr, err := world.Generate(opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	writeFn := trace.WriteTrace
-	if *binOut {
-		writeFn = trace.WriteBinaryTrace
-	}
-	if err := writeFn(w, tr); err != nil {
+	nUEs, nEvents, err := trace.WriteSource(w, src, *binOut)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "worldgen: %d UEs, %d events over %.1f h\n", tr.NumUEs(), tr.Len(), float64(opt.Duration)/float64(cp.Hour))
+	fmt.Fprintf(os.Stderr, "worldgen: %d UEs, %d events over %.1f h%s\n", nUEs, nEvents, float64(opt.Duration)/float64(cp.Hour), mode)
 }

@@ -36,12 +36,16 @@ func main() {
 	var processed int
 	var lastReport cp.Millis
 	fmt.Println("streaming a 30,000-UE busy hour into the MME (10-minute checkpoints):")
-	err = core.Stream(model, core.GenOptions{
+	src, err := core.NewSource(model, core.GenOptions{
 		NumUEs:    30000,
 		StartHour: 18,
 		Duration:  cp.Hour,
 		Seed:      11,
-	}, nil, func(ev trace.Event) error {
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = src.Scan(func(ev trace.Event) error {
 		if err := mme.Process(ev); err != nil {
 			return err
 		}

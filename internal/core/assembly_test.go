@@ -39,6 +39,38 @@ func flushModel(t *testing.T) *ModelSet {
 	return ms
 }
 
+// tickModel is a hand-built flat model that puts an event of every UE on
+// every millisecond: a first SRV_REQ at 1 s, and from then on two
+// free-running clocks, a handover every millisecond and a TAU every third
+// (so a UE also has two events on one millisecond, ordered by type alone).
+// Wherever the streaming source ends a time window, events sit on the
+// window's last millisecond, on its end and just past it — the cases an
+// off-by-one in a window bound gets wrong, and which the fitted models'
+// sparse events (one per UE in minutes) would only meet by luck.
+func tickModel(t *testing.T) *ModelSet {
+	t.Helper()
+	global := ClusterModel{
+		Free: []FreeProcess{
+			{Event: cp.Handover, Inter: SojournModel{Kind: SojournConst, Value: 0.001}},
+			{Event: cp.TrackingAreaUpdate, Inter: SojournModel{Kind: SojournConst, Value: 0.003}},
+		},
+		First: FirstEventModel{
+			Cats:   []FirstCat{{Event: cp.ServiceRequest, State: sm.EEConnected, P: 1}},
+			Offset: SojournModel{Kind: SojournConst, Value: 1},
+		},
+	}
+	ms := &ModelSet{
+		MachineName: "EMM-ECM",
+		Method:      "hand",
+		Devices:     make([]*DeviceModel, cp.NumDeviceTypes),
+	}
+	ms.Devices[cp.Phone] = &DeviceModel{Hours: make([]HourModel, HoursPerDay), Global: &global, Share: 1}
+	if err := ms.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
 // collected materializes the streaming Source for opt.
 func collected(t *testing.T, ms *ModelSet, opt GenOptions) *trace.Trace {
 	t.Helper()
@@ -57,41 +89,42 @@ func collected(t *testing.T, ms *ModelSet, opt GenOptions) *trace.Trace {
 // layout depends on: a firing one millisecond inside the window whose
 // case-1 flush steps `at` past end still emits its top event, stamped at
 // end itself — outside [t0, end) but inside the declared overshoot — and
-// the packed assembly and the streaming source agree on it byte for byte,
-// on both engines.
+// the packed assembly, the streaming source and the interpreted oracle
+// agree on it event for event.
 func TestGenerateWindowEdgeOvershoot(t *testing.T) {
 	ms := flushModel(t)
 	const start = 7
 	t0 := start * cp.Hour
 	end := t0 + 12*cp.Second + 1 // the SRV_REQ fires at end-1
-	for _, interpret := range []bool{false, true} {
-		opt := GenOptions{NumUEs: 5, StartHour: start, Duration: end - t0, Seed: 3, Interpret: interpret}
-		gen, err := Generate(ms, opt)
-		if err != nil {
-			t.Fatal(err)
+	opt := GenOptions{NumUEs: 5, StartHour: start, Duration: end - t0, Seed: 3}
+	gen, err := Generate(ms, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := collected(t, ms, opt); !slices.Equal(gen.Events, want.Events) {
+		t.Fatalf("Generate and Collect(Source) differ:\n%v\n%v", gen.Events, want.Events)
+	}
+	if want := interpTrace(t, ms, opt); !slices.Equal(gen.Events, want.Events) {
+		t.Fatalf("Generate and the interpreted oracle differ:\n%v\n%v", gen.Events, want.Events)
+	}
+	var want []trace.Event
+	for _, step := range []struct {
+		at cp.Millis
+		ev cp.EventType
+	}{
+		{t0 + 10*cp.Second, cp.TrackingAreaUpdate},
+		{end - 1, cp.S1ConnRelease},
+		{end, cp.ServiceRequest}, // the overshoot: T == end
+	} {
+		for ue := 0; ue < opt.NumUEs; ue++ {
+			want = append(want, trace.Event{T: step.at, UE: cp.UEID(ue), Type: step.ev})
 		}
-		if want := collected(t, ms, opt); !slices.Equal(gen.Events, want.Events) {
-			t.Fatalf("interpret=%v: Generate and Collect(Source) differ:\n%v\n%v", interpret, gen.Events, want.Events)
-		}
-		var want []trace.Event
-		for _, step := range []struct {
-			at cp.Millis
-			ev cp.EventType
-		}{
-			{t0 + 10*cp.Second, cp.TrackingAreaUpdate},
-			{end - 1, cp.S1ConnRelease},
-			{end, cp.ServiceRequest}, // the overshoot: T == end
-		} {
-			for ue := 0; ue < opt.NumUEs; ue++ {
-				want = append(want, trace.Event{T: step.at, UE: cp.UEID(ue), Type: step.ev})
-			}
-		}
-		if !slices.Equal(gen.Events, want) {
-			t.Fatalf("interpret=%v: events\n%v\nwant\n%v", interpret, gen.Events, want)
-		}
-		if last := gen.Events[len(gen.Events)-1].T; last < end || last >= end+windowOvershoot {
-			t.Fatalf("last event at %d, want inside the overshoot [%d, %d)", last, end, end+windowOvershoot)
-		}
+	}
+	if !slices.Equal(gen.Events, want) {
+		t.Fatalf("events\n%v\nwant\n%v", gen.Events, want)
+	}
+	if last := gen.Events[len(gen.Events)-1].T; last < end || last >= end+windowOvershoot {
+		t.Fatalf("last event at %d, want inside the overshoot [%d, %d)", last, end, end+windowOvershoot)
 	}
 }
 
@@ -99,7 +132,7 @@ func TestGenerateWindowEdgeOvershoot(t *testing.T) {
 // long for a 64-bit key (2^60 ms of T, plus UE and type bits) must take
 // Collect(Source) and still return the same events as the packed path
 // does for a window that merely contains them, and so must the Source
-// streamed directly.
+// streamed directly and the interpreted oracle over the long span.
 func TestGenerateUnpackableSpan(t *testing.T) {
 	ms := flushModel(t)
 	short := GenOptions{NumUEs: 3, Duration: cp.Minute, Seed: 3}
@@ -115,23 +148,23 @@ func TestGenerateUnpackableSpan(t *testing.T) {
 	if len(want.Events) != 3*short.NumUEs {
 		t.Fatalf("short window produced %d events, want %d", len(want.Events), 3*short.NumUEs)
 	}
-	for _, interpret := range []bool{false, true} {
-		long.Interpret = interpret
-		got, err := Generate(ms, long)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.Events, want.Events) {
-			t.Fatalf("interpret=%v: unpackable span produced\n%v\nwant\n%v", interpret, got.Events, want.Events)
-		}
-		if len(got.Device) != long.NumUEs {
-			t.Fatalf("interpret=%v: %d device registrations, want %d", interpret, len(got.Device), long.NumUEs)
-		}
-		// And the source itself, without Generate in front: its windows'
-		// keys are relative to each window, so no span is too long for it.
-		if streamed := collected(t, ms, long); !slices.Equal(streamed.Events, want.Events) {
-			t.Fatalf("interpret=%v: Source over the unpackable span produced\n%v\nwant\n%v", interpret, streamed.Events, want.Events)
-		}
+	got, err := Generate(ms, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Events, want.Events) {
+		t.Fatalf("unpackable span produced\n%v\nwant\n%v", got.Events, want.Events)
+	}
+	if len(got.Device) != long.NumUEs {
+		t.Fatalf("%d device registrations, want %d", len(got.Device), long.NumUEs)
+	}
+	// And the source itself, without Generate in front: its windows'
+	// keys are relative to each window, so no span is too long for it.
+	if streamed := collected(t, ms, long); !slices.Equal(streamed.Events, want.Events) {
+		t.Fatalf("Source over the unpackable span produced\n%v\nwant\n%v", streamed.Events, want.Events)
+	}
+	if oracle := interpTrace(t, ms, long); !slices.Equal(oracle.Events, want.Events) {
+		t.Fatalf("the interpreted oracle over the unpackable span produced\n%v\nwant\n%v", oracle.Events, want.Events)
 	}
 }
 

@@ -9,26 +9,28 @@ import (
 )
 
 // This file lowers a fitted ModelSet into the dense, index-addressed
-// form the generator's hot loop runs on. The interpreted generator
-// (interp.go) resolves a fallback chain (cluster → hour aggregate →
-// device global) and walks machine edge lists on every draw; the
-// compiled form performs that resolution once per Generate/Stream call,
-// for every (device, hour, cluster, state) cell the generator could
-// possibly touch, so the steady-state step is pure array indexing.
+// form the generator's hot loop runs on. Read directly, the model needs
+// a fallback chain resolved (cluster → hour aggregate → device global)
+// and machine edge lists walked on every draw — which is what the test
+// oracle (interp_test.go) does; the compiled form performs that
+// resolution once per ModelSet, for every (device, hour, cluster, state)
+// cell the generator could possibly touch, so the steady-state step is
+// pure array indexing.
 //
-// Determinism contract: a compiled generator must consume the RNG
-// stream draw-for-draw like the interpreted one and map every draw to
-// the same outcome, so traces stay byte-identical (test-enforced by
-// TestCompiledMatchesInterpreted). Two rules make that hold:
+// Determinism contract: the compiled generator must consume the RNG
+// stream draw-for-draw like the interpreter and map every draw to the
+// same outcome, so traces stay byte-identical (test-enforced: the oracle
+// test in compile_test.go). Two rules make that hold:
 //
 //   - Cumulative probabilities are accumulated in the same serial
-//     order as pickFrom's running sum (acc += p, compare u < acc), so
-//     each partial sum is the bit-identical float and every u lands on
-//     the same index, with the same last-entry fallback.
-//   - Resolution reuses the interpreted resolvers themselves
-//     (topParams, bottomParams, freeParams, firstEvent): a compiled
-//     cell is by construction exactly what the interpreter would have
-//     seen at that (hour, cluster).
+//     order as the interpreter's running sum (pickFrom: acc += p,
+//     compare u < acc), so each partial sum is the bit-identical float
+//     and every u lands on the same index, with the same last-entry
+//     fallback.
+//   - Resolution goes through the model's own resolvers (topParams,
+//     bottomParams, freeParams, firstEvent), the ones the interpreter
+//     calls per draw: a compiled cell is by construction exactly what
+//     the interpreter sees at that (hour, cluster).
 
 // cDist is a sojourn distribution resolved for sampling: a small tag
 // plus flat parameters, so drawing never switches on a string kind.
@@ -161,7 +163,7 @@ type compiledModel struct {
 	subEntry [cp.NumUEStates]sm.State
 	// bridge{Ev,To,OK}[s] is the first within-macro edge out of s — the
 	// sub-machine flush step used when a pending top event is blocked
-	// and no bottom event is pending (see bridgeEdge).
+	// and no bottom event is pending (the oracle's bridgeEdge).
 	bridgeEv []cp.EventType
 	bridgeTo []sm.State
 	bridgeOK []bool
@@ -176,8 +178,8 @@ func (cm *compiledModel) dev(d cp.DeviceType) *cDevice {
 }
 
 // compile lowers ms onto machine. It is cheap relative to generation —
-// O(hours × clusters × states) — and is run per Generate/Stream call
-// (Source caches it), so model mutations between calls are picked up.
+// O(hours × clusters × states) — and runs once per ModelSet
+// (ModelSet.lower caches it).
 func compile(ms *ModelSet, machine *sm.Machine) *compiledModel {
 	n := machine.NumStates()
 	cm := &compiledModel{

@@ -20,12 +20,13 @@ func traceBytes(t *testing.T, tr *trace.Trace) []byte {
 }
 
 // streamBytes drives the source through the incremental text writer —
-// the CLI -stream path.
-func streamBytes(t *testing.T, src trace.EventSource) []byte {
+// the CLI output path — per event (trace.Copy, Source.Scan) or in batches
+// (trace.CopyBatches, Source.ScanBatches).
+func streamBytes(t *testing.T, src trace.EventSource, pipe func(trace.EventSink, trace.EventSource) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tw := trace.NewTextWriter(&buf)
-	if err := trace.Copy(tw, src); err != nil {
+	if err := pipe(tw, src); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -34,15 +35,15 @@ func streamBytes(t *testing.T, src trace.EventSource) []byte {
 	return buf.Bytes()
 }
 
-// TestCompiledMatchesInterpreted is the tentpole invariant: the compiled
-// engine produces byte-identical traces to the interpreted reference for
-// every seed, worker count, and source kind — on the full two-level
-// model and on a flat model whose free-running HO/TAU processes the
-// two-level model never exercises.
+// TestCompiledMatchesInterpreted is the tentpole invariant: production —
+// the compiled engine under packed-key assembly (Generate) and under
+// windowed assembly (Source, per event and batched) — produces
+// byte-identical traces to the oracle, the interpreter under a comparison
+// sort (interpTrace), for every seed and worker count: on the full
+// two-level model, on a flat model whose free-running HO/TAU processes
+// the two-level model never exercises, and on tickModel's event per UE
+// per millisecond, which puts events on every window bound.
 func TestCompiledMatchesInterpreted(t *testing.T) {
-	models := map[string]*ModelSet{
-		"ours": fitToy(t, 50, 3*cp.Hour, 42, FitOptions{}),
-	}
 	src := toyTrace(t, 60, 3*cp.Hour, 43)
 	base, err := Fit(src, FitOptions{
 		Machine:      sm.EMMECM(),
@@ -54,26 +55,32 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models["base"] = base
-
-	for name, ms := range models {
+	cases := map[string]struct {
+		ms       *ModelSet
+		ues      int
+		duration cp.Millis
+	}{
+		"ours": {fitToy(t, 50, 3*cp.Hour, 42, FitOptions{}), 80, 3 * cp.Hour},
+		"base": {base, 80, 3 * cp.Hour},
+		"tick": {tickModel(t), 7, 3500},
+	}
+	for name, c := range cases {
+		ms := c.ms
 		for _, seed := range []uint64{1, 7, 99} {
 			for _, workers := range []int{1, 8} {
-				opt := GenOptions{NumUEs: 80, StartHour: 22, Duration: 3 * cp.Hour, Seed: seed, Workers: workers}
-				iopt := opt
-				iopt.Interpret = true
-
-				want, err := Generate(ms, iopt)
-				if err != nil {
-					t.Fatal(err)
+				opt := GenOptions{NumUEs: c.ues, StartHour: 22, Duration: c.duration, Seed: seed, Workers: workers}
+				want := interpTrace(t, ms, opt)
+				if want.Len() == 0 {
+					t.Fatalf("%s seed=%d: the oracle produced no events; test is vacuous", name, seed)
 				}
 				wb := traceBytes(t, want)
+
 				got, err := Generate(ms, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if gb := traceBytes(t, got); !bytes.Equal(wb, gb) {
-					t.Fatalf("%s seed=%d workers=%d: compiled Generate differs from interpreted (%d vs %d bytes)",
+					t.Fatalf("%s seed=%d workers=%d: Generate differs from the interpreted oracle (%d vs %d bytes)",
 						name, seed, workers, len(gb), len(wb))
 				}
 
@@ -81,24 +88,22 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sb := streamBytes(t, csrc); !bytes.Equal(wb, sb) {
-					t.Fatalf("%s seed=%d workers=%d: compiled stream differs from interpreted in-memory", name, seed, workers)
+				if sb := streamBytes(t, csrc, trace.Copy); !bytes.Equal(wb, sb) {
+					t.Fatalf("%s seed=%d workers=%d: Source.Scan differs from the interpreted oracle", name, seed, workers)
 				}
-				isrc, err := NewSource(ms, iopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sb := streamBytes(t, isrc); !bytes.Equal(wb, sb) {
-					t.Fatalf("%s seed=%d workers=%d: interpreted stream differs from interpreted in-memory", name, seed, workers)
+				if sb := streamBytes(t, csrc, trace.CopyBatches); !bytes.Equal(wb, sb) {
+					t.Fatalf("%s seed=%d workers=%d: Source.ScanBatches differs from the interpreted oracle", name, seed, workers)
 				}
 			}
 		}
 	}
 }
 
-// TestUEGenSteadyStateAllocs is the allocation regression gate: the
-// compiled generator's steady-state Next must not allocate at all, and
-// the interpreted reference must stay near zero (it reuses its queue
+// TestUEGenSteadyStateAllocs is the allocation regression gate on the loop
+// production runs: the compiled generator's drainUntil, called the way the
+// streaming Source calls it — rising limits, a reused KeyRun already grown
+// past anything one call appends — must not allocate at all. The
+// interpreted oracle's Next must stay near zero (it reuses its queue
 // backing array; the historical g.queue = g.queue[1:] re-slice leaked
 // capacity and re-allocated on every flush). Skipped under the race
 // detector, which changes allocation behavior.
@@ -125,10 +130,42 @@ func TestUEGenSteadyStateAllocs(t *testing.T) {
 	const warmup, runs = 2000, 4000
 	end := 365 * cp.Day
 
-	measure := func(name string, it trace.EventIterator, limit float64) {
+	t.Run("compiled", func(t *testing.T) {
+		lay, fits := trace.NewKeyLayout(0, end+windowOvershoot-1, 1)
+		if !fits {
+			t.Fatal("layout does not fit")
+		}
+		g := newUEGen(cm, cm.dev(dev), 1, stats.NewRNGVal(1), 0, end)
+		// Warm-up without Reset: the run grows to hold a month of keys,
+		// far more than the hour one measured call appends.
+		var run trace.KeyRun
+		limit := 30 * cp.Day
+		if g.drainUntil(limit, &lay, &run) == trace.NoPending || g.emitted < warmup {
+			t.Fatalf("generator exhausted or nearly silent: %d warm-up events", g.emitted)
+		}
+		before, alive := g.emitted, true
+		avg := testing.AllocsPerRun(runs, func() {
+			run.Reset()
+			limit += cp.Hour
+			if g.drainUntil(limit, &lay, &run) == trace.NoPending {
+				alive = false
+			}
+		})
+		if !alive {
+			t.Fatal("generator exhausted during measurement")
+		}
+		if n := g.emitted - before; n < runs {
+			t.Fatalf("%d measured calls delivered %d events; test is close to vacuous", runs, n)
+		}
+		if avg > 0 {
+			t.Errorf("steady-state drainUntil allocates %.4f allocs/call, want 0", avg)
+		}
+	})
+	t.Run("interpreted", func(t *testing.T) {
+		it := newUEInterp(machine, ms.Device(dev), 1, stats.NewRNG(1), 0, end)
 		for i := 0; i < warmup; i++ {
 			if _, ok := it.Next(); !ok {
-				t.Fatalf("%s: generator exhausted after %d warm-up events", name, i)
+				t.Fatalf("generator exhausted after %d warm-up events", i)
 			}
 		}
 		alive := true
@@ -138,12 +175,10 @@ func TestUEGenSteadyStateAllocs(t *testing.T) {
 			}
 		})
 		if !alive {
-			t.Fatalf("%s: generator exhausted during measurement", name)
+			t.Fatal("generator exhausted during measurement")
 		}
-		if avg > limit {
-			t.Errorf("%s: steady-state Next allocates %.4f allocs/event, want <= %.4f", name, avg, limit)
+		if avg > 0.05 {
+			t.Errorf("steady-state Next allocates %.4f allocs/event, want <= 0.05", avg)
 		}
-	}
-	measure("compiled", newUEGen(cm, cm.dev(dev), 1, stats.NewRNGVal(1), 0, end), 0)
-	measure("interpreted", newUEInterp(machine, ms.Device(dev), 1, stats.NewRNG(1), 0, end), 0.05)
+	})
 }

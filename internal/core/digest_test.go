@@ -94,7 +94,8 @@ func TestFitModelDigestPinned(t *testing.T) {
 // a change that moves both passes them. The 50 h span makes the time
 // field of the sort key 28 bits wide (more than two radix digits), the
 // start hour makes t0 non-zero, and neither 3 nor 8 divides the
-// population. Worker count and engine must not move a byte.
+// population. Worker count must not move a byte, and the interpreted
+// oracle (interpTrace) hashes to the same constant.
 const pinnedGenerateDigest = "568d9f999d2915f919f89fb5d74fe7cc00ebe5e0c5ee1b9dfb965c3d3603254e"
 
 func TestGenerateDigestPinned(t *testing.T) {
@@ -102,29 +103,32 @@ func TestGenerateDigestPinned(t *testing.T) {
 		t.Skipf("digest recorded on amd64, running on %s", runtime.GOARCH)
 	}
 	ms := fitToy(t, 60, 6*cp.Hour, 11, FitOptions{})
-	for _, interpret := range []bool{false, true} {
-		for _, workers := range []int{1, 3, 8} {
-			tr, err := Generate(ms, GenOptions{
-				NumUEs: 100, StartHour: 5, Duration: 50 * cp.Hour, Seed: 17,
-				Workers: workers, Interpret: interpret,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tr.Sorted() { // WriteBinaryTrace would sort a copy and hide it
-				t.Fatalf("interpret=%v workers=%d: trace not in canonical order", interpret, workers)
-			}
-			var buf bytes.Buffer
-			if err := trace.WriteBinaryTrace(&buf, tr); err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(buf.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != pinnedGenerateDigest {
-				t.Errorf("interpret=%v workers=%d: %d events, digest %s, pinned %s",
-					interpret, workers, tr.Len(), got, pinnedGenerateDigest)
-			}
+	opt := GenOptions{NumUEs: 100, StartHour: 5, Duration: 50 * cp.Hour, Seed: 17}
+	check := func(name string, tr *trace.Trace) {
+		t.Helper()
+		if !tr.Sorted() { // WriteBinaryTrace would sort a copy and hide it
+			t.Fatalf("%s: trace not in canonical order", name)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteBinaryTrace(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != pinnedGenerateDigest {
+			t.Errorf("%s: %d events, digest %s, pinned %s", name, tr.Len(), got, pinnedGenerateDigest)
 		}
 	}
+	for _, workers := range []int{1, 3, 8} {
+		opt.Workers = workers
+		tr, err := Generate(ms, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("workers=%d", workers), tr)
+	}
+	// The oracle is pinned to the same constant, so it cannot drift
+	// together with the engine it checks.
+	check("interpreted oracle", interpTrace(t, ms, opt))
 }
 
 // pinnedStreamDigests are the sha256 digests of the same fixture as
@@ -170,24 +174,25 @@ func streamDigest(t *testing.T, src trace.EventSource, codec string, batched boo
 }
 
 // TestSourceDigestPinned pins the absolute bytes of the streaming source:
-// both engines, both writers, batched (CopyBatches) and per event (Copy).
+// both writers, batched (CopyBatches) and per event (Copy) — and of the
+// interpreted oracle through the same writers, so the text constant, too,
+// holds both engines.
 func TestSourceDigestPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests recorded on amd64, running on %s", runtime.GOARCH)
 	}
 	ms := fitToy(t, 60, 6*cp.Hour, 11, FitOptions{})
-	for _, interpret := range []bool{false, true} {
-		src, err := NewSource(ms, GenOptions{
-			NumUEs: 100, StartHour: 5, Duration: 50 * cp.Hour, Seed: 17, Interpret: interpret,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	opt := GenOptions{NumUEs: 100, StartHour: 5, Duration: 50 * cp.Hour, Seed: 17}
+	src, err := NewSource(ms, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]trace.EventSource{"source": src, "interpreted oracle": interpTrace(t, ms, opt)} {
 		for _, codec := range []string{"text", "binary"} {
 			for _, batched := range []bool{true, false} {
 				if got := streamDigest(t, src, codec, batched); got != pinnedStreamDigests[codec] {
-					t.Errorf("interpret=%v %s batched=%v: digest %s, pinned %s",
-						interpret, codec, batched, got, pinnedStreamDigests[codec])
+					t.Errorf("%s %s batched=%v: digest %s, pinned %s",
+						name, codec, batched, got, pinnedStreamDigests[codec])
 				}
 			}
 		}

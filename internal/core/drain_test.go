@@ -11,8 +11,8 @@ import (
 )
 
 // newUEGen prepares a heap-allocated compiled generator; no work happens
-// until the first Next or drainUntil. The persona pick consumes the
-// stream's next draw exactly like DeviceModel.pickPersona.
+// until the first drainUntil. The persona pick consumes the stream's next
+// draw exactly like DeviceModel.pickPersona.
 func newUEGen(cm *compiledModel, cd *cDevice, ue cp.UEID, rng stats.RNG, t0, end cp.Millis) *ueGen {
 	g := &ueGen{}
 	g.init(cm, cd, ue, rng, t0, end)
@@ -33,11 +33,14 @@ func drained(t *testing.T, g *ueGen, limit cp.Millis, lay *trace.KeyLayout) ([]t
 }
 
 // TestDrainUntilMatchesNext is the engine half of the windowed assembly's
-// contract: however the timeline is cut into limits — millisecond steps,
-// jumps of minutes, a limit far past the window's end — drainUntil
-// delivers exactly Next's events, each call exactly those before its
-// limit, reports the next event's time as pending (NoPending after the
-// last), and leaves the RNG where Next leaves it.
+// contract. The reference is one unlimited drainUntil(NoPending) — the
+// call Generate makes, whose bytes the digest and oracle tests pin.
+// However the timeline is cut into limits — millisecond steps, jumps of
+// minutes, a limit far past the window's end — drainUntil delivers exactly
+// the reference's events, each call exactly those before its limit,
+// reports the next event's time as pending (NoPending after the last), and
+// leaves the RNG and the emitted count where the reference leaves them.
+// (The name is historical: the reference used to be a per-event Next.)
 func TestDrainUntilMatchesNext(t *testing.T) {
 	base, err := Fit(toyTrace(t, 60, 3*cp.Hour, 43), FitOptions{
 		Machine:      sm.EMMECM(),
@@ -55,6 +58,10 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 		"flush": flushModel(t),
 	}
 	const t0, end = 22 * cp.Hour, 22*cp.Hour + 5*cp.Hour
+	lay, fits := trace.NewKeyLayout(t0, end+windowOvershoot-1, 7)
+	if !fits {
+		t.Fatal("layout does not fit")
+	}
 	for name, ms := range models {
 		machine, err := ms.Machine()
 		if err != nil {
@@ -68,20 +75,12 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 		total := 0
 		for seed := uint64(1); seed <= 12; seed++ {
 			ref := newUEGen(cm, cd, 7, stats.NewRNGVal(seed), t0, end)
-			var want []trace.Event
-			for {
-				ev, ok := ref.Next()
-				if !ok {
-					break
-				}
-				want = append(want, ev)
+			want, pending := drained(t, ref, trace.NoPending, &lay)
+			if pending != trace.NoPending {
+				t.Fatalf("%s seed %d: the unlimited drain reports pending %d", name, seed, pending)
 			}
 			total += len(want)
 
-			lay, fits := trace.NewKeyLayout(t0, end+windowOvershoot-1, 7)
-			if !fits {
-				t.Fatal("layout does not fit")
-			}
 			g := newUEGen(cm, cd, 7, stats.NewRNGVal(seed), t0, end)
 			cuts := stats.NewRNG(seed + 100)
 			limit, done := cp.Millis(t0), 0
@@ -106,7 +105,7 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 					n++
 				}
 				if !slices.Equal(got, want[done:done+n]) {
-					t.Fatalf("%s seed %d: drainUntil(%d) delivered %v, Next's events before the limit are %v", name, seed, limit, got, want[done:done+n])
+					t.Fatalf("%s seed %d: drainUntil(%d) delivered %v, the unlimited drain's events before the limit are %v", name, seed, limit, got, want[done:done+n])
 				}
 				done += n
 				// One firing ahead: the pending time is the next event's own.
@@ -122,10 +121,10 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 				}
 			}
 			if g.rng != ref.rng {
-				t.Fatalf("%s seed %d: RNG state differs from Next's after the window", name, seed)
+				t.Fatalf("%s seed %d: RNG state differs from the unlimited drain's after the window", name, seed)
 			}
 			if g.emitted != ref.emitted {
-				t.Fatalf("%s seed %d: emitted %d, Next %d", name, seed, g.emitted, ref.emitted)
+				t.Fatalf("%s seed %d: emitted %d, the unlimited drain %d", name, seed, g.emitted, ref.emitted)
 			}
 		}
 		if total == 0 {

@@ -130,21 +130,10 @@ type censorSample struct {
 	Dur  float64
 }
 
-type ueData struct {
-	UE         cp.UEID
-	Counts     [HoursPerDay][cp.NumEventTypes]int
-	Top        []topSample
-	Bot        []botSample
-	BotCensor  []censorSample
-	Free       []iaSample
-	First      []firstSample
-	Violations int
-}
-
-// sampleSink receives the samples extracted from one UE's event stream.
-// ueData implements it by appending (the in-memory reference); FitStream
-// routes samples straight into per-(hour, cluster) accumulators without
-// materializing per-UE slices.
+// sampleSink receives the samples extracted from one UE's event stream:
+// ueExtractor's seam. partialSink is the production implementation,
+// tagging each sample into the PartialFit's pools; the tests' ueData
+// (fit_test.go) appends them to per-UE slices instead.
 type sampleSink interface {
 	countEvent(h int, e cp.EventType)
 	top(s topSample)
@@ -155,36 +144,15 @@ type sampleSink interface {
 	violation()
 }
 
-func (d *ueData) countEvent(h int, e cp.EventType) { d.Counts[h][e]++ }
-func (d *ueData) top(s topSample)                  { d.Top = append(d.Top, s) }
-func (d *ueData) bot(s botSample)                  { d.Bot = append(d.Bot, s) }
-func (d *ueData) botCensor(s censorSample)         { d.BotCensor = append(d.BotCensor, s) }
-func (d *ueData) free(s iaSample)                  { d.Free = append(d.Free, s) }
-func (d *ueData) first(s firstSample)              { d.First = append(d.First, s) }
-func (d *ueData) violation()                       { d.Violations++ }
-
-// extractUE walks one UE's time-ordered events, tracking the two levels
-// of the machine concurrently, and collects every sample the fitting
-// stage needs.
-func extractUE(m *sm.Machine, ue cp.UEID, evs []trace.Event) *ueData {
-	d := &ueData{UE: ue}
-	x := newUEExtractor(m, d)
-	for _, ev := range evs {
-		x.push(ev)
-	}
-	x.finish()
-	return d
-}
-
-// ueExtractor is the push-based form of the extraction walk: events
-// arrive one at a time (in the UE's time order) and samples leave through
-// the sink as soon as they are determined. Because the initial macro
-// state is inferred from the first Category-1 event, the extractor buffers
-// the (typically empty) Category-2 prefix until that event arrives and
-// replays it; a UE with no Category-1 events at all is resolved at
-// finish. Both paths call sm.InferMacroInitial on exactly the events that
-// decide it, so the state walk — and every emitted sample — is identical
-// to the batch extraction.
+// ueExtractor is the extraction walk over one UE's events: it tracks the
+// two levels of the machine concurrently and emits every sample the
+// fitting stage needs. Events arrive one at a time (in the UE's time
+// order) and samples leave through the sink as soon as they are
+// determined. Because the initial macro state is inferred from the first
+// Category-1 event, the extractor buffers the (typically empty) Category-2
+// prefix until that event arrives and replays it; a UE with no Category-1
+// events at all is resolved at finish. Both cases call
+// sm.InferMacroInitial on exactly the events that decide it.
 type ueExtractor struct {
 	m    *sm.Machine
 	sink sampleSink

@@ -12,6 +12,39 @@ import (
 	"cptraffic/internal/trace"
 )
 
+// ueData is the appending sampleSink: every sample one UE's walk emits,
+// kept in per-UE slices for the extraction tests to inspect.
+type ueData struct {
+	UE         cp.UEID
+	Counts     [HoursPerDay][cp.NumEventTypes]int
+	Top        []topSample
+	Bot        []botSample
+	BotCensor  []censorSample
+	Free       []iaSample
+	First      []firstSample
+	Violations int
+}
+
+func (d *ueData) countEvent(h int, e cp.EventType) { d.Counts[h][e]++ }
+func (d *ueData) top(s topSample)                  { d.Top = append(d.Top, s) }
+func (d *ueData) bot(s botSample)                  { d.Bot = append(d.Bot, s) }
+func (d *ueData) botCensor(s censorSample)         { d.BotCensor = append(d.BotCensor, s) }
+func (d *ueData) free(s iaSample)                  { d.Free = append(d.Free, s) }
+func (d *ueData) first(s firstSample)              { d.First = append(d.First, s) }
+func (d *ueData) violation()                       { d.Violations++ }
+
+// extractUE walks one UE's time-ordered events through the production
+// ueExtractor and collects every sample the fitting stage would see.
+func extractUE(m *sm.Machine, ue cp.UEID, evs []trace.Event) *ueData {
+	d := &ueData{UE: ue}
+	x := newUEExtractor(m, d)
+	for _, ev := range evs {
+		x.push(ev)
+	}
+	x.finish()
+	return d
+}
+
 func mkEvents(ue cp.UEID, pairs ...interface{}) []trace.Event {
 	var out []trace.Event
 	for i := 0; i < len(pairs); i += 2 {

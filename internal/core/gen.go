@@ -28,18 +28,12 @@ type GenOptions struct {
 	Seed uint64
 	// Workers bounds the number of concurrent per-UE generators in
 	// Generate; 0 means GOMAXPROCS. It never affects the output, only the
-	// wall clock. Stream and Source ignore it: they fill one time window
-	// at a time, serially.
+	// wall clock. Source ignores it: it fills one time window at a time,
+	// serially.
 	Workers int
 	// DeviceMix optionally overrides the device-type population shares;
 	// nil uses the training trace's shares.
 	DeviceMix []float64
-	// Interpret runs the uncompiled reference engine (interp.go) instead
-	// of the compiled one. The output is byte-identical either way
-	// (test-enforced); the compiled engine exists purely for speed, so
-	// this knob matters only to equivalence tests and the benchmark
-	// ledger.
-	Interpret bool
 }
 
 // maxEventsPerUE is a safety valve against pathological fitted models
@@ -60,12 +54,13 @@ const minSojournSec = 0.001
 // the current sub-state, the engine first flushes the sub-machine (step,
 // case 1), one event per millisecond from the firing time, and the top
 // event follows them. A UE's last firing can therefore leave up to
-// windowOvershoot events with T in [end, end+windowOvershoot). Stream
-// and Source emit exactly the same events.
+// windowOvershoot events with T in [end, end+windowOvershoot). Source
+// emits exactly the same events.
 //
 // The model is first lowered into a compiled form (compile.go) so the
-// per-event work is pure array indexing; the interpreted reference
-// engine is available via opt.Interpret and produces identical bytes.
+// per-event work is pure array indexing. There is one engine: the
+// interpreter that walks the ModelSet directly lives in interp_test.go,
+// as the oracle compile_test.go holds these bytes to.
 //
 // Assembly: each worker drains its UEs into one run of packed 8-byte keys
 // (trace.KeyLayout, fixed from the options before any event exists) and
@@ -76,55 +71,37 @@ const minSojournSec = 0.001
 // centuries) takes that streaming path, whose keys are relative to each
 // window, instead.
 func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
-	jobs, machine, t0, end, workers, err := planGeneration(ms, opt)
+	p, err := planGeneration(ms, opt)
 	if err != nil {
 		return nil, err
 	}
-	lay, fits := trace.NewKeyLayout(t0, end+windowOvershoot-1, jobs[len(jobs)-1].ue)
+	lay, fits := trace.NewKeyLayout(p.t0, p.end+windowOvershoot-1, cp.UEID(p.numUEs-1))
 	if !fits {
 		return collectSource(ms, opt)
 	}
-	var cm *compiledModel
-	if !opt.Interpret {
-		cm = ms.lower(machine)
-	}
+	cm := ms.lower(p.machine)
+	jobs := p.jobs()
+	workers := par.Workers(opt.Workers, len(jobs))
 	runs := make([]trace.KeyRun, workers)
 	par.Do(workers, func(w int) {
+		// One stack-resident ueGen reused across every UE of the stripe —
+		// zero per-UE allocations, no interface hop, bulk queue drains.
 		var run trace.KeyRun // local: workers must not share runs' cache lines
-		if cm != nil {
-			// Compiled fast path: one stack-resident ueGen reused across
-			// every UE of the stripe — zero per-UE allocations, no
-			// interface hop, bulk queue drains.
-			var g ueGen
-			stripe := (len(jobs) - w + workers - 1) / workers
-			for i, done := w, 1; i < len(jobs); i, done = i+workers, done+1 {
-				cd := cm.dev(jobs[i].dev)
-				if cd == nil {
-					continue
-				}
-				g.init(cm, cd, jobs[i].ue, jobs[i].rng, t0, end)
-				g.drainUntil(trace.NoPending, &lay, &run)
-				run.Forecast(done, stripe)
+		var g ueGen
+		stripe := (len(jobs) - w + workers - 1) / workers
+		for i, done := w, 1; i < len(jobs); i, done = i+workers, done+1 {
+			cd := cm.dev(jobs[i].dev)
+			if cd == nil {
+				continue
 			}
-		} else {
-			for i := w; i < len(jobs); i += workers {
-				it := interpFor(ms, machine, jobs[i], t0, end)
-				if it == nil {
-					continue
-				}
-				for {
-					ev, more := it.Next()
-					if !more {
-						break
-					}
-					run.Append(&lay, ev)
-				}
-			}
+			g.init(cm, cd, jobs[i].ue, jobs[i].rng, p.t0, p.end)
+			g.drainUntil(trace.NoPending, &lay, &run)
+			run.Forecast(done, stripe)
 		}
 		runs[w] = run
 	})
-	// The registry first: it is the plan's last use, so the jobs (40 B per
-	// UE) are garbage before assembly reaches its peak.
+	// The registry first: it is the jobs' last use, so they (40 B per UE)
+	// are garbage before assembly reaches its peak.
 	tr := &trace.Trace{Device: make(map[cp.UEID]cp.DeviceType, len(jobs))}
 	for _, j := range jobs {
 		tr.Device[j.ue] = j.dev
@@ -132,7 +109,7 @@ func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 	var ok bool
 	if tr.Events, ok = trace.AssembleKeys(&lay, runs); !ok {
 		// An event outside the window contract above: an engine bug, but
-		// one the merge path orders correctly all the same.
+		// one the windowed path orders correctly all the same.
 		return collectSource(ms, opt)
 	}
 	return tr, nil
@@ -148,27 +125,6 @@ func collectSource(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 		return nil, err
 	}
 	return trace.Collect(src)
-}
-
-// Stream synthesizes the same trace Generate would, but delivers events
-// one at a time in global (time, UE) order with O(NumUEs) memory instead
-// of materializing everything: it is Source.Scan with the registrations
-// delivered through reg first. fn returning an error aborts the stream.
-//
-// Use it to drive a live core with populations whose full trace would
-// not fit in memory, or to pipe events into another system as they are
-// drawn.
-func Stream(ms *ModelSet, opt GenOptions, reg func(cp.UEID, cp.DeviceType) error, fn func(trace.Event) error) error {
-	src, err := NewSource(ms, opt)
-	if err != nil {
-		return err
-	}
-	if reg != nil {
-		if err := src.Devices(reg); err != nil {
-			return err
-		}
-	}
-	return src.Scan(fn)
 }
 
 // compiledGens prepares one slab of per-UE compiled generators for jobs:
@@ -189,54 +145,33 @@ func compiledGens(cm *compiledModel, jobs []genJob, t0, end cp.Millis) []ueGen {
 	return gens[:m]
 }
 
-// interpFor returns the interpreted reference iterator for one job, or nil
-// when the model has no device model for the job's device type. It
-// consumes the job's RNG stream exactly like ueGen.init and produces
-// identical events (TestCompiledMatchesInterpreted).
-func interpFor(ms *ModelSet, machine *sm.Machine, j genJob, t0, end cp.Millis) *ueInterp {
-	dm := ms.Device(j.dev)
-	if dm == nil {
-		return nil
-	}
-	rng := j.rng
-	return newUEInterp(machine, dm, j.ue, &rng, t0, end)
-}
-
 // Source is a generator-backed trace.EventSource: scanning it draws the
 // synthetic population on the fly, so a trace of any size can be fitted,
 // evaluated, or written to disk without ever materializing it. It holds
 // one ueGen (400 B) and one pending time per UE plus a window of events
 // whose size does not depend on the population. Both Devices and the scans
-// re-derive the population plan from the seed, so the source is
-// re-iterable and successive passes agree. The compiled model is built
-// once in NewSource and shared by every scan.
+// re-derive the population from the seed, so the source is re-iterable and
+// successive passes agree. The options are validated and the model
+// compiled once, in NewSource, and shared by every scan.
 type Source struct {
-	ms  *ModelSet
-	opt GenOptions
-	cm  *compiledModel // nil when opt.Interpret
+	plan genPlan
+	cm   *compiledModel
 }
 
 // NewSource validates the generation options once, compiles the model,
-// and returns the lazy source; no events are drawn until Scan.
+// and returns the lazy source; nothing is drawn — no population, no
+// events — until Devices or a scan.
 func NewSource(ms *ModelSet, opt GenOptions) (*Source, error) {
-	_, machine, _, _, _, err := planGeneration(ms, opt)
+	p, err := planGeneration(ms, opt)
 	if err != nil {
 		return nil, err
 	}
-	s := &Source{ms: ms, opt: opt}
-	if !opt.Interpret {
-		s.cm = ms.lower(machine)
-	}
-	return s, nil
+	return &Source{plan: p, cm: ms.lower(p.machine)}, nil
 }
 
 // Devices reports every planned UE's device type in ascending UE order.
 func (s *Source) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
-	jobs, _, _, _, _, err := planGeneration(s.ms, s.opt)
-	if err != nil {
-		return err
-	}
-	for _, j := range jobs {
+	for _, j := range s.plan.jobs() {
 		if err := fn(j.ue, j.dev); err != nil {
 			return err
 		}
@@ -254,26 +189,10 @@ func (s *Source) Scan(fn func(trace.Event) error) error {
 // one ordering path: trace.AssembleWindows advances the population a time
 // window at a time — each generator drained up to the window's end
 // (drainUntil), the window's packed keys sorted in cache — and delivers
-// reused struct-of-arrays batches. The interpreted engine is ordered by
-// the loser tree (trace.MergeBatches) instead: it is the oracle, so
-// TestCompiledMatchesInterpreted holds the windowed assembly to a
-// different algorithm as well as a different engine.
+// reused struct-of-arrays batches.
 func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
-	jobs, machine, t0, end, _, err := planGeneration(s.ms, s.opt)
-	if err != nil {
-		return err
-	}
-	if s.cm == nil {
-		its := make([]trace.BatchIterator, 0, len(jobs))
-		for _, j := range jobs {
-			if it := interpFor(s.ms, machine, j, t0, end); it != nil {
-				its = append(its, trace.AsBatchIterator(it))
-			}
-		}
-		return trace.MergeBatches(fn, its)
-	}
-	ueMax := jobs[len(jobs)-1].ue
-	gens := compiledGens(s.cm, jobs, t0, end)
+	gens := compiledGens(s.cm, s.plan.jobs(), s.plan.t0, s.plan.end)
+	ueMax := cp.UEID(s.plan.numUEs - 1)
 	return trace.AssembleWindows(fn, len(gens), ueMax, func(i int, limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
 		return gens[i].drainUntil(limit, lay, run)
 	})
@@ -288,37 +207,52 @@ type genJob struct {
 	rng stats.RNG
 }
 
-// planGeneration validates options and pre-derives every UE's device and
-// RNG stream, so results do not depend on scheduling.
-func planGeneration(ms *ModelSet, opt GenOptions) ([]genJob, *sm.Machine, cp.Millis, cp.Millis, int, error) {
+// genPlan is the validated, resolved form of (model, options) every
+// generation entry starts from: the machine, the normalized device mix
+// and the window. It holds no per-UE state — jobs derives the population.
+type genPlan struct {
+	machine *sm.Machine
+	mix     []float64
+	numUEs  int
+	seed    uint64
+	t0, end cp.Millis
+}
+
+// planGeneration validates the options against the model.
+func planGeneration(ms *ModelSet, opt GenOptions) (genPlan, error) {
 	if opt.NumUEs <= 0 {
-		return nil, nil, 0, 0, 0, fmt.Errorf("core: NumUEs must be positive")
+		return genPlan{}, fmt.Errorf("core: NumUEs must be positive")
 	}
 	if opt.StartHour < 0 || opt.StartHour >= HoursPerDay {
-		return nil, nil, 0, 0, 0, fmt.Errorf("core: StartHour %d out of range", opt.StartHour)
+		return genPlan{}, fmt.Errorf("core: StartHour %d out of range", opt.StartHour)
 	}
 	if opt.Duration <= 0 {
-		return nil, nil, 0, 0, 0, fmt.Errorf("core: Duration must be positive")
+		return genPlan{}, fmt.Errorf("core: Duration must be positive")
 	}
 	machine, err := ms.Machine()
 	if err != nil {
-		return nil, nil, 0, 0, 0, err
+		return genPlan{}, err
 	}
 	mix, err := deviceMix(ms, opt.DeviceMix)
 	if err != nil {
-		return nil, nil, 0, 0, 0, err
+		return genPlan{}, err
 	}
-	workers := par.Workers(opt.Workers, opt.NumUEs)
 	t0 := cp.Millis(opt.StartHour) * cp.Hour
-	end := t0 + opt.Duration
-	root := stats.NewRNG(opt.Seed)
-	jobs := make([]genJob, opt.NumUEs)
+	return genPlan{machine: machine, mix: mix, numUEs: opt.NumUEs, seed: opt.Seed, t0: t0, end: t0 + opt.Duration}, nil
+}
+
+// jobs pre-derives every UE's device and RNG stream, serially and from
+// the seed alone, so results depend neither on scheduling nor on how
+// often the population is re-derived.
+func (p *genPlan) jobs() []genJob {
+	root := stats.NewRNG(p.seed)
+	jobs := make([]genJob, p.numUEs)
 	for i := range jobs {
 		jobs[i].ue = cp.UEID(i)
 		jobs[i].rng = root.SplitVal(uint64(i) + 1)
-		jobs[i].dev = pickDevice(mix, &jobs[i].rng)
+		jobs[i].dev = pickDevice(p.mix, &jobs[i].rng)
 	}
-	return jobs, machine, t0, end, workers, nil
+	return jobs
 }
 
 // deviceMix resolves the device-type population shares.
@@ -380,12 +314,12 @@ type pending struct {
 	toBot sm.State
 }
 
-// ueGen is the compiled per-UE traffic generator (§7): the same
-// two-level semi-Markov race as the interpreted reference (interp.go),
-// but running on the dense compiledModel tables, so the steady-state
-// step performs no map lookups, no fallback-chain walks, no edge-list
-// scans, and no allocations (TestUEGenSteadyStateAllocs). Draw-for-draw
-// it consumes the RNG exactly like ueInterp, so the two produce
+// ueGen is the compiled per-UE traffic generator (§7): a two-level
+// semi-Markov race running on the dense compiledModel tables, so the
+// steady-state step performs no map lookups, no fallback-chain walks, no
+// edge-list scans, and no allocations (TestUEGenSteadyStateAllocs).
+// Draw-for-draw it consumes the RNG exactly like the test oracle that
+// walks the ModelSet directly (interp_test.go), so the two produce
 // byte-identical traces.
 type ueGen struct {
 	cm      *compiledModel
@@ -458,50 +392,26 @@ func pickByCum(cum []float64, u float64) int {
 	return len(cum) - 1
 }
 
-// Next returns the UE's next event, or ok=false when the window is done.
-//
-//cplint:hotpath compiled engine steady state; TestUEGenSteadyStateAllocs gates it at exactly 0 allocs
-func (g *ueGen) Next() (trace.Event, bool) {
-	for {
-		if g.qhead < g.qlen {
-			ev := g.queue[g.qhead]
-			g.qhead++
-			if g.qhead == g.qlen {
-				g.qhead, g.qlen = 0, 0
-			}
-			g.emitted++
-			return ev, true
-		}
-		if g.exhausted || g.emitted >= maxEventsPerUE {
-			return trace.Event{}, false
-		}
-		if !g.started {
-			g.startup()
-			continue
-		}
-		g.step()
-	}
-}
-
 // drainUntil advances the generator up to limit: it appends the packed key
 // of every event with T < limit to run and returns the time of the
 // stream's next event — at least limit — or trace.NoPending once the
-// window is done. The engine runs one firing ahead: it steps whenever the
-// queue is empty, exactly as Next does, and whatever a step stamps at or
-// past limit waits in the queue (a case-1 flush can straddle it). The race
-// is therefore scanned once per firing, the time returned is exact, and
-// successive calls under rising limits deliver exactly the sequence
-// repeated Next calls would, from the same RNG draws. Generate's workers
-// call it once per UE with no limit; the streaming Source calls it once
-// per time window the UE fires in. Queued events move one engine step at
-// a time instead of a pop per event, and nothing crosses an interface.
+// window is done. It is the engine's one delivery loop. The engine runs
+// one firing ahead: it steps whenever the queue is empty, and whatever a
+// step stamps at or past limit waits in the queue (a case-1 flush can
+// straddle it). The race is therefore scanned once per firing, the time
+// returned is exact, and however the timeline is cut into rising limits
+// the calls together deliver the sequence one unlimited call would, from
+// the same RNG draws (TestDrainUntilMatchesNext). Generate's workers call
+// it once per UE with no limit; the streaming Source calls it once per
+// time window the UE fires in. Queued events move one engine step at a
+// time instead of a pop per event, and nothing crosses an interface.
 //
-//cplint:hotpath the bulk drain: one pack-and-append per engine step
+//cplint:hotpath the engine's steady state, one pack-and-append per step; TestUEGenSteadyStateAllocs gates it at exactly 0 allocs
 func (g *ueGen) drainUntil(limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
 	for {
 		if g.qhead < g.qlen {
-			// Queued events deliver unconditionally, exactly like Next;
-			// the safety cap only stops further stepping.
+			// Queued events deliver unconditionally; the safety cap only
+			// stops further stepping.
 			q := g.queue[g.qhead:g.qlen]
 			n := len(q)
 			if q[n-1].T >= limit { // time-ordered: otherwise all of it is due

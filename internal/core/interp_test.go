@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"testing"
 
 	"cptraffic/internal/cp"
 	"cptraffic/internal/sm"
@@ -9,21 +11,26 @@ import (
 	"cptraffic/internal/trace"
 )
 
+// This file is the generator's test oracle: an interpreter of the fitted
+// ModelSet, a second engine written against the paper rather than against
+// compile.go, plus the simplest ordering that can be right (interpTrace:
+// concatenate and comparison-sort). Production has one engine, ueGen;
+// nothing here is built outside `go test`.
+
 // ueInterp is the interpreted per-UE traffic generator (§7): it walks
 // the fitted ModelSet directly, resolving the cluster → hour aggregate
 // → device-global fallback chain and scanning machine edge lists on
-// every draw. It is the reference engine the compiled ueGen is held
-// byte-identical to (GenOptions.Interpret selects it;
-// TestCompiledMatchesInterpreted enforces the equivalence), and it is
-// the easier of the two to audit against the paper.
+// every draw. It is the reference the compiled ueGen is held
+// byte-identical to (TestCompiledMatchesInterpreted), and it is the
+// easier of the two to audit against the paper.
 //
-// Like ueGen it is an incremental iterator: Next returns the UE's
-// events one at a time in time order. It samples the first event from
-// the first-event model, then drives the two-level machine — both
-// levels keep their own timers and race; a top-level transition drops
-// the bottom level's pending event and re-enters the sub-machine of the
-// new top state. Free-running processes (Base/V1's HO and TAU) race
-// alongside while the UE is registered.
+// It is an incremental iterator: Next returns the UE's events one at a
+// time in time order. It samples the first event from the first-event
+// model, then drives the two-level machine — both levels keep their own
+// timers and race; a top-level transition drops the bottom level's
+// pending event and re-enters the sub-machine of the new top state.
+// Free-running processes (Base/V1's HO and TAU) race alongside while the
+// UE is registered.
 type ueInterp struct {
 	m       *sm.Machine
 	dm      *DeviceModel
@@ -59,6 +66,42 @@ func newUEInterp(m *sm.Machine, dm *DeviceModel, ue cp.UEID, rng *stats.RNG, t0,
 		personaIdx: dm.pickPersona(rng),
 		free:       map[cp.EventType]cp.Millis{},
 	}
+}
+
+// interpTrace is the oracle for whole traces: the population planned by
+// the same planGeneration production uses, every UE interpreted to
+// exhaustion, the events concatenated and ordered by a stdlib comparison
+// sort on Event.Before. It shares neither the engine nor the ordering —
+// packed keys, radix kernel, time windows — with what it checks.
+func interpTrace(tb testing.TB, ms *ModelSet, opt GenOptions) *trace.Trace {
+	tb.Helper()
+	p, err := planGeneration(ms, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := trace.New()
+	for _, j := range p.jobs() {
+		tr.Device[j.ue] = j.dev
+		dm := ms.Device(j.dev)
+		if dm == nil {
+			continue
+		}
+		rng := j.rng
+		it := newUEInterp(p.machine, dm, j.ue, &rng, p.t0, p.end)
+		for ev, ok := it.Next(); ok; ev, ok = it.Next() {
+			tr.Events = append(tr.Events, ev)
+		}
+	}
+	slices.SortFunc(tr.Events, func(a, b trace.Event) int {
+		switch {
+		case a.Before(b):
+			return -1
+		case b.Before(a):
+			return 1
+		}
+		return 0
+	})
+	return tr
 }
 
 // Next returns the UE's next event, or ok=false when the window is done.
@@ -296,4 +339,45 @@ func pickFrom(params []TransitionParam, r *stats.RNG) (TransitionParam, bool) {
 		}
 	}
 	return params[len(params)-1], true
+}
+
+// sample draws (silent, category, offsetSeconds).
+func (f FirstEventModel) sample(r *stats.RNG) (bool, FirstCat, float64) {
+	if !f.valid() || r.Float64() < f.PNone {
+		return true, FirstCat{}, 0
+	}
+	u := r.Float64()
+	var acc float64
+	cat := f.Cats[len(f.Cats)-1]
+	for _, c := range f.Cats {
+		acc += c.P
+		if u < acc {
+			cat = c
+			break
+		}
+	}
+	off := f.Offset.Sample(r)
+	if off < 0 {
+		off = 0
+	}
+	if off >= 3600 {
+		off = 3599.999
+	}
+	return false, cat, off
+}
+
+// pickPersona samples a persona index by weight.
+func (dm *DeviceModel) pickPersona(r *stats.RNG) int {
+	if len(dm.Personas) == 0 {
+		return -1
+	}
+	u := r.Float64()
+	var acc float64
+	for i, p := range dm.Personas {
+		acc += p.Weight
+		if u < acc {
+			return i
+		}
+	}
+	return len(dm.Personas) - 1
 }

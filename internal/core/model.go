@@ -9,7 +9,6 @@ import (
 
 	"cptraffic/internal/cp"
 	"cptraffic/internal/sm"
-	"cptraffic/internal/stats"
 )
 
 // TransitionParam parameterizes one semi-Markov transition: with
@@ -79,31 +78,6 @@ func (f FirstEventModel) valid() bool {
 	return len(f.Cats) > 0 && f.Offset.Valid()
 }
 
-// sample draws (silent, category, offsetSeconds).
-func (f FirstEventModel) sample(r *stats.RNG) (bool, FirstCat, float64) {
-	if !f.valid() || r.Float64() < f.PNone {
-		return true, FirstCat{}, 0
-	}
-	u := r.Float64()
-	var acc float64
-	cat := f.Cats[len(f.Cats)-1]
-	for _, c := range f.Cats {
-		acc += c.P
-		if u < acc {
-			cat = c
-			break
-		}
-	}
-	off := f.Offset.Sample(r)
-	if off < 0 {
-		off = 0
-	}
-	if off >= 3600 {
-		off = 3599.999
-	}
-	return false, cat, off
-}
-
 // ClusterModel is the fitted semi-Markov model for one (device type,
 // hour-of-day, UE cluster) combination.
 type ClusterModel struct {
@@ -164,7 +138,7 @@ type ModelSet struct {
 	Devices []*DeviceModel `json:"devices"`
 
 	// compileOnce guards compiled, the lowered form built lazily on the
-	// first Generate/Stream/NewSource call and reused afterwards. A
+	// first Generate/NewSource call and reused afterwards. A
 	// ModelSet is treated as immutable once generation has started —
 	// in-repo callers already honor this (the 5G adapters clone before
 	// mutating) — so the cache never goes stale.
@@ -297,22 +271,6 @@ func (dm *DeviceModel) firstEvent(hour, cl int) (FirstEventModel, bool) {
 		return dm.Global.First, true
 	}
 	return FirstEventModel{}, false
-}
-
-// pickPersona samples a persona index by weight.
-func (dm *DeviceModel) pickPersona(r *stats.RNG) int {
-	if len(dm.Personas) == 0 {
-		return -1
-	}
-	u := r.Float64()
-	var acc float64
-	for i, p := range dm.Personas {
-		acc += p.Weight
-		if u < acc {
-			return i
-		}
-	}
-	return len(dm.Personas) - 1
 }
 
 // Validate checks structural invariants of the model set: probabilities

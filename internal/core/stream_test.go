@@ -11,6 +11,9 @@ import (
 	"cptraffic/internal/trace"
 )
 
+// The TestStream* tests predate Source: they drove core.Stream, which was
+// NewSource + Devices + Scan behind one call, and drive exactly that now.
+
 func TestStreamMatchesGenerate(t *testing.T) {
 	ms := fitToy(t, 40, 2*cp.Hour, 90, FitOptions{})
 	opt := GenOptions{NumUEs: 80, Duration: cp.Hour, Seed: 5}
@@ -18,13 +21,18 @@ func TestStreamMatchesGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	src, err := NewSource(ms, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	streamed := trace.New()
-	err = Stream(ms, opt,
-		func(ue cp.UEID, d cp.DeviceType) error { return streamed.SetDevice(ue, d) },
-		func(ev trace.Event) error {
-			streamed.Events = append(streamed.Events, ev)
-			return nil
-		})
+	if err := src.Devices(streamed.SetDevice); err != nil {
+		t.Fatal(err)
+	}
+	err = src.Scan(func(ev trace.Event) error {
+		streamed.Events = append(streamed.Events, ev)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,16 +47,19 @@ func TestStreamMatchesGenerate(t *testing.T) {
 
 func TestStreamDeliversInOrder(t *testing.T) {
 	ms := fitToy(t, 30, 2*cp.Hour, 91, FitOptions{})
+	src, err := NewSource(ms, GenOptions{NumUEs: 60, Duration: cp.Hour, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var prev trace.Event
 	first := true
-	err := Stream(ms, GenOptions{NumUEs: 60, Duration: cp.Hour, Seed: 6}, nil,
-		func(ev trace.Event) error {
-			if !first && ev.Before(prev) {
-				t.Fatalf("out of order: %v after %v", ev, prev)
-			}
-			prev, first = ev, false
-			return nil
-		})
+	err = src.Scan(func(ev trace.Event) error {
+		if !first && ev.Before(prev) {
+			t.Fatalf("out of order: %v after %v", ev, prev)
+		}
+		prev, first = ev, false
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,16 +70,19 @@ func TestStreamDeliversInOrder(t *testing.T) {
 
 func TestStreamAbortsOnError(t *testing.T) {
 	ms := fitToy(t, 20, cp.Hour, 92, FitOptions{})
+	src, err := NewSource(ms, GenOptions{NumUEs: 30, Duration: cp.Hour, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	boom := errors.New("boom")
 	count := 0
-	err := Stream(ms, GenOptions{NumUEs: 30, Duration: cp.Hour, Seed: 7}, nil,
-		func(trace.Event) error {
-			count++
-			if count == 5 {
-				return boom
-			}
-			return nil
-		})
+	err = src.Scan(func(trace.Event) error {
+		count++
+		if count == 5 {
+			return boom
+		}
+		return nil
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -76,17 +90,19 @@ func TestStreamAbortsOnError(t *testing.T) {
 		t.Fatalf("delivered %d events after abort", count)
 	}
 	// Registration errors abort too.
-	err = Stream(ms, GenOptions{NumUEs: 5, Duration: cp.Hour, Seed: 7},
-		func(cp.UEID, cp.DeviceType) error { return boom },
-		func(trace.Event) error { return nil })
+	regs := 0
+	err = src.Devices(func(cp.UEID, cp.DeviceType) error { regs++; return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("registration err = %v", err)
+	}
+	if regs != 1 {
+		t.Fatalf("delivered %d registrations after abort", regs)
 	}
 }
 
 func TestStreamValidatesOptions(t *testing.T) {
 	ms := fitToy(t, 10, cp.Hour, 93, FitOptions{})
-	if err := Stream(ms, GenOptions{NumUEs: 0, Duration: cp.Hour}, nil, nil); err == nil {
+	if _, err := NewSource(ms, GenOptions{NumUEs: 0, Duration: cp.Hour}); err == nil {
 		t.Fatal("NumUEs=0 accepted")
 	}
 }
@@ -155,8 +171,8 @@ func bytesEqualModels(t *testing.T, a, b *ModelSet) bool {
 }
 
 func TestUEGenIteratorResumable(t *testing.T) {
-	// Next can be called after exhaustion without panicking, on both
-	// engines.
+	// Both engines can be asked for more after exhaustion without
+	// panicking, and deliver nothing.
 	ms := fitToy(t, 10, cp.Hour, 94, FitOptions{})
 	dm := ms.Device(cp.Phone)
 	if dm == nil {
@@ -171,23 +187,22 @@ func TestUEGenIteratorResumable(t *testing.T) {
 	if cd == nil {
 		t.Fatal("compiled model lost the phone device")
 	}
-	its := map[string]trace.EventIterator{
-		"compiled":    newUEGen(cm, cd, 1, stats.NewRNGVal(1), 0, cp.Hour),
-		"interpreted": newUEInterp(m, dm, 1, stats.NewRNG(1), 0, cp.Hour),
+	lay, _ := trace.NewKeyLayout(0, cp.Hour+windowOvershoot-1, 1)
+	g := newUEGen(cm, cd, 1, stats.NewRNGVal(1), 0, cp.Hour)
+	if _, pending := drained(t, g, trace.NoPending, &lay); pending != trace.NoPending {
+		t.Fatalf("compiled: unlimited drain reports pending %d", pending)
 	}
-	for name, g := range its {
-		n := 0
-		for {
-			_, ok := g.Next()
-			if !ok {
-				break
-			}
-			n++
+	for i := 0; i < 3; i++ {
+		if evs, pending := drained(t, g, trace.NoPending, &lay); len(evs) != 0 || pending != trace.NoPending {
+			t.Fatalf("compiled: exhausted generator delivered %v, pending %d", evs, pending)
 		}
-		for i := 0; i < 3; i++ {
-			if _, ok := g.Next(); ok {
-				t.Fatalf("%s: exhausted iterator produced an event", name)
-			}
+	}
+	it := newUEInterp(m, dm, 1, stats.NewRNG(1), 0, cp.Hour)
+	for _, ok := it.Next(); ok; _, ok = it.Next() {
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := it.Next(); ok {
+			t.Fatal("interpreted: exhausted iterator produced an event")
 		}
 	}
 }

@@ -128,25 +128,6 @@ type BatchSink interface {
 	WriteBatch(*Batch) error
 }
 
-// BatchIterator yields one stream's events in time order a run at a time:
-// the pull-style batched counterpart of EventIterator, so MergeBatches
-// makes one method call per run instead of per event. SliceIterator
-// yields runs natively; AsBatchIterator adapts any EventIterator.
-type BatchIterator interface {
-	// NextRun fills dst from the front with the stream's next events,
-	// returning how many were written; 0 means the stream is exhausted
-	// (dst is assumed non-empty).
-	NextRun(dst []Event) int
-}
-
-// NextRun implements BatchIterator by copying the next chunk of the
-// already-materialized slice.
-func (s *SliceIterator) NextRun(dst []Event) int {
-	n := copy(dst, s.Events)
-	s.Events = s.Events[n:]
-	return n
-}
-
 // batchingSource adapts a per-event EventSource to BatchSource by
 // accumulating DefaultBatchSize events per delivered batch (the final
 // batch is ragged).
@@ -177,19 +158,6 @@ func (b *batchingSource) ScanBatches(fn func(*Batch) error) error {
 		return fn(batch)
 	}
 	return nil
-}
-
-// unbatchingSource adapts a BatchSource back to a per-event EventSource.
-type unbatchingSource struct {
-	src BatchSource
-}
-
-func (u *unbatchingSource) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
-	return u.src.Devices(fn)
-}
-
-func (u *unbatchingSource) Scan(fn func(Event) error) error {
-	return u.src.ScanBatches(Unbatch(fn))
 }
 
 // Unbatch returns the batch callback that feeds fn one event at a time,
@@ -237,16 +205,6 @@ func AsBatchSource(src EventSource) BatchSource {
 	return &batchingSource{src: src}
 }
 
-// AsEventSource returns src's per-event face: src itself when it
-// implements EventSource natively, else an unbatching adapter. Existing
-// per-event consumers keep working unchanged on any batched source.
-func AsEventSource(src BatchSource) EventSource {
-	if es, ok := src.(EventSource); ok {
-		return es
-	}
-	return &unbatchingSource{src: src}
-}
-
 // AsBatchSink returns dst's batched face: dst itself when it accepts
 // batches natively (the writers, *Trace), else an adapter that unrolls
 // each batch into per-event Writes.
@@ -284,123 +242,4 @@ func (tr *Trace) WriteBatch(b *Batch) error {
 // the same canonical sequence as Scan in DefaultBatchSize groups.
 func (tr *Trace) ScanBatches(fn func(*Batch) error) error {
 	return (&batchingSource{src: tr}).ScanBatches(fn)
-}
-
-// iterRuns adapts a per-event EventIterator to BatchIterator.
-type iterRuns struct {
-	it EventIterator
-}
-
-func (r *iterRuns) NextRun(dst []Event) int {
-	n := 0
-	for n < len(dst) {
-		ev, ok := r.it.Next()
-		if !ok {
-			break
-		}
-		dst[n] = ev
-		n++
-	}
-	return n
-}
-
-// AsBatchIterator returns it's batched face: it itself when it yields
-// runs natively, else a wrapper that fills runs one Next at a time.
-func AsBatchIterator(it EventIterator) BatchIterator {
-	if bi, ok := it.(BatchIterator); ok {
-		return bi
-	}
-	return &iterRuns{it: it}
-}
-
-// mergeRunSize is the per-leaf refill granularity of MergeBatches: long
-// enough to amortize the NextRun call, short enough that k leaves' run
-// buffers (k × 64 × 16 B, one slab) stay cache-resident for populations in
-// the thousands. Only MergeBatches' callers pay for the slab — the
-// interpreted engine's Source and the tests and benchmark replays that use
-// the merge as their oracle; the compiled sources order by window
-// (AssembleWindows) and hold no run buffers.
-const mergeRunSize = 64
-
-// MergeBatches is the batch-refill variant of MergeScan: it k-way merges
-// the iterators — each individually ordered under Event.Before — into
-// canonically ordered batches delivered to fn. Each leaf holds a run of
-// up to mergeRunSize pending events (refilled by one NextRun call when
-// drained) instead of a single event, and output accumulates into a
-// reused DefaultBatchSize batch, so both edges of the merge make one
-// call per run/batch rather than per event.
-//
-// The loser tree compares exactly the same head events in the same order
-// as MergeScan — Before is a total order on distinct events and ties
-// break to the lower iterator index — so the merged sequence is
-// byte-identical to the per-event merge regardless of run or batch
-// boundaries. The *Batch passed to fn is reused; fn must not retain it.
-func MergeBatches(fn func(*Batch) error, its []BatchIterator) error {
-	// One shared slab backs every leaf's run buffer: k small buffers in
-	// one allocation, carved into fixed strides.
-	slab := make([]Event, len(its)*mergeRunSize)
-	runs := make([][]Event, 0, len(its)) // filled prefix of each leaf's stride
-	cur := make([]int, 0, len(its))      // index of each leaf's head within its run
-	evs := make([]Event, 0, len(its))    // each leaf's head event (the comparator's view)
-	act := make([]BatchIterator, 0, len(its))
-	for i, it := range its {
-		buf := slab[i*mergeRunSize : (i+1)*mergeRunSize]
-		if n := it.NextRun(buf); n > 0 {
-			runs = append(runs, buf[:n])
-			cur = append(cur, 0)
-			evs = append(evs, buf[0])
-			act = append(act, it)
-		}
-	}
-	k := len(act)
-	if k == 0 {
-		return nil
-	}
-	dead := make([]bool, k)
-	// Complete-tree embedding, identical to MergeScan: internal nodes
-	// 1..k-1, leaf i at node k+i, tree[0] the overall winner.
-	tree := make([]int32, k)
-	win := make([]int32, 2*k)
-	for i := 0; i < k; i++ {
-		win[k+i] = int32(i)
-	}
-	for n := k - 1; n >= 1; n-- {
-		a, b := win[2*n], win[2*n+1]
-		if leafBeats(a, b, evs, dead) {
-			win[n], tree[n] = a, b
-		} else {
-			win[n], tree[n] = b, a
-		}
-	}
-	tree[0] = win[1]
-	out := NewBatch(DefaultBatchSize)
-	for alive := k; alive > 0; {
-		w := tree[0]
-		out.Append(evs[w])
-		if out.Len() == out.Cap() {
-			if err := fn(out); err != nil {
-				return err
-			}
-			out.Reset()
-		}
-		if next := cur[w] + 1; next < len(runs[w]) {
-			cur[w] = next
-			evs[w] = runs[w][next]
-		} else if n := act[w].NextRun(runs[w][:mergeRunSize]); n > 0 {
-			runs[w] = runs[w][:n]
-			cur[w] = 0
-			evs[w] = runs[w][0]
-		} else {
-			dead[w] = true
-			alive--
-			if alive == 0 {
-				break
-			}
-		}
-		tree[0] = sift(w, k, tree, evs, dead)
-	}
-	if out.Len() > 0 {
-		return fn(out)
-	}
-	return nil
 }

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -106,12 +108,11 @@ func TestBatchAdapterRoundTrip(t *testing.T) {
 			}
 		}
 		// And back: batched source through the unbatching adapter.
-		esrc := AsEventSource(struct{ BatchSource }{bsrc})
 		var back []Event
-		if err := esrc.Scan(func(e Event) error {
+		if err := bsrc.ScanBatches(Unbatch(func(e Event) error {
 			back = append(back, e)
 			return nil
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(back, tr.Events) && !(n == 0 && len(back) == 0) {
@@ -124,9 +125,6 @@ func TestAsBatchSourcePrefersNative(t *testing.T) {
 	tr := New()
 	if _, ok := AsBatchSource(tr).(*Trace); !ok {
 		t.Fatal("AsBatchSource did not return the native *Trace")
-	}
-	if _, ok := AsEventSource(tr).(*Trace); !ok {
-		t.Fatal("AsEventSource did not return the native *Trace")
 	}
 	if _, ok := AsBatchSink(tr).(*Trace); !ok {
 		t.Fatal("AsBatchSink did not return the native *Trace")
@@ -200,10 +198,12 @@ func (s *stutterIterator) NextRun(dst []Event) int {
 	return 1
 }
 
-// TestMergeBatchesMatchesMergeScan pins that the batch-refill merge is
-// byte-identical to the per-event merge for random run sets, and that
-// run boundaries (down to one event per refill) cannot affect the output.
-func TestMergeBatchesMatchesMergeScan(t *testing.T) {
+// TestMergeBatchesMatchesSort pins the loser-tree merge to a stable
+// comparison sort of the union of its streams, for random run sets —
+// every third round with one stream's events repeated in another, the
+// tie only the iterator index breaks — and pins that run boundaries (down
+// to one event per refill) cannot affect the output.
+func TestMergeBatchesMatchesSort(t *testing.T) {
 	r := stats.NewRNG(42)
 	for round := 0; round < 30; round++ {
 		k := r.Intn(40) // 0..39 streams
@@ -222,17 +222,22 @@ func TestMergeBatchesMatchesMergeScan(t *testing.T) {
 			tmp.Sort()
 			runs[i] = tmp.Events
 		}
+		if k >= 2 && round%3 == 0 {
+			runs[k-1] = slices.Clone(runs[0]) // the identical events in two streams
+		}
 		var want []Event
-		its := make([]EventIterator, k)
 		for i := range runs {
-			its[i] = &SliceIterator{Events: runs[i]}
+			want = append(want, runs[i]...)
 		}
-		if err := MergeScan(func(e Event) error {
-			want = append(want, e)
-			return nil
-		}, its); err != nil {
-			t.Fatal(err)
-		}
+		slices.SortStableFunc(want, func(a, b Event) int {
+			switch {
+			case a.Before(b):
+				return -1
+			case b.Before(a):
+				return 1
+			}
+			return 0
+		})
 		for name, mk := range map[string]func(i int) BatchIterator{
 			"slice":   func(i int) BatchIterator { return &SliceIterator{Events: runs[i]} },
 			"stutter": func(i int) BatchIterator { return &stutterIterator{evs: runs[i]} },
@@ -248,10 +253,45 @@ func TestMergeBatchesMatchesMergeScan(t *testing.T) {
 			}, bits); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d (%s): MergeBatches differs from MergeScan (k=%d, n=%d vs %d)",
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d (%s): MergeBatches differs from the sorted union (k=%d, n=%d vs %d)",
 					round, name, k, len(got), len(want))
 			}
+		}
+	}
+}
+
+// TestMergeBatches carries what TestMergeScan asserted of the per-event
+// merge: per-UE streams of a sorted trace merge back into exactly that
+// trace, fn's error aborts the merge and is the error returned, and an
+// empty iterator set — or one of exhausted iterators — delivers nothing.
+func TestMergeBatches(t *testing.T) {
+	tr := streamTrace(t, 9, 900, 7)
+	// Split per-UE (each per-UE stream is individually ordered).
+	per := tr.PerUE()
+	var its []BatchIterator
+	for _, ue := range tr.UEs() {
+		its = append(its, &SliceIterator{Events: per[ue]})
+	}
+	var merged []Event
+	if err := MergeBatches(func(b *Batch) error { merged = b.AppendTo(merged); return nil }, its); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(merged, tr.Events) {
+		t.Fatalf("MergeBatches order mismatch: got %d events, want %d", len(merged), len(tr.Events))
+	}
+
+	boom := errors.New("boom")
+	calls := 0
+	err := MergeBatches(func(*Batch) error { calls++; return boom },
+		[]BatchIterator{&SliceIterator{Events: tr.Events}})
+	if !errors.Is(err, boom) || calls != 1 {
+		t.Fatalf("MergeBatches returned %v after %d calls, want fn's error after one", err, calls)
+	}
+
+	for _, its := range [][]BatchIterator{nil, {&SliceIterator{}, &SliceIterator{}}} {
+		if err := MergeBatches(func(*Batch) error { t.Fatal("fn called for an empty merge"); return nil }, its); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -198,6 +198,10 @@ func sortBucket(l *KeyLayout, keys, scratch []uint64, dst []Event, hist []int32,
 // into evs. It reports whether the key fit in 64 bits; on false evs is
 // left untouched and the caller must sort another way. A timestamp below
 // t0, or a type beyond the key's type field, also reports false.
+//
+// No production caller: radix_test.go holds the kernel to a comparison
+// sort through it and bench/gen.go replays it for trace.radix.*; it goes
+// behind the test boundary with merge.go when bench/ stops importing it.
 func RadixSortEvents(evs []Event, t0 cp.Millis) bool {
 	if len(evs) < 2 {
 		return true

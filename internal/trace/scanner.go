@@ -771,6 +771,54 @@ func (tw *TextWriter) Close() error {
 	return tw.bw.Flush()
 }
 
+// countingSink wraps one of the two writers, tallying what passes
+// through. It forwards whole batches, so counting does not force the
+// stream back onto the per-event path.
+type countingSink struct {
+	w interface {
+		EventSink
+		BatchSink
+	}
+	ues, events int
+}
+
+func (c *countingSink) SetDevice(ue cp.UEID, d cp.DeviceType) error {
+	c.ues++
+	return c.w.SetDevice(ue, d)
+}
+
+func (c *countingSink) Write(e Event) error {
+	c.events++
+	return c.w.Write(e)
+}
+
+func (c *countingSink) WriteBatch(b *Batch) error {
+	c.events += b.Len()
+	return c.w.WriteBatch(b)
+}
+
+// WriteSource encodes src onto w, in the binary format (StreamWriter) or
+// the text format (TextWriter), over the batched pipeline, and returns how
+// many registrations and events it wrote. It is the generator CLIs' one
+// output call: a streaming Source and an in-memory *Trace go through the
+// same writers, which is why -stream cannot change the bytes. For a
+// canonical trace they are WriteBinaryTrace's and WriteTrace's bytes.
+func WriteSource(w io.Writer, src EventSource, binaryFormat bool) (ues, events int, err error) {
+	var cs countingSink
+	var closeFn func() error
+	if binaryFormat {
+		sw := NewStreamWriter(w)
+		cs.w, closeFn = sw, sw.Close
+	} else {
+		tw := NewTextWriter(w)
+		cs.w, closeFn = tw, tw.Close
+	}
+	if err := CopyBatches(&cs, src); err != nil {
+		return 0, 0, err
+	}
+	return cs.ues, cs.events, closeFn()
+}
+
 // FileSource is a re-iterable EventSource backed by a trace file (binary
 // or text). Every Devices/Scan call reopens the file, so concurrent
 // passes are independent and peak memory is the registry plus one decode

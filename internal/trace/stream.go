@@ -112,121 +112,3 @@ func Collect(src EventSource) (*Trace, error) {
 	}
 	return tr, nil
 }
-
-// EventIterator yields one stream's events in time order, pull-style.
-// Per-UE generators implement it, so MergeScan and MergeBatches can
-// interleave populations without materializing anyone's future.
-type EventIterator interface {
-	Next() (Event, bool)
-}
-
-// SliceIterator replays an already-materialized, already-ordered event
-// slice pull-style — the bridge that lets batch generators feed their
-// per-UE buffers into the same MergeScan as the streaming paths. The
-// zero value is an empty stream; callers bulk-allocate []SliceIterator
-// and pass pointers.
-type SliceIterator struct{ Events []Event }
-
-// Next pops the next event, reporting false when the slice is drained.
-func (s *SliceIterator) Next() (Event, bool) {
-	if len(s.Events) == 0 {
-		return Event{}, false
-	}
-	ev := s.Events[0]
-	s.Events = s.Events[1:]
-	return ev, true
-}
-
-// MergeScan k-way merges the iterators — each individually ordered under
-// Event.Before — into one canonically ordered stream delivered to fn,
-// holding only one pending event per iterator (O(k) memory). fn's first
-// error aborts the merge and is returned.
-//
-// The merge is a loser tree rather than container/heap: advancing the
-// winner costs exactly ⌈log₂ k⌉ comparisons and only index writes (a
-// binary heap pays ~2 comparisons per level and swaps whole items), and
-// nothing goes through an interface per sift step. Before is a total
-// order on distinct events (time, UE, type), so the output sequence is
-// uniquely determined by the comparator and any correct merge yields
-// identical bytes; should two iterators ever carry the very same event,
-// the lower iterator index wins, deterministically.
-func MergeScan(fn func(Event) error, its []EventIterator) error {
-	evs := make([]Event, 0, len(its))
-	act := make([]EventIterator, 0, len(its))
-	for _, it := range its {
-		if ev, ok := it.Next(); ok {
-			evs = append(evs, ev)
-			act = append(act, it)
-		}
-	}
-	k := len(act)
-	if k == 0 {
-		return nil
-	}
-	dead := make([]bool, k)
-	// Complete-tree embedding: internal nodes 1..k-1, leaf i at node k+i;
-	// tree[n] is the loser at node n and tree[0] the overall winner.
-	tree := make([]int32, k)
-	win := make([]int32, 2*k)
-	for i := 0; i < k; i++ {
-		win[k+i] = int32(i)
-	}
-	for n := k - 1; n >= 1; n-- {
-		a, b := win[2*n], win[2*n+1]
-		if leafBeats(a, b, evs, dead) {
-			win[n], tree[n] = a, b
-		} else {
-			win[n], tree[n] = b, a
-		}
-	}
-	tree[0] = win[1]
-	for alive := k; alive > 0; {
-		w := tree[0]
-		if err := fn(evs[w]); err != nil {
-			return err
-		}
-		if ev, ok := act[w].Next(); ok {
-			evs[w] = ev
-		} else {
-			dead[w] = true
-			alive--
-			if alive == 0 {
-				break
-			}
-		}
-		tree[0] = sift(w, k, tree, evs, dead)
-	}
-	return nil
-}
-
-// leafBeats reports whether leaf a's pending event orders before leaf
-// b's; exhausted leaves always lose so the tree drains without
-// shrinking, and ties break toward the lower iterator index.
-//
-//cplint:hotpath ⌈log₂k⌉ calls per merged event, inlined into the sift
-func leafBeats(a, b int32, evs []Event, dead []bool) bool {
-	if dead[a] || dead[b] {
-		return !dead[a] && dead[b]
-	}
-	if evs[a].Before(evs[b]) {
-		return true
-	}
-	if evs[b].Before(evs[a]) {
-		return false
-	}
-	return a < b
-}
-
-// sift replays the path from leaf w to the root after the leaf's
-// pending event changed: whoever loses parks at the node, the winner
-// plays on. It returns the new overall winner.
-//
-//cplint:hotpath the loser-tree sift: runs once per merged event, index writes only
-func sift(w int32, k int, tree []int32, evs []Event, dead []bool) int32 {
-	for n := (int(w) + k) / 2; n > 0; n /= 2 {
-		if leafBeats(tree[n], w, evs, dead) {
-			w, tree[n] = tree[n], w
-		}
-	}
-	return w
-}

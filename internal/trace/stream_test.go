@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -304,42 +303,5 @@ func TestFileSource(t *testing.T) {
 	}
 	if _, err := NewFileSource(bad); err == nil {
 		t.Fatal("want error for non-trace file")
-	}
-}
-
-// sliceIter adapts a pre-sorted event slice to EventIterator.
-type sliceIter struct {
-	evs []Event
-	i   int
-}
-
-func (s *sliceIter) Next() (Event, bool) {
-	if s.i >= len(s.evs) {
-		return Event{}, false
-	}
-	e := s.evs[s.i]
-	s.i++
-	return e, true
-}
-
-func TestMergeScan(t *testing.T) {
-	tr := streamTrace(t, 9, 900, 7)
-	// Split per-UE (each per-UE stream is individually ordered).
-	per := tr.PerUE()
-	var its []EventIterator
-	for _, ue := range tr.UEs() {
-		its = append(its, &sliceIter{evs: per[ue]})
-	}
-	var merged []Event
-	if err := MergeScan(func(e Event) error { merged = append(merged, e); return nil }, its); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(merged, tr.Events) {
-		t.Fatalf("MergeScan order mismatch: got %d events, want %d", len(merged), len(tr.Events))
-	}
-
-	if err := MergeScan(func(Event) error { return fmt.Errorf("boom") },
-		[]EventIterator{&sliceIter{evs: tr.Events[:10]}}); err == nil {
-		t.Fatal("MergeScan should propagate fn errors")
 	}
 }

@@ -19,11 +19,14 @@ func newUESim(opt Options, mix [cp.NumDeviceTypes]float64, root *stats.RNG, i in
 }
 
 // TestDrainUntilMatchesNext is the simulator half of the windowed
-// assembly's contract: however the timeline is cut into limits —
-// millisecond steps, jumps of minutes, a limit far past the end —
-// drainUntil delivers exactly Next's events, each call exactly those
-// before its limit, reports the next event's time as pending (NoPending
-// after the last), and leaves the RNG where Next leaves it.
+// assembly's contract. The reference is one unlimited
+// drainUntil(NoPending) — the call Generate makes, whose bytes
+// TestWorldDigestPinned pins. However the timeline is cut into limits —
+// millisecond steps, jumps of minutes, no limit at all — drainUntil
+// delivers exactly the reference's events, each call exactly those before
+// its limit, reports the next event's time as pending (NoPending after the
+// last), and leaves the RNG where the reference leaves it. (The name is
+// historical: the reference used to be a per-event Next.)
 func TestDrainUntilMatchesNext(t *testing.T) {
 	opt := Options{NumUEs: 12, Duration: 9 * cp.Hour, Offset: 5*cp.Hour + 30*cp.Minute, Seed: 21}
 	mix, err := resolveMix(opt)
@@ -38,13 +41,13 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 	total := 0
 	for i := 0; i < opt.NumUEs; i++ {
 		ref, _ := newUESim(opt, mix, stats.NewRNG(opt.Seed), i)
-		var want []trace.Event
-		for {
-			ev, ok := ref.Next()
-			if !ok {
-				break
-			}
-			want = append(want, ev)
+		var all trace.KeyRun
+		if pending := ref.drainUntil(trace.NoPending, &lay, &all); pending != trace.NoPending {
+			t.Fatalf("UE %d: the unlimited drain reports pending %d", i, pending)
+		}
+		want, ok := trace.AssembleKeys(&lay, []trace.KeyRun{all})
+		if !ok {
+			t.Fatalf("UE %d: the unlimited drain delivered an event outside the simulated window", i)
 		}
 		total += len(want)
 
@@ -77,7 +80,7 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 				n++
 			}
 			if !slices.Equal(got, want[done:done+n]) {
-				t.Fatalf("UE %d: drainUntil(%d) delivered %v, Next's events before the limit are %v", i, limit, got, want[done:done+n])
+				t.Fatalf("UE %d: drainUntil(%d) delivered %v, the unlimited drain's events before the limit are %v", i, limit, got, want[done:done+n])
 			}
 			done += n
 			// One decision ahead: the pending time is the next event's own.
@@ -96,7 +99,7 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 			t.Fatalf("UE %d: delivered %d of %d events", i, done, len(want))
 		}
 		if u.rng != ref.rng {
-			t.Fatalf("UE %d: RNG state differs from Next's after the window", i)
+			t.Fatalf("UE %d: RNG state differs from the unlimited drain's after the window", i)
 		}
 	}
 	if total == 0 {

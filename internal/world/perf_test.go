@@ -52,9 +52,12 @@ func TestWorldGenerationEquivalence(t *testing.T) {
 	}
 }
 
-// TestUESimSteadyStateAllocs pins the simulator's hot loop at zero
-// steady-state allocations (the queue ring reuses its backing array).
-// Skipped under the race detector, which changes allocation behavior.
+// TestUESimSteadyStateAllocs pins the loop production runs at zero
+// steady-state allocations: drainUntil called the way the streaming Source
+// calls it — rising limits, a reused KeyRun already grown past anything
+// one call appends — once the simulator's queue has reached its
+// high-water capacity. Skipped under the race detector, which changes
+// allocation behavior.
 func TestUESimSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -64,23 +67,37 @@ func TestUESimSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, _ := newUESim(opt, mix, stats.NewRNG(opt.Seed), 0)
-	const warmup, runs = 2000, 4000
-	for i := 0; i < warmup; i++ {
-		if _, ok := sim.Next(); !ok {
-			t.Fatalf("simulator exhausted after %d warm-up events", i)
-		}
+	lay, fits := trace.NewKeyLayout(0, opt.Duration-1, 0)
+	if !fits {
+		t.Fatal("layout does not fit")
 	}
-	alive := true
+	sim, _ := newUESim(opt, mix, stats.NewRNG(opt.Seed), 0)
+	const runs = 4000
+	// Warm-up without Reset: the run grows to hold a month of keys, far
+	// more than the hour one measured call appends, and the simulator's
+	// queue reaches its high-water capacity.
+	var run trace.KeyRun
+	limit := 30 * cp.Day
+	if sim.drainUntil(limit, &lay, &run) == trace.NoPending {
+		t.Fatal("simulator exhausted during warm-up")
+	}
+	measuredFrom, alive := limit, true
 	avg := testing.AllocsPerRun(runs, func() {
-		if _, ok := sim.Next(); !ok {
+		run.Reset()
+		limit += cp.Hour
+		if sim.drainUntil(limit, &lay, &run) == trace.NoPending {
 			alive = false
 		}
 	})
 	if !alive {
 		t.Fatal("simulator exhausted during measurement")
 	}
+	// lastT is the newest event the simulator has stamped: events were
+	// still being drawn in the second half of the measured span.
+	if mid := measuredFrom + (limit-measuredFrom)/2; sim.lastT < mid {
+		t.Fatalf("no event after %d in a measured span ending at %d; test is close to vacuous", sim.lastT, limit)
+	}
 	if avg > 0 {
-		t.Errorf("steady-state Next allocates %.4f allocs/event, want 0", avg)
+		t.Errorf("steady-state drainUntil allocates %.4f allocs/call, want 0", avg)
 	}
 }

@@ -257,10 +257,10 @@ func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
 	})
 }
 
-// ueSim is the behavioral simulation of one UE, exposed as an
-// incremental iterator: drainUntil (and Next, its per-event form)
-// advances the simulation just far enough to produce the events asked
-// for, so a population can be streamed without holding anyone's future.
+// ueSim is the behavioral simulation of one UE, exposed incrementally:
+// drainUntil advances the simulation just far enough to produce the
+// events asked for, so a population can be streamed without holding
+// anyone's future.
 type ueSim struct {
 	ue    cp.UEID
 	p     *params
@@ -321,42 +321,19 @@ func (u *ueSim) emit(tSec float64, e cp.EventType) {
 	u.queue = append(u.queue, trace.Event{T: t, UE: u.ue, Type: e})
 }
 
-// Next returns the UE's next event, or ok=false when the window is done.
-//
-//cplint:hotpath simulator steady state; TestUESimSteadyStateAllocs gates it at exactly 0 allocs
-func (u *ueSim) Next() (trace.Event, bool) {
-	for {
-		if u.qhead < len(u.queue) {
-			ev := u.queue[u.qhead]
-			u.qhead++
-			if u.qhead == len(u.queue) {
-				u.queue, u.qhead = u.queue[:0], 0
-			}
-			return ev, true
-		}
-		if u.done {
-			return trace.Event{}, false
-		}
-		if !u.started {
-			u.start0()
-			continue
-		}
-		u.step()
-	}
-}
-
 // drainUntil advances the simulation up to limit: it appends the packed
 // key of every event with T < limit to run and returns the time of the
 // UE's next event — at least limit — or trace.NoPending once the UE is
-// done. The simulation runs one decision ahead: it steps whenever the queue
-// is empty, exactly as Next does, and whatever a step stamps at or past
-// limit waits in the queue (a connected phase queues a whole visit). So
-// successive calls under rising limits deliver exactly the sequence
-// repeated Next calls would, from the same RNG draws. Generate's workers
-// call it once per UE with no limit; the streaming Source calls it once
-// per time window the UE has an event in.
+// done. It is the simulator's one delivery loop. The simulation runs one
+// decision ahead: it steps whenever the queue is empty, and whatever a step
+// stamps at or past limit waits in the queue (a connected phase queues a
+// whole visit). So however the timeline is cut into rising limits the calls
+// together deliver the sequence one unlimited call would, from the same RNG
+// draws (TestDrainUntilMatchesNext). Generate's workers call it once per UE
+// with no limit; the streaming Source calls it once per time window the UE
+// has an event in.
 //
-//cplint:hotpath the bulk drain: one pack-and-append per simulation decision
+//cplint:hotpath the simulator's steady state, one pack-and-append per decision; TestUESimSteadyStateAllocs gates it at exactly 0 allocs
 func (u *ueSim) drainUntil(limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
 	for {
 		if u.qhead < len(u.queue) {
