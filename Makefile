@@ -74,10 +74,14 @@ allocs:
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1
-# binary decoder (seeded from fresh encodings), and the whole-file text
-# and binary trace readers. The first two assert decode→encode round-trip
-# byte stability; the trace targets assert that nothing panics and that
-# whatever a reader accepts re-encodes and re-reads to the same shape.
+# binary decoder (seeded from fresh encodings), and the trace reader. The
+# first two assert decode→encode round-trip byte stability. There is one
+# trace reader (trace.Scanner behind ReadAuto), so the two trace targets
+# share one body and differ in their seeds — text for FuzzReadTrace;
+# binary v1, multi-chunk v2, a mid-stream terminator and a 33-bit UE id
+# for FuzzReadBinaryTrace: nothing panics, Scan and ScanBatch deliver the
+# same events and error, and an accepted trace, sorted, goes through both
+# writers and reads back equal.
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseScenario$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^FuzzDecodePartial$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/core/

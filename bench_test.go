@@ -478,7 +478,8 @@ func fitPeakHeap(b *testing.B, tr *trace.Trace, opt core.FitOptions) uint64 {
 }
 
 // BenchmarkScanner measures the incremental binary-trace decoder's
-// event throughput against the monolithic reader on the same bytes.
+// event throughput, counting events and (monolithic) collecting them into
+// an in-memory trace with ReadAuto.
 func BenchmarkScanner(b *testing.B) {
 	tr, err := world.Generate(world.Options{NumUEs: 500, Duration: cp.Hour * 12, Seed: 6})
 	if err != nil {
@@ -513,7 +514,7 @@ func BenchmarkScanner(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(raw)))
 		for i := 0; i < b.N; i++ {
-			got, err := trace.ReadBinaryTrace(bytes.NewReader(raw))
+			got, err := trace.ReadAuto(bytes.NewReader(raw))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,13 +7,12 @@
 //
 //	tracestat -i world.trace
 //	tracestat -i syn.trace -machine 5g-sa
-//	tracestat -i big.trace -stream
+//	worldgen -stream | tracestat
 //
-// With -stream the trace is consumed in struct-of-arrays batches
-// through an incremental scanner — peak memory is O(UEs) instead of the
-// trace size — and the reported statistics are identical. Both modes
-// read the input once and report ingest throughput and the process's
-// memory footprint.
+// The trace, text or binary, from a file or stdin, is read once, in
+// struct-of-arrays batches through the incremental scanner, so peak
+// memory is O(UEs) whatever its length. The last line reports ingest
+// throughput and the process's memory footprint.
 package main
 
 import (
@@ -193,7 +192,6 @@ func main() {
 	var (
 		in      = flag.String("i", "-", "input trace ('-' for stdin)")
 		machine = flag.String("machine", "lte", "conformance machine: lte | emm-ecm | 5g-sa")
-		stream  = flag.Bool("stream", false, "single-pass scan with O(UEs) memory (identical statistics)")
 	)
 	flag.Parse()
 
@@ -220,43 +218,23 @@ func main() {
 
 	s := newStatCollector(m)
 	begin := time.Now()
-	if *stream {
-		sc, err := trace.NewScanner(r)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sc.Devices(s.register); err != nil {
-			log.Fatal(err)
-		}
-		// Batched ingest: the scanner decodes whole struct-of-arrays
-		// batches, so the per-record interface hop disappears from the
-		// hot loop.
-		b := trace.NewBatch(trace.DefaultBatchSize)
-		for sc.ScanBatch(b) {
-			for i := 0; i < b.Len(); i++ {
-				if err := s.push(b.At(i)); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-		if err := sc.Err(); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		tr, err := trace.ReadAuto(r)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, ue := range tr.UEs() {
-			if err := s.register(ue, tr.Device[ue]); err != nil {
+	sc, err := trace.NewScanner(r)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sc.Devices(s.register); err != nil {
+		log.Fatal(err)
+	}
+	b := trace.NewBatch(trace.DefaultBatchSize)
+	for sc.ScanBatch(b) {
+		for i := 0; i < b.Len(); i++ {
+			if err := s.push(b.At(i)); err != nil {
 				log.Fatal(err)
 			}
 		}
-		for _, ev := range tr.Events {
-			if err := s.push(ev); err != nil {
-				log.Fatal(err)
-			}
-		}
+	}
+	if err := sc.Err(); err != nil {
+		log.Fatal(err)
 	}
 	s.finish()
 	elapsed := time.Since(begin)

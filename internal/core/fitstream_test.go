@@ -187,7 +187,7 @@ func TestFitStreamBoundedMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		loaded, err := trace.ReadBinaryTrace(f)
+		loaded, err := trace.ReadAuto(f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-)
+import "io"
 
 // Binary trace format: a compact delta-encoded encoding for large traces
 // (a 380K-UE busy hour is ~6x smaller than in the text format).
@@ -24,48 +20,16 @@ var binaryMagic = [4]byte{'C', 'P', 'T', 'B'}
 
 const binaryVersion = 2
 
-// WriteBinaryTrace serializes tr in the compact binary format. Events
-// are written in canonical sorted order regardless of their in-memory
-// order. It is a convenience wrapper over StreamWriter for in-memory
-// traces; streaming producers should drive a StreamWriter directly.
+// WriteBinaryTrace serializes tr in the compact binary format: a
+// StreamWriter fed from the in-memory trace. Events are written in
+// canonical sorted order regardless of their in-memory order (Trace.Scan
+// sorts a copy when it has to).
 func WriteBinaryTrace(w io.Writer, tr *Trace) error {
-	events := tr.Events
-	if !tr.Sorted() {
-		events = append([]Event(nil), tr.Events...)
-		tmp := &Trace{Events: events}
-		tmp.Sort()
-	}
 	sw := NewStreamWriter(w)
-	for _, ue := range tr.UEs() {
-		if err := sw.SetDevice(ue, tr.Device[ue]); err != nil {
-			return err
-		}
-	}
-	for _, e := range events {
-		if err := sw.Write(e); err != nil {
-			return err
-		}
+	if err := CopyBatches(sw, tr); err != nil {
+		return err
 	}
 	return sw.Close()
-}
-
-// ReadBinaryTrace parses a trace written by WriteBinaryTrace (either
-// binary version). It materializes the whole trace; use Scanner or
-// FileSource to process large files incrementally.
-func ReadBinaryTrace(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var magic [5]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading binary header: %w", err)
-	}
-	if [4]byte{magic[0], magic[1], magic[2], magic[3]} != binaryMagic {
-		return nil, fmt.Errorf("trace: bad binary magic %q", magic[:4])
-	}
-	sc, err := newBinaryScanner(br, magic[4])
-	if err != nil {
-		return nil, err
-	}
-	return collectScanner(sc)
 }
 
 // collectScanner drains a Scanner into an in-memory trace.
@@ -92,27 +56,13 @@ func collectScanner(sc *Scanner) (*Trace, error) {
 	return tr, nil
 }
 
-// ReadAuto detects the trace format (binary or text) from the leading
-// bytes and parses accordingly.
+// ReadAuto reads a whole trace, text or binary (either version), into
+// memory: a Scanner, drained. Events keep their file order. Use Scanner or
+// FileSource to process large files incrementally.
 func ReadAuto(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(4)
+	sc, err := NewScanner(r)
 	if err != nil {
-		return nil, fmt.Errorf("trace: peeking format: %w", err)
+		return nil, err
 	}
-	if [4]byte{head[0], head[1], head[2], head[3]} == binaryMagic {
-		if _, err := br.Discard(4); err != nil {
-			return nil, err
-		}
-		ver, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		sc, err := newBinaryScanner(br, ver)
-		if err != nil {
-			return nil, err
-		}
-		return collectScanner(sc)
-	}
-	return ReadTrace(br)
+	return collectScanner(sc)
 }

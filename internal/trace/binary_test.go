@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +19,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinaryTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinaryTrace(&buf)
+	got, err := ReadAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +34,7 @@ func TestBinarySortsUnsortedInput(t *testing.T) {
 	if err := WriteBinaryTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinaryTrace(&buf)
+	got, err := ReadAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +81,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err := WriteBinaryTrace(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadBinaryTrace(&buf)
+		got, err := ReadAuto(&buf)
 		if err != nil {
 			return false
 		}
@@ -103,15 +105,39 @@ func TestBinaryErrors(t *testing.T) {
 		append([]byte("CPTB\x01\x01\x00"), 0xFF), // device byte invalid... (0x00 device ok, event count 0xFF varint truncated)
 	}
 	for i, in := range cases {
-		if _, err := ReadBinaryTrace(bytes.NewReader(in)); err == nil {
+		if _, err := ReadAuto(bytes.NewReader(in)); err == nil {
 			t.Errorf("case %d: malformed binary accepted", i)
 		}
 	}
 	// Invalid device byte.
 	bad := []byte("CPTB\x01\x01\x00\x63") // 1 UE, id 0, device 99
-	if _, err := ReadBinaryTrace(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadAuto(bytes.NewReader(bad)); err == nil {
 		t.Error("invalid device accepted")
 	}
+	// An event record's UE id is a 64-bit varint; one beyond the 32-bit id
+	// space is refused, not folded onto the registered UE 5.
+	for _, version := range []byte{1, 2} {
+		if tr, err := ReadAuto(bytes.NewReader(oneEventFile(version, 5))); err != nil || tr.Len() != 1 {
+			t.Fatalf("v%d: the reference file with UE 5 does not read: %v", version, err)
+		}
+		tr, err := ReadAuto(bytes.NewReader(oneEventFile(version, 1<<32+5)))
+		if err == nil || !strings.Contains(err.Error(), "UE id 4294967301 overflows") {
+			t.Errorf("v%d: event for UE 2^32+5 read as (%v, %v), want the overflow error", version, tr, err)
+		}
+	}
+}
+
+// oneEventFile hand-encodes a binary file of the given version that
+// registers UE 5 and holds one event, at t=100, for ue.
+func oneEventFile(version byte, ue uint64) []byte {
+	out := append([]byte("CPTB"), version, 1, 5, byte(cp.Phone))
+	out = append(out, 1, 100) // v1: the event count, v2: the chunk length; then the time
+	out = binary.AppendUvarint(out, ue)
+	out = append(out, byte(cp.Attach))
+	if version == 2 {
+		out = append(out, 0) // terminator
+	}
+	return out
 }
 
 func TestReadAutoDetectsBothFormats(t *testing.T) {

@@ -4,17 +4,27 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
 
-// The on-disk trace format is a line-oriented text format chosen for easy
-// inspection with standard tools:
+// The text trace format is line-oriented, chosen for easy inspection with
+// standard tools:
 //
 //	# cptraffic-trace v1
 //	U <ue> <device>        one line per UE registration
 //	E <millis> <ue> <type> one line per event
 //
-// Events may appear in any order; ReadTrace preserves file order.
+// The grammar is the header line, then every U line, then the E lines;
+// blank lines and # comments may appear anywhere. Timestamps are
+// non-negative, every event's UE is registered, and a line is at most
+// maxLineLen bytes. A U line after the first E line and a negative
+// timestamp are refused with the line number. Events may appear in any
+// order: ReadAuto preserves file order (Trace.Scan sorts on demand), while
+// FileSource, a stream, requires the canonical one.
+//
+// The Scanner is the only decoder, of this format and of the binary one
+// (binary.go). TextWriter is the incremental encoder; WriteTrace below is
+// the fmt-based whole-trace encoder that TextWriter's bytes are tested
+// against, and the only writer that keeps a non-canonical trace's order.
 
 const headerLine = "# cptraffic-trace v1"
 
@@ -36,51 +46,4 @@ func WriteTrace(w io.Writer, tr *Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadTrace parses a trace previously written by WriteTrace.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("trace: empty input")
-	}
-	if got := strings.TrimSpace(sc.Text()); got != headerLine {
-		return nil, fmt.Errorf("trace: bad header %q", got)
-	}
-	tr := New()
-	lineno := 1
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "U":
-			ue, dt, err := parseULine(fields, line, lineno)
-			if err != nil {
-				return nil, err
-			}
-			if err := tr.SetDevice(ue, dt); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", lineno, err)
-			}
-		case "E":
-			ev, err := parseELine(fields, line, lineno)
-			if err != nil {
-				return nil, err
-			}
-			if _, ok := tr.Device[ev.UE]; !ok {
-				return nil, fmt.Errorf("trace: line %d: event for unregistered UE %d", lineno, ev.UE)
-			}
-			tr.Events = append(tr.Events, ev)
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown record %q", lineno, fields[0])
-		}
-	}
-	return tr, sc.Err()
 }

@@ -3,40 +3,84 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cptraffic/internal/cp"
 )
 
-// FuzzReadTrace checks that arbitrary text input never panics the parser
-// and that anything it accepts round-trips.
+// drainScanner decodes data through the per-event or the batched face of
+// the Scanner, returning what it delivered before the end or the error.
+func drainScanner(data []byte, batched bool) ([]Event, error) {
+	sc, err := NewScanner(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var evs []Event
+	if batched {
+		for b := NewBatch(7); sc.ScanBatch(b); { // ragged: many batch boundaries
+			evs = b.AppendTo(evs)
+		}
+	} else {
+		for sc.Scan() {
+			evs = append(evs, sc.Event())
+		}
+	}
+	return evs, sc.Err()
+}
+
+// fuzzReader is the body of both trace fuzz targets, over the one reader:
+// arbitrary input never panics it; its two faces deliver the same events
+// and the same error; and a trace it accepts, once sorted, is accepted by
+// both writers and reads back equal.
+func fuzzReader(t *testing.T, data []byte) {
+	evs, err := drainScanner(data, false)
+	bevs, berr := drainScanner(data, true)
+	if !slices.Equal(evs, bevs) || (err == nil) != (berr == nil) || (err != nil && err.Error() != berr.Error()) {
+		t.Fatalf("Scan delivered %d events and %v, ScanBatch %d events and %v", len(evs), err, len(bevs), berr)
+	}
+	tr, rerr := ReadAuto(bytes.NewReader(data))
+	if (rerr == nil) != (err == nil) {
+		t.Fatalf("ReadAuto returned %v, a Scanner drain %v", rerr, err)
+	}
+	if err != nil {
+		return
+	}
+	if !slices.Equal(tr.Events, evs) {
+		t.Fatalf("ReadAuto collected %d events, a Scanner drain %d", tr.Len(), len(evs))
+	}
+	tr.Sort()
+	for _, wr := range incrementalWriters {
+		var buf bytes.Buffer
+		w := wr.new(&buf)
+		if err := CopyBatches(w, tr); err != nil {
+			t.Fatalf("%s refuses an accepted, sorted trace: %v", wr.name, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadAuto(&buf)
+		if err != nil {
+			t.Fatalf("%s output failed to parse: %v", wr.name, err)
+		}
+		if !reflect.DeepEqual(back.Device, tr.Device) || !slices.Equal(back.Events, tr.Events) {
+			t.Fatalf("round trip through %s changed the trace: %d events of %d UEs -> %d of %d",
+				wr.name, tr.Len(), tr.NumUEs(), back.Len(), back.NumUEs())
+		}
+	}
+}
+
+// FuzzReadTrace seeds the reader with text inputs.
 func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte(headerLine + "\nU 1 phone\nE 5 1 ATCH\n"))
 	f.Add([]byte(headerLine + "\n"))
 	f.Add([]byte("garbage"))
 	f.Add([]byte(headerLine + "\nU 1 car\nU 2 tablet\nE 1 2 HO\nE 2 1 TAU\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteTrace(&buf, tr); err != nil {
-			t.Fatalf("accepted trace failed to serialize: %v", err)
-		}
-		back, err := ReadTrace(&buf)
-		if err != nil {
-			t.Fatalf("serialized trace failed to parse: %v", err)
-		}
-		if back.Len() != tr.Len() || back.NumUEs() != tr.NumUEs() {
-			t.Fatalf("round trip changed shape: %d/%d -> %d/%d",
-				tr.Len(), tr.NumUEs(), back.Len(), back.NumUEs())
-		}
-	})
+	f.Add([]byte(headerLine + "\nU 1 car\nE 1 1 HO\nU 2 tablet\nE 2 2 TAU\n")) // U after E
+	f.Fuzz(fuzzReader)
 }
 
-// FuzzReadBinaryTrace checks the binary parser never panics and that
-// accepted inputs re-encode consistently.
+// FuzzReadBinaryTrace seeds the reader with binary inputs of both versions.
 func FuzzReadBinaryTrace(f *testing.F) {
 	// Seed with a few real encodings.
 	mk := func(build func(tr *Trace)) []byte {
@@ -56,24 +100,18 @@ func FuzzReadBinaryTrace(f *testing.F) {
 	}))
 	f.Add([]byte("CPTB\x01"))
 	f.Add([]byte("CPTB\xff"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinaryTrace(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteBinaryTrace(&buf, tr); err != nil {
-			t.Fatalf("accepted binary failed to re-encode: %v", err)
-		}
-		back, err := ReadBinaryTrace(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded binary failed to parse: %v", err)
-		}
-		if !reflect.DeepEqual(back.Device, tr.Device) {
-			t.Fatal("round trip changed devices")
-		}
-		if len(back.Events) != len(tr.Events) {
-			t.Fatalf("round trip changed event count: %d -> %d", len(tr.Events), len(back.Events))
-		}
-	})
+	multi := New()
+	multi.SetDevice(2, cp.Tablet)
+	multi.SetDevice(900, cp.ConnectedCar)
+	for i := 0; i < 2*streamChunkSize+3; i++ {
+		multi.Append(Event{T: cp.Millis(i * 130), UE: cp.UEID(2 + 898*(i%2)), Type: cp.EventTypes[i%cp.NumEventTypes]})
+	}
+	f.Add(writeStream(f, multi))                                    // v2, several chunks
+	f.Add(append(oneEventFile(2, 5), 1, 50, 5, byte(cp.Detach), 0)) // v2, a chunk behind the terminator
+	multi.Events = multi.Events[:9]
+	f.Add(encodeV1(multi)) // v1, which only a hand encoder still writes
+	// An event record whose UE id does not fit 32 bits, in both versions.
+	f.Add(oneEventFile(1, 1<<32+5))
+	f.Add(oneEventFile(2, 1<<32+5))
+	f.Fuzz(fuzzReader)
 }

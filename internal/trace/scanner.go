@@ -2,22 +2,26 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"cptraffic/internal/cp"
 )
 
-// Scanner reads a trace file incrementally: the device registry is parsed
-// up front (O(UEs)), then events are decoded one at a time into a reused
-// record, so a multi-week trace is never resident in memory. It handles
-// both binary versions and the text format.
+// Scanner is the trace decoder — every reader (ReadAuto, FileSource, the
+// CLIs) is a drain of it. It reads incrementally: the device registry is
+// parsed up front (O(UEs)), then events are decoded one at a time into a
+// reused record, so a multi-week trace is never resident in memory. It
+// handles both binary versions and the text format, and checks every
+// record against the registry but not the order of events: ReadAuto keeps
+// file order, FileSource enforces the canonical one.
 //
 //	sc, err := trace.NewScanner(r)
 //	for sc.Scan() {
@@ -60,13 +64,15 @@ const (
 	scanText
 )
 
+// maxLineLen bounds one line of the text format, newline included, and
+// sizes the read buffer so that a longer line is refused without being
+// buffered. Real lines are under 40 bytes.
+const maxLineLen = 1 << 16
+
 // NewScanner detects the trace format from the leading bytes and parses
 // the header and device registry, leaving the event stream untouched.
 func NewScanner(r io.Reader) (*Scanner, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
+	br := bufio.NewReaderSize(r, maxLineLen)
 	head, err := br.Peek(4)
 	if err != nil {
 		return nil, fmt.Errorf("trace: peeking format: %w", err)
@@ -136,9 +142,8 @@ func newBinaryScanner(br *bufio.Reader, version byte) (*Scanner, error) {
 	return s, nil
 }
 
-// newTextScanner parses the text header plus the leading U lines. The
-// streaming text contract requires every registration before the first
-// event; ReadTrace remains the permissive whole-file parser.
+// newTextScanner parses the text header plus the leading U lines: the
+// grammar (codec.go) puts every registration before the first event.
 func newTextScanner(br *bufio.Reader) (*Scanner, error) {
 	s := &Scanner{br: br, mode: scanText, devSet: make(map[cp.UEID]cp.DeviceType)}
 	line, err := s.readLine()
@@ -151,7 +156,7 @@ func newTextScanner(br *bufio.Reader) (*Scanner, error) {
 	if strings.TrimSpace(line) != headerLine {
 		return nil, fmt.Errorf("trace: bad header %q", strings.TrimSpace(line))
 	}
-	for {
+	for s.pending == nil {
 		line, err := s.readLine()
 		if err == io.EOF {
 			s.done = true
@@ -180,15 +185,13 @@ func newTextScanner(br *bufio.Reader) (*Scanner, error) {
 				return nil, err
 			}
 			s.pending = &ev
-			// Registrations are complete; sort them into the canonical
-			// ascending order the Devices contract promises.
-			sort.Slice(s.devs, func(i, j int) bool { return s.devs[i].UE < s.devs[j].UE })
-			return s, nil
 		default:
 			return nil, fmt.Errorf("trace: line %d: unknown record %q", s.lineno, fields[0])
 		}
 	}
-	sort.Slice(s.devs, func(i, j int) bool { return s.devs[i].UE < s.devs[j].UE })
+	// Registrations are complete; sort them into the canonical ascending
+	// order the Devices contract promises.
+	slices.SortFunc(s.devs, func(a, b deviceEntry) int { return cmp.Compare(a.UE, b.UE) })
 	return s, nil
 }
 
@@ -205,15 +208,18 @@ func (s *Scanner) register(ue cp.UEID, d cp.DeviceType) error {
 }
 
 func (s *Scanner) readLine() (string, error) {
-	line, err := s.br.ReadString('\n')
-	if err == io.EOF && line != "" {
+	line, err := s.br.ReadSlice('\n')
+	if err == io.EOF && len(line) > 0 {
 		err = nil // final line without a trailing newline
+	}
+	if err == bufio.ErrBufferFull || len(line) > maxLineLen {
+		return "", fmt.Errorf("trace: line %d: longer than %d bytes", s.lineno+1, maxLineLen)
 	}
 	if err != nil {
 		return "", err
 	}
 	s.lineno++
-	return line, nil
+	return string(line), nil
 }
 
 // NumUEs returns the number of registered UEs.
@@ -320,6 +326,9 @@ func (s *Scanner) scanBinary() bool {
 	if err != nil {
 		return s.fail(err)
 	}
+	if ue > uint64(^cp.UEID(0)) {
+		return s.fail(fmt.Errorf("trace: UE id %d overflows", ue))
+	}
 	tb, err := s.br.ReadByte()
 	if err != nil {
 		return s.fail(err)
@@ -365,7 +374,7 @@ func (s *Scanner) scanText() bool {
 			s.ev = ev
 			return s.checkTextEvent()
 		case "U":
-			return s.fail(fmt.Errorf("trace: line %d: registration after events (streaming text requires all U lines first)", s.lineno))
+			return s.fail(fmt.Errorf("trace: line %d: registration after events (all U lines come first)", s.lineno))
 		default:
 			return s.fail(fmt.Errorf("trace: line %d: unknown record %q", s.lineno, fields[0]))
 		}
@@ -422,10 +431,11 @@ func parseELine(fields []string, line string, lineno int) (Event, error) {
 const streamChunkSize = 1024
 
 // StreamWriter writes the binary trace format incrementally: register
-// every UE (ascending order), then Write events in canonical order, then
-// Close. Unlike WriteBinaryTrace it never needs the event count — events
-// are framed in chunks with a zero terminator (format version 2) — so a
-// generator can pour an unbounded stream through O(1) writer state.
+// every UE (ascending order), then write events in canonical order, then
+// Close. Events are framed in chunks with a zero terminator (format
+// version 2), so it never needs the event count and a generator can pour
+// an unbounded stream through O(1) writer state. WriteBatch is the one
+// checked encode loop; Write is its one-event face.
 type StreamWriter struct {
 	bw     *bufio.Writer
 	devs   []deviceEntry
@@ -440,6 +450,8 @@ type StreamWriter struct {
 	chunk   []byte // encoded records of the pending chunk, reused across flushes
 	chunkN  int
 	scratch [binary.MaxVarintLen64]byte
+
+	one Batch // Write's one-event batch, reused
 }
 
 // NewStreamWriter prepares an incremental binary trace writer on w.
@@ -507,31 +519,11 @@ func (sw *StreamWriter) writeHeader() error {
 	return nil
 }
 
-// Write appends one event. Events must be registered, non-negative, and
-// arrive in canonical order.
+// Write appends one event: a WriteBatch of one.
 func (sw *StreamWriter) Write(e Event) error {
-	if sw.closed {
-		return fmt.Errorf("trace: Write after Close")
-	}
-	if _, ok := sw.devSet[e.UE]; !ok {
-		return fmt.Errorf("trace: event for unregistered UE %d", e.UE)
-	}
-	if e.T < 0 {
-		return fmt.Errorf("trace: binary format cannot encode negative timestamp %d", e.T)
-	}
-	if sw.hasLast && e.Before(sw.last) {
-		return fmt.Errorf("trace: event %v out of canonical order (after %v)", e, sw.last)
-	}
-	if !sw.started {
-		if err := sw.writeHeader(); err != nil {
-			return err
-		}
-	}
-	sw.appendRecord(e)
-	if sw.chunkN >= streamChunkSize {
-		return sw.flushChunk()
-	}
-	return nil
+	sw.one.Reset()
+	sw.one.Append(e)
+	return sw.WriteBatch(&sw.one)
 }
 
 // appendRecord delta-encodes one already-validated event into the reused
@@ -553,11 +545,11 @@ func (sw *StreamWriter) appendRecord(e Event) {
 	sw.last, sw.hasLast = e, true
 }
 
-// WriteBatch appends a whole batch of events, enforcing exactly the
-// per-event Write checks and producing byte-identical output: records
-// accumulate in the same reused chunk buffer and chunks flush at the
-// same streamChunkSize boundaries, so chunk framing is independent of
-// how events were grouped into batches.
+// WriteBatch appends a batch of events. Events must be registered,
+// non-negative, and arrive in canonical order, within a batch and from
+// one batch to the next. Records accumulate in the reused chunk buffer and
+// chunks flush at streamChunkSize boundaries, so the bytes are independent
+// of how events were grouped into batches.
 func (sw *StreamWriter) WriteBatch(b *Batch) error {
 	if sw.closed {
 		return fmt.Errorf("trace: Write after Close")
@@ -625,9 +617,9 @@ func (sw *StreamWriter) Close() error {
 }
 
 // TextWriter writes the line-oriented text format incrementally, with the
-// same SetDevice/Write/Close protocol as StreamWriter. Its output for a
-// canonical stream is byte-identical to WriteTrace of the collected
-// trace.
+// same SetDevice/Write/WriteBatch/Close protocol and the same event checks
+// as StreamWriter. Its output for a canonical stream is byte-identical to
+// WriteTrace of the collected trace.
 type TextWriter struct {
 	bw     *bufio.Writer
 	devSet map[cp.UEID]cp.DeviceType
@@ -643,6 +635,8 @@ type TextWriter struct {
 	// strconv instead (byte-identical output, zero steady-state
 	// allocations).
 	line []byte
+
+	one Batch // Write's one-event batch, reused
 }
 
 // NewTextWriter prepares an incremental text trace writer on w.
@@ -694,24 +688,11 @@ func (tw *TextWriter) formatDevice(ue cp.UEID, d cp.DeviceType) []byte {
 	return b
 }
 
-// Write appends one event line.
+// Write appends one event line: a WriteBatch of one.
 func (tw *TextWriter) Write(e Event) error {
-	if tw.closed {
-		return fmt.Errorf("trace: Write after Close")
-	}
-	if _, ok := tw.devSet[e.UE]; !ok {
-		return fmt.Errorf("trace: event for unregistered UE %d", e.UE)
-	}
-	if tw.hasLast && e.Before(tw.last) {
-		return fmt.Errorf("trace: event %v out of canonical order (after %v)", e, tw.last)
-	}
-	if err := tw.header(); err != nil {
-		return err
-	}
-	tw.seenEvent = true
-	tw.last, tw.hasLast = e, true
-	_, err := tw.bw.Write(tw.formatEvent(e))
-	return err
+	tw.one.Reset()
+	tw.one.Append(e)
+	return tw.WriteBatch(&tw.one)
 }
 
 // formatEvent renders one E line into the reused line buffer — the
@@ -730,9 +711,9 @@ func (tw *TextWriter) formatEvent(e Event) []byte {
 	return b
 }
 
-// WriteBatch appends a whole batch of event lines with the same checks
-// and bytes as per-event Writes: each record formats into the reused line
-// buffer, so batching only removes the per-event call overhead.
+// WriteBatch appends a batch of event lines, each formatted into the
+// reused line buffer. Events must be registered, non-negative, and arrive
+// in canonical order, within a batch and from one batch to the next.
 func (tw *TextWriter) WriteBatch(b *Batch) error {
 	if tw.closed {
 		return fmt.Errorf("trace: Write after Close")
@@ -740,6 +721,11 @@ func (tw *TextWriter) WriteBatch(b *Batch) error {
 	if b.Len() > 0 {
 		if err := tw.header(); err != nil {
 			return err
+		}
+		// Times never decrease from here on, so the stream's first
+		// event is the only one that can be negative.
+		if !tw.hasLast && b.T[0] < 0 {
+			return fmt.Errorf("trace: negative timestamp %d", b.T[0])
 		}
 	}
 	for i := range b.T {
@@ -831,12 +817,11 @@ type FileSource struct {
 // returns the source.
 func NewFileSource(path string) (*FileSource, error) {
 	fs := &FileSource{Path: path}
-	f, sc, err := fs.open()
+	f, _, err := fs.open()
 	if err != nil {
 		return nil, err
 	}
 	f.Close()
-	_ = sc
 	return fs, nil
 }
 
@@ -863,32 +848,14 @@ func (fs *FileSource) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 	return sc.Devices(fn)
 }
 
-// Scan implements EventSource, enforcing the canonical-order stream
-// contract as it decodes.
+// Scan implements EventSource: ScanBatches, one event at a time.
 func (fs *FileSource) Scan(fn func(Event) error) error {
-	f, sc, err := fs.open()
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var last Event
-	hasLast := false
-	for sc.Scan() {
-		ev := sc.Event()
-		if hasLast && ev.Before(last) {
-			return fmt.Errorf("trace: %s: event %v out of canonical order (after %v)", fs.Path, ev, last)
-		}
-		last, hasLast = ev, true
-		if err := fn(ev); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return fs.ScanBatches(Unbatch(fn))
 }
 
 // ScanBatches implements BatchSource: the file's events decode straight
-// into a reused batch via Scanner.ScanBatch, with the same canonical-order
-// enforcement as Scan applied across batch boundaries.
+// into a reused batch via Scanner.ScanBatch, enforcing the canonical-order
+// stream contract within and across batches.
 func (fs *FileSource) ScanBatches(fn func(*Batch) error) error {
 	f, sc, err := fs.open()
 	if err != nil {

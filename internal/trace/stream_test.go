@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -35,7 +38,7 @@ func streamTrace(t *testing.T, k, n int, seed int64) *Trace {
 	return tr
 }
 
-func writeStream(t *testing.T, src EventSource) []byte {
+func writeStream(t testing.TB, src EventSource) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
@@ -104,6 +107,104 @@ func TestScannerRoundTrip(t *testing.T) {
 			}
 		})
 	}
+
+	// Whatever either writer accepts, through either face, ReadAuto reads
+	// back equal: streams that are mostly canonical but may start below
+	// zero, break the order or name an unregistered UE, cut into random
+	// batches. A writer may refuse one; it may not write what the reader
+	// then refuses or reads differently.
+	t.Run("accepted-reads-back", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		accepted := 0
+		for iter := 0; iter < 400; iter++ {
+			want := New()
+			for ue, k := 0, 1+rng.Intn(4); ue < k; ue++ {
+				want.SetDevice(cp.UEID(ue*5), cp.DeviceTypes[rng.Intn(cp.NumDeviceTypes)])
+			}
+			lo := []int64{0, 0, -4}[rng.Intn(3)]
+			for i := rng.Intn(12); i > 0; i-- {
+				want.Events = append(want.Events, Event{
+					T:    cp.Millis(lo + rng.Int63n(40)),
+					UE:   cp.UEID(rng.Intn(want.NumUEs()) * 5),
+					Type: cp.EventTypes[rng.Intn(cp.NumEventTypes)],
+				})
+			}
+			if rng.Intn(8) > 0 {
+				want.Sort()
+			}
+			if len(want.Events) > 0 && rng.Intn(10) == 0 {
+				want.Events[rng.Intn(len(want.Events))].UE = 3
+			}
+			for _, wr := range incrementalWriters {
+				var buf bytes.Buffer
+				w := wr.new(&buf)
+				if err := want.Devices(w.SetDevice); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				for rest := want.Events; len(rest) > 0 && err == nil; {
+					n := 1 + rng.Intn(len(rest))
+					err = writeFaces[rng.Intn(len(writeFaces))].put(w, rest[:n])
+					rest = rest[n:]
+				}
+				if err == nil {
+					err = w.Close()
+				}
+				if err != nil {
+					continue
+				}
+				accepted++
+				got, err := ReadAuto(&buf)
+				if err != nil {
+					t.Fatalf("%s accepted %v, ReadAuto refuses it: %v", wr.name, want.Events, err)
+				}
+				if !reflect.DeepEqual(got.Device, want.Device) || !slices.Equal(got.Events, want.Events) {
+					t.Fatalf("%s wrote %v, ReadAuto read %v", wr.name, want.Events, got.Events)
+				}
+			}
+		}
+		if accepted < 200 {
+			t.Fatalf("only %d streams accepted: the property is close to vacuous", accepted)
+		}
+	})
+}
+
+// incrementalWriter is what StreamWriter and TextWriter have in common.
+type incrementalWriter interface {
+	EventSink
+	BatchSink
+	Close() error
+}
+
+var incrementalWriters = []struct {
+	name string
+	new  func(io.Writer) incrementalWriter
+}{
+	{"StreamWriter", func(w io.Writer) incrementalWriter { return NewStreamWriter(w) }},
+	{"TextWriter", func(w io.Writer) incrementalWriter { return NewTextWriter(w) }},
+}
+
+// writeFaces are the two ways events enter a writer: one Write per event,
+// or one WriteBatch for the whole group.
+var writeFaces = []struct {
+	name string
+	put  func(incrementalWriter, []Event) error
+}{
+	{"Write", func(w incrementalWriter, evs []Event) error {
+		for _, e := range evs {
+			if err := w.Write(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+	{"WriteBatch", func(w incrementalWriter, evs []Event) error {
+		b := NewBatch(len(evs))
+		for _, e := range evs {
+			b.Append(e)
+		}
+		return w.WriteBatch(b)
+	}},
 }
 
 // The StreamWriter output must be byte-identical to WriteBinaryTrace for
@@ -143,8 +244,8 @@ func TestScannerReadsV1(t *testing.T) {
 	if !reflect.DeepEqual(got.Events, want.Events) || !reflect.DeepEqual(got.Device, want.Device) {
 		t.Fatalf("v1 decode mismatch:\ngot  %+v\nwant %+v", got, want)
 	}
-	if tr, err := ReadBinaryTrace(bytes.NewReader(v1)); err != nil || tr.Len() != 3 {
-		t.Fatalf("ReadBinaryTrace on v1: %v (len %d)", err, tr.Len())
+	if tr, err := ReadAuto(bytes.NewReader(v1)); err != nil || tr.Len() != 3 {
+		t.Fatalf("ReadAuto on v1: %v (len %d)", err, tr.Len())
 	}
 }
 
@@ -181,47 +282,97 @@ func TestTextWriterMatchesWriteTrace(t *testing.T) {
 	}
 }
 
+// Every rejection, under both writers and both faces. A case is a sequence
+// of groups — one WriteBatch each, or one Write per event — of which the
+// last must fail, with the same error text whichever face delivered it.
 func TestStreamWriterRejectsBadInput(t *testing.T) {
-	t.Run("out-of-order-events", func(t *testing.T) {
-		sw := NewStreamWriter(&bytes.Buffer{})
-		sw.SetDevice(1, cp.Phone)
-		if err := sw.Write(Event{T: 100, UE: 1, Type: cp.Attach}); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.Write(Event{T: 50, UE: 1, Type: cp.Attach}); err == nil {
-			t.Fatal("want error for out-of-order event")
-		}
-	})
-	t.Run("unregistered-UE", func(t *testing.T) {
-		sw := NewStreamWriter(&bytes.Buffer{})
-		if err := sw.Write(Event{T: 0, UE: 9, Type: cp.Attach}); err == nil {
-			t.Fatal("want error for unregistered UE")
-		}
-	})
-	t.Run("negative-timestamp", func(t *testing.T) {
-		sw := NewStreamWriter(&bytes.Buffer{})
-		sw.SetDevice(1, cp.Phone)
-		if err := sw.Write(Event{T: -5, UE: 1, Type: cp.Attach}); err == nil {
-			t.Fatal("want error for negative timestamp")
-		}
-	})
+	ev := func(t cp.Millis, ue cp.UEID) Event { return Event{T: t, UE: ue, Type: cp.Attach} }
+	cases := []struct {
+		name       string
+		groups     [][]Event
+		closeFirst bool
+		want       string
+	}{
+		{"out-of-order-events", [][]Event{{ev(100, 1), ev(50, 1)}}, false, "T=50 UE=1 ATCH out of canonical order (after T=100 UE=1 ATCH)"},
+		{"out-of-order-across-batches", [][]Event{{ev(100, 1), ev(200, 1)}, {ev(150, 1), ev(300, 1)}}, false, "T=150 UE=1 ATCH out of canonical order (after T=200 UE=1 ATCH)"},
+		{"tie-broken-by-UE-across-batches", [][]Event{{ev(5, 2)}, {ev(5, 1)}}, false, "T=5 UE=1 ATCH out of canonical order (after T=5 UE=2 ATCH)"},
+		{"unregistered-UE", [][]Event{{ev(0, 1)}, {ev(1, 1), ev(2, 9)}}, false, "unregistered UE 9"},
+		{"unregistered-UE-first", [][]Event{{ev(0, 9)}}, false, "unregistered UE 9"},
+		{"negative-timestamp", [][]Event{{ev(-5, 1), ev(3, 1)}}, false, "negative timestamp -5"},
+		{"write-after-close", [][]Event{{ev(0, 1)}}, true, "Write after Close"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, wr := range incrementalWriters {
+				var texts []string
+				for _, face := range writeFaces {
+					w := wr.new(&bytes.Buffer{})
+					w.SetDevice(1, cp.Phone)
+					w.SetDevice(2, cp.Phone)
+					if tc.closeFirst {
+						if err := w.Close(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					last := len(tc.groups) - 1
+					for _, g := range tc.groups[:last] {
+						if err := face.put(w, g); err != nil {
+							t.Fatalf("%s.%s: %v", wr.name, face.name, err)
+						}
+					}
+					err := face.put(w, tc.groups[last])
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("%s.%s: got error %v, want one containing %q", wr.name, face.name, err, tc.want)
+					}
+					texts = append(texts, err.Error())
+				}
+				if texts[0] != texts[1] {
+					t.Fatalf("%s: the faces disagree: Write says %q, WriteBatch says %q", wr.name, texts[0], texts[1])
+				}
+			}
+		})
+	}
 	t.Run("register-after-write", func(t *testing.T) {
-		sw := NewStreamWriter(&bytes.Buffer{})
-		sw.SetDevice(1, cp.Phone)
-		if err := sw.Write(Event{T: 0, UE: 1, Type: cp.Attach}); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.SetDevice(2, cp.Phone); err == nil {
-			t.Fatal("want error for late registration")
+		for _, wr := range incrementalWriters {
+			w := wr.new(&bytes.Buffer{})
+			w.SetDevice(1, cp.Phone)
+			if err := w.Write(Event{T: 0, UE: 1, Type: cp.Attach}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.SetDevice(2, cp.Phone); err == nil {
+				t.Fatalf("%s: want error for late registration", wr.name)
+			}
 		}
 	})
-	t.Run("descending-registration", func(t *testing.T) {
+	t.Run("descending-registration", func(t *testing.T) { // StreamWriter's rule only
 		sw := NewStreamWriter(&bytes.Buffer{})
 		sw.SetDevice(5, cp.Phone)
 		if err := sw.SetDevice(3, cp.Phone); err == nil {
 			t.Fatal("want error for descending UE registration")
 		}
 	})
+}
+
+// The per-event face is a one-event WriteBatch through a batch the writer
+// owns: in steady state it allocates nothing.
+func TestWriterWriteSteadyStateAllocs(t *testing.T) {
+	for _, wr := range incrementalWriters {
+		w := wr.new(io.Discard)
+		w.SetDevice(1, cp.Phone)
+		next := cp.Millis(0)
+		write := func() {
+			next += 7
+			if err := w.Write(Event{T: next, UE: 1, Type: cp.ServiceRequest}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*streamChunkSize; i++ { // grow the chunk and line buffers
+			write()
+		}
+		if avg := testing.AllocsPerRun(4*streamChunkSize, write); avg != 0 {
+			t.Errorf("%s.Write allocates %.2f times per event, want 0", wr.name, avg)
+		}
+	}
 }
 
 // Trace implements both EventSource and EventSink; Collect(Copy) over the

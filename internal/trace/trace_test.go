@@ -265,7 +265,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
+	got, err := ReadAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if err := WriteTrace(&buf, tr); err != nil {
 			return false
 		}
-		got, err := ReadTrace(&buf)
+		got, err := ReadAuto(&buf)
 		if err != nil {
 			return false
 		}
@@ -325,7 +325,7 @@ func TestReadTraceErrors(t *testing.T) {
 		headerLine + "\nU 1 phone\nU 1 tablet\n", // conflict
 	}
 	for i, in := range cases {
-		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
+		if _, err := ReadAuto(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: malformed input accepted: %q", i, in)
 		}
 	}
@@ -333,7 +333,7 @@ func TestReadTraceErrors(t *testing.T) {
 
 func TestReadTraceSkipsCommentsAndBlanks(t *testing.T) {
 	in := headerLine + "\n\n# comment\nU 1 phone\n\nE 7 1 HO\n"
-	tr, err := ReadTrace(strings.NewReader(in))
+	tr, err := ReadAuto(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,8 +93,9 @@ type TraceEvent = trace.Event
 // EventSink or, once filled, an EventSource).
 func NewTrace() *Trace { return trace.New() }
 
-// ReadTrace parses the line-oriented trace format.
-func ReadTrace(r io.Reader) (*Trace, error) { return trace.ReadTrace(r) }
+// ReadTrace reads a whole trace into memory, detecting the format from
+// the leading bytes: the line-oriented text format or the binary one.
+func ReadTrace(r io.Reader) (*Trace, error) { return trace.ReadAuto(r) }
 
 // WriteTrace serializes a trace.
 func WriteTrace(w io.Writer, tr *Trace) error { return trace.WriteTrace(w, tr) }
