@@ -9,8 +9,8 @@ GO ?= go
 
 RACE_PKGS = ./internal/par/ ./internal/trace/ ./internal/core/ ./internal/world/ ./internal/eval/ ./internal/experiments/ ./internal/mcn/ ./internal/scenario/ ./cmd/stormsim/
 
-# Per-target fuzzing time for fuzz-smoke (four targets, so the total
-# fuzzing wall clock is four times this). CI sets the same 15s per target.
+# Per-target fuzzing time for fuzz-smoke (five targets, so the total
+# fuzzing wall clock is five times this). CI sets the same 15s per target.
 FUZZTIME ?= 15s
 
 .PHONY: check fmt vet build lint fix test bench-check race allocs fuzz-smoke scenarios shardcheck audit bench experiments
@@ -68,23 +68,27 @@ race:
 # steady-state drainUntil — the loop production runs — allocates nothing;
 # both Generates stay within 0.02 allocations and 48 allocated bytes per
 # assembled event; one ScanBatches of either streaming Source stays within
-# 640 allocated bytes per UE.
+# 640 allocated bytes per UE; ModelSet.Save allocates its buffer and
+# nothing that grows with the model.
 allocs:
 	$(GO) test -run 'SteadyStateAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE' ./internal/core/ ./internal/world/
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1
-# binary decoder (seeded from fresh encodings), and the trace reader. The
-# first two assert decode→encode round-trip byte stability. There is one
-# trace reader (trace.Scanner behind ReadAuto), so the two trace targets
-# share one body and differ in their seeds — text for FuzzReadTrace;
-# binary v1, multi-chunk v2, a mid-stream terminator and a 33-bit UE id
-# for FuzzReadBinaryTrace: nothing panics, Scan and ScanBatch deliver the
-# same events and error, and an accepted trace, sorted, goes through both
-# writers and reads back equal.
+# binary decoder (seeded from fresh encodings), the model file loader
+# (seeded from tiny fits and hand-built edge models), and the trace
+# reader. The first three assert decode→encode round-trip byte stability;
+# the model target also holds ModelSet.Save to encoding/json's bytes on
+# every accepted input. There is one trace reader (trace.Scanner behind
+# ReadAuto), so the two trace targets share one body and differ in their
+# seeds — text for FuzzReadTrace; binary v1, multi-chunk v2, a mid-stream
+# terminator and a 33-bit UE id for FuzzReadBinaryTrace: nothing panics,
+# Scan and ScanBatch deliver the same events and error, and an accepted
+# trace, sorted, goes through both writers and reads back equal.
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseScenario$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^FuzzDecodePartial$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^FuzzLoadModel$$' -fuzz '^FuzzLoadModel$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzReadTrace$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^FuzzReadBinaryTrace$$' -fuzz '^FuzzReadBinaryTrace$$' -fuzztime $(FUZZTIME) ./internal/trace/
 

@@ -52,34 +52,63 @@ func pinnedFitOptions(method string) FitOptions {
 	}
 }
 
+// pinnedLargeFitDigests are the same digests for toyTrace(400 UEs, 24 h,
+// seed 11), keyed the same way, recorded on the commit before Build's
+// value and count sorts became radix sorts. For ours/0 the small world
+// above hands stats.SortFloats 2 689 lists, 355 of them at or above the
+// radix cutoff and none longer than 2 707 values; this one hands it
+// 54 811, 6 418 above the cutoff (2.8 M of its 3.4 M values), the longest
+// 77 176 — hour and global pools where the radix passes and the skipped
+// constant bytes decide bytes (the comparison sort that finishes runs of
+// values a millionth apart finds none out of order in either world;
+// TestSortFloatsMatchesSlicesSort holds it). ours sorts in place on the
+// SojournTable path; v2 sorts only the first-event offsets and must keep
+// folding in (UE, seq) order.
+var pinnedLargeFitDigests = map[string]string{
+	"v2/0":   "1530384b3136b11d1076aa428d192eed6e02c596e73228e253c2a2b7e8ab9cc8",
+	"ours/0": "09874b730d091ec51d167f81359245ed0d5aaac7c6fccc906a9608eaa3ede77a",
+}
+
 // TestFitModelDigestPinned pins the absolute model bytes of every
 // method, exact and sketched, fitted unsharded and as three hash shards
-// merged in reverse order.
+// merged in reverse order — on the small world, and for two methods on
+// the large one.
 func TestFitModelDigestPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests recorded on amd64, running on %s", runtime.GOARCH)
 	}
-	tr := toyTrace(t, 60, 6*cp.Hour, 11)
 	digest := func(b []byte) string {
 		sum := sha256.Sum256(b)
 		return hex.EncodeToString(sum[:])
 	}
-	for _, method := range []string{"base", "v1", "v2", "ours"} {
-		for _, k := range []int{0, 256} {
-			opt := pinnedFitOptions(method)
-			opt.SketchK = k
-			name := fmt.Sprintf("%s/%d", method, k)
-			want := pinnedFitDigests[name]
-			ms, err := Fit(tr, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := digest(modelBytes(t, ms)); got != want {
-				t.Errorf("%s unsharded: digest %s, pinned %s", name, got, want)
-			}
-			sharded := mergeAndBuild(t, shardPartials(t, tr, 3, opt), []int{2, 1, 0})
-			if got := digest(sharded); got != want {
-				t.Errorf("%s 3 shards merged in reverse: digest %s, pinned %s", name, got, want)
+	for _, world := range []struct {
+		name   string
+		tr     *trace.Trace
+		pinned map[string]string
+	}{
+		{"60 UEs x 6 h", toyTrace(t, 60, 6*cp.Hour, 11), pinnedFitDigests},
+		{"400 UEs x 24 h", toyTrace(t, 400, 24*cp.Hour, 11), pinnedLargeFitDigests},
+	} {
+		for _, method := range []string{"base", "v1", "v2", "ours"} {
+			for _, k := range []int{0, 256} {
+				opt := pinnedFitOptions(method)
+				opt.SketchK = k
+				name := fmt.Sprintf("%s/%d", method, k)
+				want, ok := world.pinned[name]
+				if !ok {
+					continue
+				}
+				ms, err := Fit(world.tr, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := digest(modelBytes(t, ms)); got != want {
+					t.Errorf("%s, %s unsharded: digest %s, pinned %s", world.name, name, got, want)
+				}
+				sharded := mergeAndBuild(t, shardPartials(t, world.tr, 3, opt), []int{2, 1, 0})
+				if got := digest(sharded); got != want {
+					t.Errorf("%s, %s 3 shards merged in reverse: digest %s, pinned %s", world.name, name, got, want)
+				}
 			}
 		}
 	}

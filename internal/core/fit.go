@@ -361,8 +361,12 @@ func newAcc() *acc {
 	}
 }
 
-// build converts an accumulator into a ClusterModel.
-func (a *acc) build(m *sm.Machine, opt FitOptions) ClusterModel {
+// build converts an accumulator into a ClusterModel. It consumes the
+// accumulator: the sample lists are the accumulator's own (setPool), so
+// the SojournTable fits sort them in place, through scratch
+// (stats.SortFloats' buffer, the caller's to reuse across accumulators
+// of one goroutine).
+func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterModel {
 	cm := ClusterModel{
 		Top:    make([]StateParam, cp.NumUEStates),
 		NumUEs: a.NumUEs,
@@ -376,7 +380,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions) ClusterModel {
 		topTotal[k.S] += c
 	}
 	// Emit transitions in fixed (state, event) order, not map order:
-	// FitSojourn's float folds must see each sample list at a
+	// fitSojourn's float folds must see each sample list at a
 	// reproducible point in the build, and the output is then sorted by
 	// construction rather than by the sortTransitions pass below.
 	for s := 0; s < cp.NumUEStates; s++ {
@@ -390,7 +394,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions) ClusterModel {
 			cm.Top[k.S].Out = append(cm.Top[k.S].Out, TransitionParam{
 				Event:   k.E,
 				P:       p,
-				Sojourn: FitSojourn(a.TopSoj[k], opt.SojournKind),
+				Sojourn: fitSojourn(a.TopSoj[k], opt.SojournKind, scratch),
 			})
 		}
 	}
@@ -428,7 +432,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions) ClusterModel {
 				cm.Bottom[k.S].Out = append(cm.Bottom[k.S].Out, TransitionParam{
 					Event:   k.E,
 					P:       p,
-					Sojourn: FitSojourn(a.BotSoj[k], opt.SojournKind),
+					Sojourn: fitSojourn(a.BotSoj[k], opt.SojournKind, scratch),
 				})
 			}
 		}
@@ -444,7 +448,9 @@ func (a *acc) build(m *sm.Machine, opt FitOptions) ClusterModel {
 					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournExp, Lambda: lambda}
 				}
 			default:
-				if q, tail, ok := stats.KaplanMeier(fired, censored); ok {
+				stats.SortFloats(fired, scratch)
+				stats.SortFloats(censored, scratch)
+				if q, tail, ok := stats.KaplanMeierSorted(fired, censored); ok {
 					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournTable, Q: q.Q}
 					cm.Bottom[s].PExit = tail
 				}
@@ -466,7 +472,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions) ClusterModel {
 		}
 		cm.Free = append(cm.Free, FreeProcess{
 			Event: e,
-			Inter: FitSojourn(ia, opt.SojournKind),
+			Inter: fitSojourn(ia, opt.SojournKind, scratch),
 		})
 	}
 	// First-event model.
@@ -485,7 +491,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions) ClusterModel {
 			return cmp.Or(cmp.Compare(x.Event, y.Event), cmp.Compare(x.State, y.State))
 		})
 		cm.First.Cats = cats
-		cm.First.Offset = FitSojourn(a.FirstOff, SojournTable)
+		cm.First.Offset = fitSojourn(a.FirstOff, SojournTable, scratch)
 	}
 	return cm
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -165,13 +166,22 @@ func peakHeap(fn func()) uint64 {
 	return peak - base.HeapAlloc
 }
 
-// TestFitStreamBoundedMemory: fitting from a file through FitStream must
-// peak measurably below the read-then-fit in-memory path on the same
-// trace. Exact byte-identity forces the streamed fit to retain every
-// sojourn sample in its pools, so its heap still grows with the trace —
-// what it never holds is the materialized event slice, which is where
-// the in-memory path's peak lives. (FitOptions.SketchK bounds the
+// streamPeakBudget bounds the streamed fit's peak heap growth on
+// TestFitStreamBoundedMemory's world (355 604 events, a 26 MB model),
+// which reads 42.1–45.4 MiB; the tree before Save streamed read 47.5–61.2.
+const streamPeakBudget = 52 << 20
+
+// TestFitStreamBoundedMemory: fitting from a file through FitStream and
+// saving the model must peak inside streamPeakBudget. Exact byte-identity
+// forces the streamed fit to retain every sojourn sample in its pools, so
+// its heap still grows with the trace — what it never holds is the
+// materialized event slice. (FitOptions.SketchK bounds the
 // retained-sample term too; TestFitSketchedBoundedMemory gates that.)
+//
+// The read-then-fit path runs beside it and is logged, not asserted
+// against: its event slice (16 B/event) is garbage by the time Build
+// holds pools and model together, which is where both paths peak, within
+// a few percent of each other and in either order.
 func TestFitStreamBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory profile run skipped in -short mode")
@@ -180,6 +190,16 @@ func TestFitStreamBoundedMemory(t *testing.T) {
 	path := traceFile(t, tr)
 	opt := FitOptions{Cluster: clusterOptSmall(), Workers: 1}
 
+	// Both paths run to the saved model, hashed as it is written: Save
+	// streams, so a buffer holding the file would be the test's own memory
+	// — twice the 25 MB document while it grows, more than either fit.
+	save := func(ms *ModelSet) []byte {
+		h := sha256.New()
+		if err := ms.Save(h); err != nil {
+			t.Fatal(err)
+		}
+		return h.Sum(nil)
+	}
 	var inMemModel, streamModel []byte
 	inMemPeak := peakHeap(func() {
 		f, err := os.Open(path)
@@ -195,7 +215,7 @@ func TestFitStreamBoundedMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inMemModel = modelBytes(t, ms)
+		inMemModel = save(ms)
 	})
 	streamPeak := peakHeap(func() {
 		src, err := trace.NewFileSource(path)
@@ -206,7 +226,7 @@ func TestFitStreamBoundedMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamModel = modelBytes(t, ms)
+		streamModel = save(ms)
 	})
 	if !bytes.Equal(inMemModel, streamModel) {
 		t.Fatal("models differ between paths")
@@ -214,7 +234,7 @@ func TestFitStreamBoundedMemory(t *testing.T) {
 	t.Logf("peak heap growth: in-memory %.1f MiB, streamed %.1f MiB (%.0f%%), %d events",
 		float64(inMemPeak)/(1<<20), float64(streamPeak)/(1<<20),
 		100*float64(streamPeak)/float64(inMemPeak), tr.Len())
-	if streamPeak >= inMemPeak {
-		t.Fatalf("streamed fit peak (%d B) not below in-memory peak (%d B)", streamPeak, inMemPeak)
+	if streamPeak > streamPeakBudget {
+		t.Fatalf("streamed fit peak (%d B) above the %d B budget", streamPeak, streamPeakBudget)
 	}
 }

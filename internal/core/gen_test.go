@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"cptraffic/internal/cp"
 	"cptraffic/internal/sm"
@@ -254,6 +257,23 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte(`{"machine":"NOPE","devices":[]}`))); err == nil {
 		t.Fatal("unknown machine accepted")
+	}
+	// The file is one model and nothing else: a torn append or two files
+	// concatenated must not load as the first of them.
+	saved := modelBytes(t, fitToy(t, 12, cp.Hour, 3, FitOptions{}))
+	for _, tail := range []string{"garbage", "]", "{}", string(saved)} {
+		_, err := Load(bytes.NewReader(append(bytes.Clone(saved), tail...)))
+		if err == nil || err.Error() != "core: decoding model set: trailing data" {
+			t.Errorf("a model followed by %.10q: Load returned %v, want trailing data", tail, err)
+		}
+	}
+	for _, tail := range []string{"", "\n\n", " \t\r\n"} {
+		if _, err := Load(bytes.NewReader(append(bytes.Clone(saved), tail...))); err != nil {
+			t.Errorf("a model followed by %q: %v", tail, err)
+		}
+	}
+	if _, err := Load(io.MultiReader(bytes.NewReader(saved), iotest.ErrReader(io.ErrClosedPipe))); !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("a read error after the model: Load returned %v", err)
 	}
 }
 

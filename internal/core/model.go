@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 
 	"cptraffic/internal/cp"
@@ -350,17 +353,293 @@ func (ms *ModelSet) Validate() error {
 	return nil
 }
 
-// Save serializes the model set as JSON.
+// Save serializes the model set as JSON: byte for byte the document an
+// encoding/json Encoder writes for it (TestSaveMatchesEncodingJSON holds
+// it to that, field by field), streamed through a 64 KiB buffer instead
+// of built whole in memory. Like encoding/json it refuses NaN and ±Inf
+// with an error; unlike it, w has by then received part of the document.
 func (ms *ModelSet) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(ms)
+	e := modelEncoder{w: bufio.NewWriterSize(w, 64<<10), num: make([]byte, 0, 32)}
+	e.modelSet(ms)
+	if err := e.w.Flush(); err != nil {
+		return err
+	}
+	return e.err
 }
 
-// Load deserializes a model set written by Save and validates it.
+// modelEncoder appends the model structs' JSON to a buffered destination.
+// A bufio.Writer keeps its first write error and returns it from every
+// later call, Flush included, so only Save's Flush is checked.
+type modelEncoder struct {
+	w   *bufio.Writer
+	num []byte // the number formatted last; floats re-emits it along a run of equal values
+	err error  // the first value JSON cannot hold
+}
+
+func (e *modelEncoder) raw(s string) { e.w.WriteString(s) }
+
+// field opens the next member of an object all of whose members may be
+// omitted: *sep is '{' before the first member and ',' after it; end
+// closes the object.
+func (e *modelEncoder) field(sep *byte, name string) {
+	e.w.WriteByte(*sep)
+	e.w.WriteString(name)
+	*sep = ','
+}
+
+func (e *modelEncoder) end(sep byte) {
+	if sep == '{' {
+		e.w.WriteByte('{')
+	}
+	e.w.WriteByte('}')
+}
+
+// str writes s as encoding/json does. Plain ASCII — every string a fitted
+// model holds — is copied between quotes; whatever json would escape
+// (quotes, control characters, <, > and &, U+2028/9, invalid UTF-8) goes
+// through json.Marshal.
+func (e *modelEncoder) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			e.w.Write(b)
+			return
+		}
+	}
+	e.w.WriteByte('"')
+	e.w.WriteString(s)
+	e.w.WriteByte('"')
+}
+
+func (e *modelEncoder) int(n int) {
+	e.num = strconv.AppendInt(e.num[:0], int64(n), 10)
+	e.w.Write(e.num)
+}
+
+// float writes x under encoding/json's rule: the shortest digits that
+// read back as x, plain below 1e21 and exponential outside [1e-6, 1e21),
+// with strconv's e-09 cleaned up to e-9.
+//
+//cplint:hotpath one call per table value that differs from its predecessor: strconv.AppendFloat into the reused digit buffer
+func (e *modelEncoder) float(x float64) {
+	abs := math.Abs(x)
+	if !(abs <= math.MaxFloat64) { // ±Inf or NaN
+		e.unsupported(x)
+		return
+	}
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(e.num[:0], x, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	e.num = b
+	e.w.Write(b)
+}
+
+//cplint:coldpath the error path of a model that cannot be saved
+func (e *modelEncoder) unsupported(x float64) {
+	e.num = e.num[:0]
+	if e.err == nil {
+		e.err = fmt.Errorf("core: saving model set: unsupported value %s", strconv.FormatFloat(x, 'g', -1, 64))
+	}
+}
+
+// floats writes a quantile grid or weight list. A value with the bits of
+// its predecessor — most of a Kaplan–Meier table, which spreads a few
+// distinct steps over the grid — re-emits the predecessor's digits.
+func (e *modelEncoder) floats(xs []float64) {
+	e.w.WriteByte('[')
+	for i, x := range xs {
+		if i > 0 {
+			e.w.WriteByte(',')
+			if math.Float64bits(x) == math.Float64bits(xs[i-1]) {
+				e.w.Write(e.num)
+				continue
+			}
+		}
+		e.float(x)
+	}
+	e.w.WriteByte(']')
+}
+
+// array writes xs as a JSON array of elem's output, null for a nil slice.
+func array[T any](e *modelEncoder, xs []T, elem func(*modelEncoder, *T)) {
+	if xs == nil {
+		e.raw("null")
+		return
+	}
+	e.w.WriteByte('[')
+	for i := range xs {
+		if i > 0 {
+			e.w.WriteByte(',')
+		}
+		elem(e, &xs[i])
+	}
+	e.w.WriteByte(']')
+}
+
+func (e *modelEncoder) modelSet(ms *ModelSet) {
+	e.raw(`{"machine":`)
+	e.str(ms.MachineName)
+	e.raw(`,"method":`)
+	e.str(ms.Method)
+	e.raw(`,"devices":`)
+	array(e, ms.Devices, (*modelEncoder).device)
+	e.raw("}\n")
+}
+
+func (e *modelEncoder) device(p **DeviceModel) {
+	dm := *p
+	if dm == nil {
+		e.raw("null")
+		return
+	}
+	e.raw(`{"personas":`)
+	array(e, dm.Personas, (*modelEncoder).persona)
+	e.raw(`,"hours":`)
+	array(e, dm.Hours, (*modelEncoder).hour)
+	if dm.Global != nil {
+		e.raw(`,"global":`)
+		e.cluster(dm.Global)
+	}
+	e.raw(`,"share":`)
+	e.float(dm.Share)
+	e.raw(`,"trainUEs":`)
+	e.int(dm.TrainUEs)
+	e.w.WriteByte('}')
+}
+
+func (e *modelEncoder) persona(p *Persona) {
+	e.raw(`{"cluster":`)
+	array(e, p.Cluster, func(e *modelEncoder, c *int) { e.int(*c) })
+	e.raw(`,"weight":`)
+	e.float(p.Weight)
+	e.w.WriteByte('}')
+}
+
+func (e *modelEncoder) hour(hm *HourModel) {
+	sep := byte('{')
+	if len(hm.Clusters) > 0 {
+		e.field(&sep, `"clusters":`)
+		array(e, hm.Clusters, (*modelEncoder).cluster)
+	}
+	if hm.Aggregate != nil {
+		e.field(&sep, `"aggregate":`)
+		e.cluster(hm.Aggregate)
+	}
+	if len(hm.Weights) > 0 {
+		e.field(&sep, `"weights":`)
+		e.floats(hm.Weights)
+	}
+	e.end(sep)
+}
+
+func (e *modelEncoder) cluster(cm *ClusterModel) {
+	sep := byte('{')
+	if len(cm.Top) > 0 {
+		e.field(&sep, `"top":`)
+		array(e, cm.Top, (*modelEncoder).state)
+	}
+	if len(cm.Bottom) > 0 {
+		e.field(&sep, `"bottom":`)
+		array(e, cm.Bottom, (*modelEncoder).state)
+	}
+	if len(cm.Free) > 0 {
+		e.field(&sep, `"free":`)
+		array(e, cm.Free, (*modelEncoder).free)
+	}
+	e.field(&sep, `"first":{"pNone":`)
+	e.float(cm.First.PNone)
+	if len(cm.First.Cats) > 0 {
+		e.raw(`,"cats":`)
+		array(e, cm.First.Cats, (*modelEncoder).firstCat)
+	}
+	e.raw(`,"offset":`)
+	e.sojourn(&cm.First.Offset)
+	e.raw(`},"numUEs":`)
+	e.int(cm.NumUEs)
+	e.w.WriteByte('}')
+}
+
+func (e *modelEncoder) state(sp *StateParam) {
+	sep := byte('{')
+	if len(sp.Out) > 0 {
+		e.field(&sep, `"out":`)
+		array(e, sp.Out, (*modelEncoder).transition)
+	}
+	if sp.PExit != 0 {
+		e.field(&sep, `"pExit":`)
+		e.float(sp.PExit)
+	}
+	if sp.Sojourn != nil {
+		e.field(&sep, `"sojourn":`)
+		e.sojourn(sp.Sojourn)
+	}
+	e.end(sep)
+}
+
+func (e *modelEncoder) transition(tp *TransitionParam) {
+	e.raw(`{"event":`)
+	e.int(int(tp.Event))
+	e.raw(`,"p":`)
+	e.float(tp.P)
+	e.raw(`,"sojourn":`)
+	e.sojourn(&tp.Sojourn)
+	e.w.WriteByte('}')
+}
+
+func (e *modelEncoder) free(fp *FreeProcess) {
+	e.raw(`{"event":`)
+	e.int(int(fp.Event))
+	e.raw(`,"inter":`)
+	e.sojourn(&fp.Inter)
+	e.w.WriteByte('}')
+}
+
+func (e *modelEncoder) firstCat(c *FirstCat) {
+	e.raw(`{"event":`)
+	e.int(int(c.Event))
+	e.raw(`,"state":`)
+	e.int(int(c.State))
+	e.raw(`,"p":`)
+	e.float(c.P)
+	e.w.WriteByte('}')
+}
+
+func (e *modelEncoder) sojourn(s *SojournModel) {
+	e.raw(`{"kind":`)
+	e.str(s.Kind)
+	if len(s.Q) > 0 {
+		e.raw(`,"q":`)
+		e.floats(s.Q)
+	}
+	if s.Lambda != 0 {
+		e.raw(`,"lambda":`)
+		e.float(s.Lambda)
+	}
+	if s.Value != 0 {
+		e.raw(`,"value":`)
+		e.float(s.Value)
+	}
+	e.w.WriteByte('}')
+}
+
+// Load deserializes a model set written by Save and validates it. Only
+// whitespace may follow the model.
 func Load(r io.Reader) (*ModelSet, error) {
 	var ms ModelSet
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&ms); err != nil {
+		return nil, fmt.Errorf("core: decoding model set: %w", err)
+	}
+	// Decode reads one value and stops; the stream must end there too.
+	if _, err := dec.Token(); err == nil || errors.As(err, new(*json.SyntaxError)) {
+		return nil, fmt.Errorf("core: decoding model set: trailing data")
+	} else if err != io.EOF {
 		return nil, fmt.Errorf("core: decoding model set: %w", err)
 	}
 	if err := ms.Validate(); err != nil {

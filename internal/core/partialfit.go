@@ -138,16 +138,32 @@ func (r countRec) sortKey() uint64 {
 	return uint64(r.hour)<<51 | uint64(r.ue)<<19 | uint64(r.kind)<<16 | uint64(r.a)<<8 | uint64(r.b)
 }
 
-// countRecs decodes the count map into records sorted by
-// (hour, UE, kind, a, b) — hour-major so Build can slice per hour.
-func (dp *devPartial) countRecs() []countRec {
-	recs := make([]countRec, 0, len(dp.counts))
+// countRecs returns the count map's records in (hour, UE, kind, a, b)
+// order — hour-major so Build can slice per hour — each packed in the
+// shape sortPitems sorts: the sortKey in the (ue, seq) halves, the tally's
+// bits in v. unpackCount reads one back. scratch is sortPitems' buffer.
+func (dp *devPartial) countRecs(scratch *[]pitem) []pitem {
+	recs := make([]pitem, 0, len(dp.counts))
+	//cplint:ordered-ok sortKey is a bijection of the map key: keys are unique, so any correct sort of the collected records yields one sequence
 	for k, n := range dp.counts {
-		recs = append(recs, decodeCntKey(k, n))
+		sk := decodeCntKey(k, n).sortKey()
+		recs = append(recs, pitem{ue: cp.UEID(sk >> 32), seq: uint32(sk), v: math.Float64frombits(uint64(n))})
 	}
-	// sortKey is a bijection of the map key, so no two records tie.
-	slices.SortFunc(recs, func(x, y countRec) int { return cmp.Compare(x.sortKey(), y.sortKey()) })
+	sortPitems(recs, scratch)
 	return recs
+}
+
+// unpackCount decodes one of countRecs' records.
+func unpackCount(it pitem) countRec {
+	sk := it.key()
+	return countRec{
+		ue:   cp.UEID(sk >> 19),
+		kind: uint8(sk>>16) & 7,
+		hour: uint8(sk >> 51),
+		a:    uint8(sk >> 8),
+		b:    uint8(sk),
+		n:    int64(math.Float64bits(it.v)),
+	}
 }
 
 // applyCount folds one count record into an accumulator. cntEvt records
@@ -588,12 +604,12 @@ func (pf *PartialFit) AddEvent(e trace.Event) error {
 	if pf.built {
 		return fmt.Errorf("core: partial fit already built")
 	}
-	d, ok := pf.devOf[e.UE]
-	if !ok {
-		return fmt.Errorf("core: event for unregistered UE %d", e.UE)
-	}
 	st := pf.exts[e.UE]
-	if st == nil {
+	if st == nil { // the UE's first event: the one time its device is looked up
+		d, ok := pf.devOf[e.UE]
+		if !ok {
+			return fmt.Errorf("core: event for unregistered UE %d", e.UE)
+		}
 		sink := &partialSink{pf: pf, d: d, ue: e.UE}
 		st = &ueFitState{sink: sink, ext: newUEExtractor(pf.opt.Machine, sink)}
 		pf.exts[e.UE] = st
@@ -654,18 +670,19 @@ func (pf *PartialFit) AddSourceWithCheckpoints(src trace.EventSource, every int6
 		return fmt.Errorf("core: resume source registry mismatch: %d of %d checkpointed UEs present",
 			matched, len(pf.devOf))
 	}
-	var idx int64
-	skip := pf.consumed
-	return src.Scan(func(e trace.Event) error {
-		idx++
-		if idx <= skip {
-			return nil
-		}
-		if err := pf.AddEvent(e); err != nil {
-			return err
-		}
-		if every > 0 && checkpoint != nil && pf.consumed%every == 0 {
-			return checkpoint(pf.consumed)
+	skip := pf.consumed // events of the source a restored partial has already ingested
+	return trace.AsBatchSource(src).ScanBatches(func(b *trace.Batch) error {
+		i := int(min(skip, int64(b.Len())))
+		skip -= int64(i)
+		for ; i < b.Len(); i++ {
+			if err := pf.AddEvent(b.At(i)); err != nil {
+				return err
+			}
+			if every > 0 && checkpoint != nil && pf.consumed%every == 0 {
+				if err := checkpoint(pf.consumed); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	})
@@ -930,12 +947,12 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		hourKeys[k.Hour] = append(hourKeys[k.Hour], k)
 	}
 
-	recs := dp.countRecs()
-	var hourRecs [HoursPerDay][]countRec
+	recs := dp.countRecs(&scratch)
+	var hourRecs [HoursPerDay][]pitem
 	for lo := 0; lo < len(recs); {
 		hi := lo
-		h := recs[lo].hour
-		for hi < len(recs) && recs[hi].hour == h {
+		h := unpackCount(recs[lo]).hour
+		for hi < len(recs) && unpackCount(recs[hi]).hour == h {
 			hi++
 		}
 		hourRecs[h] = recs[lo:hi]
@@ -949,6 +966,7 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		Hours:    make([]HourModel, HoursPerDay),
 	}
 	par.For(HoursPerDay, opt.Workers, func(h int) {
+		var sortBuf []float64 // this hour's value-sort buffer: its largest pool's worth
 		accs := make([]*acc, numClusters[h])
 		for c := range accs {
 			accs[c] = newAcc()
@@ -969,7 +987,8 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		// Count records and pool items are both UE-grouped in ascending
 		// UE order, so their clusters come from cl by a forward walk.
 		cur := ueCursor{ues: ues}
-		for _, r := range hourRecs[h] {
+		for _, it := range hourRecs[h] {
+			r := unpackCount(it)
 			accs[cl[cur.index(r.ue)]].applyCount(r)
 			agg.applyCount(r)
 		}
@@ -980,9 +999,9 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		hm := &dm.Hours[h]
 		hm.Clusters = make([]ClusterModel, numClusters[h])
 		for c := range accs {
-			hm.Clusters[c] = accs[c].build(opt.Machine, opt)
+			hm.Clusters[c] = accs[c].build(opt.Machine, opt, &sortBuf)
 		}
-		a := agg.build(opt.Machine, opt)
+		a := agg.build(opt.Machine, opt, &sortBuf)
 		hm.Aggregate = &a
 		hm.Weights = weights[h]
 	})
@@ -992,8 +1011,8 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 	global := newAcc()
 	global.NumUEs = len(ues)
 	global.Cells = len(ues) * days * HoursPerDay
-	for _, r := range recs {
-		global.applyCount(r)
+	for _, it := range recs {
+		global.applyCount(unpackCount(it))
 	}
 	// flat moves the hour to the low byte: sorting by it makes the hours
 	// of one (kind, A, B) pool adjacent, and flat>>8 names that pool.
@@ -1009,7 +1028,8 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		global.setPool(poolKeys[lo], pitemValues(mergePitems(&scratch, lists)))
 		lo = hi
 	}
-	g := global.build(opt.Machine, opt)
+	var sortBuf []float64
+	g := global.build(opt.Machine, opt, &sortBuf)
 	dm.Global = &g
 	return dm
 }

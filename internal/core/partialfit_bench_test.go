@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"runtime"
 	"testing"
 
@@ -52,5 +54,24 @@ func BenchmarkPartialFitBuild(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
 			b.ReportMetric(float64(mallocs)/events, "allocs/event")
 		})
+	}
+}
+
+// BenchmarkModelSave times Save alone — the layer bench/ reports as
+// core.model.save_s — on the exact fit of the same world, into a
+// destination that discards. MB/s is of the model file written.
+func BenchmarkModelSave(b *testing.B) {
+	ms := fitToy(b, 300, 24*cp.Hour, 11, FitOptions{Cluster: cluster.Options{ThetaN: 30}, Workers: 1})
+	var file bytes.Buffer
+	if err := ms.Save(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ms.Save(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -118,56 +118,67 @@ func TestShardedFitMatchesUnsharded(t *testing.T) {
 // uninterrupted fit — for exact and sketched modes.
 func TestPartialFitCheckpointResume(t *testing.T) {
 	tr := toyTrace(t, 48, 3*cp.Hour, 7)
-	for _, base := range partialFitOptVariants() {
-		opt := base
-		opt.Workers = 1
-		ref, err := Fit(tr, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := modelBytes(t, ref)
-
-		pf, err := NewPartialFit(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		killed := errors.New("killed")
-		var ckpt bytes.Buffer
-		nCkpt := 0
-		err = pf.AddSourceWithCheckpoints(tr, 500, func(consumed int64) error {
-			nCkpt++
-			ckpt.Reset()
-			if err := pf.Encode(&ckpt); err != nil {
-				return err
+	// AddSource ingests 256-event batches. Neither interval divides one:
+	// 500 puts every checkpoint inside a batch, and 100 puts two or three
+	// in each — the kill after the seventh lands 188 events into the third
+	// batch, where the resumed scan must pick up.
+	for _, c := range []struct{ every, kills int64 }{{500, 3}, {100, 7}} {
+		for _, base := range partialFitOptVariants() {
+			opt := base
+			opt.Workers = 1
+			ref, err := Fit(tr, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if nCkpt == 3 {
-				return killed // simulate the process dying right after a checkpoint
-			}
-			return nil
-		})
-		if !errors.Is(err, killed) {
-			t.Fatalf("method=%q: scan ended with %v, want the kill sentinel", opt.Method, err)
-		}
-		if nCkpt != 3 {
-			t.Fatalf("method=%q: %d checkpoints, want 3", opt.Method, nCkpt)
-		}
+			want := modelBytes(t, ref)
 
-		resumed, err := DecodePartial(bytes.NewReader(ckpt.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resumed.EventsConsumed() != 1500 {
-			t.Fatalf("method=%q: checkpoint consumed %d events, want 1500", opt.Method, resumed.EventsConsumed())
-		}
-		if err := resumed.AddSource(tr); err != nil {
-			t.Fatal(err)
-		}
-		ms, err := resumed.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, modelBytes(t, ms)) {
-			t.Fatalf("method=%q: resumed fit differs from uninterrupted fit", opt.Method)
+			pf, err := NewPartialFit(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			killed := errors.New("killed")
+			var ckpt bytes.Buffer
+			nCkpt := int64(0)
+			err = pf.AddSourceWithCheckpoints(tr, c.every, func(consumed int64) error {
+				nCkpt++
+				if consumed != nCkpt*c.every || pf.EventsConsumed() != consumed {
+					t.Fatalf("method=%q every=%d: checkpoint %d called at %d events with %d ingested",
+						opt.Method, c.every, nCkpt, consumed, pf.EventsConsumed())
+				}
+				ckpt.Reset()
+				if err := pf.Encode(&ckpt); err != nil {
+					return err
+				}
+				if nCkpt == c.kills {
+					return killed // simulate the process dying right after a checkpoint
+				}
+				return nil
+			})
+			if !errors.Is(err, killed) {
+				t.Fatalf("method=%q every=%d: scan ended with %v, want the kill sentinel", opt.Method, c.every, err)
+			}
+			if nCkpt != c.kills {
+				t.Fatalf("method=%q every=%d: %d checkpoints, want %d", opt.Method, c.every, nCkpt, c.kills)
+			}
+
+			resumed, err := DecodePartial(bytes.NewReader(ckpt.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.EventsConsumed() != c.kills*c.every {
+				t.Fatalf("method=%q every=%d: checkpoint consumed %d events, want %d",
+					opt.Method, c.every, resumed.EventsConsumed(), c.kills*c.every)
+			}
+			if err := resumed.AddSource(tr); err != nil {
+				t.Fatal(err)
+			}
+			ms, err := resumed.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, modelBytes(t, ms)) {
+				t.Fatalf("method=%q every=%d: resumed fit differs from uninterrupted fit", opt.Method, c.every)
+			}
 		}
 	}
 }

@@ -87,13 +87,18 @@ func (s SojournModel) Valid() bool {
 	return false
 }
 
-// FitSojourn builds a sojourn model of the requested kind from observed
+// fitSojourn builds a sojourn model of the requested kind from observed
 // durations (seconds). It degrades gracefully: empty samples become a
 // 60-second point mass (never reached in practice because transitions are
 // only parameterized when observed), single-valued samples become point
 // masses, and exponential fits that are degenerate fall back to a point
 // mass at the sample mean.
-func FitSojourn(samples []float64, kind string) SojournModel {
+//
+// The sample list is the caller's to give away: a SojournTable fit sorts
+// it in place (scratch is stats.SortFloats' buffer, reusable across
+// calls) rather than sorting a copy. A SojournExp fit folds the list in
+// the order given and leaves it alone.
+func fitSojourn(samples []float64, kind string, scratch *[]float64) SojournModel {
 	if len(samples) == 0 {
 		return SojournModel{Kind: SojournConst, Value: 60}
 	}
@@ -123,7 +128,7 @@ func FitSojourn(samples []float64, kind string) SojournModel {
 				n = 2
 			}
 		}
-		t := stats.NewQuantileTableN(samples, n)
-		return SojournModel{Kind: SojournTable, Q: t.Q}
+		stats.SortFloats(samples, scratch)
+		return SojournModel{Kind: SojournTable, Q: stats.EmpiricalOfSorted(samples).QuantileTable(n).Q}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestFitSojournTable(t *testing.T) {
 	samples := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := FitSojourn(samples, SojournTable)
+	s := fitSojourn(samples, SojournTable, new([]float64))
 	if s.Kind != SojournTable || !s.Valid() {
 		t.Fatalf("got %+v", s)
 	}
@@ -28,7 +28,7 @@ func TestFitSojournExp(t *testing.T) {
 	for i := range samples {
 		samples[i] = r.Exp(0.5)
 	}
-	s := FitSojourn(samples, SojournExp)
+	s := fitSojourn(samples, SojournExp, new([]float64))
 	if s.Kind != SojournExp {
 		t.Fatalf("kind = %q", s.Kind)
 	}
@@ -38,24 +38,24 @@ func TestFitSojournExp(t *testing.T) {
 }
 
 func TestFitSojournDegenerate(t *testing.T) {
-	if s := FitSojourn(nil, SojournTable); s.Kind != SojournConst || s.Value != 60 {
+	if s := fitSojourn(nil, SojournTable, new([]float64)); s.Kind != SojournConst || s.Value != 60 {
 		t.Fatalf("empty -> %+v", s)
 	}
-	if s := FitSojourn([]float64{7, 7, 7}, SojournTable); s.Kind != SojournConst || s.Value != 7 {
+	if s := fitSojourn([]float64{7, 7, 7}, SojournTable, new([]float64)); s.Kind != SojournConst || s.Value != 7 {
 		t.Fatalf("constant -> %+v", s)
 	}
-	if s := FitSojourn([]float64{3}, SojournExp); s.Kind != SojournConst || s.Value != 3 {
+	if s := fitSojourn([]float64{3}, SojournExp, new([]float64)); s.Kind != SojournConst || s.Value != 3 {
 		t.Fatalf("single -> %+v", s)
 	}
 	// Exp fit of a degenerate (all-zero) sample falls back to const.
-	if s := FitSojourn([]float64{0, 0, 0.0}, SojournExp); s.Kind != SojournConst {
+	if s := fitSojourn([]float64{0, 0, 0.0}, SojournExp, new([]float64)); s.Kind != SojournConst {
 		t.Fatalf("zero-exp -> %+v", s)
 	}
 }
 
 func TestSojournSampleBounds(t *testing.T) {
 	r := stats.NewRNG(2)
-	table := FitSojourn([]float64{1, 2, 3, 4, 5}, SojournTable)
+	table := fitSojourn([]float64{1, 2, 3, 4, 5}, SojournTable, new([]float64))
 	for i := 0; i < 1000; i++ {
 		x := table.Sample(r)
 		if x < 1 || x > 5 {

@@ -203,12 +203,20 @@ type Empirical struct {
 // NewEmpirical builds an empirical distribution from xs (which it copies
 // and sorts). It panics on an empty sample.
 func NewEmpirical(xs []float64) *Empirical {
-	if len(xs) == 0 {
+	s := append([]float64(nil), xs...)
+	var scratch []float64
+	SortFloats(s, &scratch)
+	return EmpiricalOfSorted(s)
+}
+
+// EmpiricalOfSorted is NewEmpirical for a sample already in ascending
+// order (SortFloats' order), which it keeps instead of copying. It
+// panics on an empty sample.
+func EmpiricalOfSorted(sorted []float64) *Empirical {
+	if len(sorted) == 0 {
 		panic("stats: empirical distribution of empty sample")
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &Empirical{sorted: s}
+	return &Empirical{sorted: sorted}
 }
 
 // N returns the sample size.

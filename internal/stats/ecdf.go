@@ -39,10 +39,15 @@ func NewQuantileTable(xs []float64) *QuantileTable {
 // NewQuantileTableN compresses a sample into a table with n grid points
 // (n >= 2). It panics on an empty sample or n < 2.
 func NewQuantileTableN(xs []float64, n int) *QuantileTable {
+	return NewEmpirical(xs).QuantileTable(n)
+}
+
+// QuantileTable tabulates the sample's quantile function on n evenly
+// spaced probabilities (n >= 2, else it panics).
+func (e *Empirical) QuantileTable(n int) *QuantileTable {
 	if n < 2 {
 		panic("stats: quantile table needs at least 2 points")
 	}
-	e := NewEmpirical(xs)
 	q := make([]float64, n)
 	for i := range q {
 		q[i] = e.Quantile(float64(i) / float64(n-1))

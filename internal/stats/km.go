@@ -16,18 +16,26 @@ import "slices"
 // bias them short and over-generate HO/TAU when raced against the top
 // level.
 func KaplanMeier(fired, censored []float64) (q *QuantileTable, tail float64, ok bool) {
-	if len(fired) == 0 {
+	f := slices.Clone(fired)
+	c := slices.Clone(censored)
+	var scratch []float64
+	SortFloats(f, &scratch)
+	SortFloats(c, &scratch)
+	return KaplanMeierSorted(f, c)
+}
+
+// KaplanMeierSorted is KaplanMeier for observations already in ascending
+// order (SortFloats' order) on each side, which it reads without
+// copying.
+func KaplanMeierSorted(f, c []float64) (q *QuantileTable, tail float64, ok bool) {
+	if len(f) == 0 {
 		return nil, 1, false
 	}
-	// Sort each side as plain floats and walk the distinct event times:
-	// at time t, everything fired before t and everything censored
+	// With each side sorted as plain floats, walk the distinct event
+	// times: at time t, everything fired before t and everything censored
 	// strictly before t has left the risk set — a unit censored at t was
 	// still at risk at t, the standard convention — which is all the
 	// estimator needs of the merged (t, event) order.
-	f := slices.Clone(fired)
-	c := slices.Clone(censored)
-	slices.Sort(f)
-	slices.Sort(c)
 	n := len(f) + len(c)
 	type step struct {
 		t float64
