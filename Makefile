@@ -31,8 +31,9 @@ build:
 # coverage (exhaustive), float-fold ordering (floatfold), model
 # immutability (frozen), hot-path allocation (hotalloc, plus its
 # call-graph-propagated form hotcall), par-pool write disjointness
-# (parshare), the reused-buffer retention contract (retain), and the
-# serving-era concurrency contract (guardedby, goleak, ctxflow).
+# (parshare), and the reused-buffer retention contract (retain) — nine,
+# each held by TestAnalyzersBiteOnRealTree to a violation seeded into the
+# real sources.
 lint:
 	$(GO) run ./cmd/cplint ./...
 

@@ -1,9 +1,7 @@
 // Command cplint runs the repo's custom static-analysis suite: the
-// twelve analyzers in internal/lint that turn the determinism,
-// state-machine, hot-path, immutability, and concurrency invariants —
-// including the serving-era lock-guard (guardedby), goroutine-lifetime
-// (goleak), and cancellation-propagation (ctxflow) contracts — into
-// build-time errors.
+// nine analyzers in internal/lint that turn the determinism,
+// state-machine, hot-path, immutability, buffer-retention, and
+// parallel-write invariants into build-time errors.
 //
 // Usage:
 //

@@ -122,7 +122,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"ctxflow", "detmap", "detsource", "exhaustive", "floatfold", "frozen", "goleak", "guardedby", "hotalloc", "hotcall", "parshare", "retain"} {
+	for _, name := range []string{"detmap", "detsource", "exhaustive", "floatfold", "frozen", "hotalloc", "hotcall", "parshare", "retain"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout)
 		}
@@ -222,8 +222,8 @@ func TestSARIFReport(t *testing.T) {
 		t.Fatalf("unexpected SARIF envelope: version %q, %d runs", log.Version, len(log.Runs))
 	}
 	run := log.Runs[0]
-	if run.Tool.Driver.Name != "cplint" || len(run.Tool.Driver.Rules) != 12 {
-		t.Errorf("driver = %q with %d rules, want cplint with 12", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
+	if run.Tool.Driver.Name != "cplint" || len(run.Tool.Driver.Rules) != 9 {
+		t.Errorf("driver = %q with %d rules, want cplint with 9", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 1 || run.Results[0].RuleID != "exhaustive" {
 		t.Fatalf("unexpected results: %+v", run.Results)
@@ -237,11 +237,11 @@ func TestSARIFReport(t *testing.T) {
 // TestFixCollisionRefused pins the cross-analyzer overlap policy of
 // ApplyFixes, which -fix exposes as exit 2: no pair of current
 // analyzers can naturally propose edits on the same span (hotcall
-// inserts at declarations, exhaustive inside switches, ctxflow rewrites
-// arguments), so the collision is fabricated — two analyzers rewriting
-// the same bytes must refuse the whole run before any file is written,
-// naming both analyzers, while a same-analyzer overlap keeps the first
-// edit and defers the rest.
+// inserts at declarations, exhaustive inside switches, retain rewrites
+// the retaining expression), so the collision is fabricated — two
+// analyzers rewriting the same bytes must refuse the whole run before
+// any file is written, naming both analyzers, while a same-analyzer
+// overlap keeps the first edit and defers the rest.
 func TestFixCollisionRefused(t *testing.T) {
 	dir := t.TempDir()
 	target := filepath.Join(dir, "clash.go")
@@ -269,12 +269,12 @@ func TestFixCollisionRefused(t *testing.T) {
 	off := strings.Index(src, "v =")
 	files, applied, err := lint.ApplyFixes([]lint.Diagnostic{
 		diag("exhaustive", pos(off, 3)),
-		diag("ctxflow", pos(off, 3)),
+		diag("retain", pos(off, 3)),
 	})
 	if err == nil {
 		t.Fatalf("overlapping cross-analyzer fixes applied: files=%v applied=%d", files, applied)
 	}
-	for _, name := range []string{"exhaustive", "ctxflow", "clash.go:3"} {
+	for _, name := range []string{"exhaustive", "retain", "clash.go:3"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("collision error %q does not name %q", err, name)
 		}

@@ -93,15 +93,15 @@ func main() {
 		}
 		return eval.PassRates(tr, quantities, opt)
 	}
-	samples := func(q eval.Quantity) []float64 {
+	samples := func(qs []eval.Quantity) [][]float64 {
 		if *stream {
-			xs, err := eval.QuantitySamplesSource(src, cp.Phone, q)
+			xs, err := eval.QuantitySamplesSource(src, cp.Phone, qs)
 			if err != nil {
 				log.Fatal(err)
 			}
 			return xs
 		}
-		return eval.QuantitySamples(tr, cp.Phone, q)
+		return eval.QuantitySamples(tr, cp.Phone, qs)
 	}
 
 	switch *exp {
@@ -146,13 +146,14 @@ func main() {
 			}
 		}
 	case "fig4":
-		for _, q := range []eval.Quantity{
+		qs := []eval.Quantity{
 			{Kind: eval.QStateSojourn, State: cp.StateConnected},
 			{Kind: eval.QStateSojourn, State: cp.StateIdle},
 			{Kind: eval.QInterArrival, Event: cp.Handover},
 			{Kind: eval.QInterArrival, Event: cp.TrackingAreaUpdate},
-		} {
-			xs := samples(q)
+		}
+		for i, xs := range samples(qs) {
+			q := qs[i]
 			if len(xs) < 2 {
 				continue
 			}

@@ -299,50 +299,37 @@ func collectSource(src trace.EventSource) (*collected, error) {
 	return col, nil
 }
 
-// pool gathers one quantity's samples across all hours of device d's
-// UEs, in ascending UE-id order.
-func (col *collected) pool(d cp.DeviceType, q Quantity) []float64 {
-	var out []float64
-	for _, u := range col.data[d] {
-		for h := 0; h < 24; h++ {
-			out = append(out, u.at(h, q)...)
+// pool gathers each quantity's samples across all hours of the given
+// UEs (ascending UE id, a nil entry for a UE without events): result[i]
+// holds the samples of qs[i].
+func pool(data []*ueQuantities, qs []Quantity) [][]float64 {
+	out := make([][]float64, len(qs))
+	for i, q := range qs {
+		for _, u := range data {
+			for h := 0; h < 24; h++ {
+				out[i] = append(out[i], u.at(h, q)...)
+			}
 		}
 	}
 	return out
 }
 
-// QuantitySamples pools one quantity's samples across all hours and all
-// UEs of a device type. UEs are collected concurrently and pooled in
-// ascending UE-id order, so the sample sequence — and any float
+// QuantitySamples pools each quantity's samples across all hours and all
+// UEs of a device type, from one collection of the trace: result[i]
+// holds the samples of qs[i]. UEs are collected concurrently and pooled
+// in ascending UE-id order, so the sample sequence — and any float
 // reduction downstream of it — is reproducible.
-func QuantitySamples(tr *trace.Trace, d cp.DeviceType, q Quantity) []float64 {
-	ues := tr.UEsOfType(d)
-	perUE := tr.PerUE()
-	per := make([][]float64, len(ues))
-	par.For(len(ues), 0, func(i int) {
-		evs := perUE[ues[i]]
-		if len(evs) == 0 {
-			return
-		}
-		u := collectUE(evs)
-		for h := 0; h < 24; h++ {
-			per[i] = append(per[i], u.at(h, q)...)
-		}
-	})
-	var out []float64
-	for _, xs := range per {
-		out = append(out, xs...)
-	}
-	return out
+func QuantitySamples(tr *trace.Trace, d cp.DeviceType, qs []Quantity) [][]float64 {
+	return pool(collectTrace(tr, 0).data[d], qs)
 }
 
 // QuantitySamplesSource pools the same samples QuantitySamples would,
-// but from a streaming source in one pass, without materializing the
-// trace.
-func QuantitySamplesSource(src trace.EventSource, d cp.DeviceType, q Quantity) ([]float64, error) {
+// but from a streaming source in one pass for all the quantities,
+// without materializing the trace.
+func QuantitySamplesSource(src trace.EventSource, d cp.DeviceType, qs []Quantity) ([][]float64, error) {
 	col, err := collectSource(src)
 	if err != nil {
 		return nil, err
 	}
-	return col.pool(d, q), nil
+	return pool(col.data[d], qs), nil
 }

@@ -347,6 +347,22 @@ func TestCDFvsPoissonRanges(t *testing.T) {
 	}
 }
 
+// countingSource counts the passes a consumer makes over a source.
+type countingSource struct {
+	trace.EventSource
+	devices, scans int
+}
+
+func (c *countingSource) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
+	c.devices++
+	return c.EventSource.Devices(fn)
+}
+
+func (c *countingSource) Scan(fn func(trace.Event) error) error {
+	c.scans++
+	return c.EventSource.Scan(fn)
+}
+
 // TestSourceCollectionMatchesInMemory: the one-pass streaming collection
 // must reproduce the in-memory results exactly — pooled samples and
 // pass-rate tables alike — whether the source is the trace itself or a
@@ -376,16 +392,31 @@ func TestSourceCollectionMatchesInMemory(t *testing.T) {
 		{Kind: QRegisteredSojourn},
 		{Kind: QTransSojourn, From: sm.LTESrvReqS, Event: cp.Handover},
 	}
-	for _, q := range qs {
-		want := QuantitySamples(tr, cp.Phone, q)
-		for name, src := range sources {
-			got, err := QuantitySamplesSource(src, cp.Phone, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
+	// All four quantities come out of one collection — one Devices and
+	// one Scan of the source — and each equals its single-quantity call.
+	all := QuantitySamples(tr, cp.Phone, qs)
+	if len(all[0]) == 0 || len(all[1]) == 0 || len(all[2]) == 0 {
+		t.Fatal("the world produced no samples; the comparison is vacuous")
+	}
+	for i, q := range qs {
+		if one := QuantitySamples(tr, cp.Phone, []Quantity{q}); !reflect.DeepEqual(all[i], one[0]) {
+			t.Fatalf("QuantitySamples: %v differs between the joint and the single-quantity call", q)
+		}
+	}
+	for name, src := range sources {
+		counted := &countingSource{EventSource: src}
+		got, err := QuantitySamplesSource(counted, cp.Phone, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counted.devices != 1 || counted.scans != 1 {
+			t.Errorf("%s: %d quantities took %d Devices and %d Scan calls, want 1 and 1",
+				name, len(qs), counted.devices, counted.scans)
+		}
+		for i, q := range qs {
+			if !reflect.DeepEqual(all[i], got[i]) {
 				t.Fatalf("%s: QuantitySamplesSource(%v) = %d samples, want %d (or order differs)",
-					name, q, len(got), len(want))
+					name, q, len(got[i]), len(all[i]))
 			}
 		}
 	}

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"cptraffic/internal/core"
 	"cptraffic/internal/cp"
 	"cptraffic/internal/eval"
+	"cptraffic/internal/par"
+	"cptraffic/internal/trace"
 )
 
 // testLab returns a shared, small-scale lab. Sharing amortizes the world
@@ -21,6 +24,36 @@ var sharedLab = NewLab(Config{
 	ThetaN:       60,
 	Seed:         7,
 })
+
+// TestLabConcurrentAccess contends Lab's mutex, which nothing else in
+// the tree does (experiments run one after another), so the race build
+// sees the lazily filled caches: eight workers fill one cold lab and
+// must all be handed the same cached values.
+func TestLabConcurrentAccess(t *testing.T) {
+	lab := NewLab(Config{TrainUEs: 40, Days: 1, Scenario1UEs: 40, Scenario2UEs: 40, BusyHour: 18, ThetaN: 10, Seed: 3, Workers: 1})
+	const workers = 8
+	var trains, reals [workers]*trace.Trace
+	var ours [workers]*core.ModelSet
+	var errs [workers][3]error
+	par.For(workers, workers, func(i int) {
+		var models map[string]*core.ModelSet
+		trains[i], errs[i][0] = lab.Train()
+		reals[i], errs[i][1] = lab.RealScenario(1)
+		models, errs[i][2] = lab.Models()
+		ours[i] = models["ours"]
+	})
+	for i := range errs {
+		for _, err := range errs[i] {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if trains[i] == nil || reals[i] == nil || ours[i] == nil ||
+			trains[i] != trains[0] || reals[i] != reals[0] || ours[i] != ours[0] {
+			t.Errorf("worker %d was handed its own copy of a cached value", i)
+		}
+	}
+}
 
 func TestTable1Renders(t *testing.T) {
 	var sb strings.Builder

@@ -216,8 +216,9 @@ func Figure4(l *Lab, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for _, q := range figure34Quantities() {
-		xs := eval.QuantitySamples(tr, cp.Phone, q)
+	qs := figure34Quantities()
+	for i, xs := range eval.QuantitySamples(tr, cp.Phone, qs) {
+		q := qs[i]
 		if len(xs) < 2 {
 			continue
 		}
@@ -242,8 +243,9 @@ func Figure4Ranges(l *Lab) (map[string]float64, error) {
 		return nil, err
 	}
 	out := map[string]float64{}
-	for _, q := range figure34Quantities() {
-		xs := eval.QuantitySamples(tr, cp.Phone, q)
+	qs := figure34Quantities()
+	for i, xs := range eval.QuantitySamples(tr, cp.Phone, qs) {
+		q := qs[i]
 		if len(xs) < 2 {
 			continue
 		}

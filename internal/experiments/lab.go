@@ -66,12 +66,12 @@ type Lab struct {
 	Cfg Config
 
 	mu     sync.Mutex
-	train  *trace.Trace              //cplint:guardedby mu
-	realS1 *trace.Trace              //cplint:guardedby mu
-	realS2 *trace.Trace              //cplint:guardedby mu
-	models map[string]*core.ModelSet //cplint:guardedby mu
-	genS1  map[string]*trace.Trace   //cplint:guardedby mu
-	genS2  map[string]*trace.Trace   //cplint:guardedby mu
+	train  *trace.Trace              // guarded by mu
+	realS1 *trace.Trace              // guarded by mu
+	realS2 *trace.Trace              // guarded by mu
+	models map[string]*core.ModelSet // guarded by mu
+	genS1  map[string]*trace.Trace   // guarded by mu
+	genS2  map[string]*trace.Trace   // guarded by mu
 }
 
 // NewLab returns an empty lab for the configuration.

@@ -7,13 +7,12 @@ import (
 
 // BenchmarkLintAnalyze records the analysis cost in the bench ledger:
 // each analyzer alone over the fixture tree (the call-graph-backed
-// four — retain, hotcall, guardedby, goleak — pay for the substrate,
-// rebuilt per run), the twelve-analyzer suite over the same tree, and
-// the suite over the real module — so a
-// structural regression in the interprocedural substrate (fixpoint
-// blowup, CHA over a huge candidate set) shows up in BENCH_<date>.json
-// next to generation throughput. Type-checking is setup, not measured:
-// the ledger quantity is analysis, the one cost this PR grew.
+// two — retain, hotcall — pay for the substrate, rebuilt per run), the
+// nine-analyzer suite over the same tree, and the suite over the real
+// module — so a structural regression in the interprocedural substrate
+// (fixpoint blowup, CHA over a huge candidate set) shows up in
+// BENCH_<date>.json next to generation throughput. Type-checking is
+// setup, not measured: the ledger quantity is analysis.
 func BenchmarkLintAnalyze(b *testing.B) {
 	l := &Loader{}
 	if err := l.AddFixtureTree(filepath.Join("testdata", "src")); err != nil {

@@ -33,22 +33,6 @@ type Graph struct {
 	// buffer-reuse contract types whose values retain tracks.
 	reused map[*types.TypeName]*Directive
 
-	// guarded maps each //cplint:guardedby-annotated struct field to
-	// its guard: the sibling mutex field accesses must hold.
-	guarded map[*types.Var]*guardInfo
-
-	// lockDiags holds the guardedby findings, computed serially by the
-	// lock-state fixpoint and emitted per package by the analyzer.
-	lockDiags map[*Package][]lockDiag
-
-	// closedChans and waitedGroups record, by object identity, every
-	// channel some function in the closure closes and every
-	// sync.WaitGroup some function Waits on — goleak's termination
-	// witnesses. Selector chains contribute both their field object and
-	// their root object.
-	closedChans  map[types.Object]bool
-	waitedGroups map[types.Object]bool
-
 	// named lists every non-interface named type in the closure, in
 	// deterministic order — the CHA candidate set.
 	named []*types.Named
@@ -56,7 +40,7 @@ type Graph struct {
 	inClosure map[*types.Package]bool
 
 	mu  sync.Mutex
-	cha map[*types.Func][]*GraphFunc //cplint:guardedby mu
+	cha map[*types.Func][]*GraphFunc // guarded by mu
 }
 
 // A GraphFunc is one function or method declaration in the graph.
@@ -75,16 +59,6 @@ type GraphFunc struct {
 
 	hotRoot bool       // a hot root itself
 	hotFrom *GraphFunc // BFS parent on the first hot chain that reached it
-
-	// lockEntry[i] is the set of mutex fields (with held level) that are
-	// provably held on every call, for the object passed as
-	// receiver-first parameter i. nil until the guardedby fixpoint runs.
-	lockEntry []map[*types.Var]int
-
-	// lockSites are the function's resolved call sites with the lock
-	// state at each, recorded by the final guardedby walk for the
-	// unlocked-chain witness search.
-	lockSites []lockSite
 }
 
 type callEdge struct {
@@ -123,14 +97,10 @@ func (s retSummary) equal(o retSummary) bool {
 // they are attached.
 func buildGraph(pkgs []*Package) *Graph {
 	g := &Graph{
-		funcs:        make(map[*types.Func]*GraphFunc),
-		reused:       make(map[*types.TypeName]*Directive),
-		guarded:      make(map[*types.Var]*guardInfo),
-		lockDiags:    make(map[*Package][]lockDiag),
-		closedChans:  make(map[types.Object]bool),
-		waitedGroups: make(map[types.Object]bool),
-		inClosure:    make(map[*types.Package]bool),
-		cha:          make(map[*types.Func][]*GraphFunc),
+		funcs:     make(map[*types.Func]*GraphFunc),
+		reused:    make(map[*types.TypeName]*Directive),
+		inClosure: make(map[*types.Package]bool),
+		cha:       make(map[*types.Func][]*GraphFunc),
 	}
 
 	// Closure: the analyzed packages plus every transitive non-stdlib
@@ -171,8 +141,6 @@ func buildGraph(pkgs []*Package) *Graph {
 	}
 	g.fixpointSummaries()
 	g.propagateHot()
-	g.collectSignals()
-	g.lockcheck()
 	return g
 }
 
@@ -200,9 +168,6 @@ func (g *Graph) indexPackage(pkg *Package) {
 					ts, ok := spec.(*ast.TypeSpec)
 					if !ok {
 						continue
-					}
-					if st, ok := ts.Type.(*ast.StructType); ok {
-						g.indexGuardedFields(pkg, ts, st)
 					}
 					doc := ts.Doc
 					if doc == nil && len(d.Specs) == 1 {

@@ -65,30 +65,6 @@ func TestHotCallFixture(t *testing.T) {
 	runFixture(t, []*Analyzer{HotCall}, "cptraffic/internal/hotchain")
 }
 
-// TestGuardedByFixture covers the lock contract: plain and deferred
-// unlocks, early returns, per-iteration locking, RWMutex levels, the
-// interprocedural entry-lock summary with the unlocked chain named,
-// func literals losing the held set, and the unguarded-ok escape.
-func TestGuardedByFixture(t *testing.T) {
-	runFixture(t, []*Analyzer{GuardedBy}, "cptraffic/internal/guarded")
-}
-
-// TestGoLeakFixture covers goroutine-lifetime proofs: ctx.Done select
-// arms, close-bounded ranges, Wait()ed WaitGroup joins, graph-resolved
-// named targets, dynamic targets, and the leak-ok escape — in a
-// concurrency-gated fixture path.
-func TestGoLeakFixture(t *testing.T) {
-	runFixture(t, []*Analyzer{GoLeak}, "cptraffic/internal/mcn")
-}
-
-// TestCtxFlowFixture covers cancellation propagation: direct
-// Background/TODO laundering, With*-derived and variable-carried
-// taint, entry-point exemption, literal scope rebinding, and the
-// detached-ok escape.
-func TestCtxFlowFixture(t *testing.T) {
-	runFixture(t, []*Analyzer{CtxFlow}, "cptraffic/internal/ctxflow")
-}
-
 // TestTraceStubClean pins the negative space of the reuse contract:
 // the reused type's own methods (Reset, Append, AppendTo, CopyBatch)
 // write only through the receiver or copy idioms, so the full suite —

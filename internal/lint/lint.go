@@ -133,32 +133,9 @@ func inDetPackage(path string) bool {
 	return false
 }
 
-// ConcurrencyPackages lists the packages whose goroutines goleak gates:
-// every determinism-critical package (the serving stack grows out of
-// them) plus the worker pool, the experiment harness, and the lint
-// driver itself. cmd/ CLIs spawn nothing long-lived and are exempt by
-// omission.
-var ConcurrencyPackages = append(append([]string{},
-	DetPackages...),
-	"internal/par",
-	"internal/experiments",
-	"internal/lint",
-)
-
-// inConcurrencyPackage reports whether path is goroutine-lifecycle
-// gated.
-func inConcurrencyPackage(path string) bool {
-	for _, p := range ConcurrencyPackages {
-		if pathHasSuffix(path, p) {
-			return true
-		}
-	}
-	return false
-}
-
 // All returns the full cplint suite in its canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{CtxFlow, DetMap, DetSource, Exhaustive, FloatFold, Frozen, GoLeak, GuardedBy, HotAlloc, HotCall, ParShare, Retain}
+	return []*Analyzer{DetMap, DetSource, Exhaustive, FloatFold, Frozen, HotAlloc, HotCall, ParShare, Retain}
 }
 
 // Analyze runs the given analyzers over the given packages and returns
@@ -237,16 +214,12 @@ func fsetOf(pkg *Package) *token.FileSet {
 
 // Directive names understood by the suite.
 const (
-	DirOrderedOK   = "ordered-ok"   // on a range-over-map: order-insensitivity is argued by the reason
-	DirHotPath     = "hotpath"      // on a func decl: the body must not allocate
-	DirPartialOK   = "partial-ok"   // on an enum switch, float fold, or model write: partial behavior is argued by the reason
-	DirReused      = "reused"       // on a type decl: values are reused buffers; retain tracks their escape
-	DirRetainedOK  = "retained-ok"  // on an escaping statement: retention is argued safe by the reason
-	DirColdPath    = "coldpath"     // on a func decl: off the steady path; hotcall does not propagate into it
-	DirGuardedBy   = "guardedby"    // on a struct field: accesses require the named sibling mutex held
-	DirUnguardedOK = "unguarded-ok" // on a guarded-field access: lock-free access is argued by the reason
-	DirLeakOK      = "leak-ok"      // on a go statement: unbounded lifetime is argued by the reason
-	DirDetachedOK  = "detached-ok"  // on a detached-context argument: breaking cancellation is argued by the reason
+	DirOrderedOK  = "ordered-ok"  // on a range-over-map: order-insensitivity is argued by the reason
+	DirHotPath    = "hotpath"     // on a func decl: the body must not allocate
+	DirPartialOK  = "partial-ok"  // on an enum switch, float fold, or model write: partial behavior is argued by the reason
+	DirReused     = "reused"      // on a type decl: values are reused buffers; retain tracks their escape
+	DirRetainedOK = "retained-ok" // on an escaping statement: retention is argued safe by the reason
+	DirColdPath   = "coldpath"    // on a func decl: off the steady path; hotcall does not propagate into it
 )
 
 // A Directive is one parsed //cplint:<name> <reason> comment.
@@ -344,47 +317,34 @@ func claimDoc(pkg *Package, name string, doc *ast.CommentGroup, declPos token.Po
 // single-analyzer fixture test must not call another analyzer's
 // legitimately placed annotation a mistake).
 var directiveOwners = map[string][]string{
-	DirOrderedOK:   {"detmap", "floatfold"},
-	DirHotPath:     {"hotalloc", "hotcall"},
-	DirPartialOK:   {"exhaustive", "floatfold", "frozen"},
-	DirReused:      {"retain"},
-	DirRetainedOK:  {"retain"},
-	DirColdPath:    {"hotcall"},
-	DirGuardedBy:   {"guardedby"},
-	DirUnguardedOK: {"guardedby"},
-	DirLeakOK:      {"goleak"},
-	DirDetachedOK:  {"ctxflow"},
+	DirOrderedOK:  {"detmap", "floatfold"},
+	DirHotPath:    {"hotalloc", "hotcall"},
+	DirPartialOK:  {"exhaustive", "floatfold", "frozen"},
+	DirReused:     {"retain"},
+	DirRetainedOK: {"retain"},
+	DirColdPath:   {"hotcall"},
 }
 
 // reasonRequired lists the directives whose reason is mandatory: the
-// annotation suppresses a finding (or, for reused and guardedby, widens
-// or declares a contract), so the justification must travel with it.
-// For guardedby the "reason" is the guarding mutex field name.
+// annotation suppresses a finding (or, for reused, widens a contract),
+// so the justification must travel with it.
 var reasonRequired = map[string]bool{
-	DirOrderedOK:   true,
-	DirPartialOK:   true,
-	DirReused:      true,
-	DirRetainedOK:  true,
-	DirColdPath:    true,
-	DirGuardedBy:   true,
-	DirUnguardedOK: true,
-	DirLeakOK:      true,
-	DirDetachedOK:  true,
+	DirOrderedOK:  true,
+	DirPartialOK:  true,
+	DirReused:     true,
+	DirRetainedOK: true,
+	DirColdPath:   true,
 }
 
 // attachWant describes, per directive, what kind of node the
 // annotation must be attached to.
 var attachWant = map[string]string{
-	DirOrderedOK:   "a range-over-map statement",
-	DirHotPath:     "a function declaration",
-	DirPartialOK:   "a partially-covered enum switch, an order-sensitive float fold, or a frozen-model write",
-	DirReused:      "a type declaration",
-	DirRetainedOK:  "a statement that retains a reused buffer",
-	DirColdPath:    "a function declaration",
-	DirGuardedBy:   "a struct field declaration",
-	DirUnguardedOK: "a lock-free access of a guarded field",
-	DirLeakOK:      "a go statement",
-	DirDetachedOK:  "a detached-context argument",
+	DirOrderedOK:  "a range-over-map statement",
+	DirHotPath:    "a function declaration",
+	DirPartialOK:  "a partially-covered enum switch, an order-sensitive float fold, or a frozen-model write",
+	DirReused:     "a type declaration",
+	DirRetainedOK: "a statement that retains a reused buffer",
+	DirColdPath:   "a function declaration",
 }
 
 func validateDirectives(pkg *Package, ran []*Analyzer, report func(Diagnostic)) {
@@ -399,9 +359,8 @@ func validateDirectives(pkg *Package, ran []*Analyzer, report func(Diagnostic)) 
 			report(Diagnostic{
 				Analyzer: "cplint",
 				Pos:      pos(d),
-				Message: fmt.Sprintf("unknown directive //cplint:%s (known: %s, %s, %s, %s, %s, %s, %s, %s, %s, %s)",
-					d.Name, DirColdPath, DirDetachedOK, DirGuardedBy, DirHotPath, DirLeakOK,
-					DirOrderedOK, DirPartialOK, DirRetainedOK, DirReused, DirUnguardedOK),
+				Message: fmt.Sprintf("unknown directive //cplint:%s (known: %s, %s, %s, %s, %s, %s)",
+					d.Name, DirColdPath, DirHotPath, DirOrderedOK, DirPartialOK, DirRetainedOK, DirReused),
 			})
 			continue
 		}
@@ -417,15 +376,10 @@ func validateDirectives(pkg *Package, ran []*Analyzer, report func(Diagnostic)) 
 			continue
 		}
 		if reasonRequired[d.Name] && d.Reason == "" {
-			msg := fmt.Sprintf("//cplint:%s needs a reason: //cplint:%s <why this is justified>", d.Name, d.Name)
-			if d.Name == DirGuardedBy {
-				// guardedby's "reason" slot names the contract itself.
-				msg = "//cplint:guardedby needs the guarding mutex field name: //cplint:guardedby <mutexField>"
-			}
 			report(Diagnostic{
 				Analyzer: owners[0],
 				Pos:      pos(d),
-				Message:  msg,
+				Message:  fmt.Sprintf("//cplint:%s needs a reason: //cplint:%s <why this is justified>", d.Name, d.Name),
 			})
 			continue
 		}

@@ -1,12 +1,11 @@
 // Package lint implements the cplint static-analysis suite: a small,
 // dependency-free clone of the golang.org/x/tools/go/analysis driver
-// plus the twelve repo-specific analyzers (ctxflow, detmap,
-// detsource, exhaustive, floatfold, frozen, goleak, guardedby,
-// hotalloc, hotcall, parshare, retain) that turn this repo's
-// determinism, state-machine, hot-path, buffer-retention, and
-// concurrency invariants into build errors. The call-graph-backed
-// analyzers (retain, hotcall, guardedby, goleak) additionally share a
-// deterministic interprocedural substrate; see callgraph.go.
+// plus the nine repo-specific analyzers (detmap, detsource,
+// exhaustive, floatfold, frozen, hotalloc, hotcall, parshare, retain)
+// that turn this repo's determinism, state-machine, hot-path, and
+// buffer-retention invariants into build errors. The call-graph-backed
+// analyzers (retain, hotcall) additionally share a deterministic
+// interprocedural substrate; see callgraph.go.
 //
 // The framework mirrors the go/analysis API (Analyzer, Pass, Reportf)
 // so the analyzers would port to the upstream driver verbatim, but it
@@ -81,9 +80,9 @@ type Loader struct {
 	Workers int
 
 	mu      sync.Mutex             // guards fset/meta/entries creation
-	fset    *token.FileSet         //cplint:guardedby mu
-	meta    map[string]*listPkg    //cplint:guardedby mu
-	entries map[string]*checkEntry //cplint:guardedby mu
+	fset    *token.FileSet         // guarded by mu
+	meta    map[string]*listPkg    // guarded by mu
+	entries map[string]*checkEntry // guarded by mu
 }
 
 // checkEntry is the once-per-import-path type-check slot.

@@ -13,17 +13,13 @@ import (
 // report all import other fixture packages).
 var allFixturePaths = []string{
 	"cptraffic/internal/cluster",
-	"cptraffic/internal/concneg",
 	"cptraffic/internal/core",
 	"cptraffic/internal/cp",
-	"cptraffic/internal/ctxflow",
 	"cptraffic/internal/eval",
 	"cptraffic/internal/ffold",
 	"cptraffic/internal/fiveg",
-	"cptraffic/internal/guarded",
 	"cptraffic/internal/hot",
 	"cptraffic/internal/hotchain",
-	"cptraffic/internal/mcn",
 	"cptraffic/internal/par",
 	"cptraffic/internal/report",
 	"cptraffic/internal/retainneg",
@@ -58,7 +54,7 @@ func TestAnalyzeWorkerCountIndependent(t *testing.T) {
 	// The call-graph-backed analyzers must be part of the comparison:
 	// their substrate is built once before the fan-out, and this is the
 	// test that pins that choice.
-	for _, name := range []string{" retain: ", " hotcall: ", " guardedby: ", " goleak: ", " ctxflow: "} {
+	for _, name := range []string{" retain: ", " hotcall: "} {
 		if !strings.Contains(base, name) {
 			t.Errorf("baseline diagnostics carry no%sfindings; the call-graph coverage is vacuous", name)
 		}
