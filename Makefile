@@ -82,10 +82,11 @@ allocs:
 # the model target also holds ModelSet.Save to encoding/json's bytes on
 # every accepted input. There is one trace reader (trace.Scanner behind
 # ReadAuto), so the two trace targets share one body and differ in their
-# seeds — text for FuzzReadTrace; binary v1, multi-chunk v2, a mid-stream
-# terminator and a 33-bit UE id for FuzzReadBinaryTrace: nothing panics,
-# Scan and ScanBatch deliver the same events and error, and an accepted
-# trace, sorted, goes through both writers and reads back equal.
+# seeds — text for FuzzReadTrace; multi-chunk binary, a mid-stream
+# terminator, a 33-bit UE id and a refused version-1 file for
+# FuzzReadBinaryTrace: nothing panics, Scan and ScanBatch deliver the same
+# events and error, and an accepted trace, sorted, goes through both
+# writers and reads back equal.
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseScenario$$' -fuzz '^FuzzParseScenario$$' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^FuzzDecodePartial$$' -fuzz '^FuzzDecodePartial$$' -fuzztime $(FUZZTIME) ./internal/core/
@@ -99,10 +100,11 @@ fuzz-smoke:
 scenarios:
 	$(GO) run ./cmd/stormsim -selftest -scale 0.05 scenarios/*.json
 
-# End-to-end sharded-fit contract through the real binaries: fit a
-# small world trace as four hash shards, merge the partialfit/1 files
-# in a shuffled order, resume a checkpoint — every product must be
-# byte-identical to the unsharded fit.
+# fitmodel's one driver through the real binaries: a small world trace
+# from stdin, as four hash shards merged in a shuffled order, checkpointed
+# and resumed, and all of it again from a text copy with three ties out
+# of canonical order — every model must be byte-identical to the plain
+# fit, and the in-memory-refit note on stderr for the permuted copy only.
 shardcheck:
 	scripts/shardcheck.sh
 

@@ -333,23 +333,6 @@ func BenchmarkModelFit(b *testing.B) {
 	}
 }
 
-// BenchmarkFitStream measures the single-pass bounded-memory fit on the
-// same workload as BenchmarkModelFit, so the two are directly
-// comparable — the streamed fold produces a byte-identical model
-// (TestFitStreamMatchesInMemory) for a lower peak heap.
-func BenchmarkFitStream(b *testing.B) {
-	tr, err := world.Generate(world.Options{NumUEs: 400, Duration: cp.Day, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.FitStream(tr, core.FitOptions{Cluster: cluster.Options{ThetaN: 40}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFitSharded measures the shard/merge fit on the
 // BenchmarkModelFit workload: each op fits N hash shards concurrently
 // and merges the partials into the model, which is byte-identical to
@@ -462,7 +445,7 @@ func fitPeakHeap(b *testing.B, tr *trace.Trace, opt core.FitOptions) uint64 {
 			}
 		}
 	}()
-	if _, err := core.FitStream(tr, opt); err != nil {
+	if _, err := core.Fit(tr, opt); err != nil {
 		b.Fatal(err)
 	}
 	close(done)
@@ -527,9 +510,8 @@ func BenchmarkScanner(b *testing.B) {
 
 // BenchmarkStreamThroughput measures the streaming generate→write
 // pipeline end to end (generator source into the binary writer), in the
-// ledger's units, for the per-event path (trace.Copy) and the batched
-// path (trace.CopyBatches). The two produce identical bytes
-// (TestBatchedMatchesStreamed); the delta is pure pipeline overhead.
+// ledger's units. The one sub-benchmark keeps the name the ledger
+// recorded it under when a per-event pipe ran beside it.
 func BenchmarkStreamThroughput(b *testing.B) {
 	l := lab(b)
 	models, err := l.Models()
@@ -537,42 +519,34 @@ func BenchmarkStreamThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	ms := models["ours"]
-	for _, path := range []struct {
-		name string
-		copy func(trace.EventSink, trace.EventSource) error
-	}{
-		{"batched", trace.CopyBatches},
-		{"perevent", trace.Copy},
-	} {
-		b.Run(path.name, func(b *testing.B) {
-			events := 0
-			b.ResetTimer()
-			m0 := mallocs()
-			for i := 0; i < b.N; i++ {
-				src, err := core.NewSource(ms, core.GenOptions{
-					NumUEs:    2000,
-					StartHour: 18,
-					Duration:  cp.Hour,
-					Seed:      uint64(i + 1),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sw := trace.NewStreamWriter(io.Discard)
-				cs := newBenchCountingSink(sw)
-				if err := path.copy(cs, src); err != nil {
-					b.Fatal(err)
-				}
-				if err := sw.Close(); err != nil {
-					b.Fatal(err)
-				}
-				events += cs.events
+	b.Run("batched", func(b *testing.B) {
+		events := 0
+		b.ResetTimer()
+		m0 := mallocs()
+		for i := 0; i < b.N; i++ {
+			src, err := core.NewSource(ms, core.GenOptions{
+				NumUEs:    2000,
+				StartHour: 18,
+				Duration:  cp.Hour,
+				Seed:      uint64(i + 1),
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			allocs := mallocs() - m0
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(allocs)/float64(events), "allocs/event")
-		})
-	}
+			sw := trace.NewStreamWriter(io.Discard)
+			cs := newBenchCountingSink(sw)
+			if err := trace.CopyBatches(cs, src); err != nil {
+				b.Fatal(err)
+			}
+			if err := sw.Close(); err != nil {
+				b.Fatal(err)
+			}
+			events += cs.events
+		}
+		allocs := mallocs() - m0
+		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+		b.ReportMetric(float64(allocs)/float64(events), "allocs/event")
+	})
 }
 
 // benchCountingSink tallies events while forwarding whole batches to

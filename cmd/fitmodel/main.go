@@ -5,7 +5,7 @@
 // Usage:
 //
 //	fitmodel -method ours -thetan 100 -i world.trace -o model.json
-//	fitmodel -stream -i big.trace -o model.json
+//	worldgen ... | fitmodel -i - -o model.json
 //
 // Sharded fits split the UE population by hash so each worker fits a
 // disjoint slice; merging the partials reproduces the unsharded model
@@ -20,16 +20,20 @@
 //	fitmodel -i big.trace -checkpoint-every 1e6 -partial ckpt.json -o model.json
 //	fitmodel -resume ckpt.json -i big.trace -o model.json
 //
-// With -stream the trace file is scanned incrementally instead of
-// loaded, so peak memory is bounded by the retained samples rather than
-// the event list; the fitted model is byte-identical. -sketch k bounds
-// the retained samples too (mergeable quantile sketches; the model then
-// differs from the exact one within a documented quantile error).
-// Sharding, resuming, and checkpointing always stream and therefore
-// need a file path (-i -, stdin, is not re-readable).
+// There is one driver for all of them. A trace file is scanned
+// incrementally, never loaded, so peak memory is bounded by the retained
+// samples rather than the event list; -sketch k bounds the retained
+// samples too (mergeable quantile sketches; the model then differs from
+// the exact one within a documented quantile error). Two inputs are held
+// in memory instead, sorted, and give the model the streamed fit of the
+// canonical file would: stdin (-i -), which cannot be opened twice, and a
+// file whose events are not in canonical (time, UE, type) order — a
+// time-sorted export with its ties in another order, say — which the
+// driver notices from the scan's error and reports on stderr.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -53,7 +57,6 @@ func main() {
 		thetaN  = flag.Int("thetan", 100, "adaptive clustering θn (min cluster size)")
 		thetaF  = flag.Float64("thetaf", 5, "adaptive clustering θf (feature similarity)")
 		workers = flag.Int("workers", 0, "fitting worker count (0 = all CPUs); never changes the model")
-		stream  = flag.Bool("stream", false, "fit by scanning the trace file incrementally (bounded memory, identical model)")
 		sketch  = flag.Int("sketch", 0, "bound every sample pool to a k-item mergeable sketch (0 = exact)")
 		shards  = flag.Int("shards", 1, "split the UE population into this many hash shards")
 		shard   = flag.Int("shard", 0, "fit this shard (0-based; requires -shards > 1)")
@@ -90,131 +93,73 @@ func main() {
 		mergePartials(strings.Split(*merge, ","), *out)
 		return
 	}
-	if *shards > 1 || *resume != "" || *partial != "" || *ckptEv > 0 {
-		runPartial(opt, *in, *out, *shards, *shard, *partial, *resume, int64(*ckptEv))
-		return
-	}
-
-	var ms *core.ModelSet
-	var nUEs, nEvents int
-	if *stream {
-		if *in == "-" {
-			log.Fatal("-stream needs a seekable trace file; -i - (stdin) cannot be scanned twice")
-		}
-		src, err := trace.NewFileSource(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ms, err = core.FitStream(src, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, dm := range ms.Devices {
-			if dm != nil {
-				nUEs += dm.TrainUEs
-			}
-		}
-	} else {
-		r := os.Stdin
-		if *in != "-" {
-			f, err := os.Open(*in)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			r = f
-		}
-		tr, err := trace.ReadAuto(r)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ms, err = core.Fit(tr, opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		nUEs, nEvents = tr.NumUEs(), tr.Len()
-	}
-
-	saveModel(ms, *out)
-	if *stream {
-		fmt.Fprintf(os.Stderr, "fitmodel: method=%s machine=%s models=%d (streamed from %d UEs)\n",
-			ms.Method, ms.MachineName, ms.NumModels(), nUEs)
-	} else {
-		fmt.Fprintf(os.Stderr, "fitmodel: method=%s machine=%s models=%d (from %d UEs, %d events)\n",
-			ms.Method, ms.MachineName, ms.NumModels(), nUEs, nEvents)
-	}
-}
-
-// runPartial drives the shard / checkpoint / resume workflows: stream
-// the (optionally sharded) trace into a PartialFit, then either write
-// the partial state or build the model.
-func runPartial(opt core.FitOptions, in, out string, shards, shard int, partialOut, resume string, every int64) {
-	if in == "-" {
-		log.Fatal("sharded, resumed, and checkpointed fits stream the trace and need a file path, not stdin")
-	}
-	if shards > 1 && (shard < 0 || shard >= shards) {
-		log.Fatalf("-shard %d out of range for -shards %d", shard, shards)
-	}
-	if every > 0 && partialOut == "" {
+	every := int64(*ckptEv)
+	if every > 0 && *partial == "" {
 		log.Fatal("-checkpoint-every needs -partial to know where to write checkpoints")
 	}
 
 	var pf *core.PartialFit
-	var err error
-	if resume != "" {
-		f, err := os.Open(resume)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pf, err = core.DecodePartial(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "fitmodel: resuming after %d consumed events (%d UEs)\n",
-			pf.EventsConsumed(), pf.NumUEs())
-	} else {
-		pf, err = core.NewPartialFit(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	var src trace.EventSource
-	if src, err = trace.NewFileSource(in); err != nil {
-		log.Fatal(err)
-	}
-	if shards > 1 {
-		if src, err = trace.ShardSource(src, shards, shard); err != nil {
-			log.Fatal(err)
-		}
-	}
 	var checkpoint func(int64) error
 	if every > 0 {
 		checkpoint = func(consumed int64) error {
-			if err := writePartial(pf, partialOut); err != nil {
+			if err := writePartial(pf, *partial); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "fitmodel: checkpointed %s at %d events\n", partialOut, consumed)
+			fmt.Fprintf(os.Stderr, "fitmodel: checkpointed %s at %d events\n", *partial, consumed)
 			return nil
 		}
 	}
-	if err := pf.AddSourceWithCheckpoints(src, every, checkpoint); err != nil {
+	// ingest feeds one whole source (this run's shard of it) to a new
+	// partial fit: an empty one, or -resume's checkpoint.
+	ingest := func(src trace.EventSource) error {
+		pf = newFit(opt, *resume)
+		if *shards > 1 {
+			var err error
+			if src, err = trace.ShardSource(src, *shards, *shard); err != nil {
+				return err
+			}
+		}
+		return pf.AddSourceWithCheckpoints(src, every, checkpoint)
+	}
+
+	var src trace.EventSource
+	if *in == "-" {
+		src, err = readSorted(*in)
+	} else {
+		src, err = trace.NewFileSource(*in)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if every > 0 {
+		// A checkpoint taken while streaming a file that later proves
+		// unsorted holds the file's first n events, and the refit or a
+		// -resume would skip the sorted trace's first n instead: learn
+		// the order before writing one.
+		err = src.ScanBatches(func(*trace.Batch) error { return nil })
+	}
+	if err == nil {
+		err = ingest(src)
+	}
+	if errors.Is(err, trace.ErrNotCanonical) {
+		fmt.Fprintf(os.Stderr, "fitmodel: %v; refitting from the trace sorted in memory\n", err)
+		if src, err = readSorted(*in); err == nil {
+			err = ingest(src)
+		}
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 
-	if partialOut != "" && out == "-" {
-		// Partial-only run: persist the state, build nothing.
-		if err := writePartial(pf, partialOut); err != nil {
+	if *partial != "" {
+		if err := writePartial(pf, *partial); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "fitmodel: wrote partial fit %s (%d UEs, %d events)\n",
-			partialOut, pf.NumUEs(), pf.EventsConsumed())
-		return
-	}
-	if partialOut != "" {
-		if err := writePartial(pf, partialOut); err != nil {
-			log.Fatal(err)
+		if *out == "-" {
+			// Partial-only run: the state is persisted, nothing is built.
+			fmt.Fprintf(os.Stderr, "fitmodel: wrote partial fit %s (%d UEs, %d events)\n",
+				*partial, pf.NumUEs(), pf.EventsConsumed())
+			return
 		}
 	}
 	nUEs, nEvents := pf.NumUEs(), pf.EventsConsumed()
@@ -222,9 +167,53 @@ func runPartial(opt core.FitOptions, in, out string, shards, shard int, partialO
 	if err != nil {
 		log.Fatal(err)
 	}
-	saveModel(ms, out)
+	saveModel(ms, *out)
 	fmt.Fprintf(os.Stderr, "fitmodel: method=%s machine=%s models=%d (from %d UEs, %d events)\n",
 		ms.Method, ms.MachineName, ms.NumModels(), nUEs, nEvents)
+}
+
+// newFit returns the partial fit a source is fed to: a fresh one, or the
+// checkpoint at resume, whose own options replace opt.
+func newFit(opt core.FitOptions, resume string) *core.PartialFit {
+	if resume == "" {
+		pf, err := core.NewPartialFit(opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return pf
+	}
+	f, err := os.Open(resume)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
+	pf, err := core.DecodePartial(f)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "fitmodel: resuming after %d consumed events (%d UEs)\n",
+		pf.EventsConsumed(), pf.NumUEs())
+	return pf
+}
+
+// readSorted loads the whole trace at path ('-' for stdin) and puts it in
+// canonical order, whatever order it was written in.
+func readSorted(path string) (*trace.Trace, error) {
+	r := os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	tr, err := trace.ReadAuto(r)
+	if err != nil {
+		return nil, err
+	}
+	tr.Sort()
+	return tr, nil
 }
 
 // mergePartials loads the named partial fits, merges them, and writes

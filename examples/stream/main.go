@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = src.Scan(func(ev trace.Event) error {
+	err = src.ScanBatches(trace.Unbatch(func(ev trace.Event) error {
 		if err := mme.Process(ev); err != nil {
 			return err
 		}
@@ -58,7 +58,7 @@ func main() {
 				s.Connected, s.PeakConnected, s.Violations)
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

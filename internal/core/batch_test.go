@@ -9,13 +9,12 @@ import (
 	"cptraffic/internal/trace"
 )
 
-// TestBatchedMatchesStreamed is the tentpole identity test on the core
-// engine: across seeds × workers, the parallel Generate assembly, the
-// streaming per-event Source.Scan, and the native batched
-// Source.ScanBatches must all yield the same event sequence, and
-// writing that sequence batched vs per-event must produce the same
-// bytes for both codecs. Batch boundaries are an implementation detail;
-// the trace is the contract.
+// TestBatchedMatchesStreamed is the identity test on the core engine:
+// across seeds × workers, the parallel Generate assembly and the
+// streaming Source.ScanBatches must yield the same event sequence, and
+// writing the generated trace and the streaming source must produce the
+// same bytes for both codecs. Batch boundaries are an implementation
+// detail; the trace is the contract.
 func TestBatchedMatchesStreamed(t *testing.T) {
 	ms := fitToy(t, 60, 3*cp.Hour, 10, FitOptions{})
 	for _, seed := range []uint64{1, 7, 99} {
@@ -30,13 +29,6 @@ func TestBatchedMatchesStreamed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var streamed []trace.Event
-				if err := src.Scan(func(e trace.Event) error {
-					streamed = append(streamed, e)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
 				var batched []trace.Event
 				if err := src.ScanBatches(func(b *trace.Batch) error {
 					batched = b.AppendTo(batched)
@@ -47,23 +39,17 @@ func TestBatchedMatchesStreamed(t *testing.T) {
 				if len(gen.Events) == 0 {
 					t.Fatal("generated no events; test is vacuous")
 				}
-				diff := func(name string, got []trace.Event) {
-					t.Helper()
-					if len(got) != len(gen.Events) {
-						t.Fatalf("%s: %d events, Generate produced %d", name, len(got), len(gen.Events))
-					}
-					for i := range got {
-						if got[i] != gen.Events[i] {
-							t.Fatalf("%s: event %d = %v, Generate produced %v", name, i, got[i], gen.Events[i])
-						}
+				if len(batched) != len(gen.Events) {
+					t.Fatalf("ScanBatches: %d events, Generate produced %d", len(batched), len(gen.Events))
+				}
+				for i := range batched {
+					if batched[i] != gen.Events[i] {
+						t.Fatalf("ScanBatches: event %d = %v, Generate produced %v", i, batched[i], gen.Events[i])
 					}
 				}
-				diff("Scan", streamed)
-				diff("ScanBatches", batched)
 
-				// Byte identity through both writers: per-event Copy from
-				// the generated trace vs batched CopyBatches from the
-				// streaming source.
+				// Byte identity through both writers: the generated trace
+				// vs the streaming source.
 				for _, codec := range []string{"text", "binary"} {
 					mk := func(w *bytes.Buffer) interface {
 						trace.EventSink
@@ -74,23 +60,23 @@ func TestBatchedMatchesStreamed(t *testing.T) {
 						}
 						return trace.NewStreamWriter(w)
 					}
-					var perEvent, viaBatches bytes.Buffer
-					w1 := mk(&perEvent)
-					if err := trace.Copy(w1, gen); err != nil {
+					var fromTrace, fromSource bytes.Buffer
+					w1 := mk(&fromTrace)
+					if err := trace.CopyBatches(w1, gen); err != nil {
 						t.Fatal(err)
 					}
 					if err := w1.Close(); err != nil {
 						t.Fatal(err)
 					}
-					w2 := mk(&viaBatches)
+					w2 := mk(&fromSource)
 					if err := trace.CopyBatches(w2, src); err != nil {
 						t.Fatal(err)
 					}
 					if err := w2.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(perEvent.Bytes(), viaBatches.Bytes()) {
-						t.Fatalf("%s: batched source bytes differ from per-event trace bytes", codec)
+					if !bytes.Equal(fromTrace.Bytes(), fromSource.Bytes()) {
+						t.Fatalf("%s: streaming source bytes differ from generated trace bytes", codec)
 					}
 				}
 			})

@@ -20,13 +20,12 @@ func traceBytes(t *testing.T, tr *trace.Trace) []byte {
 }
 
 // streamBytes drives the source through the incremental text writer —
-// the CLI output path — per event (trace.Copy, Source.Scan) or in batches
-// (trace.CopyBatches, Source.ScanBatches).
-func streamBytes(t *testing.T, src trace.EventSource, pipe func(trace.EventSink, trace.EventSource) error) []byte {
+// the CLI output path.
+func streamBytes(t *testing.T, src trace.EventSource) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tw := trace.NewTextWriter(&buf)
-	if err := pipe(tw, src); err != nil {
+	if err := trace.CopyBatches(tw, src); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -37,7 +36,7 @@ func streamBytes(t *testing.T, src trace.EventSource, pipe func(trace.EventSink,
 
 // TestCompiledMatchesInterpreted is the tentpole invariant: production —
 // the compiled engine under packed-key assembly (Generate) and under
-// windowed assembly (Source, per event and batched) — produces
+// windowed assembly (Source) — produces
 // byte-identical traces to the oracle, the interpreter under a comparison
 // sort (interpTrace), for every seed and worker count: on the full
 // two-level model, on a flat model whose free-running HO/TAU processes
@@ -88,10 +87,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sb := streamBytes(t, csrc, trace.Copy); !bytes.Equal(wb, sb) {
-					t.Fatalf("%s seed=%d workers=%d: Source.Scan differs from the interpreted oracle", name, seed, workers)
-				}
-				if sb := streamBytes(t, csrc, trace.CopyBatches); !bytes.Equal(wb, sb) {
+				if sb := streamBytes(t, csrc); !bytes.Equal(wb, sb) {
 					t.Fatalf("%s seed=%d workers=%d: Source.ScanBatches differs from the interpreted oracle", name, seed, workers)
 				}
 			}

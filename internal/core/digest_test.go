@@ -165,18 +165,17 @@ func TestGenerateDigestPinned(t *testing.T) {
 // were recorded on the commit before the generator-backed sources moved
 // from the k-way loser tree to windowed packed-key assembly, and are
 // absolute: TestSourceMatchesGenerate and TestBatchedMatchesStreamed
-// compare Scan, ScanBatches and Generate with each other, and Scan and
-// ScanBatches share one ordering path, so a change that moves them
-// together passes both. The binary digest equals pinnedGenerateDigest
+// compare ScanBatches and Generate with each other, so a change that moves
+// them together passes both. The binary digest equals pinnedGenerateDigest
 // because WriteBinaryTrace is a StreamWriter over the sorted trace.
 var pinnedStreamDigests = map[string]string{
 	"text":   "c2a196d2781167d953b283992c4fdcda2d4aa6bc0e2f909245661d3bb60e9210",
 	"binary": pinnedGenerateDigest,
 }
 
-// streamDigest pipes src into the named writer, batched or per event, and
-// returns the sha256 of the bytes written.
-func streamDigest(t *testing.T, src trace.EventSource, codec string, batched bool) string {
+// streamDigest pipes src into the named writer and returns the sha256 of
+// the bytes written.
+func streamDigest(t *testing.T, src trace.EventSource, codec string) string {
 	t.Helper()
 	var buf bytes.Buffer
 	var w interface {
@@ -188,11 +187,7 @@ func streamDigest(t *testing.T, src trace.EventSource, codec string, batched boo
 	} else {
 		w = trace.NewStreamWriter(&buf)
 	}
-	pipe := trace.Copy
-	if batched {
-		pipe = trace.CopyBatches
-	}
-	if err := pipe(w, src); err != nil {
+	if err := trace.CopyBatches(w, src); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -202,9 +197,8 @@ func streamDigest(t *testing.T, src trace.EventSource, codec string, batched boo
 	return hex.EncodeToString(sum[:])
 }
 
-// TestSourceDigestPinned pins the absolute bytes of the streaming source:
-// both writers, batched (CopyBatches) and per event (Copy) — and of the
-// interpreted oracle through the same writers, so the text constant, too,
+// TestSourceDigestPinned pins the absolute bytes of the streaming source
+// through both writers — and of the interpreted oracle through the same writers, so the text constant, too,
 // holds both engines.
 func TestSourceDigestPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -218,11 +212,8 @@ func TestSourceDigestPinned(t *testing.T) {
 	}
 	for name, src := range map[string]trace.EventSource{"source": src, "interpreted oracle": interpTrace(t, ms, opt)} {
 		for _, codec := range []string{"text", "binary"} {
-			for _, batched := range []bool{true, false} {
-				if got := streamDigest(t, src, codec, batched); got != pinnedStreamDigests[codec] {
-					t.Errorf("%s %s batched=%v: digest %s, pinned %s",
-						name, codec, batched, got, pinnedStreamDigests[codec])
-				}
+			if got := streamDigest(t, src, codec); got != pinnedStreamDigests[codec] {
+				t.Errorf("%s %s: digest %s, pinned %s", name, codec, got, pinnedStreamDigests[codec])
 			}
 		}
 	}

@@ -70,10 +70,25 @@ const HoursPerDay = 24
 // distributions, free processes, and first-event models for every
 // (cluster, hour, device type) combination.
 //
-// Fit is a thin driver over PartialFit — the one construction path all
-// fits share: NewPartialFit, one AddSource over the trace, Build.
-func Fit(tr *trace.Trace, opt FitOptions) (*ModelSet, error) {
-	return fitSource(tr, opt)
+// The source is scanned once and never materialized: per-UE state is a
+// small extractor and every sample flows straight into the PartialFit's
+// tagged pools, so peak memory is O(UEs + retained samples) on top of
+// whatever the source itself holds (nothing for a FileSource, the event
+// slice for a *trace.Trace), and FitOptions.SketchK > 0 bounds the sample
+// term too. The model bytes do not depend on the kind of source (pinned
+// by test for a *trace.Trace and a FileSource over the same events).
+//
+// Fit is the thin driver over PartialFit — the one construction path all
+// fits share: NewPartialFit, one AddSource, Build.
+func Fit(src trace.EventSource, opt FitOptions) (*ModelSet, error) {
+	pf, err := NewPartialFit(opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := pf.AddSource(src); err != nil {
+		return nil, err
+	}
+	return pf.Build()
 }
 
 // --- per-UE extraction ---

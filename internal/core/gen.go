@@ -179,17 +179,11 @@ func (s *Source) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 	return nil
 }
 
-// Scan generates the population's events in canonical order: ScanBatches,
-// one event at a time.
-func (s *Source) Scan(fn func(trace.Event) error) error {
-	return s.ScanBatches(trace.Unbatch(fn))
-}
-
-// ScanBatches implements trace.BatchSource natively, and is the source's
-// one ordering path: trace.AssembleWindows advances the population a time
-// window at a time — each generator drained up to the window's end
-// (drainUntil), the window's packed keys sorted in cache — and delivers
-// reused struct-of-arrays batches.
+// ScanBatches generates the population's events in canonical order, and
+// is the source's one ordering path: trace.AssembleWindows advances the
+// population a time window at a time — each generator drained up to the
+// window's end (drainUntil), the window's packed keys sorted in cache —
+// and delivers reused struct-of-arrays batches.
 func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
 	gens := compiledGens(s.cm, s.plan.jobs(), s.plan.t0, s.plan.end)
 	ueMax := cp.UEID(s.plan.numUEs - 1)
@@ -346,7 +340,7 @@ type ueGen struct {
 
 	// queue holds events already decided but not yet delivered; qhead is
 	// the next to deliver, qlen the fill level. A step pushes at most
-	// ueGenMaxPush events (the flush guard in step bounds case 1 at 8+1)
+	// windowOvershoot+1 events (the flush guard in step bounds case 1)
 	// and the queue always drains fully between steps, so a fixed-size
 	// array suffices — no per-UE heap allocation at all.
 	queue [ueGenQueueCap]trace.Event
@@ -361,12 +355,9 @@ type ueGen struct {
 // — the span Generate's key layout declares.
 const windowOvershoot = 8
 
-// ueGenMaxPush is the most events one startup or step call can push: the
-// flushed sub-machine events plus the top event.
-const ueGenMaxPush = windowOvershoot + 1
-
-// ueGenQueueCap leaves slack above ueGenMaxPush so the bound is not
-// load-bearing on the exact guard constant.
+// ueGenQueueCap leaves slack above the windowOvershoot+1 events one
+// startup or step call can push (the flushed sub-machine events plus the
+// top event), so the bound is not load-bearing on the exact guard constant.
 const ueGenQueueCap = 12
 
 // init (re)initializes the generator in place, so per-worker code can

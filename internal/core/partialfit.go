@@ -43,9 +43,8 @@ import (
 // with the sample term bounded by the sketch and the UE term bounded by
 // sharding.
 //
-// Fit and FitStream are thin drivers over this type (NewPartialFit →
-// AddSource → Build); construct one directly to shard, checkpoint, or
-// bound a fit.
+// Fit is the thin driver over this type (NewPartialFit → AddSource →
+// Build); construct one directly to shard, checkpoint, or bound a fit.
 type PartialFit struct {
 	opt     FitOptions
 	freeSet [cp.NumEventTypes]bool
@@ -671,7 +670,7 @@ func (pf *PartialFit) AddSourceWithCheckpoints(src trace.EventSource, every int6
 			matched, len(pf.devOf))
 	}
 	skip := pf.consumed // events of the source a restored partial has already ingested
-	return trace.AsBatchSource(src).ScanBatches(func(b *trace.Batch) error {
+	return src.ScanBatches(func(b *trace.Batch) error {
 		i := int(min(skip, int64(b.Len())))
 		skip -= int64(i)
 		for ; i < b.Len(); i++ {
@@ -1101,17 +1100,4 @@ func sojournStds(ues []cp.UEID, pools map[poolKey][]pitem, h int, s cp.UEState, 
 		i = j
 	}
 	return out
-}
-
-// fitSource is the one construction path both Fit and FitStream drive:
-// a fresh partial, one source, one build.
-func fitSource(src trace.EventSource, opt FitOptions) (*ModelSet, error) {
-	pf, err := NewPartialFit(opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := pf.AddSource(src); err != nil {
-		return nil, err
-	}
-	return pf.Build()
 }

@@ -447,7 +447,7 @@ func TestFitSketchedBoundedMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := FitStream(src, opt); err != nil {
+			if _, err := Fit(src, opt); err != nil {
 				t.Fatal(err)
 			}
 		})

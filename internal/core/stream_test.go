@@ -12,7 +12,8 @@ import (
 )
 
 // The TestStream* tests predate Source: they drove core.Stream, which was
-// NewSource + Devices + Scan behind one call, and drive exactly that now.
+// NewSource + Devices + a per-event scan behind one call, and drive exactly
+// that now, through trace.Unbatch.
 
 func TestStreamMatchesGenerate(t *testing.T) {
 	ms := fitToy(t, 40, 2*cp.Hour, 90, FitOptions{})
@@ -29,10 +30,10 @@ func TestStreamMatchesGenerate(t *testing.T) {
 	if err := src.Devices(streamed.SetDevice); err != nil {
 		t.Fatal(err)
 	}
-	err = src.Scan(func(ev trace.Event) error {
+	err = src.ScanBatches(trace.Unbatch(func(ev trace.Event) error {
 		streamed.Events = append(streamed.Events, ev)
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +54,13 @@ func TestStreamDeliversInOrder(t *testing.T) {
 	}
 	var prev trace.Event
 	first := true
-	err = src.Scan(func(ev trace.Event) error {
+	err = src.ScanBatches(trace.Unbatch(func(ev trace.Event) error {
 		if !first && ev.Before(prev) {
 			t.Fatalf("out of order: %v after %v", ev, prev)
 		}
 		prev, first = ev, false
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +77,13 @@ func TestStreamAbortsOnError(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	count := 0
-	err = src.Scan(func(trace.Event) error {
+	err = src.ScanBatches(trace.Unbatch(func(trace.Event) error {
 		count++
 		if count == 5 {
 			return boom
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -156,12 +157,12 @@ func TestFitFromGeneratedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FitStream(src, refitOpt)
+	got, err := Fit(src, refitOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytesEqualModels(t, want, got) {
-		t.Fatal("FitStream(Source) differs from Fit(Generate)")
+		t.Fatal("Fit(Source) differs from Fit(Generate)")
 	}
 }
 

@@ -268,7 +268,7 @@ func collectSource(src trace.EventSource) (*collected, error) {
 	}
 	colls := make(map[cp.UEID]*ueCollector, len(devOf))
 	var hi cp.Millis
-	err = src.Scan(func(ev trace.Event) error {
+	err = src.ScanBatches(trace.Unbatch(func(ev trace.Event) error {
 		if _, ok := devOf[ev.UE]; !ok {
 			return fmt.Errorf("eval: event for unregistered UE %d", ev.UE)
 		}
@@ -282,7 +282,7 @@ func collectSource(src trace.EventSource) (*collected, error) {
 			hi = ev.T
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -358,9 +358,9 @@ func (c *countingSource) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 	return c.EventSource.Devices(fn)
 }
 
-func (c *countingSource) Scan(fn func(trace.Event) error) error {
+func (c *countingSource) ScanBatches(fn func(*trace.Batch) error) error {
 	c.scans++
-	return c.EventSource.Scan(fn)
+	return c.EventSource.ScanBatches(fn)
 }
 
 // TestSourceCollectionMatchesInMemory: the one-pass streaming collection
@@ -393,7 +393,7 @@ func TestSourceCollectionMatchesInMemory(t *testing.T) {
 		{Kind: QTransSojourn, From: sm.LTESrvReqS, Event: cp.Handover},
 	}
 	// All four quantities come out of one collection — one Devices and
-	// one Scan of the source — and each equals its single-quantity call.
+	// one ScanBatches of the source — and each equals its single-quantity call.
 	all := QuantitySamples(tr, cp.Phone, qs)
 	if len(all[0]) == 0 || len(all[1]) == 0 || len(all[2]) == 0 {
 		t.Fatal("the world produced no samples; the comparison is vacuous")
@@ -410,7 +410,7 @@ func TestSourceCollectionMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		if counted.devices != 1 || counted.scans != 1 {
-			t.Errorf("%s: %d quantities took %d Devices and %d Scan calls, want 1 and 1",
+			t.Errorf("%s: %d quantities took %d Devices and %d ScanBatches calls, want 1 and 1",
 				name, len(qs), counted.devices, counted.scans)
 		}
 		for i, q := range qs {

@@ -142,9 +142,6 @@ func buildTcplibRef() *stats.QuantileTable {
 	return stats.NewQuantileTable(xs)
 }
 
-// TcplibReference exposes the fixed reference (for tests and plots).
-func TcplibReference() stats.Dist { return tcplibRef }
-
 // runTest fits the reference distribution to the sample (where the test
 // family requires it) and reports whether the sample passes at the 5%
 // significance level.

@@ -260,8 +260,8 @@ func (g *Graph) resolve(pkg *Package, call *ast.CallExpr) resolvedCall {
 
 // implementers returns the graph functions implementing an interface
 // method, found by CHA over the closure's named types. Only
-// module-local interfaces resolve (BatchSource, BatchSink,
-// EventSource, ...); stdlib interfaces yield nothing. The cache is a
+// module-local interfaces resolve (EventSource, BatchSink,
+// EventSink, ...); stdlib interfaces yield nothing. The cache is a
 // pure function of type information, so lazy fills are
 // order-independent.
 func (g *Graph) implementers(m *types.Func) []*GraphFunc {

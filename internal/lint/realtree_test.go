@@ -74,8 +74,8 @@ var treeSeeds = []treeSeed{
 	{
 		analyzer: "retain", file: "internal/core/partialfit.go",
 		edits: [][2]string{{
-			"\treturn trace.AsBatchSource(src).ScanBatches(func(b *trace.Batch) error {\n",
-			"\tvar kept []*trace.Batch\n\treturn trace.AsBatchSource(src).ScanBatches(func(b *trace.Batch) error {\n\t\tkept = append(kept, b)\n",
+			"\treturn src.ScanBatches(func(b *trace.Batch) error {\n",
+			"\tvar kept []*trace.Batch\n\treturn src.ScanBatches(func(b *trace.Batch) error {\n\t\tkept = append(kept, b)\n",
 		}},
 		at: "kept = append(kept, b)",
 	},

@@ -13,7 +13,7 @@ import (
 // parameters through assignments, field writes, append, channel sends,
 // goroutine captures, and interprocedural flows (per-function escape
 // summaries over the module call graph, with CHA for module-local
-// interfaces like BatchSource/BatchSink), and flags every flow into a
+// interfaces like EventSource/BatchSink), and flags every flow into a
 // location that outlives the frame.
 //
 // Copies are recognized structurally and need no annotation:

@@ -95,9 +95,6 @@ type Fault struct {
 // End returns the exclusive end of the fault window.
 func (f Fault) End() cp.Millis { return f.Start + f.Duration }
 
-// active reports whether t falls inside the fault window.
-func (f Fault) active(t cp.Millis) bool { return t >= f.Start && t < f.End() }
-
 // Validate checks one schedule entry.
 func (f Fault) Validate() error {
 	if int(f.Kind) >= NumFaultKinds {

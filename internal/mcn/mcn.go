@@ -32,9 +32,6 @@ type Stats struct {
 	Processed int
 }
 
-// Total returns the total transaction count.
-func (s *Stats) Total() int { return s.Processed }
-
 // MME is the control-plane core simulator. The zero value is not usable;
 // call New.
 type MME struct {

@@ -36,11 +36,6 @@ type SketchItem struct {
 	V   float64
 }
 
-// DefaultSketchK is the retained-sample bound used when a caller asks
-// for sketched mode without choosing k. At k = 2048 the DKW bound gives
-// quantile error ε ≈ 0.049 with confidence 1 − 1e-4 (SketchErrorBound).
-const DefaultSketchK = 2048
-
 // NewSketch returns an empty sketch retaining at most k observations.
 // It panics if k < 1.
 func NewSketch(k int) *Sketch {

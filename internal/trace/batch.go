@@ -19,8 +19,7 @@ const DefaultBatchSize = 256
 // EventSource over ~256 events.
 //
 // The columns always have equal length. A Batch carries no device
-// registry; registrations travel through the same Devices callback as the
-// per-event path.
+// registry; registrations travel through the source's Devices callback.
 //
 // Batches handed to ScanBatches/WriteBatch callbacks are reused: the
 // columns are overwritten after the callback returns, so consumers must
@@ -106,20 +105,6 @@ func (b *Batch) AppendTo(dst []Event) []Event {
 	return dst
 }
 
-// BatchSource is the batched face of EventSource: the same device
-// registry, with events delivered one Batch at a time instead of one
-// Event at a time. The concatenation of the delivered batches is exactly
-// the canonical event sequence Scan would deliver — batch boundaries are
-// an implementation detail and carry no meaning (the byte-identity tests
-// pin this).
-//
-// The *Batch passed to fn is reused between calls; fn must consume or
-// copy it before returning.
-type BatchSource interface {
-	Devices(fn func(cp.UEID, cp.DeviceType) error) error
-	ScanBatches(fn func(*Batch) error) error
-}
-
 // BatchSink is the batched face of EventSink: registrations first, then
 // whole batches in canonical order. WriteBatch(b) is equivalent to
 // Write(b.At(0)) … Write(b.At(b.Len()-1)).
@@ -128,41 +113,9 @@ type BatchSink interface {
 	WriteBatch(*Batch) error
 }
 
-// batchingSource adapts a per-event EventSource to BatchSource by
-// accumulating DefaultBatchSize events per delivered batch (the final
-// batch is ragged).
-type batchingSource struct {
-	src EventSource
-}
-
-func (b *batchingSource) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
-	return b.src.Devices(fn)
-}
-
-func (b *batchingSource) ScanBatches(fn func(*Batch) error) error {
-	batch := NewBatch(DefaultBatchSize)
-	err := b.src.Scan(func(e Event) error {
-		batch.Append(e)
-		if batch.Len() == batch.Cap() {
-			if err := fn(batch); err != nil {
-				return err
-			}
-			batch.Reset()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if batch.Len() > 0 {
-		return fn(batch)
-	}
-	return nil
-}
-
 // Unbatch returns the batch callback that feeds fn one event at a time,
-// stopping at fn's first error: the per-event face of a source whose
-// native unit is the batch.
+// stopping at fn's first error: the one per-event adapter over a source,
+// whose unit is the batch.
 func Unbatch(fn func(Event) error) func(*Batch) error {
 	return func(b *Batch) error {
 		for i := range b.T {
@@ -193,21 +146,10 @@ func (s *batchingSink) WriteBatch(b *Batch) error {
 	return nil
 }
 
-// AsBatchSource returns src's batched face: src itself when it already
-// speaks batches natively (generator sources, file sources), else an
-// adapter that groups src's per-event stream into DefaultBatchSize
-// batches. Either way the delivered event sequence is identical to
-// src.Scan's.
-func AsBatchSource(src EventSource) BatchSource {
-	if bs, ok := src.(BatchSource); ok {
-		return bs
-	}
-	return &batchingSource{src: src}
-}
-
 // AsBatchSink returns dst's batched face: dst itself when it accepts
 // batches natively (the writers, *Trace), else an adapter that unrolls
-// each batch into per-event Writes.
+// each batch into per-event Writes. (bench/gen.go's probeSink is handed to
+// CopyBatches as a plain EventSink and is found here.)
 func AsBatchSink(dst EventSink) BatchSink {
 	if bs, ok := dst.(BatchSink); ok {
 		return bs
@@ -215,16 +157,16 @@ func AsBatchSink(dst EventSink) BatchSink {
 	return &batchingSink{dst: dst}
 }
 
-// CopyBatches streams src into dst like Copy, but moves events in batches:
-// when both ends speak batches natively the whole pipe makes one call per
-// ~256 events and the per-event interface hop disappears. The bytes
-// written are identical to Copy's — adapters on either end preserve the
-// event sequence exactly.
+// CopyBatches streams src into dst: registrations first, then events a
+// batch at a time. It is the universal pipe between pipeline stages; with
+// a FileSource and a StreamWriter both ends run in O(UEs) memory, and a
+// sink that accepts batches natively sees one call per ~256 events.
+// Callers owning a writer sink must still Close it afterwards.
 func CopyBatches(dst EventSink, src EventSource) error {
 	if err := src.Devices(dst.SetDevice); err != nil {
 		return err
 	}
-	return AsBatchSource(src).ScanBatches(AsBatchSink(dst).WriteBatch)
+	return src.ScanBatches(AsBatchSink(dst).WriteBatch)
 }
 
 // WriteBatch implements BatchSink on the in-memory trace.
@@ -236,10 +178,4 @@ func (tr *Trace) WriteBatch(b *Batch) error {
 	}
 	tr.Events = b.AppendTo(tr.Events)
 	return nil
-}
-
-// ScanBatches implements BatchSource on the in-memory trace, delivering
-// the same canonical sequence as Scan in DefaultBatchSize groups.
-func (tr *Trace) ScanBatches(fn func(*Batch) error) error {
-	return (&batchingSource{src: tr}).ScanBatches(fn)
 }

@@ -69,9 +69,9 @@ func TestBatchBasics(t *testing.T) {
 	}
 }
 
-// collectBatched drains src's batched face and returns the concatenated
-// events plus the sizes of the delivered batches.
-func collectBatched(t testing.TB, src BatchSource) ([]Event, []int) {
+// collectBatched drains src and returns the concatenated events plus the
+// sizes of the delivered batches.
+func collectBatched(t testing.TB, src EventSource) ([]Event, []int) {
 	t.Helper()
 	var evs []Event
 	var sizes []int
@@ -87,15 +87,13 @@ func collectBatched(t testing.TB, src BatchSource) ([]Event, []int) {
 
 // TestBatchAdapterRoundTrip is the Batch adapter property test: for
 // trace sizes around the batch-size boundaries (including the empty
-// trace and ragged final batches), event → batch → event adaptation
+// trace and ragged final batches), the trace's events → batches → events
 // must reproduce the event sequence exactly.
 func TestBatchAdapterRoundTrip(t *testing.T) {
 	sizes := []int{0, 1, 7, DefaultBatchSize - 1, DefaultBatchSize, DefaultBatchSize + 1, 3*DefaultBatchSize + 17}
 	for _, n := range sizes {
 		tr := randomTrace(t, n, 13, uint64(n)+1)
-		// Per-event source through the batching adapter.
-		bsrc := AsBatchSource(struct{ EventSource }{tr}) // hide the native face
-		got, batches := collectBatched(t, bsrc)
+		got, batches := collectBatched(t, tr)
 		if !reflect.DeepEqual(got, tr.Events) && !(n == 0 && len(got) == 0) {
 			t.Fatalf("n=%d: batched events differ from source", n)
 		}
@@ -107,9 +105,9 @@ func TestBatchAdapterRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: interior batch of size %d", n, sz)
 			}
 		}
-		// And back: batched source through the unbatching adapter.
+		// And back: the batches through the unbatching adapter.
 		var back []Event
-		if err := bsrc.ScanBatches(Unbatch(func(e Event) error {
+		if err := tr.ScanBatches(Unbatch(func(e Event) error {
 			back = append(back, e)
 			return nil
 		})); err != nil {
@@ -121,19 +119,17 @@ func TestBatchAdapterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAsBatchSourcePrefersNative(t *testing.T) {
+func TestAsBatchSinkPrefersNative(t *testing.T) {
 	tr := New()
-	if _, ok := AsBatchSource(tr).(*Trace); !ok {
-		t.Fatal("AsBatchSource did not return the native *Trace")
-	}
 	if _, ok := AsBatchSink(tr).(*Trace); !ok {
 		t.Fatal("AsBatchSink did not return the native *Trace")
 	}
 }
 
-// TestCopyBatchesMatchesCopy pins the tentpole byte-identity at the trace
-// layer: CopyBatches into either writer produces the same bytes as Copy,
-// for empty, ragged, and multi-batch traces.
+// TestCopyBatchesMatchesCopy pins the byte-identity of a sink's two faces
+// at the trace layer: CopyBatches into either writer produces the same
+// bytes as its events written one Write at a time, for empty, ragged, and
+// multi-batch traces.
 func TestCopyBatchesMatchesCopy(t *testing.T) {
 	for _, n := range []int{0, 3, DefaultBatchSize, 2*DefaultBatchSize + 9} {
 		tr := randomTrace(t, n, 7, uint64(n)+3)
@@ -149,8 +145,13 @@ func TestCopyBatchesMatchesCopy(t *testing.T) {
 			}
 			var perEvent, batched bytes.Buffer
 			w1 := mk(&perEvent)
-			if err := Copy(w1, tr); err != nil {
+			if err := tr.Devices(w1.SetDevice); err != nil {
 				t.Fatal(err)
+			}
+			for _, e := range tr.Events {
+				if err := w1.Write(e); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := w1.Close(); err != nil {
 				t.Fatal(err)
@@ -163,7 +164,7 @@ func TestCopyBatchesMatchesCopy(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(perEvent.Bytes(), batched.Bytes()) {
-				t.Fatalf("n=%d %s: CopyBatches bytes differ from Copy", n, codec)
+				t.Fatalf("n=%d %s: CopyBatches bytes differ from per-event Writes", n, codec)
 			}
 		}
 	}
@@ -333,7 +334,7 @@ func TestScannerScanBatch(t *testing.T) {
 		} else {
 			w = NewStreamWriter(f)
 		}
-		if err := Copy(w, tr); err != nil {
+		if err := CopyBatches(w, tr); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

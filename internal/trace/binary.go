@@ -13,8 +13,8 @@ import "io"
 // Events are written in canonical time order; tDelta is the millisecond
 // difference from the previous event (the first is the absolute time),
 // continuing across chunk boundaries. Chunked framing (v2) lets a writer
-// stream events without knowing the total count up front; version 1 —
-// a single `uvarint numEvents` prefix instead of chunks — is still read.
+// stream events without knowing the total count up front. Any other
+// version byte is refused.
 
 var binaryMagic = [4]byte{'C', 'P', 'T', 'B'}
 
@@ -22,8 +22,8 @@ const binaryVersion = 2
 
 // WriteBinaryTrace serializes tr in the compact binary format: a
 // StreamWriter fed from the in-memory trace. Events are written in
-// canonical sorted order regardless of their in-memory order (Trace.Scan
-// sorts a copy when it has to).
+// canonical sorted order regardless of their in-memory order
+// (Trace.ScanBatches sorts a copy when it has to).
 func WriteBinaryTrace(w io.Writer, tr *Trace) error {
 	sw := NewStreamWriter(w)
 	if err := CopyBatches(sw, tr); err != nil {
@@ -38,15 +38,6 @@ func collectScanner(sc *Scanner) (*Trace, error) {
 	if err := sc.Devices(tr.SetDevice); err != nil {
 		return nil, err
 	}
-	// The v1 count is untrusted input: cap the preallocation so a corrupt
-	// header cannot demand terabytes; append grows the rest if the events
-	// really are there.
-	if hint := sc.NumEventsHint(); hint > 0 {
-		if hint > 1<<20 {
-			hint = 1 << 20
-		}
-		tr.Events = make([]Event, 0, hint)
-	}
 	for sc.Scan() {
 		tr.Events = append(tr.Events, sc.Event())
 	}
@@ -56,8 +47,8 @@ func collectScanner(sc *Scanner) (*Trace, error) {
 	return tr, nil
 }
 
-// ReadAuto reads a whole trace, text or binary (either version), into
-// memory: a Scanner, drained. Events keep their file order. Use Scanner or
+// ReadAuto reads a whole trace, text or binary, into memory: a Scanner,
+// drained. Events keep their file order. Use Scanner or
 // FileSource to process large files incrementally.
 func ReadAuto(r io.Reader) (*Trace, error) {
 	sc, err := NewScanner(r)

@@ -101,8 +101,8 @@ func TestBinaryErrors(t *testing.T) {
 		{},
 		[]byte("CPTX\x01"),                       // bad magic
 		[]byte("CPTB\x09"),                       // bad version
-		[]byte("CPTB\x01\x01"),                   // truncated UE table
-		append([]byte("CPTB\x01\x01\x00"), 0xFF), // device byte invalid... (0x00 device ok, event count 0xFF varint truncated)
+		[]byte("CPTB\x02\x01"),                   // truncated UE table
+		append([]byte("CPTB\x02\x01\x00"), 0xFF), // device byte invalid... (0x00 device ok, chunk length 0xFF varint truncated)
 	}
 	for i, in := range cases {
 		if _, err := ReadAuto(bytes.NewReader(in)); err == nil {
@@ -110,34 +110,28 @@ func TestBinaryErrors(t *testing.T) {
 		}
 	}
 	// Invalid device byte.
-	bad := []byte("CPTB\x01\x01\x00\x63") // 1 UE, id 0, device 99
+	bad := []byte("CPTB\x02\x01\x00\x63") // 1 UE, id 0, device 99
 	if _, err := ReadAuto(bytes.NewReader(bad)); err == nil {
 		t.Error("invalid device accepted")
 	}
 	// An event record's UE id is a 64-bit varint; one beyond the 32-bit id
 	// space is refused, not folded onto the registered UE 5.
-	for _, version := range []byte{1, 2} {
-		if tr, err := ReadAuto(bytes.NewReader(oneEventFile(version, 5))); err != nil || tr.Len() != 1 {
-			t.Fatalf("v%d: the reference file with UE 5 does not read: %v", version, err)
-		}
-		tr, err := ReadAuto(bytes.NewReader(oneEventFile(version, 1<<32+5)))
-		if err == nil || !strings.Contains(err.Error(), "UE id 4294967301 overflows") {
-			t.Errorf("v%d: event for UE 2^32+5 read as (%v, %v), want the overflow error", version, tr, err)
-		}
+	if tr, err := ReadAuto(bytes.NewReader(oneEventFile(5))); err != nil || tr.Len() != 1 {
+		t.Fatalf("the reference file with UE 5 does not read: %v", err)
+	}
+	tr, err := ReadAuto(bytes.NewReader(oneEventFile(1<<32 + 5)))
+	if err == nil || !strings.Contains(err.Error(), "UE id 4294967301 overflows") {
+		t.Errorf("event for UE 2^32+5 read as (%v, %v), want the overflow error", tr, err)
 	}
 }
 
-// oneEventFile hand-encodes a binary file of the given version that
-// registers UE 5 and holds one event, at t=100, for ue.
-func oneEventFile(version byte, ue uint64) []byte {
-	out := append([]byte("CPTB"), version, 1, 5, byte(cp.Phone))
-	out = append(out, 1, 100) // v1: the event count, v2: the chunk length; then the time
+// oneEventFile hand-encodes a binary file that registers UE 5 and holds
+// one event, at t=100, for ue.
+func oneEventFile(ue uint64) []byte {
+	out := append([]byte("CPTB"), binaryVersion, 1, 5, byte(cp.Phone))
+	out = append(out, 1, 100) // the chunk length, then the time
 	out = binary.AppendUvarint(out, ue)
-	out = append(out, byte(cp.Attach))
-	if version == 2 {
-		out = append(out, 0) // terminator
-	}
-	return out
+	return append(out, byte(cp.Attach), 0) // the type, then the terminator
 }
 
 func TestReadAutoDetectsBothFormats(t *testing.T) {

@@ -18,8 +18,8 @@ import (
 // non-negative, every event's UE is registered, and a line is at most
 // maxLineLen bytes. A U line after the first E line and a negative
 // timestamp are refused with the line number. Events may appear in any
-// order: ReadAuto preserves file order (Trace.Scan sorts on demand), while
-// FileSource, a stream, requires the canonical one.
+// order: ReadAuto preserves file order (Trace.ScanBatches sorts on demand),
+// while FileSource, a stream, requires the canonical one.
 //
 // The Scanner is the only decoder, of this format and of the binary one
 // (binary.go). TextWriter is the incremental encoder; WriteTrace below is

@@ -80,10 +80,11 @@ func TestScannerBoundsLineLength(t *testing.T) {
 }
 
 // Event order is the one thing the two readers treat differently: ReadAuto
-// keeps whatever order the file has (Trace.Scan sorts on demand), while
-// FileSource is a stream and refuses an event that orders before its
+// keeps whatever order the file has (Trace.ScanBatches sorts on demand),
+// while FileSource is a stream and refuses an event that orders before its
 // predecessor — by time or only by the (UE, type) tie-break, inside a
-// batch or across a batch boundary — through Scan and ScanBatches alike.
+// batch or across a batch boundary — through Scan and ScanBatches alike,
+// with the one error a caller can test for, ErrNotCanonical.
 func TestFileSourceRejectsUnsorted(t *testing.T) {
 	dir := t.TempDir()
 	for _, at := range []int{1, DefaultBatchSize - 1, DefaultBatchSize, DefaultBatchSize + 1} {
@@ -116,11 +117,11 @@ func TestFileSourceRejectsUnsorted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := tr.Events[at].String() + " out of canonical order (after " + tr.Events[at-1].String() + ")"
+			want := "event " + tr.Events[at].String() + " after " + tr.Events[at-1].String() + ": events out of canonical order"
 			perEvent := src.Scan(func(Event) error { return nil })
 			batched := src.ScanBatches(func(*Batch) error { return nil })
 			for _, err := range []error{perEvent, batched} {
-				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), path) {
+				if !errors.Is(err, ErrNotCanonical) || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), path) {
 					t.Fatalf("at %d (tie only: %v): got %v, want %q", at, tieOnly, err, want)
 				}
 			}
@@ -129,7 +130,8 @@ func TestFileSourceRejectsUnsorted(t *testing.T) {
 }
 
 // encodeV1 hand-encodes a canonical trace in binary version 1, which no
-// writer produces any more: one event count in place of v2's chunks.
+// writer ever produced outside tests and the Scanner refuses: one event
+// count in place of v2's chunks.
 func encodeV1(tr *Trace) []byte {
 	out := append([]byte(nil), binaryMagic[:]...)
 	out = append(out, 1)
@@ -152,10 +154,9 @@ func encodeV1(tr *Trace) []byte {
 }
 
 // Every proper prefix of a valid file: never a panic, never events the
-// file does not hold. A v2 prefix is always an error — the terminator is
-// what makes truncation detectable — and so is a v1 prefix, which ends
-// before the counted events do. A text file cut at a line end is a shorter
-// valid file.
+// file does not hold. A binary prefix is always an error — the terminator
+// is what makes truncation detectable. A text file cut at a line end is a
+// shorter valid file.
 func TestReadAutoTruncated(t *testing.T) {
 	small := streamTrace(t, 6, 150, 8)
 	chunked := streamTrace(t, 6, streamChunkSize+150, 8)
@@ -169,7 +170,6 @@ func TestReadAutoTruncated(t *testing.T) {
 		file []byte
 	}{
 		{"text", small, text.Bytes()},
-		{"v1", small, encodeV1(small)},
 		{"v2", chunked, writeStream(t, chunked)},
 	} {
 		if got, err := ReadAuto(bytes.NewReader(f.file)); err != nil || !slices.Equal(got.Events, f.tr.Events) {

@@ -80,7 +80,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Fuzz(fuzzReader)
 }
 
-// FuzzReadBinaryTrace seeds the reader with binary inputs of both versions.
+// FuzzReadBinaryTrace seeds the reader with binary inputs.
 func FuzzReadBinaryTrace(f *testing.F) {
 	// Seed with a few real encodings.
 	mk := func(build func(tr *Trace)) []byte {
@@ -99,6 +99,7 @@ func FuzzReadBinaryTrace(f *testing.F) {
 		tr.Append(Event{T: 20, UE: 3, Type: cp.Detach})
 	}))
 	f.Add([]byte("CPTB\x01"))
+	f.Add([]byte("CPTB\x02")) // cut after the version byte
 	f.Add([]byte("CPTB\xff"))
 	multi := New()
 	multi.SetDevice(2, cp.Tablet)
@@ -106,12 +107,11 @@ func FuzzReadBinaryTrace(f *testing.F) {
 	for i := 0; i < 2*streamChunkSize+3; i++ {
 		multi.Append(Event{T: cp.Millis(i * 130), UE: cp.UEID(2 + 898*(i%2)), Type: cp.EventTypes[i%cp.NumEventTypes]})
 	}
-	f.Add(writeStream(f, multi))                                    // v2, several chunks
-	f.Add(append(oneEventFile(2, 5), 1, 50, 5, byte(cp.Detach), 0)) // v2, a chunk behind the terminator
+	f.Add(writeStream(f, multi))                                 // several chunks
+	f.Add(append(oneEventFile(5), 1, 50, 5, byte(cp.Detach), 0)) // a chunk behind the terminator
 	multi.Events = multi.Events[:9]
-	f.Add(encodeV1(multi)) // v1, which only a hand encoder still writes
-	// An event record whose UE id does not fit 32 bits, in both versions.
-	f.Add(oneEventFile(1, 1<<32+5))
-	f.Add(oneEventFile(2, 1<<32+5))
+	f.Add(encodeV1(multi)) // version 1, refused
+	// An event record whose UE id does not fit 32 bits.
+	f.Add(oneEventFile(1<<32 + 5))
 	f.Fuzz(fuzzReader)
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,7 +20,7 @@ import (
 // CLIs) is a drain of it. It reads incrementally: the device registry is
 // parsed up front (O(UEs)), then events are decoded one at a time into a
 // reused record, so a multi-week trace is never resident in memory. It
-// handles both binary versions and the text format, and checks every
+// handles the binary and the text format, and checks every
 // record against the registry but not the order of events: ReadAuto keeps
 // file order, FileSource enforces the canonical one.
 //
@@ -42,9 +43,8 @@ type Scanner struct {
 	started bool
 
 	// Binary decoding state.
-	remaining uint64 // v1: events left; v2: records left in current chunk
+	remaining uint64 // records left in the current chunk
 	prevT     uint64
-	hint      uint64 // total event count when known (v1)
 
 	// Text decoding state.
 	lineno  int
@@ -59,8 +59,7 @@ type deviceEntry struct {
 type scanMode uint8
 
 const (
-	scanBinaryV1 scanMode = iota
-	scanBinaryV2
+	scanBinary scanMode = iota
 	scanText
 )
 
@@ -93,15 +92,10 @@ func NewScanner(r io.Reader) (*Scanner, error) {
 // newBinaryScanner parses the UE table of a binary trace whose magic and
 // version byte have already been consumed.
 func newBinaryScanner(br *bufio.Reader, version byte) (*Scanner, error) {
-	s := &Scanner{br: br, devSet: make(map[cp.UEID]cp.DeviceType)}
-	switch version {
-	case 1:
-		s.mode = scanBinaryV1
-	case binaryVersion:
-		s.mode = scanBinaryV2
-	default:
+	if version != binaryVersion {
 		return nil, fmt.Errorf("trace: unsupported binary version %d", version)
 	}
+	s := &Scanner{br: br, mode: scanBinary, devSet: make(map[cp.UEID]cp.DeviceType)}
 	numUEs, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading UE count: %w", err)
@@ -131,13 +125,6 @@ func newBinaryScanner(br *bufio.Reader, version byte) (*Scanner, error) {
 		if err := s.register(cp.UEID(ue), d); err != nil {
 			return nil, err
 		}
-	}
-	if s.mode == scanBinaryV1 {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading event count: %w", err)
-		}
-		s.remaining, s.hint = n, n
 	}
 	return s, nil
 }
@@ -225,10 +212,6 @@ func (s *Scanner) readLine() (string, error) {
 // NumUEs returns the number of registered UEs.
 func (s *Scanner) NumUEs() int { return len(s.devs) }
 
-// NumEventsHint returns the total event count when the header carries one
-// (binary v1), else 0 — useful only for preallocation.
-func (s *Scanner) NumEventsHint() uint64 { return s.hint }
-
 // Device returns the device type of a registered UE.
 func (s *Scanner) Device(ue cp.UEID) (cp.DeviceType, bool) {
 	d, ok := s.devSet[ue]
@@ -246,17 +229,16 @@ func (s *Scanner) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 }
 
 // Scan advances to the next event, returning false at the end of the
-// stream or on error (distinguished by Err).
+// stream or on error (distinguished by Err). Scan and Event are also the
+// loop of bench/main.go's trace check.
 func (s *Scanner) Scan() bool {
 	if s.done || s.err != nil {
 		return false
 	}
-	switch s.mode {
-	case scanBinaryV1, scanBinaryV2:
+	if s.mode == scanBinary {
 		return s.scanBinary()
-	default:
-		return s.scanText()
 	}
+	return s.scanText()
 }
 
 // Event returns the record decoded by the last successful Scan. It is
@@ -292,22 +274,17 @@ func (s *Scanner) fail(err error) bool {
 }
 
 func (s *Scanner) scanBinary() bool {
-	if s.mode == scanBinaryV2 {
-		// Chunked: a zero chunk length terminates the stream.
-		for s.remaining == 0 {
-			n, err := binary.ReadUvarint(s.br)
-			if err != nil {
-				return s.fail(fmt.Errorf("trace: reading event chunk: %w", err))
-			}
-			if n == 0 {
-				s.done = true
-				return false
-			}
-			s.remaining = n
+	// Chunked: a zero chunk length terminates the stream.
+	for s.remaining == 0 {
+		n, err := binary.ReadUvarint(s.br)
+		if err != nil {
+			return s.fail(fmt.Errorf("trace: reading event chunk: %w", err))
 		}
-	} else if s.remaining == 0 {
-		s.done = true
-		return false
+		if n == 0 {
+			s.done = true
+			return false
+		}
+		s.remaining = n
 	}
 	delta, err := binary.ReadUvarint(s.br)
 	if err != nil {
@@ -519,7 +496,8 @@ func (sw *StreamWriter) writeHeader() error {
 	return nil
 }
 
-// Write appends one event: a WriteBatch of one.
+// Write appends one event: a WriteBatch of one (bench/gen.go's probeSink
+// forwards its own Write here).
 func (sw *StreamWriter) Write(e Event) error {
 	sw.one.Reset()
 	sw.one.Append(e)
@@ -688,7 +666,8 @@ func (tw *TextWriter) formatDevice(ue cp.UEID, d cp.DeviceType) []byte {
 	return b
 }
 
-// Write appends one event line: a WriteBatch of one.
+// Write appends one event line: a WriteBatch of one (bench/gen.go's
+// probeSink forwards its own Write here).
 func (tw *TextWriter) Write(e Event) error {
 	tw.one.Reset()
 	tw.one.Append(e)
@@ -805,10 +784,15 @@ func WriteSource(w io.Writer, src EventSource, binaryFormat bool) (ues, events i
 	return cs.ues, cs.events, closeFn()
 }
 
+// ErrNotCanonical is what FileSource's scans wrap when the file's events
+// are not in canonical order. A stream cannot repair that; a caller that
+// can afford the memory reads the file with ReadAuto and sorts the trace.
+var ErrNotCanonical = errors.New("events out of canonical order")
+
 // FileSource is a re-iterable EventSource backed by a trace file (binary
-// or text). Every Devices/Scan call reopens the file, so concurrent
+// or text). Every Devices/ScanBatches call reopens the file, so concurrent
 // passes are independent and peak memory is the registry plus one decode
-// record — never the event sequence.
+// batch — never the event sequence.
 type FileSource struct {
 	Path string
 }
@@ -848,14 +832,15 @@ func (fs *FileSource) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 	return sc.Devices(fn)
 }
 
-// Scan implements EventSource: ScanBatches, one event at a time.
+// Scan is ScanBatches, one event at a time: the only per-event scan left,
+// kept for bench/fit.go's "FileSource.Scan" replay.
 func (fs *FileSource) Scan(fn func(Event) error) error {
 	return fs.ScanBatches(Unbatch(fn))
 }
 
-// ScanBatches implements BatchSource: the file's events decode straight
+// ScanBatches implements EventSource: the file's events decode straight
 // into a reused batch via Scanner.ScanBatch, enforcing the canonical-order
-// stream contract within and across batches.
+// stream contract within and across batches (ErrNotCanonical).
 func (fs *FileSource) ScanBatches(fn func(*Batch) error) error {
 	f, sc, err := fs.open()
 	if err != nil {
@@ -869,7 +854,7 @@ func (fs *FileSource) ScanBatches(fn func(*Batch) error) error {
 		for i := range b.T {
 			ev := Event{T: b.T[i], UE: b.UE[i], Type: b.Type[i]}
 			if hasLast && ev.Before(last) {
-				return fmt.Errorf("trace: %s: event %v out of canonical order (after %v)", fs.Path, ev, last)
+				return fmt.Errorf("trace: %s: event %v after %v: %w", fs.Path, ev, last, ErrNotCanonical)
 			}
 			last, hasLast = ev, true
 		}

@@ -60,14 +60,22 @@ func (s *shardSource) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 	})
 }
 
-// Scan implements EventSource: the underlying events with other shards'
-// UEs filtered out (canonical order preserved — dropping events cannot
-// reorder the survivors).
-func (s *shardSource) Scan(fn func(Event) error) error {
-	return s.src.Scan(func(e Event) error {
-		if UEShard(e.UE, s.shards) != s.shard {
+// ScanBatches implements EventSource: each delivered batch filtered into
+// the shard's own reused batch, other shards' UEs dropped (canonical order
+// preserved — dropping events cannot reorder the survivors). A batch with
+// no survivor is not delivered.
+func (s *shardSource) ScanBatches(fn func(*Batch) error) error {
+	out := NewBatch(DefaultBatchSize)
+	return s.src.ScanBatches(func(b *Batch) error {
+		out.Reset()
+		for i, ue := range b.UE {
+			if UEShard(ue, s.shards) == s.shard {
+				out.Append(b.At(i))
+			}
+		}
+		if out.Len() == 0 {
 			return nil
 		}
-		return fn(e)
+		return fn(out)
 	})
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -68,48 +69,82 @@ func TestUEShardDeterministicAndPinned(t *testing.T) {
 	}
 }
 
+// chunked delivers its trace's events n to a batch: a shard view must not
+// depend on how its source groups events.
+type chunked struct {
+	*Trace
+	n int
+}
+
+func (c chunked) ScanBatches(fn func(*Batch) error) error {
+	b := NewBatch(c.n)
+	for evs := c.Events; len(evs) > 0; {
+		n := min(c.n, len(evs))
+		b.Reset()
+		for _, e := range evs[:n] {
+			b.Append(e)
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+		evs = evs[n:]
+	}
+	return nil
+}
+
+// TestShardSourcePartitions: whatever the shard count and however the
+// source batches its events, each shard delivers exactly its own UEs'
+// registrations and events in the source's order — so the shards are
+// disjoint and their union is the source — and never an empty batch (at
+// one event per batch most source batches have no survivor).
 func TestShardSourcePartitions(t *testing.T) {
 	tr := shardTestTrace(64)
-	const shards = 4
-	var gotUEs []cp.UEID
-	var gotEvents []Event
-	for s := 0; s < shards; s++ {
-		src, err := ShardSource(tr, shards, s)
-		if err != nil {
-			t.Fatal(err)
+	for _, shards := range []int{2, 3, 4, 7} {
+		for _, size := range []int{1, 7, DefaultBatchSize} {
+			nUEs, nEvents := 0, 0
+			for s := 0; s < shards; s++ {
+				src, err := ShardSource(chunked{tr, size}, shards, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := src.Devices(func(ue cp.UEID, d cp.DeviceType) error {
+					if UEShard(ue, shards) != s {
+						t.Fatalf("shard %d/%d delivered UE %d of shard %d", s, shards, ue, UEShard(ue, shards))
+					}
+					if tr.Device[ue] != d {
+						t.Fatalf("device type mismatch for UE %d", ue)
+					}
+					nUEs++
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				var want, got []Event
+				for _, e := range tr.Events {
+					if UEShard(e.UE, shards) == s {
+						want = append(want, e)
+					}
+				}
+				if err := src.ScanBatches(func(b *Batch) error {
+					if b.Len() == 0 {
+						t.Fatalf("shard %d/%d over batches of %d: empty batch delivered", s, shards, size)
+					}
+					got = b.AppendTo(got)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("shard %d/%d over batches of %d: %d events, want the source's %d for this shard, in order",
+						s, shards, size, len(got), len(want))
+				}
+				nEvents += len(got)
+			}
+			if nUEs != len(tr.UEs()) || nEvents != len(tr.Events) {
+				t.Fatalf("%d shards over batches of %d delivered %d UEs and %d events, want %d and %d",
+					shards, size, nUEs, nEvents, len(tr.UEs()), len(tr.Events))
+			}
 		}
-		if err := src.Devices(func(ue cp.UEID, d cp.DeviceType) error {
-			if UEShard(ue, shards) != s {
-				t.Fatalf("shard %d delivered UE %d of shard %d", s, ue, UEShard(ue, shards))
-			}
-			if tr.Device[ue] != d {
-				t.Fatalf("device type mismatch for UE %d", ue)
-			}
-			gotUEs = append(gotUEs, ue)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		prev := Event{T: -1 << 62}
-		if err := src.Scan(func(e Event) error {
-			if UEShard(e.UE, shards) != s {
-				t.Fatalf("shard %d delivered event for UE %d", s, e.UE)
-			}
-			if e.Before(prev) {
-				t.Fatalf("shard %d events out of canonical order", s)
-			}
-			prev = e
-			gotEvents = append(gotEvents, e)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(gotUEs) != len(tr.UEs()) {
-		t.Fatalf("shards delivered %d UEs, want %d", len(gotUEs), len(tr.UEs()))
-	}
-	if len(gotEvents) != len(tr.Events) {
-		t.Fatalf("shards delivered %d events, want %d", len(gotEvents), len(tr.Events))
 	}
 }
 
@@ -147,8 +182,8 @@ func TestShardSourcePropagatesErrors(t *testing.T) {
 	if err := src.Devices(func(cp.UEID, cp.DeviceType) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Devices error = %v, want boom", err)
 	}
-	if err := src.Scan(func(Event) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Scan error = %v, want boom", err)
+	if err := src.ScanBatches(func(*Batch) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("ScanBatches error = %v, want boom", err)
 	}
 }
 
@@ -160,7 +195,7 @@ func TestShardSourceReIterable(t *testing.T) {
 	}
 	count := func() int {
 		n := 0
-		if err := src.Scan(func(Event) error { n++; return nil }); err != nil {
+		if err := src.ScanBatches(func(b *Batch) error { n += b.Len(); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		return n

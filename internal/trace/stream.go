@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"cptraffic/internal/cp"
 )
@@ -17,10 +18,12 @@ import (
 //
 //   - Devices delivers every (UE, device type) registration exactly once,
 //     in ascending UE order, before any consumer looks at events.
-//   - Scan delivers events in canonical order — non-decreasing under
-//     Event.Before, i.e. by time with (UE, Type) tie-breaks, the same
-//     total order Trace.Sort establishes and k-way merges of per-UE
-//     streams produce.
+//   - ScanBatches delivers events in canonical order — non-decreasing
+//     under Event.Before, i.e. by time with (UE, Type) tie-breaks, the
+//     same total order Trace.Sort establishes — one Batch at a time.
+//     Batch boundaries carry no meaning (the byte-identity tests pin
+//     this), and the *Batch passed to fn is reused between calls: fn must
+//     consume or copy it before returning.
 //   - Both methods may be called repeatedly; every call starts a fresh
 //     iteration over the same data (sources backed by a seeded generator
 //     re-derive it deterministically).
@@ -33,15 +36,16 @@ type EventSource interface {
 	// Devices calls fn for every registered UE in ascending UE order,
 	// stopping at the first error, which it returns.
 	Devices(fn func(cp.UEID, cp.DeviceType) error) error
-	// Scan calls fn for every event in canonical order, stopping at the
-	// first error, which it returns.
-	Scan(fn func(Event) error) error
+	// ScanBatches calls fn for successive batches of events in canonical
+	// order, stopping at the first error, which it returns.
+	ScanBatches(fn func(*Batch) error) error
 }
 
 // EventSink consumes a stream: every device registration first (ascending
 // UE order), then events in canonical order. *Trace implements EventSink
 // (materializing), StreamWriter and TextWriter write incrementally to a
-// file; writers additionally need Close to flush.
+// file; writers additionally need Close to flush. (Write stays beside
+// BatchSink.WriteBatch: bench/gen.go's encoder embeds both interfaces.)
 type EventSink interface {
 	SetDevice(cp.UEID, cp.DeviceType) error
 	Write(Event) error
@@ -68,46 +72,38 @@ func (tr *Trace) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 	return nil
 }
 
-// Scan implements EventSource: events in canonical order. A trace that is
-// already sorted (the pipeline invariant) is iterated in place; an
-// unsorted one pays one O(n) index sort per call without mutating the
-// trace.
-func (tr *Trace) Scan(fn func(Event) error) error {
-	if tr.Sorted() {
-		for _, e := range tr.Events {
-			if err := fn(e); err != nil {
-				return err
-			}
-		}
-		return nil
+// ScanBatches implements EventSource: events in canonical order,
+// DefaultBatchSize at a time. A trace that is already sorted (the pipeline
+// invariant) is sliced in place; an unsorted one pays one sort of a copy
+// per call without mutating the trace.
+func (tr *Trace) ScanBatches(fn func(*Batch) error) error {
+	evs := tr.Events
+	if !tr.Sorted() {
+		tmp := &Trace{Events: slices.Clone(evs)}
+		tmp.Sort()
+		evs = tmp.Events
 	}
-	sorted := append([]Event(nil), tr.Events...)
-	tmp := &Trace{Events: sorted}
-	tmp.Sort()
-	for _, e := range sorted {
-		if err := fn(e); err != nil {
+	b := NewBatch(DefaultBatchSize)
+	for len(evs) > 0 {
+		n := min(len(evs), b.Cap())
+		b.Reset()
+		for _, e := range evs[:n] {
+			b.Append(e)
+		}
+		if err := fn(b); err != nil {
 			return err
 		}
+		evs = evs[n:]
 	}
 	return nil
 }
 
-// Copy streams src into dst: registrations first, then events. It is the
-// universal pipe between pipeline stages; with a FileSource and a
-// StreamWriter both ends run in O(UEs) memory. Callers owning a writer
-// sink must still Close it afterwards.
-func Copy(dst EventSink, src EventSource) error {
-	if err := src.Devices(dst.SetDevice); err != nil {
-		return err
-	}
-	return src.Scan(dst.Write)
-}
-
 // Collect materializes a source into an in-memory trace — the bridge back
-// from the streaming world for consumers that need random access.
+// from the streaming world for consumers that need random access
+// (bench/fit.go's reference fit among them).
 func Collect(src EventSource) (*Trace, error) {
 	tr := New()
-	if err := Copy(tr, src); err != nil {
+	if err := CopyBatches(tr, src); err != nil {
 		return nil, err
 	}
 	return tr, nil

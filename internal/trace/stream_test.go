@@ -42,8 +42,8 @@ func writeStream(t testing.TB, src EventSource) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw := NewStreamWriter(&buf)
-	if err := Copy(sw, src); err != nil {
-		t.Fatalf("Copy into StreamWriter: %v", err)
+	if err := CopyBatches(sw, src); err != nil {
+		t.Fatalf("CopyBatches into StreamWriter: %v", err)
 	}
 	if err := sw.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -223,8 +223,10 @@ func TestStreamWriterMatchesWriteBinaryTrace(t *testing.T) {
 	}
 }
 
-// Version-1 files (count-prefixed, unchunked) must stay readable.
-func TestScannerReadsV1(t *testing.T) {
+// Version-1 files (count-prefixed, unchunked), which no writer produces,
+// are refused by name at the header: by the Scanner, whichever face would
+// have drained it, by ReadAuto and by FileSource.
+func TestScannerRejectsV1(t *testing.T) {
 	// Hand-encode a v1 file: 2 UEs, 3 events.
 	v1 := []byte{'C', 'P', 'T', 'B', 1,
 		2,                                           // numUEs
@@ -234,18 +236,18 @@ func TestScannerReadsV1(t *testing.T) {
 		50, 8, byte(cp.TrackingAreaUpdate), // t=150
 		0, 5, byte(cp.ServiceRequest), // t=150
 	}
-	got := scanAll(t, v1)
-	want := New()
-	want.SetDevice(5, cp.Phone)
-	want.SetDevice(8, cp.ConnectedCar)
-	want.Append(Event{T: 100, UE: 5, Type: cp.Attach})
-	want.Append(Event{T: 150, UE: 8, Type: cp.TrackingAreaUpdate})
-	want.Append(Event{T: 150, UE: 5, Type: cp.ServiceRequest})
-	if !reflect.DeepEqual(got.Events, want.Events) || !reflect.DeepEqual(got.Device, want.Device) {
-		t.Fatalf("v1 decode mismatch:\ngot  %+v\nwant %+v", got, want)
+	path := filepath.Join(t.TempDir(), "v1.trace")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if tr, err := ReadAuto(bytes.NewReader(v1)); err != nil || tr.Len() != 3 {
-		t.Fatalf("ReadAuto on v1: %v (len %d)", err, tr.Len())
+	_, scanErr := drainScanner(v1, false)
+	_, batchErr := drainScanner(v1, true)
+	_, readErr := ReadAuto(bytes.NewReader(v1))
+	_, fileErr := NewFileSource(path)
+	for _, err := range []error{scanErr, batchErr, readErr, fileErr} {
+		if err == nil || err.Error() != "trace: unsupported binary version 1" {
+			t.Fatalf("v1 file: got %v, want the unsupported-version error", err)
+		}
 	}
 }
 
@@ -271,7 +273,7 @@ func TestTextWriterMatchesWriteTrace(t *testing.T) {
 	}
 	var got bytes.Buffer
 	tw := NewTextWriter(&got)
-	if err := Copy(tw, tr); err != nil {
+	if err := CopyBatches(tw, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
@@ -393,14 +395,14 @@ func TestTraceAsSourceAndSink(t *testing.T) {
 	unsorted.Append(Event{T: 500, UE: 1, Type: cp.TrackingAreaUpdate})
 	unsorted.Append(Event{T: 100, UE: 1, Type: cp.Attach})
 	var seen []Event
-	if err := unsorted.Scan(func(e Event) error { seen = append(seen, e); return nil }); err != nil {
+	if err := unsorted.ScanBatches(func(b *Batch) error { seen = b.AppendTo(seen); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if !sort.SliceIsSorted(seen, func(i, j int) bool { return seen[i].Before(seen[j]) }) {
-		t.Fatal("Scan of unsorted trace not in canonical order")
+	if len(seen) != 2 || !sort.SliceIsSorted(seen, func(i, j int) bool { return seen[i].Before(seen[j]) }) {
+		t.Fatal("ScanBatches of unsorted trace not in canonical order")
 	}
 	if unsorted.Events[0].T != 500 {
-		t.Fatal("Scan mutated the unsorted trace")
+		t.Fatal("ScanBatches mutated the unsorted trace")
 	}
 
 	if err := tr.Write(Event{T: 0, UE: 9999, Type: cp.Attach}); err == nil {

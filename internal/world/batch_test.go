@@ -10,11 +10,11 @@ import (
 	"cptraffic/internal/trace"
 )
 
-// TestBatchedMatchesStreamed is the world half of the tentpole identity
-// test: across seeds × workers, the parallel Generate assembly, the
-// per-event Source.Scan, and the native batched Source.ScanBatches must
-// yield the same event sequence, and batched vs per-event writes must
-// produce the same bytes for both codecs.
+// TestBatchedMatchesStreamed is the world half of the identity test:
+// across seeds × workers, the parallel Generate assembly and the
+// streaming Source.ScanBatches must yield the same event sequence, and
+// writing the generated trace and the streaming source must produce the
+// same bytes for both codecs.
 func TestBatchedMatchesStreamed(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 99} {
 		for _, workers := range []int{1, 8} {
@@ -28,13 +28,6 @@ func TestBatchedMatchesStreamed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var streamed []trace.Event
-				if err := src.Scan(func(e trace.Event) error {
-					streamed = append(streamed, e)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
 				var batched []trace.Event
 				if err := src.ScanBatches(func(b *trace.Batch) error {
 					batched = b.AppendTo(batched)
@@ -45,19 +38,14 @@ func TestBatchedMatchesStreamed(t *testing.T) {
 				if len(gen.Events) == 0 {
 					t.Fatal("simulated no events; test is vacuous")
 				}
-				diff := func(name string, got []trace.Event) {
-					t.Helper()
-					if len(got) != len(gen.Events) {
-						t.Fatalf("%s: %d events, Generate produced %d", name, len(got), len(gen.Events))
-					}
-					for i := range got {
-						if got[i] != gen.Events[i] {
-							t.Fatalf("%s: event %d = %v, Generate produced %v", name, i, got[i], gen.Events[i])
-						}
+				if len(batched) != len(gen.Events) {
+					t.Fatalf("ScanBatches: %d events, Generate produced %d", len(batched), len(gen.Events))
+				}
+				for i := range batched {
+					if batched[i] != gen.Events[i] {
+						t.Fatalf("ScanBatches: event %d = %v, Generate produced %v", i, batched[i], gen.Events[i])
 					}
 				}
-				diff("Scan", streamed)
-				diff("ScanBatches", batched)
 
 				for _, codec := range []string{"text", "binary"} {
 					mk := func(w *bytes.Buffer) interface {
@@ -69,23 +57,23 @@ func TestBatchedMatchesStreamed(t *testing.T) {
 						}
 						return trace.NewStreamWriter(w)
 					}
-					var perEvent, viaBatches bytes.Buffer
-					w1 := mk(&perEvent)
-					if err := trace.Copy(w1, gen); err != nil {
+					var fromTrace, fromSource bytes.Buffer
+					w1 := mk(&fromTrace)
+					if err := trace.CopyBatches(w1, gen); err != nil {
 						t.Fatal(err)
 					}
 					if err := w1.Close(); err != nil {
 						t.Fatal(err)
 					}
-					w2 := mk(&viaBatches)
+					w2 := mk(&fromSource)
 					if err := trace.CopyBatches(w2, src); err != nil {
 						t.Fatal(err)
 					}
 					if err := w2.Close(); err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(perEvent.Bytes(), viaBatches.Bytes()) {
-						t.Fatalf("%s: batched source bytes differ from per-event trace bytes", codec)
+					if !bytes.Equal(fromTrace.Bytes(), fromSource.Bytes()) {
+						t.Fatalf("%s: streaming source bytes differ from generated trace bytes", codec)
 					}
 				}
 			})

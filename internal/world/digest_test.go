@@ -52,8 +52,8 @@ func TestWorldDigestPinned(t *testing.T) {
 // pinnedWorldDigest streamed NewSource → writer, keyed by writer. They
 // were recorded on the commit before the simulation-backed source moved
 // from the k-way loser tree to windowed packed-key assembly, and are
-// absolute: Scan and ScanBatches share one ordering path, so the tests
-// that compare them with each other cannot see both move. The binary
+// absolute: the tests that compare ScanBatches with Generate cannot see
+// both move. The binary
 // digest equals pinnedWorldDigest because WriteBinaryTrace is a
 // StreamWriter over the sorted trace.
 var pinnedWorldStreamDigests = map[string]string{
@@ -61,8 +61,8 @@ var pinnedWorldStreamDigests = map[string]string{
 	"binary": pinnedWorldDigest,
 }
 
-// TestSourceDigestPinned pins the absolute bytes of the streaming source:
-// both writers, batched (CopyBatches) and per event (Copy).
+// TestSourceDigestPinned pins the absolute bytes of the streaming source
+// through both writers.
 func TestSourceDigestPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests recorded on amd64, running on %s", runtime.GOARCH)
@@ -74,31 +74,25 @@ func TestSourceDigestPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, codec := range []string{"text", "binary"} {
-		for _, batched := range []bool{true, false} {
-			var buf bytes.Buffer
-			var w interface {
-				trace.EventSink
-				Close() error
-			}
-			if codec == "text" {
-				w = trace.NewTextWriter(&buf)
-			} else {
-				w = trace.NewStreamWriter(&buf)
-			}
-			pipe := trace.Copy
-			if batched {
-				pipe = trace.CopyBatches
-			}
-			if err := pipe(w, src); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(buf.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != pinnedWorldStreamDigests[codec] {
-				t.Errorf("%s batched=%v: digest %s, pinned %s", codec, batched, got, pinnedWorldStreamDigests[codec])
-			}
+		var buf bytes.Buffer
+		var w interface {
+			trace.EventSink
+			Close() error
+		}
+		if codec == "text" {
+			w = trace.NewTextWriter(&buf)
+		} else {
+			w = trace.NewStreamWriter(&buf)
+		}
+		if err := trace.CopyBatches(w, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != pinnedWorldStreamDigests[codec] {
+			t.Errorf("%s: digest %s, pinned %s", codec, got, pinnedWorldStreamDigests[codec])
 		}
 	}
 }

@@ -39,7 +39,7 @@ func TestWorldGenerationEquivalence(t *testing.T) {
 			}
 			var sbuf bytes.Buffer
 			tw := trace.NewTextWriter(&sbuf)
-			if err := trace.Copy(tw, src); err != nil {
+			if err := trace.CopyBatches(tw, src); err != nil {
 				t.Fatal(err)
 			}
 			if err := tw.Close(); err != nil {

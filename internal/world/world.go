@@ -239,17 +239,12 @@ func (s *Source) sims() []ueSim {
 	return sims
 }
 
-// Scan simulates the population and delivers its events in canonical
-// order: ScanBatches, one event at a time.
-func (s *Source) Scan(fn func(trace.Event) error) error {
-	return s.ScanBatches(trace.Unbatch(fn))
-}
-
-// ScanBatches implements trace.BatchSource natively, and is the source's
-// one ordering path: trace.AssembleWindows advances the population a time
-// window at a time — each simulator drained up to the window's end
-// (drainUntil), the window's packed keys sorted in cache — and delivers
-// reused struct-of-arrays batches.
+// ScanBatches simulates the population and delivers its events in
+// canonical order, and is the source's one ordering path:
+// trace.AssembleWindows advances the population a time window at a time —
+// each simulator drained up to the window's end (drainUntil), the window's
+// packed keys sorted in cache — and delivers reused struct-of-arrays
+// batches.
 func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
 	sims := s.sims()
 	return trace.AssembleWindows(fn, len(sims), cp.UEID(len(sims)-1), func(i int, limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {

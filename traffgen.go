@@ -102,9 +102,10 @@ func WriteTrace(w io.Writer, tr *Trace) error { return trace.WriteTrace(w, tr) }
 
 // Streaming abstraction re-exports. An EventSource delivers a trace
 // incrementally — device registrations first, then events in canonical
-// (time, UE, type) order — so pipelines can run in bounded memory; an
-// EventSink receives one the same way. *Trace implements both, making
-// the in-memory path the reference implementation.
+// (time, UE, type) order, a Batch at a time — so pipelines can run in
+// bounded memory; an EventSink receives one the same way. *Trace
+// implements both, making the in-memory path the reference
+// implementation.
 type (
 	// EventSource is an ordered, re-iterable stream of trace events.
 	EventSource = trace.EventSource
@@ -113,28 +114,32 @@ type (
 )
 
 // Batched pipeline re-exports. A Batch carries a run of canonical-order
-// events in struct-of-arrays layout; sources that implement BatchSource
-// and sinks that implement BatchSink move whole batches through the hot
-// path instead of one interface call per event. Batch boundaries never
-// affect the produced trace or its serialized bytes (test-enforced);
-// adapters bridge every EventSource/EventSink onto the batched faces.
+// events in struct-of-arrays layout: it is the unit every EventSource
+// delivers (ScanBatches reuses the batch between callbacks, so copy what
+// you keep), and sinks that implement BatchSink take whole batches instead
+// of one interface call per event. Batch boundaries never affect the
+// produced trace or its serialized bytes (test-enforced).
 type (
 	// Batch is a struct-of-arrays run of trace events.
 	Batch = trace.Batch
-	// BatchSource delivers a trace as a sequence of reused batches.
-	BatchSource = trace.BatchSource
 	// BatchSink consumes registrations and whole event batches.
 	BatchSink = trace.BatchSink
 )
 
-// CopyBatches streams src into dst over the batched pipeline, using
-// each side's native batch support when present and adapting otherwise.
-// The result is byte-identical to the per-event trace.Copy.
+// CopyBatches streams src into dst, registrations first, then events a
+// batch at a time; a sink without native batch support is fed per event.
 func CopyBatches(dst EventSink, src EventSource) error { return trace.CopyBatches(dst, src) }
 
 // NewFileSource opens an on-disk trace (binary or text) as a re-iterable
-// EventSource that reads incrementally instead of loading the file.
+// EventSource that reads incrementally instead of loading the file. A
+// stream cannot reorder: scanning a file whose events are not in canonical
+// order fails with ErrNotCanonical.
 func NewFileSource(path string) (EventSource, error) { return trace.NewFileSource(path) }
+
+// ErrNotCanonical is the error (test with errors.Is) a file source's scan
+// wraps for a file out of canonical order; ReadTrace plus (*Trace).Sort
+// repair one in memory.
+var ErrNotCanonical = trace.ErrNotCanonical
 
 // CollectTrace materializes a source into an in-memory trace.
 func CollectTrace(src EventSource) (*Trace, error) { return trace.Collect(src) }
@@ -196,39 +201,31 @@ func (opt FitOptions) lower() (core.FitOptions, error) {
 	return copt, nil
 }
 
-// Fit estimates a traffic model from a trace with explicit control over
-// the fitting pipeline; FitModel is the common-case shorthand.
-func Fit(tr *Trace, opt FitOptions) (*Model, error) {
+// Fit estimates a traffic model from a source — a *Trace, a file
+// (NewFileSource), a simulator or a generator — in one scan, with explicit
+// control over the fitting pipeline; FitModel is the common-case
+// shorthand. The source is never materialized: memory is O(UEs + retained
+// samples) on top of what the source itself holds, and SketchK bounds the
+// sample term too. The fitted model is byte-identical for any source kind
+// and worker count.
+func Fit(src EventSource, opt FitOptions) (*Model, error) {
 	copt, err := opt.lower()
 	if err != nil {
 		return nil, err
 	}
-	return core.Fit(tr, copt)
+	return core.Fit(src, copt)
 }
 
-// FitModel estimates a traffic model from a trace using the named method.
-func FitModel(tr *Trace, method string, co ClusterOptions) (*Model, error) {
-	return Fit(tr, FitOptions{Method: method, Cluster: co})
-}
-
-// FitStream estimates a traffic model from a streaming source in one
-// scan without materializing the trace: memory is O(UEs + retained
-// samples) instead of O(events), and SketchK bounds the sample term
-// too. The fitted model is byte-identical to Fit on the collected
-// trace, for any source kind and worker count.
-func FitStream(src EventSource, opt FitOptions) (*Model, error) {
-	copt, err := opt.lower()
-	if err != nil {
-		return nil, err
-	}
-	return core.FitStream(src, copt)
+// FitModel estimates a traffic model from a source using the named method.
+func FitModel(src EventSource, method string, co ClusterOptions) (*Model, error) {
+	return Fit(src, FitOptions{Method: method, Cluster: co})
 }
 
 // PartialFit is the mergeable, serializable state of an in-progress
 // fit: feed it sources or events, checkpoint it mid-scan with Encode,
 // and Build the model — or fit disjoint UE shards in parallel (even on
-// separate machines) and combine them with MergeFits. Fit and
-// FitStream are thin drivers over a single PartialFit.
+// separate machines) and combine them with MergeFits. Fit is a thin
+// driver over a single PartialFit.
 type PartialFit = core.PartialFit
 
 // NewPartialFit starts an empty partial fit. Partials only merge when
@@ -293,8 +290,7 @@ func TrafficSource(ms *Model, opt GenOptions) (EventSource, error) {
 // GenerateTo streams a synthetic trace into sink without materializing
 // it: registrations first, then events in canonical order. The transfer
 // rides the batched pipeline (the generator fills struct-of-arrays
-// batches natively); the delivered events and bytes are identical to
-// the per-event path.
+// batches natively).
 func GenerateTo(ms *Model, opt GenOptions, sink EventSink) error {
 	src, err := core.NewSource(ms, opt)
 	if err != nil {

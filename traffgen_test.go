@@ -112,7 +112,7 @@ func TestFacadeStreamingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cptraffic.FitStream(src, cptraffic.FitOptions{Cluster: co})
+	got, err := cptraffic.Fit(src, cptraffic.FitOptions{Cluster: co})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFacadeStreamingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
-		t.Fatal("FitStream(WorldSource) differs from FitModel(SimulateWorld)")
+		t.Fatal("Fit(WorldSource) differs from FitModel(SimulateWorld)")
 	}
 
 	gopt := cptraffic.GenOptions{NumUEs: 200, StartHour: 1, Duration: cptraffic.Hour, Seed: 5}
