@@ -70,9 +70,10 @@ race:
 # both Generates stay within 0.02 allocations and 48 allocated bytes per
 # assembled event; one ScanBatches of either streaming Source stays within
 # 640 allocated bytes per UE; ModelSet.Save allocates its buffer and
-# nothing that grows with the model.
+# nothing that grows with the model; both trace writers' Write and
+# WriteBatch allocate nothing.
 allocs:
-	$(GO) test -run 'SteadyStateAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE' ./internal/core/ ./internal/world/
+	$(GO) test -run 'SteadyStateAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE' ./internal/core/ ./internal/world/ ./internal/trace/
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"strconv"
@@ -33,8 +34,8 @@ import (
 type Scanner struct {
 	br *bufio.Reader
 
-	devs   []deviceEntry // ascending UE order
-	devSet map[cp.UEID]cp.DeviceType
+	devs []deviceEntry // ascending UE order
+	reg  registry
 
 	mode    scanMode
 	ev      Event
@@ -95,7 +96,7 @@ func newBinaryScanner(br *bufio.Reader, version byte) (*Scanner, error) {
 	if version != binaryVersion {
 		return nil, fmt.Errorf("trace: unsupported binary version %d", version)
 	}
-	s := &Scanner{br: br, mode: scanBinary, devSet: make(map[cp.UEID]cp.DeviceType)}
+	s := &Scanner{br: br, mode: scanBinary}
 	numUEs, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading UE count: %w", err)
@@ -132,7 +133,7 @@ func newBinaryScanner(br *bufio.Reader, version byte) (*Scanner, error) {
 // newTextScanner parses the text header plus the leading U lines: the
 // grammar (codec.go) puts every registration before the first event.
 func newTextScanner(br *bufio.Reader) (*Scanner, error) {
-	s := &Scanner{br: br, mode: scanText, devSet: make(map[cp.UEID]cp.DeviceType)}
+	s := &Scanner{br: br, mode: scanText}
 	line, err := s.readLine()
 	if err != nil {
 		if err == io.EOF {
@@ -183,15 +184,11 @@ func newTextScanner(br *bufio.Reader) (*Scanner, error) {
 }
 
 func (s *Scanner) register(ue cp.UEID, d cp.DeviceType) error {
-	if prev, ok := s.devSet[ue]; ok {
-		if prev != d {
-			return fmt.Errorf("trace: UE %d already registered as %v, cannot change to %v", ue, prev, d)
-		}
-		return nil
+	fresh, err := s.reg.add(ue, d)
+	if fresh {
+		s.devs = append(s.devs, deviceEntry{UE: ue, D: d})
 	}
-	s.devSet[ue] = d
-	s.devs = append(s.devs, deviceEntry{UE: ue, D: d})
-	return nil
+	return err
 }
 
 func (s *Scanner) readLine() (string, error) {
@@ -214,7 +211,7 @@ func (s *Scanner) NumUEs() int { return len(s.devs) }
 
 // Device returns the device type of a registered UE.
 func (s *Scanner) Device(ue cp.UEID) (cp.DeviceType, bool) {
-	d, ok := s.devSet[ue]
+	d, ok := s.reg.typ[ue]
 	return d, ok
 }
 
@@ -314,7 +311,7 @@ func (s *Scanner) scanBinary() bool {
 	if !et.Valid() {
 		return s.fail(fmt.Errorf("trace: invalid event type %d", tb))
 	}
-	if _, ok := s.devSet[cp.UEID(ue)]; !ok {
+	if !s.reg.has(cp.UEID(ue)) {
 		return s.fail(fmt.Errorf("trace: event for unregistered UE %d", ue))
 	}
 	s.remaining--
@@ -359,7 +356,7 @@ func (s *Scanner) scanText() bool {
 }
 
 func (s *Scanner) checkTextEvent() bool {
-	if _, ok := s.devSet[s.ev.UE]; !ok {
+	if !s.reg.has(s.ev.UE) {
 		return s.fail(fmt.Errorf("trace: line %d: event for unregistered UE %d", s.lineno, s.ev.UE))
 	}
 	if s.ev.T < 0 {
@@ -412,31 +409,27 @@ const streamChunkSize = 1024
 // Close. Events are framed in chunks with a zero terminator (format
 // version 2), so it never needs the event count and a generator can pour
 // an unbounded stream through O(1) writer state. WriteBatch is the one
-// checked encode loop; Write is its one-event face.
+// encode loop, behind the one stream check (check.go); Write is its
+// one-event face.
 type StreamWriter struct {
-	bw     *bufio.Writer
-	devs   []deviceEntry
-	devSet map[cp.UEID]cp.DeviceType
+	bw   *bufio.Writer
+	devs []deviceEntry
+	chk  streamCheck
 
 	started bool // header + UE table written
-	closed  bool
-	prevT   cp.Millis
-	last    Event
-	hasLast bool
 
-	chunk   []byte // encoded records of the pending chunk, reused across flushes
-	chunkN  int
-	scratch [binary.MaxVarintLen64]byte
+	chunk  []byte // encoded records of the pending chunk, reused across flushes
+	chunkN int
+	prevT  cp.Millis // time of the last encoded event, zero before the first: its delta is its time
+
+	scratch [binary.MaxVarintLen64]byte // putUvarint's: the header's and the chunk lengths' varints
 
 	one Batch // Write's one-event batch, reused
 }
 
 // NewStreamWriter prepares an incremental binary trace writer on w.
 func NewStreamWriter(w io.Writer) *StreamWriter {
-	return &StreamWriter{
-		bw:     bufio.NewWriterSize(w, 1<<16),
-		devSet: make(map[cp.UEID]cp.DeviceType),
-	}
+	return &StreamWriter{bw: bufio.NewWriterSize(w, 1<<16)}
 }
 
 // SetDevice registers a UE. All registrations must precede the first
@@ -448,18 +441,14 @@ func (sw *StreamWriter) SetDevice(ue cp.UEID, d cp.DeviceType) error {
 	if !d.Valid() {
 		return fmt.Errorf("trace: invalid device type %d", d)
 	}
-	if prev, ok := sw.devSet[ue]; ok {
-		if prev != d {
-			return fmt.Errorf("trace: UE %d already registered as %v, cannot change to %v", ue, prev, d)
-		}
-		return nil
-	}
-	if n := len(sw.devs); n > 0 && sw.devs[n-1].UE >= ue {
+	if n := len(sw.devs); n > 0 && sw.devs[n-1].UE >= ue && !sw.chk.reg.has(ue) {
 		return fmt.Errorf("trace: UE %d registered out of order (after %d)", ue, sw.devs[n-1].UE)
 	}
-	sw.devSet[ue] = d
-	sw.devs = append(sw.devs, deviceEntry{UE: ue, D: d})
-	return nil
+	fresh, err := sw.chk.reg.add(ue, d)
+	if fresh {
+		sw.devs = append(sw.devs, deviceEntry{UE: ue, D: d})
+	}
+	return err
 }
 
 func (sw *StreamWriter) putUvarint(v uint64) error {
@@ -504,58 +493,46 @@ func (sw *StreamWriter) Write(e Event) error {
 	return sw.WriteBatch(&sw.one)
 }
 
-// appendRecord delta-encodes one already-validated event into the reused
-// chunk buffer and advances the writer's order state.
-//
-//cplint:hotpath runs once per written event; varint appends into the reused chunk buffer
-func (sw *StreamWriter) appendRecord(e Event) {
-	delta := uint64(e.T)
-	if sw.hasLast {
-		delta = uint64(e.T - sw.prevT)
-	}
-	n := binary.PutUvarint(sw.scratch[:], delta)
-	sw.chunk = append(sw.chunk, sw.scratch[:n]...)
-	n = binary.PutUvarint(sw.scratch[:], uint64(e.UE))
-	sw.chunk = append(sw.chunk, sw.scratch[:n]...)
-	sw.chunk = append(sw.chunk, byte(e.Type))
-	sw.chunkN++
-	sw.prevT = e.T
-	sw.last, sw.hasLast = e, true
-}
-
-// WriteBatch appends a batch of events. Events must be registered,
-// non-negative, and arrive in canonical order, within a batch and from
-// one batch to the next. Records accumulate in the reused chunk buffer and
+// WriteBatch appends a batch of events. Events must be registered, of a
+// defined type, non-negative, and arrive in canonical order, within a
+// batch and from one batch to the next; the events ahead of a refused
+// one are written. Records accumulate in the reused chunk buffer and
 // chunks flush at streamChunkSize boundaries, so the bytes are independent
 // of how events were grouped into batches.
 func (sw *StreamWriter) WriteBatch(b *Batch) error {
-	if sw.closed {
-		return fmt.Errorf("trace: Write after Close")
-	}
-	if b.Len() > 0 && !sw.started {
+	n, refused := sw.chk.check(b)
+	if n > 0 && !sw.started {
 		if err := sw.writeHeader(); err != nil {
 			return err
 		}
 	}
-	for i := range b.T {
-		e := Event{T: b.T[i], UE: b.UE[i], Type: b.Type[i]}
-		if _, ok := sw.devSet[e.UE]; !ok {
-			return fmt.Errorf("trace: event for unregistered UE %d", e.UE)
-		}
-		if e.T < 0 {
-			return fmt.Errorf("trace: binary format cannot encode negative timestamp %d", e.T)
-		}
-		if sw.hasLast && e.Before(sw.last) {
-			return fmt.Errorf("trace: event %v out of canonical order (after %v)", e, sw.last)
-		}
-		sw.appendRecord(e)
-		if sw.chunkN >= streamChunkSize {
+	for i := 0; i < n; {
+		m := min(n-i, streamChunkSize-sw.chunkN)
+		sw.appendRecords(b, i, i+m)
+		i += m
+		if sw.chunkN == streamChunkSize {
 			if err := sw.flushChunk(); err != nil {
 				return err
 			}
 		}
 	}
-	return nil
+	return refused
+}
+
+// appendRecords delta-encodes the checked events b[lo:hi] onto the reused
+// chunk buffer.
+//
+//cplint:hotpath the per-event binary encode loop: varint appends straight onto the reused chunk buffer
+func (sw *StreamWriter) appendRecords(b *Batch, lo, hi int) {
+	chunk, prevT := sw.chunk, sw.prevT
+	for i := lo; i < hi; i++ {
+		chunk = binary.AppendUvarint(chunk, uint64(b.T[i]-prevT))
+		chunk = binary.AppendUvarint(chunk, uint64(b.UE[i]))
+		chunk = append(chunk, byte(b.Type[i]))
+		prevT = b.T[i]
+	}
+	sw.chunk, sw.prevT = chunk, prevT
+	sw.chunkN += hi - lo
 }
 
 func (sw *StreamWriter) flushChunk() error {
@@ -576,10 +553,10 @@ func (sw *StreamWriter) flushChunk() error {
 // Close flushes the final chunk, writes the stream terminator, and
 // flushes the buffer. It does not close the underlying writer.
 func (sw *StreamWriter) Close() error {
-	if sw.closed {
+	if sw.chk.closed {
 		return nil
 	}
-	sw.closed = true
+	sw.chk.closed = true
 	if !sw.started {
 		if err := sw.writeHeader(); err != nil {
 			return err
@@ -595,31 +572,21 @@ func (sw *StreamWriter) Close() error {
 }
 
 // TextWriter writes the line-oriented text format incrementally, with the
-// same SetDevice/Write/WriteBatch/Close protocol and the same event checks
-// as StreamWriter. Its output for a canonical stream is byte-identical to
-// WriteTrace of the collected trace.
+// same SetDevice/Write/WriteBatch/Close protocol as StreamWriter and the
+// same stream check (check.go). Its output for a canonical stream is
+// byte-identical to WriteTrace of the collected trace.
 type TextWriter struct {
-	bw     *bufio.Writer
-	devSet map[cp.UEID]cp.DeviceType
+	bw  *bufio.Writer
+	chk streamCheck
 
 	wroteHeader bool
-	seenEvent   bool
-	closed      bool
-	last        Event
-	hasLast     bool
-
-	// line is the reused record-formatting buffer: per-event fmt verbs
-	// would box every integer argument, so the writer appends with
-	// strconv instead (byte-identical output, zero steady-state
-	// allocations).
-	line []byte
 
 	one Batch // Write's one-event batch, reused
 }
 
 // NewTextWriter prepares an incremental text trace writer on w.
 func NewTextWriter(w io.Writer) *TextWriter {
-	return &TextWriter{bw: bufio.NewWriterSize(w, 1<<16), devSet: make(map[cp.UEID]cp.DeviceType)}
+	return &TextWriter{bw: bufio.NewWriterSize(w, 1<<16)}
 }
 
 func (tw *TextWriter) header() error {
@@ -633,37 +600,25 @@ func (tw *TextWriter) header() error {
 
 // SetDevice registers a UE; registrations must precede the first Write.
 func (tw *TextWriter) SetDevice(ue cp.UEID, d cp.DeviceType) error {
-	if tw.seenEvent {
+	if tw.chk.hasLast {
 		return fmt.Errorf("trace: SetDevice(%d) after events started", ue)
 	}
 	if !d.Valid() {
 		return fmt.Errorf("trace: invalid device type %d", d)
 	}
-	if prev, ok := tw.devSet[ue]; ok {
-		if prev != d {
-			return fmt.Errorf("trace: UE %d already registered as %v, cannot change to %v", ue, prev, d)
-		}
-		return nil
+	fresh, err := tw.chk.reg.add(ue, d)
+	if !fresh {
+		return err
 	}
 	if err := tw.header(); err != nil {
 		return err
 	}
-	tw.devSet[ue] = d
-	_, err := tw.bw.Write(tw.formatDevice(ue, d))
+	line := append(tw.bw.AvailableBuffer(), 'U', ' ')
+	line = strconv.AppendUint(line, uint64(ue), 10)
+	line = append(line, ' ')
+	line = append(line, d.String()...)
+	_, err = tw.bw.Write(append(line, '\n'))
 	return err
-}
-
-// formatDevice renders one U line into the reused line buffer.
-//
-//cplint:hotpath strconv.Append* into the reused buffer, no fmt, no fresh slices
-func (tw *TextWriter) formatDevice(ue cp.UEID, d cp.DeviceType) []byte {
-	b := append(tw.line[:0], 'U', ' ')
-	b = strconv.AppendUint(b, uint64(ue), 10)
-	b = append(b, ' ')
-	b = append(b, d.String()...)
-	b = append(b, '\n')
-	tw.line = b
-	return b
 }
 
 // Write appends one event line: a WriteBatch of one (bench/gen.go's
@@ -674,62 +629,136 @@ func (tw *TextWriter) Write(e Event) error {
 	return tw.WriteBatch(&tw.one)
 }
 
-// formatEvent renders one E line into the reused line buffer — the
-// per-event formatting on the streamed-write path.
-//
-//cplint:hotpath runs once per written event; strconv.Append* into the reused buffer
-func (tw *TextWriter) formatEvent(e Event) []byte {
-	b := append(tw.line[:0], 'E', ' ')
-	b = strconv.AppendInt(b, int64(e.T), 10)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, uint64(e.UE), 10)
-	b = append(b, ' ')
-	b = append(b, e.Type.String()...)
-	b = append(b, '\n')
-	tw.line = b
-	return b
-}
-
-// WriteBatch appends a batch of event lines, each formatted into the
-// reused line buffer. Events must be registered, non-negative, and arrive
-// in canonical order, within a batch and from one batch to the next.
+// WriteBatch appends a batch of event lines. Events must be registered,
+// of a defined type, non-negative, and arrive in canonical order, within
+// a batch and from one batch to the next; the lines of the events ahead
+// of a refused one are written.
 func (tw *TextWriter) WriteBatch(b *Batch) error {
-	if tw.closed {
-		return fmt.Errorf("trace: Write after Close")
-	}
-	if b.Len() > 0 {
+	n, refused := tw.chk.check(b)
+	if n > 0 {
 		if err := tw.header(); err != nil {
 			return err
 		}
-		// Times never decrease from here on, so the stream's first
-		// event is the only one that can be negative.
-		if !tw.hasLast && b.T[0] < 0 {
-			return fmt.Errorf("trace: negative timestamp %d", b.T[0])
-		}
-	}
-	for i := range b.T {
-		e := Event{T: b.T[i], UE: b.UE[i], Type: b.Type[i]}
-		if _, ok := tw.devSet[e.UE]; !ok {
-			return fmt.Errorf("trace: event for unregistered UE %d", e.UE)
-		}
-		if tw.hasLast && e.Before(tw.last) {
-			return fmt.Errorf("trace: event %v out of canonical order (after %v)", e, tw.last)
-		}
-		tw.seenEvent = true
-		tw.last, tw.hasLast = e, true
-		if _, err := tw.bw.Write(tw.formatEvent(e)); err != nil {
+		if err := tw.appendLines(b, n); err != nil {
 			return err
 		}
 	}
-	return nil
+	return refused
+}
+
+const (
+	// maxEventLine is the longest E line there is: math.MaxInt64,
+	// math.MaxUint32 and the longest type name.
+	maxEventLine = len("E 9223372036854775807 4294967295 S1_CONN_REL\n")
+	// typeBlock is the size of a typeFields entry.
+	typeBlock = 16
+	// lineRoom is the buffer space appendLines wants ahead of a line:
+	// fields are stored as fixed-width blocks of which the field's own
+	// width is kept, so the last block of a maximal line reaches past
+	// the line's end by its padding.
+	lineRoom = len("E 9223372036854775807 4294967295") + typeBlock
+)
+
+// typeFields holds the tail of an E line per event type, " NAME\n" padded
+// to typeBlock bytes, and typeWidths the part of it that counts.
+var typeFields, typeWidths = func() (f [cp.NumEventTypes][typeBlock]byte, w [cp.NumEventTypes]uint8) {
+	for _, typ := range cp.EventTypes {
+		w[typ] = uint8(copy(f[typ][:], " "+typ.String()+"\n"))
+	}
+	return f, w
+}()
+
+// appendLines formats the first n events of b, which the stream check has
+// passed, straight into the bufio.Writer's free space, and hands the
+// buffer over when less than a line's room is left: the destination sees
+// the same 64 KiB writes as if every line had gone through Write. Nothing
+// is checked here and no store is sized by a value.
+//
+//cplint:hotpath the per-event text encode loop: fixed-width stores into the writer's own buffer
+func (tw *TextWriter) appendLines(b *Batch, n int) error {
+	ts, ues, types := b.T[:n], b.UE[:n], b.Type[:n]
+	dst := tw.bw.AvailableBuffer()
+	dst = dst[:cap(dst)]
+	p := 0
+	for i, t := range ts {
+		if len(dst)-p < lineRoom {
+			if _, err := tw.bw.Write(dst[:p]); err != nil {
+				return err
+			}
+			if tw.bw.Available() < lineRoom {
+				if err := tw.bw.Flush(); err != nil {
+					return err
+				}
+			}
+			dst = tw.bw.AvailableBuffer()
+			dst = dst[:cap(dst)]
+			p = 0
+		}
+		dst[p], dst[p+1] = 'E', ' '
+		p = putDecimal(dst, p+2, uint64(t))
+		dst[p] = ' '
+		p = putDecimal(dst, p+1, uint64(ues[i]))
+		typ := types[i]
+		*(*[typeBlock]byte)(dst[p:]) = typeFields[typ]
+		p += int(typeWidths[typ])
+	}
+	_, err := tw.bw.Write(dst[:p])
+	return err
+}
+
+// putDecimal stores v in decimal at dst[p:] and returns the position past
+// its last digit. It writes whole 8-byte words, so up to 7 bytes past that
+// position are clobbered and must exist.
+//
+//cplint:hotpath twice per written line; arithmetic and 8-byte stores only
+func putDecimal(dst []byte, p int, v uint64) int {
+	if v < 1e8 {
+		return putLeading(dst, p, uint32(v))
+	}
+	if v < 1e16 {
+		p = putLeading(dst, p, uint32(v/1e8))
+		binary.LittleEndian.PutUint64(dst[p:], digits8(uint32(v%1e8))|asciiZeros)
+		return p + 8
+	}
+	p = putLeading(dst, p, uint32(v/1e16))
+	v %= 1e16
+	binary.LittleEndian.PutUint64(dst[p:], digits8(uint32(v/1e8))|asciiZeros)
+	binary.LittleEndian.PutUint64(dst[p+8:], digits8(uint32(v%1e8))|asciiZeros)
+	return p + 16
+}
+
+// putLeading is putDecimal for v < 1e8: eight digits less the leading
+// zeros, of which a zero keeps one.
+func putLeading(dst []byte, p int, v uint32) int {
+	d := digits8(v)
+	zeros := bits.TrailingZeros64(d|1<<56) >> 3
+	binary.LittleEndian.PutUint64(dst[p:], (d|asciiZeros)>>(8*zeros))
+	return p + 8 - zeros
+}
+
+const asciiZeros = 0x3030303030303030
+
+// digits8 returns the eight decimal digits of v < 1e8, one per byte, the
+// most significant in the lowest byte: stored little-endian they read left
+// to right. Three rounds of divide-and-remainder, each on every lane at
+// once — two 4-digit halves in 32-bit lanes, four 2-digit pairs in 16-bit
+// lanes, eight digits in bytes — with the division a multiply and a shift
+// (n/100 = n·5243>>19 below 10 000, n/10 = n·103>>10 below 100). No table,
+// no loop whose length depends on v, no byte-sized stores to read back.
+func digits8(v uint32) uint64 {
+	x := uint64(v/1e4) | uint64(v%1e4)<<32
+	q := x * 5243 >> 19 & 0x0000007f0000007f
+	x = q | (x-q*100)<<16
+	q = x * 103 >> 10 & 0x000f000f000f000f
+	return q | (x-q*10)<<8
 }
 
 // Close flushes the buffer; it does not close the underlying writer.
 func (tw *TextWriter) Close() error {
-	if tw.closed {
+	if tw.chk.closed {
 		return nil
 	}
-	tw.closed = true
+	tw.chk.closed = true
 	if err := tw.header(); err != nil {
 		return err
 	}
@@ -848,15 +877,14 @@ func (fs *FileSource) ScanBatches(fn func(*Batch) error) error {
 	}
 	defer f.Close()
 	b := NewBatch(DefaultBatchSize)
-	var last Event
-	hasLast := false
+	chk := streamCheck{reg: sc.reg}
 	for sc.ScanBatch(b) {
-		for i := range b.T {
-			ev := Event{T: b.T[i], UE: b.UE[i], Type: b.Type[i]}
-			if hasLast && ev.Before(last) {
-				return fmt.Errorf("trace: %s: event %v after %v: %w", fs.Path, ev, last, ErrNotCanonical)
+		if _, err := chk.check(b); err != nil {
+			var oe *orderError
+			if errors.As(err, &oe) {
+				return fmt.Errorf("trace: %s: event %v after %v: %w", fs.Path, oe.ev, oe.after, ErrNotCanonical)
 			}
-			last, hasLast = ev, true
+			return err
 		}
 		if err := fn(b); err != nil {
 			return err

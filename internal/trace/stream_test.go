@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -264,23 +267,120 @@ func TestScannerReadsText(t *testing.T) {
 	}
 }
 
-// TextWriter output matches WriteTrace for a canonical trace.
+// digitsTrace is a canonical trace that takes the text formatter through
+// every width it has: UE ids of 1 to 10 digits, 0 and the largest among
+// them, on both sides of the registry's bitset bound; times at 0, on both
+// sides of every power of ten, in runs of equal neighbours and at the
+// largest; all six types; and a random stretch long enough that the whole
+// file is several write buffers.
+func digitsTrace(t *testing.T) *Trace {
+	t.Helper()
+	rng := rand.New(rand.NewSource(12))
+	tr := New()
+	ues := []cp.UEID{0, 7, 42, 123, 4567, 89012, 345678, 9012345, 67890123, 456789012, math.MaxUint32,
+		denseUEs - 1, denseUEs, denseUEs + 5}
+	for i, ue := range ues {
+		if err := tr.SetDevice(ue, cp.DeviceTypes[i%cp.NumDeviceTypes]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := func(ts ...cp.Millis) {
+		for _, ts := range ts {
+			for n := 1 + rng.Intn(3); n > 0; n-- { // runs of equal times
+				tr.Append(Event{T: ts, UE: ues[rng.Intn(len(ues))], Type: cp.EventTypes[tr.Len()%cp.NumEventTypes]})
+			}
+		}
+	}
+	at(0, 1)
+	for p := cp.Millis(10); p > 0 && p <= 1e18; p *= 10 {
+		at(p-1, p, p+1)
+		if p == 1e9 {
+			for ts := p; ts < 2e9; ts += cp.Millis(rng.Intn(3) * rng.Intn(150000)) {
+				at(ts)
+			}
+		}
+	}
+	at(math.MaxInt64-1, math.MaxInt64)
+	tr.Sort()
+	return tr
+}
+
+// flushOffsetTrace is one UE's canonical trace of 64 short lines, shift of
+// them a byte longer than the rest, and then more longest-possible lines
+// than a write buffer holds: over shifts 0 to 63 a longest line starts at
+// every distance from the buffer's end.
+func flushOffsetTrace(t *testing.T, shift int) *Trace {
+	t.Helper()
+	tr := New()
+	if err := tr.SetDevice(math.MaxUint32, cp.Phone); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		typ := cp.Handover // "HO"
+		if i >= 64-shift {
+			typ = cp.TrackingAreaUpdate // "TAU", and ordered after it
+		}
+		tr.Append(Event{T: 0, UE: math.MaxUint32, Type: typ})
+	}
+	for n := (1<<16)/maxEventLine + 50; n > 0; n-- {
+		tr.Append(Event{T: math.MaxInt64, UE: math.MaxUint32, Type: cp.S1ConnRelease})
+	}
+	return tr
+}
+
+// TextWriter's bytes for a canonical trace are WriteTrace's — the fmt
+// encoder, which shares nothing with it — however the events are cut into
+// batches and wherever the lines fall against the write buffer.
 func TestTextWriterMatchesWriteTrace(t *testing.T) {
-	tr := streamTrace(t, 5, 100, 4)
-	var want bytes.Buffer
-	if err := WriteTrace(&want, tr); err != nil {
-		t.Fatal(err)
+	type traceCase struct {
+		name string
+		tr   *Trace
 	}
-	var got bytes.Buffer
-	tw := NewTextWriter(&got)
-	if err := CopyBatches(tw, tr); err != nil {
-		t.Fatal(err)
+	cases := []traceCase{
+		{"small", streamTrace(t, 5, 100, 4)},
+		{"digits", digitsTrace(t)},
 	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
+	for shift := 0; shift < 64; shift++ {
+		cases = append(cases, traceCase{fmt.Sprintf("flush-offset-%d", shift), flushOffsetTrace(t, shift)})
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("TextWriter and WriteTrace output differ")
+	for _, tc := range cases {
+		var want bytes.Buffer
+		if err := WriteTrace(&want, tc.tr); err != nil {
+			t.Fatal(err)
+		}
+		if tc.name == "digits" && want.Len() <= 3<<16 {
+			t.Fatalf("the digits trace is %d bytes: too short to straddle three flushes", want.Len())
+		}
+		all := NewBatch(tc.tr.Len())
+		for _, e := range tc.tr.Events {
+			all.Append(e)
+		}
+		for _, size := range []int{1, 7, DefaultBatchSize, 4096, max(1, all.Len())} {
+			var got bytes.Buffer
+			tw := NewTextWriter(&got)
+			if err := tc.tr.Devices(tw.SetDevice); err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < all.Len(); off += size {
+				end := min(off+size, all.Len())
+				view := Batch{T: all.T[off:end], UE: all.UE[off:end], Type: all.Type[off:end]}
+				if err := tw.WriteBatch(&view); err != nil {
+					t.Fatalf("%s, batches of %d: %v", tc.name, size, err)
+				}
+			}
+			if err := tw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				at := 0
+				for at < got.Len() && at < want.Len() && got.Bytes()[at] == want.Bytes()[at] {
+					at++
+				}
+				lo, hi := max(0, at-60), min(at+60, want.Len(), got.Len())
+				t.Fatalf("%s, batches of %d: TextWriter and WriteTrace differ at byte %d of %d/%d:\n got %q\nwant %q",
+					tc.name, size, at, got.Len(), want.Len(), got.Bytes()[lo:hi], want.Bytes()[lo:hi])
+			}
+		}
 	}
 }
 
@@ -301,6 +401,8 @@ func TestStreamWriterRejectsBadInput(t *testing.T) {
 		{"unregistered-UE", [][]Event{{ev(0, 1)}, {ev(1, 1), ev(2, 9)}}, false, "unregistered UE 9"},
 		{"unregistered-UE-first", [][]Event{{ev(0, 9)}}, false, "unregistered UE 9"},
 		{"negative-timestamp", [][]Event{{ev(-5, 1), ev(3, 1)}}, false, "negative timestamp -5"},
+		{"invalid-type-first", [][]Event{{{T: 5, UE: 1, Type: 9}}}, false, "trace: invalid event type 9"},
+		{"invalid-type-mid-batch", [][]Event{{ev(0, 1)}, {ev(1, 1), {T: 5, UE: 1, Type: 9}, ev(6, 1)}}, false, "trace: invalid event type 9"},
 		{"write-after-close", [][]Event{{ev(0, 1)}}, true, "Write after Close"},
 	}
 	for _, tc := range cases {
@@ -355,8 +457,12 @@ func TestStreamWriterRejectsBadInput(t *testing.T) {
 	})
 }
 
-// The per-event face is a one-event WriteBatch through a batch the writer
-// owns: in steady state it allocates nothing.
+// Neither face allocates in steady state: the per-event one is a
+// one-event WriteBatch through a batch the writer owns, the batched one
+// (what CopyBatches and production runs call) formats into buffers the
+// writer already has. A refused event may allocate its error, and leaves
+// what was accepted ahead of it — in earlier batches and in its own — in
+// the output, nothing else.
 func TestWriterWriteSteadyStateAllocs(t *testing.T) {
 	for _, wr := range incrementalWriters {
 		w := wr.new(io.Discard)
@@ -368,11 +474,56 @@ func TestWriterWriteSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 2*streamChunkSize; i++ { // grow the chunk and line buffers
+		for i := 0; i < 2*streamChunkSize; i++ { // grow the chunk buffer
 			write()
 		}
 		if avg := testing.AllocsPerRun(4*streamChunkSize, write); avg != 0 {
 			t.Errorf("%s.Write allocates %.2f times per event, want 0", wr.name, avg)
+		}
+
+		b := NewBatch(DefaultBatchSize)
+		writeBatch := func() {
+			b.Reset()
+			for i := 0; i < b.Cap(); i++ {
+				next += 7
+				b.Append(Event{T: next, UE: 1, Type: cp.EventTypes[i%cp.NumEventTypes]})
+			}
+			if err := w.WriteBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if avg := testing.AllocsPerRun(64, writeBatch); avg != 0 {
+			t.Errorf("%s.WriteBatch allocates %.2f times per batch of %d, want 0", wr.name, avg, b.Cap())
+		}
+
+		for _, refusedAt := range []int{0, 100} {
+			tr := streamTrace(t, 3, 2*DefaultBatchSize, 13)
+			var want, got bytes.Buffer
+			whole, cut := wr.new(&want), wr.new(&got)
+			for _, enc := range []incrementalWriter{whole, cut} {
+				if err := tr.Devices(enc.SetDevice); err != nil {
+					t.Fatal(err)
+				}
+			}
+			accepted := tr.Events[:DefaultBatchSize+refusedAt]
+			if err := writeFaces[1].put(whole, accepted); err != nil {
+				t.Fatal(err)
+			}
+			second := slices.Clone(tr.Events[DefaultBatchSize:])
+			second[refusedAt].UE = 1 // streamTrace's ids are multiples of 3
+			if err := writeFaces[1].put(cut, tr.Events[:DefaultBatchSize]); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeFaces[1].put(cut, second); err == nil {
+				t.Fatalf("%s: event %d of the second batch is for an unregistered UE, WriteBatch accepted it", wr.name, refusedAt)
+			}
+			if err := errors.Join(whole.Close(), cut.Close()); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s: after a refusal at event %d of the second batch the output is %d bytes, the %d accepted events alone are %d",
+					wr.name, refusedAt, got.Len(), len(accepted), want.Len())
+			}
 		}
 	}
 }
