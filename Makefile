@@ -71,9 +71,10 @@ race:
 # assembled event; one ScanBatches of either streaming Source stays within
 # 640 allocated bytes per UE; ModelSet.Save allocates its buffer and
 # nothing that grows with the model; both trace writers' Write and
-# WriteBatch allocate nothing.
+# WriteBatch allocate nothing; and the generator's per-UE state (ueGen)
+# stays within the 400 B that budget counts.
 allocs:
-	$(GO) test -run 'SteadyStateAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE' ./internal/core/ ./internal/world/ ./internal/trace/
+	$(GO) test -run 'SteadyStateAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE|UEGenSize' ./internal/core/ ./internal/world/ ./internal/trace/
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1
@@ -83,8 +84,8 @@ allocs:
 # the model target also holds ModelSet.Save to encoding/json's bytes on
 # every accepted input. There is one trace reader (trace.Scanner behind
 # ReadAuto), so the two trace targets share one body and differ in their
-# seeds — text for FuzzReadTrace; multi-chunk binary, a mid-stream
-# terminator, a 33-bit UE id and a refused version-1 file for
+# seeds — text for FuzzReadTrace; multi-chunk binary, a chunk behind the
+# terminator (refused), a 33-bit UE id and a refused version-1 file for
 # FuzzReadBinaryTrace: nothing panics, Scan and ScanBatch deliver the same
 # events and error, and an accepted trace, sorted, goes through both
 # writers and reads back equal.

@@ -200,7 +200,8 @@ func TestGenerateBytesPerEvent(t *testing.T) {
 
 // TestSourceScanBytesPerUE gates the streaming source's footprint: what one
 // ScanBatches allocates, per UE of a population large enough to amortize
-// the window buffers. The budget is the plan (40 B), the ueGen (400 B) and
+// the window buffers. The budget is the plan (40 B), the ueGen (384 B,
+// TestUEGenSize keeps it at most 400) and
 // the pending time (8 B) per UE, plus the window's keys, scratch and
 // columns (29 B a key, grown geometrically, at most one key per UE or
 // 16 Ki) — no per-UE run buffer; the loser tree's k × 64-event slab made it

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"cptraffic/internal/cp"
 	"cptraffic/internal/sm"
@@ -36,10 +37,9 @@ import (
 // plus flat parameters, so drawing never switches on a string kind.
 // sample consumes the RNG exactly like SojournModel.Sample.
 type cDist struct {
-	kind   uint8
-	lambda float64
-	value  float64
-	q      []float64
+	kind uint8
+	x    float64   // λ for cdExp, the value for cdConst
+	q    []float64 // the quantile table for cdTable
 }
 
 const (
@@ -53,9 +53,9 @@ func compileDist(s SojournModel) cDist {
 	case SojournTable:
 		return cDist{kind: cdTable, q: s.Q}
 	case SojournExp:
-		return cDist{kind: cdExp, lambda: s.Lambda}
+		return cDist{kind: cdExp, x: s.Lambda}
 	case SojournConst:
-		return cDist{kind: cdConst, value: s.Value}
+		return cDist{kind: cdConst, x: s.Value}
 	}
 	panic(fmt.Sprintf("core: compile of invalid sojourn model kind %q", s.Kind))
 }
@@ -65,9 +65,9 @@ func (d *cDist) sample(r *stats.RNG) float64 {
 	case cdTable:
 		return stats.QuantileAt(d.q, r.OpenFloat64())
 	case cdExp:
-		return r.Exp(d.lambda)
+		return r.Exp(d.x)
 	default:
-		return d.value
+		return d.x
 	}
 }
 
@@ -233,10 +233,18 @@ func compileDevice(dm *DeviceModel, machine *sm.Machine) *cDevice {
 	if n := len(dm.Personas); n > 0 {
 		cd.personaCum = make([]float64, n)
 		cd.personaCl = make([][HoursPerDay]int16, n)
-		acc := 0.0
+		// pickByCum binary-searches these sums, so each is the running
+		// maximum of the interpreter's running sums: equal to them when
+		// no weight is negative or NaN (every fitted model), and whatever
+		// the weights, u < max(sum[0..i]) holds exactly when u < sum[j]
+		// for some j ≤ i, so the first index that passes is the same.
+		acc, top := 0.0, math.Inf(-1)
 		for i, p := range dm.Personas {
 			acc += p.Weight
-			cd.personaCum[i] = acc
+			if acc > top {
+				top = acc
+			}
+			cd.personaCum[i] = top
 			for h := 0; h < HoursPerDay; h++ {
 				cl := -1
 				if h < len(p.Cluster) {

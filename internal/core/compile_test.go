@@ -41,27 +41,23 @@ func streamBytes(t *testing.T, src trace.EventSource) []byte {
 // sort (interpTrace), for every seed and worker count: on the full
 // two-level model, on a flat model whose free-running HO/TAU processes
 // the two-level model never exercises, and on tickModel's event per UE
-// per millisecond, which puts events on every window bound.
+// per millisecond, which puts events on every window bound. The 336-h rows
+// cross every hour boundary and midnight of two weeks, so the engine's
+// cached cell must follow the hour; base-no-HO-h1 has a free clock fire
+// in an hour whose cell lacks its process, which must disarm it.
 func TestCompiledMatchesInterpreted(t *testing.T) {
-	src := toyTrace(t, 60, 3*cp.Hour, 43)
-	base, err := Fit(src, FitOptions{
-		Machine:      sm.EMMECM(),
-		SojournKind:  SojournExp,
-		FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-		NoClustering: true,
-		Method:       "base",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ours, base := fitToy(t, 50, 3*cp.Hour, 42, FitOptions{}), fitBase(t)
 	cases := map[string]struct {
 		ms       *ModelSet
 		ues      int
 		duration cp.Millis
 	}{
-		"ours": {fitToy(t, 50, 3*cp.Hour, 42, FitOptions{}), 80, 3 * cp.Hour},
-		"base": {base, 80, 3 * cp.Hour},
-		"tick": {tickModel(t), 7, 3500},
+		"ours":          {ours, 80, 3 * cp.Hour},
+		"base":          {base, 80, 3 * cp.Hour},
+		"tick":          {tickModel(t), 7, 3500},
+		"ours-336h":     {ours, 6, 336 * cp.Hour},
+		"base-336h":     {base, 6, 336 * cp.Hour},
+		"base-no-HO-h1": {withoutFreeAt(t, fitBase(t), 1, cp.Handover), 80, 5 * cp.Hour},
 	}
 	for name, c := range cases {
 		ms := c.ms
@@ -93,6 +89,57 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fitBase fits the Base method, whose free-running HO and TAU clocks race
+// beside the machine.
+func fitBase(t *testing.T) *ModelSet {
+	t.Helper()
+	ms, err := Fit(toyTrace(t, 60, 3*cp.Hour, 43), FitOptions{
+		Machine:      sm.EMMECM(),
+		SojournKind:  SojournExp,
+		FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
+		NoClustering: true,
+		Method:       "base",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
+// withoutFreeAt removes the free-running process of event type e from
+// every cell of hour h, in place, and returns ms.
+func withoutFreeAt(t *testing.T, ms *ModelSet, h int, e cp.EventType) *ModelSet {
+	t.Helper()
+	strip := func(fps []FreeProcess) []FreeProcess {
+		var kept []FreeProcess
+		for _, fp := range fps {
+			if fp.Event != e {
+				kept = append(kept, fp)
+			}
+		}
+		return kept
+	}
+	stripped := 0
+	for _, dm := range ms.Devices {
+		if dm == nil || len(dm.Hours) <= h {
+			continue
+		}
+		hm := &dm.Hours[h]
+		for c := range hm.Clusters {
+			hm.Clusters[c].Free = strip(hm.Clusters[c].Free)
+			stripped++
+		}
+		if hm.Aggregate != nil {
+			hm.Aggregate.Free = strip(hm.Aggregate.Free)
+			stripped++
+		}
+	}
+	if stripped == 0 {
+		t.Fatalf("no hour-%d model to strip", h)
+	}
+	return ms
 }
 
 // TestUEGenSteadyStateAllocs is the allocation regression gate on the loop

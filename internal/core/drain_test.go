@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cptraffic/internal/cp"
-	"cptraffic/internal/sm"
 	"cptraffic/internal/stats"
 	"cptraffic/internal/trace"
 )
@@ -42,19 +41,9 @@ func drained(t *testing.T, g *ueGen, limit cp.Millis, lay *trace.KeyLayout) ([]t
 // leaves the RNG and the emitted count where the reference leaves them.
 // (The name is historical: the reference used to be a per-event Next.)
 func TestDrainUntilMatchesNext(t *testing.T) {
-	base, err := Fit(toyTrace(t, 60, 3*cp.Hour, 43), FitOptions{
-		Machine:      sm.EMMECM(),
-		SojournKind:  SojournExp,
-		FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-		NoClustering: true,
-		Method:       "base",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	models := map[string]*ModelSet{
 		"ours":  fitToy(t, 50, 3*cp.Hour, 42, FitOptions{}),
-		"base":  base, // free-running HO/TAU clocks in the race
+		"base":  fitBase(t), // free-running HO/TAU clocks in the race
 		"flush": flushModel(t),
 	}
 	const t0, end = 22 * cp.Hour, 22*cp.Hour + 5*cp.Hour

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cptraffic/internal/cp"
 	"cptraffic/internal/par"
@@ -148,7 +149,7 @@ func compiledGens(cm *compiledModel, jobs []genJob, t0, end cp.Millis) []ueGen {
 // Source is a generator-backed trace.EventSource: scanning it draws the
 // synthetic population on the fly, so a trace of any size can be fitted,
 // evaluated, or written to disk without ever materializing it. It holds
-// one ueGen (400 B) and one pending time per UE plus a window of events
+// one ueGen (384 B) and one pending time per UE plus a window of events
 // whose size does not depend on the population. Both Devices and the scans
 // re-derive the population from the seed, so the source is re-iterable and
 // successive passes agree. The options are validated and the model
@@ -315,28 +316,40 @@ type pending struct {
 // Draw-for-draw it consumes the RNG exactly like the test oracle that
 // walks the ModelSet directly (interp_test.go), so the two produce
 // byte-identical traces.
+//
+// A Source holds one ueGen per UE, so the fields are packed:
+// TestUEGenSize keeps the struct at or below 400 B.
 type ueGen struct {
-	cm      *compiledModel
-	cd      *cDevice
-	ue      cp.UEID
+	cm *compiledModel
+	cd *cDevice
+
+	// cell is the parameter cell cellAt resolved last, valid for times in
+	// [cellLo, cellHi): one hour of the day, whose cell the UE's fixed
+	// persona decides. An empty range (the zero value) caches nothing.
+	cell           *cCell
+	cellLo, cellHi cp.Millis
+
 	rng     stats.RNG // by value: the generator is self-contained, slab-friendly state
 	t0, end cp.Millis
+	topP    pending
+	botP    pending
 
-	personaIdx int
+	ue         cp.UEID
+	personaIdx int32
+	emitted    int32 // at most maxEventsPerUE plus one queue
+	top        cp.UEState
+	bottom     sm.State
 	started    bool
 	exhausted  bool
-	emitted    int
+	qhead      uint8 // see queue
+	qlen       uint8
 
-	top    cp.UEState
-	bottom sm.State
-	topP   pending
-	botP   pending
-
-	// freeAt/freeOn replace the interpreter's map: the free-running
-	// processes' next firing time per event type, fixed-size so the
-	// race scan is a bounded loop over an array.
+	// freeOn has bit e set while the free-running process of event type
+	// e is armed, and freeAt holds its next firing time: the interpreter's
+	// map as a mask and a fixed array, so the race visits only armed
+	// clocks — none at all for models without free processes.
+	freeOn uint8
 	freeAt [cp.NumEventTypes]cp.Millis
-	freeOn [cp.NumEventTypes]bool
 
 	// queue holds events already decided but not yet delivered; qhead is
 	// the next to deliver, qlen the fill level. A step pushes at most
@@ -344,9 +357,10 @@ type ueGen struct {
 	// and the queue always drains fully between steps, so a fixed-size
 	// array suffices — no per-UE heap allocation at all.
 	queue [ueGenQueueCap]trace.Event
-	qhead int
-	qlen  int
 }
+
+// freeOn has a bit for every event type: this fails to compile otherwise.
+var _ [8 - cp.NumEventTypes]struct{}
 
 // windowOvershoot bounds how far past its own firing time one step can
 // stamp an event: the case-1 flush guard emits up to windowOvershoot
@@ -366,21 +380,27 @@ const ueGenQueueCap = 12
 func (g *ueGen) init(cm *compiledModel, cd *cDevice, ue cp.UEID, rng stats.RNG, t0, end cp.Millis) {
 	*g = ueGen{cm: cm, cd: cd, ue: ue, rng: rng, t0: t0, end: end, personaIdx: -1}
 	if len(cd.personaCum) > 0 {
-		g.personaIdx = pickByCum(cd.personaCum, g.rng.Float64())
+		g.personaIdx = int32(pickByCum(cd.personaCum, g.rng.Float64()))
 	}
 }
 
 // pickByCum returns the first index whose cumulative probability
-// exceeds u, defaulting to the last — the same comparisons the
-// interpreter's serial accumulation makes, on the precomputed partial
-// sums.
+// exceeds u, defaulting to the last — the index the interpreter's serial
+// accumulation stops at — by binary search, which needs cum nondecreasing
+// (compileDevice keeps the persona sums so). Over such sums "u < cum[i]"
+// is false up to one index and true from there on, equal sums (zero-weight
+// personas) included, so the search lands where the linear scan stops.
 func pickByCum(cum []float64, u float64) int {
-	for i, c := range cum {
-		if u < c {
-			return i
+	lo, hi := 0, len(cum)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if u < cum[m] {
+			hi = m
+		} else {
+			lo = m + 1
 		}
 	}
-	return len(cum) - 1
+	return min(lo, len(cum)-1)
 }
 
 // drainUntil advances the generator up to limit: it appends the packed key
@@ -410,9 +430,9 @@ func (g *ueGen) drainUntil(limit cp.Millis, lay *trace.KeyLayout, run *trace.Key
 				}
 			}
 			run.Append(lay, q[:n]...)
-			g.emitted += n
+			g.emitted += int32(n)
 			if n < len(q) {
-				g.qhead += n
+				g.qhead += uint8(n)
 				return q[n].T
 			}
 			g.qhead, g.qlen = 0, 0
@@ -428,16 +448,35 @@ func (g *ueGen) drainUntil(limit cp.Millis, lay *trace.KeyLayout, run *trace.Key
 	}
 }
 
-// cellAt resolves the compiled parameter cell for time t: the persona's
-// cluster for the hour, with -1 (the fallback cell) when the UE has no
-// persona.
+// cellAt returns the compiled parameter cell for time t. The cell is a
+// function of t's hour of day alone (the persona is fixed per UE), so the
+// one resolved last is reused while t stays inside its hour; a firing's
+// three draws and every firing after it in the same hour resolve nothing.
 func (g *ueGen) cellAt(t cp.Millis) *cCell {
+	if t >= g.cellLo && t < g.cellHi {
+		return g.cell
+	}
+	return g.resolveCell(t)
+}
+
+// resolveCell is cellAt's miss: the persona's cluster for the hour, with
+// -1 (the fallback cell) when the UE has no persona, cached with the
+// bounds of t's hour. HourOfDay is constant on [lo, lo+Hour) for lo a
+// non-negative multiple of Hour; a time outside that arithmetic's range
+// (the engine never draws at one) is resolved and not cached.
+func (g *ueGen) resolveCell(t cp.Millis) *cCell {
 	h := t.HourOfDay()
 	cl := int16(-1)
 	if g.personaIdx >= 0 {
 		cl = g.cd.personaCl[g.personaIdx][h]
 	}
-	return &g.cd.cells[h][cl+1]
+	g.cell = &g.cd.cells[h][cl+1]
+	g.cellLo, g.cellHi = 0, 0
+	if t >= 0 && t <= math.MaxInt64-cp.Hour {
+		g.cellLo = t - t%cp.Hour
+		g.cellHi = g.cellLo + cp.Hour
+	}
+	return g.cell
 }
 
 //cplint:hotpath writes into the fixed-size staging queue, no allocation ever
@@ -506,10 +545,12 @@ func (g *ueGen) step() {
 	if g.botP.valid && g.botP.at < next {
 		next, kind = g.botP.at, 2
 	}
-	// Fixed ascending event-type order, same tie-break as the
-	// interpreter's scan over cp.EventTypes.
-	for e := range g.freeAt {
-		if g.freeOn[e] && g.freeAt[e] < next {
+	// The armed clocks in ascending event-type order, same tie-break as
+	// the interpreter's scan over cp.EventTypes; with none armed (every
+	// ours/v2 model) there is nothing to scan.
+	for on := g.freeOn; on != 0; on &= on - 1 {
+		e := bits.TrailingZeros8(on)
+		if g.freeAt[e] < next {
 			next, kind, freeEv = g.freeAt[e], 3, cp.EventType(e)
 		}
 	}
@@ -570,12 +611,26 @@ func (g *ueGen) drawTop(now cp.Millis) {
 	if !tp.ok {
 		return
 	}
-	d := math.Max(tp.soj.sample(&g.rng), minSojournSec)
-	g.topP = pending{at: now + cp.MillisFromSeconds(d), ev: tp.ev, valid: true, toTop: tp.to}
+	g.topP = pending{at: now + sojournMillis(tp.soj.sample(&g.rng)), ev: tp.ev, valid: true, toTop: tp.to}
 }
 
-// pickByCum2 is pickByCum over cTopTrans (kept separate so the hot loop
-// indexes the cum field without building a float slice).
+// sojournMillis is cp.MillisFromSeconds(math.Max(d, minSojournSec)) with
+// the floor as one compare the compiler inlines (math.Max is an assembly
+// stub it cannot). The bound is a positive finite constant, so every case
+// Max treats specially comes out as Max gives it: NaN stays NaN (the
+// compare is false), +Inf stays +Inf, and −Inf, ±0 and subnormals are
+// below the bound. A floored sojourn is at least minSojournSec or NaN, so
+// MillisFromSeconds would take its s ≥ 0 arm, which is this rounding.
+func sojournMillis(d float64) cp.Millis {
+	if d < minSojournSec {
+		d = minSojournSec
+	}
+	return cp.Millis(d*1000 + 0.5)
+}
+
+// pickByCum2 is pickByCum's linear scan over cTopTrans — a state has a
+// handful of transitions — kept separate so the hot loop indexes the cum
+// field without building a float slice.
 func pickByCum2(trans []cTopTrans, u float64) int {
 	for i := range trans {
 		if u < trans[i].cum {
@@ -613,24 +668,20 @@ func (g *ueGen) drawBot(now cp.Millis) {
 	if !tp.ok {
 		return
 	}
-	d := math.Max(tp.soj.sample(&g.rng), minSojournSec)
-	g.botP = pending{at: now + cp.MillisFromSeconds(d), ev: tp.ev, valid: true, toBot: tp.to}
+	g.botP = pending{at: now + sojournMillis(tp.soj.sample(&g.rng)), ev: tp.ev, valid: true, toBot: tp.to}
 }
 
 //cplint:hotpath re-arms every free-event clock after a macro transition
 func (g *ueGen) drawFree(now cp.Millis) {
-	for i := range g.freeOn {
-		g.freeOn[i] = false
-	}
+	g.freeOn = 0
 	if g.top == cp.StateDeregistered {
 		return
 	}
 	free := g.cellAt(now).free
 	for i := range free {
 		fp := &free[i]
-		d := math.Max(fp.inter.sample(&g.rng), minSojournSec)
-		g.freeAt[fp.ev] = now + cp.MillisFromSeconds(d)
-		g.freeOn[fp.ev] = true
+		g.freeAt[fp.ev] = now + sojournMillis(fp.inter.sample(&g.rng))
+		g.freeOn |= 1 << fp.ev
 	}
 }
 
@@ -640,13 +691,12 @@ func (g *ueGen) redrawOneFree(e cp.EventType, now cp.Millis) {
 	for i := range free {
 		fp := &free[i]
 		if fp.ev == e {
-			d := math.Max(fp.inter.sample(&g.rng), minSojournSec)
-			g.freeAt[e] = now + cp.MillisFromSeconds(d)
-			g.freeOn[e] = true
+			g.freeAt[e] = now + sojournMillis(fp.inter.sample(&g.rng))
+			g.freeOn |= 1 << e
 			return
 		}
 	}
-	g.freeOn[e] = false
+	g.freeOn &^= 1 << e
 }
 
 // topNext gives the macro-level successor for a Category-1 event leaving

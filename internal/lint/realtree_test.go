@@ -64,7 +64,7 @@ var treeSeeds = []treeSeed{
 		analyzer: "hotcall", file: "internal/core/gen.go",
 		edits: [][2]string{{"\th := t.HourOfDay()\n\tcl := int16(-1)\n", "\th := t.HourOfDay()\n\t_ = make([]int16, h+1)\n\tcl := int16(-1)\n"}},
 		at:    "_ = make([]int16, h+1)",
-		sub:   "[hot chain: ueGen.drawTop → ueGen.cellAt]",
+		sub:   "[hot chain: ueGen.drawTop → ueGen.cellAt → ueGen.resolveCell]",
 	},
 	{
 		analyzer: "parshare", file: "internal/core/fit.go",

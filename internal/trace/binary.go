@@ -8,7 +8,7 @@ import "io"
 //	magic "CPTB" | u8 version=2
 //	uvarint numUEs | numUEs x (uvarint ueDelta, u8 device)   — UEs ascending
 //	chunks: uvarint n>0 | n x (uvarint tDelta, uvarint ue, u8 type)
-//	terminator: uvarint 0
+//	terminator: uvarint 0, and the end of the input
 //
 // Events are written in canonical time order; tDelta is the millisecond
 // difference from the previous event (the first is the absolute time),

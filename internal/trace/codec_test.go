@@ -7,10 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"cptraffic/internal/cp"
 )
@@ -193,6 +195,117 @@ func TestReadAutoTruncated(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d bytes, %d prefixes accepted", f.name, len(f.file), accepted)
+	}
+}
+
+// A file ends where its format says it ends: behind a binary stream's
+// terminator there must be nothing, so a second file after it (`cat a b`),
+// garbage, or a read error after a complete file is refused — through
+// ReadAuto, through either Scanner face and through FileSource — as the
+// text reader refuses the same three.
+func TestReadersRefuseTrailingData(t *testing.T) {
+	a, b := streamTrace(t, 5, 100, 21), streamTrace(t, 4, 70, 22)
+	encode := map[string]func(*Trace) []byte{
+		"binary": func(tr *Trace) []byte { return writeStream(t, tr) },
+		"text": func(tr *Trace) []byte {
+			var buf bytes.Buffer
+			if err := WriteTrace(&buf, tr); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		},
+	}
+	errRead := errors.New("device went away")
+	dir := t.TempDir()
+	for format, enc := range encode {
+		fa := enc(a)
+		if got, err := ReadAuto(bytes.NewReader(fa)); err != nil || !slices.Equal(got.Events, a.Events) {
+			t.Fatalf("%s: the file alone does not read back: %v", format, err)
+		}
+		for _, tc := range []struct {
+			name string
+			in   []byte
+			tail io.Reader // read after in, when set
+			want string
+		}{
+			{"concatenated", append(slices.Clip(fa), enc(b)...), nil, "trailing data after the stream terminator"},
+			{"garbage", append(slices.Clip(fa), "garbage"...), nil, "trailing data after the stream terminator"},
+			{"read-error", fa, iotest.ErrReader(errRead), ""},
+		} {
+			name := format + "/" + tc.name
+			check := func(face string, err error) {
+				t.Helper()
+				switch {
+				case tc.tail != nil && !errors.Is(err, errRead):
+					t.Errorf("%s via %s: got %v, want the read error", name, face, err)
+				case tc.tail == nil && err == nil:
+					t.Errorf("%s via %s: accepted", name, face)
+				case tc.tail == nil && format == "binary" && !strings.Contains(err.Error(), tc.want):
+					t.Errorf("%s via %s: got %v, want %q", name, face, err, tc.want)
+				}
+			}
+			open := func() io.Reader {
+				if tc.tail != nil {
+					return io.MultiReader(bytes.NewReader(tc.in), tc.tail)
+				}
+				return bytes.NewReader(tc.in)
+			}
+			_, err := ReadAuto(open())
+			check("ReadAuto", err)
+			sc, err := NewScanner(open())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for bt := NewBatch(7); sc.ScanBatch(bt); {
+			}
+			check("ScanBatch", sc.Err())
+			if tc.tail != nil {
+				continue // a file has no read error to inject
+			}
+			path := filepath.Join(dir, "trailing.trace")
+			if err := os.WriteFile(path, tc.in, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewFileSource(path)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check("FileSource", src.ScanBatches(func(*Batch) error { return nil }))
+		}
+	}
+}
+
+// Short reads change nothing: a reader that returns one byte at a time,
+// half of what was asked, or its last data together with io.EOF yields the
+// events and registry of a plain read, for either format, a small file and
+// one of several binary chunks; and a reader that times out after its
+// first read surfaces iotest.ErrTimeout — for a binary file, whole in that
+// first read, only because the reader looks behind the terminator.
+func TestScannerShortReads(t *testing.T) {
+	wrappers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"OneByteReader", iotest.OneByteReader},
+		{"HalfReader", iotest.HalfReader},
+		{"DataErrReader", iotest.DataErrReader},
+	}
+	for _, tr := range []*Trace{streamTrace(t, 6, 150, 8), streamTrace(t, 20, 3*streamChunkSize+17, 1)} {
+		var text bytes.Buffer
+		if err := WriteTrace(&text, tr); err != nil {
+			t.Fatal(err)
+		}
+		for format, file := range map[string][]byte{"text": text.Bytes(), "binary": writeStream(t, tr)} {
+			for _, w := range wrappers {
+				got, err := ReadAuto(w.wrap(bytes.NewReader(file)))
+				if err != nil || !reflect.DeepEqual(got.Device, tr.Device) || !slices.Equal(got.Events, tr.Events) {
+					t.Fatalf("%s, %d bytes, through %s: %v", format, len(file), w.name, err)
+				}
+			}
+			if _, err := ReadAuto(iotest.TimeoutReader(bytes.NewReader(file))); !errors.Is(err, iotest.ErrTimeout) {
+				t.Errorf("%s, %d bytes, through TimeoutReader: got %v, want %v", format, len(file), err, iotest.ErrTimeout)
+			}
+		}
 	}
 }
 

@@ -108,7 +108,7 @@ func FuzzReadBinaryTrace(f *testing.F) {
 		multi.Append(Event{T: cp.Millis(i * 130), UE: cp.UEID(2 + 898*(i%2)), Type: cp.EventTypes[i%cp.NumEventTypes]})
 	}
 	f.Add(writeStream(f, multi))                                 // several chunks
-	f.Add(append(oneEventFile(5), 1, 50, 5, byte(cp.Detach), 0)) // a chunk behind the terminator
+	f.Add(append(oneEventFile(5), 1, 50, 5, byte(cp.Detach), 0)) // a chunk behind the terminator, refused
 	multi.Events = multi.Events[:9]
 	f.Add(encodeV1(multi)) // version 1, refused
 	// An event record whose UE id does not fit 32 bits.

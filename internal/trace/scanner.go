@@ -271,15 +271,24 @@ func (s *Scanner) fail(err error) bool {
 }
 
 func (s *Scanner) scanBinary() bool {
-	// Chunked: a zero chunk length terminates the stream.
+	// Chunked: a zero chunk length terminates the stream, and the input
+	// must end there — a second file behind it, garbage, or a read error
+	// is not a clean end.
 	for s.remaining == 0 {
 		n, err := binary.ReadUvarint(s.br)
 		if err != nil {
 			return s.fail(fmt.Errorf("trace: reading event chunk: %w", err))
 		}
 		if n == 0 {
-			s.done = true
-			return false
+			switch _, err := s.br.ReadByte(); err {
+			case io.EOF:
+				s.done = true
+				return false
+			case nil:
+				return s.fail(errors.New("trace: trailing data after the stream terminator"))
+			default:
+				return s.fail(fmt.Errorf("trace: reading past the stream terminator: %w", err))
+			}
 		}
 		s.remaining = n
 	}
