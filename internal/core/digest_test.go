@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -215,6 +216,56 @@ func TestSourceDigestPinned(t *testing.T) {
 			if got := streamDigest(t, src, codec); got != pinnedStreamDigests[codec] {
 				t.Errorf("%s %s: digest %s, pinned %s", name, codec, got, pinnedStreamDigests[codec])
 			}
+		}
+	}
+}
+
+// pinnedCheckpointDigests are sha256 digests of PartialFit.Encode taken
+// mid-scan — after the first half of toyTrace(60 UEs, 6 h, seed 11) —
+// for three option sets. They were recorded before the ingest tallies
+// moved off hash maps and onto each UE's sink, and are absolute:
+// TestPartialCodecRoundTrip and the resume tests compare Encode with
+// DecodePartial∘Encode, so a change that moves both passes them. A
+// mid-scan cut keeps in-flight extractors and buffered prefixes on the
+// wire beside the counts, pools and (sketched) moments; base exercises a
+// second machine's state count.
+var pinnedCheckpointDigests = []struct {
+	method  string
+	sketchK int
+	digest  string
+}{
+	{"ours", 0, "7aee055262f0732e4981ada8a7131aaff2f0bc75df4012c8be434fbba5dbdf76"},
+	{"ours", 256, "ce316a306819264fd2424eef38b9853f85b81a17b4de6a4adbc43f29503f531c"},
+	{"base", 0, "095083fb575d0da862f8ec55be4a97885a1809db09ab5ac96f384e6a47f74e56"},
+}
+
+func TestPartialCheckpointDigestPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	tr := toyTrace(t, 60, 6*cp.Hour, 11)
+	half := int64(tr.Len() / 2)
+	stop := errors.New("stop")
+	for _, c := range pinnedCheckpointDigests {
+		opt := pinnedFitOptions(c.method)
+		opt.SketchK = c.sketchK
+		pf, err := NewPartialFit(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err = pf.AddSourceWithCheckpoints(tr, half, func(int64) error {
+			if err := pf.Encode(&buf); err != nil {
+				return err
+			}
+			return stop
+		})
+		if !errors.Is(err, stop) {
+			t.Fatalf("%s/%d: scan ended with %v", c.method, c.sketchK, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.digest {
+			t.Errorf("%s/%d: checkpoint of %d bytes, digest %s, pinned %s", c.method, c.sketchK, buf.Len(), got, c.digest)
 		}
 	}
 }
