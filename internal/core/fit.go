@@ -421,18 +421,18 @@ func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterMo
 	// fires within observable horizons.
 	if cm.Bottom != nil {
 		botTotal := make([]int, m.NumStates())
-		firedBy := make([][]float64, m.NumStates())
 		for k, c := range a.BotCount {
 			botTotal[k.S] += c
 		}
-		// Assemble each state's fired delays in fixed (state, event)
-		// order, not map order: CensoredExpMLE sums them, and float
-		// summation order must not depend on map iteration for the model
-		// bytes to be reproducible.
+		// Each state's fired-delay lists in fixed (state, event) order,
+		// not map order: CensoredExpMLE sums their concatenation, and
+		// float summation order must not depend on map iteration for the
+		// model bytes to be reproducible.
+		firedBy := make([][][]float64, m.NumStates())
 		for s := 0; s < m.NumStates(); s++ {
 			for _, e := range cp.EventTypes {
 				if soj, ok := a.BotSoj[botKey{S: sm.State(s), E: e}]; ok {
-					firedBy[s] = append(firedBy[s], soj...)
+					firedBy[s] = append(firedBy[s], soj)
 				}
 			}
 		}
@@ -452,18 +452,20 @@ func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterMo
 			}
 		}
 		for s := 0; s < m.NumStates(); s++ {
-			fired := firedBy[s]
-			censored := a.BotCensor[sm.State(s)]
-			if len(fired) == 0 {
+			if len(firedBy[s]) == 0 {
 				continue
 			}
+			censored := a.BotCensor[sm.State(s)]
 			switch opt.SojournKind {
-			case SojournExp:
+			case SojournExp: // the fits above leave exponential lists in order
+				fired := slices.Concat(firedBy[s]...)
 				if lambda, ok := stats.CensoredExpMLE(fired, censored); ok {
 					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournExp, Lambda: lambda}
 				}
 			default:
-				stats.SortFloats(fired, scratch)
+				// The table fits above sorted each list in place, so
+				// the state's delays are a merge away from sorted.
+				fired := stats.MergeSortedFloats(firedBy[s], scratch)
 				stats.SortFloats(censored, scratch)
 				if q, tail, ok := stats.KaplanMeierSorted(fired, censored); ok {
 					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournTable, Q: q.Q}

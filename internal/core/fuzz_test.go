@@ -28,10 +28,12 @@ func partialSeed(f *testing.F, build func(pf *PartialFit)) []byte {
 
 // FuzzDecodePartial feeds arbitrary bytes through the partial-fit
 // decoder, seeded with encodings of an empty fit and a small populated
-// one. The invariant under test is round-trip stability: any input
+// one. The invariants under test are round-trip stability — any input
 // DecodePartial accepts must Encode to bytes that decode and re-encode
-// identically — the mergeable-checkpoint protocol (DESIGN.md) depends
-// on shards resuming from byte-for-byte reproducible snapshots.
+// identically, because the mergeable-checkpoint protocol (DESIGN.md)
+// depends on shards resuming from byte-for-byte reproducible snapshots —
+// and that an accepted input builds: decoded afresh, Build may refuse it
+// but must not panic.
 func FuzzDecodePartial(f *testing.F) {
 	f.Add(partialSeed(f, nil))
 	f.Add(partialSeed(f, func(pf *PartialFit) {
@@ -77,6 +79,11 @@ func FuzzDecodePartial(f *testing.F) {
 			t.Fatalf("encode not stable across a round trip: %d bytes vs %d bytes",
 				out1.Len(), out2.Len())
 		}
+		fresh, err := DecodePartial(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("accepted input refused on a second decode: %v", err)
+		}
+		_, _ = fresh.Build() // a refusal is fine; a panic fails the target
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cptraffic/internal/cp"
+	"cptraffic/internal/sm"
 	"cptraffic/internal/stats"
 )
 
@@ -155,12 +156,15 @@ func TestSojournStdsMatchesSort(t *testing.T) {
 		}
 	}
 	var scratch []pitem
+	lay := newLayout(sm.LTE2Level().NumStates())
+	table := make([][]pitem, lay.poolTableLen())
 	for k := range pools {
 		sortPitems(pools[k], &scratch)
+		table[lay.poolIndex(k)] = pools[k]
 	}
 	for _, s := range []cp.UEState{cp.StateConnected, cp.StateIdle, cp.StateDeregistered} {
 		want := sojournStdsBySort(pools, h, s)
-		got := sojournStds(ues, pools, h, s, &scratch)
+		got := sojournStds(&lay, ues, table, h, s, &scratch)
 		for i, ue := range ues {
 			if math.Float64bits(got[i]) != math.Float64bits(want[ue]) {
 				t.Fatalf("state %v UE %d: std %v, reference %v", s, ue, got[i], want[ue])

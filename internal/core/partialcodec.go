@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"cptraffic/internal/cluster"
@@ -82,9 +83,10 @@ type partialDevice struct {
 	Moments []partialMoment `json:"moments,omitempty"`
 }
 
-// partialCounts is a column-oriented dump of the count map, sorted by
-// (ue, key) ascending. Entry i is (UE[i], Key[i]) -> N[i], where Key is
-// the low 32 bits of the packed count key: kind<<29 | hour<<24 | a<<8 | b.
+// partialCounts is a column-oriented dump of the per-UE tally rows, sorted
+// by (ue, key) ascending, one entry per nonzero tally. Entry i is
+// (UE[i], Key[i]) -> N[i], where Key packs kind<<29 | hour<<24 | a<<8 | b
+// and 0 < N[i] <= MaxUint32.
 type partialCounts struct {
 	UE  []cp.UEID `json:"ue,omitempty"`
 	Key []uint32  `json:"key,omitempty"`
@@ -212,21 +214,12 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 				continue
 			}
 			pd.Extractors = append(pd.Extractors, encodeExtractor(ue, st))
+			pf.lay.encodeCounts(&pd.Counts, ue, st.sink)
+			pd.Moments = encodeMoments(pd.Moments, ue, st.sink)
 		}
 
-		keys := make([]uint64, 0, len(dp.counts))
-		for k := range dp.counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			pd.Counts.UE = append(pd.Counts.UE, cp.UEID(k>>32))
-			pd.Counts.Key = append(pd.Counts.Key, uint32(k))
-			pd.Counts.N = append(pd.Counts.N, dp.counts[k])
-		}
-
-		for _, k := range dp.poolKeys() {
-			p := dp.pools[k]
+		for _, k := range dp.poolKeys(&pf.lay) {
+			p := dp.pools[pf.lay.poolIndex(k)]
 			pp := partialPool{
 				Hour: int(k.Hour),
 				Kind: poolKindNames[k.Kind],
@@ -248,32 +241,47 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 			}
 			pd.Pools = append(pd.Pools, pp)
 		}
-
-		mkeys := make([]momKey, 0, len(dp.moments))
-		for k := range dp.moments {
-			mkeys = append(mkeys, k)
-		}
-		sort.Slice(mkeys, func(i, j int) bool {
-			x, y := mkeys[i], mkeys[j]
-			if x.ue != y.ue {
-				return x.ue < y.ue
-			}
-			if x.hour != y.hour {
-				return x.hour < y.hour
-			}
-			return !x.conn && y.conn
-		})
-		for _, k := range mkeys {
-			m := dp.moments[k]
-			pd.Moments = append(pd.Moments, partialMoment{
-				UE: k.ue, Hour: int(k.hour), Conn: k.conn,
-				Count: m.n, Mean: m.mean, M2: m.m2,
-			})
-		}
 		f.Devices = append(f.Devices, pd)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&f)
+}
+
+// encodeCounts appends the UE's nonzero tallies to c in packed-key
+// order: kind-major, then hour, then each kind's slots ascending.
+func (l *layout) encodeCounts(c *partialCounts, ue cp.UEID, s *partialSink) {
+	for kind := uint8(0); kind < numCntKinds; kind++ {
+		for h, row := range s.rows {
+			if row == nil {
+				continue
+			}
+			for i, n := range row[l.off[kind]:l.off[kind+1]] {
+				if n == 0 {
+					continue
+				}
+				a, b := l.key(kind, i)
+				c.UE = append(c.UE, ue)
+				c.Key = append(c.Key, cntKey(kind, uint8(h), a, b))
+				c.N = append(c.N, int64(n))
+			}
+		}
+	}
+}
+
+// encodeMoments appends the UE's taken moments to ms in (hour, conn)
+// order, IDLE before CONNECTED.
+func encodeMoments(ms []partialMoment, ue cp.UEID, s *partialSink) []partialMoment {
+	if s.mom == nil {
+		return ms
+	}
+	for h := range s.mom {
+		for c, w := range s.mom[h] {
+			if w.n > 0 {
+				ms = append(ms, partialMoment{UE: ue, Hour: h, Conn: c == 1, Count: w.n, Mean: w.mean, M2: w.m2})
+			}
+		}
+	}
+	return ms
 }
 
 func encodeExtractor(ue cp.UEID, st *ueFitState) partialExtractor {
@@ -358,17 +366,18 @@ func DecodePartial(r io.Reader) (*PartialFit, error) {
 			}
 			pf.register(ue, d)
 		}
-		dp := pf.devs[d]
-		if err := decodeCounts(dp, d, pf, pd); err != nil {
-			return nil, err
-		}
-		if err := decodePools(dp, d, pf, pd); err != nil {
-			return nil, err
-		}
-		if err := decodeMoments(dp, d, pf, pd); err != nil {
-			return nil, err
-		}
+		// Counts and moments live on the extractors' sinks, so those
+		// come first.
 		if err := decodeExtractors(d, pf, pd); err != nil {
+			return nil, err
+		}
+		if err := decodeCounts(d, pf, pd); err != nil {
+			return nil, err
+		}
+		if err := decodePools(pf.devs[d], d, pf, pd); err != nil {
+			return nil, err
+		}
+		if err := decodeMoments(d, pf, pd); err != nil {
 			return nil, err
 		}
 	}
@@ -411,32 +420,50 @@ func decodePartialOptions(po partialOptions) (FitOptions, error) {
 	return opt, nil
 }
 
-func decodeCounts(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
+// sinkOf returns the sink of a UE of device d, or an error naming what
+// (a count, a moment) the document attached to a UE without one.
+func sinkOf(pf *PartialFit, d cp.DeviceType, pd partialDevice, ue cp.UEID, what string) (*partialSink, error) {
+	if dev, ok := pf.devOf[ue]; !ok || dev != d {
+		return nil, fmt.Errorf("core: partial fit: %s for UE %d not of device %q", what, ue, pd.Device)
+	}
+	st := pf.exts[ue]
+	if st == nil {
+		return nil, fmt.Errorf("core: partial fit: %s for UE %d, which has no extractor", what, ue)
+	}
+	return st.sink, nil
+}
+
+func decodeCounts(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
 	c := pd.Counts
 	if len(c.UE) != len(c.Key) || len(c.UE) != len(c.N) {
 		return fmt.Errorf("core: partial fit: device %q count columns differ in length", pd.Device)
 	}
 	var prev uint64
 	for i := range c.UE {
-		if dev, ok := pf.devOf[c.UE[i]]; !ok || dev != d {
-			return fmt.Errorf("core: partial fit: count for UE %d not of device %q", c.UE[i], pd.Device)
+		sink, err := sinkOf(pf, d, pd, c.UE[i], "count")
+		if err != nil {
+			return err
 		}
 		k := uint64(c.UE[i])<<32 | uint64(c.Key[i])
 		if i > 0 && k <= prev {
 			return fmt.Errorf("core: partial fit: device %q counts not strictly ascending", pd.Device)
 		}
 		prev = k
-		r := decodeCntKey(k, c.N[i])
-		if r.kind >= numCntKinds {
-			return fmt.Errorf("core: partial fit: unknown count kind %d", r.kind)
+		key := c.Key[i]
+		kind, hour, a, b := uint8(key>>29), uint8(key>>24)&31, uint8(key>>8), uint8(key)
+		if kind >= numCntKinds {
+			return fmt.Errorf("core: partial fit: unknown count kind %d", kind)
 		}
-		if int(r.hour) >= HoursPerDay {
-			return fmt.Errorf("core: partial fit: count hour %d out of range", r.hour)
+		if int(hour) >= HoursPerDay {
+			return fmt.Errorf("core: partial fit: count hour %d out of range", hour)
 		}
-		if c.N[i] <= 0 {
-			return fmt.Errorf("core: partial fit: count %d must be positive", c.N[i])
+		if key != cntKey(kind, hour, a, b) || !pf.lay.valid(kind, a, b) {
+			return fmt.Errorf("core: partial fit: count key %#08x out of range for kind %d", key, kind)
 		}
-		dp.counts[k] = c.N[i]
+		if c.N[i] <= 0 || c.N[i] > math.MaxUint32 {
+			return fmt.Errorf("core: partial fit: count %d out of range (0, %d]", c.N[i], uint32(math.MaxUint32))
+		}
+		sink.row(hour)[pf.lay.slot(kind, a, b)] = uint32(c.N[i])
 	}
 	return nil
 }
@@ -516,18 +543,19 @@ func decodePools(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDevi
 			}
 			p.items = items
 		}
-		dp.pools[k] = p
+		dp.pools[pf.lay.poolIndex(k)] = p
 	}
 	return nil
 }
 
-func decodeMoments(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
+func decodeMoments(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
 	if len(pd.Moments) > 0 && pf.opt.SketchK == 0 {
 		return fmt.Errorf("core: partial fit: exact-mode device %q carries moments", pd.Device)
 	}
 	for i, m := range pd.Moments {
-		if dev, ok := pf.devOf[m.UE]; !ok || dev != d {
-			return fmt.Errorf("core: partial fit: moment for UE %d not of device %q", m.UE, pd.Device)
+		sink, err := sinkOf(pf, d, pd, m.UE, "moment")
+		if err != nil {
+			return err
 		}
 		if m.Hour < 0 || m.Hour >= HoursPerDay {
 			return fmt.Errorf("core: partial fit: moment hour %d out of range", m.Hour)
@@ -535,30 +563,23 @@ func decodeMoments(dp *devPartial, d cp.DeviceType, pf *PartialFit, pd partialDe
 		if m.Count < 1 || m.M2 < 0 {
 			return fmt.Errorf("core: partial fit: moment for UE %d has count %d, m2 %v", m.UE, m.Count, m.M2)
 		}
-		k := momKey{ue: m.UE, hour: uint8(m.Hour), conn: m.Conn}
-		if i > 0 {
-			pm := pd.Moments[i-1]
-			pk := momKey{ue: pm.UE, hour: uint8(pm.Hour), conn: pm.Conn}
-			if !momKeyLess(pk, k) {
-				return fmt.Errorf("core: partial fit: device %q moments not in (ue, hour, conn) order", pd.Device)
-			}
+		if i > 0 && !momentLess(pd.Moments[i-1], m) {
+			return fmt.Errorf("core: partial fit: device %q moments not in (ue, hour, conn) order", pd.Device)
 		}
-		if _, dup := dp.moments[k]; dup {
-			return fmt.Errorf("core: partial fit: duplicate moment for UE %d", m.UE)
-		}
-		dp.moments[k] = &welford{n: m.Count, mean: m.Mean, m2: m.M2}
+		*sink.moment(uint8(m.Hour), m.Conn) = welford{n: m.Count, mean: m.Mean, m2: m.M2}
 	}
 	return nil
 }
 
-func momKeyLess(x, y momKey) bool {
-	if x.ue != y.ue {
-		return x.ue < y.ue
+// momentLess orders moments by (ue, hour, conn), IDLE before CONNECTED.
+func momentLess(x, y partialMoment) bool {
+	if x.UE != y.UE {
+		return x.UE < y.UE
 	}
-	if x.hour != y.hour {
-		return x.hour < y.hour
+	if x.Hour != y.Hour {
+		return x.Hour < y.Hour
 	}
-	return !x.conn && y.conn
+	return !x.Conn && y.Conn
 }
 
 func decodeExtractors(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {

@@ -38,8 +38,9 @@ import (
 //
 // Clustering is deferred to Build: the adaptive partition needs every
 // UE's features, which only exist once all shards are merged. That is
-// why counts are held per-(UE, hour) — Build splits them per cluster
-// after assignment — and why the partial's memory is O(UEs + samples),
+// why counts are held per-(UE, hour), on each UE's sink — Build splits
+// them per cluster after assignment — and why the partial's memory is
+// O(UEs + samples),
 // with the sample term bounded by the sketch and the UE term bounded by
 // sharding.
 //
@@ -48,6 +49,7 @@ import (
 type PartialFit struct {
 	opt     FitOptions
 	freeSet [cp.NumEventTypes]bool
+	lay     layout
 
 	devOf map[cp.UEID]cp.DeviceType
 	devs  [cp.NumDeviceTypes]*devPartial
@@ -67,31 +69,18 @@ type ueFitState struct {
 	sink *partialSink
 }
 
-// devPartial is one device type's share of a partial fit.
+// devPartial is one device type's share of a partial fit. Its integer
+// tallies and sketched-mode moments live on each UE's partialSink, so
+// they move with the UE when partials merge.
 type devPartial struct {
 	ues []cp.UEID
-	// counts holds every integer tally per (UE, kind, hour, key) — see
-	// cntKey. Per-UE granularity is what lets Build split exact counts
-	// per cluster after the deferred clustering assigns UEs.
-	counts map[uint64]int64
-	// pools holds the float sample lists per (hour, kind, state, event),
-	// each sample tagged (UE, seq); exact lists or bottom-k sketches.
-	pools map[poolKey]*pool
-	// moments holds per-(UE, hour) streaming moments of CONNECTED/IDLE
-	// sojourns — the clustering features of sketched mode, where the
-	// exact per-UE sample lists are not recoverable from the pools.
-	moments map[momKey]*welford
+	// pools holds the float sample lists, indexed by layout.poolIndex of
+	// (hour, kind, state, event); each sample is tagged (UE, seq), and a
+	// pool is an exact list or a bottom-k sketch. nil: no samples yet.
+	pools []*pool
 }
 
-func newDevPartial() *devPartial {
-	return &devPartial{
-		counts:  make(map[uint64]int64),
-		pools:   make(map[poolKey]*pool),
-		moments: make(map[momKey]*welford),
-	}
-}
-
-// ---- count keys ----
+// ---- tally rows ----
 
 // Count kinds. A count record is keyed (UE, kind, hour, a, b); the a/b
 // payload depends on the kind.
@@ -104,79 +93,89 @@ const (
 	numCntKinds = uint8(5)
 )
 
-// cntKey packs a count identity: UE in the high 32 bits (so sorting by
-// key groups per UE), then kind(3) | hour(5) | a(8) in bits 28..8, b in
-// the low byte.
-func cntKey(ue cp.UEID, kind uint8, hour int, a, b uint8) uint64 {
-	return uint64(ue)<<32 | uint64(kind)<<29 | uint64(hour)<<24 | uint64(a)<<8 | uint64(b)
+// cntKey packs a count identity the way partialfit/1 writes it: kind(3)
+// | hour(5) in bits 31..24, a in bits 15..8, b in the low byte. Bits
+// 23..16 are zero.
+func cntKey(kind, hour, a, b uint8) uint32 {
+	return uint32(kind)<<29 | uint32(hour)<<24 | uint32(a)<<8 | uint32(b)
 }
 
-// countRec is one decoded count entry.
-type countRec struct {
-	ue   cp.UEID
-	kind uint8
-	hour uint8
-	a, b uint8
-	n    int64
+// cntShape is one count kind's key space: a in [0, na), b in [b0, b0+nb).
+type cntShape struct{ na, b0, nb int }
+
+// layout places a fit's per-UE tally rows and its pool tables; both
+// depend on the machine's state count. A tally row holds one UE's counts
+// of one hour-of-day: kind after kind in count-kind order, each kind's
+// (a, b) keys a-major, so a walk of a kind's slots visits its keys in
+// ascending packed order. A slot of zero is a count never taken.
+type layout struct {
+	shape [numCntKinds]cntShape
+	off   [numCntKinds + 1]int // first slot of each kind; the last is the row length
+	poolA int                  // pool-table stride of A: enough for a UE state and a machine state
 }
 
-func decodeCntKey(k uint64, n int64) countRec {
-	return countRec{
-		ue:   cp.UEID(k >> 32),
-		kind: uint8(k>>29) & 7,
-		hour: uint8(k>>24) & 31,
-		a:    uint8(k >> 8),
-		b:    uint8(k),
-		n:    n,
+func newLayout(states int) layout {
+	l := layout{
+		shape: [numCntKinds]cntShape{
+			cntTop:    {na: cp.NumUEStates, nb: cp.NumEventTypes},
+			cntBot:    {na: states, nb: cp.NumEventTypes},
+			cntFirst:  {na: cp.NumEventTypes, nb: states},
+			cntWithEv: {na: 1, nb: 1},
+			// The two §5.3 feature counts; S1_CONN_REL follows SRV_REQ.
+			cntEvt: {na: 1, b0: int(cp.ServiceRequest), nb: 2},
+		},
+		poolA: max(cp.NumUEStates, states),
 	}
-}
-
-// sortKey packs (hour, UE, kind, a, b) so that ascending keys are the
-// hour-major record order.
-func (r countRec) sortKey() uint64 {
-	return uint64(r.hour)<<51 | uint64(r.ue)<<19 | uint64(r.kind)<<16 | uint64(r.a)<<8 | uint64(r.b)
-}
-
-// countRecs returns the count map's records in (hour, UE, kind, a, b)
-// order — hour-major so Build can slice per hour — each packed in the
-// shape sortPitems sorts: the sortKey in the (ue, seq) halves, the tally's
-// bits in v. unpackCount reads one back. scratch is sortPitems' buffer.
-func (dp *devPartial) countRecs(scratch *[]pitem) []pitem {
-	recs := make([]pitem, 0, len(dp.counts))
-	//cplint:ordered-ok sortKey is a bijection of the map key: keys are unique, so any correct sort of the collected records yields one sequence
-	for k, n := range dp.counts {
-		sk := decodeCntKey(k, n).sortKey()
-		recs = append(recs, pitem{ue: cp.UEID(sk >> 32), seq: uint32(sk), v: math.Float64frombits(uint64(n))})
+	for k, sh := range l.shape {
+		l.off[k+1] = l.off[k] + sh.na*sh.nb
 	}
-	sortPitems(recs, scratch)
-	return recs
+	return l
 }
 
-// unpackCount decodes one of countRecs' records.
-func unpackCount(it pitem) countRec {
-	sk := it.key()
-	return countRec{
-		ue:   cp.UEID(sk >> 19),
-		kind: uint8(sk>>16) & 7,
-		hour: uint8(sk >> 51),
-		a:    uint8(sk >> 8),
-		b:    uint8(sk),
-		n:    int64(math.Float64bits(it.v)),
+// rowLen is the length of one tally row.
+func (l *layout) rowLen() int { return l.off[numCntKinds] }
+
+// slot is the row index of count (kind, a, b), which must be valid.
+func (l *layout) slot(kind, a, b uint8) int {
+	sh := &l.shape[kind]
+	return l.off[kind] + int(a)*sh.nb + int(b) - sh.b0
+}
+
+// valid reports whether (kind, a, b) names a slot of the row.
+func (l *layout) valid(kind, a, b uint8) bool {
+	if kind >= numCntKinds {
+		return false
 	}
+	sh := &l.shape[kind]
+	return int(a) < sh.na && int(b) >= sh.b0 && int(b) < sh.b0+sh.nb
 }
 
-// applyCount folds one count record into an accumulator. cntEvt records
-// feed clustering features only, never the accumulators.
-func (a *acc) applyCount(r countRec) {
-	switch r.kind {
-	case cntTop:
-		a.TopCount[topKey{S: cp.UEState(r.a), E: cp.EventType(r.b)}] += int(r.n)
-	case cntBot:
-		a.BotCount[botKey{S: sm.State(r.a), E: cp.EventType(r.b)}] += int(r.n)
-	case cntFirst:
-		a.FirstCnt[firstCatKey{E: cp.EventType(r.a), S: sm.State(r.b)}] += int(r.n)
-	case cntWithEv:
-		a.WithEv += int(r.n)
+// key returns the (a, b) of the i-th slot of kind's stretch of the row.
+func (l *layout) key(kind uint8, i int) (a, b uint8) {
+	sh := &l.shape[kind]
+	return uint8(i / sh.nb), uint8(sh.b0 + i%sh.nb)
+}
+
+// applyRow folds one tally row into an accumulator. cntEvt counts feed
+// clustering features only, never the accumulators.
+func (l *layout) applyRow(ac *acc, row []uint32) {
+	for kind := cntTop; kind < cntEvt; kind++ {
+		for i, n := range row[l.off[kind]:l.off[kind+1]] {
+			if n == 0 {
+				continue
+			}
+			a, b := l.key(kind, i)
+			switch kind {
+			case cntTop:
+				ac.TopCount[topKey{S: cp.UEState(a), E: cp.EventType(b)}] += int(n)
+			case cntBot:
+				ac.BotCount[botKey{S: sm.State(a), E: cp.EventType(b)}] += int(n)
+			case cntFirst:
+				ac.FirstCnt[firstCatKey{E: cp.EventType(a), S: sm.State(b)}] += int(n)
+			case cntWithEv:
+				ac.WithEv += int(n)
+			}
+		}
 	}
 }
 
@@ -213,13 +212,35 @@ func (k poolKey) ord() uint32 {
 	return uint32(k.Hour)<<24 | uint32(k.Kind)<<16 | uint32(k.A)<<8 | uint32(k.B)
 }
 
+// poolTableLen is the length of a device's pool table.
+func (l *layout) poolTableLen() int {
+	return HoursPerDay * numPoolKinds * l.poolA * cp.NumEventTypes
+}
+
+// poolIndex is k's slot in the pool table: (hour, kind, A, B) in mixed
+// radix, so ascending indices are ascending ords. A is below poolA and B
+// below cp.NumEventTypes for every key ingest or decode admits.
+func (l *layout) poolIndex(k poolKey) int {
+	return ((int(k.Hour)*numPoolKinds+int(k.Kind))*l.poolA+int(k.A))*cp.NumEventTypes + int(k.B)
+}
+
+// poolKeyAt inverts poolIndex.
+func (l *layout) poolKeyAt(i int) poolKey {
+	b := i % cp.NumEventTypes
+	i /= cp.NumEventTypes
+	a := i % l.poolA
+	i /= l.poolA
+	return poolKey{Hour: uint8(i / numPoolKinds), Kind: uint8(i % numPoolKinds), A: uint8(a), B: uint8(b)}
+}
+
 // poolKeys returns the device's pool keys in canonical order.
-func (dp *devPartial) poolKeys() []poolKey {
-	keys := make([]poolKey, 0, len(dp.pools))
-	for k := range dp.pools {
-		keys = append(keys, k)
+func (dp *devPartial) poolKeys(l *layout) []poolKey {
+	var keys []poolKey
+	for i, p := range dp.pools {
+		if p != nil {
+			keys = append(keys, l.poolKeyAt(i))
+		}
 	}
-	slices.SortFunc(keys, func(x, y poolKey) int { return cmp.Compare(x.ord(), y.ord()) })
 	return keys
 }
 
@@ -298,20 +319,24 @@ func sortPitems(items []pitem, scratch *[]pitem) {
 }
 
 // mergePitems merges lists, each already in key order, into *buf
-// (overwritten, grown as needed, reusable across calls) and returns the
-// merged slice. It consumes the lists slice, not the items. Keys are
-// unique across the lists, so there is no tie to break. Each round
-// finds the list with the smallest head and the second-smallest head
-// key, then moves the whole run below that bound — typically a UE's
-// samples of one hour — rather than one item.
+// (overwritten, grown to the total length at once, reusable across
+// calls) and returns the merged slice. It consumes the lists slice, not
+// the items. Keys are unique across the lists, so there is no tie to
+// break. Each round finds the list with the smallest head and the
+// second-smallest head key, then moves the whole run below that bound —
+// typically a UE's samples of one hour — rather than one item.
 func mergePitems(buf *[]pitem, lists [][]pitem) []pitem {
-	dst := (*buf)[:0]
-	live := lists[:0]
+	live, n := lists[:0], 0
 	for _, l := range lists {
 		if len(l) > 0 {
 			live = append(live, l)
+			n += len(l)
 		}
 	}
+	if cap(*buf) < n {
+		*buf = make([]pitem, 0, n)
+	}
+	dst := (*buf)[:0]
 	for len(live) > 1 {
 		best, bestKey, bound := 0, live[0][0].key(), uint64(math.MaxUint64)
 		for i := 1; i < len(live); i++ {
@@ -376,14 +401,15 @@ func (p *pool) canonicalItems(scratch *[]pitem) []pitem {
 }
 
 // addSample routes one tagged observation into pool k.
-func (dp *devPartial) addSample(k poolKey, sketchK int, ue cp.UEID, seq uint32, v float64) {
-	p := dp.pools[k]
+func (dp *devPartial) addSample(l *layout, k poolKey, sketchK int, ue cp.UEID, seq uint32, v float64) {
+	i := l.poolIndex(k)
+	p := dp.pools[i]
 	if p == nil {
 		p = &pool{}
 		if sketchK > 0 {
 			p.sk = stats.NewSketch(sketchK)
 		}
-		dp.pools[k] = p
+		dp.pools[i] = p
 	}
 	if p.sk != nil {
 		tag := uint64(ue)<<32 | uint64(seq)
@@ -416,14 +442,6 @@ func (a *acc) setPool(k poolKey, vs []float64) {
 
 // ---- streaming moments (sketched-mode clustering features) ----
 
-// momKey addresses one UE's CONNECTED (conn=true) or IDLE sojourn
-// moments at one hour-of-day.
-type momKey struct {
-	ue   cp.UEID
-	hour uint8
-	conn bool
-}
-
 // welford is a streaming mean/variance accumulator (Welford's update).
 // Per-UE moments never merge across partials — a UE's samples all live
 // in one shard — so the update order is the UE's emission order in
@@ -446,7 +464,7 @@ func (w *welford) add(x float64) {
 // mirroring stats.StdDev's convention, though not bit-identical to the
 // two-pass computation (documented sketched-mode divergence).
 func (w *welford) std() float64 {
-	if w == nil || w.n < 2 {
+	if w.n < 2 {
 		return 0
 	}
 	return math.Sqrt(w.m2 / float64(w.n-1))
@@ -458,12 +476,21 @@ func (w *welford) std() float64 {
 // sample with (UE, seq) and routing it into the device's pools. seq
 // counts retained samples only, exactly like the serial fold retains
 // them, so (UE, seq) is shard-invariant: the same UE under the same
-// options emits the same tags in any process.
+// options emits the same tags in any process. The UE's integer tallies
+// and moments are the sink's own, so no per-event hash probe remains.
 type partialSink struct {
 	pf  *PartialFit
 	d   cp.DeviceType
 	ue  cp.UEID
 	seq uint32
+	// rows holds the UE's tally row per hour-of-day (slots per
+	// PartialFit.lay), allocated at the hour's first tally.
+	rows [HoursPerDay][]uint32
+	// mom holds sketched mode's per-hour IDLE ([h][0]) and CONNECTED
+	// ([h][1]) sojourn moments — the clustering features, since the exact
+	// per-UE sample lists are not recoverable from sketched pools — and
+	// is allocated at the first one. A moment with n == 0 was never taken.
+	mom *[HoursPerDay][2]welford
 }
 
 func (s *partialSink) nextSeq() uint32 {
@@ -474,21 +501,40 @@ func (s *partialSink) nextSeq() uint32 {
 
 func (s *partialSink) dev() *devPartial { return s.pf.devs[s.d] }
 
+// row returns the UE's tally row of hour h, allocating it at the hour's
+// first tally.
+func (s *partialSink) row(h uint8) []uint32 {
+	r := s.rows[h]
+	if r == nil {
+		r = make([]uint32, s.pf.lay.rowLen())
+		s.rows[h] = r
+	}
+	return r
+}
+
+// tally counts one (kind, a, b) observation at hour h.
+func (s *partialSink) tally(h, kind, a, b uint8) {
+	s.row(h)[s.pf.lay.slot(kind, a, b)]++
+}
+
+// sample routes one retained sample into the device's pool k.
+func (s *partialSink) sample(k poolKey, v float64) {
+	s.dev().addSample(&s.pf.lay, k, s.pf.opt.SketchK, s.ue, s.nextSeq(), v)
+}
+
 func (s *partialSink) countEvent(h int, e cp.EventType) {
 	// Only the two §5.3 feature counts are ever read back.
 	if e == cp.ServiceRequest || e == cp.S1ConnRelease {
-		s.dev().counts[cntKey(s.ue, cntEvt, h, 0, uint8(e))]++
+		s.tally(uint8(h), cntEvt, 0, uint8(e))
 	}
 }
 
 func (s *partialSink) top(sam topSample) {
-	dp := s.dev()
-	dp.counts[cntKey(s.ue, cntTop, int(sam.Hour), uint8(sam.Key.S), uint8(sam.Key.E))]++
+	s.tally(sam.Hour, cntTop, uint8(sam.Key.S), uint8(sam.Key.E))
 	if !sam.Has {
 		return
 	}
-	dp.addSample(poolKey{Hour: sam.Hour, Kind: poolTop, A: uint8(sam.Key.S), B: uint8(sam.Key.E)},
-		s.pf.opt.SketchK, s.ue, s.nextSeq(), sam.Soj)
+	s.sample(poolKey{Hour: sam.Hour, Kind: poolTop, A: uint8(sam.Key.S), B: uint8(sam.Key.E)}, sam.Soj)
 	if s.pf.opt.SketchK > 0 {
 		switch sam.Key.S {
 		case cp.StateConnected:
@@ -500,30 +546,28 @@ func (s *partialSink) top(sam topSample) {
 	}
 }
 
-func (s *partialSink) moment(hour uint8, conn bool) *welford {
-	dp := s.dev()
-	k := momKey{ue: s.ue, hour: hour, conn: conn}
-	w := dp.moments[k]
-	if w == nil {
-		w = &welford{}
-		dp.moments[k] = w
+// moment returns the UE's CONNECTED (conn) or IDLE moments at hour h.
+func (s *partialSink) moment(h uint8, conn bool) *welford {
+	if s.mom == nil {
+		s.mom = new([HoursPerDay][2]welford)
 	}
-	return w
+	c := 0
+	if conn {
+		c = 1
+	}
+	return &s.mom[h][c]
 }
 
 func (s *partialSink) bot(sam botSample) {
-	dp := s.dev()
-	dp.counts[cntKey(s.ue, cntBot, int(sam.Hour), uint8(sam.Key.S), uint8(sam.Key.E))]++
+	s.tally(sam.Hour, cntBot, uint8(sam.Key.S), uint8(sam.Key.E))
 	if !sam.Has {
 		return
 	}
-	dp.addSample(poolKey{Hour: sam.Hour, Kind: poolBot, A: uint8(sam.Key.S), B: uint8(sam.Key.E)},
-		s.pf.opt.SketchK, s.ue, s.nextSeq(), sam.Soj)
+	s.sample(poolKey{Hour: sam.Hour, Kind: poolBot, A: uint8(sam.Key.S), B: uint8(sam.Key.E)}, sam.Soj)
 }
 
 func (s *partialSink) botCensor(sam censorSample) {
-	s.dev().addSample(poolKey{Hour: sam.Hour, Kind: poolCensor, A: uint8(sam.S)},
-		s.pf.opt.SketchK, s.ue, s.nextSeq(), sam.Dur)
+	s.sample(poolKey{Hour: sam.Hour, Kind: poolCensor, A: uint8(sam.S)}, sam.Dur)
 }
 
 func (s *partialSink) free(sam iaSample) {
@@ -532,16 +576,14 @@ func (s *partialSink) free(sam iaSample) {
 	if !s.pf.freeSet[sam.E] {
 		return
 	}
-	s.dev().addSample(poolKey{Hour: sam.Hour, Kind: poolFree, B: uint8(sam.E)},
-		s.pf.opt.SketchK, s.ue, s.nextSeq(), sam.IA)
+	s.sample(poolKey{Hour: sam.Hour, Kind: poolFree, B: uint8(sam.E)}, sam.IA)
 }
 
 func (s *partialSink) first(sam firstSample) {
-	dp := s.dev()
-	dp.counts[cntKey(s.ue, cntFirst, int(sam.Hour), uint8(sam.E), uint8(sam.State))]++
-	dp.counts[cntKey(s.ue, cntWithEv, int(sam.Hour), 0, 0)]++
-	dp.addSample(poolKey{Hour: sam.Hour, Kind: poolFirst},
-		s.pf.opt.SketchK, s.ue, s.nextSeq(), sam.Off)
+	row := s.row(sam.Hour)
+	row[s.pf.lay.slot(cntFirst, uint8(sam.E), uint8(sam.State))]++
+	row[s.pf.lay.slot(cntWithEv, 0, 0)]++
+	s.sample(poolKey{Hour: sam.Hour, Kind: poolFirst}, sam.Off)
 }
 
 func (s *partialSink) violation() { s.pf.violations++ }
@@ -559,6 +601,7 @@ func NewPartialFit(opt FitOptions) (*PartialFit, error) {
 	}
 	pf := &PartialFit{
 		opt:   opt,
+		lay:   newLayout(opt.Machine.NumStates()),
 		devOf: make(map[cp.UEID]cp.DeviceType),
 		exts:  make(map[cp.UEID]*ueFitState),
 	}
@@ -572,12 +615,17 @@ func NewPartialFit(opt FitOptions) (*PartialFit, error) {
 
 func (pf *PartialFit) register(ue cp.UEID, d cp.DeviceType) {
 	pf.devOf[ue] = d
+	pf.dev(d).ues = append(pf.dev(d).ues, ue)
+}
+
+// dev returns device d's partial, creating it empty on first use.
+func (pf *PartialFit) dev(d cp.DeviceType) *devPartial {
 	dp := pf.devs[d]
 	if dp == nil {
-		dp = newDevPartial()
+		dp = &devPartial{pools: make([]*pool, pf.lay.poolTableLen())}
 		pf.devs[d] = dp
 	}
-	dp.ues = append(dp.ues, ue)
+	return dp
 }
 
 // AddDevice registers one UE. Every UE must be registered before its
@@ -727,8 +775,8 @@ func optionsMismatch(a, b FitOptions) string {
 // options and disjoint UE sets; other is consumed (sealed) by the
 // merge. Merging is associative and commutative up to Build: any merge
 // order or grouping of the same shards yields byte-identical models,
-// because samples carry their serial-fold identity and every tally is
-// an integer sum.
+// because samples carry their serial-fold identity and every tally
+// travels with its UE's sink.
 func (pf *PartialFit) Merge(other *PartialFit) error {
 	if other == pf {
 		return fmt.Errorf("core: cannot merge a partial fit with itself")
@@ -755,39 +803,29 @@ func (pf *PartialFit) Merge(other *PartialFit) error {
 		if odp == nil {
 			continue
 		}
-		dp := pf.devs[d]
-		if dp == nil {
-			dp = newDevPartial()
-			pf.devs[d] = dp
-		}
+		dp := pf.dev(d)
 		dp.ues = append(dp.ues, odp.ues...)
 		for _, ue := range odp.ues {
 			pf.devOf[ue] = d
 		}
-		// Count keys are UE-prefixed and the UE sets are disjoint, so
-		// these are pure inserts; += keeps the fold commutative anyway.
-		for k, n := range odp.counts {
-			dp.counts[k] += n
-		}
-		//cplint:ordered-ok per-key fold into the key's own pool; sketch merge is commutative and exact lists are sorted by (UE, seq) at Build
-		for k, p := range odp.pools {
-			mine := dp.pools[k]
-			if mine == nil {
-				dp.pools[k] = p
-				continue
-			}
-			if mine.sk != nil {
+		// Sketch merge is commutative and exact lists are sorted by
+		// (UE, seq) at Build, so the fold order is free.
+		for i, p := range odp.pools {
+			mine := dp.pools[i]
+			switch {
+			case p == nil:
+			case mine == nil:
+				dp.pools[i] = p
+			case mine.sk != nil:
 				mine.sk.Merge(p.sk)
-			} else {
+			default:
 				mine.items = append(mine.items, p.items...)
 			}
 		}
-		for k, w := range odp.moments {
-			dp.moments[k] = w
-		}
 	}
-	// Adopt other's in-flight extractors, re-pointing their sinks at the
-	// merged partial (ascending-UE order for a deterministic walk).
+	// Adopt other's in-flight extractors, re-pointing their sinks — and
+	// with them the UEs' tallies and moments — at the merged partial
+	// (ascending-UE order for a deterministic walk).
 	moved := make([]cp.UEID, 0, len(other.exts))
 	for ue := range other.exts {
 		moved = append(moved, ue)
@@ -930,35 +968,40 @@ func splitByCluster(accs []*acc, k poolKey, items []pitem, ues []cp.UEID, cl []i
 	}
 }
 
+// sinks returns, for every UE of ues, its sink — nil for a UE that never
+// had an event, and so holds no tallies.
+func (pf *PartialFit) sinks(ues []cp.UEID) []*partialSink {
+	out := make([]*partialSink, len(ues))
+	for i, ue := range ues {
+		if st := pf.exts[ue]; st != nil {
+			out[i] = st.sink
+		}
+	}
+	return out
+}
+
 // build fits one device type's model from its partial state.
 func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 	opt := pf.opt
+	lay := &pf.lay
 	ues := dp.ues
+	sinks := pf.sinks(ues)
 
 	// Put every pool in (UE, seq) order — the one sort a sample ever
-	// gets; everything downstream splits or merges these lists.
-	poolKeys := dp.poolKeys()
-	pools := make(map[poolKey][]pitem, len(dp.pools))
+	// gets; everything downstream splits or merges these lists. pools is
+	// indexed like dp.pools.
+	pools := make([][]pitem, len(dp.pools))
 	var scratch []pitem // the sort's and the merges' buffer: one pool's worth
 	var hourKeys [HoursPerDay][]poolKey
-	for _, k := range poolKeys {
-		pools[k] = dp.pools[k].canonicalItems(&scratch)
-		hourKeys[k.Hour] = append(hourKeys[k.Hour], k)
-	}
-
-	recs := dp.countRecs(&scratch)
-	var hourRecs [HoursPerDay][]pitem
-	for lo := 0; lo < len(recs); {
-		hi := lo
-		h := unpackCount(recs[lo]).hour
-		for hi < len(recs) && unpackCount(recs[hi]).hour == h {
-			hi++
+	for i, p := range dp.pools {
+		if p != nil {
+			pools[i] = p.canonicalItems(&scratch)
+			k := lay.poolKeyAt(i)
+			hourKeys[k.Hour] = append(hourKeys[k.Hour], k)
 		}
-		hourRecs[h] = recs[lo:hi]
-		lo = hi
 	}
 
-	assignments, numClusters, weights := clusterHours(ues, opt, dp.featureFn(pf, pools, days, &scratch))
+	assignments, numClusters, weights := clusterHours(ues, opt, dp.featureFn(pf, sinks, pools, days, &scratch))
 
 	dm := &DeviceModel{
 		Personas: buildPersonas(ues, assignments),
@@ -983,17 +1026,19 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		}
 		agg.NumUEs = len(ues)
 		agg.Cells = len(ues) * days
-		// Count records and pool items are both UE-grouped in ascending
-		// UE order, so their clusters come from cl by a forward walk.
-		cur := ueCursor{ues: ues}
-		for _, it := range hourRecs[h] {
-			r := unpackCount(it)
-			accs[cl[cur.index(r.ue)]].applyCount(r)
-			agg.applyCount(r)
+		for i, s := range sinks {
+			if s == nil || s.rows[h] == nil {
+				continue
+			}
+			lay.applyRow(accs[cl[i]], s.rows[h])
+			lay.applyRow(agg, s.rows[h])
 		}
+		// Pool items are UE-grouped in ascending UE order, so their
+		// clusters come from cl by a forward walk.
 		for _, k := range hourKeys[h] {
-			agg.setPool(k, pitemValues(pools[k]))
-			splitByCluster(accs, k, pools[k], ues, cl)
+			items := pools[lay.poolIndex(k)]
+			agg.setPool(k, pitemValues(items))
+			splitByCluster(accs, k, items, ues, cl)
 		}
 		hm := &dm.Hours[h]
 		hm.Clusters = make([]ClusterModel, numClusters[h])
@@ -1010,22 +1055,34 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 	global := newAcc()
 	global.NumUEs = len(ues)
 	global.Cells = len(ues) * days * HoursPerDay
-	for _, it := range recs {
-		global.applyCount(unpackCount(it))
-	}
-	// flat moves the hour to the low byte: sorting by it makes the hours
-	// of one (kind, A, B) pool adjacent, and flat>>8 names that pool.
-	flat := func(k poolKey) uint32 { return k.ord()<<8 | uint32(k.Hour) }
-	slices.SortFunc(poolKeys, func(x, y poolKey) int { return cmp.Compare(flat(x), flat(y)) })
-	var lists [][]pitem
-	for lo := 0; lo < len(poolKeys); {
-		lists = lists[:0]
-		hi := lo
-		for ; hi < len(poolKeys) && flat(poolKeys[hi])>>8 == flat(poolKeys[lo])>>8; hi++ {
-			lists = append(lists, pools[poolKeys[hi]])
+	for _, s := range sinks {
+		if s == nil {
+			continue
 		}
-		global.setPool(poolKeys[lo], pitemValues(mergePitems(&scratch, lists)))
-		lo = hi
+		for _, row := range s.rows {
+			if row != nil {
+				lay.applyRow(global, row)
+			}
+		}
+		// Every tally is folded in and Build consumes the partial: the
+		// rows go before the global merge, Build's high-water mark.
+		s.rows = [HoursPerDay][]uint32{}
+	}
+	var lists [][]pitem
+	for kind := uint8(0); kind < numPoolKinds; kind++ {
+		for a := 0; a < lay.poolA; a++ {
+			for b := 0; b < cp.NumEventTypes; b++ {
+				lists = lists[:0]
+				for h := 0; h < HoursPerDay; h++ {
+					if l := pools[lay.poolIndex(poolKey{Hour: uint8(h), Kind: kind, A: uint8(a), B: uint8(b)})]; l != nil {
+						lists = append(lists, l)
+					}
+				}
+				if len(lists) > 0 {
+					global.setPool(poolKey{Kind: kind, A: uint8(a), B: uint8(b)}, pitemValues(mergePitems(&scratch, lists)))
+				}
+			}
+		}
 	}
 	var sortBuf []float64
 	g := global.build(opt.Machine, opt, &sortBuf)
@@ -1041,36 +1098,40 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 // numerically equivalent but not bit-identical to the two-pass
 // computation: sketched fits are self-consistent (sharded == unsharded)
 // but intentionally diverge from exact fits.
-func (dp *devPartial) featureFn(pf *PartialFit, pools map[poolKey][]pitem, days int, scratch *[]pitem) func(i, h int) cluster.Features {
+func (dp *devPartial) featureFn(pf *PartialFit, sinks []*partialSink, pools [][]pitem, days int, scratch *[]pitem) func(i, h int) cluster.Features {
 	ues := dp.ues
-	srvReq := func(ue cp.UEID, h int) float64 {
-		return float64(dp.counts[cntKey(ue, cntEvt, h, 0, uint8(cp.ServiceRequest))]) / float64(days)
-	}
-	s1Rel := func(ue cp.UEID, h int) float64 {
-		return float64(dp.counts[cntKey(ue, cntEvt, h, 0, uint8(cp.S1ConnRelease))]) / float64(days)
+	srvSlot := pf.lay.slot(cntEvt, 0, uint8(cp.ServiceRequest))
+	relSlot := pf.lay.slot(cntEvt, 0, uint8(cp.S1ConnRelease))
+	perDay := func(i, h, slot int) float64 {
+		if sinks[i] == nil || sinks[i].rows[h] == nil {
+			return 0
+		}
+		return float64(sinks[i].rows[h][slot]) / float64(days)
 	}
 	if pf.opt.SketchK > 0 {
 		return func(i, h int) cluster.Features {
-			ue := ues[i]
+			var mom [2]welford // IDLE, CONNECTED
+			if sinks[i] != nil && sinks[i].mom != nil {
+				mom = sinks[i].mom[h]
+			}
 			return cluster.Features{
-				cluster.FSrvReqCount: srvReq(ue, h),
-				cluster.FConnStd:     dp.moments[momKey{ue: ue, hour: uint8(h), conn: true}].std(),
-				cluster.FS1RelCount:  s1Rel(ue, h),
-				cluster.FIdleStd:     dp.moments[momKey{ue: ue, hour: uint8(h), conn: false}].std(),
+				cluster.FSrvReqCount: perDay(i, h, srvSlot),
+				cluster.FConnStd:     mom[1].std(),
+				cluster.FS1RelCount:  perDay(i, h, relSlot),
+				cluster.FIdleStd:     mom[0].std(),
 			}
 		}
 	}
 	var connStd, idleStd [HoursPerDay][]float64
 	for h := 0; h < HoursPerDay; h++ {
-		connStd[h] = sojournStds(ues, pools, h, cp.StateConnected, scratch)
-		idleStd[h] = sojournStds(ues, pools, h, cp.StateIdle, scratch)
+		connStd[h] = sojournStds(&pf.lay, ues, pools, h, cp.StateConnected, scratch)
+		idleStd[h] = sojournStds(&pf.lay, ues, pools, h, cp.StateIdle, scratch)
 	}
 	return func(i, h int) cluster.Features {
-		ue := ues[i]
 		return cluster.Features{
-			cluster.FSrvReqCount: srvReq(ue, h),
+			cluster.FSrvReqCount: perDay(i, h, srvSlot),
 			cluster.FConnStd:     connStd[h][i],
-			cluster.FS1RelCount:  s1Rel(ue, h),
+			cluster.FS1RelCount:  perDay(i, h, relSlot),
 			cluster.FIdleStd:     idleStd[h][i],
 		}
 	}
@@ -1081,10 +1142,10 @@ func (dp *devPartial) featureFn(pf *PartialFit, pools map[poolKey][]pitem, days 
 // sojourns in emission order — exactly the list the per-UE extraction
 // would have built; 0 for a UE with none. The per-event pools are
 // already canonical, so merging them restores the UE's emission order.
-func sojournStds(ues []cp.UEID, pools map[poolKey][]pitem, h int, s cp.UEState, scratch *[]pitem) []float64 {
+func sojournStds(lay *layout, ues []cp.UEID, pools [][]pitem, h int, s cp.UEState, scratch *[]pitem) []float64 {
 	lists := make([][]pitem, 0, cp.NumEventTypes)
 	for _, e := range cp.EventTypes {
-		lists = append(lists, pools[poolKey{Hour: uint8(h), Kind: poolTop, A: uint8(s), B: uint8(e)}])
+		lists = append(lists, pools[lay.poolIndex(poolKey{Hour: uint8(h), Kind: poolTop, A: uint8(s), B: uint8(e)})])
 	}
 	all := mergePitems(scratch, lists)
 	out := make([]float64, len(ues))

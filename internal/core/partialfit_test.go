@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -292,6 +293,111 @@ func TestPartialCodecStrict(t *testing.T) {
 	}
 }
 
+// TestDecodePartialRefusesBadCounts: every count record Build could not
+// survive is refused at decode — the first row is a top-level count
+// whose state byte was set to 200, which the decoder used to accept and
+// Build then indexed out of range. Each tampering keeps the counts in
+// strictly ascending (ue, key) order, so the refusal is for the range
+// and not for the order. A count of exactly MaxUint32 is accepted and
+// builds.
+func TestDecodePartialRefusesBadCounts(t *testing.T) {
+	tr := toyTrace(t, 24, 2*cp.Hour, 5)
+	pf, err := NewPartialFit(FitOptions{Cluster: clusterOptSmall()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	var buf bytes.Buffer
+	err = pf.AddSourceWithCheckpoints(tr, int64(tr.Len()/2), func(int64) error {
+		if err := pf.Encode(&buf); err != nil {
+			return err
+		}
+		return stop
+	})
+	if !errors.Is(err, stop) {
+		t.Fatal(err)
+	}
+	canonical := buf.Bytes()
+	counts := func(doc map[string]any) map[string]any {
+		return doc["devices"].([]any)[0].(map[string]any)["counts"].(map[string]any)
+	}
+	edit := func(mut func(doc map[string]any)) []byte {
+		var doc map[string]any
+		if err := json.Unmarshal(canonical, &doc); err != nil {
+			t.Fatal(err)
+		}
+		mut(doc)
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// rekey rewrites the first count of the kind whose new key keeps the
+	// column order strictly ascending.
+	rekey := func(kind uint8, key func(hour, a, b uint8) uint32) []byte {
+		done := false
+		out := edit(func(doc map[string]any) {
+			c := counts(doc)
+			ues, keys := c["ue"].([]any), c["key"].([]any)
+			at := func(i int) uint64 { return uint64(ues[i].(float64))<<32 | uint64(keys[i].(float64)) }
+			for i := range keys {
+				k := uint32(keys[i].(float64))
+				if uint8(k>>29) != kind {
+					continue
+				}
+				nk := key(uint8(k>>24)&31, uint8(k>>8), uint8(k))
+				next := uint64(ues[i].(float64))<<32 | uint64(nk)
+				if (i == 0 || at(i-1) < next) && (i == len(keys)-1 || next < at(i+1)) {
+					keys[i] = float64(nk)
+					done = true
+					return
+				}
+			}
+		})
+		if !done {
+			t.Fatalf("no count of kind %d can take the tampered key in order", kind)
+		}
+		return out
+	}
+	states := uint8(sm.LTE2Level().NumStates())
+	bad := map[string][]byte{
+		"top state 200": rekey(cntTop, func(h, a, b uint8) uint32 { return cntKey(cntTop, h, 200, b) }),
+		"top event 6":   rekey(cntTop, func(h, a, b uint8) uint32 { return cntKey(cntTop, h, a, 6) }),
+		"bot state":     rekey(cntBot, func(h, a, b uint8) uint32 { return cntKey(cntBot, h, states, b) }),
+		"bot event 6":   rekey(cntBot, func(h, a, b uint8) uint32 { return cntKey(cntBot, h, a, 6) }),
+		"first event 6": rekey(cntFirst, func(h, a, b uint8) uint32 { return cntKey(cntFirst, h, 6, b) }),
+		"first state":   rekey(cntFirst, func(h, a, b uint8) uint32 { return cntKey(cntFirst, h, a, states) }),
+		"with-ev a=1":   rekey(cntWithEv, func(h, a, b uint8) uint32 { return cntKey(cntWithEv, h, 1, 0) }),
+		"feature HO":    rekey(cntEvt, func(h, a, b uint8) uint32 { return cntKey(cntEvt, h, 0, uint8(cp.Handover)) }),
+		"feature a=1":   rekey(cntEvt, func(h, a, b uint8) uint32 { return cntKey(cntEvt, h, 1, b) }),
+		"bits 23..16":   rekey(cntTop, func(h, a, b uint8) uint32 { return cntKey(cntTop, h, a, b) | 1<<16 }),
+		"n over uint32": edit(func(doc map[string]any) { counts(doc)["n"].([]any)[0] = float64(math.MaxUint32) + 1 }),
+		"UE without extractor": edit(func(doc map[string]any) {
+			d := doc["devices"].([]any)[0].(map[string]any)
+			d["ues"] = append(d["ues"].([]any), float64(1000))
+			c := counts(doc)
+			c["ue"] = append(c["ue"].([]any), float64(1000))
+			c["key"] = append(c["key"].([]any), float64(cntKey(cntWithEv, 0, 0, 0)))
+			c["n"] = append(c["n"].([]any), float64(1))
+		}),
+	}
+	for name, doc := range bad {
+		if _, err := DecodePartial(bytes.NewReader(doc)); err == nil {
+			t.Errorf("%s: decoder accepted the tampered counts", name)
+		}
+	}
+	pf, err = DecodePartial(bytes.NewReader(edit(func(doc map[string]any) {
+		counts(doc)["n"].([]any)[0] = float64(math.MaxUint32)
+	})))
+	if err != nil {
+		t.Fatalf("count of MaxUint32 refused: %v", err)
+	}
+	if _, err := pf.Build(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPartialFitMergeRejects pins the merge misuse errors.
 func TestPartialFitMergeRejects(t *testing.T) {
 	tr := toyTrace(t, 12, 2*cp.Hour, 3)
@@ -404,12 +510,13 @@ func TestFitSketchedErrorBound(t *testing.T) {
 		if edp == nil {
 			continue
 		}
-		for key, ep := range edp.pools {
-			if len(ep.items) <= k {
+		for i, ep := range edp.pools {
+			if ep == nil || len(ep.items) <= k {
 				continue
 			}
 			truncated++
-			sp := sdp.pools[key]
+			key := exact.lay.poolKeyAt(i)
+			sp := sdp.pools[i]
 			if sp == nil || sp.sk == nil {
 				t.Fatalf("pool %+v missing or unsketched in sketched partial", key)
 			}

@@ -26,8 +26,8 @@ type treeSeed struct {
 var treeSeeds = []treeSeed{
 	{
 		analyzer: "detmap", file: "internal/core/partialfit.go",
-		edits: [][2]string{{"\t//cplint:ordered-ok sortKey is a bijection", "\t// sortKey is a bijection"}},
-		at:    "for k, n := range dp.counts {",
+		edits: [][2]string{{"\tslices.Sort(finishOrder)\n", ""}},
+		at:    "for ue := range pf.exts {",
 	},
 	{
 		analyzer: "detsource", file: "internal/core/gen.go",

@@ -102,6 +102,49 @@ func TestSortFloatsGrowsScratchOnce(t *testing.T) {
 	}
 }
 
+// TestMergeSortedFloatsMatchesSlicesSort holds the merge to slices.Sort
+// of the concatenation, bit for bit, for every shape cut into 1 to 6
+// lists of uneven length (empty ones included): lists sorted in place by
+// SortFloats first, as the per-event fits leave them, and left as
+// generated, which must fall back. The shapes from "negative" on fall
+// back whatever the lists' order.
+func TestMergeSortedFloatsMatchesSlicesSort(t *testing.T) {
+	r := NewRNG(7)
+	var scratch []float64
+	for _, n := range []int{0, 1, 5, floatRadixCutoff + 3, 3000} {
+		for name, xs := range sortFloatsCases(n, r) {
+			for parts := 1; parts <= 6; parts++ {
+				for _, presort := range []bool{true, false} {
+					cuts := []int{0, n}
+					for i := 1; i < parts; i++ {
+						cuts = append(cuts, r.Intn(n+1))
+					}
+					slices.Sort(cuts)
+					lists := make([][]float64, parts)
+					for i := range lists {
+						lists[i] = slices.Clone(xs[cuts[i]:cuts[i+1]])
+						if presort {
+							SortFloats(lists[i], &scratch)
+						}
+					}
+					want := slices.Concat(lists...)
+					slices.Sort(want)
+					got := MergeSortedFloats(lists, &scratch)
+					if len(got) != len(want) {
+						t.Fatalf("%s n=%d parts=%d presort=%v: %d values, want %d", name, n, parts, presort, len(got), len(want))
+					}
+					for i := range got {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s n=%d parts=%d presort=%v: element %d is %v, slices.Sort has %v",
+								name, n, parts, presort, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkSortFloats times the kernel against slices.Sort on Build's two
 // shapes — heavy-tailed durations and the few-distinct inactivity-timer
 // shape — and on the kernel's worst one, timers with noise below the
