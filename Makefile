@@ -1,5 +1,6 @@
 # Development targets. `make check` is the pre-commit gate: formatting,
-# vet, build, the cplint static-analysis suite, the full test suite, the
+# vet, build, the cplint static-analysis suite, the reach test (no
+# production code only tests reach), the full test suite, the
 # benchmark module's own vet and tests, the race detector over every
 # package that runs its own goroutine pools, and the steady-state
 # allocation regression gate. cplint runs before
@@ -13,9 +14,9 @@ RACE_PKGS = ./internal/par/ ./internal/trace/ ./internal/core/ ./internal/world/
 # fuzzing wall clock is five times this). CI sets the same 15s per target.
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build lint fix test bench-check race allocs fuzz-smoke scenarios shardcheck audit bench experiments
+.PHONY: check fmt vet build lint deadcode fix test bench-check race allocs fuzz-smoke scenarios shardcheck audit bench experiments
 
-check: fmt vet build lint test bench-check race allocs fuzz-smoke scenarios shardcheck
+check: fmt vet build lint deadcode test bench-check race allocs fuzz-smoke scenarios shardcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -36,6 +37,14 @@ build:
 # real sources.
 lint:
 	$(GO) run ./cmd/cplint ./...
+
+# Every package-level declaration must be reachable from a program: a
+# main under cmd/, examples/ or bench/, an init, or the facade's exported
+# API. The test loads the module without its _test.go files, so what only
+# tests reach fails it unless reachAllow (internal/lint/reach_test.go)
+# names it with a reason. About 3 s.
+deadcode:
+	$(GO) test -run '^(TestNothingOnlyTestsReach|TestReachFixture)$$' ./internal/lint/
 
 # Apply every suggested fix (gofmt-clean, idempotent), then report what
 # still needs a human.

@@ -82,9 +82,6 @@ type Cluster struct {
 	Min, Max Features
 }
 
-// Size returns the number of member UEs.
-func (c *Cluster) Size() int { return len(c.UEs) }
-
 func (c *Cluster) String() string {
 	return fmt.Sprintf("cluster %d: %d UEs", c.ID, len(c.UEs))
 }

@@ -24,8 +24,8 @@ func TestPartitionSingleCluster(t *testing.T) {
 	if len(cs) != 1 {
 		t.Fatalf("got %d clusters, want 1", len(cs))
 	}
-	if cs[0].Size() != 5000 {
-		t.Fatalf("cluster size = %d", cs[0].Size())
+	if len(cs[0].UEs) != 5000 {
+		t.Fatalf("cluster size = %d", len(cs[0].UEs))
 	}
 }
 
@@ -83,13 +83,13 @@ func TestPartitionFinalClustersMeetStopCriteria(t *testing.T) {
 	cs := Partition(pts, opt)
 	theta := opt.withDefaults().ThetaF
 	for _, c := range cs {
-		if c.Size() < opt.ThetaN {
+		if len(c.UEs) < opt.ThetaN {
 			continue // stopped by size: fine
 		}
 		for d := 0; d < NumFeatures; d++ {
 			if c.Max[d]-c.Min[d] >= theta[d] {
 				t.Fatalf("cluster %d has spread %v in dim %d with %d members",
-					c.ID, c.Max[d]-c.Min[d], d, c.Size())
+					c.ID, c.Max[d]-c.Min[d], d, len(c.UEs))
 			}
 		}
 	}
@@ -212,7 +212,7 @@ func TestMaxDepthGuard(t *testing.T) {
 	// only 2 dims spread here; just check termination and coverage.
 	total := 0
 	for _, c := range cs {
-		total += c.Size()
+		total += len(c.UEs)
 	}
 	if total != 5000 {
 		t.Fatalf("covered %d of 5000", total)

@@ -80,53 +80,3 @@ func describeStates(w io.Writer, machine *sm.Machine, states []StateParam, name 
 		fmt.Fprintln(w)
 	}
 }
-
-// Stats summarizes a model set numerically for tooling.
-type ModelStats struct {
-	Method      string
-	MachineName string
-	Models      int
-	// PerDevice is indexed by cp.DeviceType; zero-valued when absent.
-	PerDevice [cp.NumDeviceTypes]DeviceStats
-}
-
-// DeviceStats summarizes one device model.
-type DeviceStats struct {
-	TrainUEs        int
-	Share           float64
-	Personas        int
-	ClustersPerHour float64
-	Transitions     int
-}
-
-// Stats computes the numeric summary.
-func (ms *ModelSet) Stats() ModelStats {
-	out := ModelStats{Method: ms.Method, MachineName: ms.MachineName, Models: ms.NumModels()}
-	for _, d := range cp.DeviceTypes {
-		dm := ms.Device(d)
-		if dm == nil {
-			continue
-		}
-		clusters, transitions := 0, 0
-		for h := range dm.Hours {
-			clusters += len(dm.Hours[h].Clusters)
-			for c := range dm.Hours[h].Clusters {
-				cm := &dm.Hours[h].Clusters[c]
-				for _, sp := range cm.Top {
-					transitions += len(sp.Out)
-				}
-				for _, sp := range cm.Bottom {
-					transitions += len(sp.Out)
-				}
-			}
-		}
-		out.PerDevice[d] = DeviceStats{
-			TrainUEs:        dm.TrainUEs,
-			Share:           dm.Share,
-			Personas:        len(dm.Personas),
-			ClustersPerHour: float64(clusters) / float64(len(dm.Hours)),
-			Transitions:     transitions,
-		}
-	}
-	return out
-}

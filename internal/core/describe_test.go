@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -51,19 +52,33 @@ func TestDescribeBaseShowsFreeProcesses(t *testing.T) {
 	}
 }
 
+// TestModelStats holds Describe's numbers to the model: the model count,
+// and per device the training UEs, personas and clusters per hour.
 func TestModelStats(t *testing.T) {
 	ms := fitToy(t, 45, 2*cp.Hour, 97, FitOptions{})
-	st := ms.Stats()
-	if st.Method != "ours" || st.Models != ms.NumModels() {
-		t.Fatalf("stats = %+v", st)
+	var sb strings.Builder
+	if err := ms.Describe(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if want := fmt.Sprintf("method=ours machine=LTE-2LEVEL models=%d\n", ms.NumModels()); !strings.Contains(out, want) {
+		t.Fatalf("missing %q in:\n%s", want, out)
 	}
 	for _, d := range cp.DeviceTypes {
-		ds := st.PerDevice[d]
-		if ds.TrainUEs != 15 {
-			t.Fatalf("%v TrainUEs = %d", d, ds.TrainUEs)
+		at := strings.Index(out, "\n"+d.String()+": ")
+		if at < 0 {
+			t.Fatalf("no %v line in:\n%s", d, out)
 		}
-		if ds.Personas == 0 || ds.ClustersPerHour <= 0 || ds.Transitions == 0 {
-			t.Fatalf("%v stats empty: %+v", d, ds)
+		var ues, personas int
+		var share, perHour float64
+		if _, err := fmt.Sscanf(out[at+1:], d.String()+": trained on %d UEs (share %f%%), %d personas, %f clusters/hour",
+			&ues, &share, &personas, &perHour); err != nil {
+			t.Fatalf("%v line: %v", d, err)
+		}
+		dm := ms.Device(d)
+		if ues != 15 || ues != dm.TrainUEs || personas != len(dm.Personas) || personas == 0 || perHour <= 0 {
+			t.Fatalf("%v: %d UEs, %d personas, %.1f clusters/hour; model has %d UEs, %d personas",
+				d, ues, personas, perHour, dm.TrainUEs, len(dm.Personas))
 		}
 	}
 }

@@ -20,7 +20,7 @@ func mkDeviceModel() *DeviceModel {
 	}
 	clusterLevel := ClusterModel{
 		Top:    make([]StateParam, cp.NumUEStates),
-		Bottom: make([]StateParam, sm.NumLTEStates),
+		Bottom: make([]StateParam, sm.LTE2Level().NumStates()),
 	}
 	clusterLevel.Top[cp.StateIdle].Out = tp(1)
 	clusterLevel.Bottom[sm.LTESrvReqS].Out = []TransitionParam{{

@@ -384,7 +384,7 @@ func TestFitFirstEventModel(t *testing.T) {
 	var sum float64
 	for _, c := range fe.Cats {
 		sum += c.P
-		if int(c.State) >= sm.NumLTEStates {
+		if int(c.State) >= sm.LTE2Level().NumStates() {
 			t.Fatalf("category state out of range: %+v", c)
 		}
 	}

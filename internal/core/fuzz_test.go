@@ -37,22 +37,18 @@ func partialSeed(f *testing.F, build func(pf *PartialFit)) []byte {
 func FuzzDecodePartial(f *testing.F) {
 	f.Add(partialSeed(f, nil))
 	f.Add(partialSeed(f, func(pf *PartialFit) {
-		for ue := cp.UEID(1); ue <= 3; ue++ {
-			if err := pf.AddDevice(ue, cp.Phone); err != nil {
-				f.Fatal(err)
-			}
+		tr := &trace.Trace{
+			Device: map[cp.UEID]cp.DeviceType{1: cp.Phone, 2: cp.Phone, 3: cp.Phone},
+			Events: []trace.Event{
+				{T: 10, UE: 1, Type: cp.Attach},
+				{T: 20, UE: 2, Type: cp.Attach},
+				{T: 900, UE: 1, Type: cp.ServiceRequest},
+				{T: 2500, UE: 1, Type: cp.S1ConnRelease},
+				{T: 4000, UE: 2, Type: cp.TrackingAreaUpdate},
+			},
 		}
-		events := []trace.Event{
-			{T: 10, UE: 1, Type: cp.Attach},
-			{T: 20, UE: 2, Type: cp.Attach},
-			{T: 900, UE: 1, Type: cp.ServiceRequest},
-			{T: 2500, UE: 1, Type: cp.S1ConnRelease},
-			{T: 4000, UE: 2, Type: cp.TrackingAreaUpdate},
-		}
-		for _, e := range events {
-			if err := pf.AddEvent(e); err != nil {
-				f.Fatal(err)
-			}
+		if err := pf.AddSource(tr); err != nil {
+			f.Fatal(err)
 		}
 	}))
 	f.Add([]byte{})

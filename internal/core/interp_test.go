@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -380,4 +381,18 @@ func (dm *DeviceModel) pickPersona(r *stats.RNG) int {
 		}
 	}
 	return len(dm.Personas) - 1
+}
+
+// Sample draws one duration in seconds: the interpreter's draw, which
+// the compiled engine's cDist replays.
+func (s SojournModel) Sample(r *stats.RNG) float64 {
+	switch s.Kind {
+	case SojournTable:
+		return stats.QuantileAt(s.Q, r.OpenFloat64())
+	case SojournExp:
+		return r.Exp(s.Lambda)
+	case SojournConst:
+		return s.Value
+	}
+	panic(fmt.Sprintf("core: sample of invalid sojourn model kind %q", s.Kind))
 }

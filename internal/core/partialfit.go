@@ -628,22 +628,6 @@ func (pf *PartialFit) dev(d cp.DeviceType) *devPartial {
 	return dp
 }
 
-// AddDevice registers one UE. Every UE must be registered before its
-// first event.
-func (pf *PartialFit) AddDevice(ue cp.UEID, d cp.DeviceType) error {
-	if pf.built {
-		return fmt.Errorf("core: partial fit already built")
-	}
-	if !d.Valid() {
-		return fmt.Errorf("core: invalid device type %d for UE %d", d, ue)
-	}
-	if _, dup := pf.devOf[ue]; dup {
-		return fmt.Errorf("core: UE %d registered twice", ue)
-	}
-	pf.register(ue, d)
-	return nil
-}
-
 // AddEvent ingests one event of a registered UE. Events must arrive in
 // canonical (time, UE, type) order across calls — the order every
 // EventSource delivers.

@@ -455,13 +455,19 @@ func TestPartialFitRegistrationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pf.AddDevice(1, cp.Phone); err != nil {
+	one := trace.New()
+	if err := one.SetDevice(1, cp.Phone); err != nil {
 		t.Fatal(err)
 	}
-	if err := pf.AddDevice(1, cp.Phone); err == nil {
+	if err := pf.AddSource(one); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.AddSource(one); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
-	if err := pf.AddDevice(2, cp.DeviceType(250)); err == nil {
+	bad := trace.New()
+	bad.Device[2] = cp.DeviceType(250)
+	if err := pf.AddSource(bad); err == nil {
 		t.Fatal("invalid device type accepted")
 	}
 	if err := pf.AddEvent(trace.Event{T: 1, UE: 99, Type: cp.Attach}); err == nil {
@@ -520,14 +526,19 @@ func TestFitSketchedErrorBound(t *testing.T) {
 			if sp == nil || sp.sk == nil {
 				t.Fatalf("pool %+v missing or unsketched in sketched partial", key)
 			}
-			if sp.sk.Len() != k {
-				t.Fatalf("pool %+v retained %d, want %d", key, sp.sk.Len(), k)
+			kept := sp.sk.Items()
+			if len(kept) != k {
+				t.Fatalf("pool %+v retained %d, want %d", key, len(kept), k)
+			}
+			sv := make([]float64, len(kept))
+			for i, it := range kept {
+				sv[i] = it.V
 			}
 			ev := make([]float64, len(ep.items))
 			for i, it := range ep.items {
 				ev[i] = it.v
 			}
-			if dist := stats.MaxYDistance(sp.sk.Values(), ev); dist > eps {
+			if dist := stats.MaxYDistance(sv, ev); dist > eps {
 				t.Errorf("pool %+v: K-S distance %v exceeds bound %v (n=%d)", key, dist, eps, len(ev))
 			}
 		}

@@ -44,19 +44,6 @@ type SojournModel struct {
 	Value  float64   `json:"value,omitempty"`  // point mass for SojournConst
 }
 
-// Sample draws one duration in seconds.
-func (s SojournModel) Sample(r *stats.RNG) float64 {
-	switch s.Kind {
-	case SojournTable:
-		return stats.QuantileAt(s.Q, r.OpenFloat64())
-	case SojournExp:
-		return r.Exp(s.Lambda)
-	case SojournConst:
-		return s.Value
-	}
-	panic(fmt.Sprintf("core: sample of invalid sojourn model kind %q", s.Kind))
-}
-
 // Dist returns the distribution view of the model (for tests and
 // analysis). SojournConst is represented as a two-point table.
 func (s SojournModel) Dist() stats.Dist {

@@ -33,7 +33,8 @@ func toyTrace(t testing.TB, nUEs int, dur cp.Millis, seed uint64) *trace.Trace {
 		if err := tr.SetDevice(ue, dev); err != nil {
 			t.Fatal(err)
 		}
-		r := root.Split(uint64(i))
+		rv := root.SplitVal(uint64(i))
+		r := &rv
 		state := sm.LTEDeregistered
 		// Stagger power-on within the first 10 minutes.
 		now := cp.MillisFromSeconds(r.Float64() * 600)

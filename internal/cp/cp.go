@@ -184,43 +184,6 @@ func ParseDeviceType(s string) (DeviceType, error) {
 // Labeling" in §3.2 of the paper).
 type UEID uint32
 
-// EMMState is the EPS Mobility Management state of a UE (paper Fig. 1a).
-type EMMState uint8
-
-const (
-	// Deregistered: the UE is not registered with the core network.
-	Deregistered EMMState = iota
-	// Registered: the UE is registered (attached) with the core network.
-	Registered
-)
-
-// String returns "DEREGISTERED" or "REGISTERED".
-func (s EMMState) String() string {
-	if s == Deregistered {
-		return "DEREGISTERED"
-	}
-	return "REGISTERED"
-}
-
-// ECMState is the EPS Connection Management state of a UE (paper Fig. 1b).
-// It is only meaningful while the UE is Registered.
-type ECMState uint8
-
-const (
-	// Idle: no signaling connection between UE and core.
-	Idle ECMState = iota
-	// Connected: a signaling connection exists.
-	Connected
-)
-
-// String returns "IDLE" or "CONNECTED".
-func (s ECMState) String() string {
-	if s == Idle {
-		return "IDLE"
-	}
-	return "CONNECTED"
-}
-
 // UEState enumerates the four coarse protocol states a UE occupies when
 // the EMM and ECM machines are merged (paper §4.1: REGISTERED,
 // DEREGISTERED, CONNECTED, IDLE; a registered UE is always either

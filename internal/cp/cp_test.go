@@ -176,12 +176,3 @@ func TestUEStateNames(t *testing.T) {
 		t.Error("CONNECTED and IDLE must report Registered")
 	}
 }
-
-func TestEMMAndECMStrings(t *testing.T) {
-	if Deregistered.String() != "DEREGISTERED" || Registered.String() != "REGISTERED" {
-		t.Error("EMM state names wrong")
-	}
-	if Idle.String() != "IDLE" || Connected.String() != "CONNECTED" {
-		t.Error("ECM state names wrong")
-	}
-}

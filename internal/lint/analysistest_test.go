@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -44,7 +45,7 @@ func runFixture(t *testing.T, analyzers []*Analyzer, path string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("loading %s: %v", path, err)
 	}
-	diags := Analyze(pkgs, analyzers)
+	diags := AnalyzeWorkers(pkgs, analyzers, 0)
 	checkWants(t, l.Fset(), pkgs[0], diags)
 	return diags
 }
@@ -137,4 +138,33 @@ func checkWants(t *testing.T, fset *token.FileSet, pkg *Package, diags []Diagnos
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
 	}
+}
+
+// AddFixtureTree registers every package directory under root (a
+// GOPATH-style src tree: the path of a package is its directory
+// relative to root) for subsequent Load calls.
+func (l *Loader) AddFixtureTree(root string) error {
+	if l.Fixtures == nil {
+		l.Fixtures = make(map[string]string)
+	}
+	return filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil || !info.IsDir() {
+			return err
+		}
+		ents, err := os.ReadDir(path)
+		if err != nil {
+			return err
+		}
+		for _, e := range ents {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+				rel, err := filepath.Rel(root, path)
+				if err != nil {
+					return err
+				}
+				l.Fixtures[filepath.ToSlash(rel)] = path
+				break
+			}
+		}
+		return nil
+	})
 }

@@ -67,7 +67,7 @@ func TestDirectiveHygiene(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading hygiene fixture: %v", err)
 	}
-	diags := Analyze(pkgs, All())
+	diags := AnalyzeWorkers(pkgs, All(), 0)
 
 	want := []struct {
 		line int
@@ -127,7 +127,7 @@ func TestRetainDirectiveHygiene(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading retain hygiene fixture: %v", err)
 	}
-	diags := Analyze(pkgs, All())
+	diags := AnalyzeWorkers(pkgs, All(), 0)
 
 	want := []struct {
 		line int
@@ -167,7 +167,7 @@ func TestMalformedDirectiveStillSuppresses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading hygiene fixture: %v", err)
 	}
-	for _, d := range Analyze(pkgs, []*Analyzer{DetMap}) {
+	for _, d := range AnalyzeWorkers(pkgs, []*Analyzer{DetMap}, 0) {
 		if strings.Contains(d.Message, "nondeterministic iteration order") {
 			t.Errorf("annotated loop was re-reported: %s", d)
 		}

@@ -10,10 +10,10 @@ import (
 )
 
 // Exhaustive checks that every switch over one of the repo's small
-// enums — cp.EventType, cp.DeviceType, cp.EMMState, cp.ECMState,
-// cp.UEState, and the sm state types — either covers every declared
-// value or carries an explicit default clause. The paper's artifact is
-// a two-level hierarchical state machine, so these switches are its
+// enums — cp.EventType, cp.DeviceType, cp.UEState, and the sm state
+// types — either covers every declared value or carries an explicit
+// default clause. The paper's artifact is a two-level hierarchical
+// state machine, so these switches are its
 // semantic heart: a missed case is a silently dropped transition, the
 // exact bug class a faithful reproduction cannot afford.
 //

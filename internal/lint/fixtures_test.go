@@ -106,7 +106,7 @@ func TestTreeClean(t *testing.T) {
 	if len(pkgs) == 0 {
 		t.Fatal("go list matched no packages")
 	}
-	for _, d := range Analyze(pkgs, All()) {
+	for _, d := range AnalyzeWorkers(pkgs, All(), 0) {
 		t.Errorf("tree not clean: %s", d)
 	}
 }

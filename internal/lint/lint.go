@@ -138,21 +138,15 @@ func All() []*Analyzer {
 	return []*Analyzer{DetMap, DetSource, Exhaustive, FloatFold, Frozen, HotAlloc, HotCall, ParShare, Retain}
 }
 
-// Analyze runs the given analyzers over the given packages and returns
-// the merged diagnostics sorted by position. Packages are analyzed in
-// parallel (one worker per package, over the repo's own par pool); the
-// final sort makes the output bytes worker-count-independent.
-// Directive hygiene (unknown //cplint: names, missing reasons,
-// annotations attached to nothing) is validated per package, after
-// every analyzer has had the chance to claim its directives.
-func Analyze(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return AnalyzeWorkers(pkgs, analyzers, 0)
-}
-
-// AnalyzeWorkers is Analyze with an explicit worker count (<= 0 means
-// GOMAXPROCS). The diagnostics are identical for any worker count: a
-// package's directives are only ever touched by the one worker that
-// owns it, and the merged result is sorted before returning.
+// AnalyzeWorkers runs the given analyzers over the given packages and
+// returns the merged diagnostics sorted by position. Packages are
+// analyzed in parallel over workers goroutines of the repo's own par
+// pool (<= 0 means GOMAXPROCS). The diagnostics are identical for any
+// worker count: a package's directives are only ever touched by the one
+// worker that owns it, and the merged result is sorted before
+// returning. Directive hygiene (unknown //cplint: names, missing
+// reasons, annotations attached to nothing) is validated per package,
+// after every analyzer has had the chance to claim its directives.
 func AnalyzeWorkers(pkgs []*Package, analyzers []*Analyzer, workers int) []Diagnostic {
 	var graph *Graph
 	for _, a := range analyzers {

@@ -102,35 +102,6 @@ func (l *Loader) Fset() *token.FileSet {
 	return l.fset
 }
 
-// AddFixtureTree registers every package directory under root (a
-// GOPATH-style src tree: the path of a package is its directory
-// relative to root) for subsequent Load calls.
-func (l *Loader) AddFixtureTree(root string) error {
-	if l.Fixtures == nil {
-		l.Fixtures = make(map[string]string)
-	}
-	return filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil || !info.IsDir() {
-			return err
-		}
-		ents, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				rel, err := filepath.Rel(root, path)
-				if err != nil {
-					return err
-				}
-				l.Fixtures[filepath.ToSlash(rel)] = path
-				break
-			}
-		}
-		return nil
-	})
-}
-
 // Load type-checks the packages matched by the given `go list`
 // patterns (plus their dependency closure) and returns the matched
 // packages only, sorted by import path.

@@ -45,7 +45,7 @@ func hasDotDotPrefix(rel string) bool {
 
 // WriteJSON renders diagnostics as the stable cplint/4 JSON report.
 // Diagnostics must already be in their deterministic sorted order (as
-// returned by Analyze); the writer adds nothing nondeterministic.
+// returned by AnalyzeWorkers); the writer adds nothing nondeterministic.
 func WriteJSON(w io.Writer, diags []Diagnostic, packages int, base string) error {
 	rep := jsonReport{
 		Version:     ReportVersion,

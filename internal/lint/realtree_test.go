@@ -175,7 +175,7 @@ func TestAnalyzersBiteOnRealTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading seeded copy: %v", err)
 	}
-	diags := Analyze(pkgs, All())
+	diags := AnalyzeWorkers(pkgs, All(), 0)
 
 	seeded := make(map[string]bool)
 	for _, s := range sites {

@@ -124,12 +124,6 @@ func (m *MME) ProcessTrace(tr *trace.Trace) (Stats, error) {
 // Stats returns a snapshot of the current counters.
 func (m *MME) Stats() Stats { return m.stats }
 
-// State returns the tracked state of a UE and whether it has been seen.
-func (m *MME) State(ue cp.UEID) (sm.State, bool) {
-	s, ok := m.state[ue]
-	return s, ok
-}
-
 // LoadSeries bins a trace's events into fixed windows and returns the
 // transaction count per window — the signaling load profile a core
 // design or a monitoring scheme would see.

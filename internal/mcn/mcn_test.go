@@ -96,7 +96,7 @@ func TestMMEInfersMidStreamState(t *testing.T) {
 	if m.Stats().Violations != 0 {
 		t.Fatal("mid-stream inference failed")
 	}
-	if st, ok := m.State(7); !ok || st != sm.LTES1RelS1 {
+	if st, ok := m.state[7]; !ok || st != sm.LTES1RelS1 {
 		t.Fatalf("state = %v, %v", st, ok)
 	}
 }

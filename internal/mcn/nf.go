@@ -68,20 +68,6 @@ func Transactions(e cp.EventType) [NumNFs]int {
 	return transactionMatrix[e]
 }
 
-// NFLoad aggregates the per-network-function transaction counts a trace
-// imposes on the core — the quantity an MCN dimensioning study sizes
-// each function by.
-func NFLoad(tr *trace.Trace) [NumNFs]int {
-	var out [NumNFs]int
-	for _, ev := range tr.Events {
-		tx := Transactions(ev.Type)
-		for n := 0; n < NumNFs; n++ {
-			out[n] += tx[n]
-		}
-	}
-	return out
-}
-
 // NFLoadSeries bins a trace's per-NF transactions into fixed windows,
 // returning one series per network function.
 func NFLoadSeries(tr *trace.Trace, bin cp.Millis) [NumNFs][]int {

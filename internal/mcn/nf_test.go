@@ -49,15 +49,16 @@ func TestNFLoad(t *testing.T) {
 	tr.Append(ev(0, 1, cp.Attach))
 	tr.Append(ev(1, 1, cp.ServiceRequest))
 	tr.Append(ev(2, 1, cp.TrackingAreaUpdate))
-	load := NFLoad(tr)
-	if load[NFMME] != 3 {
-		t.Fatalf("MME load = %d", load[NFMME])
+	rep, err := Provision(tr, evenCapacity(100))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if load[NFSGW] != 2 {
-		t.Fatalf("SGW load = %d", load[NFSGW])
+	var load [NumNFs]int
+	for n := range load {
+		load[n] = rep.PerNF[n].Transactions
 	}
-	if load[NFHSS] != 1 || load[NFPCRF] != 1 {
-		t.Fatalf("HSS/PCRF = %d/%d", load[NFHSS], load[NFPCRF])
+	if load != [NumNFs]int{NFMME: 3, NFHSS: 1, NFSGW: 2, NFPGW: 1, NFPCRF: 1} {
+		t.Fatalf("per-NF transactions = %v", load)
 	}
 }
 

@@ -31,19 +31,11 @@ func NewPool(n int, machine *sm.Machine) (*Pool, error) {
 	return p, nil
 }
 
-// Size returns the number of instances.
-func (p *Pool) Size() int { return len(p.instances) }
-
 // shard maps a UE to its instance with a multiplicative hash, so
 // consecutive UE ids do not land on the same instance.
 func (p *Pool) shard(ue uint32) int {
 	h := uint64(ue) * 0x9E3779B97F4A7C15
 	return int(h % uint64(len(p.instances)))
-}
-
-// Process routes one event to its UE's instance.
-func (p *Pool) Process(e trace.Event) error {
-	return p.instances[p.shard(uint32(e.UE))].Process(e)
 }
 
 // PoolStats summarizes a pool run.

@@ -18,8 +18,8 @@ func TestPoolValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() != 4 {
-		t.Fatalf("Size = %d", p.Size())
+	if len(p.instances) != 4 {
+		t.Fatalf("%d instances", len(p.instances))
 	}
 }
 

@@ -63,17 +63,6 @@ type Machine struct {
 // into macro state top.
 func (m *Machine) SubEntry(top cp.UEState) State { return m.subEntry[top] }
 
-// EdgeIsBottom reports whether the edge leaving from on event e stays
-// within the same macro state (a bottom-level / sub-machine transition)
-// and whether the edge exists at all.
-func (m *Machine) EdgeIsBottom(from State, e cp.EventType) (isBottom, ok bool) {
-	to, ok := m.Next(from, e)
-	if !ok {
-		return false, false
-	}
-	return m.Top(to) == m.Top(from), true
-}
-
 // NumStates returns the number of fine-grained states.
 func (m *Machine) NumStates() int { return len(m.States) }
 
@@ -101,16 +90,6 @@ func (m *Machine) Next(s State, e cp.EventType) (State, bool) {
 // Forced returns the canonical post-state of event e, used to recover
 // when an observed trace takes an edge the machine does not have.
 func (m *Machine) Forced(e cp.EventType) State { return m.forced[e] }
-
-// StateByName returns the state with the given name.
-func (m *Machine) StateByName(name string) (State, error) {
-	for i, si := range m.States {
-		if si.Name == name {
-			return State(i), nil
-		}
-	}
-	return 0, fmt.Errorf("sm: machine %s has no state %q", m.Name, name)
-}
 
 // validate panics if the machine definition is internally inconsistent;
 // it runs once at package init for the built-in machines.
@@ -148,9 +127,6 @@ const (
 
 	numLTEStates = iota
 )
-
-// NumLTEStates is the number of fine states in the LTE two-level machine.
-const NumLTEStates = int(numLTEStates)
 
 var lte2Level = &Machine{
 	Name: "LTE-2LEVEL",

@@ -106,6 +106,9 @@ func TestMacroSojourns(t *testing.T) {
 	}
 }
 
+// TestSubEntryAndEdgeIsBottom pins the sub-machine entry points and,
+// per edge, whether it stays within its macro state (a bottom-level
+// transition) and whether it exists at all.
 func TestSubEntryAndEdgeIsBottom(t *testing.T) {
 	m := LTE2Level()
 	if m.SubEntry(cp.StateConnected) != LTESrvReqS {
@@ -133,9 +136,10 @@ func TestSubEntryAndEdgeIsBottom(t *testing.T) {
 		{LTES1RelS2, cp.TrackingAreaUpdate, true, true}, // idle-internal
 	}
 	for _, c := range cases {
-		isBottom, ok := m.EdgeIsBottom(c.from, c.ev)
+		to, ok := m.Next(c.from, c.ev)
+		isBottom := ok && m.Top(to) == m.Top(c.from)
 		if isBottom != c.isBottom || ok != c.ok {
-			t.Errorf("EdgeIsBottom(%s,%s) = (%v,%v), want (%v,%v)",
+			t.Errorf("edge (%s,%s): bottom %v, exists %v; want %v, %v",
 				m.StateName(c.from), c.ev, isBottom, ok, c.isBottom, c.ok)
 		}
 	}

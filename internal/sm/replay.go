@@ -97,62 +97,6 @@ func InferInitial(m *Machine, evs []trace.Event) State {
 	return m.Initial
 }
 
-// TransitionKey identifies a semi-Markov transition: leaving From on
-// Event. Because machines are deterministic the destination is implied.
-type TransitionKey struct {
-	From  State
-	Event cp.EventType
-}
-
-// SojournsByTransition groups the observed sojourn times (in seconds) of
-// a replay by transition. Only transitions with a known entry time
-// contribute.
-func SojournsByTransition(res ReplayResult) map[TransitionKey][]float64 {
-	out := make(map[TransitionKey][]float64)
-	for _, tr := range res.Transitions {
-		if !tr.HasSojourn {
-			continue
-		}
-		k := TransitionKey{From: tr.From, Event: tr.Event}
-		out[k] = append(out[k], tr.Sojourn.Seconds())
-	}
-	return out
-}
-
-// TopSojourns extracts the durations (in seconds) the UE spent in each
-// merged macro state (DEREGISTERED / CONNECTED / IDLE), computed from the
-// replay's transitions. Only complete visits — entered and left within
-// the replayed events — are counted, matching the paper's per-interval
-// replay methodology (§4.1.1).
-func TopSojourns(m *Machine, res ReplayResult) map[cp.UEState][]float64 {
-	out := make(map[cp.UEState][]float64)
-	var enteredAt cp.Millis
-	haveEntry := false
-	var curTop cp.UEState
-	for i, tr := range res.Transitions {
-		top := m.Top(tr.To)
-		prevTop := m.Top(tr.From)
-		if i == 0 {
-			// Entry time of the first state is unknown; start tracking
-			// from this event.
-			curTop = top
-			enteredAt = tr.At
-			haveEntry = true
-			continue
-		}
-		if top != prevTop {
-			// Macro state changed at tr.At.
-			if haveEntry && prevTop == curTop {
-				out[curTop] = append(out[curTop], (tr.At - enteredAt).Seconds())
-			}
-			curTop = top
-			enteredAt = tr.At
-			haveEntry = true
-		}
-	}
-	return out
-}
-
 // InterArrivals returns the inter-arrival times (in seconds) between
 // consecutive events of the given type within a single UE's time-ordered
 // event sequence.
@@ -169,39 +113,6 @@ func InterArrivals(evs []trace.Event, t cp.EventType) []float64 {
 		}
 		last = ev.T
 		have = true
-	}
-	return out
-}
-
-// CountMacroEvents tallies, for each event type, how many occurrences
-// happened while the UE was in each merged macro state according to the
-// replay — the breakdown the paper reports as "HO (CONN.)", "HO (IDLE)",
-// "TAU (CONN.)", "TAU (IDLE)" in Tables 4 and 11. The state *before* the
-// event determines the bucket, except that state-changing events are
-// attributed to the state they establish (ATCH and SRV_REQ to CONNECTED,
-// DTCH to DEREGISTERED, S1_CONN_REL to IDLE), mirroring the paper's
-// accounting where SRV_REQ is a CONNECTED-establishing event.
-func CountMacroEvents(m *Machine, res ReplayResult) map[cp.EventType]map[cp.UEState]int {
-	out := make(map[cp.EventType]map[cp.UEState]int)
-	add := func(e cp.EventType, s cp.UEState) {
-		inner := out[e]
-		if inner == nil {
-			inner = make(map[cp.UEState]int)
-			out[e] = inner
-		}
-		inner[s]++
-	}
-	for _, tr := range res.Transitions {
-		switch tr.Event {
-		case cp.Attach, cp.ServiceRequest:
-			add(tr.Event, cp.StateConnected)
-		case cp.Detach:
-			add(tr.Event, cp.StateDeregistered)
-		case cp.S1ConnRelease:
-			add(tr.Event, cp.StateIdle)
-		default:
-			add(tr.Event, m.Top(tr.From))
-		}
 	}
 	return out
 }

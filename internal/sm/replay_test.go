@@ -114,23 +114,19 @@ func TestSojournsByTransition(t *testing.T) {
 		95.0, cp.ServiceRequest,
 	)
 	res := Replay(m, LTEDeregistered, seq)
-	so := SojournsByTransition(res)
-	k := TransitionKey{From: LTESrvReqS, Event: cp.S1ConnRelease}
-	if got := so[k]; len(got) != 2 || got[0] != 10 || got[1] != 5 {
-		t.Fatalf("sojourns for %v = %v", k, got)
+	if got := sojourns(res, LTESrvReqS, cp.S1ConnRelease); len(got) != 2 || got[0] != 10 || got[1] != 5 {
+		t.Fatalf("SRV_REQ_S on S1_CONN_REL: sojourns %v", got)
 	}
-	k2 := TransitionKey{From: LTES1RelS1, Event: cp.ServiceRequest}
-	if got := so[k2]; len(got) != 2 || got[0] != 30 || got[1] != 50 {
-		t.Fatalf("sojourns for %v = %v", k2, got)
+	if got := sojourns(res, LTES1RelS1, cp.ServiceRequest); len(got) != 2 || got[0] != 30 || got[1] != 50 {
+		t.Fatalf("S1_REL_S1 on SRV_REQ: sojourns %v", got)
 	}
 	// The first event (Attach) has no sojourn.
-	if _, ok := so[TransitionKey{From: LTEDeregistered, Event: cp.Attach}]; ok {
-		t.Fatal("first event contributed a sojourn")
+	if res.Transitions[0].HasSojourn {
+		t.Fatal("first event has a sojourn")
 	}
 }
 
 func TestTopSojourns(t *testing.T) {
-	m := LTE2Level()
 	seq := evs(
 		0.0, cp.Attach, // enter CONNECTED at t=0
 		5.0, cp.Handover, // still CONNECTED
@@ -138,8 +134,7 @@ func TestTopSojourns(t *testing.T) {
 		90.0, cp.ServiceRequest, // enter CONNECTED at t=90: IDLE lasted 60
 		100.0, cp.S1ConnRelease, // CONNECTED lasted 10
 	)
-	res := Replay(m, LTEDeregistered, seq)
-	top := TopSojourns(m, res)
+	top := MacroSojourns(seq, cp.StateDeregistered)
 	conn := top[cp.StateConnected]
 	idle := top[cp.StateIdle]
 	if len(conn) != 2 || conn[0] != 30 || conn[1] != 10 {
@@ -155,7 +150,6 @@ func TestTopSojourns(t *testing.T) {
 }
 
 func TestTopSojournsNoDoubleCountWithinMacro(t *testing.T) {
-	m := LTE2Level()
 	// Sub-state churn inside CONNECTED must not split the macro sojourn.
 	seq := evs(
 		0.0, cp.Attach,
@@ -164,8 +158,7 @@ func TestTopSojournsNoDoubleCountWithinMacro(t *testing.T) {
 		3.0, cp.TrackingAreaUpdate,
 		50.0, cp.S1ConnRelease,
 	)
-	res := Replay(m, LTEDeregistered, seq)
-	top := TopSojourns(m, res)
+	top := MacroSojourns(seq, cp.StateDeregistered)
 	conn := top[cp.StateConnected]
 	if len(conn) != 1 || conn[0] != 50 {
 		t.Fatalf("CONNECTED sojourns = %v, want [50]", conn)
@@ -203,11 +196,10 @@ func TestCountMacroEvents(t *testing.T) {
 		20.0, cp.ServiceRequest,
 		25.0, cp.Detach,
 	)
-	res := Replay(m, LTEDeregistered, seq)
-	if res.Violations != 0 {
+	if res := Replay(m, LTEDeregistered, seq); res.Violations != 0 {
 		t.Fatalf("violations = %d", res.Violations)
 	}
-	counts := CountMacroEvents(m, res)
+	counts := MacroBreakdown(seq, cp.StateDeregistered)
 	if counts[cp.Handover][cp.StateConnected] != 1 || counts[cp.Handover][cp.StateIdle] != 0 {
 		t.Fatalf("HO counts = %v", counts[cp.Handover])
 	}
@@ -230,9 +222,19 @@ func TestReplaySojournSecondsPrecision(t *testing.T) {
 		{T: 1, UE: 1, Type: cp.S1ConnRelease}, // 1 ms sojourn
 	}
 	res := Replay(m, EEDeregistered, seq)
-	so := SojournsByTransition(res)
-	k := TransitionKey{From: EEConnected, Event: cp.S1ConnRelease}
-	if got := so[k]; len(got) != 1 || math.Abs(got[0]-0.001) > 1e-12 {
+	if got := sojourns(res, EEConnected, cp.S1ConnRelease); len(got) != 1 || math.Abs(got[0]-0.001) > 1e-12 {
 		t.Fatalf("sojourn = %v, want [0.001]", got)
 	}
+}
+
+// sojourns returns, in seconds, the sojourns a replay observed before
+// leaving from on event e.
+func sojourns(res ReplayResult, from State, e cp.EventType) []float64 {
+	var out []float64
+	for _, tr := range res.Transitions {
+		if tr.HasSojourn && tr.From == from && tr.Event == e {
+			out = append(out, tr.Sojourn.Seconds())
+		}
+	}
+	return out
 }

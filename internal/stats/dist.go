@@ -20,9 +20,6 @@ type Dist interface {
 	String() string
 }
 
-// Sample draws one value from d using inverse-transform sampling.
-func Sample(d Dist, rng *RNG) float64 { return d.Quantile(rng.OpenFloat64()) }
-
 // Exponential is the exponential distribution with rate Lambda — the
 // inter-arrival law of a Poisson process, the paper's principal strawman.
 type Exponential struct {
@@ -218,9 +215,6 @@ func EmpiricalOfSorted(sorted []float64) *Empirical {
 	}
 	return &Empirical{sorted: sorted}
 }
-
-// N returns the sample size.
-func (e *Empirical) N() int { return len(e.sorted) }
 
 // Values returns the sorted sample (shared slice; do not modify).
 func (e *Empirical) Values() []float64 { return e.sorted }

@@ -127,8 +127,8 @@ func TestNormQuantileInvertsNormCDF(t *testing.T) {
 
 func TestEmpiricalBasics(t *testing.T) {
 	e := NewEmpirical([]float64{3, 1, 2, 2, 5})
-	if e.N() != 5 {
-		t.Fatalf("N = %d", e.N())
+	if len(e.Values()) != 5 {
+		t.Fatalf("%d values", len(e.Values()))
 	}
 	if e.CDF(0) != 0 || e.CDF(1) != 0.2 || e.CDF(2) != 0.6 || e.CDF(5) != 1 || e.CDF(9) != 1 {
 		t.Fatalf("CDF values wrong: %v %v %v %v",
@@ -203,3 +203,6 @@ func TestDistStrings(t *testing.T) {
 		}
 	}
 }
+
+// Sample draws one value from d using inverse-transform sampling.
+func Sample(d Dist, rng *RNG) float64 { return d.Quantile(rng.OpenFloat64()) }

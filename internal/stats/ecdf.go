@@ -10,11 +10,6 @@ import (
 // y-distance", §8.1.2). It equals the two-sample K–S statistic.
 func MaxYDistance(xs, ys []float64) float64 { return KSTest2(xs, ys).D }
 
-// MaxYDistanceToDist returns the maximum vertical distance between the
-// empirical CDF of xs and the CDF of a reference distribution (the
-// one-sample K–S statistic without the p-value machinery).
-func MaxYDistanceToDist(xs []float64, d Dist) float64 { return KSTest(xs, d).D }
-
 // QuantileTable is a compressed empirical distribution: the quantile
 // function tabulated on an even probability grid, with exact minimum and
 // maximum. Fitted sojourn-time CDFs are stored in this form so a model for

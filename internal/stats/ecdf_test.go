@@ -21,8 +21,8 @@ func TestMaxYDistanceDisjoint(t *testing.T) {
 
 func TestMaxYDistanceToDist(t *testing.T) {
 	xs := sampleN(Exponential{Lambda: 1}, 2000, 11)
-	d1 := MaxYDistanceToDist(xs, Exponential{Lambda: 1})
-	d2 := MaxYDistanceToDist(xs, Exponential{Lambda: 5})
+	d1 := KSTest(xs, Exponential{Lambda: 1}).D
+	d2 := KSTest(xs, Exponential{Lambda: 5}).D
 	if d1 >= d2 {
 		t.Fatalf("true dist (%v) should be closer than wrong dist (%v)", d1, d2)
 	}

@@ -1,11 +1,9 @@
 package stats
 
-import "slices"
-
-// KaplanMeier estimates the marginal distribution of an event time from
-// right-censored observations: fired holds the observed (uncensored)
-// event times, censored the times at which observation stopped without
-// the event. It returns the conditional-given-finite quantile table, the
+// KaplanMeierSorted estimates the marginal distribution of an event time
+// from right-censored observations: f holds the observed (uncensored)
+// event times, c the times at which observation stopped without the
+// event. It returns the conditional-given-finite quantile table, the
 // residual tail mass (the KM survival beyond the last observed event —
 // the probability the event never fires within observable horizons), and
 // ok=false when there are no uncensored observations at all.
@@ -15,18 +13,9 @@ import "slices"
 // pending sub-machine delay, so fitting on uncensored delays alone would
 // bias them short and over-generate HO/TAU when raced against the top
 // level.
-func KaplanMeier(fired, censored []float64) (q *QuantileTable, tail float64, ok bool) {
-	f := slices.Clone(fired)
-	c := slices.Clone(censored)
-	var scratch []float64
-	SortFloats(f, &scratch)
-	SortFloats(c, &scratch)
-	return KaplanMeierSorted(f, c)
-}
-
-// KaplanMeierSorted is KaplanMeier for observations already in ascending
-// order (SortFloats' order) on each side, which it reads without
-// copying.
+//
+// Each side must be in ascending order (SortFloats' order); it is read
+// without copying.
 func KaplanMeierSorted(f, c []float64) (q *QuantileTable, tail float64, ok bool) {
 	if len(f) == 0 {
 		return nil, 1, false

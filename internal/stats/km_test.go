@@ -265,3 +265,13 @@ func TestKaplanMeierMatchesSortSlice(t *testing.T) {
 		check("random", fired, censored)
 	}
 }
+
+// KaplanMeier is KaplanMeierSorted over unsorted copies of its inputs.
+func KaplanMeier(fired, censored []float64) (q *QuantileTable, tail float64, ok bool) {
+	f := slices.Clone(fired)
+	c := slices.Clone(censored)
+	var scratch []float64
+	SortFloats(f, &scratch)
+	SortFloats(c, &scratch)
+	return KaplanMeierSorted(f, c)
+}

@@ -49,15 +49,10 @@ func splitmix64(state uint64) (uint64, uint64) {
 	return state, z ^ (z >> 31)
 }
 
-// Split derives a new, statistically independent generator keyed by n.
-// Calling Split with distinct keys on the same parent yields distinct
-// streams; the parent's own state is not consumed.
-func (r *RNG) Split(n uint64) *RNG {
-	return NewRNG(r.s[0] ^ rotl(r.s[2], 17) ^ (n * 0xD1342543DE82EF95))
-}
-
-// SplitVal is Split by value: the same derived stream with no allocation,
-// for per-UE generator state that lives in per-worker slabs.
+// SplitVal derives a new, statistically independent generator keyed by
+// n. Calling it with distinct keys on the same parent yields distinct
+// streams; the parent's own state is not consumed. It returns the
+// generator by value, for per-UE state that lives in per-worker slabs.
 func (r *RNG) SplitVal(n uint64) RNG {
 	return NewRNGVal(r.s[0] ^ rotl(r.s[2], 17) ^ (n * 0xD1342543DE82EF95))
 }

@@ -39,9 +39,7 @@ func TestRNGZeroSeedWorks(t *testing.T) {
 
 func TestSplitIndependence(t *testing.T) {
 	r := NewRNG(7)
-	s1 := r.Split(1)
-	s2 := r.Split(2)
-	s1again := r.Split(1)
+	s1, s2, s1again := r.SplitVal(1), r.SplitVal(2), r.SplitVal(1)
 	if s1.Uint64() != s1again.Uint64() {
 		t.Fatal("Split not deterministic for same key")
 	}

@@ -108,14 +108,8 @@ func (s *Sketch) Merge(other *Sketch) {
 	}
 }
 
-// K returns the retention bound.
-func (s *Sketch) K() int { return s.k }
-
 // N returns the total number of observations, kept or not.
 func (s *Sketch) N() int64 { return s.n }
-
-// Len returns the number of retained observations (<= k).
-func (s *Sketch) Len() int { return len(s.items) }
 
 // Items returns the retained observations sorted by (Pri, Tag) — the
 // canonical serialization order. The slice is a copy.
@@ -127,29 +121,6 @@ func (s *Sketch) Items() []SketchItem {
 		return cmp.Or(cmp.Compare(a.Pri, b.Pri), cmp.Compare(a.Tag, b.Tag))
 	})
 	return out
-}
-
-// Values returns the retained values sorted ascending (ties broken by
-// (Pri, Tag) before sorting, so the bytes are deterministic). The slice
-// is a copy.
-func (s *Sketch) Values() []float64 {
-	items := s.Items()
-	out := make([]float64, len(items))
-	for i, it := range items {
-		out[i] = it.V
-	}
-	slices.Sort(out)
-	return out
-}
-
-// Quantile returns the empirical p-quantile of the retained sample,
-// using the same interpolation as stats.Empirical so sketched and exact
-// pipelines share quantile semantics. It returns 0 on an empty sketch.
-func (s *Sketch) Quantile(p float64) float64 {
-	if len(s.items) == 0 {
-		return 0
-	}
-	return NewEmpirical(s.Values()).Quantile(p)
 }
 
 // SketchPriority derives a sampling priority from a two-part identity

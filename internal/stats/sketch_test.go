@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -23,10 +24,10 @@ func sketchFill(k int, salt uint64, n int, gen func(i int) float64) (*Sketch, []
 func TestSketchExactBelowK(t *testing.T) {
 	rng := NewRNG(7)
 	s, exact := sketchFill(64, 1, 40, func(int) float64 { return rng.Float64() })
-	if s.N() != 40 || s.Len() != 40 {
-		t.Fatalf("N=%d Len=%d, want 40/40", s.N(), s.Len())
+	if s.N() != 40 || len(s.items) != 40 {
+		t.Fatalf("N=%d Len=%d, want 40/40", s.N(), len(s.items))
 	}
-	got := s.Values()
+	got := sketchValues(s)
 	want := append([]float64(nil), exact...)
 	NewEmpirical(want) // no-op sanity: constructor sorts a copy
 	for i, v := range got {
@@ -109,8 +110,8 @@ func TestSketchMergeOrderIndependent(t *testing.T) {
 func TestSketchRestoreRoundTrip(t *testing.T) {
 	rng := NewRNG(3)
 	s, _ := sketchFill(32, 5, 500, func(int) float64 { return rng.Exp(1) })
-	r := RestoreSketch(s.K(), s.N(), s.Items())
-	if r.N() != s.N() || r.K() != s.K() || !reflect.DeepEqual(r.Items(), s.Items()) {
+	r := RestoreSketch(s.k, s.N(), s.Items())
+	if r.N() != s.N() || r.k != s.k || !reflect.DeepEqual(r.Items(), s.Items()) {
 		t.Fatal("restore round trip changed the sketch")
 	}
 	// Restored sketches must keep absorbing observations identically.
@@ -156,10 +157,11 @@ func TestSketchErrorBound(t *testing.T) {
 	}
 	for ci, tc := range cases {
 		s, exact := sketchFill(k, uint64(1000+ci), n, tc.gen)
-		if s.Len() != k {
-			t.Fatalf("%s: retained %d, want %d", tc.name, s.Len(), k)
+		if len(s.items) != k {
+			t.Fatalf("%s: retained %d, want %d", tc.name, len(s.items), k)
 		}
-		d := MaxYDistance(s.Values(), exact)
+		kept := sketchValues(s)
+		d := MaxYDistance(kept, exact)
 		if d > eps {
 			t.Errorf("%s: K-S distance %v exceeds bound %v", tc.name, d, eps)
 		}
@@ -168,9 +170,9 @@ func TestSketchErrorBound(t *testing.T) {
 		// probability-space statement brackets p between the exact CDF
 		// just below and at the sketch quantile, each slack by ε:
 		// F(q⁻) − ε ≤ p ≤ F(q) + ε.
-		ex := NewEmpirical(exact)
+		ex, sk := NewEmpirical(exact), NewEmpirical(kept)
 		for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
-			q := s.Quantile(p)
+			q := sk.Quantile(p)
 			lo := ex.CDF(math.Nextafter(q, math.Inf(-1)))
 			hi := ex.CDF(q)
 			if p < lo-eps || p > hi+eps {
@@ -206,7 +208,7 @@ func TestSketchMergeBoundError(t *testing.T) {
 	if m.N() != n {
 		t.Fatalf("merged N=%d, want %d", m.N(), n)
 	}
-	if d, eps := MaxYDistance(m.Values(), vals), SketchErrorBound(k); d > eps {
+	if d, eps := MaxYDistance(sketchValues(m), vals), SketchErrorBound(k); d > eps {
 		t.Fatalf("merged K-S distance %v exceeds bound %v", d, eps)
 	}
 }
@@ -239,4 +241,15 @@ func BenchmarkSketchAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Add(SketchPriority(1, uint64(i)), uint64(i), float64(i))
 	}
+}
+
+// sketchValues returns the values s retains, sorted ascending.
+func sketchValues(s *Sketch) []float64 {
+	items := s.Items()
+	out := make([]float64, len(items))
+	for i, it := range items {
+		out[i] = it.V
+	}
+	slices.Sort(out)
+	return out
 }

@@ -12,8 +12,6 @@ import "cptraffic/internal/cp"
 // compiles the no-op in batchdebug_off.go; this file exists only under
 // `go test -tags batchdebug`.
 
-const batchPoisonEnabled = true
-
 // Sentinel values outside anything the pipeline emits: timestamps are
 // non-negative, UE ids are dense from zero, and event types are small
 // enums.

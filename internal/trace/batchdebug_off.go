@@ -7,6 +7,4 @@ package trace
 // site) keeps Reset's body identical in both builds; the compiler
 // erases the empty call.
 
-const batchPoisonEnabled = false
-
 func poisonBatch(*Batch) {}

@@ -13,9 +13,6 @@ import (
 // bytes (observable through a retained view, which cplint forbids in
 // checked code but tests may take) are untouched.
 func TestResetDoesNotScribble(t *testing.T) {
-	if batchPoisonEnabled {
-		t.Fatal("poison mode enabled in a non-batchdebug build")
-	}
 	b := NewBatch(4)
 	for i := 0; i < 4; i++ {
 		b.Append(Event{T: cp.Millis(10 + i), UE: cp.UEID(i), Type: cp.EventType(1)})

@@ -14,9 +14,6 @@ import (
 // poison sentinels, not the stale (or worse, silently refreshed)
 // events.
 func TestResetPoisonsRetainedColumns(t *testing.T) {
-	if !batchPoisonEnabled {
-		t.Fatal("batchdebug build without poison mode")
-	}
 	b := NewBatch(8)
 	for i := 0; i < 8; i++ {
 		b.Append(Event{T: cp.Millis(i + 1), UE: cp.UEID(i), Type: cp.EventType(1)})

@@ -206,15 +206,6 @@ func (s *Scanner) readLine() (string, error) {
 	return string(line), nil
 }
 
-// NumUEs returns the number of registered UEs.
-func (s *Scanner) NumUEs() int { return len(s.devs) }
-
-// Device returns the device type of a registered UE.
-func (s *Scanner) Device(ue cp.UEID) (cp.DeviceType, bool) {
-	d, ok := s.reg.typ[ue]
-	return d, ok
-}
-
 // Devices iterates the registry in ascending UE order.
 func (s *Scanner) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 	for _, e := range s.devs {
@@ -656,9 +647,6 @@ func (tw *TextWriter) WriteBatch(b *Batch) error {
 }
 
 const (
-	// maxEventLine is the longest E line there is: math.MaxInt64,
-	// math.MaxUint32 and the longest type name.
-	maxEventLine = len("E 9223372036854775807 4294967295 S1_CONN_REL\n")
 	// typeBlock is the size of a typeFields entry.
 	typeBlock = 16
 	// lineRoom is the buffer space appendLines wants ahead of a line:

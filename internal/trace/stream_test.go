@@ -267,6 +267,10 @@ func TestScannerReadsText(t *testing.T) {
 	}
 }
 
+// maxEventLine is the longest E line there is: math.MaxInt64,
+// math.MaxUint32 and the longest type name.
+const maxEventLine = len("E 9223372036854775807 4294967295 S1_CONN_REL\n")
+
 // digitsTrace is a canonical trace that takes the text formatter through
 // every width it has: UE ids of 1 to 10 digits, 0 and the largest among
 // them, on both sides of the registry's bitset bound; times at 0, on both

@@ -241,48 +241,6 @@ func Merge(traces ...*Trace) (*Trace, error) {
 	return out, nil
 }
 
-// SampleUEs returns a new trace containing a uniformly sampled
-// sub-population of n UEs (all of them when n >= NumUEs) with their
-// events — the paper's methodology of randomly sampling UEs from a
-// larger collection. The choice is deterministic in seed.
-func (tr *Trace) SampleUEs(n int, seed uint64) *Trace {
-	ids := tr.UEs()
-	if n >= len(ids) {
-		out := New()
-		for ue, dt := range tr.Device {
-			out.Device[ue] = dt
-		}
-		out.Events = append(out.Events, tr.Events...)
-		return out
-	}
-	// Deterministic Fisher-Yates prefix via SplitMix64-style mixing.
-	rng := seed
-	next := func(bound int) int {
-		rng += 0x9E3779B97F4A7C15
-		z := rng
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		z ^= z >> 31
-		return int(z % uint64(bound))
-	}
-	for i := 0; i < n; i++ {
-		j := i + next(len(ids)-i)
-		ids[i], ids[j] = ids[j], ids[i]
-	}
-	keep := make(map[cp.UEID]bool, n)
-	out := New()
-	for _, ue := range ids[:n] {
-		keep[ue] = true
-		out.Device[ue] = tr.Device[ue]
-	}
-	for _, e := range tr.Events {
-		if keep[e.UE] {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
-}
-
 // Validate checks internal consistency: every event references a
 // registered UE and has a valid event type, and timestamps are
 // non-negative. It returns the first problem found.

@@ -221,43 +221,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSampleUEs(t *testing.T) {
-	tr := New()
-	for i := 0; i < 100; i++ {
-		tr.SetDevice(cp.UEID(i), cp.DeviceTypes[i%3])
-		tr.Append(Event{T: cp.Millis(i), UE: cp.UEID(i), Type: cp.ServiceRequest})
-	}
-	s := tr.SampleUEs(30, 7)
-	if s.NumUEs() != 30 || s.Len() != 30 {
-		t.Fatalf("sample: %d UEs, %d events", s.NumUEs(), s.Len())
-	}
-	// Deterministic for the same seed, different for another.
-	s2 := tr.SampleUEs(30, 7)
-	if !reflect.DeepEqual(s.UEs(), s2.UEs()) {
-		t.Fatal("sampling not deterministic")
-	}
-	s3 := tr.SampleUEs(30, 8)
-	if reflect.DeepEqual(s.UEs(), s3.UEs()) {
-		t.Fatal("different seeds gave identical samples")
-	}
-	// Events only from kept UEs, devices preserved.
-	for _, e := range s.Events {
-		if s.Device[e.UE] != tr.Device[e.UE] {
-			t.Fatal("device mismatch in sample")
-		}
-	}
-	// n >= population copies everything.
-	all := tr.SampleUEs(1000, 1)
-	if all.NumUEs() != 100 || all.Len() != 100 {
-		t.Fatal("oversized sample should copy the trace")
-	}
-	// The copy is independent of the original.
-	all.Events[0].Type = cp.Detach
-	if tr.Events[0].Type == cp.Detach {
-		t.Fatal("sample shares the original's event slice")
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	tr := mkTrace(t)
 	tr.Sort()
