@@ -79,19 +79,23 @@ race:
 # both Generates stay within 0.02 allocations and 48 allocated bytes per
 # assembled event; one ScanBatches of either streaming Source stays within
 # 640 allocated bytes per UE; ModelSet.Save allocates its buffer and
-# nothing that grows with the model; both trace writers' Write and
+# nothing that grows with the model; core.Load allocates each slice and
+# pointer of the model once and nothing per number; both trace writers' Write and
 # WriteBatch allocate nothing; and the generator's per-UE state (ueGen)
 # stays within the 400 B that budget counts.
 allocs:
-	$(GO) test -run 'SteadyStateAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE|UEGenSize' ./internal/core/ ./internal/world/ ./internal/trace/
+	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE|UEGenSize' ./internal/core/ ./internal/world/ ./internal/trace/
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1
 # binary decoder (seeded from fresh encodings), the model file loader
 # (seeded from tiny fits and hand-built edge models), and the trace
-# reader. The first three assert decode→encode round-trip byte stability;
-# the model target also holds ModelSet.Save to encoding/json's bytes on
-# every accepted input. There is one trace reader (trace.Scanner behind
+# reader. The first three assert decode→encode round-trip byte stability.
+# The model target is differential besides: core.Load's decoder must
+# accept nothing encoding/json refuses and build the same model, a model
+# Load accepts must be loadOracle's too, Save must write encoding/json's
+# bytes, and the model must generate (20 UEs, 2 h from hour 23) without a
+# panic. There is one trace reader (trace.Scanner behind
 # ReadAuto), so the two trace targets share one body and differ in their
 # seeds — text for FuzzReadTrace; multi-chunk binary, a chunk behind the
 # terminator (refused), a 33-bit UE id and a refused version-1 file for

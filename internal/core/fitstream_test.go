@@ -17,7 +17,7 @@ import (
 	"cptraffic/internal/trace"
 )
 
-func modelBytes(t *testing.T, ms *ModelSet) []byte {
+func modelBytes(t testing.TB, ms *ModelSet) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := ms.Save(&buf); err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -84,14 +86,20 @@ func FuzzDecodePartial(f *testing.F) {
 }
 
 // FuzzLoadModel feeds arbitrary bytes to Load, seeded with tiny fits of
-// the four methods and the writer's hand-built edge models. Load must not
-// panic; a model it accepts must save — to exactly encoding/json's bytes —
-// and the saved file must load and save to itself, so what a fit writes
-// and what a generator later reads are the same model. The seeds are kept
-// near 1 KB (two UEs, no Kaplan–Meier table, the first hour-of-day only —
-// still a valid model): the fuzzer minimizes every input that finds new
-// coverage at a cost quadratic in its length, and a 20 KB seed stalls it
-// for a minute at a time.
+// the four methods (as saved, indented and key-sorted), the writer's
+// hand-built edge models, a string with escapes, and the two documents
+// TestLoadRefusesModelsGenerateCannotRun holds. Load must not panic, and
+// its decoder must be sound on every input: what it accepts, encoding/json
+// accepts to the same model. A model Load accepts must be loadOracle's
+// too; it must save — to exactly encoding/json's bytes — and the saved
+// file must load and save to itself, so what a fit writes and what a
+// generator later reads are the same model; and it must generate: 20 UEs
+// over 2 h from hour 23, streamed and cut off after a million events, so
+// a model that fires every millisecond cannot take the fuzzer's memory.
+// The seeds are kept near 1 KB (two UEs, no Kaplan–Meier table, the first
+// hour-of-day only — still a valid model): the fuzzer minimizes every
+// input that finds new coverage at a cost quadratic in its length, and a
+// 20 KB seed stalls it for a minute at a time.
 func FuzzLoadModel(f *testing.F) {
 	tr := trace.New()
 	for ue := cp.UEID(1); ue <= 2; ue++ {
@@ -129,6 +137,17 @@ func FuzzLoadModel(f *testing.F) {
 		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil || buf.Len() > 2048 {
 			f.Fatalf("seed model of method %s: %d bytes, Load returned %v", method, buf.Len(), err)
 		}
+		if method == "base" {
+			for _, doc := range modelForms(f, buf.Bytes()) {
+				f.Add(doc)
+			}
+			dm.Global = nil
+			saved := modelBytes(f, ms)
+			for _, g := range []string{unrunnableGlobal(`{"kind":"bogus"}`, ""), unrunnableGlobal(`{"kind":"const","value":1}`, `"cats":[{"event":77,"state":99,"p":1}],`)} {
+				f.Add(bytes.Replace(saved, []byte(`"share":`), []byte(g+`"share":`), 1))
+			}
+			continue
+		}
 		f.Add(buf.Bytes())
 	}
 	for _, ms := range edgeModels() {
@@ -140,11 +159,16 @@ func FuzzLoadModel(f *testing.F) {
 	}
 	f.Add([]byte(`{"machine":"EMM-ECM","method":"","devices":null}` + "\n\n"))
 	f.Add([]byte(`{"machine":"5G-SA","devices":[null]}{}`))
+	f.Add([]byte(`{"machine":"LTE-2LEVEL","method":"o\"u\\r\u0073\n\u00e9<>&\u2028","devices":[]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeSound(t, "input", data)
 		ms, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return // rejected inputs only need to not crash
+		}
+		if want, err := loadOracle(bytes.NewReader(data)); err != nil || !reflect.DeepEqual(ms, want) {
+			t.Fatalf("Load accepted the input; loadOracle returned %v (or a different model)", err)
 		}
 		var saved, oracle bytes.Buffer
 		if err := ms.Save(&saved); err != nil {
@@ -161,5 +185,18 @@ func FuzzLoadModel(f *testing.F) {
 		if err := again.Save(&resaved); err != nil || !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
 			t.Fatalf("Load∘Save is not a fixed point: %d bytes, then %d (error %v)", saved.Len(), resaved.Len(), err)
 		}
+		src, err := NewSource(ms, GenOptions{NumUEs: 20, StartHour: 23, Duration: 2 * cp.Hour, Seed: 1})
+		if err != nil {
+			return // a model with no device to generate is refused, not run
+		}
+		events := 0
+		_ = src.ScanBatches(func(b *trace.Batch) error {
+			if events += b.Len(); events > 1_000_000 {
+				return errEnoughEvents
+			}
+			return nil
+		})
 	})
 }
+
+var errEnoughEvents = errors.New("enough events")

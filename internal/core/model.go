@@ -277,38 +277,13 @@ func (dm *DeviceModel) firstEvent(hour, cl int) (FirstEventModel, bool) {
 }
 
 // Validate checks structural invariants of the model set: probabilities
-// in [0,1] summing to ~1 per state, valid sojourn models, persona vectors
-// covering all hours.
+// in [0,1] summing to ~1 per state, valid sojourn models and event types,
+// persona vectors covering all hours. It checks every ClusterModel the
+// generator can resolve to — the clusters, the hour aggregates and the
+// device global — so a model that validates compiles and generates.
 func (ms *ModelSet) Validate() error {
 	if _, err := ms.Machine(); err != nil {
 		return err
-	}
-	checkStates := func(where string, sp []StateParam) error {
-		for si, s := range sp {
-			if len(s.Out) == 0 {
-				continue
-			}
-			var sum float64
-			if s.PExit < 0 || s.PExit > 1 {
-				return fmt.Errorf("core: %s state %d: PExit %v out of range", where, si, s.PExit)
-			}
-			if s.Sojourn != nil && !s.Sojourn.Valid() {
-				return fmt.Errorf("core: %s state %d: invalid state-level sojourn", where, si)
-			}
-			for _, tp := range s.Out {
-				if tp.P < 0 || tp.P > 1+1e-9 {
-					return fmt.Errorf("core: %s state %d: probability %v out of range", where, si, tp.P)
-				}
-				if !tp.Sojourn.Valid() {
-					return fmt.Errorf("core: %s state %d event %v: invalid sojourn", where, si, tp.Event)
-				}
-				sum += tp.P
-			}
-			if math.Abs(sum-1) > 1e-6 {
-				return fmt.Errorf("core: %s state %d: probabilities sum to %v", where, si, sum)
-			}
-		}
-		return nil
 	}
 	for d, dm := range ms.Devices {
 		if dm == nil {
@@ -326,28 +301,98 @@ func (ms *ModelSet) Validate() error {
 			return fmt.Errorf("core: device %d persona weights sum to %v", d, wsum)
 		}
 		for h := range dm.Hours {
-			for c := range dm.Hours[h].Clusters {
-				cm := &dm.Hours[h].Clusters[c]
-				where := fmt.Sprintf("device %d hour %d cluster %d top", d, h, c)
-				if err := checkStates(where, cm.Top); err != nil {
-					return err
-				}
-				if err := checkStates(where+"/bottom", cm.Bottom); err != nil {
-					return err
-				}
-				if len(cm.First.Cats) > 0 {
-					var sum float64
-					for _, cat := range cm.First.Cats {
-						if cat.P < 0 || cat.P > 1+1e-9 {
-							return fmt.Errorf("core: %s: first-event probability %v out of range", where, cat.P)
-						}
-						sum += cat.P
-					}
-					if math.Abs(sum-1) > 1e-6 {
-						return fmt.Errorf("core: %s: first-event probabilities sum to %v", where, sum)
-					}
+			hm := &dm.Hours[h]
+			if len(hm.Clusters) > math.MaxInt16 { // compile stores cluster ids as int16
+				return fmt.Errorf("core: device %d hour %d: %d clusters", d, h, len(hm.Clusters))
+			}
+			for c := range hm.Clusters {
+				if err := hm.Clusters[c].validate(); err != nil {
+					return fmt.Errorf("core: device %d hour %d cluster %d %w", d, h, c, err)
 				}
 			}
+			if hm.Aggregate != nil {
+				if err := hm.Aggregate.validate(); err != nil {
+					return fmt.Errorf("core: device %d hour %d aggregate %w", d, h, err)
+				}
+			}
+		}
+		if dm.Global != nil {
+			if err := dm.Global.validate(); err != nil {
+				return fmt.Errorf("core: device %d global %w", d, err)
+			}
+		}
+	}
+	return nil
+}
+
+// validate checks one cluster model: its states, its free processes and
+// its first-event model. A first category's state may lie outside the
+// machine (compile maps it to the event's forced state); its event may
+// not, nor may any other event. The error names the part of the model,
+// for Validate to prefix with the model's place.
+func (cm *ClusterModel) validate() error {
+	if err := checkStates("top", cm.Top); err != nil {
+		return err
+	}
+	if err := checkStates("bottom", cm.Bottom); err != nil {
+		return err
+	}
+	for _, fp := range cm.Free {
+		if !fp.Event.Valid() {
+			return fmt.Errorf("free process: invalid event %d", fp.Event)
+		}
+		if !fp.Inter.Valid() {
+			return fmt.Errorf("free %v process: invalid inter-arrival model", fp.Event)
+		}
+	}
+	if cm.First.Offset.Kind != "" && !cm.First.Offset.Valid() {
+		return errors.New("first event: invalid offset model")
+	}
+	if len(cm.First.Cats) > 0 {
+		var sum float64
+		for _, cat := range cm.First.Cats {
+			if !cat.Event.Valid() {
+				return fmt.Errorf("first event: invalid event %d", cat.Event)
+			}
+			if cat.P < 0 || cat.P > 1+1e-9 {
+				return fmt.Errorf("first event: probability %v out of range", cat.P)
+			}
+			sum += cat.P
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			return fmt.Errorf("first event: probabilities sum to %v", sum)
+		}
+	}
+	return nil
+}
+
+// checkStates checks the outgoing transitions of each state of one level.
+func checkStates(level string, sp []StateParam) error {
+	for si, s := range sp {
+		if len(s.Out) == 0 {
+			continue
+		}
+		var sum float64
+		if s.PExit < 0 || s.PExit > 1 {
+			return fmt.Errorf("%s state %d: PExit %v out of range", level, si, s.PExit)
+		}
+		if s.Sojourn != nil && !s.Sojourn.Valid() {
+			return fmt.Errorf("%s state %d: invalid state-level sojourn", level, si)
+		}
+		for _, tp := range s.Out {
+			if !tp.Event.Valid() {
+				return fmt.Errorf("%s state %d: transition on invalid event %d", level, si, tp.Event)
+			}
+			if tp.P < 0 || tp.P > 1+1e-9 {
+				return fmt.Errorf("%s state %d: probability %v out of range", level, si, tp.P)
+			}
+			if !tp.Sojourn.Valid() {
+				return fmt.Errorf("%s state %d event %v: invalid sojourn", level, si, tp.Event)
+			}
+			sum += tp.P
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			return fmt.Errorf("%s state %d: probabilities sum to %v", level, si, sum)
 		}
 	}
 	return nil
@@ -626,24 +671,4 @@ func (e *modelEncoder) sojourn(s *SojournModel) {
 		e.float(s.Value)
 	}
 	e.w.WriteByte('}')
-}
-
-// Load deserializes a model set written by Save and validates it. Only
-// whitespace may follow the model.
-func Load(r io.Reader) (*ModelSet, error) {
-	var ms ModelSet
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&ms); err != nil {
-		return nil, fmt.Errorf("core: decoding model set: %w", err)
-	}
-	// Decode reads one value and stops; the stream must end there too.
-	if _, err := dec.Token(); err == nil || errors.As(err, new(*json.SyntaxError)) {
-		return nil, fmt.Errorf("core: decoding model set: trailing data")
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("core: decoding model set: %w", err)
-	}
-	if err := ms.Validate(); err != nil {
-		return nil, err
-	}
-	return &ms, nil
 }

@@ -16,8 +16,8 @@ import (
 )
 
 // saveOracle is the reference ModelSet.Save is held to — the role
-// WriteTrace plays for TextWriter: encoding/json over the struct tags,
-// which is also how Load reads the file back.
+// WriteTrace plays for TextWriter: encoding/json over the struct tags.
+// loadOracle (modelload_test.go) is its read-side twin.
 func saveOracle(w io.Writer, ms *ModelSet) error {
 	return json.NewEncoder(w).Encode(ms)
 }

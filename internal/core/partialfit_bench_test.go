@@ -115,3 +115,22 @@ func BenchmarkModelSave(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkModelLoad times Load alone — the layer bench/ reports as
+// core.model.load_s — on the file BenchmarkModelSave writes, read from
+// memory. MB/s is of the model file read.
+func BenchmarkModelLoad(b *testing.B) {
+	ms := fitToy(b, 300, 24*cp.Hour, 11, FitOptions{Cluster: cluster.Options{ThetaN: 30}, Workers: 1})
+	var file bytes.Buffer
+	if err := ms.Save(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(bytes.NewReader(file.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
