@@ -79,8 +79,9 @@ race:
 # both Generates stay within 0.02 allocations and 48 allocated bytes per
 # assembled event; one ScanBatches of either streaming Source stays within
 # 640 allocated bytes per UE; ModelSet.Save allocates its buffer and
-# nothing that grows with the model; core.Load allocates each slice and
-# pointer of the model once and nothing per number; both trace writers' Write and
+# nothing that grows with the model; the model decoder allocates each slice
+# and pointer of the model once and nothing per number, and core.Load adds
+# one compile of the model and nothing else; both trace writers' Write and
 # WriteBatch allocate nothing; and the generator's per-UE state (ueGen)
 # stays within the 400 B that budget counts.
 allocs:
@@ -92,10 +93,12 @@ allocs:
 # (seeded from tiny fits and hand-built edge models), and the trace
 # reader. The first three assert decode→encode round-trip byte stability.
 # The model target is differential besides: core.Load's decoder must
-# accept nothing encoding/json refuses and build the same model, a model
-# Load accepts must be loadOracle's too, Save must write encoding/json's
-# bytes, and the model must generate (20 UEs, 2 h from hour 23) without a
-# panic. There is one trace reader (trace.Scanner behind
+# accept nothing encoding/json refuses and build the same model; Load,
+# which compiles the model, must accept exactly what validateOracle's
+# independent walk accepts, and NewSource on a decoded model must return
+# Load's error; a model Load accepts must be loadOracle's too, Save must
+# write encoding/json's bytes, and the model must generate (20 UEs, 2 h
+# from hour 23). There is one trace reader (trace.Scanner behind
 # ReadAuto), so the two trace targets share one body and differ in their
 # seeds — text for FuzzReadTrace; multi-chunk binary, a chunk behind the
 # terminator (refused), a 33-bit UE id and a refused version-1 file for

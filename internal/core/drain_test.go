@@ -56,7 +56,10 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm := compile(ms, machine)
+		cm, err := compile(ms, machine)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cd := cm.dev(cp.Phone)
 		if cd == nil {
 			t.Fatalf("%s: no phone model", name)
@@ -135,7 +138,10 @@ func TestDrainUntilFlushStraddlesLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := compile(ms, machine)
+	cm, err := compile(ms, machine)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const t0 = 7 * cp.Hour
 	fire := t0 + 12*cp.Second
 	for _, end := range []cp.Millis{t0 + cp.Minute, fire + 1} {

@@ -28,7 +28,10 @@ func BenchmarkEngineStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cm := compile(ms, machine)
+	cm, err := compile(ms, machine)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cd := cm.dev(cp.Phone)
 	dm := ms.Devices[cp.Phone]
 	const window = 365 * cp.Day
@@ -69,7 +72,7 @@ func BenchmarkEngineStep(b *testing.B) {
 		if !fits {
 			b.Fatal("layout does not fit")
 		}
-		pcm := pop.lower(p.machine)
+		pcm := p.cm
 		jobs := p.jobs()
 		var run trace.KeyRun
 		var g ueGen

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -87,17 +88,22 @@ func FuzzDecodePartial(f *testing.F) {
 
 // FuzzLoadModel feeds arbitrary bytes to Load, seeded with tiny fits of
 // the four methods (as saved, indented and key-sorted), the writer's
-// hand-built edge models, a string with escapes, and the two documents
-// TestLoadRefusesModelsGenerateCannotRun holds. Load must not panic, and
-// its decoder must be sound on every input: what it accepts, encoding/json
-// accepts to the same model. A model Load accepts must be loadOracle's
-// too; it must save — to exactly encoding/json's bytes — and the saved
-// file must load and save to itself, so what a fit writes and what a
-// generator later reads are the same model; and it must generate: 20 UEs
-// over 2 h from hour 23, streamed and cut off after a million events, so
-// a model that fires every millisecond cannot take the fuzzer's memory.
+// hand-built edge models, a string with escapes, the two documents
+// TestLoadRefusesModelsGenerateCannotRun holds, and a bad global state
+// every hour's aggregate shadows. Load must not panic, and its decoder
+// must be sound on every input: what it accepts, encoding/json accepts to
+// the same model. On every model the decoder accepts, compile (Load) and
+// validateOracle must agree on whether it is valid, and NewSource on the
+// decoded model must return Load's error. A model Load accepts must be
+// loadOracle's too; it must save — to exactly encoding/json's bytes — and
+// the saved file must load and save to itself, so what a fit writes and
+// what a generator later reads are the same model; and it must generate:
+// 20 UEs over 2 h from hour 23, streamed and cut off after a million
+// events, so a model that fires every millisecond cannot take the
+// fuzzer's memory.
 // The seeds are kept near 1 KB (two UEs, no Kaplan–Meier table, the first
-// hour-of-day only — still a valid model): the fuzzer minimizes every
+// hour-of-day only — still a valid model; the shadowed global needs its
+// 24 aggregates, 2 KB): the fuzzer minimizes every
 // input that finds new coverage at a cost quadratic in its length, and a
 // 20 KB seed stalls it for a minute at a time.
 func FuzzLoadModel(f *testing.F) {
@@ -157,17 +163,31 @@ func FuzzLoadModel(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	f.Add(shadowedGlobalSeed(f))
 	f.Add([]byte(`{"machine":"EMM-ECM","method":"","devices":null}` + "\n\n"))
 	f.Add([]byte(`{"machine":"5G-SA","devices":[null]}{}`))
 	f.Add([]byte(`{"machine":"LTE-2LEVEL","method":"o\"u\\r\u0073\n\u00e9<>&\u2028","devices":[]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkDecodeSound(t, "input", data)
-		ms, err := Load(bytes.NewReader(data))
-		if err != nil {
+		if checkDecodeSound(t, "input", data) != nil {
 			return // rejected inputs only need to not crash
 		}
-		if want, err := loadOracle(bytes.NewReader(data)); err != nil || !reflect.DeepEqual(ms, want) {
+		unchecked, err := decodeModel(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("decoded once, refused the second time: %v", err)
+		}
+		ms, err := Load(bytes.NewReader(data))
+		if oerr := validateOracle(unchecked); (err == nil) != (oerr == nil) {
+			t.Fatalf("Load returned %v, validateOracle %v", err, oerr)
+		}
+		src, serr := NewSource(unchecked, GenOptions{NumUEs: 20, StartHour: 23, Duration: 2 * cp.Hour, Seed: 1})
+		if err != nil {
+			if serr == nil || serr.Error() != err.Error() {
+				t.Fatalf("NewSource on the decoded model returned %v, Load %v", serr, err)
+			}
+			return
+		}
+		if want, err := loadOracle(bytes.NewReader(data)); err != nil || !reflect.DeepEqual(declared(ms), declared(want)) {
 			t.Fatalf("Load accepted the input; loadOracle returned %v (or a different model)", err)
 		}
 		var saved, oracle bytes.Buffer
@@ -185,8 +205,7 @@ func FuzzLoadModel(f *testing.F) {
 		if err := again.Save(&resaved); err != nil || !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
 			t.Fatalf("Load∘Save is not a fixed point: %d bytes, then %d (error %v)", saved.Len(), resaved.Len(), err)
 		}
-		src, err := NewSource(ms, GenOptions{NumUEs: 20, StartHour: 23, Duration: 2 * cp.Hour, Seed: 1})
-		if err != nil {
+		if serr != nil {
 			return // a model with no device to generate is refused, not run
 		}
 		events := 0
@@ -200,3 +219,21 @@ func FuzzLoadModel(f *testing.F) {
 }
 
 var errEnoughEvents = errors.New("enough events")
+
+// shadowedGlobalSeed is a model whose global holds a bad top state that
+// every hour's aggregate shadows: no cell resolves to it, and Load must
+// refuse it all the same. It is written by hand, without the keys Save
+// always writes: saved, its 24 aggregates made 4 KB, and minimizing
+// inputs grown from it stalled the fuzzer for whole smoke runs.
+func shadowedGlobalSeed(f *testing.F) []byte {
+	deregistered := func(p string) string { // ATCH out of DEREGISTERED with probability p
+		return `{"top":[{"out":[{"event":0,"p":` + p + `,"sojourn":{"kind":"const"}}]}]}`
+	}
+	hour := `{"aggregate":` + deregistered("1") + `}`
+	doc := []byte(`{"machine":"LTE-2LEVEL","devices":[{"hours":[` + strings.Repeat(hour+",", HoursPerDay-1) + hour +
+		`],"global":` + deregistered("5") + `,"share":1}]}`)
+	if _, err := Load(bytes.NewReader(doc)); err == nil || err.Error() != "core: device 0 global top state 0: probability 5 out of range" {
+		f.Fatalf("the shadowed global: Load returned %v", err)
+	}
+	return doc
+}

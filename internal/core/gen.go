@@ -80,7 +80,6 @@ func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 	if !fits {
 		return collectSource(ms, opt)
 	}
-	cm := ms.lower(p.machine)
 	jobs := p.jobs()
 	workers := par.Workers(opt.Workers, len(jobs))
 	runs := make([]trace.KeyRun, workers)
@@ -91,11 +90,11 @@ func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 		var g ueGen
 		stripe := (len(jobs) - w + workers - 1) / workers
 		for i, done := w, 1; i < len(jobs); i, done = i+workers, done+1 {
-			cd := cm.dev(jobs[i].dev)
+			cd := p.cm.dev(jobs[i].dev)
 			if cd == nil {
 				continue
 			}
-			g.init(cm, cd, jobs[i].ue, jobs[i].rng, p.t0, p.end)
+			g.init(p.cm, cd, jobs[i].ue, jobs[i].rng, p.t0, p.end)
 			g.drainUntil(trace.NoPending, &lay, &run)
 			run.Forecast(done, stripe)
 		}
@@ -156,7 +155,6 @@ func compiledGens(cm *compiledModel, jobs []genJob, t0, end cp.Millis) []ueGen {
 // compiled once, in NewSource, and shared by every scan.
 type Source struct {
 	plan genPlan
-	cm   *compiledModel
 }
 
 // NewSource validates the generation options once, compiles the model,
@@ -167,7 +165,7 @@ func NewSource(ms *ModelSet, opt GenOptions) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Source{plan: p, cm: ms.lower(p.machine)}, nil
+	return &Source{plan: p}, nil
 }
 
 // Devices reports every planned UE's device type in ascending UE order.
@@ -186,7 +184,7 @@ func (s *Source) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 // window's end (drainUntil), the window's packed keys sorted in cache —
 // and delivers reused struct-of-arrays batches.
 func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
-	gens := compiledGens(s.cm, s.plan.jobs(), s.plan.t0, s.plan.end)
+	gens := compiledGens(s.plan.cm, s.plan.jobs(), s.plan.t0, s.plan.end)
 	ueMax := cp.UEID(s.plan.numUEs - 1)
 	return trace.AssembleWindows(fn, len(gens), ueMax, func(i int, limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
 		return gens[i].drainUntil(limit, lay, run)
@@ -203,17 +201,18 @@ type genJob struct {
 }
 
 // genPlan is the validated, resolved form of (model, options) every
-// generation entry starts from: the machine, the normalized device mix
-// and the window. It holds no per-UE state — jobs derives the population.
+// generation entry starts from: the compiled model, the device mix and
+// the window. It holds no per-UE state — jobs derives the population.
 type genPlan struct {
-	machine *sm.Machine
+	cm      *compiledModel
 	mix     []float64
 	numUEs  int
 	seed    uint64
 	t0, end cp.Millis
 }
 
-// planGeneration validates the options against the model.
+// planGeneration validates the options and lowers the model, whose error
+// (Validate's) comes before the device mix's.
 func planGeneration(ms *ModelSet, opt GenOptions) (genPlan, error) {
 	if opt.NumUEs <= 0 {
 		return genPlan{}, fmt.Errorf("core: NumUEs must be positive")
@@ -224,7 +223,7 @@ func planGeneration(ms *ModelSet, opt GenOptions) (genPlan, error) {
 	if opt.Duration <= 0 {
 		return genPlan{}, fmt.Errorf("core: Duration must be positive")
 	}
-	machine, err := ms.Machine()
+	cm, err := ms.lower()
 	if err != nil {
 		return genPlan{}, err
 	}
@@ -233,7 +232,7 @@ func planGeneration(ms *ModelSet, opt GenOptions) (genPlan, error) {
 		return genPlan{}, err
 	}
 	t0 := cp.Millis(opt.StartHour) * cp.Hour
-	return genPlan{machine: machine, mix: mix, numUEs: opt.NumUEs, seed: opt.Seed, t0: t0, end: t0 + opt.Duration}, nil
+	return genPlan{cm: cm, mix: mix, numUEs: opt.NumUEs, seed: opt.Seed, t0: t0, end: t0 + opt.Duration}, nil
 }
 
 // jobs pre-derives every UE's device and RNG stream, serially and from
@@ -250,7 +249,8 @@ func (p *genPlan) jobs() []genJob {
 	return jobs
 }
 
-// deviceMix resolves the device-type population shares.
+// deviceMix resolves the device-type population shares (none for a device
+// past cp.NumDeviceTypes).
 func deviceMix(ms *ModelSet, override []float64) ([]float64, error) {
 	mix := make([]float64, cp.NumDeviceTypes)
 	if override != nil {
@@ -259,15 +259,15 @@ func deviceMix(ms *ModelSet, override []float64) ([]float64, error) {
 		}
 		copy(mix, override)
 	} else {
-		for d, dm := range ms.Devices {
-			if dm != nil {
+		for d := range mix {
+			if dm := ms.Device(cp.DeviceType(d)); dm != nil {
 				mix[d] = dm.Share
 			}
 		}
 	}
 	var sum float64
 	for d, m := range mix {
-		if m > 0 && ms.Devices[d] == nil {
+		if m > 0 && ms.Device(cp.DeviceType(d)) == nil {
 			return nil, fmt.Errorf("core: DeviceMix requests %v but the model has no such device", cp.DeviceType(d))
 		}
 		sum += m
@@ -493,7 +493,7 @@ func (g *ueGen) startup() {
 	g.started = true
 	for hourStart := g.t0; hourStart < g.end; hourStart += cp.Hour {
 		cf := &g.cellAt(hourStart).first
-		if !cf.ok {
+		if len(cf.cats) == 0 {
 			continue
 		}
 		if g.rng.Float64() < cf.pnone {
@@ -644,9 +644,6 @@ func pickByCum2(trans []cTopTrans, u float64) int {
 func (g *ueGen) drawBot(now cp.Millis) {
 	g.botP = pending{}
 	bs := &g.cellAt(now).bottom[g.bottom]
-	if !bs.present {
-		return
-	}
 	// KM tail mass: the probability the sub-machine never fires within
 	// observable horizons; the bottom stays silent until the next
 	// top-level transition re-enters it.

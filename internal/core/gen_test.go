@@ -207,6 +207,18 @@ func TestGenerateOptionValidation(t *testing.T) {
 	if _, err := Generate(ms, GenOptions{NumUEs: 1, Duration: cp.Hour, DeviceMix: []float64{0, 0, 0}}); err == nil {
 		t.Fatal("zero DeviceMix accepted")
 	}
+	// A model's device list may be shorter or longer than the device
+	// types: a mix asking past its end is refused, a device past the
+	// types never generates.
+	if _, err := Generate(refusalModel(), GenOptions{NumUEs: 1, Duration: cp.Hour, DeviceMix: []float64{0, 0, 1}}); err == nil {
+		t.Fatal("DeviceMix for a device past the model's list accepted")
+	}
+	long := refusalModel()
+	long.Devices = append(long.Devices, make([]*DeviceModel, cp.NumDeviceTypes)...)
+	long.Devices[cp.NumDeviceTypes] = refusalModel().Devices[0]
+	if _, err := Generate(long, GenOptions{NumUEs: 3, Duration: cp.Hour}); err != nil {
+		t.Fatalf("a device past the device types: %v", err)
+	}
 }
 
 func TestGenerateDeviceMixOverride(t *testing.T) {
@@ -275,27 +287,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(io.MultiReader(bytes.NewReader(saved), iotest.ErrReader(io.ErrClosedPipe))); !errors.Is(err, io.ErrClosedPipe) {
 		t.Errorf("a read error after the model: Load returned %v", err)
 	}
-}
-
-func TestValidateCatchesBadModels(t *testing.T) {
-	ms := fitToy(t, 20, cp.Hour, 20, FitOptions{})
-	// Corrupt a probability.
-	dm := ms.Device(cp.Phone)
-	for h := range dm.Hours {
-		for c := range dm.Hours[h].Clusters {
-			cm := &dm.Hours[h].Clusters[c]
-			for s := range cm.Top {
-				if len(cm.Top[s].Out) > 0 {
-					cm.Top[s].Out[0].P = 5
-					if err := ms.Validate(); err == nil {
-						t.Fatal("corrupted probability accepted")
-					}
-					return
-				}
-			}
-		}
-	}
-	t.Skip("no transitions to corrupt")
 }
 
 func TestNumModels(t *testing.T) {

@@ -14,9 +14,12 @@ import (
 
 // This file is the generator's test oracle: an interpreter of the fitted
 // ModelSet, a second engine written against the paper rather than against
-// compile.go, plus the simplest ordering that can be right (interpTrace:
-// concatenate and comparison-sort). Production has one engine, ueGen;
-// nothing here is built outside `go test`.
+// compile.go, with its own resolution of the fallback chain (topParams,
+// bottomParams, freeParams, firstEvent, walked per draw over the structs),
+// plus the simplest ordering that can be right (interpTrace: concatenate
+// and comparison-sort). Production has one engine, ueGen, and resolves the
+// chain once, over lowered levels (compile.go); nothing here is built
+// outside `go test`.
 
 // ueInterp is the interpreted per-UE traffic generator (§7): it walks
 // the fitted ModelSet directly, resolving the cluster → hour aggregate
@@ -80,6 +83,7 @@ func interpTrace(tb testing.TB, ms *ModelSet, opt GenOptions) *trace.Trace {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	machine, _ := ms.Machine() // planGeneration resolved it
 	tr := trace.New()
 	for _, j := range p.jobs() {
 		tr.Device[j.ue] = j.dev
@@ -88,7 +92,7 @@ func interpTrace(tb testing.TB, ms *ModelSet, opt GenOptions) *trace.Trace {
 			continue
 		}
 		rng := j.rng
-		it := newUEInterp(p.machine, dm, j.ue, &rng, p.t0, p.end)
+		it := newUEInterp(machine, dm, j.ue, &rng, p.t0, p.end)
 		for ev, ok := it.Next(); ok; ev, ok = it.Next() {
 			tr.Events = append(tr.Events, ev)
 		}
@@ -324,6 +328,84 @@ func bridgeEdge(m *sm.Machine, bottom sm.State, botP pending) (cp.EventType, sm.
 		}
 	}
 	return 0, bottom, false
+}
+
+// clusterAt returns the cluster model for (hour, cluster id), or nil.
+func (dm *DeviceModel) clusterAt(hour, cl int) *ClusterModel {
+	if hour < 0 || hour >= len(dm.Hours) {
+		return nil
+	}
+	hm := &dm.Hours[hour]
+	if cl < 0 || cl >= len(hm.Clusters) {
+		return nil
+	}
+	return &hm.Clusters[cl]
+}
+
+// topParams resolves the outgoing transitions of macro state s at (hour,
+// cluster) with the fallback chain cluster → hour aggregate → global.
+func (dm *DeviceModel) topParams(hour, cl int, s cp.UEState) []TransitionParam {
+	if cm := dm.clusterAt(hour, cl); cm != nil && int(s) < len(cm.Top) && len(cm.Top[s].Out) > 0 {
+		return cm.Top[s].Out
+	}
+	if hour >= 0 && hour < len(dm.Hours) {
+		if agg := dm.Hours[hour].Aggregate; agg != nil && int(s) < len(agg.Top) && len(agg.Top[s].Out) > 0 {
+			return agg.Top[s].Out
+		}
+	}
+	if dm.Global != nil && int(s) < len(dm.Global.Top) {
+		return dm.Global.Top[s].Out
+	}
+	return nil
+}
+
+// bottomParams resolves the bottom-level state parameters of fine state s
+// with the same fallback chain.
+func (dm *DeviceModel) bottomParams(hour, cl int, s sm.State) *StateParam {
+	if cm := dm.clusterAt(hour, cl); cm != nil && int(s) < len(cm.Bottom) && len(cm.Bottom[s].Out) > 0 {
+		return &cm.Bottom[s]
+	}
+	if hour >= 0 && hour < len(dm.Hours) {
+		if agg := dm.Hours[hour].Aggregate; agg != nil && int(s) < len(agg.Bottom) && len(agg.Bottom[s].Out) > 0 {
+			return &agg.Bottom[s]
+		}
+	}
+	if dm.Global != nil && int(s) < len(dm.Global.Bottom) {
+		return &dm.Global.Bottom[s]
+	}
+	return nil
+}
+
+// freeParams resolves the free-running processes.
+func (dm *DeviceModel) freeParams(hour, cl int) []FreeProcess {
+	if cm := dm.clusterAt(hour, cl); cm != nil && len(cm.Free) > 0 {
+		return cm.Free
+	}
+	if hour >= 0 && hour < len(dm.Hours) {
+		if agg := dm.Hours[hour].Aggregate; agg != nil && len(agg.Free) > 0 {
+			return agg.Free
+		}
+	}
+	if dm.Global != nil {
+		return dm.Global.Free
+	}
+	return nil
+}
+
+// firstEvent resolves the first-event model.
+func (dm *DeviceModel) firstEvent(hour, cl int) (FirstEventModel, bool) {
+	if cm := dm.clusterAt(hour, cl); cm != nil && cm.First.valid() {
+		return cm.First, true
+	}
+	if hour >= 0 && hour < len(dm.Hours) {
+		if agg := dm.Hours[hour].Aggregate; agg != nil && agg.First.valid() {
+			return agg.First, true
+		}
+	}
+	if dm.Global != nil && dm.Global.First.valid() {
+		return dm.Global.First, true
+	}
+	return FirstEventModel{}, false
 }
 
 // pickFrom samples a transition from params by probability.

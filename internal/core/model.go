@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -140,20 +139,26 @@ type ModelSet struct {
 	// training trace had no UEs of that type.
 	Devices []*DeviceModel `json:"devices"`
 
-	// compileOnce guards compiled, the lowered form built lazily on the
-	// first Generate/NewSource call and reused afterwards. A
-	// ModelSet is treated as immutable once generation has started —
-	// in-repo callers already honor this (the 5G adapters clone before
-	// mutating) — so the cache never goes stale.
+	// compileOnce guards compiled and compileErr, the lowered form (or why
+	// there is none) built by the first Load, Validate, Generate or
+	// NewSource. A ModelSet is frozen once it is loaded, validated or
+	// lowered — the 5G adapters edit a fresh ModelSet around a loaded
+	// copy's devices — so the cache never goes stale.
 	compileOnce sync.Once
 	compiled    *compiledModel
+	compileErr  error
 }
 
-// lower returns the model compiled for machine, building it on first
-// use. Concurrent callers share one build.
-func (ms *ModelSet) lower(machine *sm.Machine) *compiledModel {
-	ms.compileOnce.Do(func() { ms.compiled = compile(ms, machine) })
-	return ms.compiled
+// lower returns the model compiled onto its machine, or why it cannot
+// be, building it on first use. Concurrent callers share one build.
+func (ms *ModelSet) lower() (*compiledModel, error) {
+	ms.compileOnce.Do(func() {
+		var m *sm.Machine
+		if m, ms.compileErr = ms.Machine(); ms.compileErr == nil {
+			ms.compiled, ms.compileErr = compile(ms, m)
+		}
+	})
+	return ms.compiled, ms.compileErr
 }
 
 // Machine resolves the model's state machine.
@@ -198,204 +203,12 @@ func (ms *ModelSet) NumModels() int {
 	return n
 }
 
-// clusterAt returns the cluster model for (hour, cluster id), or nil.
-func (dm *DeviceModel) clusterAt(hour, cl int) *ClusterModel {
-	if hour < 0 || hour >= len(dm.Hours) {
-		return nil
-	}
-	hm := &dm.Hours[hour]
-	if cl < 0 || cl >= len(hm.Clusters) {
-		return nil
-	}
-	return &hm.Clusters[cl]
-}
-
-// topParams resolves the outgoing transitions of macro state s at (hour,
-// cluster) with the fallback chain cluster → hour aggregate → global.
-func (dm *DeviceModel) topParams(hour, cl int, s cp.UEState) []TransitionParam {
-	if cm := dm.clusterAt(hour, cl); cm != nil && int(s) < len(cm.Top) && len(cm.Top[s].Out) > 0 {
-		return cm.Top[s].Out
-	}
-	if hour >= 0 && hour < len(dm.Hours) {
-		if agg := dm.Hours[hour].Aggregate; agg != nil && int(s) < len(agg.Top) && len(agg.Top[s].Out) > 0 {
-			return agg.Top[s].Out
-		}
-	}
-	if dm.Global != nil && int(s) < len(dm.Global.Top) {
-		return dm.Global.Top[s].Out
-	}
-	return nil
-}
-
-// bottomParams resolves the bottom-level state parameters of fine state s
-// with the same fallback chain.
-func (dm *DeviceModel) bottomParams(hour, cl int, s sm.State) *StateParam {
-	if cm := dm.clusterAt(hour, cl); cm != nil && int(s) < len(cm.Bottom) && len(cm.Bottom[s].Out) > 0 {
-		return &cm.Bottom[s]
-	}
-	if hour >= 0 && hour < len(dm.Hours) {
-		if agg := dm.Hours[hour].Aggregate; agg != nil && int(s) < len(agg.Bottom) && len(agg.Bottom[s].Out) > 0 {
-			return &agg.Bottom[s]
-		}
-	}
-	if dm.Global != nil && int(s) < len(dm.Global.Bottom) {
-		return &dm.Global.Bottom[s]
-	}
-	return nil
-}
-
-// freeParams resolves the free-running processes.
-func (dm *DeviceModel) freeParams(hour, cl int) []FreeProcess {
-	if cm := dm.clusterAt(hour, cl); cm != nil && len(cm.Free) > 0 {
-		return cm.Free
-	}
-	if hour >= 0 && hour < len(dm.Hours) {
-		if agg := dm.Hours[hour].Aggregate; agg != nil && len(agg.Free) > 0 {
-			return agg.Free
-		}
-	}
-	if dm.Global != nil {
-		return dm.Global.Free
-	}
-	return nil
-}
-
-// firstEvent resolves the first-event model.
-func (dm *DeviceModel) firstEvent(hour, cl int) (FirstEventModel, bool) {
-	if cm := dm.clusterAt(hour, cl); cm != nil && cm.First.valid() {
-		return cm.First, true
-	}
-	if hour >= 0 && hour < len(dm.Hours) {
-		if agg := dm.Hours[hour].Aggregate; agg != nil && agg.First.valid() {
-			return agg.First, true
-		}
-	}
-	if dm.Global != nil && dm.Global.First.valid() {
-		return dm.Global.First, true
-	}
-	return FirstEventModel{}, false
-}
-
-// Validate checks structural invariants of the model set: probabilities
-// in [0,1] summing to ~1 per state, valid sojourn models and event types,
-// persona vectors covering all hours. It checks every ClusterModel the
-// generator can resolve to — the clusters, the hour aggregates and the
-// device global — so a model that validates compiles and generates.
+// Validate reports why the model cannot be generated from, if it cannot:
+// an unknown machine, or compile's check of every ClusterModel. The
+// result is cached with the lowered model.
 func (ms *ModelSet) Validate() error {
-	if _, err := ms.Machine(); err != nil {
-		return err
-	}
-	for d, dm := range ms.Devices {
-		if dm == nil {
-			continue
-		}
-		var wsum float64
-		for _, p := range dm.Personas {
-			wsum += p.Weight
-			if len(p.Cluster) != len(dm.Hours) {
-				return fmt.Errorf("core: device %d persona covers %d hours, model has %d",
-					d, len(p.Cluster), len(dm.Hours))
-			}
-		}
-		if len(dm.Personas) > 0 && math.Abs(wsum-1) > 1e-6 {
-			return fmt.Errorf("core: device %d persona weights sum to %v", d, wsum)
-		}
-		for h := range dm.Hours {
-			hm := &dm.Hours[h]
-			if len(hm.Clusters) > math.MaxInt16 { // compile stores cluster ids as int16
-				return fmt.Errorf("core: device %d hour %d: %d clusters", d, h, len(hm.Clusters))
-			}
-			for c := range hm.Clusters {
-				if err := hm.Clusters[c].validate(); err != nil {
-					return fmt.Errorf("core: device %d hour %d cluster %d %w", d, h, c, err)
-				}
-			}
-			if hm.Aggregate != nil {
-				if err := hm.Aggregate.validate(); err != nil {
-					return fmt.Errorf("core: device %d hour %d aggregate %w", d, h, err)
-				}
-			}
-		}
-		if dm.Global != nil {
-			if err := dm.Global.validate(); err != nil {
-				return fmt.Errorf("core: device %d global %w", d, err)
-			}
-		}
-	}
-	return nil
-}
-
-// validate checks one cluster model: its states, its free processes and
-// its first-event model. A first category's state may lie outside the
-// machine (compile maps it to the event's forced state); its event may
-// not, nor may any other event. The error names the part of the model,
-// for Validate to prefix with the model's place.
-func (cm *ClusterModel) validate() error {
-	if err := checkStates("top", cm.Top); err != nil {
-		return err
-	}
-	if err := checkStates("bottom", cm.Bottom); err != nil {
-		return err
-	}
-	for _, fp := range cm.Free {
-		if !fp.Event.Valid() {
-			return fmt.Errorf("free process: invalid event %d", fp.Event)
-		}
-		if !fp.Inter.Valid() {
-			return fmt.Errorf("free %v process: invalid inter-arrival model", fp.Event)
-		}
-	}
-	if cm.First.Offset.Kind != "" && !cm.First.Offset.Valid() {
-		return errors.New("first event: invalid offset model")
-	}
-	if len(cm.First.Cats) > 0 {
-		var sum float64
-		for _, cat := range cm.First.Cats {
-			if !cat.Event.Valid() {
-				return fmt.Errorf("first event: invalid event %d", cat.Event)
-			}
-			if cat.P < 0 || cat.P > 1+1e-9 {
-				return fmt.Errorf("first event: probability %v out of range", cat.P)
-			}
-			sum += cat.P
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			return fmt.Errorf("first event: probabilities sum to %v", sum)
-		}
-	}
-	return nil
-}
-
-// checkStates checks the outgoing transitions of each state of one level.
-func checkStates(level string, sp []StateParam) error {
-	for si, s := range sp {
-		if len(s.Out) == 0 {
-			continue
-		}
-		var sum float64
-		if s.PExit < 0 || s.PExit > 1 {
-			return fmt.Errorf("%s state %d: PExit %v out of range", level, si, s.PExit)
-		}
-		if s.Sojourn != nil && !s.Sojourn.Valid() {
-			return fmt.Errorf("%s state %d: invalid state-level sojourn", level, si)
-		}
-		for _, tp := range s.Out {
-			if !tp.Event.Valid() {
-				return fmt.Errorf("%s state %d: transition on invalid event %d", level, si, tp.Event)
-			}
-			if tp.P < 0 || tp.P > 1+1e-9 {
-				return fmt.Errorf("%s state %d: probability %v out of range", level, si, tp.P)
-			}
-			if !tp.Sojourn.Valid() {
-				return fmt.Errorf("%s state %d event %v: invalid sojourn", level, si, tp.Event)
-			}
-			sum += tp.P
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			return fmt.Errorf("%s state %d: probabilities sum to %v", level, si, sum)
-		}
-	}
-	return nil
+	_, err := ms.lower()
+	return err
 }
 
 // Save serializes the model set as JSON: byte for byte the document an

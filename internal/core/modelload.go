@@ -13,7 +13,8 @@ import (
 	"cptraffic/internal/sm"
 )
 
-// Load deserializes a model set written by Save and validates it. Only
+// Load deserializes a model set written by Save and validates it, which
+// compiles it: Generate and NewSource on it compile nothing again. Only
 // whitespace may follow the model.
 //
 // It reads the JSON straight into the model structs through a 64 KiB

@@ -37,16 +37,149 @@ func oracleDecode(r io.Reader) (*ModelSet, error) {
 
 // loadOracle is the reference Load is held to — the role saveOracle
 // plays for Save: encoding/json's decoding, the trailing-data check,
-// then Validate.
+// then validateOracle. Neither step shares code with Load.
 func loadOracle(r io.Reader) (*ModelSet, error) {
 	ms, err := oracleDecode(r)
 	if err != nil {
 		return nil, err
 	}
-	if err := ms.Validate(); err != nil {
+	if err := validateOracle(ms); err != nil {
 		return nil, err
 	}
 	return ms, nil
+}
+
+// validateOracle is the structural check as a walk of the declarative
+// structs, written apart from compile: probabilities in [0,1] summing to
+// ~1 per state, valid sojourn models and event types, persona vectors
+// covering all hours, and every ClusterModel the generator can resolve to
+// — the clusters, the hour aggregates and the device global. compile
+// (Validate) must refuse exactly the models it refuses, with the same
+// error for a single fault (TestCompileRefusals, FuzzLoadModel).
+func validateOracle(ms *ModelSet) error {
+	if _, err := ms.Machine(); err != nil {
+		return err
+	}
+	for d, dm := range ms.Devices {
+		if dm == nil {
+			continue
+		}
+		var wsum float64
+		for _, p := range dm.Personas {
+			wsum += p.Weight
+			if len(p.Cluster) != len(dm.Hours) {
+				return fmt.Errorf("core: device %d persona covers %d hours, model has %d",
+					d, len(p.Cluster), len(dm.Hours))
+			}
+		}
+		if len(dm.Personas) > 0 && math.Abs(wsum-1) > 1e-6 {
+			return fmt.Errorf("core: device %d persona weights sum to %v", d, wsum)
+		}
+		for h := range dm.Hours {
+			hm := &dm.Hours[h]
+			if len(hm.Clusters) > math.MaxInt16 { // compile stores cluster ids as int16
+				return fmt.Errorf("core: device %d hour %d: %d clusters", d, h, len(hm.Clusters))
+			}
+			for c := range hm.Clusters {
+				if err := validateClusterOracle(&hm.Clusters[c]); err != nil {
+					return fmt.Errorf("core: device %d hour %d cluster %d %w", d, h, c, err)
+				}
+			}
+			if hm.Aggregate != nil {
+				if err := validateClusterOracle(hm.Aggregate); err != nil {
+					return fmt.Errorf("core: device %d hour %d aggregate %w", d, h, err)
+				}
+			}
+		}
+		if dm.Global != nil {
+			if err := validateClusterOracle(dm.Global); err != nil {
+				return fmt.Errorf("core: device %d global %w", d, err)
+			}
+		}
+	}
+	return nil
+}
+
+// validateClusterOracle checks one cluster model: its states, its free
+// processes and its first-event model. A first category's state may lie
+// outside the machine (compile maps it to the event's forced state); its
+// event may not, nor may any other event. The error names the part of the
+// model, for validateOracle to prefix with the model's place.
+func validateClusterOracle(cm *ClusterModel) error {
+	if err := checkStatesOracle("top", cm.Top); err != nil {
+		return err
+	}
+	if err := checkStatesOracle("bottom", cm.Bottom); err != nil {
+		return err
+	}
+	for _, fp := range cm.Free {
+		if !fp.Event.Valid() {
+			return fmt.Errorf("free process: invalid event %d", fp.Event)
+		}
+		if !fp.Inter.Valid() {
+			return fmt.Errorf("free %v process: invalid inter-arrival model", fp.Event)
+		}
+	}
+	if cm.First.Offset.Kind != "" && !cm.First.Offset.Valid() {
+		return errors.New("first event: invalid offset model")
+	}
+	if len(cm.First.Cats) > 0 {
+		var sum float64
+		for _, cat := range cm.First.Cats {
+			if !cat.Event.Valid() {
+				return fmt.Errorf("first event: invalid event %d", cat.Event)
+			}
+			if cat.P < 0 || cat.P > 1+1e-9 {
+				return fmt.Errorf("first event: probability %v out of range", cat.P)
+			}
+			sum += cat.P
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			return fmt.Errorf("first event: probabilities sum to %v", sum)
+		}
+	}
+	return nil
+}
+
+// checkStatesOracle checks the outgoing transitions of each state of one level.
+func checkStatesOracle(level string, sp []StateParam) error {
+	for si, s := range sp {
+		if len(s.Out) == 0 {
+			continue
+		}
+		var sum float64
+		if s.PExit < 0 || s.PExit > 1 {
+			return fmt.Errorf("%s state %d: PExit %v out of range", level, si, s.PExit)
+		}
+		if s.Sojourn != nil && !s.Sojourn.Valid() {
+			return fmt.Errorf("%s state %d: invalid state-level sojourn", level, si)
+		}
+		for _, tp := range s.Out {
+			if !tp.Event.Valid() {
+				return fmt.Errorf("%s state %d: transition on invalid event %d", level, si, tp.Event)
+			}
+			if tp.P < 0 || tp.P > 1+1e-9 {
+				return fmt.Errorf("%s state %d: probability %v out of range", level, si, tp.P)
+			}
+			if !tp.Sojourn.Valid() {
+				return fmt.Errorf("%s state %d event %v: invalid sojourn", level, si, tp.Event)
+			}
+			sum += tp.P
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			return fmt.Errorf("%s state %d: probabilities sum to %v", level, si, sum)
+		}
+	}
+	return nil
+}
+
+// declared is ms's declarative part: ms without the compiled form Load
+// caches, for comparing a loaded model with the oracle's.
+func declared(ms *ModelSet) *ModelSet {
+	if ms == nil {
+		return nil
+	}
+	return &ModelSet{MachineName: ms.MachineName, Method: ms.Method, Devices: ms.Devices}
 }
 
 // checkDecodeSound demands that what the decoder accepts, encoding/json
@@ -126,11 +259,11 @@ func TestLoadMatchesEncodingJSON(t *testing.T) {
 			}
 			got, err := Load(bytes.NewReader(doc))
 			want, oerr := loadOracle(bytes.NewReader(doc))
-			if (err == nil) != (oerr == nil) || !reflect.DeepEqual(got, want) {
+			if (err == nil) != (oerr == nil) || !reflect.DeepEqual(declared(got), declared(want)) {
 				t.Fatalf("%s: Load returned %v, loadOracle %v", where, err, oerr)
 			}
 			if len(doc) < 64<<10 { // a refill between any two bytes
-				if bytewise, err := Load(iotest.OneByteReader(bytes.NewReader(doc))); !reflect.DeepEqual(bytewise, got) {
+				if bytewise, err := Load(iotest.OneByteReader(bytes.NewReader(doc))); !reflect.DeepEqual(declared(bytewise), declared(got)) {
 					t.Fatalf("%s, read a byte at a time: Load returned %v", where, err)
 				}
 			}
@@ -151,7 +284,7 @@ func TestLoadMatchesEncodingJSON(t *testing.T) {
 		}
 		got, err := Load(strings.NewReader(doc))
 		want, oerr := loadOracle(strings.NewReader(doc))
-		if err != nil || oerr != nil || !reflect.DeepEqual(got, want) {
+		if err != nil || oerr != nil || !reflect.DeepEqual(declared(got), declared(want)) {
 			t.Fatalf("%s: Load returned %v, loadOracle %v", doc, err, oerr)
 		}
 	}
@@ -206,11 +339,11 @@ func TestLoadRefusals(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesModelsGenerateCannotRun: Validate checks the hour
+// TestLoadRefusesModelsGenerateCannotRun: compile checks the hour
 // aggregates and the device global, not only the clusters, so a model
 // whose global holds a sojourn kind compile cannot lower, or a first
 // event past the event types, is refused — both documents load under
-// encoding/json and make Generate panic.
+// encoding/json, and Generate on the decoded model returns Load's error.
 func TestLoadRefusesModelsGenerateCannotRun(t *testing.T) {
 	ms := fitToy(t, 12, cp.Hour, 3, FitOptions{})
 	for _, dm := range ms.Devices {
@@ -224,8 +357,9 @@ func TestLoadRefusesModelsGenerateCannotRun(t *testing.T) {
 		"first event out of range": unrunnableGlobal(`{"kind":"const","value":1}`, `"cats":[{"event":77,"state":99,"p":1}],`),
 	} {
 		doc := strings.Replace(saved, `"share":`, g+`"share":`, 1)
-		if _, err := Load(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "global") {
-			t.Errorf("%s: Load returned %v, want an error about the global model", name, err)
+		_, lerr := Load(strings.NewReader(doc))
+		if lerr == nil || !strings.Contains(lerr.Error(), "global") {
+			t.Fatalf("%s: Load returned %v, want an error about the global model", name, lerr)
 		}
 		if _, err := loadOracle(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: loadOracle accepted it", name)
@@ -234,35 +368,31 @@ func TestLoadRefusesModelsGenerateCannotRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: Generate ran; the document no longer reproduces the panic", name)
-				}
-			}()
-			Generate(unchecked, GenOptions{NumUEs: 20, StartHour: 23, Duration: 2 * cp.Hour, Seed: 1})
-		}()
+		if _, err := Generate(unchecked, GenOptions{NumUEs: 20, StartHour: 23, Duration: 2 * cp.Hour, Seed: 1}); err == nil || err.Error() != lerr.Error() {
+			t.Errorf("%s: Generate returned %v, want Load's error %v", name, err, lerr)
+		}
 	}
 }
 
 // TestValidateRefusesClusterIDsPastInt16: compile stores a persona's
-// cluster id as an int16 and indexes the hour's cells with id+1, so an
-// hour of 32 768 clusters, one of them a persona's, panics Generate.
+// cluster id as an int16 and indexes the hour's cells with id+1, so it
+// refuses an hour of 32 768 clusters, one of them a persona's, and
+// Generate returns that error.
 func TestValidateRefusesClusterIDsPastInt16(t *testing.T) {
-	ms := &ModelSet{MachineName: "LTE-2LEVEL", Devices: []*DeviceModel{{
-		Personas: []Persona{{Cluster: []int{math.MaxInt16}, Weight: 1}},
-		Hours:    []HourModel{{Clusters: make([]ClusterModel, math.MaxInt16+1)}},
-		Share:    1,
-	}}}
-	if err := ms.Validate(); err == nil {
-		t.Error("Validate accepted an hour of 32768 clusters")
+	model := func() *ModelSet {
+		return &ModelSet{MachineName: "LTE-2LEVEL", Devices: []*DeviceModel{{
+			Personas: []Persona{{Cluster: []int{math.MaxInt16}, Weight: 1}},
+			Hours:    []HourModel{{Clusters: make([]ClusterModel, math.MaxInt16+1)}},
+			Share:    1,
+		}}}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Generate ran; the model no longer reproduces the panic")
-		}
-	}()
-	Generate(ms, GenOptions{NumUEs: 1, Duration: cp.Hour, Seed: 1})
+	const want = "core: device 0 hour 0: 32768 clusters"
+	if err := model().Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate returned %v, want %s", err, want)
+	}
+	if _, err := Generate(model(), GenOptions{NumUEs: 1, Duration: cp.Hour, Seed: 1}); err == nil || err.Error() != want {
+		t.Errorf("Generate returned %v, want %s", err, want)
+	}
 }
 
 // unrunnableGlobal is a device-global member Load used to accept and
@@ -273,29 +403,47 @@ func unrunnableGlobal(inter, cats string) string {
 		`"offset":{"kind":"const","value":1}},"numUEs":1},`
 }
 
-// TestModelLoadAllocs: Load allocates each slice and pointer
-// of the model once, at its exact size, and a constant besides — the
-// window, scratch growth, the two strings — never one per number, though
-// the file holds many times more numbers than slices.
+// TestModelLoadAllocs: decoding allocates each slice and pointer of the
+// model once, at its exact size, and a constant besides — the window,
+// scratch growth, the two strings — never one per number, though the file
+// holds many times more numbers than slices. Load adds one compile and
+// nothing else.
 func TestModelLoadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	for _, n := range []int{60, 400} {
 		doc := modelBytes(t, fitToy(t, n, 6*cp.Hour, 11, FitOptions{}))
-		ms, err := Load(bytes.NewReader(doc))
+		ms, err := decodeModel(bytes.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		parts := countAllocated(reflect.ValueOf(ms).Elem())
 		numbers := bytes.Count(doc, []byte(",")) // a floor on the number count
-		allocs := testing.AllocsPerRun(3, func() {
+		decode := testing.AllocsPerRun(3, func() {
+			if _, err := decodeModel(bytes.NewReader(doc)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if decode > float64(parts+96) || numbers < 4*parts {
+			t.Fatalf("%d-UE model: decoding allocated %v times for %d slices and pointers (%d numbers or more)", n, decode, parts, numbers)
+		}
+		machine, err := ms.Machine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lower := testing.AllocsPerRun(3, func() {
+			if _, err := compile(ms, machine); err != nil {
+				t.Fatal(err)
+			}
+		})
+		load := testing.AllocsPerRun(3, func() {
 			if _, err := Load(bytes.NewReader(doc)); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > float64(parts+96) || numbers < 4*parts {
-			t.Fatalf("%d-UE model: Load allocated %v times for %d slices and pointers (%d numbers or more)", n, allocs, parts, numbers)
+		if load > float64(parts+96)+lower {
+			t.Fatalf("%d-UE model: Load allocated %v times, %d slices and pointers + 96 + compile's %v", n, load, parts, lower)
 		}
 	}
 }

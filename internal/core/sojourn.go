@@ -61,17 +61,10 @@ func (s SojournModel) Dist() stats.Dist {
 // Mean returns the model's expected duration in seconds.
 func (s SojournModel) Mean() float64 { return s.Dist().Mean() }
 
-// Valid reports whether the model is structurally usable.
+// Valid reports whether the generator can sample the model (compileDist).
 func (s SojournModel) Valid() bool {
-	switch s.Kind {
-	case SojournTable:
-		return (&stats.QuantileTable{Q: s.Q}).Valid()
-	case SojournExp:
-		return s.Lambda > 0
-	case SojournConst:
-		return s.Value >= 0
-	}
-	return false
+	_, ok := compileDist(s)
+	return ok
 }
 
 // fitSojourn builds a sojourn model of the requested kind from observed

@@ -87,12 +87,15 @@ func TestPersonaPickMatchesInterpreter(t *testing.T) {
 		"nan":         {0.25, math.NaN(), 0.75},
 		"inf":         {0.5, math.Inf(-1), math.Inf(1)},
 	} {
-		dm := &DeviceModel{}
+		dm := &DeviceModel{Hours: make([]HourModel, HoursPerDay)}
 		for _, w := range weights {
 			dm.Personas = append(dm.Personas, Persona{Cluster: make([]int, HoursPerDay), Weight: w})
 		}
 		cm := &compiledModel{}
-		cd := compileDevice(dm, sm.LTE2Level())
+		cd, err := compileDevice(dm, sm.LTE2Level())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for seed := uint64(1); seed <= 3000; seed++ {
 			rng := stats.NewRNG(seed)
 			var g ueGen
@@ -135,7 +138,10 @@ func TestCellCacheMatchesResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := compile(ms, machine)
+	cm, err := compile(ms, machine)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cd := cm.dev(cp.Phone)
 	if len(cd.personaCum) < 2 {
 		t.Fatalf("%d phone personas; the test wants several", len(cd.personaCum))

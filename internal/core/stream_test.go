@@ -183,7 +183,10 @@ func TestUEGenIteratorResumable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm := compile(ms, m)
+	cm, err := compile(ms, m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cd := cm.dev(cp.Phone)
 	if cd == nil {
 		t.Fatal("compiled model lost the phone device")

@@ -76,13 +76,18 @@ func ToSA(ms *core.ModelSet, hoFactor float64) (*core.ModelSet, error) {
 	return out, out.Validate()
 }
 
-// clone deep-copies a model set via its JSON form.
+// clone deep-copies a model set via its JSON form, under a fresh header:
+// Load compiled the copy it read, and the adapters edit it afterwards.
 func clone(ms *core.ModelSet) (*core.ModelSet, error) {
 	var buf bytes.Buffer
 	if err := ms.Save(&buf); err != nil {
 		return nil, err
 	}
-	return core.Load(&buf)
+	loaded, err := core.Load(&buf)
+	if err != nil {
+		return nil, err
+	}
+	return &core.ModelSet{MachineName: loaded.MachineName, Method: loaded.Method, Devices: loaded.Devices}, nil
 }
 
 // forEachCluster visits every cluster model, the hour aggregates, and

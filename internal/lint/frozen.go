@@ -8,10 +8,11 @@ import (
 )
 
 // Frozen mechanizes the ModelSet immutability contract behind the
-// compiled-model cache: a *core.ModelSet is frozen once the first
-// Generate/Stream/NewSource call lowers it — the compiled form is
-// cached under a sync.Once, so any later mutation of the declarative
-// model silently diverges from what the engine actually runs.
+// compiled-model cache: a *core.ModelSet is frozen once it is loaded,
+// validated or lowered (core.Load, Validate, Generate, NewSource all
+// compile it) — the compiled form is cached under a sync.Once, so any
+// later mutation of the declarative model silently diverges from what
+// the engine actually runs.
 //
 // The analyzer flags writes whose target is reachable from shared
 // model storage: a dereference or field selection through a pointer to
@@ -28,7 +29,8 @@ import (
 // and all of
 // internal/fiveg
 // (its adapters clone via an encode/decode round-trip and mutate the
-// fresh copy — the idiom this analyzer exists to enforce). Elsewhere,
+// copy's devices under a fresh ModelSet, since Load compiled the one it
+// returned — the idiom this analyzer exists to enforce). Elsewhere,
 // code that builds fresh model values is exempted structurally: a
 // write is fine when its root is a local initialized by a composite
 // literal, &composite, new, make, or a zero-value declaration, since a

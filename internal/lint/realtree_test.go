@@ -33,7 +33,7 @@ var treeSeeds = []treeSeed{
 		analyzer: "detsource", file: "internal/core/gen.go",
 		edits: [][2]string{
 			{"import (\n\t\"fmt\"\n", "import (\n\t\"fmt\"\n\t\"time\"\n"},
-			{"\tcm := ms.lower(p.machine)\n\tjobs := p.jobs()\n", "\tcm := ms.lower(p.machine)\n\t_ = time.Now()\n\tjobs := p.jobs()\n"},
+			{"\t\treturn collectSource(ms, opt)\n\t}\n\tjobs := p.jobs()\n", "\t\treturn collectSource(ms, opt)\n\t}\n\t_ = time.Now()\n\tjobs := p.jobs()\n"},
 		},
 		at: "_ = time.Now()",
 	},

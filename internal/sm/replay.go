@@ -96,23 +96,3 @@ func InferInitial(m *Machine, evs []trace.Event) State {
 	}
 	return m.Initial
 }
-
-// InterArrivals returns the inter-arrival times (in seconds) between
-// consecutive events of the given type within a single UE's time-ordered
-// event sequence.
-func InterArrivals(evs []trace.Event, t cp.EventType) []float64 {
-	var out []float64
-	var last cp.Millis
-	have := false
-	for _, ev := range evs {
-		if ev.Type != t {
-			continue
-		}
-		if have {
-			out = append(out, (ev.T - last).Seconds())
-		}
-		last = ev.T
-		have = true
-	}
-	return out
-}

@@ -165,25 +165,6 @@ func TestTopSojournsNoDoubleCountWithinMacro(t *testing.T) {
 	}
 }
 
-func TestInterArrivals(t *testing.T) {
-	seq := evs(
-		0.0, cp.Handover,
-		2.0, cp.TrackingAreaUpdate,
-		5.0, cp.Handover,
-		11.0, cp.Handover,
-	)
-	ia := InterArrivals(seq, cp.Handover)
-	if len(ia) != 2 || ia[0] != 5 || ia[1] != 6 {
-		t.Fatalf("HO inter-arrivals = %v", ia)
-	}
-	if got := InterArrivals(seq, cp.Attach); got != nil {
-		t.Fatalf("ATCH inter-arrivals = %v", got)
-	}
-	if got := InterArrivals(seq, cp.TrackingAreaUpdate); got != nil {
-		t.Fatalf("single-event inter-arrivals = %v", got)
-	}
-}
-
 func TestCountMacroEvents(t *testing.T) {
 	m := LTE2Level()
 	seq := evs(

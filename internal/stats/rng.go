@@ -151,32 +151,6 @@ func (r *RNG) ParetoSample(xm, alpha float64) float64 {
 	return xm / math.Pow(r.OpenFloat64(), 1/alpha)
 }
 
-// Poisson returns a Poisson(lambda)-distributed count. For small lambda it
-// uses Knuth's product method; for large lambda, normal approximation with
-// continuity correction, which is accurate enough for workload synthesis.
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := int(lambda + math.Sqrt(lambda)*r.Norm() + 0.5)
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
 // Shuffle permutes xs uniformly at random (Fisher–Yates).
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

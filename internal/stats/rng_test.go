@@ -174,24 +174,6 @@ func TestParetoSampleBounds(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	r := NewRNG(8)
-	for _, lambda := range []float64{0.5, 3, 25, 100} {
-		const n = 50000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(lambda))
-		}
-		m := sum / n
-		if math.Abs(m-lambda) > 0.05*lambda+0.05 {
-			t.Fatalf("Poisson(%v) mean = %v", lambda, m)
-		}
-	}
-	if NewRNG(1).Poisson(0) != 0 || NewRNG(1).Poisson(-1) != 0 {
-		t.Fatal("Poisson of non-positive lambda should be 0")
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)

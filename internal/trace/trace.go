@@ -190,27 +190,6 @@ func (tr *Trace) Slice(lo, hi cp.Millis) *Trace {
 	return out
 }
 
-// HourSlices partitions a trace into consecutive 1-hour traces covering
-// [0, hours*Hour). Events outside that range are dropped. Device
-// registrations are copied into every slice.
-func (tr *Trace) HourSlices(hours int) []*Trace {
-	out := make([]*Trace, hours)
-	for i := range out {
-		s := New()
-		for ue, dt := range tr.Device {
-			s.Device[ue] = dt
-		}
-		out[i] = s
-	}
-	for _, e := range tr.Events {
-		h := e.T.HourIndex()
-		if h >= 0 && h < hours {
-			out[h].Events = append(out[h].Events, e)
-		}
-	}
-	return out
-}
-
 // CountByType tallies events by type.
 func (tr *Trace) CountByType() [cp.NumEventTypes]int {
 	var c [cp.NumEventTypes]int

@@ -145,29 +145,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestHourSlices(t *testing.T) {
-	tr := mkTrace(t)
-	hs := tr.HourSlices(2)
-	if len(hs) != 2 {
-		t.Fatalf("got %d slices", len(hs))
-	}
-	if hs[0].Len() != 3 || hs[1].Len() != 1 {
-		t.Fatalf("slice lens = %d,%d", hs[0].Len(), hs[1].Len())
-	}
-	if hs[1].Events[0].UE != 3 {
-		t.Fatalf("hour 1 event = %v", hs[1].Events[0])
-	}
-	// Registrations propagate.
-	if hs[1].NumUEs() != 3 {
-		t.Fatal("hour slice lost registrations")
-	}
-	// Events beyond range are dropped.
-	hs = tr.HourSlices(1)
-	if hs[0].Len() != 3 {
-		t.Fatalf("1-hour slicing kept %d events", hs[0].Len())
-	}
-}
-
 func TestCountByType(t *testing.T) {
 	tr := mkTrace(t)
 	c := tr.CountByType()
