@@ -14,9 +14,9 @@ RACE_PKGS = ./internal/par/ ./internal/trace/ ./internal/core/ ./internal/world/
 # fuzzing wall clock is five times this). CI sets the same 15s per target.
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build lint deadcode fix test bench-check race allocs fuzz-smoke scenarios shardcheck audit bench experiments
+.PHONY: check fmt vet build lint deadcode fix test bench-check race allocs fuzz-smoke scenarios shardcheck evalcheck audit bench experiments
 
-check: fmt vet build lint deadcode test bench-check race allocs fuzz-smoke scenarios shardcheck
+check: fmt vet build lint deadcode test bench-check race allocs fuzz-smoke scenarios shardcheck evalcheck
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -125,6 +125,14 @@ scenarios:
 # fit, and the in-memory-refit note on stderr for the permuted copy only.
 shardcheck:
 	scripts/shardcheck.sh
+
+# The eval commands' one collection path through the real binaries:
+# evalfit table8/table9/table10/fig4 and evalgen on a small world trace as
+# a binary file, a text file, stdin, and a text copy with three ties out
+# of canonical order — every stdout identical, and the in-memory note on
+# stderr for the permuted copy only.
+evalcheck:
+	scripts/evalcheck.sh
 
 # Third-party audits (staticcheck + govulncheck) at pinned versions;
 # skipped with a warning when the tools are absent and cannot be

@@ -304,11 +304,15 @@ func BenchmarkPassRatesParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	col, err := eval.Collect(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
 	qs := eval.Table8Quantities()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eval.PassRates(tr, qs, eval.FitTestOptions{
+				eval.PassRates(col, qs, eval.FitTestOptions{
 					Clustered:  true,
 					Cluster:    cluster.Options{ThetaN: cfg.ThetaN},
 					MinSamples: 30,

@@ -6,15 +6,17 @@
 //
 //	evalfit -i world.trace -exp table8
 //	evalfit -i world.trace -exp fig3 > fig3.csv
-//	evalfit -i big.trace -exp table9 -stream
 //
-// With -stream the per-UE quantities are gathered in one incremental
-// pass over the trace file instead of loading it, producing identical
-// tables (fig3 still materializes the trace — its variance-time curves
-// need random access to the event series). -stream requires a file path.
+// The tables and fig4 read one collection of the per-UE quantities,
+// gathered in a single pass: a trace file is scanned incrementally
+// (trace.FileSource) and never held, stdin (-i -) is read whole first. A
+// file out of canonical order is collected again from the trace sorted
+// in memory, with a note on stderr. fig3 reads the whole trace — its
+// variance-time curves need the event series.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,92 +39,31 @@ func main() {
 		thetaN  = flag.Int("thetan", 100, "clustering θn for table9/table10")
 		minN    = flag.Int("minsamples", 8, "minimum pooled sample size per tested unit")
 		workers = flag.Int("workers", 0, "sweep worker count (0 = all CPUs); never changes the rates")
-		stream  = flag.Bool("stream", false, "collect quantities by scanning the trace file incrementally (identical results)")
 	)
 	flag.Parse()
-
-	// Both paths expose the trace as an EventSource; -stream keeps it
-	// on disk, otherwise it is parsed once up front. The experiments
-	// that can run incrementally never call loadTrace.
-	var src trace.EventSource
-	var tr *trace.Trace
-	if *stream {
-		if *in == "-" {
-			log.Fatal("-stream needs a seekable trace file; -i - (stdin) cannot be scanned twice")
-		}
-		fileSrc, err := trace.NewFileSource(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		src = fileSrc
-	} else {
-		r := os.Stdin
-		if *in != "-" {
-			f, err := os.Open(*in)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			r = f
-		}
-		loaded, err := trace.ReadAuto(r)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, src = loaded, loaded
-	}
-	loadTrace := func() *trace.Trace {
-		if tr == nil {
-			fmt.Fprintln(os.Stderr, "evalfit: fig3 needs the full event series; materializing the trace")
-			loaded, err := trace.Collect(src)
-			if err != nil {
-				log.Fatal(err)
-			}
-			tr = loaded
-		}
-		return tr
-	}
-
-	sweep := func(quantities []eval.Quantity, opt eval.FitTestOptions) map[eval.DistTest]map[cp.DeviceType]map[eval.Quantity]float64 {
-		if *stream {
-			rates, err := eval.PassRatesSource(src, quantities, opt)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return rates
-		}
-		return eval.PassRates(tr, quantities, opt)
-	}
-	samples := func(qs []eval.Quantity) [][]float64 {
-		if *stream {
-			xs, err := eval.QuantitySamplesSource(src, cp.Phone, qs)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return xs
-		}
-		return eval.QuantitySamples(tr, cp.Phone, qs)
-	}
 
 	switch *exp {
 	case "table8":
 		qs := eval.Table8Quantities()
 		renderRates("Table 8 — no clustering", qs,
-			sweep(qs, eval.FitTestOptions{MinSamples: *minN, Workers: *workers}))
+			eval.PassRates(collect(*in), qs, eval.FitTestOptions{MinSamples: *minN, Workers: *workers}))
 	case "table9":
 		qs := eval.Table8Quantities()
 		renderRates("Table 9 — with adaptive clustering", qs,
-			sweep(qs, eval.FitTestOptions{
+			eval.PassRates(collect(*in), qs, eval.FitTestOptions{
 				Clustered: true, Cluster: cluster.Options{ThetaN: *thetaN},
 				MinSamples: *minN, Workers: *workers}))
 	case "table10":
 		qs := eval.Table10Quantities()
 		renderRates("Table 10 — second-level transitions", qs,
-			sweep(qs, eval.FitTestOptions{
+			eval.PassRates(collect(*in), qs, eval.FitTestOptions{
 				Clustered: true, Cluster: cluster.Options{ThetaN: *thetaN},
 				MinSamples: *minN, Workers: *workers}))
 	case "fig3":
-		full := loadTrace()
+		full, err := readTrace(*in)
+		if err != nil {
+			log.Fatal(err)
+		}
 		_, hi := full.Span()
 		for _, q := range []eval.Quantity{
 			{Kind: eval.QStateSojourn, State: cp.StateConnected},
@@ -152,7 +93,7 @@ func main() {
 			{Kind: eval.QInterArrival, Event: cp.Handover},
 			{Kind: eval.QInterArrival, Event: cp.TrackingAreaUpdate},
 		}
-		for i, xs := range samples(qs) {
+		for i, xs := range eval.QuantitySamples(collect(*in), cp.Phone, qs) {
 			q := qs[i]
 			if len(xs) < 2 {
 				continue
@@ -171,6 +112,49 @@ func main() {
 	default:
 		log.Fatalf("unknown experiment %q", *exp)
 	}
+}
+
+// collect gathers the trace's per-UE quantities in one pass: a file is
+// scanned incrementally, stdin read whole. A file out of canonical order
+// is collected again from the trace sorted in memory.
+func collect(path string) *eval.Collection {
+	var src trace.EventSource
+	var err error
+	if path == "-" {
+		src, err = readTrace(path)
+	} else {
+		src, err = trace.NewFileSource(path)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	col, err := eval.Collect(src)
+	if errors.Is(err, trace.ErrNotCanonical) {
+		log.Printf("%v; collecting from the trace sorted in memory", err)
+		var tr *trace.Trace
+		if tr, err = readTrace(path); err == nil {
+			tr.Sort()
+			col, err = eval.Collect(tr)
+		}
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	return col
+}
+
+// readTrace reads the whole trace at path ('-' for stdin) into memory.
+func readTrace(path string) (*trace.Trace, error) {
+	r := os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		r = f
+	}
+	return trace.ReadAuto(r)
 }
 
 // renderRates prints one sweep's table. Devices absent from the trace

@@ -54,16 +54,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	real18 := held.Slice(18*cp.Hour, 19*cp.Hour)
+	real18, err := eval.Collect(held.Slice(18*cp.Hour, 19*cp.Hour))
+	if err != nil {
+		log.Fatal(err)
+	}
+	synCol, err := eval.Collect(syn)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nper-device max |breakdown difference| vs held-out real traffic:")
 	for _, d := range cp.DeviceTypes {
 		rb := eval.ComputeBreakdown(real18, d)
-		sb := eval.ComputeBreakdown(syn, d)
+		sb := eval.ComputeBreakdown(synCol, d)
 		fmt.Printf("  %-7s %5.1f%%  (real %d events, synthesized %d)\n",
 			d, 100*eval.MaxAbsDiff(eval.BreakdownDiff(rb, sb)), rb.Total, sb.Total)
 	}
 	fmt.Println("\nHO (IDLE) in the synthesized trace (must be 0 — the two-level machine forbids it):")
 	for _, d := range cp.DeviceTypes {
-		fmt.Printf("  %-7s %.2f%%\n", d, 100*eval.ComputeBreakdown(syn, d).Share["HO (IDLE)"])
+		fmt.Printf("  %-7s %.2f%%\n", d, 100*eval.ComputeBreakdown(synCol, d).Share["HO (IDLE)"])
 	}
 }

@@ -3,13 +3,18 @@
 // CDF distances (Tables 5, 6, Figure 7), goodness-of-fit pass-rate sweeps
 // (Tables 8, 9, 10), variance-time curves (Figure 3), CDF-vs-fit series
 // (Figure 4), and per-device-hour distribution summaries (Figure 2).
+//
+// Every per-UE table reads a Collection, which Collect gathers in one
+// pass over any trace.EventSource — a trace file through
+// trace.FileSource, or an in-memory *trace.Trace — so each trace is
+// walked once, however many tables read it. The event-series artifacts
+// (Figures 2 and 3, Table 1's shares) read the *trace.Trace itself.
 package eval
 
 import (
 	"sort"
 
 	"cptraffic/internal/cp"
-	"cptraffic/internal/sm"
 	"cptraffic/internal/trace"
 )
 
@@ -34,22 +39,14 @@ type Breakdown struct {
 // type, attributing HO and TAU to the macro state they occurred in (via
 // Category-1 tracking, so it is robust to protocol-violating traces from
 // the baseline methods).
-func ComputeBreakdown(tr *trace.Trace, d cp.DeviceType) Breakdown {
+func ComputeBreakdown(col *Collection, d cp.DeviceType) Breakdown {
 	counts := make(map[string]int, len(BreakdownKeys))
 	total := 0
-	per := tr.PerUE()
-	for _, ue := range tr.UEs() {
-		evs := per[ue]
-		if tr.Device[ue] != d || len(evs) == 0 {
-			continue
-		}
-		b := sm.MacroBreakdown(evs, sm.InferMacroInitial(evs))
+	for _, u := range col.data[d] {
 		for _, e := range cp.EventTypes {
-			states := b[e]
-			for s := 0; s < cp.NumUEStates; s++ {
-				c := states[cp.UEState(s)]
-				counts[breakdownKey(e, cp.UEState(s))] += c
-				total += c
+			for s, c := range u.macro[e] {
+				counts[breakdownKey(e, cp.UEState(s))] += int(c)
+				total += int(c)
 			}
 		}
 	}

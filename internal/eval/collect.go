@@ -2,44 +2,87 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/cp"
-	"cptraffic/internal/par"
 	"cptraffic/internal/sm"
 	"cptraffic/internal/stats"
 	"cptraffic/internal/trace"
 )
 
-// ueQuantities holds every fitted quantity's samples for one UE, bucketed
-// by hour-of-day.
+// lte is the two-level machine whose bottom transitions QTransSojourn
+// quantities name.
+var lte = sm.LTE2Level()
+
+// The dense quantity index: every Quantity the collector records has one
+// slot, QInterArrival first (one per event type), then QStateSojourn (one
+// per macro state), QRegisteredSojourn, and QTransSojourn (one per
+// two-level state and trigger event).
+const (
+	qStateBase = cp.NumEventTypes
+	qReg       = qStateBase + cp.NumUEStates
+	qTransBase = qReg + 1
+)
+
+// nQ is the number of quantity slots; a sample's key is hour·nQ + slot.
+var nQ = qTransBase + lte.NumStates()*cp.NumEventTypes
+
+// qIndex returns q's slot, or -1 for a quantity the collector never
+// records.
+func qIndex(q Quantity) int {
+	switch q.Kind {
+	case QInterArrival:
+		if q.Event.Valid() {
+			return int(q.Event)
+		}
+	case QStateSojourn:
+		if int(q.State) < cp.NumUEStates {
+			return qStateBase + int(q.State)
+		}
+	case QRegisteredSojourn:
+		return qReg
+	case QTransSojourn:
+		if int(q.From) < lte.NumStates() && q.Event.Valid() {
+			return qTransBase + int(q.From)*cp.NumEventTypes + int(q.Event)
+		}
+	}
+	return -1
+}
+
+// ueQuantities holds one UE's collected quantities: every sample grouped
+// by (hour-of-day, quantity) key in time order within a key, the event
+// counts per hour, and the macro-state breakdown of its events.
 type ueQuantities struct {
-	samples map[hourQuantity][]float64
-	counts  [24][cp.NumEventTypes]int
-}
+	keys []uint16  // the distinct sample keys, ascending
+	ends []int32   // ends[i]: one past the last sample of keys[i] in vals
+	vals []float64 // samples, grouped by key
 
-type hourQuantity struct {
-	h int8
-	q Quantity
-}
-
-func (u *ueQuantities) add(h int, q Quantity, v float64) {
-	u.samples[hourQuantity{int8(h), q}] = append(u.samples[hourQuantity{int8(h), q}], v)
+	counts [24][cp.NumEventTypes]int32
+	// macro[e][s] counts events of type e attributed to macro state s,
+	// as sm.MacroBreakdown attributes them.
+	macro [cp.NumEventTypes][cp.NumUEStates]int32
 }
 
 // at returns the samples of quantity q in hour-of-day h.
 func (u *ueQuantities) at(h int, q Quantity) []float64 {
-	if u == nil {
+	qi := qIndex(q)
+	if qi < 0 {
 		return nil
 	}
-	return u.samples[hourQuantity{int8(h), q}]
+	i, ok := slices.BinarySearch(u.keys, uint16(h*nQ+qi))
+	if !ok {
+		return nil
+	}
+	lo := int32(0)
+	if i > 0 {
+		lo = u.ends[i-1]
+	}
+	return u.vals[lo:u.ends[i]:u.ends[i]]
 }
 
 // features computes the adaptive-clustering features (§5.3) for hour h.
 func (u *ueQuantities) features(h, days int) cluster.Features {
-	if u == nil {
-		return cluster.Features{}
-	}
 	conn := u.at(h, Quantity{Kind: QStateSojourn, State: cp.StateConnected})
 	idle := u.at(h, Quantity{Kind: QStateSojourn, State: cp.StateIdle})
 	return cluster.Features{
@@ -50,22 +93,24 @@ func (u *ueQuantities) features(h, days int) cluster.Features {
 	}
 }
 
-// ueCollector gathers one UE's fitted quantities incrementally: push one
-// event at a time (in the UE's time order), then finish. It fuses what
-// used to be three separate passes — per-type inter-arrivals, macro and
-// REGISTERED sojourns, and the two-level machine's bottom-transition
-// sojourns — into a single walk; each quantity key is written by exactly
-// one of the fused strands, so per-key sample order matches the
-// multi-pass version exactly.
+// ueCollector gathers one UE's quantities incrementally: push one event
+// at a time (in the UE's time order), then finish. Four strands share
+// the walk — per-type inter-arrivals and counts, macro and REGISTERED
+// sojourns, the two-level machine's bottom-transition sojourns, and the
+// macro-state breakdown — and every sample goes to one log of (key,
+// value) pairs in time order, which finish groups by key.
 //
 // The initial macro state is only decidable at the first Category-1
 // event (or, failing that, from whether the UE ever hands over), so
 // events buffer until the decision and replay through the same step
-// logic — identical to batch inference, because the first Category-1
-// event of the prefix is the first of the whole sequence.
+// logic — identical to inferring it from the whole sequence, because the
+// first Category-1 event of the prefix is the first of the sequence.
+// The zero value is a collector for a UE with no events yet.
 type ueCollector struct {
 	u *ueQuantities
-	m *sm.Machine
+
+	logKey []uint16
+	logVal []float64
 
 	decided bool
 	buf     []trace.Event
@@ -85,11 +130,9 @@ type ueCollector struct {
 	botHas   bool
 }
 
-func newUECollector() *ueCollector {
-	return &ueCollector{
-		u: &ueQuantities{samples: make(map[hourQuantity][]float64)},
-		m: sm.LTE2Level(),
-	}
+func (c *ueCollector) add(h, slot int, v float64) {
+	c.logKey = append(c.logKey, uint16(h*nQ+slot))
+	c.logVal = append(c.logVal, v)
 }
 
 func (c *ueCollector) push(ev trace.Event) {
@@ -111,22 +154,45 @@ func (c *ueCollector) start() {
 	c.macro = macro
 	c.registered = macro.Registered()
 	c.botMacro = macro
-	c.bottom = c.m.SubEntry(macro)
+	c.bottom = lte.SubEntry(macro)
 	for _, ev := range c.buf {
 		c.step(ev)
 	}
 	c.buf = nil
 }
 
-// finish completes the collection and returns the gathered quantities.
-func (c *ueCollector) finish() *ueQuantities {
+// finish completes the collection: a stable counting sort groups the
+// sample log by key into the UE's quantities. count is scratch of nQ·24
+// zeros, left zeroed.
+func (c *ueCollector) finish(count []int32) {
 	if !c.decided && len(c.buf) > 0 {
 		c.start()
 	}
-	return c.u
+	u := c.u
+	for _, k := range c.logKey {
+		count[k]++
+	}
+	var end int32
+	for k, n := range count {
+		if n > 0 {
+			u.keys = append(u.keys, uint16(k))
+			count[k] = end // the key's next write position
+			end += n
+			u.ends = append(u.ends, end)
+		}
+	}
+	u.vals = make([]float64, len(c.logVal))
+	for i, k := range c.logKey {
+		u.vals[count[k]] = c.logVal[i]
+		count[k]++
+	}
+	for _, k := range u.keys {
+		count[k] = 0
+	}
+	c.logKey, c.logVal = nil, nil
 }
 
-// step processes one event through all three quantity strands.
+// step processes one event through all four strands.
 func (c *ueCollector) step(ev trace.Event) {
 	h := ev.T.HourOfDay()
 	cell := ev.T.HourIndex()
@@ -138,8 +204,7 @@ func (c *ueCollector) step(ev trace.Event) {
 	if ev.Type.Valid() {
 		c.u.counts[h][ev.Type]++
 		if c.seen[ev.Type] && c.lastCellOfType[ev.Type] == cell {
-			c.u.add(h, Quantity{Kind: QInterArrival, Event: ev.Type},
-				(ev.T - c.lastOfType[ev.Type]).Seconds())
+			c.add(h, int(ev.Type), (ev.T - c.lastOfType[ev.Type]).Seconds())
 		}
 		c.lastOfType[ev.Type] = ev.T
 		c.lastCellOfType[ev.Type] = cell
@@ -161,64 +226,116 @@ func (c *ueCollector) step(ev trace.Event) {
 		// Macro-state and REGISTERED sojourns.
 		if next != c.macro {
 			if c.macroHas {
-				c.u.add(h, Quantity{Kind: QStateSojourn, State: c.macro}, (ev.T - c.macroAt).Seconds())
+				c.add(h, qStateBase+int(c.macro), (ev.T - c.macroAt).Seconds())
 			}
 			c.macro = next
 			c.macroAt, c.macroHas = ev.T, true
 		}
 		if next.Registered() != c.registered {
 			if c.regHas && c.registered {
-				c.u.add(h, Quantity{Kind: QRegisteredSojourn}, (ev.T - c.regAt).Seconds())
+				c.add(h, qReg, (ev.T - c.regAt).Seconds())
 			}
 			c.registered = next.Registered()
 			c.regAt, c.regHas = ev.T, true
 		}
+	}
 
-		// A macro change re-enters the sub-machine; the event is not a
-		// bottom-level transition then.
-		if next != c.botMacro {
-			c.botMacro = next
-			c.bottom = c.m.SubEntry(next)
-			c.botAt, c.botHas = ev.T, true
-			return
-		}
+	// Breakdown: a Category-1 event counts in the state it establishes,
+	// any other in the state current when it fires.
+	if ev.Type.Valid() {
+		c.u.macro[ev.Type][c.macro]++
+	}
+
+	// A macro change re-enters the sub-machine; the event is not a
+	// bottom-level transition then.
+	if sm.Category1(ev.Type) && c.macro != c.botMacro {
+		c.botMacro = c.macro
+		c.bottom = lte.SubEntry(c.macro)
+		c.botAt, c.botHas = ev.T, true
+		return
 	}
 
 	// Bottom-level transition sojourns on the two-level machine.
-	if to, ok := c.m.Next(c.bottom, ev.Type); ok && c.m.Top(to) == c.botMacro {
+	if to, ok := lte.Next(c.bottom, ev.Type); ok && lte.Top(to) == c.botMacro {
 		if c.botHas {
-			c.u.add(h, Quantity{Kind: QTransSojourn, From: c.bottom, Event: ev.Type},
-				(ev.T - c.botAt).Seconds())
+			c.add(h, qTransBase+int(c.bottom)*cp.NumEventTypes+int(ev.Type), (ev.T - c.botAt).Seconds())
 		}
 		c.bottom = to
 		c.botAt, c.botHas = ev.T, true
 	}
 }
 
-// collectUE walks one UE's time-ordered events and gathers every fitted
-// quantity: per-type inter-arrivals, macro-state sojourns (including the
-// REGISTERED macro state), and the two-level machine's bottom-transition
-// sojourns.
-func collectUE(evs []trace.Event) *ueQuantities {
-	if len(evs) == 0 {
-		return &ueQuantities{samples: make(map[hourQuantity][]float64)}
-	}
-	c := newUECollector()
-	for _, ev := range evs {
-		c.push(ev)
-	}
-	return c.finish()
-}
-
-// collected holds every UE's gathered quantities, grouped by device and
-// aligned with the ascending UE lists, plus the trace's day span — the
-// shared input of the pass-rate sweep and sample pooling, however the
-// events arrived.
-type collected struct {
+// Collection is one pass's worth of per-UE statistics over a trace: every
+// UE's fitted quantities, event counts and macro-state breakdown,
+// grouped by device in ascending UE order, plus the trace's day span. It
+// is the input of every per-UE table: PassRates, QuantitySamples,
+// ComputeBreakdown, EventsPerUE, StateSojourns, ComputeMicroDistances
+// and ActivitySplit.
+type Collection struct {
 	ues  [cp.NumDeviceTypes][]cp.UEID
 	data [cp.NumDeviceTypes][]*ueQuantities
 	days int
 }
+
+// Collect gathers every UE's statistics in one pass over a source: one
+// Devices and one ScanBatches, each UE's events fed to its own
+// incremental collector as they interleave in time order, so the event
+// sequence is never held (peak memory is the samples, not the trace). A
+// *trace.Trace is a source too. A scan error — trace.ErrNotCanonical
+// from a file out of canonical order among them — is returned as is.
+func Collect(src trace.EventSource) (*Collection, error) {
+	col := &Collection{}
+	index := make(map[cp.UEID]int32)
+	var devs []cp.DeviceType
+	err := src.Devices(func(ue cp.UEID, d cp.DeviceType) error {
+		if !d.Valid() {
+			return fmt.Errorf("eval: UE %d has invalid device %d", ue, d)
+		}
+		if _, dup := index[ue]; dup {
+			return fmt.Errorf("eval: duplicate registration for UE %d", ue)
+		}
+		index[ue] = int32(len(devs))
+		devs = append(devs, d)
+		col.ues[d] = append(col.ues[d], ue)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	quantities := make([]ueQuantities, len(devs))
+	colls := make([]ueCollector, len(devs))
+	for i, d := range devs {
+		colls[i].u = &quantities[i]
+		col.data[d] = append(col.data[d], &quantities[i])
+	}
+	var hi cp.Millis // one past the latest event, as Trace.Span reports it
+	err = src.ScanBatches(func(b *trace.Batch) error {
+		for i, ue := range b.UE {
+			k, ok := index[ue]
+			if !ok {
+				return fmt.Errorf("eval: event for unregistered UE %d", ue)
+			}
+			ev := trace.Event{T: b.T[i], UE: ue, Type: b.Type[i]}
+			colls[k].push(ev)
+			if ev.T >= hi {
+				hi = ev.T + 1
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	count := make([]int32, 24*nQ)
+	for i := range colls {
+		colls[i].finish(count)
+	}
+	col.days = spanDays(hi)
+	return col, nil
+}
+
+// UEs returns the collected UEs of device type d, in ascending order.
+func (col *Collection) UEs(d cp.DeviceType) []cp.UEID { return col.ues[d] }
 
 func spanDays(hi cp.Millis) int {
 	days := int((hi + cp.Day - 1) / cp.Day)
@@ -228,80 +345,8 @@ func spanDays(hi cp.Millis) int {
 	return days
 }
 
-// collectTrace gathers every UE of an in-memory trace concurrently.
-func collectTrace(tr *trace.Trace, workers int) *collected {
-	_, hi := tr.Span()
-	col := &collected{days: spanDays(hi)}
-	perUE := tr.PerUE()
-	for _, d := range cp.DeviceTypes {
-		ues := tr.UEsOfType(d)
-		data := make([]*ueQuantities, len(ues))
-		par.For(len(ues), workers, func(i int) {
-			data[i] = collectUE(perUE[ues[i]])
-		})
-		col.ues[d], col.data[d] = ues, data
-	}
-	return col
-}
-
-// collectSource gathers every UE's quantities in one pass over a
-// streaming source: each UE gets an incremental collector fed as its
-// events interleave in global time order, so the full event list is
-// never materialized (peak memory is the collectors' samples, not the
-// trace).
-func collectSource(src trace.EventSource) (*collected, error) {
-	devOf := make(map[cp.UEID]cp.DeviceType)
-	col := &collected{}
-	err := src.Devices(func(ue cp.UEID, d cp.DeviceType) error {
-		if !d.Valid() {
-			return fmt.Errorf("eval: UE %d has invalid device %d", ue, d)
-		}
-		if _, dup := devOf[ue]; dup {
-			return fmt.Errorf("eval: duplicate registration for UE %d", ue)
-		}
-		devOf[ue] = d
-		col.ues[d] = append(col.ues[d], ue)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	colls := make(map[cp.UEID]*ueCollector, len(devOf))
-	var hi cp.Millis
-	err = src.ScanBatches(trace.Unbatch(func(ev trace.Event) error {
-		if _, ok := devOf[ev.UE]; !ok {
-			return fmt.Errorf("eval: event for unregistered UE %d", ev.UE)
-		}
-		c := colls[ev.UE]
-		if c == nil {
-			c = newUECollector()
-			colls[ev.UE] = c
-		}
-		c.push(ev)
-		if ev.T > hi {
-			hi = ev.T
-		}
-		return nil
-	}))
-	if err != nil {
-		return nil, err
-	}
-	col.days = spanDays(hi)
-	for _, d := range cp.DeviceTypes {
-		data := make([]*ueQuantities, len(col.ues[d]))
-		for i, ue := range col.ues[d] {
-			if c := colls[ue]; c != nil {
-				data[i] = c.finish()
-			}
-		}
-		col.data[d] = data
-	}
-	return col, nil
-}
-
 // pool gathers each quantity's samples across all hours of the given
-// UEs (ascending UE id, a nil entry for a UE without events): result[i]
-// holds the samples of qs[i].
+// UEs: result[i] holds the samples of qs[i].
 func pool(data []*ueQuantities, qs []Quantity) [][]float64 {
 	out := make([][]float64, len(qs))
 	for i, q := range qs {
@@ -315,21 +360,9 @@ func pool(data []*ueQuantities, qs []Quantity) [][]float64 {
 }
 
 // QuantitySamples pools each quantity's samples across all hours and all
-// UEs of a device type, from one collection of the trace: result[i]
-// holds the samples of qs[i]. UEs are collected concurrently and pooled
-// in ascending UE-id order, so the sample sequence — and any float
-// reduction downstream of it — is reproducible.
-func QuantitySamples(tr *trace.Trace, d cp.DeviceType, qs []Quantity) [][]float64 {
-	return pool(collectTrace(tr, 0).data[d], qs)
-}
-
-// QuantitySamplesSource pools the same samples QuantitySamples would,
-// but from a streaming source in one pass for all the quantities,
-// without materializing the trace.
-func QuantitySamplesSource(src trace.EventSource, d cp.DeviceType, qs []Quantity) ([][]float64, error) {
-	col, err := collectSource(src)
-	if err != nil {
-		return nil, err
-	}
-	return pool(col.data[d], qs), nil
+// UEs of a device type: result[i] holds the samples of qs[i], in
+// ascending UE-id order, so the sample sequence — and any float reduction
+// downstream of it — is reproducible.
+func QuantitySamples(col *Collection, d cp.DeviceType, qs []Quantity) [][]float64 {
+	return pool(col.data[d], qs)
 }

@@ -23,10 +23,20 @@ func worldTrace(t *testing.T, n int, dur cp.Millis, seed uint64) *trace.Trace {
 	return tr
 }
 
+// mustCollect collects a source, failing the test on an error.
+func mustCollect(t testing.TB, src trace.EventSource) *Collection {
+	t.Helper()
+	col, err := Collect(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
+}
+
 func TestComputeBreakdownSharesSumToOne(t *testing.T) {
-	tr := worldTrace(t, 200, 4*cp.Hour, 1)
+	col := mustCollect(t, worldTrace(t, 200, 4*cp.Hour, 1))
 	for _, d := range cp.DeviceTypes {
-		b := ComputeBreakdown(tr, d)
+		b := ComputeBreakdown(col, d)
 		if b.Total == 0 {
 			t.Fatalf("%v: no events", d)
 		}
@@ -54,7 +64,7 @@ func TestComputeBreakdownHandBuilt(t *testing.T) {
 	add(2, cp.S1ConnRelease)
 	add(3, cp.TrackingAreaUpdate) // IDLE
 	add(4, cp.S1ConnRelease)      // TAU release, IDLE
-	b := ComputeBreakdown(tr, cp.Phone)
+	b := ComputeBreakdown(mustCollect(t, tr), cp.Phone)
 	if b.Total != 5 {
 		t.Fatalf("total = %d", b.Total)
 	}
@@ -123,7 +133,7 @@ func TestEventsPerUEIncludesSilent(t *testing.T) {
 	tr.SetDevice(1, cp.Phone)
 	tr.SetDevice(2, cp.Phone)
 	tr.Append(trace.Event{T: 1, UE: 1, Type: cp.ServiceRequest})
-	counts := EventsPerUE(tr, cp.Phone, cp.ServiceRequest)
+	counts := EventsPerUE(mustCollect(t, tr), cp.Phone, cp.ServiceRequest)
 	if len(counts) != 2 {
 		t.Fatalf("counts = %v", counts)
 	}
@@ -142,24 +152,25 @@ func TestStateSojourns(t *testing.T) {
 	add(0, cp.Attach)
 	add(10, cp.S1ConnRelease)
 	add(40, cp.ServiceRequest)
-	so := StateSojourns(tr, cp.Phone, cp.StateConnected)
+	col := mustCollect(t, tr)
+	so := StateSojourns(col, cp.Phone, cp.StateConnected)
 	if len(so) != 1 || so[0] != 10 {
 		t.Fatalf("connected = %v", so)
 	}
-	so = StateSojourns(tr, cp.Phone, cp.StateIdle)
+	so = StateSojourns(col, cp.Phone, cp.StateIdle)
 	if len(so) != 1 || so[0] != 30 {
 		t.Fatalf("idle = %v", so)
 	}
 }
 
 func TestComputeMicroDistancesSelfIsSmall(t *testing.T) {
-	tr := worldTrace(t, 300, 3*cp.Hour, 4)
-	d := ComputeMicroDistances(tr, tr, cp.Phone)
+	col := mustCollect(t, worldTrace(t, 300, 3*cp.Hour, 4))
+	d := ComputeMicroDistances(col, col, cp.Phone)
 	if d.SrvReqPerUE != 0 || d.Connected != 0 {
 		t.Fatalf("self-distance = %+v", d)
 	}
-	other := worldTrace(t, 300, 3*cp.Hour, 5)
-	d2 := ComputeMicroDistances(tr, other, cp.Phone)
+	other := mustCollect(t, worldTrace(t, 300, 3*cp.Hour, 5))
+	d2 := ComputeMicroDistances(col, other, cp.Phone)
 	// Two draws from the same world should be close but nonzero.
 	if d2.SrvReqPerUE <= 0 || d2.SrvReqPerUE > 0.2 {
 		t.Fatalf("cross-seed SRV_REQ distance = %v", d2.SrvReqPerUE)
@@ -167,8 +178,8 @@ func TestComputeMicroDistancesSelfIsSmall(t *testing.T) {
 }
 
 func TestActivitySplit(t *testing.T) {
-	tr := worldTrace(t, 300, 2*cp.Hour, 6)
-	in, act := ActivitySplit(tr, tr, cp.ConnectedCar, cp.ServiceRequest)
+	col := mustCollect(t, worldTrace(t, 300, 2*cp.Hour, 6))
+	in, act := ActivitySplit(col, col, cp.ConnectedCar, cp.ServiceRequest)
 	if in != 0 || act != 0 {
 		t.Fatalf("self split = %v, %v", in, act)
 	}
@@ -214,7 +225,14 @@ func TestCollectUEQuantities(t *testing.T) {
 		{T: cp.MillisFromSeconds(80), UE: 1, Type: cp.ServiceRequest},
 		{T: cp.MillisFromSeconds(90), UE: 1, Type: cp.Detach},
 	}
-	u := collectUE(evs)
+	tr := trace.New()
+	if err := tr.SetDevice(1, cp.Phone); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		tr.Append(ev)
+	}
+	u := mustCollect(t, tr).data[cp.Phone][0]
 	// HO inter-arrival: 3 s.
 	ho := u.at(0, Quantity{Kind: QInterArrival, Event: cp.Handover})
 	if len(ho) != 1 || ho[0] != 3 {
@@ -254,8 +272,8 @@ func TestPassRatesRejectPoissonOnWorldTraffic(t *testing.T) {
 	// The paper's core negative result: classic distributions fail.
 	// A full day is needed so every device type has busy hours — K-S
 	// has no power against near-empty night-time samples.
-	tr := worldTrace(t, 400, cp.Day, 7)
-	rates := PassRates(tr, Table8Quantities(), FitTestOptions{MinSamples: 30})
+	col := mustCollect(t, worldTrace(t, 400, cp.Day, 7))
+	rates := PassRates(col, Table8Quantities(), FitTestOptions{MinSamples: 30})
 	srv := Quantity{Kind: QInterArrival, Event: cp.ServiceRequest}
 	idle := Quantity{Kind: QStateSojourn, State: cp.StateIdle}
 	for _, d := range []cp.DeviceType{cp.Phone, cp.ConnectedCar} {
@@ -274,8 +292,8 @@ func TestPassRatesRejectPoissonOnWorldTraffic(t *testing.T) {
 }
 
 func TestPassRatesClusteredRuns(t *testing.T) {
-	tr := worldTrace(t, 300, 3*cp.Hour, 8)
-	rates := PassRates(tr, []Quantity{{Kind: QInterArrival, Event: cp.ServiceRequest}},
+	col := mustCollect(t, worldTrace(t, 300, 3*cp.Hour, 8))
+	rates := PassRates(col, []Quantity{{Kind: QInterArrival, Event: cp.ServiceRequest}},
 		FitTestOptions{Clustered: true, Cluster: cluster.Options{ThetaN: 30}})
 	r := rates[PoissonKS][cp.Phone][Quantity{Kind: QInterArrival, Event: cp.ServiceRequest}]
 	if math.IsNaN(r) {
@@ -290,10 +308,10 @@ func TestPassRatesClusteredRuns(t *testing.T) {
 // the same rates for any worker count — same rule as the fitting and
 // generation pipelines.
 func TestPassRatesDeterministicAcrossWorkers(t *testing.T) {
-	tr := worldTrace(t, 200, 3*cp.Hour, 11)
+	col := mustCollect(t, worldTrace(t, 200, 3*cp.Hour, 11))
 	qs := Table8Quantities()
 	mk := func(w int) map[DistTest]map[cp.DeviceType]map[Quantity]float64 {
-		return PassRates(tr, qs, FitTestOptions{
+		return PassRates(col, qs, FitTestOptions{
 			Clustered: true, Cluster: cluster.Options{ThetaN: 30},
 			MinSamples: 8, Workers: w,
 		})
@@ -328,8 +346,7 @@ func TestVarianceTimeForBurstierThanPoisson(t *testing.T) {
 }
 
 func TestCDFvsPoissonRanges(t *testing.T) {
-	tr := worldTrace(t, 300, 6*cp.Hour, 10)
-	so := StateSojourns(tr, cp.Phone, cp.StateConnected)
+	so := StateSojourns(mustCollect(t, worldTrace(t, 300, 6*cp.Hour, 10)), cp.Phone, cp.StateConnected)
 	cmpResult, err := CDFvsPoisson(so)
 	if err != nil {
 		t.Fatal(err)
@@ -363,28 +380,45 @@ func (c *countingSource) ScanBatches(fn func(*trace.Batch) error) error {
 	return c.EventSource.ScanBatches(fn)
 }
 
-// TestSourceCollectionMatchesInMemory: the one-pass streaming collection
-// must reproduce the in-memory results exactly — pooled samples and
-// pass-rate tables alike — whether the source is the trace itself or a
-// binary file.
+// TestSourceCollectionMatchesInMemory: Collect makes one Devices and one
+// ScanBatches call, and gathers the same collection — hence the same
+// pooled samples and pass-rate tables — whether the source is the trace
+// itself or a binary or text file of it; and a joint QuantitySamples call
+// equals its single-quantity calls.
 func TestSourceCollectionMatchesInMemory(t *testing.T) {
 	tr := worldTrace(t, 120, 6*cp.Hour, 17)
-	path := filepath.Join(t.TempDir(), "trace.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	sources := map[string]trace.EventSource{"trace": tr}
+	for _, binary := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "trace")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := trace.WriteSource(f, tr, binary); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fileSrc, err := trace.NewFileSource(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[map[bool]string{true: "binary", false: "text"}[binary]] = fileSrc
 	}
-	if err := trace.WriteBinaryTrace(f, tr); err != nil {
-		t.Fatal(err)
+
+	want := mustCollect(t, tr)
+	for name, src := range sources {
+		counted := &countingSource{EventSource: src}
+		got := mustCollect(t, counted)
+		if counted.devices != 1 || counted.scans != 1 {
+			t.Errorf("%s: Collect took %d Devices and %d ScanBatches calls, want 1 and 1",
+				name, counted.devices, counted.scans)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the collection differs from the trace's", name)
+		}
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fileSrc, err := trace.NewFileSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := map[string]trace.EventSource{"trace": tr, "file": fileSrc}
 
 	qs := []Quantity{
 		{Kind: QInterArrival, Event: cp.ServiceRequest},
@@ -392,63 +426,22 @@ func TestSourceCollectionMatchesInMemory(t *testing.T) {
 		{Kind: QRegisteredSojourn},
 		{Kind: QTransSojourn, From: sm.LTESrvReqS, Event: cp.Handover},
 	}
-	// All four quantities come out of one collection — one Devices and
-	// one ScanBatches of the source — and each equals its single-quantity call.
-	all := QuantitySamples(tr, cp.Phone, qs)
+	all := QuantitySamples(want, cp.Phone, qs)
 	if len(all[0]) == 0 || len(all[1]) == 0 || len(all[2]) == 0 {
 		t.Fatal("the world produced no samples; the comparison is vacuous")
 	}
 	for i, q := range qs {
-		if one := QuantitySamples(tr, cp.Phone, []Quantity{q}); !reflect.DeepEqual(all[i], one[0]) {
+		if one := QuantitySamples(want, cp.Phone, []Quantity{q}); !reflect.DeepEqual(all[i], one[0]) {
 			t.Fatalf("QuantitySamples: %v differs between the joint and the single-quantity call", q)
-		}
-	}
-	for name, src := range sources {
-		counted := &countingSource{EventSource: src}
-		got, err := QuantitySamplesSource(counted, cp.Phone, qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if counted.devices != 1 || counted.scans != 1 {
-			t.Errorf("%s: %d quantities took %d Devices and %d ScanBatches calls, want 1 and 1",
-				name, len(qs), counted.devices, counted.scans)
-		}
-		for i, q := range qs {
-			if !reflect.DeepEqual(all[i], got[i]) {
-				t.Fatalf("%s: QuantitySamplesSource(%v) = %d samples, want %d (or order differs)",
-					name, q, len(got[i]), len(all[i]))
-			}
-		}
-	}
-
-	quantities := Table8Quantities()
-	opt := FitTestOptions{MinSamples: 8}
-	want := PassRates(tr, quantities, opt)
-	for name, src := range sources {
-		got, err := PassRatesSource(src, quantities, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for dt, byDev := range want {
-			for d, byQ := range byDev {
-				for q, w := range byQ {
-					g, ok := got[dt][d][q]
-					if !ok {
-						t.Fatalf("%s: missing rate for %v/%v/%v", name, dt, d, q)
-					}
-					if g != w && !(math.IsNaN(g) && math.IsNaN(w)) {
-						t.Fatalf("%s: rate %v/%v/%v = %v, want %v", name, dt, d, q, g, w)
-					}
-				}
-			}
 		}
 	}
 }
 
 // TestCollectorIncrementalMatchesBatch pushes interleaved multi-UE
-// events through per-UE collectors exactly as a Scan delivers them and
-// checks the corner cases the world never hits (no Category-1 event at
-// all, HO-only UEs, empty UEs).
+// events through Collect exactly as a scan delivers them and holds the
+// result to the oracle's walk of each UE's own list, on the corner cases
+// the world never hits (no Category-1 event at all, HO-only UEs, empty
+// UEs).
 func TestCollectorIncrementalMatchesBatch(t *testing.T) {
 	tr := trace.New()
 	for ue := cp.UEID(0); ue < 3; ue++ {
@@ -470,22 +463,5 @@ func TestCollectorIncrementalMatchesBatch(t *testing.T) {
 		tr.Append(ev)
 	}
 	tr.Sort()
-	col, err := collectSource(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perUE := tr.PerUE()
-	for i, ue := range tr.UEsOfType(cp.Phone) {
-		want := collectUE(perUE[ue])
-		got := col.data[cp.Phone][i]
-		if got == nil {
-			if len(want.samples) != 0 {
-				t.Fatalf("UE %d: streamed collector missing, batch has %d keys", ue, len(want.samples))
-			}
-			continue
-		}
-		if !reflect.DeepEqual(want.samples, got.samples) || want.counts != got.counts {
-			t.Fatalf("UE %d: streamed collection differs from batch", ue)
-		}
-	}
+	checkAgainstOracle(t, "interleaved", tr)
 }

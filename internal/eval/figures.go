@@ -7,11 +7,11 @@ import (
 	"cptraffic/internal/trace"
 )
 
-// PointProcess extracts the event times (seconds) of a quantity's point
+// pointProcess extracts the event times (seconds) of a quantity's point
 // process, pooled over the given UEs, for variance-time analysis:
 // for QInterArrival quantities the occurrences of the event type, for
 // QStateSojourn the completions of visits to the state.
-func PointProcess(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity) []float64 {
+func pointProcess(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity) []float64 {
 	var times []float64
 	per := tr.PerUE()
 	for _, ue := range tr.UEs() {
@@ -76,7 +76,7 @@ type VTComparison struct {
 // VarianceTimeFor computes a Figure 3 panel for one quantity over the
 // given UE subset (nil means all UEs) within [0, horizon).
 func VarianceTimeFor(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity, horizon cp.Millis) VTComparison {
-	times := PointProcess(tr, ues, q)
+	times := pointProcess(tr, ues, q)
 	horizonSec := horizon.Seconds()
 	opts := stats.VTOptions{}
 	obs := stats.VarianceTime(times, horizonSec, opts)

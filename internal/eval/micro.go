@@ -2,47 +2,31 @@ package eval
 
 import (
 	"cptraffic/internal/cp"
-	"cptraffic/internal/sm"
 	"cptraffic/internal/stats"
-	"cptraffic/internal/trace"
 )
 
 // EventsPerUE returns, for every UE of the device type (including silent
 // ones), its count of events of the given type — the sample behind the
 // per-UE CDFs of Table 5 and Figure 7.
-func EventsPerUE(tr *trace.Trace, d cp.DeviceType, e cp.EventType) []float64 {
-	ues := tr.UEsOfType(d)
-	idx := make(map[cp.UEID]int, len(ues))
-	for i, ue := range ues {
-		idx[ue] = i
-	}
-	counts := make([]float64, len(ues))
-	for _, ev := range tr.Events {
-		if ev.Type != e {
-			continue
+func EventsPerUE(col *Collection, d cp.DeviceType, e cp.EventType) []float64 {
+	counts := make([]float64, len(col.data[d]))
+	for i, u := range col.data[d] {
+		n := 0
+		for h := range u.counts {
+			n += int(u.counts[h][e])
 		}
-		if i, ok := idx[ev.UE]; ok {
-			counts[i]++
-		}
+		counts[i] = float64(n)
 	}
 	return counts
 }
 
 // StateSojourns pools the completed macro-state visit durations
 // (seconds) of all UEs of the device type — the sample behind the
-// CONNECTED/IDLE sojourn CDFs of Table 5.
-func StateSojourns(tr *trace.Trace, d cp.DeviceType, s cp.UEState) []float64 {
-	var out []float64
-	per := tr.PerUE()
-	for _, ue := range tr.UEs() {
-		evs := per[ue]
-		if tr.Device[ue] != d || len(evs) == 0 {
-			continue
-		}
-		so := sm.MacroSojourns(evs, sm.InferMacroInitial(evs))
-		out = append(out, so[s]...)
-	}
-	return out
+// CONNECTED/IDLE sojourn CDFs of Table 5. Each UE's visits come hour of
+// day by hour of day, so the pool is sm.MacroSojourns' multiset, not its
+// order.
+func StateSojourns(col *Collection, d cp.DeviceType, s cp.UEState) []float64 {
+	return pool(col.data[d], []Quantity{{Kind: QStateSojourn, State: s}})[0]
 }
 
 // MicroDistances is the Table 5 row set for one device type: maximum
@@ -56,9 +40,9 @@ type MicroDistances struct {
 	Idle        float64
 }
 
-// ComputeMicroDistances compares a synthesized trace against the real
-// one for one device type.
-func ComputeMicroDistances(real, syn *trace.Trace, d cp.DeviceType) MicroDistances {
+// ComputeMicroDistances compares a synthesized trace's collection against
+// the real one's for one device type.
+func ComputeMicroDistances(real, syn *Collection, d cp.DeviceType) MicroDistances {
 	return MicroDistances{
 		SrvReqPerUE: stats.MaxYDistance(
 			EventsPerUE(real, d, cp.ServiceRequest),
@@ -78,9 +62,9 @@ func ComputeMicroDistances(real, syn *trace.Trace, d cp.DeviceType) MicroDistanc
 // ActivitySplit computes Table 6: the per-UE event-count y-distance
 // separately for inactive UEs (at most two occurrences in the interval)
 // and active UEs (more than two), for one device and event type.
-func ActivitySplit(real, syn *trace.Trace, d cp.DeviceType, e cp.EventType) (inactive, active float64) {
-	split := func(tr *trace.Trace) (in, act []float64) {
-		for _, c := range EventsPerUE(tr, d, e) {
+func ActivitySplit(real, syn *Collection, d cp.DeviceType, e cp.EventType) (inactive, active float64) {
+	split := func(col *Collection) (in, act []float64) {
+		for _, c := range EventsPerUE(col, d, e) {
 			if c <= 2 {
 				in = append(in, c)
 			} else {

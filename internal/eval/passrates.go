@@ -9,7 +9,6 @@ import (
 	"cptraffic/internal/par"
 	"cptraffic/internal/sm"
 	"cptraffic/internal/stats"
-	"cptraffic/internal/trace"
 )
 
 // QuantityKind discriminates the per-UE quantities the paper fits.
@@ -190,36 +189,17 @@ type FitTestOptions struct {
 	// tested (default 8).
 	MinSamples int
 	// Workers bounds sweep concurrency; 0 means GOMAXPROCS. The
-	// independent per-UE collections, per-hour clusterings, and
-	// per-(hour, group) test units are distributed over the pool and
-	// reduced in deterministic order, so the worker count never changes
-	// the reported rates.
+	// independent per-hour clusterings and per-(hour, group) test units
+	// are distributed over the pool and reduced in deterministic order,
+	// so the worker count never changes the reported rates.
 	Workers int
 }
 
-// PassRates runs the goodness-of-fit sweep: for every (device type,
-// hour-of-day, UE group) unit and every quantity, the pooled sample is
-// fitted and tested against each distribution family; the result is the
-// fraction of units passing at the 5% level.
-func PassRates(tr *trace.Trace, quantities []Quantity, opt FitTestOptions) map[DistTest]map[cp.DeviceType]map[Quantity]float64 {
-	return passRatesSweep(collectTrace(tr, opt.Workers), quantities, opt)
-}
-
-// PassRatesSource runs the same sweep as PassRates from a streaming
-// source: the per-UE quantities are gathered in one pass over the
-// events, so the trace itself is never materialized. The rates are
-// identical to PassRates on the collected trace.
-func PassRatesSource(src trace.EventSource, quantities []Quantity, opt FitTestOptions) (map[DistTest]map[cp.DeviceType]map[Quantity]float64, error) {
-	col, err := collectSource(src)
-	if err != nil {
-		return nil, err
-	}
-	return passRatesSweep(col, quantities, opt), nil
-}
-
-// passRatesSweep is the shared back half of the sweep, independent of
-// how the per-UE quantities were collected.
-func passRatesSweep(col *collected, quantities []Quantity, opt FitTestOptions) map[DistTest]map[cp.DeviceType]map[Quantity]float64 {
+// PassRates runs the goodness-of-fit sweep over a collection: for every
+// (device type, hour-of-day, UE group) unit and every quantity, the
+// pooled sample is fitted and tested against each distribution family;
+// the result is the fraction of units passing at the 5% level.
+func PassRates(col *Collection, quantities []Quantity, opt FitTestOptions) map[DistTest]map[cp.DeviceType]map[Quantity]float64 {
 	if opt.MinSamples <= 0 {
 		opt.MinSamples = 8
 	}

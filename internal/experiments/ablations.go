@@ -22,7 +22,7 @@ func AblationClusterThresholds(l *Lab, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	realTr, err := l.RealScenario(1)
+	realCol, err := l.realCollection(1)
 	if err != nil {
 		return err
 	}
@@ -54,8 +54,12 @@ func AblationClusterThresholds(l *Lab, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		realB := eval.ComputeBreakdown(realTr, cp.Phone)
-		diff := eval.MaxAbsDiff(eval.BreakdownDiff(realB, eval.ComputeBreakdown(gen, cp.Phone)))
+		genCol, err := eval.Collect(gen)
+		if err != nil {
+			return err
+		}
+		realB := eval.ComputeBreakdown(realCol, cp.Phone)
+		diff := eval.MaxAbsDiff(eval.BreakdownDiff(realB, eval.ComputeBreakdown(genCol, cp.Phone)))
 		personas := 0
 		if dm := ms.Device(cp.Phone); dm != nil {
 			personas = len(dm.Personas)
@@ -73,11 +77,11 @@ func AblationClusterThresholds(l *Lab, w io.Writer) error {
 // sojourn sample — the compression/fidelity trade-off of the empirical
 // CDF storage.
 func AblationTableResolution(l *Lab, w io.Writer) error {
-	tr, err := l.Train()
+	col, err := l.trainCollection()
 	if err != nil {
 		return err
 	}
-	xs := eval.StateSojourns(tr, cp.Phone, cp.StateConnected)
+	xs := eval.StateSojourns(col, cp.Phone, cp.StateConnected)
 	if len(xs) < 100 {
 		return fmt.Errorf("experiments: too few CONNECTED sojourns (%d)", len(xs))
 	}
@@ -110,7 +114,7 @@ func AblationTwoLevelVsFlat(l *Lab, w io.Writer) error {
 		return err
 	}
 	for _, m := range baseline.Methods {
-		gen, err := l.Generated(m, 1)
+		gen, err := l.generatedCollection(m, 1)
 		if err != nil {
 			return err
 		}
@@ -134,7 +138,7 @@ func AblationTwoLevelVsFlat(l *Lab, w io.Writer) error {
 func HOIdleLeak(l *Lab) (map[string]float64, error) {
 	out := map[string]float64{}
 	for _, m := range baseline.Methods {
-		gen, err := l.Generated(m, 1)
+		gen, err := l.generatedCollection(m, 1)
 		if err != nil {
 			return nil, err
 		}

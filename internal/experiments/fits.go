@@ -95,22 +95,22 @@ func passRateTable(w io.Writer, title string, qs []eval.Quantity,
 
 // Table8 runs the goodness-of-fit sweep without clustering.
 func Table8(l *Lab, w io.Writer) error {
-	tr, err := l.Train()
+	col, err := l.trainCollection()
 	if err != nil {
 		return err
 	}
-	rates := eval.PassRates(tr, eval.Table8Quantities(), eval.FitTestOptions{MinSamples: 30, Workers: l.Cfg.Workers})
+	rates := eval.PassRates(col, eval.Table8Quantities(), eval.FitTestOptions{MinSamples: 30, Workers: l.Cfg.Workers})
 	return passRateTable(w, "Table 8 — % of 1-hour intervals passing, no clustering",
 		eval.Table8Quantities(), rates)
 }
 
 // Table9 runs the sweep with the adaptive clustering.
 func Table9(l *Lab, w io.Writer) error {
-	tr, err := l.Train()
+	col, err := l.trainCollection()
 	if err != nil {
 		return err
 	}
-	rates := eval.PassRates(tr, eval.Table8Quantities(),
+	rates := eval.PassRates(col, eval.Table8Quantities(),
 		eval.FitTestOptions{Clustered: true, Cluster: l.ClusterOptions(), MinSamples: 30, Workers: l.Cfg.Workers})
 	return passRateTable(w, "Table 9 — % of 1-hour intervals passing, with adaptive clustering",
 		eval.Table8Quantities(), rates)
@@ -118,11 +118,11 @@ func Table9(l *Lab, w io.Writer) error {
 
 // Table10 runs the sweep over the nine second-level transitions.
 func Table10(l *Lab, w io.Writer) error {
-	tr, err := l.Train()
+	col, err := l.trainCollection()
 	if err != nil {
 		return err
 	}
-	rates := eval.PassRates(tr, eval.Table10Quantities(),
+	rates := eval.PassRates(col, eval.Table10Quantities(),
 		eval.FitTestOptions{Clustered: true, Cluster: l.ClusterOptions(), MinSamples: 30, Workers: l.Cfg.Workers})
 	return passRateTable(w, "Table 10 — % of intervals passing, second-level transitions",
 		eval.Table10Quantities(), rates)
@@ -132,13 +132,13 @@ func Table10(l *Lab, w io.Writer) error {
 // quantity, averaged over device types — the reproduction's headline
 // negative result.
 func PoissonPassRate(l *Lab, q eval.Quantity) (float64, error) {
-	tr, err := l.Train()
+	col, err := l.trainCollection()
 	if err != nil {
 		return 0, err
 	}
 	// Only well-powered units count: K-S cannot reject anything on a
 	// handful of samples, and the paper's units pooled thousands.
-	rates := eval.PassRates(tr, []eval.Quantity{q},
+	rates := eval.PassRates(col, []eval.Quantity{q},
 		eval.FitTestOptions{Clustered: true, Cluster: l.ClusterOptions(), MinSamples: 40, Workers: l.Cfg.Workers})
 	var sum float64
 	n := 0
@@ -212,12 +212,12 @@ func Figure3Gaps(l *Lab) (map[string]float64, error) {
 // same four quantities on phones, and prints the observed-vs-fitted
 // value ranges the paper quotes.
 func Figure4(l *Lab, w io.Writer) error {
-	tr, err := l.Train()
+	col, err := l.trainCollection()
 	if err != nil {
 		return err
 	}
 	qs := figure34Quantities()
-	for i, xs := range eval.QuantitySamples(tr, cp.Phone, qs) {
+	for i, xs := range eval.QuantitySamples(col, cp.Phone, qs) {
 		q := qs[i]
 		if len(xs) < 2 {
 			continue
@@ -238,13 +238,13 @@ func Figure4(l *Lab, w io.Writer) error {
 
 // Figure4Ranges returns (observed max / fitted max) per panel.
 func Figure4Ranges(l *Lab) (map[string]float64, error) {
-	tr, err := l.Train()
+	col, err := l.trainCollection()
 	if err != nil {
 		return nil, err
 	}
 	out := map[string]float64{}
 	qs := figure34Quantities()
-	for i, xs := range eval.QuantitySamples(tr, cp.Phone, qs) {
+	for i, xs := range eval.QuantitySamples(col, cp.Phone, qs) {
 		q := qs[i]
 		if len(xs) < 2 {
 			continue

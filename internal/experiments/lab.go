@@ -17,6 +17,7 @@ import (
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/core"
 	"cptraffic/internal/cp"
+	"cptraffic/internal/eval"
 	"cptraffic/internal/trace"
 	"cptraffic/internal/world"
 )
@@ -61,7 +62,8 @@ func DefaultConfig() Config {
 }
 
 // Lab lazily builds and caches the shared fixtures: the training world,
-// the validation worlds, and the four fitted models.
+// the validation worlds, the four fitted models, and the per-UE
+// collection of every trace an experiment reads through eval.
 type Lab struct {
 	Cfg Config
 
@@ -72,11 +74,14 @@ type Lab struct {
 	models map[string]*core.ModelSet // guarded by mu
 	genS1  map[string]*trace.Trace   // guarded by mu
 	genS2  map[string]*trace.Trace   // guarded by mu
+
+	collections map[*trace.Trace]*eval.Collection // guarded by mu
 }
 
 // NewLab returns an empty lab for the configuration.
 func NewLab(cfg Config) *Lab {
-	return &Lab{Cfg: cfg, genS1: map[string]*trace.Trace{}, genS2: map[string]*trace.Trace{}}
+	return &Lab{Cfg: cfg, genS1: map[string]*trace.Trace{}, genS2: map[string]*trace.Trace{},
+		collections: map[*trace.Trace]*eval.Collection{}}
 }
 
 // ClusterOptions returns the scaled adaptive-clustering options.
@@ -137,6 +142,48 @@ func (l *Lab) RealScenario(n int) (*trace.Trace, error) {
 		*cached = full.Slice(h, h+cp.Hour)
 	}
 	return *cached, nil
+}
+
+// collect returns (and caches) the collection of one of the lab's
+// traces, so each trace is collected once however many tables read it.
+func (l *Lab) collect(tr *trace.Trace) (*eval.Collection, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if col, ok := l.collections[tr]; ok {
+		return col, nil
+	}
+	col, err := eval.Collect(tr)
+	if err != nil {
+		return nil, err
+	}
+	l.collections[tr] = col
+	return col, nil
+}
+
+// trainCollection, realCollection and generatedCollection are the
+// collections of Train, RealScenario and Generated.
+func (l *Lab) trainCollection() (*eval.Collection, error) {
+	tr, err := l.Train()
+	if err != nil {
+		return nil, err
+	}
+	return l.collect(tr)
+}
+
+func (l *Lab) realCollection(scenario int) (*eval.Collection, error) {
+	tr, err := l.RealScenario(scenario)
+	if err != nil {
+		return nil, err
+	}
+	return l.collect(tr)
+}
+
+func (l *Lab) generatedCollection(method string, scenario int) (*eval.Collection, error) {
+	tr, err := l.Generated(method, scenario)
+	if err != nil {
+		return nil, err
+	}
+	return l.collect(tr)
 }
 
 // Models fits (once) and returns the four Table 3 methods on the

@@ -40,7 +40,7 @@ func Table1(l *Lab, w io.Writer) error {
 // 1): signed differences between the real busy-hour breakdown and each
 // method's synthesized breakdown, per device type.
 func BreakdownTable(l *Lab, w io.Writer, scenario int) error {
-	realTr, err := l.RealScenario(scenario)
+	realCol, err := l.realCollection(scenario)
 	if err != nil {
 		return err
 	}
@@ -54,10 +54,10 @@ func BreakdownTable(l *Lab, w io.Writer, scenario int) error {
 		Header: []string{"Device", "Row", "Real", "Base", "V1", "V2", "Ours"},
 	}
 	for _, d := range cp.DeviceTypes {
-		realB := eval.ComputeBreakdown(realTr, d)
+		realB := eval.ComputeBreakdown(realCol, d)
 		diffs := map[string]map[string]float64{}
 		for _, m := range baseline.Methods {
-			gen, err := l.Generated(m, scenario)
+			gen, err := l.generatedCollection(m, scenario)
 			if err != nil {
 				return err
 			}
@@ -79,19 +79,19 @@ func BreakdownTable(l *Lab, w io.Writer, scenario int) error {
 // per device type — the comparison the reproduction must preserve:
 // ours <= v2 < v1 < base.
 func BreakdownErrors(l *Lab, scenario int) (map[string]map[cp.DeviceType]float64, error) {
-	realTr, err := l.RealScenario(scenario)
+	realCol, err := l.realCollection(scenario)
 	if err != nil {
 		return nil, err
 	}
 	out := map[string]map[cp.DeviceType]float64{}
 	for _, m := range baseline.Methods {
-		gen, err := l.Generated(m, scenario)
+		gen, err := l.generatedCollection(m, scenario)
 		if err != nil {
 			return nil, err
 		}
 		out[m] = map[cp.DeviceType]float64{}
 		for _, d := range cp.DeviceTypes {
-			realB := eval.ComputeBreakdown(realTr, d)
+			realB := eval.ComputeBreakdown(realCol, d)
 			out[m][d] = eval.MaxAbsDiff(eval.BreakdownDiff(realB, eval.ComputeBreakdown(gen, d)))
 		}
 	}

@@ -19,21 +19,21 @@ func Table5(l *Lab, w io.Writer) error {
 		Header: []string{"Scenario", "Device", "Row", "V2", "Ours"},
 	}
 	for _, scenario := range []int{1, 2} {
-		realTr, err := l.RealScenario(scenario)
+		realCol, err := l.realCollection(scenario)
 		if err != nil {
 			return err
 		}
 		for _, d := range cp.DeviceTypes {
-			v2Tr, err := l.Generated("v2", scenario)
+			v2Col, err := l.generatedCollection("v2", scenario)
 			if err != nil {
 				return err
 			}
-			oursTr, err := l.Generated("ours", scenario)
+			oursCol, err := l.generatedCollection("ours", scenario)
 			if err != nil {
 				return err
 			}
-			v2 := eval.ComputeMicroDistances(realTr, v2Tr, d)
-			ours := eval.ComputeMicroDistances(realTr, oursTr, d)
+			v2 := eval.ComputeMicroDistances(realCol, v2Col, d)
+			ours := eval.ComputeMicroDistances(realCol, oursCol, d)
 			sc := fmt.Sprintf("%d", scenario)
 			tbl.AddRow(sc, d.String(), "SRV_REQ", report.Pct(v2.SrvReqPerUE), report.Pct(ours.SrvReqPerUE))
 			tbl.AddRow(sc, d.String(), "S1_CONN_REL", report.Pct(v2.S1RelPerUE), report.Pct(ours.S1RelPerUE))
@@ -103,15 +103,15 @@ func ImprovementTable(l *Lab, w io.Writer) error {
 // MicroDistancesFor exposes the Table 5 cells for one scenario and
 // device, for programmatic checks.
 func MicroDistancesFor(l *Lab, scenario int, method string, d cp.DeviceType) (eval.MicroDistances, error) {
-	realTr, err := l.RealScenario(scenario)
+	realCol, err := l.realCollection(scenario)
 	if err != nil {
 		return eval.MicroDistances{}, err
 	}
-	gen, err := l.Generated(method, scenario)
+	gen, err := l.generatedCollection(method, scenario)
 	if err != nil {
 		return eval.MicroDistances{}, err
 	}
-	return eval.ComputeMicroDistances(realTr, gen, d), nil
+	return eval.ComputeMicroDistances(realCol, gen, d), nil
 }
 
 // Table6 regenerates the inactive/active UE split of the per-UE count
@@ -123,17 +123,17 @@ func Table6(l *Lab, w io.Writer) error {
 		Header: []string{"Scenario", "Row", "CC inact", "CC act", "T inact", "T act"},
 	}
 	for _, scenario := range []int{1, 2} {
-		realTr, err := l.RealScenario(scenario)
+		realCol, err := l.realCollection(scenario)
 		if err != nil {
 			return err
 		}
-		oursTr, err := l.Generated("ours", scenario)
+		oursCol, err := l.generatedCollection("ours", scenario)
 		if err != nil {
 			return err
 		}
 		for _, e := range []cp.EventType{cp.ServiceRequest, cp.S1ConnRelease} {
-			ccIn, ccAct := eval.ActivitySplit(realTr, oursTr, cp.ConnectedCar, e)
-			tIn, tAct := eval.ActivitySplit(realTr, oursTr, cp.Tablet, e)
+			ccIn, ccAct := eval.ActivitySplit(realCol, oursCol, cp.ConnectedCar, e)
+			tIn, tAct := eval.ActivitySplit(realCol, oursCol, cp.Tablet, e)
 			tbl.AddRow(fmt.Sprintf("%d", scenario), e.String(),
 				report.Pct(ccIn), report.Pct(ccAct), report.Pct(tIn), report.Pct(tAct))
 		}
@@ -144,24 +144,24 @@ func Table6(l *Lab, w io.Writer) error {
 // Figure7 exports the per-UE event-count CDFs (real vs base vs ours) for
 // every device type in scenario 2, as CSV series.
 func Figure7(l *Lab, w io.Writer) error {
-	realTr, err := l.RealScenario(2)
+	realCol, err := l.realCollection(2)
 	if err != nil {
 		return err
 	}
-	baseTr, err := l.Generated("base", 2)
+	baseCol, err := l.generatedCollection("base", 2)
 	if err != nil {
 		return err
 	}
-	oursTr, err := l.Generated("ours", 2)
+	oursCol, err := l.generatedCollection("ours", 2)
 	if err != nil {
 		return err
 	}
 	for _, d := range cp.DeviceTypes {
 		for _, e := range []cp.EventType{cp.ServiceRequest, cp.S1ConnRelease} {
 			fmt.Fprintf(w, "# Figure 7 — CDF of %s per UE, %s, scenario 2\n", e, d)
-			r := eval.ComputeCDF(eval.EventsPerUE(realTr, d, e))
-			b := eval.ComputeCDF(eval.EventsPerUE(baseTr, d, e))
-			o := eval.ComputeCDF(eval.EventsPerUE(oursTr, d, e))
+			r := eval.ComputeCDF(eval.EventsPerUE(realCol, d, e))
+			b := eval.ComputeCDF(eval.EventsPerUE(baseCol, d, e))
+			o := eval.ComputeCDF(eval.EventsPerUE(oursCol, d, e))
 			if err := report.Series(w,
 				[]string{"x_real", "F_real", "x_base", "F_base", "x_ours", "F_ours"},
 				r.X, r.F, b.X, b.F, o.X, o.F); err != nil {

@@ -44,23 +44,20 @@ var reachAllow = map[string]string{
 	"cptraffic/internal/experiments.HOIdleLeak":         shapeMetric,
 	"cptraffic/internal/experiments.PoissonPassRate":    shapeMetric,
 	"cptraffic/internal/mcn.NFLoadSeries":               worklist,
+	"cptraffic/internal/sm.MacroBreakdown":              "oracle shared by eval, world and core tests",
+	"cptraffic/internal/sm.MacroSojourns":               "oracle shared by eval and sm tests",
 	"cptraffic/internal/stats.CountSeries":              worklist,
-	"cptraffic/internal/stats.FitLognormal":             worklist,
 	"cptraffic/internal/stats.HurstRS":                  worklist,
-	"cptraffic/internal/stats.Lognormal.Quantile":       distQuantile,
-	"cptraffic/internal/stats.Pareto.Quantile":          distQuantile,
 	"cptraffic/internal/stats.RNG.Intn":                 "the seeded integer draw of tests in five packages",
 	"cptraffic/internal/stats.RNG.Shuffle":              "the seeded shuffle of the cluster and stats tests",
 	"cptraffic/internal/stats.SketchErrorBound":         "the documented error bound of a sketched fit, which the core and stats tests hold it to",
-	"cptraffic/internal/stats.Weibull.Quantile":         distQuantile,
 	"cptraffic/internal/trace.Trace.Append":             "builds the event-by-event trace fixtures of tests in four packages",
 	"cptraffic/internal/trace.batchingSink.SetDevice":   "BatchSink's method set; the adapter goes with ROADMAP item 5(d)",
 }
 
 const (
-	shapeMetric  = "a paper-shape metric experiments_test holds; the fidelity ledger (ROADMAP item 1) will record it"
-	worklist     = "ROADMAP item 1(e)'s worklist: goes in the change that also deletes its tests, its only callers"
-	distQuantile = "Dist's method set, though no program calls Dist.Quantile; goes with that method"
+	shapeMetric = "a paper-shape metric experiments_test holds; the fidelity ledger (ROADMAP item 1) will record it"
+	worklist    = "ROADMAP item 1(e)'s worklist: goes in the change that also deletes its tests, its only callers"
 )
 
 // stdDispatch names the standard-library interfaces whose methods the

@@ -7,13 +7,10 @@ import (
 )
 
 // Dist is a continuous probability distribution over non-negative reals.
-// Every model distribution in the library satisfies it; inverse-transform
-// sampling via Quantile is how the generators draw sojourn times.
+// Every model distribution in the library satisfies it.
 type Dist interface {
 	// CDF returns P(X <= x).
 	CDF(x float64) float64
-	// Quantile returns inf{x : CDF(x) >= p} for p in [0,1].
-	Quantile(p float64) float64
 	// Mean returns E[X] (may be +Inf, e.g. Pareto with alpha <= 1).
 	Mean() float64
 	// String describes the distribution and its parameters.
@@ -65,17 +62,6 @@ func (p Pareto) CDF(x float64) float64 {
 	return 1 - math.Pow(p.Xm/x, p.Alpha)
 }
 
-// Quantile returns xm / (1-q)^(1/alpha).
-func (p Pareto) Quantile(q float64) float64 {
-	switch {
-	case q <= 0:
-		return p.Xm
-	case q >= 1:
-		return math.Inf(1)
-	}
-	return p.Xm / math.Pow(1-q, 1/p.Alpha)
-}
-
 // Mean returns alpha*xm/(alpha-1) for alpha > 1, +Inf otherwise.
 func (p Pareto) Mean() float64 {
 	if p.Alpha <= 1 {
@@ -100,94 +86,10 @@ func (w Weibull) CDF(x float64) float64 {
 	return -math.Expm1(-math.Pow(x/w.Lambda, w.K))
 }
 
-// Quantile returns lambda * (-ln(1-p))^(1/k).
-func (w Weibull) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return math.Inf(1)
-	}
-	return w.Lambda * math.Pow(-math.Log1p(-p), 1/w.K)
-}
-
 // Mean returns lambda * Gamma(1 + 1/k).
 func (w Weibull) Mean() float64 { return w.Lambda * math.Gamma(1+1/w.K) }
 
 func (w Weibull) String() string { return fmt.Sprintf("Weibull(k=%.6g, λ=%.6g)", w.K, w.Lambda) }
-
-// Lognormal is the log-normal distribution: ln X ~ N(Mu, Sigma²).
-type Lognormal struct {
-	Mu    float64
-	Sigma float64
-}
-
-// CDF returns Phi((ln x - mu)/sigma).
-func (l Lognormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return normCDF((math.Log(x) - l.Mu) / l.Sigma)
-}
-
-// Quantile returns exp(mu + sigma * Phi^-1(p)).
-func (l Lognormal) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return math.Inf(1)
-	}
-	return math.Exp(l.Mu + l.Sigma*NormQuantile(p))
-}
-
-// Mean returns exp(mu + sigma²/2).
-func (l Lognormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-func (l Lognormal) String() string { return fmt.Sprintf("Lognormal(μ=%.6g, σ=%.6g)", l.Mu, l.Sigma) }
-
-// normCDF is the standard normal CDF via the complementary error function.
-func normCDF(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
-
-// NormQuantile is the standard normal inverse CDF (Acklam's rational
-// approximation, relative error below 1.15e-9 — ample for sampling and
-// fitting).
-func NormQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02,
-		-2.759285104469687e+02, 1.383577518672690e+02,
-		-3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02,
-		-1.556989798598866e+02, 6.680131188771972e+01,
-		-1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01,
-		-2.400758277161838e+00, -2.549732539343734e+00,
-		4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01,
-		2.445134137142996e+00, 3.754408661907416e+00}
-
-	const plow, phigh = 0.02425, 1 - 0.02425
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p > phigh:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	default:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	}
-}
 
 // Empirical is the empirical distribution of a sample, in the spirit of
 // the Tcplib library: CDF steps through the sorted sample; Quantile

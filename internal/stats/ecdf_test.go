@@ -29,7 +29,7 @@ func TestMaxYDistanceToDist(t *testing.T) {
 }
 
 func TestQuantileTableApproximatesSample(t *testing.T) {
-	xs := sampleN(Lognormal{Mu: 1, Sigma: 1}, 5000, 12)
+	xs := lognormalN(1, 1, 5000, 12)
 	qt := NewQuantileTable(xs)
 	if !qt.Valid() {
 		t.Fatal("table invalid")
@@ -123,7 +123,7 @@ func TestNewQuantileTablePanics(t *testing.T) {
 
 func TestQuantileTableSamplingPreservesDistribution(t *testing.T) {
 	// Draw from the table; the draws should be K-S-close to the original.
-	src := sampleN(Weibull{K: 0.9, Lambda: 3}, 5000, 14)
+	src := sampleN(weibullInv{Weibull{K: 0.9, Lambda: 3}}, 5000, 14)
 	qt := NewQuantileTable(src)
 	r := NewRNG(15)
 	ys := make([]float64, 5000)

@@ -152,28 +152,6 @@ func FitWeibull(xs []float64) (Weibull, error) {
 	return Weibull{K: k, Lambda: lambda}, nil
 }
 
-// FitLognormal returns the maximum-likelihood log-normal distribution:
-// mu and sigma are the mean and standard deviation of ln(x). Non-positive
-// samples are rejected.
-func FitLognormal(xs []float64) (Lognormal, error) {
-	if len(xs) < 2 {
-		return Lognormal{}, ErrTooFewSamples
-	}
-	logs := make([]float64, len(xs))
-	for i, x := range xs {
-		if x <= 0 {
-			return Lognormal{}, ErrDegenerate
-		}
-		logs[i] = math.Log(x)
-	}
-	mu := Mean(logs)
-	sigma := math.Sqrt(PopVariance(logs))
-	if sigma <= 0 {
-		return Lognormal{}, ErrDegenerate
-	}
-	return Lognormal{Mu: mu, Sigma: sigma}, nil
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -23,11 +23,10 @@ func TestKSTestAcceptsTrueDistribution(t *testing.T) {
 
 func TestKSTestRejectsWrongDistribution(t *testing.T) {
 	// Lognormal samples vs a fitted exponential: must reject nearly always.
-	truth := Lognormal{Mu: 0, Sigma: 1.5}
 	rejections := 0
 	const trials = 20
 	for s := uint64(0); s < trials; s++ {
-		xs := sampleN(truth, 500, 200+s)
+		xs := lognormalN(0, 1.5, 500, 200+s)
 		fit, err := FitExponential(xs)
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +77,7 @@ func TestKSTestEmpty(t *testing.T) {
 }
 
 func TestKSTest2SameDistribution(t *testing.T) {
-	truth := Weibull{K: 0.8, Lambda: 4}
+	truth := weibullInv{Weibull{K: 0.8, Lambda: 4}}
 	rejections := 0
 	const trials = 30
 	for s := uint64(0); s < trials; s++ {
@@ -182,7 +181,7 @@ func TestADTestRejectsHeavyTails(t *testing.T) {
 	rejections := 0
 	const trials = 20
 	for s := uint64(0); s < trials; s++ {
-		xs := sampleN(Lognormal{Mu: 0, Sigma: 1.5}, 300, 500+s)
+		xs := lognormalN(0, 1.5, 300, 500+s)
 		res, err := ADTestExponential(xs)
 		if err != nil {
 			t.Fatal(err)
