@@ -76,8 +76,8 @@ race:
 # The allocation gates, which the race build disables itself, so they
 # need a non-race run: the compiled generator's and the world simulator's
 # steady-state drainUntil — the loop production runs — allocates nothing;
-# both Generates stay within 0.02 allocations and 48 allocated bytes per
-# assembled event; one ScanBatches of either streaming Source stays within
+# both Generates stay within 0.02 allocations per assembled event and
+# within 24 allocated bytes per event with one worker, 48 with two; one ScanBatches of either streaming Source stays within
 # 640 allocated bytes per UE; ModelSet.Save allocates its buffer and
 # nothing that grows with the model; the model decoder allocates each slice
 # and pointer of the model once and nothing per number, and core.Load adds

@@ -73,18 +73,18 @@ func BenchmarkEngineStep(b *testing.B) {
 			b.Fatal("layout does not fit")
 		}
 		pcm := p.cm
-		jobs := p.jobs()
 		var run trace.KeyRun
 		var g ueGen
 		b.ReportAllocs()
 		b.ResetTimer()
-		for i, events := 0, 0; events < b.N; i = (i + 1) % len(jobs) {
-			pcd := pcm.dev(jobs[i].dev)
+		for i, events := 0, 0; events < b.N; i = (i + 1) % p.numUEs {
+			j := p.job(i)
+			pcd := pcm.dev(j.dev)
 			if pcd == nil {
 				continue
 			}
 			run.Reset()
-			g.init(pcm, pcd, jobs[i].ue, jobs[i].rng, p.t0, p.end)
+			g.init(pcm, pcd, j.ue, j.rng, p.t0, p.end)
 			g.drainUntil(trace.NoPending, &lay, &run)
 			events += int(g.emitted)
 		}

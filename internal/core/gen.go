@@ -71,6 +71,12 @@ const minSojournSec = 0.001
 // Source emits window by window. A key that cannot fit 64 bits (a span of
 // centuries) takes that streaming path, whose keys are relative to each
 // window, instead.
+//
+// Memory: no per-UE plan is held — each worker derives its UEs' jobs
+// (genPlan.job) and the registry derives them again. With one worker the
+// run reserves twice its keys (KeyRun.Forecast) and becomes the event
+// slice's storage, so the peak is that one buffer, 18 B per event; with
+// several, the runs, their partition and the event slice peak at 24 B.
 func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 	p, err := planGeneration(ms, opt)
 	if err != nil {
@@ -80,31 +86,32 @@ func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 	if !fits {
 		return collectSource(ms, opt)
 	}
-	jobs := p.jobs()
-	workers := par.Workers(opt.Workers, len(jobs))
+	workers := par.Workers(opt.Workers, p.numUEs)
 	runs := make([]trace.KeyRun, workers)
 	par.Do(workers, func(w int) {
 		// One stack-resident ueGen reused across every UE of the stripe —
 		// zero per-UE allocations, no interface hop, bulk queue drains.
 		var run trace.KeyRun // local: workers must not share runs' cache lines
 		var g ueGen
-		stripe := (len(jobs) - w + workers - 1) / workers
-		for i, done := w, 1; i < len(jobs); i, done = i+workers, done+1 {
-			cd := p.cm.dev(jobs[i].dev)
+		stripe := (p.numUEs - w + workers - 1) / workers
+		for i, done := w, 1; i < p.numUEs; i, done = i+workers, done+1 {
+			j := p.job(i)
+			cd := p.cm.dev(j.dev)
 			if cd == nil {
 				continue
 			}
-			g.init(p.cm, cd, jobs[i].ue, jobs[i].rng, p.t0, p.end)
+			g.init(p.cm, cd, j.ue, j.rng, p.t0, p.end)
 			g.drainUntil(trace.NoPending, &lay, &run)
-			run.Forecast(done, stripe)
+			run.Forecast(done, stripe, workers)
 		}
 		runs[w] = run
 	})
-	// The registry first: it is the jobs' last use, so they (40 B per UE)
-	// are garbage before assembly reaches its peak.
-	tr := &trace.Trace{Device: make(map[cp.UEID]cp.DeviceType, len(jobs))}
-	for _, j := range jobs {
-		tr.Device[j.ue] = j.dev
+	// The registry after the runs: while a lone run's reservation is being
+	// copied into, its old storage is live beside it, and the registry
+	// need not be.
+	tr := &trace.Trace{Device: make(map[cp.UEID]cp.DeviceType, p.numUEs)}
+	for i := 0; i < p.numUEs; i++ {
+		tr.Device[cp.UEID(i)] = p.job(i).dev
 	}
 	var ok bool
 	if tr.Events, ok = trace.AssembleKeys(&lay, runs); !ok {
@@ -127,19 +134,21 @@ func collectSource(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 	return trace.Collect(src)
 }
 
-// compiledGens prepares one slab of per-UE compiled generators for jobs:
-// a single allocation holds every ueGen, initialized in place, so the
-// streaming path carries no per-UE heap objects. The returned slice has
-// one live generator per job with a device model, in job order.
-func compiledGens(cm *compiledModel, jobs []genJob, t0, end cp.Millis) []ueGen {
-	gens := make([]ueGen, len(jobs))
+// compiledGens prepares one slab of per-UE compiled generators for the
+// plan's population: a single allocation holds every ueGen, initialized
+// in place, so the streaming path carries no per-UE heap objects. The
+// returned slice has one live generator per UE with a device model, in
+// UE order.
+func compiledGens(p *genPlan) []ueGen {
+	gens := make([]ueGen, p.numUEs)
 	m := 0
-	for _, j := range jobs {
-		cd := cm.dev(j.dev)
+	for i := range gens {
+		j := p.job(i)
+		cd := p.cm.dev(j.dev)
 		if cd == nil {
 			continue
 		}
-		gens[m].init(cm, cd, j.ue, j.rng, t0, end)
+		gens[m].init(p.cm, cd, j.ue, j.rng, p.t0, p.end)
 		m++
 	}
 	return gens[:m]
@@ -170,8 +179,8 @@ func NewSource(ms *ModelSet, opt GenOptions) (*Source, error) {
 
 // Devices reports every planned UE's device type in ascending UE order.
 func (s *Source) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
-	for _, j := range s.plan.jobs() {
-		if err := fn(j.ue, j.dev); err != nil {
+	for i := 0; i < s.plan.numUEs; i++ {
+		if err := fn(cp.UEID(i), s.plan.job(i).dev); err != nil {
 			return err
 		}
 	}
@@ -184,16 +193,15 @@ func (s *Source) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
 // window's end (drainUntil), the window's packed keys sorted in cache —
 // and delivers reused struct-of-arrays batches.
 func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
-	gens := compiledGens(s.plan.cm, s.plan.jobs(), s.plan.t0, s.plan.end)
+	gens := compiledGens(&s.plan)
 	ueMax := cp.UEID(s.plan.numUEs - 1)
 	return trace.AssembleWindows(fn, len(gens), ueMax, func(i int, limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
 		return gens[i].drainUntil(limit, lay, run)
 	})
 }
 
-// genJob is one UE's generation assignment. The RNG is held by value —
-// the job slice doubles as the arena for per-UE stream state, so planning
-// a million-UE population performs one allocation, not one per UE.
+// genJob is one UE's generation assignment, derived on demand
+// (genPlan.job) rather than held for the whole population.
 type genJob struct {
 	ue  cp.UEID
 	dev cp.DeviceType
@@ -202,12 +210,12 @@ type genJob struct {
 
 // genPlan is the validated, resolved form of (model, options) every
 // generation entry starts from: the compiled model, the device mix and
-// the window. It holds no per-UE state — jobs derives the population.
+// the window. It holds no per-UE state — job derives the population.
 type genPlan struct {
 	cm      *compiledModel
 	mix     []float64
 	numUEs  int
-	seed    uint64
+	root    stats.RNG // the seed's stream, which every UE's splits from
 	t0, end cp.Millis
 }
 
@@ -232,21 +240,16 @@ func planGeneration(ms *ModelSet, opt GenOptions) (genPlan, error) {
 		return genPlan{}, err
 	}
 	t0 := cp.Millis(opt.StartHour) * cp.Hour
-	return genPlan{cm: cm, mix: mix, numUEs: opt.NumUEs, seed: opt.Seed, t0: t0, end: t0 + opt.Duration}, nil
+	return genPlan{cm: cm, mix: mix, numUEs: opt.NumUEs, root: stats.NewRNGVal(opt.Seed), t0: t0, end: t0 + opt.Duration}, nil
 }
 
-// jobs pre-derives every UE's device and RNG stream, serially and from
-// the seed alone, so results depend neither on scheduling nor on how
-// often the population is re-derived.
-func (p *genPlan) jobs() []genJob {
-	root := stats.NewRNG(p.seed)
-	jobs := make([]genJob, p.numUEs)
-	for i := range jobs {
-		jobs[i].ue = cp.UEID(i)
-		jobs[i].rng = root.SplitVal(uint64(i) + 1)
-		jobs[i].dev = pickDevice(p.mix, &jobs[i].rng)
-	}
-	return jobs
+// job derives UE i's device and RNG stream from the seed alone, so
+// results depend neither on scheduling nor on how often the population is
+// derived.
+func (p *genPlan) job(i int) genJob {
+	j := genJob{ue: cp.UEID(i), rng: p.root.SplitVal(uint64(i) + 1)}
+	j.dev = pickDevice(p.mix, &j.rng)
+	return j
 }
 
 // deviceMix resolves the device-type population shares (none for a device

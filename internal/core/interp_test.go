@@ -85,7 +85,8 @@ func interpTrace(tb testing.TB, ms *ModelSet, opt GenOptions) *trace.Trace {
 	}
 	machine, _ := ms.Machine() // planGeneration resolved it
 	tr := trace.New()
-	for _, j := range p.jobs() {
+	for i := 0; i < p.numUEs; i++ {
+		j := p.job(i)
 		tr.Device[j.ue] = j.dev
 		dm := ms.Device(j.dev)
 		if dm == nil {

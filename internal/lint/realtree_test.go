@@ -33,7 +33,7 @@ var treeSeeds = []treeSeed{
 		analyzer: "detsource", file: "internal/core/gen.go",
 		edits: [][2]string{
 			{"import (\n\t\"fmt\"\n", "import (\n\t\"fmt\"\n\t\"time\"\n"},
-			{"\t\treturn collectSource(ms, opt)\n\t}\n\tjobs := p.jobs()\n", "\t\treturn collectSource(ms, opt)\n\t}\n\t_ = time.Now()\n\tjobs := p.jobs()\n"},
+			{"\truns := make([]trace.KeyRun, workers)\n\tpar.Do(", "\t_ = time.Now()\n\truns := make([]trace.KeyRun, workers)\n\tpar.Do("},
 		},
 		at: "_ = time.Now()",
 	},
@@ -52,7 +52,7 @@ var treeSeeds = []treeSeed{
 	},
 	{
 		analyzer: "frozen", file: "internal/core/gen.go",
-		edits: [][2]string{{"\tworkers := par.Workers(opt.Workers, len(jobs))\n", "\tms.Method = \"seeded\"\n\tworkers := par.Workers(opt.Workers, len(jobs))\n"}},
+		edits: [][2]string{{"\tworkers := par.Workers(opt.Workers, p.numUEs)\n", "\tms.Method = \"seeded\"\n\tworkers := par.Workers(opt.Workers, p.numUEs)\n"}},
 		at:    "ms.Method = \"seeded\"",
 	},
 	{

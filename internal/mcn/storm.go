@@ -168,10 +168,17 @@ type stormState struct {
 	bin  cp.Millis
 	bins int
 
+	// evBin and doneBin find the bins of events and of each NF's
+	// completions (binCursor).
+	evBin   binCursor
+	doneBin [NumNFs]binCursor
+
 	arr  [NumNFs][]int // accepted arrivals per bin
 	comp [NumNFs][]int // completions per bin (within horizon)
 	drop [NumNFs][]int
 	rtry [NumNFs][]int
+
+	attachSum []float64 // attach latencies per bin, for the mean
 
 	rep *StormReport
 }
@@ -214,15 +221,31 @@ func (s *stormState) timeoutAt(n int, at float64) float64 {
 	return tmo
 }
 
-func (s *stormState) binOf(t cp.Millis) int {
-	b := int((t - s.lo) / s.bin)
-	if b < 0 {
-		b = 0
+// binCursor walks the report's bins along non-decreasing times, so that
+// a time's bin costs a comparison instead of a 64-bit division. Both
+// walks qualify: the merged event stream is sorted, and an NF's
+// completion times never decrease — a service starts no earlier than the
+// NF is free, which is no earlier than its previous completion, and
+// lasts a positive time.
+type binCursor struct {
+	b, last int       // the current bin and the report's last
+	end     cp.Millis // bin b's exclusive upper edge
+	width   cp.Millis
+}
+
+func newBinCursor(lo, width cp.Millis, bins int) binCursor {
+	return binCursor{last: bins - 1, end: lo + width, width: width}
+}
+
+// at returns t's bin, clamped to the report: a time before the first bin
+// falls in bin 0, one past the last in the last, where end is then the
+// horizon. t must not precede the previous call's.
+func (c *binCursor) at(t cp.Millis) int {
+	for t >= c.end && c.b < c.last {
+		c.b++
+		c.end += c.width
 	}
-	if b >= s.bins {
-		b = s.bins - 1
-	}
-	return b
+	return c.b
 }
 
 // injectedAttaches expands every mass_reattach fault into its wave of
@@ -275,17 +298,41 @@ func sortEvents(evs []trace.Event) {
 // repo — is byte-identical for identical inputs at any worker count of
 // the stages that produced the trace.
 func ReplayStorm(tr *trace.Trace, cfg StormConfig) (*StormReport, error) {
+	s, injected, err := newStorm(tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Merge the sorted trace with the sorted injected wave; ties go to
+	// the trace event (a stable, documented choice).
+	j := 0
+	for _, e := range tr.Events {
+		for j < len(injected) && injected[j].Before(e) {
+			s.process(injected[j], true)
+			j++
+		}
+		s.process(e, false)
+	}
+	for ; j < len(injected); j++ {
+		s.process(injected[j], true)
+	}
+	return s.finish(), nil
+}
+
+// newStorm validates the replay's inputs and prepares its state: fault
+// windows, the injected re-attach wave, the report horizon and bins, and
+// the resolved capacities.
+func newStorm(tr *trace.Trace, cfg StormConfig) (*stormState, []trace.Event, error) {
 	if tr.Len() == 0 {
-		return nil, fmt.Errorf("mcn: ReplayStorm needs a non-empty trace")
+		return nil, nil, fmt.Errorf("mcn: ReplayStorm needs a non-empty trace")
 	}
 	if !tr.Sorted() {
-		return nil, fmt.Errorf("mcn: ReplayStorm needs a sorted trace")
+		return nil, nil, fmt.Errorf("mcn: ReplayStorm needs a sorted trace")
 	}
 	if cfg.SAShare < 0 || cfg.SAShare > 1 {
-		return nil, fmt.Errorf("mcn: SAShare must be in [0, 1]")
+		return nil, nil, fmt.Errorf("mcn: SAShare must be in [0, 1]")
 	}
 	if err := ValidateSchedule(cfg.Faults); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	s := &stormState{cfg: cfg}
@@ -306,7 +353,7 @@ func ReplayStorm(tr *trace.Trace, cfg StormConfig) (*StormReport, error) {
 		s.bin = cp.Minute
 	}
 	if s.bin < 0 {
-		return nil, fmt.Errorf("mcn: Bin must be positive")
+		return nil, nil, fmt.Errorf("mcn: Bin must be positive")
 	}
 
 	for _, f := range cfg.Faults {
@@ -321,7 +368,7 @@ func ReplayStorm(tr *trace.Trace, cfg StormConfig) (*StormReport, error) {
 		case FaultMassReattach:
 			// Expanded into injected events below.
 		default:
-			return nil, fmt.Errorf("mcn: invalid fault kind %d", f.Kind)
+			return nil, nil, fmt.Errorf("mcn: invalid fault kind %d", f.Kind)
 		}
 	}
 
@@ -382,7 +429,7 @@ func ReplayStorm(tr *trace.Trace, cfg StormConfig) (*StormReport, error) {
 		}
 	}
 
-	rep := &StormReport{
+	s.rep = &StormReport{
 		BinSec:  s.bin.Seconds(),
 		Bins:    s.bins,
 		SpanSec: spanSec,
@@ -393,109 +440,103 @@ func ReplayStorm(tr *trace.Trace, cfg StormConfig) (*StormReport, error) {
 			MaxSec:  make([]float64, s.bins),
 		},
 	}
-	s.rep = rep
+	s.evBin = newBinCursor(s.lo, s.bin, s.bins)
 	for n := 0; n < NumNFs; n++ {
+		s.doneBin[n] = newBinCursor(s.lo, s.bin, s.bins)
 		s.arr[n] = make([]int, s.bins)
 		s.comp[n] = make([]int, s.bins)
 		s.drop[n] = make([]int, s.bins)
 		s.rtry[n] = make([]int, s.bins)
 	}
-	attachSum := make([]float64, s.bins)
+	s.attachSum = make([]float64, s.bins)
+	return s, injected, nil
+}
 
-	// Merge the sorted trace with the sorted injected wave; ties go to
-	// the trace event (a stable, documented choice).
-	j := 0
-	process := func(e trace.Event, isInjected bool) {
-		if !isInjected && SAMember(e.UE, cfg.SAShare) && e.Type == cp.TrackingAreaUpdate {
-			rep.FilteredTAUs++
-			return
-		}
-		rep.Events++
-		if isInjected {
-			rep.InjectedAttaches++
-		}
-		t := e.T.Seconds()
-		b := s.binOf(e.T)
-		tx := Transactions(e.Type)
-		dropped := false
-		latency := 0.0
-		for n := 0; n < NumNFs; n++ {
-			for k := 0; k < tx[n]; k++ {
-				q := &s.queue[n]
-				q.evict(t)
-				if q.len() >= s.maxQueue {
-					rep.PerNF[n].Drops++
-					s.drop[n][b]++
-					dropped = true
-					continue
-				}
-				start := t
-				if s.free[n] > start {
-					start = s.free[n]
-				}
-				start = s.skipOutage(n, start)
-				svc := s.serviceTime(n, start)
-				done := start + svc
-				s.free[n] = done
-				wait := start - t
-				if s.retries > 0 {
-					tmo := s.timeoutAt(n, t)
-					if tmo > 0 && wait > tmo {
-						r := int(wait / tmo)
-						if r > s.retries {
-							r = s.retries
-						}
-						rep.PerNF[n].Retries += r
-						s.rtry[n][b] += r
-						// Each re-send consumes one extra service slot.
-						s.free[n] += float64(r) * svc
+// process is the replay's fold step: one event's transactions through
+// every NF it touches, in the order the merged stream delivers them.
+func (s *stormState) process(e trace.Event, isInjected bool) {
+	rep := s.rep
+	if !isInjected && SAMember(e.UE, s.cfg.SAShare) && e.Type == cp.TrackingAreaUpdate {
+		rep.FilteredTAUs++
+		return
+	}
+	rep.Events++
+	if isInjected {
+		rep.InjectedAttaches++
+	}
+	t := e.T.Seconds()
+	b := s.evBin.at(e.T)
+	tx := Transactions(e.Type)
+	dropped := false
+	latency := 0.0
+	for n := 0; n < NumNFs; n++ {
+		for k := 0; k < tx[n]; k++ {
+			q := &s.queue[n]
+			q.evict(t)
+			if q.len() >= s.maxQueue {
+				rep.PerNF[n].Drops++
+				s.drop[n][b]++
+				dropped = true
+				continue
+			}
+			start := t
+			if s.free[n] > start {
+				start = s.free[n]
+			}
+			start = s.skipOutage(n, start)
+			svc := s.serviceTime(n, start)
+			done := start + svc
+			s.free[n] = done
+			wait := start - t
+			if s.retries > 0 {
+				tmo := s.timeoutAt(n, t)
+				if tmo > 0 && wait > tmo {
+					r := int(wait / tmo)
+					if r > s.retries {
+						r = s.retries
 					}
-				}
-				q.push(done)
-				if q.len() > rep.PerNF[n].PeakQueue {
-					rep.PerNF[n].PeakQueue = q.len()
-				}
-				delay := done - t
-				if delay > rep.PerNF[n].PeakDelaySec {
-					rep.PerNF[n].PeakDelaySec = delay
-				}
-				if delay > latency {
-					latency = delay
-				}
-				rep.PerNF[n].Transactions++
-				s.arr[n][b]++
-				doneMs := cp.MillisFromSeconds(done)
-				if db := int((doneMs - s.lo) / s.bin); db < s.bins {
-					if db < 0 {
-						db = 0
-					}
-					s.comp[n][db]++
+					rep.PerNF[n].Retries += r
+					s.rtry[n][b] += r
+					// Each re-send consumes one extra service slot.
+					s.free[n] += float64(r) * svc
 				}
 			}
-		}
-		if e.Type == cp.Attach {
-			if dropped {
-				rep.Attach.Dropped++
-			} else {
-				rep.Attach.Count[b]++
-				attachSum[b] += latency
-				if latency > rep.Attach.MaxSec[b] {
-					rep.Attach.MaxSec[b] = latency
-				}
+			q.push(done)
+			if q.len() > rep.PerNF[n].PeakQueue {
+				rep.PerNF[n].PeakQueue = q.len()
+			}
+			delay := done - t
+			if delay > rep.PerNF[n].PeakDelaySec {
+				rep.PerNF[n].PeakDelaySec = delay
+			}
+			if delay > latency {
+				latency = delay
+			}
+			rep.PerNF[n].Transactions++
+			s.arr[n][b]++
+			doneMs := cp.MillisFromSeconds(done)
+			c := &s.doneBin[n]
+			if db := c.at(doneMs); doneMs < c.end { // within the horizon
+				s.comp[n][db]++
 			}
 		}
 	}
-	for _, e := range tr.Events {
-		for j < len(injected) && injected[j].Before(e) {
-			process(injected[j], true)
-			j++
+	if e.Type == cp.Attach {
+		if dropped {
+			rep.Attach.Dropped++
+		} else {
+			rep.Attach.Count[b]++
+			s.attachSum[b] += latency
+			if latency > rep.Attach.MaxSec[b] {
+				rep.Attach.MaxSec[b] = latency
+			}
 		}
-		process(e, false)
 	}
-	for ; j < len(injected); j++ {
-		process(injected[j], true)
-	}
+}
 
+// finish turns the fold's per-bin counters into the report's series.
+func (s *stormState) finish() *StormReport {
+	rep := s.rep
 	for n := 0; n < NumNFs; n++ {
 		p := &rep.PerNF[n]
 		p.NF = NF(n).String()
@@ -511,8 +552,8 @@ func ReplayStorm(tr *trace.Trace, cfg StormConfig) (*StormReport, error) {
 	}
 	for b := 0; b < s.bins; b++ {
 		if c := rep.Attach.Count[b]; c > 0 {
-			rep.Attach.MeanSec[b] = attachSum[b] / float64(c)
+			rep.Attach.MeanSec[b] = s.attachSum[b] / float64(c)
 		}
 	}
-	return rep, nil
+	return rep
 }

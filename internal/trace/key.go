@@ -108,19 +108,26 @@ func (r *KeyRun) Append(l *KeyLayout, evs ...Event) {
 func (r *KeyRun) Reset() { r.keys, r.outside = r.keys[:0], false }
 
 // Forecast tells the run that done of its producer's total UEs have been
-// appended. Once, a sixteenth of the way through (and no sooner than 64
-// UEs), it reserves room for the rest at the density seen so far plus an
-// eighth: append's geometric growth copies everything so far at each
-// step — five times the final run in all — and this ends it early. UEs
-// are independent draws, so the estimate is close; where it is short,
-// append grows the run as it always did. Capacity never shows in the
-// assembled bytes.
-func (r *KeyRun) Forecast(done, total int) {
+// appended, and how many runs the assembly will take. Once, a sixteenth
+// of the way through (and no sooner than 64 UEs), it reserves room for
+// the rest at the density seen so far plus an eighth: append's geometric
+// growth copies everything so far at each step — five times the final
+// run in all — and this ends it early. A lone run reserves twice that,
+// 16 B per key, so that AssembleKeys can partition the keys into the
+// run's upper half and decode the events over the whole buffer instead of
+// allocating 24 B per key more. UEs are independent draws, so the
+// estimate is close; where it is short, append grows the run as it always
+// did, and a lone run left without room for its partition is assembled
+// like several. Capacity never shows in the assembled bytes.
+func (r *KeyRun) Forecast(done, total, runs int) {
 	if done != max(total/16, 64) {
 		return
 	}
-	want := int(float64(len(r.keys)) / float64(done) * float64(total) * 1.125)
-	if want > cap(r.keys) {
-		r.keys = slices.Grow(r.keys, want-len(r.keys))
+	want := float64(len(r.keys)) / float64(done) * float64(total) * 1.125
+	if runs == 1 {
+		want *= 2
+	}
+	if int(want) > cap(r.keys) {
+		r.keys = slices.Grow(r.keys, int(want)-len(r.keys))
 	}
 }

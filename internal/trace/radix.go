@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"cptraffic/internal/cp"
 )
@@ -12,7 +13,7 @@ import (
 // cross main memory once.
 //
 // Stage one is a single counting partition of every run on the key's top
-// digit into one n-key buffer: afterwards bucket b holds exactly the keys
+// digit into one n-key region: afterwards bucket b holds exactly the keys
 // whose top digit is b, so the buckets are already in their final
 // relative order. The digit is as narrow as the bucket target allows —
 // a few hundred write streams, which the TLB holds, against the 2 048 of
@@ -20,14 +21,22 @@ import (
 //
 // Stage two finishes each bucket on its own while it is cache-resident:
 // an LSD radix sort over all the remaining low bits, ping-ponging between
-// the bucket and a bucket-sized scratch, whose last pass decodes each key
-// straight into its final slot of the event slice. No pass moves a
-// 16-byte event, nothing is concatenated, and the event slice is the
-// only n-event allocation.
+// bucket-sized buffers, whose last pass decodes each key straight into
+// its final slot of the event slice. No pass moves a 16-byte event and
+// nothing is concatenated.
+//
+// Where the regions live depends on the runs. A lone run with room for 2n
+// keys is assembled in place: stage one scatters its keys [0,n) into its
+// own upper half [n,2n), and stage two copies each bucket into the
+// scratch before decoding it into an event view of the whole buffer
+// (eventView). Bucket b's events end at byte 16·hi, at or below 8n + 8·hi
+// where bucket b+1's keys begin, so no decode reaches a key not yet
+// copied. Several runs, or one short of room, are partitioned into a
+// separate n-key buffer and decoded into a new event slice.
 
 const (
-	// bucketTarget is the bucket size stage one aims for. A bucket, its
-	// scratch and its slice of the output are 32 B per key together:
+	// bucketTarget is the bucket size stage one aims for. A bucket's two
+	// buffers and its slice of the output are 32 B per key together:
 	// 16 Ki keys keep all three (512 KiB) inside a 1 MiB L2.
 	bucketTarget = 1 << 14
 	// maxTopBits bounds stage one's fan-out; past it (n beyond 32 M)
@@ -44,31 +53,52 @@ const (
 // AssembleKeys sorts the keys of every run and returns the events they
 // decode to, in canonical order. It reports false, touching nothing, when
 // some run was given an event outside l's bounds: the caller must order
-// its events another way. Otherwise the runs are consumed: each is
-// emptied once its keys are partitioned, before the event slice is
-// allocated, so the collector can reclaim them first.
+// its events another way. Otherwise the runs are consumed. A lone run
+// whose capacity holds twice its keys (KeyRun.Forecast reserves that)
+// becomes the events' storage, so nothing n-sized is allocated; otherwise
+// the runs are emptied once their keys are partitioned into a separate
+// buffer, before the event slice is allocated, so the collector can
+// reclaim them first.
 func AssembleKeys(l *KeyLayout, runs []KeyRun) ([]Event, bool) {
+	n := 0
 	for i := range runs {
 		if runs[i].outside {
 			return nil, false
 		}
+		n += len(runs[i].keys)
 	}
-	part, bounds, lowBits := partitionKeys(l, runs)
+	if len(runs) == 1 && n > 0 && cap(runs[0].keys) >= 2*n {
+		buf := runs[0].keys[:2*n]
+		bounds, lowBits := partitionKeys(l, runs, buf[n:])
+		clear(runs)
+		evs := eventView(buf)
+		finishBuckets(l, buf[n:], bounds, lowBits, evs, true)
+		return evs, true
+	}
+	part := make([]uint64, n)
+	bounds, lowBits := partitionKeys(l, runs, part)
 	clear(runs)
-	evs := make([]Event, len(part))
-	finishBuckets(l, part, bounds, lowBits, evs)
+	evs := make([]Event, n)
+	finishBuckets(l, part, bounds, lowBits, evs, false)
 	return evs, true
 }
 
-// partitionKeys is stage one: it returns the keys of all runs grouped by
-// top digit, the bucket boundaries (bucket b is
-// part[bounds[b]:bounds[b+1]]), and how many low bits of the key the
-// digit left unsorted.
-func partitionKeys(l *KeyLayout, runs []KeyRun) (part []uint64, bounds []int, lowBits uint) {
-	n := 0
-	for i := range runs {
-		n += len(runs[i].keys)
-	}
+// eventView is buf's memory as len(buf)/2 events, the one unsafe
+// conversion outside tests. Event is two 8-byte words without pointers
+// (TestEventIs16Bytes and TestEventLayout pin its size, alignment and
+// pointer-freedom), so an even-length []uint64 has exactly a []Event's
+// layout, and the collector, which allocated buf as pointer-free, need
+// not scan either.
+func eventView(buf []uint64) []Event {
+	return unsafe.Slice((*Event)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf)/2)
+}
+
+// partitionKeys is stage one: it scatters the keys of all runs into part,
+// which holds exactly that many, grouped by top digit, and returns the
+// bucket boundaries (bucket b is part[bounds[b]:bounds[b+1]]) and how
+// many low bits of the key the digit left unsorted.
+func partitionKeys(l *KeyLayout, runs []KeyRun, part []uint64) (bounds []int, lowBits uint) {
+	n := len(part)
 	topBits := min(uint(bits.Len(uint(n/bucketTarget))), maxTopBits, l.bits)
 	shift := l.bits - topBits
 	nb := int(l.maxKey()>>shift) + 1
@@ -81,12 +111,11 @@ func partitionKeys(l *KeyLayout, runs []KeyRun) (part []uint64, bounds []int, lo
 	for b := 0; b < nb; b++ {
 		bounds[b+1] += bounds[b]
 	}
-	part = make([]uint64, n)
 	next := slices.Clone(bounds[:nb])
 	for i := range runs {
 		scatterKeys(part, next, runs[i].keys, shift)
 	}
-	return part, bounds, shift
+	return bounds, shift
 }
 
 // scatterKeys appends each key of src to its top-digit bucket in dst.
@@ -101,8 +130,10 @@ func scatterKeys(dst []uint64, next []int, src []uint64, shift uint) {
 }
 
 // finishBuckets is stage two: it sorts each bucket of part on its lowBits
-// low bits and decodes it into the same range of dst.
-func finishBuckets(l *KeyLayout, part []uint64, bounds []int, lowBits uint, dst []Event) {
+// low bits and decodes it into the same range of dst. When dst's memory
+// overlaps part's (staged), each bucket is first copied out, so its
+// decode may overwrite its own keys.
+func finishBuckets(l *KeyLayout, part []uint64, bounds []int, lowBits uint, dst []Event, staged bool) {
 	nb := len(bounds) - 1
 	largest := 0
 	for b := 0; b < nb; b++ {
@@ -114,10 +145,19 @@ func finishBuckets(l *KeyLayout, part []uint64, bounds []int, lowBits uint, dst 
 	// Every bucket sorts the same low bits, so the schedule is chosen once.
 	passes, digit := passPlan(largest, lowBits)
 	scratch := make([]uint64, largest)
+	var stage []uint64
+	if staged {
+		stage = make([]uint64, largest)
+	}
 	hist := make([]int32, passes<<digit)
 	for b := 0; b < nb; b++ {
 		lo, hi := bounds[b], bounds[b+1]
-		sortBucket(l, part[lo:hi], scratch[:hi-lo], dst[lo:hi], hist, passes, digit)
+		keys := part[lo:hi]
+		if staged {
+			keys = stage[:hi-lo]
+			copy(keys, part[lo:hi])
+		}
+		sortBucket(l, keys, scratch[:hi-lo], dst[lo:hi], hist, passes, digit)
 	}
 }
 
@@ -220,7 +260,8 @@ func RadixSortEvents(evs []Event, t0 cp.Millis) bool {
 	if run.outside {
 		return false
 	}
-	part, bounds, lowBits := partitionKeys(&l, []KeyRun{run})
-	finishBuckets(&l, part, bounds, lowBits, evs)
+	part := make([]uint64, len(evs))
+	bounds, lowBits := partitionKeys(&l, []KeyRun{run}, part)
+	finishBuckets(&l, part, bounds, lowBits, evs, false)
 	return true
 }

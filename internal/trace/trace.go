@@ -84,9 +84,13 @@ func (tr *Trace) NumUEs() int { return len(tr.Device) }
 
 // Sorted reports whether Events is in canonical order.
 func (tr *Trace) Sorted() bool {
-	return sort.SliceIsSorted(tr.Events, func(i, j int) bool {
-		return tr.Events[i].Before(tr.Events[j])
-	})
+	evs := tr.Events
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Before(evs[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Sort puts Events into canonical (time, UE, type) order.

@@ -135,6 +135,13 @@ func (u *ueSim) init(opt Options, ue cp.UEID, dev cp.DeviceType, rng stats.RNG) 
 // by window, since the key's integer order is the canonical order and the
 // key is the whole event. A key that cannot fit 64 bits takes that
 // streaming path, whose keys are relative to each window, instead.
+//
+// Memory: no per-UE plan is held — each worker derives its UEs' streams
+// (simPlan) and the registry derives them again. With one worker the
+// run reserves twice its keys (trace.KeyRun.Forecast) and becomes the
+// event slice's storage, so the peak is that one buffer, 18 B per event;
+// with several, the runs, their partition and the event slice peak at
+// 24 B.
 func Generate(opt Options) (*trace.Trace, error) {
 	mix, err := resolveMix(opt)
 	if err != nil {
@@ -144,17 +151,8 @@ func Generate(opt Options) (*trace.Trace, error) {
 	if !fits {
 		return collectSource(opt)
 	}
-	workers := par.Workers(opt.Workers, opt.NumUEs)
-
-	// Pre-derive every UE's stream and device serially (the plan), so the
-	// workers share nothing but read-only values.
 	root := stats.NewRNG(opt.Seed)
-	seeds := make([]stats.RNG, opt.NumUEs)
-	devices := make([]cp.DeviceType, opt.NumUEs)
-	for i := range seeds {
-		seeds[i], devices[i] = simPlan(mix, root, i)
-	}
-
+	workers := par.Workers(opt.Workers, opt.NumUEs)
 	runs := make([]trace.KeyRun, workers)
 	par.Do(workers, func(w int) {
 		// One reused simulator per worker: each UE's state is initialized
@@ -164,15 +162,18 @@ func Generate(opt Options) (*trace.Trace, error) {
 		var sim ueSim
 		stripe := (opt.NumUEs - w + workers - 1) / workers
 		for i, done := w, 1; i < opt.NumUEs; i, done = i+workers, done+1 {
-			sim.init(opt, cp.UEID(i), devices[i], seeds[i])
+			rng, dev := simPlan(mix, root, i)
+			sim.init(opt, cp.UEID(i), dev, rng)
 			sim.drainUntil(trace.NoPending, &lay, &run)
-			run.Forecast(done, stripe)
+			run.Forecast(done, stripe, workers)
 		}
 		runs[w] = run
 	})
+	// The registry after the runs, as in core.Generate: not live beside a
+	// lone run's reservation while it is copied into.
 	tr := &trace.Trace{Device: make(map[cp.UEID]cp.DeviceType, opt.NumUEs)}
-	for i, d := range devices {
-		tr.Device[cp.UEID(i)] = d
+	for i := 0; i < opt.NumUEs; i++ {
+		_, tr.Device[cp.UEID(i)] = simPlan(mix, root, i)
 	}
 	var ok bool
 	if tr.Events, ok = trace.AssembleKeys(&lay, runs); !ok {
@@ -280,6 +281,7 @@ type ueSim struct {
 	registered bool
 
 	actMult float64 // per-UE activity level (heavy-tailed)
+	sessLen float64 // actMult^0.3, the session-length factor
 	mobMult float64 // per-UE mobility level
 
 	// actScale and mobScale are the scenario-level rate multipliers
@@ -362,6 +364,7 @@ func (u *ueSim) start0() {
 	p := u.p
 	r := &u.rng
 	u.actMult = r.Lognormal(-p.actSigma*p.actSigma/2, p.actSigma) // mean 1
+	u.sessLen = math.Pow(u.actMult, 0.3)
 	u.mobMult = r.Lognormal(-p.mobSigma*p.mobSigma/2, p.mobSigma)
 	startSec := u.start.Seconds()
 	u.burstOn = r.Float64() < p.burstOnMean/(p.burstOnMean+p.burstOffMean)
@@ -445,7 +448,7 @@ func (u *ueSim) connectedPhase(tSec float64) float64 {
 	if p.paretoP > 0 && r.Float64() < p.paretoP {
 		dur = r.ParetoSample(p.paretoXm, p.paretoAlpha)
 	} else {
-		dur = r.Lognormal(p.sessMu, p.sessSigma) * math.Pow(u.actMult, 0.3)
+		dur = r.Lognormal(p.sessMu, p.sessSigma) * u.sessLen
 	}
 	if dur < 1 {
 		dur = 1
