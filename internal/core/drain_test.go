@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sort"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -24,10 +25,11 @@ func drained(t *testing.T, g *ueGen, limit cp.Millis, lay *trace.KeyLayout) ([]t
 	t.Helper()
 	var run trace.KeyRun
 	pending := g.drainUntil(limit, lay, &run)
-	evs, ok := trace.AssembleKeys(lay, []trace.KeyRun{run})
+	evs, ok := run.Events(lay)
 	if !ok {
 		t.Fatalf("drainUntil(%d) delivered an event outside the generation window", limit)
 	}
+	sort.Slice(evs, func(i, j int) bool { return evs[i].Before(evs[j]) })
 	return evs, pending
 }
 

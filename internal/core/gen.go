@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"cptraffic/internal/cp"
-	"cptraffic/internal/par"
 	"cptraffic/internal/sm"
 	"cptraffic/internal/stats"
 	"cptraffic/internal/trace"
@@ -61,97 +60,15 @@ const minSojournSec = 0.001
 // The model is first lowered into a compiled form (compile.go) so the
 // per-event work is pure array indexing. There is one engine: the
 // interpreter that walks the ModelSet directly lives in interp_test.go,
-// as the oracle compile_test.go holds these bytes to.
-//
-// Assembly: each worker drains its UEs into one run of packed 8-byte keys
-// (trace.KeyLayout, fixed from the options before any event exists) and
-// trace.AssembleKeys sorts the runs and decodes them into the event
-// slice. The key's integer order is the canonical order and the key is
-// the whole event, so the result is byte-identical to what the streaming
-// Source emits window by window. A key that cannot fit 64 bits (a span of
-// centuries) takes that streaming path, whose keys are relative to each
-// window, instead.
-//
-// Memory: no per-UE plan is held — each worker derives its UEs' jobs
-// (genPlan.job) and the registry derives them again. With one worker the
-// run reserves twice its keys (KeyRun.Forecast) and becomes the event
-// slice's storage, so the peak is that one buffer, 18 B per event; with
-// several, the runs, their partition and the event slice peak at 24 B.
+// as the oracle compile_test.go holds these bytes to. The population is
+// ordered into a trace by trace.Population, the driver world.Generate
+// shares: assembly and memory are described there.
 func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 	p, err := planGeneration(ms, opt)
 	if err != nil {
 		return nil, err
 	}
-	lay, fits := trace.NewKeyLayout(p.t0, p.end+windowOvershoot-1, cp.UEID(p.numUEs-1))
-	if !fits {
-		return collectSource(ms, opt)
-	}
-	workers := par.Workers(opt.Workers, p.numUEs)
-	runs := make([]trace.KeyRun, workers)
-	par.Do(workers, func(w int) {
-		// One stack-resident ueGen reused across every UE of the stripe —
-		// zero per-UE allocations, no interface hop, bulk queue drains.
-		var run trace.KeyRun // local: workers must not share runs' cache lines
-		var g ueGen
-		stripe := (p.numUEs - w + workers - 1) / workers
-		for i, done := w, 1; i < p.numUEs; i, done = i+workers, done+1 {
-			j := p.job(i)
-			cd := p.cm.dev(j.dev)
-			if cd == nil {
-				continue
-			}
-			g.init(p.cm, cd, j.ue, j.rng, p.t0, p.end)
-			g.drainUntil(trace.NoPending, &lay, &run)
-			run.Forecast(done, stripe, workers)
-		}
-		runs[w] = run
-	})
-	// The registry after the runs: while a lone run's reservation is being
-	// copied into, its old storage is live beside it, and the registry
-	// need not be.
-	tr := &trace.Trace{Device: make(map[cp.UEID]cp.DeviceType, p.numUEs)}
-	for i := 0; i < p.numUEs; i++ {
-		tr.Device[cp.UEID(i)] = p.job(i).dev
-	}
-	var ok bool
-	if tr.Events, ok = trace.AssembleKeys(&lay, runs); !ok {
-		// An event outside the window contract above: an engine bug, but
-		// one the windowed path orders correctly all the same.
-		return collectSource(ms, opt)
-	}
-	return tr, nil
-}
-
-// collectSource materializes the streaming Source: the assembly for
-// options whose packed key does not fit 64 bits — the Source's windowed
-// keys are relative to each window, so it orders any span.
-// TestSourceMatchesGenerate pins it byte for byte against the packed path.
-func collectSource(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
-	src, err := NewSource(ms, opt)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Collect(src)
-}
-
-// compiledGens prepares one slab of per-UE compiled generators for the
-// plan's population: a single allocation holds every ueGen, initialized
-// in place, so the streaming path carries no per-UE heap objects. The
-// returned slice has one live generator per UE with a device model, in
-// UE order.
-func compiledGens(p *genPlan) []ueGen {
-	gens := make([]ueGen, p.numUEs)
-	m := 0
-	for i := range gens {
-		j := p.job(i)
-		cd := p.cm.dev(j.dev)
-		if cd == nil {
-			continue
-		}
-		gens[m].init(p.cm, cd, j.ue, j.rng, p.t0, p.end)
-		m++
-	}
-	return gens[:m]
+	return p.population().Generate(opt.Workers)
 }
 
 // Source is a generator-backed trace.EventSource: scanning it draws the
@@ -163,7 +80,7 @@ func compiledGens(p *genPlan) []ueGen {
 // successive passes agree. The options are validated and the model
 // compiled once, in NewSource, and shared by every scan.
 type Source struct {
-	plan genPlan
+	pop *trace.Population[ueGen]
 }
 
 // NewSource validates the generation options once, compiles the model,
@@ -174,30 +91,36 @@ func NewSource(ms *ModelSet, opt GenOptions) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Source{plan: p}, nil
+	return &Source{pop: p.population()}, nil
 }
 
 // Devices reports every planned UE's device type in ascending UE order.
 func (s *Source) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
-	for i := 0; i < s.plan.numUEs; i++ {
-		if err := fn(cp.UEID(i), s.plan.job(i).dev); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.pop.Devices(fn)
 }
 
-// ScanBatches generates the population's events in canonical order, and
-// is the source's one ordering path: trace.AssembleWindows advances the
-// population a time window at a time — each generator drained up to the
-// window's end (drainUntil), the window's packed keys sorted in cache —
-// and delivers reused struct-of-arrays batches.
+// ScanBatches generates the population's events in canonical order, a
+// time window at a time (trace.Population.ScanBatches), in reused
+// struct-of-arrays batches.
 func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
-	gens := compiledGens(&s.plan)
-	ueMax := cp.UEID(s.plan.numUEs - 1)
-	return trace.AssembleWindows(fn, len(gens), ueMax, func(i int, limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
-		return gens[i].drainUntil(limit, lay, run)
-	})
+	return s.pop.ScanBatches(fn)
+}
+
+// population is the plan as the trace driver's per-UE streams: one ueGen
+// per UE, initialized in place from the UE's derived job and drained by
+// the engine's one delivery loop.
+func (p *genPlan) population() *trace.Population[ueGen] {
+	return &trace.Population[ueGen]{
+		N:      p.numUEs,
+		T0:     p.t0,
+		TMax:   p.end + windowOvershoot - 1,
+		Device: func(i int) cp.DeviceType { return p.job(i).dev },
+		Init: func(g *ueGen, i int) {
+			j := p.job(i)
+			g.init(p.cm, j.cd, j.ue, j.rng, p.t0, p.end)
+		},
+		Drain: (*ueGen).drainUntil,
+	}
 }
 
 // genJob is one UE's generation assignment, derived on demand
@@ -205,6 +128,7 @@ func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
 type genJob struct {
 	ue  cp.UEID
 	dev cp.DeviceType
+	cd  *cDevice // dev's compiled model: never nil, deviceMix picks only modelled devices
 	rng stats.RNG
 }
 
@@ -228,8 +152,12 @@ func planGeneration(ms *ModelSet, opt GenOptions) (genPlan, error) {
 	if opt.StartHour < 0 || opt.StartHour >= HoursPerDay {
 		return genPlan{}, fmt.Errorf("core: StartHour %d out of range", opt.StartHour)
 	}
+	t0 := cp.Millis(opt.StartHour) * cp.Hour
 	if opt.Duration <= 0 {
 		return genPlan{}, fmt.Errorf("core: Duration must be positive")
+	}
+	if opt.Duration > math.MaxInt64-windowOvershoot-t0 {
+		return genPlan{}, fmt.Errorf("core: StartHour %d plus Duration %d ms ends past the largest time", opt.StartHour, opt.Duration)
 	}
 	cm, err := ms.lower()
 	if err != nil {
@@ -239,7 +167,6 @@ func planGeneration(ms *ModelSet, opt GenOptions) (genPlan, error) {
 	if err != nil {
 		return genPlan{}, err
 	}
-	t0 := cp.Millis(opt.StartHour) * cp.Hour
 	return genPlan{cm: cm, mix: mix, numUEs: opt.NumUEs, root: stats.NewRNGVal(opt.Seed), t0: t0, end: t0 + opt.Duration}, nil
 }
 
@@ -249,6 +176,7 @@ func planGeneration(ms *ModelSet, opt GenOptions) (genPlan, error) {
 func (p *genPlan) job(i int) genJob {
 	j := genJob{ue: cp.UEID(i), rng: p.root.SplitVal(uint64(i) + 1)}
 	j.dev = pickDevice(p.mix, &j.rng)
+	j.cd = p.cm.dev(j.dev)
 	return j
 }
 
@@ -270,13 +198,16 @@ func deviceMix(ms *ModelSet, override []float64) ([]float64, error) {
 	}
 	var sum float64
 	for d, m := range mix {
+		if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+			return nil, fmt.Errorf("core: device mix share %v for %v is not a finite non-negative number", m, cp.DeviceType(d))
+		}
 		if m > 0 && ms.Device(cp.DeviceType(d)) == nil {
 			return nil, fmt.Errorf("core: DeviceMix requests %v but the model has no such device", cp.DeviceType(d))
 		}
 		sum += m
 	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("core: empty device mix")
+	if !(sum > 0 && sum <= math.MaxFloat64) {
+		return nil, fmt.Errorf("core: empty device mix, or shares summing past the largest float")
 	}
 	for d := range mix {
 		mix[d] /= sum

@@ -207,6 +207,28 @@ func TestGenerateOptionValidation(t *testing.T) {
 	if _, err := Generate(ms, GenOptions{NumUEs: 1, Duration: cp.Hour, DeviceMix: []float64{0, 0, 0}}); err == nil {
 		t.Fatal("zero DeviceMix accepted")
 	}
+	// Negative entries, entries that are not finite numbers, and shares
+	// summing past the largest float: each used to give a one-device
+	// population, of a device the model may not even have.
+	for _, mix := range [][]float64{
+		{-1, 2, 0},
+		{0, 1, math.Inf(1)},
+		{math.NaN(), 1, 0},
+		{1, math.Inf(-1), 0},
+		{math.MaxFloat64, math.MaxFloat64, 0},
+	} {
+		if _, err := Generate(ms, GenOptions{NumUEs: 300, Duration: cp.Hour, DeviceMix: mix}); err == nil {
+			t.Fatalf("DeviceMix %v accepted", mix)
+		}
+		if _, err := NewSource(ms, GenOptions{NumUEs: 300, Duration: cp.Hour, DeviceMix: mix}); err == nil {
+			t.Fatalf("DeviceMix %v accepted by NewSource", mix)
+		}
+	}
+	// An end past the largest time (with the overshoot) used to give an
+	// empty trace.
+	if _, err := Generate(ms, GenOptions{NumUEs: 1, StartHour: 2, Duration: math.MaxInt64 - cp.Hour}); err == nil {
+		t.Fatal("an end past the largest time accepted")
+	}
 	// A model's device list may be shorter or longer than the device
 	// types: a mix asking past its end is refused, a device past the
 	// types never generates.

@@ -51,6 +51,7 @@ var reachAllow = map[string]string{
 	"cptraffic/internal/stats.RNG.Intn":                 "the seeded integer draw of tests in five packages",
 	"cptraffic/internal/stats.RNG.Shuffle":              "the seeded shuffle of the cluster and stats tests",
 	"cptraffic/internal/stats.SketchErrorBound":         "the documented error bound of a sketched fit, which the core and stats tests hold it to",
+	"cptraffic/internal/trace.KeyRun.Events":            "reads one drainUntil call's run in the engine drain tests of core and world",
 	"cptraffic/internal/trace.Trace.Append":             "builds the event-by-event trace fixtures of tests in four packages",
 	"cptraffic/internal/trace.batchingSink.SetDevice":   "BatchSink's method set; the adapter goes with ROADMAP item 5(d)",
 }

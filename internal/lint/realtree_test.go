@@ -30,10 +30,10 @@ var treeSeeds = []treeSeed{
 		at:    "for ue := range pf.exts {",
 	},
 	{
-		analyzer: "detsource", file: "internal/core/gen.go",
+		analyzer: "detsource", file: "internal/trace/population.go",
 		edits: [][2]string{
-			{"import (\n\t\"fmt\"\n", "import (\n\t\"fmt\"\n\t\"time\"\n"},
-			{"\truns := make([]trace.KeyRun, workers)\n\tpar.Do(", "\t_ = time.Now()\n\truns := make([]trace.KeyRun, workers)\n\tpar.Do("},
+			{"import (\n", "import (\n\t\"time\"\n"},
+			{"\truns := make([]KeyRun, workers)\n\tpar.Do(", "\t_ = time.Now()\n\truns := make([]KeyRun, workers)\n\tpar.Do("},
 		},
 		at: "_ = time.Now()",
 	},
@@ -52,7 +52,7 @@ var treeSeeds = []treeSeed{
 	},
 	{
 		analyzer: "frozen", file: "internal/core/gen.go",
-		edits: [][2]string{{"\tworkers := par.Workers(opt.Workers, p.numUEs)\n", "\tms.Method = \"seeded\"\n\tworkers := par.Workers(opt.Workers, p.numUEs)\n"}},
+		edits: [][2]string{{"\treturn p.population().Generate(opt.Workers)\n", "\tms.Method = \"seeded\"\n\treturn p.population().Generate(opt.Workers)\n"}},
 		at:    "ms.Method = \"seeded\"",
 	},
 	{

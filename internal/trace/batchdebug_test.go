@@ -65,9 +65,13 @@ func TestCopiesSurvivePoison(t *testing.T) {
 func TestAssembleWindowsPoisonsHandedOutBatch(t *testing.T) {
 	// 1024 streams with one event each, all in the same millisecond: one
 	// window, four batches, nothing in between to refill the columns.
+	evs := make([][]Event, 1024)
+	for i := range evs {
+		evs[i] = []Event{{T: 5, UE: cp.UEID(i), Type: cp.Handover}}
+	}
 	var retained []cp.Millis
 	calls := 0
-	err := AssembleWindows(func(b *Batch) error {
+	err := assembleWindows(func(b *Batch) error {
 		if calls++; calls == 2 {
 			for i, v := range retained {
 				if v != PoisonMillis {
@@ -80,13 +84,7 @@ func TestAssembleWindowsPoisonsHandedOutBatch(t *testing.T) {
 		}
 		retained = b.T // the contract violation under test
 		return nil
-	}, 1024, 1023, func(i int, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis {
-		if limit <= 5 {
-			return 5
-		}
-		run.Append(l, Event{T: 5, UE: cp.UEID(i), Type: cp.Handover})
-		return NoPending
-	})
+	}, newFakeStreams(evs).streams(), 1023, (*fakeStream).drain)
 	if err != nil {
 		t.Fatal(err)
 	}

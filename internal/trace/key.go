@@ -18,7 +18,7 @@ import (
 // correct sort of the keys — radix, comparison, stable or not — decodes
 // to the same bytes as any Before-based merge or sort. Generate's
 // assembly therefore moves 8-byte keys, not 16-byte events, and decodes
-// once, on the way into the final slice (AssembleKeys).
+// once, on the way into the final slice (assembleKeys).
 
 // KeyLayout fixes the field widths of the packed key for one trace: a
 // lower bound t0 and inclusive upper bounds on T and UE, declared before
@@ -91,7 +91,12 @@ type KeyRun struct {
 	outside bool
 }
 
-// Append packs evs under l onto the run, in order.
+// Append packs evs under l onto the run, in order. While the array stays
+// put it stores back the length alone: a run handed to Population.Drain
+// lives on the heap, and storing its pointer there on every call would
+// shade the array through the write barrier while the collector marks,
+// racing the collector's own scan of the run, which then counts the
+// array's bytes twice in the live heap it reports.
 //
 //cplint:hotpath one call per engine step: Pack and an 8-byte append per event
 func (r *KeyRun) Append(l *KeyLayout, evs ...Event) {
@@ -101,25 +106,41 @@ func (r *KeyRun) Append(l *KeyLayout, evs ...Event) {
 		keys = append(keys, k)
 		outside = outside || !ok
 	}
-	r.keys, r.outside = keys, outside
+	if cap(keys) == cap(r.keys) {
+		r.keys = r.keys[:len(keys)] // the same array: no pointer store
+	} else {
+		r.keys = keys
+	}
+	r.outside = outside
+}
+
+// Events returns the run's events in the order they were appended, and
+// whether every one of them lay inside l. The engines' drain tests in
+// core and world read one drainUntil call through it.
+func (r *KeyRun) Events(l *KeyLayout) ([]Event, bool) {
+	evs := make([]Event, len(r.keys))
+	for i, k := range r.keys {
+		evs[i] = l.Unpack(k)
+	}
+	return evs, !r.outside
 }
 
 // Reset empties the run for reuse, keeping its storage.
 func (r *KeyRun) Reset() { r.keys, r.outside = r.keys[:0], false }
 
-// Forecast tells the run that done of its producer's total UEs have been
+// forecast tells the run that done of its producer's total UEs have been
 // appended, and how many runs the assembly will take. Once, a sixteenth
 // of the way through (and no sooner than 64 UEs), it reserves room for
 // the rest at the density seen so far plus an eighth: append's geometric
 // growth copies everything so far at each step — five times the final
 // run in all — and this ends it early. A lone run reserves twice that,
-// 16 B per key, so that AssembleKeys can partition the keys into the
+// 16 B per key, so that assembleKeys can partition the keys into the
 // run's upper half and decode the events over the whole buffer instead of
 // allocating 24 B per key more. UEs are independent draws, so the
 // estimate is close; where it is short, append grows the run as it always
 // did, and a lone run left without room for its partition is assembled
 // like several. Capacity never shows in the assembled bytes.
-func (r *KeyRun) Forecast(done, total, runs int) {
+func (r *KeyRun) forecast(done, total, runs int) {
 	if done != max(total/16, 64) {
 		return
 	}

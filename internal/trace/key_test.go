@@ -61,7 +61,7 @@ func loneRun(l *KeyLayout, evs []Event, c int) []KeyRun {
 	return []KeyRun{run}
 }
 
-// TestAssembleKeysMatchesSort is the kernel's oracle: AssembleKeys over
+// TestAssembleKeysMatchesSort is the kernel's oracle: assembleKeys over
 // packed runs must return exactly what Trace.Sort makes of the same
 // events, whatever the key width, the duplication, the skew across
 // top-digit buckets, the input size relative to the kernel's two size
@@ -135,7 +135,7 @@ func TestAssembleKeysMatchesSort(t *testing.T) {
 		want.Sort()
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "no-runs" {
-				if got, ok := AssembleKeys(&l, nil); !ok || len(got) != 0 {
+				if got, ok := assembleKeys(&l, nil); !ok || len(got) != 0 {
 					t.Fatalf("no runs assembled to %d events, ok=%v", len(got), ok)
 				}
 				return
@@ -144,12 +144,12 @@ func TestAssembleKeysMatchesSort(t *testing.T) {
 				t.Run(pv.name, func(t *testing.T) {
 					runs := pv.runs(&l, evs, tc.lens)
 					base := unsafe.Pointer(unsafe.SliceData(runs[0].keys))
-					got, ok := AssembleKeys(&l, runs)
+					got, ok := assembleKeys(&l, runs)
 					if !ok {
-						t.Fatal("AssembleKeys refused in-layout events")
+						t.Fatal("assembleKeys refused in-layout events")
 					}
 					if !slices.Equal(got, want.Events) {
-						t.Fatalf("AssembleKeys differs from Trace.Sort (%d vs %d events)", len(got), len(want.Events))
+						t.Fatalf("assembleKeys differs from Trace.Sort (%d vs %d events)", len(got), len(want.Events))
 					}
 					over, inPlace := unsafe.Pointer(unsafe.SliceData(got)) == base, pv.name == "lone-room"
 					if tc.n > 0 && over != inPlace {
@@ -246,8 +246,8 @@ func TestKeyLayoutRefusals(t *testing.T) {
 		}
 		// One such event anywhere poisons its run, and the run the assembly.
 		runs := packRuns(&l, []Event{in, e, in}, []int{1})
-		if evs, ok := AssembleKeys(&l, runs); ok || evs != nil {
-			t.Errorf("AssembleKeys assembled a run holding %v", e)
+		if evs, ok := assembleKeys(&l, runs); ok || evs != nil {
+			t.Errorf("assembleKeys assembled a run holding %v", e)
 		}
 		if len(runs[1].keys) != 2 {
 			t.Errorf("refused assembly consumed its runs")
@@ -277,7 +277,7 @@ func ExampleKeyLayout() {
 
 // TestKeyRunForecast: one reservation, a sixteenth of the way through
 // and no sooner than 64 UEs, sized from the density so far — doubled for
-// a lone run, which AssembleKeys then decodes over in place; after it a
+// a lone run, which assembleKeys then decodes over in place; after it a
 // population that keeps that density never reallocates, and one that
 // does not still appends correctly.
 func TestKeyRunForecast(t *testing.T) {
@@ -291,7 +291,7 @@ func TestKeyRunForecast(t *testing.T) {
 				run.Append(&l, Event{T: cp.Millis(i), UE: cp.UEID(ue)})
 			}
 			before := cap(run.keys)
-			run.Forecast(ue+1, total, runs)
+			run.forecast(ue+1, total, runs)
 			if cap(run.keys) != before {
 				if reservedAt != 0 {
 					t.Fatalf("runs=%d: second reservation after UE %d (first after %d)", runs, ue+1, reservedAt)
@@ -318,7 +318,7 @@ func TestKeyRunForecast(t *testing.T) {
 	for ue := 0; ue < 63; ue++ {
 		small.Append(&l, Event{UE: cp.UEID(ue)})
 		before := cap(small.keys)
-		small.Forecast(ue+1, 63, 1)
+		small.forecast(ue+1, 63, 1)
 		if cap(small.keys) != before {
 			t.Fatalf("reserved for a 63-UE stripe after UE %d", ue+1)
 		}
@@ -329,9 +329,9 @@ func TestKeyRunForecast(t *testing.T) {
 		if ue >= 1024 {
 			late.Append(&l, Event{UE: cp.UEID(ue)})
 		}
-		late.Forecast(ue+1, 2048, 1)
+		late.forecast(ue+1, 2048, 1)
 	}
-	if evs, ok := AssembleKeys(&l, []KeyRun{late}); !ok || len(evs) != 1024 {
+	if evs, ok := assembleKeys(&l, []KeyRun{late}); !ok || len(evs) != 1024 {
 		t.Fatalf("assembled %d events, ok=%v, want 1024", len(evs), ok)
 	}
 }

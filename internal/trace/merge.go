@@ -1,7 +1,7 @@
 package trace
 
 // The k-way loser-tree merge, kept for two callers and neither of them
-// production: window_test.go holds AssembleWindows to it (a different
+// production: window_test.go holds assembleWindows to it (a different
 // algorithm over the same streams), and bench/gen.go replays it for the
 // trace.merge.* layer metrics. Both generator-backed sources order by time
 // window (window.go) and Generate by packed key (radix.go). When bench/

@@ -50,16 +50,16 @@ const (
 	smallSort = 256
 )
 
-// AssembleKeys sorts the keys of every run and returns the events they
+// assembleKeys sorts the keys of every run and returns the events they
 // decode to, in canonical order. It reports false, touching nothing, when
 // some run was given an event outside l's bounds: the caller must order
 // its events another way. Otherwise the runs are consumed. A lone run
-// whose capacity holds twice its keys (KeyRun.Forecast reserves that)
+// whose capacity holds twice its keys (KeyRun.forecast reserves that)
 // becomes the events' storage, so nothing n-sized is allocated; otherwise
 // the runs are emptied once their keys are partitioned into a separate
 // buffer, before the event slice is allocated, so the collector can
 // reclaim them first.
-func AssembleKeys(l *KeyLayout, runs []KeyRun) ([]Event, bool) {
+func assembleKeys(l *KeyLayout, runs []KeyRun) ([]Event, bool) {
 	n := 0
 	for i := range runs {
 		if runs[i].outside {
@@ -234,7 +234,7 @@ func sortBucket(l *KeyLayout, keys, scratch []uint64, dst []Event, hist []int32,
 // RadixSortEvents sorts evs in place into canonical (time, UE, type)
 // order, with t0 a known lower bound on every timestamp (pass 0 when
 // unknown — correct, just wider keys). It packs evs under the exact
-// layout one sweep finds, runs AssembleKeys' two stages and decodes back
+// layout one sweep finds, runs assembleKeys' two stages and decodes back
 // into evs. It reports whether the key fit in 64 bits; on false evs is
 // left untouched and the caller must sort another way. A timestamp below
 // t0, or a type beyond the key's type field, also reports false.

@@ -30,7 +30,7 @@ func ueMajorEvents(nUEs int, seed uint64) []Event {
 	return evs
 }
 
-// BenchmarkAssembleKeys times the assembly layer alone — AssembleKeys
+// BenchmarkAssembleKeys times the assembly layer alone — assembleKeys
 // over one UE-major run of packed keys, the layer bench/ reports as
 // trace.radix.ns_per_event — at a population whose keys fit the cache
 // and one whose keys do not.
@@ -49,9 +49,9 @@ func BenchmarkAssembleKeys(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				run := KeyRun{keys: slices.Clone(packed.keys)} // AssembleKeys consumes its runs
+				run := KeyRun{keys: slices.Clone(packed.keys)} // assembleKeys consumes its runs
 				b.StartTimer()
-				if got, _ := AssembleKeys(&l, []KeyRun{run}); len(got) != len(evs) {
+				if got, _ := assembleKeys(&l, []KeyRun{run}); len(got) != len(evs) {
 					b.Fatalf("assembled %d of %d events", len(got), len(evs))
 				}
 			}

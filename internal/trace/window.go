@@ -13,7 +13,7 @@ import (
 // UE, each able to say when it fires next — without a merge: it advances
 // every stream through one time window [w0, w1) at a time, packs the
 // window's events into 8-byte keys relative to w0 (key.go), sorts them in
-// cache with the radix kernel AssembleKeys uses, and decodes the last pass
+// cache with the radix kernel assembleKeys uses, and decodes the last pass
 // straight into the batch columns it hands out.
 //
 // Any window length gives the same bytes: every event with T < w1 is
@@ -27,24 +27,18 @@ import (
 // the state of each one that fires, and below an event per stream those
 // visits, not the sort, are the cost. It is clamped so the window-relative
 // key fits 64 bits whatever the trace's duration, which is why this path,
-// unlike AssembleKeys, cannot refuse; and a silent stretch costs nothing,
+// unlike assembleKeys, cannot refuse; and a silent stretch costs nothing,
 // because the next window starts at the earliest pending time.
 
 // NoPending is the pending time of a stream that has nothing left.
 const NoPending = cp.Millis(math.MaxInt64)
 
-// A DrainFunc advances stream i up to limit: it appends every remaining
-// event with T < limit to run (run.Append(l, ...)), in the stream's own
-// time order, and returns a lower bound on the time of the stream's next
-// event — at least limit — or NoPending when the stream is exhausted. It
-// must never hand back an event older than one it has already delivered.
-type DrainFunc func(i int, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis
-
-// windowAssembler is AssembleWindows' state: every buffer is reused from
+// windowAssembler is assembleWindows' state: every buffer is reused from
 // window to window, so the steady state allocates nothing.
-type windowAssembler struct {
+type windowAssembler[S any] struct {
 	fn      func(*Batch) error
-	drain   DrainFunc
+	streams []S
+	drain   func(s *S, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis
 	pending []cp.Millis // per stream: no event before this time; the only per-stream state touched for a sleeping stream
 	run     KeyRun      // the current window's keys
 	scratch []uint64
@@ -55,21 +49,22 @@ type windowAssembler struct {
 	view Batch // the batch fn sees: DefaultBatchSize events of cols
 }
 
-// AssembleWindows delivers the events of k streams (ids at most ueMax) to
-// fn in canonical order, in full DefaultBatchSize batches but for the
-// last. The *Batch passed to fn is reused; fn must not retain it. fn's
-// first error aborts the assembly and is returned. A stream that breaks
-// DrainFunc's contract — an event outside the window it was asked for,
-// above all one older than the window's start, which would have to be
-// emitted out of order — is an error, and nothing is delivered after it.
-func AssembleWindows(fn func(*Batch) error, k int, ueMax cp.UEID, drain DrainFunc) error {
-	a := windowAssembler{fn: fn, drain: drain, pending: make([]cp.Millis, k)}
+// assembleWindows delivers the events of streams (ids at most ueMax) to fn
+// in canonical order, in full DefaultBatchSize batches but for the last.
+// drain follows Population.Drain's contract. The *Batch passed to fn is
+// reused; fn must not retain it. fn's first error aborts the assembly and
+// is returned. A stream that breaks drain's contract — an event outside
+// the window it was asked for, above all one older than the window's
+// start, which would have to be emitted out of order — is an error, and
+// nothing is delivered after it.
+func assembleWindows[S any](fn func(*Batch) error, streams []S, ueMax cp.UEID, drain func(s *S, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis) error {
+	a := windowAssembler[S]{fn: fn, streams: streams, drain: drain, pending: make([]cp.Millis, len(streams))}
 	// Nothing is older than the smallest limit: the first round only asks
 	// every stream for its first pending time.
 	var lay KeyLayout
 	w0 := NoPending
 	for i := range a.pending {
-		a.pending[i] = drain(i, math.MinInt64, &lay, &a.run)
+		a.pending[i] = drain(&streams[i], math.MinInt64, &lay, &a.run)
 		w0 = min(w0, a.pending[i])
 	}
 	if len(a.run.keys) > 0 {
@@ -79,7 +74,7 @@ func AssembleWindows(fn func(*Batch) error, k int, ueMax cp.UEID, drain DrainFun
 	// the UE and type fields.
 	lay, _ = NewKeyLayout(0, 0, ueMax)
 	maxSpan := cp.Millis(1) << min(64-lay.tShift, 62)
-	target := float64(max(bucketTarget, k))
+	target := float64(max(bucketTarget, len(streams)))
 	for span := cp.Millis(1); w0 != NoPending; {
 		w1 := w0 + span
 		if w1 < w0 { // past the end of time
@@ -108,11 +103,11 @@ func AssembleWindows(fn func(*Batch) error, k int, ueMax cp.UEID, drain DrainFun
 // and returns the earliest pending time afterwards.
 //
 //cplint:hotpath one compare per stream per window; only streams that fire in the window are touched
-func (a *windowAssembler) fill(w1 cp.Millis, lay *KeyLayout) cp.Millis {
+func (a *windowAssembler[S]) fill(w1 cp.Millis, lay *KeyLayout) cp.Millis {
 	next := NoPending
 	for i, p := range a.pending {
 		if p < w1 {
-			p = a.drain(i, w1, lay, &a.run)
+			p = a.drain(&a.streams[i], w1, lay, &a.run)
 			a.pending[i] = p
 		}
 		next = min(next, p)
@@ -121,7 +116,7 @@ func (a *windowAssembler) fill(w1 cp.Millis, lay *KeyLayout) cp.Millis {
 }
 
 // sortWindow sorts the run's keys and decodes them onto the end of cols.
-func (a *windowAssembler) sortWindow(lay *KeyLayout) {
+func (a *windowAssembler[S]) sortWindow(lay *KeyLayout) {
 	keys := a.run.keys
 	n, held := len(keys), a.cols.Len()
 	a.scratch = slices.Grow(a.scratch[:0], n)[:n]
@@ -160,7 +155,7 @@ func sortColumns(l *KeyLayout, keys, scratch []uint64, t []cp.Millis, ue []cp.UE
 
 // flush hands fn the held events DefaultBatchSize at a time while at least
 // atLeast remain, then moves what is left to the front of cols.
-func (a *windowAssembler) flush(atLeast int) error {
+func (a *windowAssembler[S]) flush(atLeast int) error {
 	held, i := a.cols.Len(), 0
 	for held-i >= atLeast {
 		j := min(i+DefaultBatchSize, held)

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkWindowAssemble times the windowed assembly layer alone —
-// AssembleWindows over pre-built per-UE streams (ueMajorEvents: one hour,
+// assembleWindows over pre-built per-UE streams (ueMajorEvents: one hour,
 // about 20 events a UE) into a sink that only counts — at a population
 // whose pending times and windows fit the cache and one that has more
 // streams than the sort's window target.
@@ -30,12 +30,12 @@ func BenchmarkWindowAssemble(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f := newFakeStreams(streams)
+				f := newFakeStreams(streams).streams()
 				got := 0
-				err := AssembleWindows(func(batch *Batch) error {
+				err := assembleWindows(func(batch *Batch) error {
 					got += batch.Len()
 					return nil
-				}, nUEs, cp.UEID(nUEs-1), f.drain)
+				}, f, cp.UEID(nUEs-1), (*fakeStream).drain)
 				if err != nil || got != len(evs) {
 					b.Fatalf("assembled %d of %d events: %v", got, len(evs), err)
 				}

@@ -10,38 +10,62 @@ import (
 	"cptraffic/internal/stats"
 )
 
-// fakeStreams is a population of pre-built streams behind a DrainFunc. It
-// records every limit it was drained to, so a test can tell where the
-// window boundaries fell. With lazy set, a stream answers like the world
-// simulator: its pending time is only a lower bound (up to half a second
-// early), so windows can come up empty.
+// fakeStream is one pre-built stream as per-UE state: its events and a
+// cursor. With lazy set, it answers like the world simulator: its pending
+// time is only a lower bound (up to half a second early), so windows can
+// come up empty.
+type fakeStream struct {
+	evs  []Event
+	pos  int
+	lazy bool
+}
+
+func (s *fakeStream) drain(limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis {
+	for s.pos < len(s.evs) && s.evs[s.pos].T < limit {
+		run.Append(l, s.evs[s.pos])
+		s.pos++
+	}
+	switch {
+	case s.pos == len(s.evs):
+		return NoPending
+	case s.lazy:
+		return max(limit, s.evs[s.pos].T-500)
+	}
+	return s.evs[s.pos].T
+}
+
+// fakeStreams is a population of pre-built streams. Its drain records
+// every limit it was drained to, so a test can tell where the window
+// boundaries fell.
 type fakeStreams struct {
 	evs    [][]Event
-	pos    []int
 	lazy   bool
 	limits []cp.Millis
 }
 
 func newFakeStreams(evs [][]Event) *fakeStreams {
-	return &fakeStreams{evs: evs, pos: make([]int, len(evs))}
+	return &fakeStreams{evs: evs}
 }
 
-func (f *fakeStreams) drain(i int, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis {
+// init starts stream i afresh.
+func (f *fakeStreams) init(s *fakeStream, i int) {
+	*s = fakeStream{evs: f.evs[i], lazy: f.lazy}
+}
+
+// streams returns every stream, started.
+func (f *fakeStreams) streams() []fakeStream {
+	s := make([]fakeStream, len(f.evs))
+	for i := range s {
+		f.init(&s[i], i)
+	}
+	return s
+}
+
+func (f *fakeStreams) drain(s *fakeStream, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis {
 	if n := len(f.limits); n == 0 || f.limits[n-1] != limit {
 		f.limits = append(f.limits, limit)
 	}
-	s := f.evs[i]
-	for f.pos[i] < len(s) && s[f.pos[i]].T < limit {
-		run.Append(l, s[f.pos[i]])
-		f.pos[i]++
-	}
-	switch {
-	case f.pos[i] == len(s):
-		return NoPending
-	case f.lazy:
-		return max(limit, s[f.pos[i]].T-500)
-	}
-	return s[f.pos[i]].T
+	return s.drain(limit, l, run)
 }
 
 // ueMaxOf returns the largest UE id in the streams.
@@ -72,23 +96,23 @@ func mergeOracle(t *testing.T, evs [][]Event) []Event {
 	return want
 }
 
-// assembleAll runs AssembleWindows over the streams and checks it against
+// assembleAll runs assembleWindows over the streams and checks it against
 // the merge, event for event, and that every batch but the last is full.
 func assembleAll(t *testing.T, name string, f *fakeStreams) {
 	t.Helper()
 	want := mergeOracle(t, f.evs)
 	var got []Event
 	var sizes []int
-	err := AssembleWindows(func(b *Batch) error {
+	err := assembleWindows(func(b *Batch) error {
 		got = b.AppendTo(got)
 		sizes = append(sizes, b.Len())
 		return nil
-	}, len(f.evs), ueMaxOf(f.evs), f.drain)
+	}, f.streams(), ueMaxOf(f.evs), f.drain)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	if !slices.Equal(got, want) {
-		t.Fatalf("%s: AssembleWindows differs from MergeBatches (%d vs %d events)", name, len(got), len(want))
+		t.Fatalf("%s: assembleWindows differs from MergeBatches (%d vs %d events)", name, len(got), len(want))
 	}
 	for i, n := range sizes {
 		if last := i == len(sizes)-1; (!last && n != DefaultBatchSize) || n == 0 || n > DefaultBatchSize {
@@ -219,12 +243,12 @@ func TestAssembleWindowsStopsOnError(t *testing.T) {
 	evs := randomStreams(r, 10, 400, 0, 3000)
 	boom := errors.New("boom")
 	calls := 0
-	err := AssembleWindows(func(*Batch) error {
+	err := assembleWindows(func(*Batch) error {
 		if calls++; calls == 3 {
 			return boom
 		}
 		return nil
-	}, len(evs), ueMaxOf(evs), newFakeStreams(evs).drain)
+	}, newFakeStreams(evs).streams(), ueMaxOf(evs), (*fakeStream).drain)
 	if !errors.Is(err, boom) || calls != 3 {
 		t.Fatalf("err = %v after %d calls, want boom after 3", err, calls)
 	}
@@ -237,10 +261,10 @@ func TestAssembleWindowsStopsOnError(t *testing.T) {
 	}
 	back := []Event{{T: 6000, UE: 1, Type: cp.Attach}, {T: 10, UE: 1, Type: cp.Detach}}
 	var got []Event
-	err = AssembleWindows(func(b *Batch) error {
+	err = assembleWindows(func(b *Batch) error {
 		got = b.AppendTo(got)
 		return nil
-	}, 2, 1, newFakeStreams([][]Event{good, back}).drain)
+	}, newFakeStreams([][]Event{good, back}).streams(), 1, (*fakeStream).drain)
 	if err == nil || !strings.Contains(err.Error(), "time-ordered") {
 		t.Fatalf("err = %v, want the stream-order error", err)
 	}
@@ -250,8 +274,8 @@ func TestAssembleWindowsStopsOnError(t *testing.T) {
 
 	// A stream that answers the opening round with an event has no window
 	// to put it in.
-	err = AssembleWindows(func(*Batch) error { return nil }, 1, 0,
-		func(i int, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis {
+	err = assembleWindows(func(*Batch) error { return nil }, make([]int, 1), 0,
+		func(_ *int, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis {
 			run.Append(l, Event{})
 			return NoPending
 		})

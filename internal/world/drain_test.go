@@ -2,6 +2,7 @@ package world
 
 import (
 	"slices"
+	"sort"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -16,6 +17,14 @@ func newUESim(opt Options, mix [cp.NumDeviceTypes]float64, root *stats.RNG, i in
 	u := &ueSim{}
 	u.init(opt, cp.UEID(i), dev, rng)
 	return u, dev
+}
+
+// sortedEvents returns run's events in canonical order, and whether every
+// one lay inside lay.
+func sortedEvents(run *trace.KeyRun, lay *trace.KeyLayout) ([]trace.Event, bool) {
+	evs, ok := run.Events(lay)
+	sort.Slice(evs, func(i, j int) bool { return evs[i].Before(evs[j]) })
+	return evs, ok
 }
 
 // TestDrainUntilMatchesNext is the simulator half of the windowed
@@ -45,7 +54,7 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 		if pending := ref.drainUntil(trace.NoPending, &lay, &all); pending != trace.NoPending {
 			t.Fatalf("UE %d: the unlimited drain reports pending %d", i, pending)
 		}
-		want, ok := trace.AssembleKeys(&lay, []trace.KeyRun{all})
+		want, ok := sortedEvents(&all, &lay)
 		if !ok {
 			t.Fatalf("UE %d: the unlimited drain delivered an event outside the simulated window", i)
 		}
@@ -71,7 +80,7 @@ func TestDrainUntilMatchesNext(t *testing.T) {
 			}
 			var run trace.KeyRun
 			pending := u.drainUntil(limit, &lay, &run)
-			got, ok := trace.AssembleKeys(&lay, []trace.KeyRun{run})
+			got, ok := sortedEvents(&run, &lay)
 			if !ok {
 				t.Fatalf("UE %d: drainUntil(%d) delivered an event outside the simulated window", i, limit)
 			}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"cptraffic/internal/cp"
-	"cptraffic/internal/par"
 	"cptraffic/internal/stats"
 	"cptraffic/internal/trace"
 )
@@ -54,6 +53,9 @@ func resolveMix(opt Options) ([cp.NumDeviceTypes]float64, error) {
 	if opt.Offset < 0 {
 		return mix, fmt.Errorf("world: Offset must be non-negative")
 	}
+	if opt.Duration > math.MaxInt64-opt.Offset {
+		return mix, fmt.Errorf("world: Offset %d plus Duration %d ms ends past the largest time", opt.Offset, opt.Duration)
+	}
 	if opt.MobilityScale < 0 {
 		return mix, fmt.Errorf("world: MobilityScale must be non-negative")
 	}
@@ -66,14 +68,14 @@ func resolveMix(opt Options) ([cp.NumDeviceTypes]float64, error) {
 		}
 		var sum float64
 		for d, m := range opt.Mix {
-			if m < 0 {
-				return mix, fmt.Errorf("world: negative mix entry")
+			if m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
+				return mix, fmt.Errorf("world: mix entry %v for %v is not a finite non-negative number", m, cp.DeviceType(d))
 			}
 			mix[d] = m
 			sum += m
 		}
-		if sum <= 0 {
-			return mix, fmt.Errorf("world: empty mix")
+		if !(sum > 0 && sum <= math.MaxFloat64) {
+			return mix, fmt.Errorf("world: empty mix, or entries summing past the largest float")
 		}
 		for d := range mix {
 			mix[d] /= sum
@@ -126,74 +128,15 @@ func (u *ueSim) init(opt Options, ue cp.UEID, dev cp.DeviceType, rng stats.RNG) 
 	u.queue = q
 }
 
-// Generate simulates the UE population and returns the sorted trace.
-//
-// Assembly: each worker drains its UEs into one run of packed 8-byte keys
-// (trace.KeyLayout over [Offset, Offset+Duration), fixed before any event
-// exists) and trace.AssembleKeys sorts the runs and decodes them into the
-// event slice — identical bytes to what the streaming Source emits window
-// by window, since the key's integer order is the canonical order and the
-// key is the whole event. A key that cannot fit 64 bits takes that
-// streaming path, whose keys are relative to each window, instead.
-//
-// Memory: no per-UE plan is held — each worker derives its UEs' streams
-// (simPlan) and the registry derives them again. With one worker the
-// run reserves twice its keys (trace.KeyRun.Forecast) and becomes the
-// event slice's storage, so the peak is that one buffer, 18 B per event;
-// with several, the runs, their partition and the event slice peak at
-// 24 B.
+// Generate simulates the UE population and returns the sorted trace,
+// ordered by trace.Population, the driver core.Generate shares: assembly
+// and memory are described there.
 func Generate(opt Options) (*trace.Trace, error) {
-	mix, err := resolveMix(opt)
+	pop, err := population(opt)
 	if err != nil {
 		return nil, err
 	}
-	lay, fits := trace.NewKeyLayout(opt.Offset, opt.Offset+opt.Duration-1, cp.UEID(opt.NumUEs-1))
-	if !fits {
-		return collectSource(opt)
-	}
-	root := stats.NewRNG(opt.Seed)
-	workers := par.Workers(opt.Workers, opt.NumUEs)
-	runs := make([]trace.KeyRun, workers)
-	par.Do(workers, func(w int) {
-		// One reused simulator per worker: each UE's state is initialized
-		// in place and drained straight into the worker's run — no
-		// per-UE heap objects, no per-event interface hop.
-		var run trace.KeyRun // local: workers must not share runs' cache lines
-		var sim ueSim
-		stripe := (opt.NumUEs - w + workers - 1) / workers
-		for i, done := w, 1; i < opt.NumUEs; i, done = i+workers, done+1 {
-			rng, dev := simPlan(mix, root, i)
-			sim.init(opt, cp.UEID(i), dev, rng)
-			sim.drainUntil(trace.NoPending, &lay, &run)
-			run.Forecast(done, stripe, workers)
-		}
-		runs[w] = run
-	})
-	// The registry after the runs, as in core.Generate: not live beside a
-	// lone run's reservation while it is copied into.
-	tr := &trace.Trace{Device: make(map[cp.UEID]cp.DeviceType, opt.NumUEs)}
-	for i := 0; i < opt.NumUEs; i++ {
-		_, tr.Device[cp.UEID(i)] = simPlan(mix, root, i)
-	}
-	var ok bool
-	if tr.Events, ok = trace.AssembleKeys(&lay, runs); !ok {
-		// An event outside [Offset, Offset+Duration): a simulator bug, but
-		// one the merge path orders correctly all the same.
-		return collectSource(opt)
-	}
-	return tr, nil
-}
-
-// collectSource materializes the streaming Source: the assembly for
-// options whose packed key does not fit 64 bits — the Source's windowed
-// keys are relative to each window, so it orders any span.
-// TestSourceMatchesGenerate pins it byte for byte against the packed path.
-func collectSource(opt Options) (*trace.Trace, error) {
-	src, err := NewSource(opt)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Collect(src)
+	return pop.Generate(opt.Workers)
 }
 
 // Source is a simulation-backed trace.EventSource: scanning it runs the
@@ -202,55 +145,54 @@ func collectSource(opt Options) (*trace.Trace, error) {
 // trace. Devices and the scans re-derive the population from the seed, so
 // the source is re-iterable and successive passes agree.
 type Source struct {
-	opt Options
-	mix [cp.NumDeviceTypes]float64
+	pop *trace.Population[ueSim]
 }
 
 // NewSource validates the options once and returns the lazy source; no
 // simulation happens until Scan.
 func NewSource(opt Options) (*Source, error) {
-	mix, err := resolveMix(opt)
+	pop, err := population(opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Source{opt: opt, mix: mix}, nil
+	return &Source{pop: pop}, nil
 }
 
 // Devices reports every UE's device type in ascending UE order.
 func (s *Source) Devices(fn func(cp.UEID, cp.DeviceType) error) error {
-	root := stats.NewRNG(s.opt.Seed)
-	for i := 0; i < s.opt.NumUEs; i++ {
-		_, dev := simPlan(s.mix, root, i)
-		if err := fn(cp.UEID(i), dev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sims prepares one slab of per-UE simulators — a single allocation for
-// the whole population, initialized in place.
-func (s *Source) sims() []ueSim {
-	root := stats.NewRNG(s.opt.Seed)
-	sims := make([]ueSim, s.opt.NumUEs)
-	for i := range sims {
-		rng, dev := simPlan(s.mix, root, i)
-		sims[i].init(s.opt, cp.UEID(i), dev, rng)
-	}
-	return sims
+	return s.pop.Devices(fn)
 }
 
 // ScanBatches simulates the population and delivers its events in
-// canonical order, and is the source's one ordering path:
-// trace.AssembleWindows advances the population a time window at a time —
-// each simulator drained up to the window's end (drainUntil), the window's
-// packed keys sorted in cache — and delivers reused struct-of-arrays
-// batches.
+// canonical order, a time window at a time
+// (trace.Population.ScanBatches), in reused struct-of-arrays batches.
 func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
-	sims := s.sims()
-	return trace.AssembleWindows(fn, len(sims), cp.UEID(len(sims)-1), func(i int, limit cp.Millis, lay *trace.KeyLayout, run *trace.KeyRun) cp.Millis {
-		return sims[i].drainUntil(limit, lay, run)
-	})
+	return s.pop.ScanBatches(fn)
+}
+
+// population validates opt and returns the population as the trace
+// driver's per-UE streams: one ueSim per UE, its stream and device derived
+// from the seed (simPlan) whenever it is initialized.
+func population(opt Options) (*trace.Population[ueSim], error) {
+	mix, err := resolveMix(opt)
+	if err != nil {
+		return nil, err
+	}
+	root := stats.NewRNG(opt.Seed)
+	return &trace.Population[ueSim]{
+		N:    opt.NumUEs,
+		T0:   opt.Offset,
+		TMax: opt.Offset + opt.Duration - 1,
+		Device: func(i int) cp.DeviceType {
+			_, dev := simPlan(mix, root, i)
+			return dev
+		},
+		Init: func(u *ueSim, i int) {
+			rng, dev := simPlan(mix, root, i)
+			u.init(opt, cp.UEID(i), dev, rng)
+		},
+		Drain: (*ueSim).drainUntil,
+	}, nil
 }
 
 // ueSim is the behavioral simulation of one UE, exposed incrementally:

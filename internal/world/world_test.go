@@ -211,6 +211,25 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Generate(Options{NumUEs: 1, Duration: 1, Mix: []float64{-1, 2, 0}}); err == nil {
 		t.Fatal("negative mix accepted")
 	}
+	// Entries that are not finite numbers, or that sum past the largest
+	// float: each used to give a one-device population.
+	for _, mix := range [][]float64{
+		{math.NaN(), 1, 0},
+		{0, 1, math.Inf(1)},
+		{1, math.Inf(-1), 0},
+		{math.MaxFloat64, math.MaxFloat64, 0},
+	} {
+		if _, err := Generate(Options{NumUEs: 200, Duration: cp.Hour, Mix: mix}); err == nil {
+			t.Fatalf("mix %v accepted", mix)
+		}
+		if _, err := NewSource(Options{NumUEs: 200, Duration: cp.Hour, Mix: mix}); err == nil {
+			t.Fatalf("mix %v accepted by NewSource", mix)
+		}
+	}
+	// An end past the largest time used to give an empty trace.
+	if _, err := Generate(Options{NumUEs: 5, Offset: cp.Hour, Duration: math.MaxInt64 - 1000}); err == nil {
+		t.Fatal("an end past the largest time accepted")
+	}
 }
 
 func TestWeekendSeasonality(t *testing.T) {
