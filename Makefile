@@ -82,10 +82,11 @@ race:
 # nothing that grows with the model; the model decoder allocates each slice
 # and pointer of the model once and nothing per number, and core.Load adds
 # one compile of the model and nothing else; both trace writers' Write and
-# WriteBatch allocate nothing; and the generator's per-UE state (ueGen)
-# stays within the 400 B that budget counts.
+# WriteBatch allocate nothing; the generator's per-UE state (ueGen)
+# stays within the 400 B that budget counts; and a decided sm.Walk — the
+# per-UE extraction fit and eval share — allocates nothing per event.
 allocs:
-	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE|UEGenSize' ./internal/core/ ./internal/world/ ./internal/trace/
+	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE|UEGenSize' ./internal/core/ ./internal/world/ ./internal/trace/ ./internal/sm/
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1

@@ -71,7 +71,7 @@ const HoursPerDay = 24
 // (cluster, hour, device type) combination.
 //
 // The source is scanned once and never materialized: per-UE state is a
-// small extractor and every sample flows straight into the PartialFit's
+// small walk (sm.Walk) and every sample flows straight into the PartialFit's
 // tagged pools, so peak memory is O(UEs + retained samples) on top of
 // whatever the source itself holds (nothing for a FileSource, the event
 // slice for a *trace.Trace), and FitOptions.SketchK > 0 bounds the sample
@@ -91,7 +91,7 @@ func Fit(src trace.EventSource, opt FitOptions) (*ModelSet, error) {
 	return pf.Build()
 }
 
-// --- per-UE extraction ---
+// --- aggregation ---
 
 type topKey struct {
 	S cp.UEState
@@ -103,252 +103,11 @@ type botKey struct {
 	E cp.EventType
 }
 
-type topSample struct {
-	Hour uint8
-	Key  topKey
-	Soj  float64
-	Has  bool
-}
-
-type botSample struct {
-	Hour uint8
-	Key  botKey
-	Soj  float64
-	Has  bool
-}
-
-type iaSample struct {
-	Hour uint8
-	E    cp.EventType
-	IA   float64
-}
-
-type firstSample struct {
-	Hour  uint8
-	E     cp.EventType
-	State sm.State // machine state right after the event
-	Off   float64  // seconds within the hour
-}
-
 // firstCatKey keys first-event categories by (event, post-state).
 type firstCatKey struct {
 	E cp.EventType
 	S sm.State
 }
-
-// censorSample records that a visit to a top-level state ended while the
-// bottom level sat in state S with no sub-machine event having fired for
-// Dur seconds — a right-censored bottom sojourn (competing risks).
-type censorSample struct {
-	Hour uint8
-	S    sm.State
-	Dur  float64
-}
-
-// sampleSink receives the samples extracted from one UE's event stream:
-// ueExtractor's seam. partialSink is the production implementation,
-// tagging each sample into the PartialFit's pools; the tests' ueData
-// (fit_test.go) appends them to per-UE slices instead.
-type sampleSink interface {
-	countEvent(h int, e cp.EventType)
-	top(s topSample)
-	bot(s botSample)
-	botCensor(s censorSample)
-	free(s iaSample)
-	first(s firstSample)
-	violation()
-}
-
-// ueExtractor is the extraction walk over one UE's events: it tracks the
-// two levels of the machine concurrently and emits every sample the
-// fitting stage needs. Events arrive one at a time (in the UE's time
-// order) and samples leave through the sink as soon as they are
-// determined. Because the initial macro state is inferred from the first
-// Category-1 event, the extractor buffers the (typically empty) Category-2
-// prefix until that event arrives and replays it; a UE with no Category-1
-// events at all is resolved at finish. Both cases call
-// sm.InferMacroInitial on exactly the events that decide it.
-type ueExtractor struct {
-	m    *sm.Machine
-	sink sampleSink
-
-	decided bool
-	buf     []trace.Event // prefix held until the initial macro state is known
-
-	macro            cp.UEState
-	bottom           sm.State
-	macroAt, botAt   cp.Millis
-	macroHas, botHas bool
-
-	lastOfType     [cp.NumEventTypes]cp.Millis
-	lastCellOfType [cp.NumEventTypes]int
-	seenType       [cp.NumEventTypes]bool
-	lastCell       int
-}
-
-func newUEExtractor(m *sm.Machine, sink sampleSink) *ueExtractor {
-	return &ueExtractor{m: m, sink: sink, lastCell: -1}
-}
-
-// push feeds the next event of this UE's time-ordered stream.
-func (x *ueExtractor) push(ev trace.Event) {
-	if !x.decided {
-		x.buf = append(x.buf, ev)
-		if sm.Category1(ev.Type) {
-			x.start()
-		}
-		return
-	}
-	x.step(ev)
-}
-
-// finish flushes a stream that never produced a Category-1 event. It must
-// be called exactly once after the last push.
-func (x *ueExtractor) finish() {
-	if !x.decided {
-		x.start()
-	}
-}
-
-// start resolves the initial macro state from the buffered prefix and
-// replays it through the walk.
-func (x *ueExtractor) start() {
-	x.decided = true
-	x.macro = sm.InferMacroInitial(x.buf)
-	x.bottom = x.m.SubEntry(x.macro)
-	for _, ev := range x.buf {
-		x.step(ev)
-	}
-	x.buf = nil
-}
-
-// step is the extraction walk body, one event at a time.
-func (x *ueExtractor) step(ev trace.Event) {
-	m := x.m
-	t := ev.T
-	h := t.HourOfDay()
-	if h >= 0 && h < HoursPerDay && ev.Type.Valid() {
-		x.sink.countEvent(h, ev.Type)
-	}
-	// First event per (day, hour) cell; the post-event machine
-	// state is filled in after the classification below.
-	cell := t.HourIndex()
-	isFirstOfCell := cell != x.lastCell
-	x.lastCell = cell
-	// Inter-arrival per event type (for free-process fitting). The
-	// paper preprocesses the trace into non-overlapping 1-hour
-	// intervals, so gaps never span interval boundaries — which is
-	// precisely what makes the Base method's fitted HO/TAU rates
-	// reflect only busy movers and explode at generation time.
-	if x.seenType[ev.Type] && x.lastCellOfType[ev.Type] == cell {
-		x.sink.free(iaSample{Hour: uint8(h), E: ev.Type, IA: (t - x.lastOfType[ev.Type]).Seconds()})
-	}
-	x.lastOfType[ev.Type] = t
-	x.lastCellOfType[ev.Type] = cell
-	x.seenType[ev.Type] = true
-
-	if sm.Category1(ev.Type) {
-		next := macroNext(ev.Type)
-		if next != x.macro {
-			// Top-level transition. Sojourn samples are attributed
-			// to the hour the state was entered (the generator draws
-			// the sojourn at entry time), falling back to the event
-			// hour when the entry is unknown.
-			sampleHour := uint8(h)
-			if x.macroHas {
-				sampleHour = uint8(x.macroAt.HourOfDay())
-			}
-			x.sink.top(topSample{
-				Hour: sampleHour,
-				Key:  topKey{S: x.macro, E: ev.Type},
-				Soj:  (t - x.macroAt).Seconds(),
-				Has:  x.macroHas,
-			})
-			// The bottom level's sojourn-in-progress is right-
-			// censored by the top-level exit.
-			if x.botHas {
-				x.sink.botCensor(censorSample{
-					Hour: uint8(x.botAt.HourOfDay()),
-					S:    x.bottom,
-					Dur:  (t - x.botAt).Seconds(),
-				})
-			}
-			x.macro = next
-			x.macroAt, x.macroHas = t, true
-			x.bottom = m.SubEntry(x.macro)
-			x.botAt, x.botHas = t, true
-			x.recordFirst(isFirstOfCell, h, cell, t, ev.Type, x.bottom)
-			return
-		}
-		// Category-1 event without a macro change: only legal as a
-		// bottom transition (the TAU-releasing S1_CONN_REL in IDLE).
-	}
-	if to, ok := m.Next(x.bottom, ev.Type); ok && m.Top(to) == x.macro {
-		sampleHour := uint8(h)
-		if x.botHas {
-			sampleHour = uint8(x.botAt.HourOfDay())
-		}
-		x.sink.bot(botSample{
-			Hour: sampleHour,
-			Key:  botKey{S: x.bottom, E: ev.Type},
-			Soj:  (t - x.botAt).Seconds(),
-			Has:  x.botHas,
-		})
-		x.bottom = to
-		x.botAt, x.botHas = t, true
-		x.recordFirst(isFirstOfCell, h, cell, t, ev.Type, x.bottom)
-		return
-	}
-	// Machines without sub-structure (EMM-ECM) take Category-2
-	// events here by design: they are modeled as free processes, not
-	// violations.
-	if hasSubStructure(m) && !sm.Category1(ev.Type) {
-		x.sink.violation()
-	}
-	x.recordFirst(isFirstOfCell, h, cell, t, ev.Type, x.bottom)
-}
-
-// recordFirst emits a first-event sample when the event opened a new
-// (day, hour) cell. state is the machine state right after the event.
-func (x *ueExtractor) recordFirst(isFirst bool, h, cell int, t cp.Millis, e cp.EventType, state sm.State) {
-	if !isFirst {
-		return
-	}
-	hourStart := cp.Millis(cell) * cp.Hour
-	x.sink.first(firstSample{
-		Hour:  uint8(h),
-		E:     e,
-		State: state,
-		Off:   (t - hourStart).Seconds(),
-	})
-}
-
-func macroNext(e cp.EventType) cp.UEState {
-	switch e {
-	case cp.Attach, cp.ServiceRequest:
-		return cp.StateConnected
-	case cp.Detach:
-		return cp.StateDeregistered
-	case cp.S1ConnRelease:
-		return cp.StateIdle
-	default: // Category-2 (HO, TAU): no macro transition to give
-		panic("core: macroNext of Category-2 event")
-	}
-}
-
-// hasSubStructure reports whether the machine has any bottom-level edges.
-func hasSubStructure(m *sm.Machine) bool {
-	for s := 0; s < m.NumStates(); s++ {
-		for _, e := range m.Edges[s] {
-			if m.Top(e.To) == m.Top(sm.State(s)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// --- aggregation ---
 
 type acc struct {
 	TopCount  map[topKey]int
@@ -386,7 +145,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterMo
 		Top:    make([]StateParam, cp.NumUEStates),
 		NumUEs: a.NumUEs,
 	}
-	if hasSubStructure(m) {
+	if m.HasSubStructure() {
 		cm.Bottom = make([]StateParam, m.NumStates())
 	}
 	// Top level: normalize counts per macro state.

@@ -12,8 +12,43 @@ import (
 	"cptraffic/internal/trace"
 )
 
-// ueData is the appending sampleSink: every sample one UE's walk emits,
-// kept in per-UE slices for the extraction tests to inspect.
+// The samples one UE's walk yields, in the fit's terms: sojourns under
+// their entry hour (entryHour), the rest under the event's hour.
+type topSample struct {
+	Hour uint8
+	Key  topKey
+	Soj  float64
+	Has  bool
+}
+
+type botSample struct {
+	Hour uint8
+	Key  botKey
+	Soj  float64
+	Has  bool
+}
+
+type censorSample struct {
+	Hour uint8
+	S    sm.State
+	Dur  float64
+}
+
+type iaSample struct {
+	Hour uint8
+	E    cp.EventType
+	IA   float64
+}
+
+type firstSample struct {
+	Hour  uint8
+	E     cp.EventType
+	State sm.State // machine state right after the event
+	Off   float64  // seconds within the hour
+}
+
+// ueData holds every sample one UE's walk yields, in walk order, for the
+// extraction tests to inspect.
 type ueData struct {
 	UE         cp.UEID
 	Counts     [HoursPerDay][cp.NumEventTypes]int
@@ -25,23 +60,49 @@ type ueData struct {
 	Violations int
 }
 
-func (d *ueData) countEvent(h int, e cp.EventType) { d.Counts[h][e]++ }
-func (d *ueData) top(s topSample)                  { d.Top = append(d.Top, s) }
-func (d *ueData) bot(s botSample)                  { d.Bot = append(d.Bot, s) }
-func (d *ueData) botCensor(s censorSample)         { d.BotCensor = append(d.BotCensor, s) }
-func (d *ueData) free(s iaSample)                  { d.Free = append(d.Free, s) }
-func (d *ueData) first(s firstSample)              { d.First = append(d.First, s) }
-func (d *ueData) violation()                       { d.Violations++ }
+// add files one event's move the way partialSink.fold does, into lists.
+func (d *ueData) add(ev trace.Event, mv sm.Move) {
+	h := uint8(ev.T.HourOfDay())
+	d.Counts[h][ev.Type]++
+	if mv.HasGap {
+		d.Free = append(d.Free, iaSample{Hour: h, E: ev.Type, IA: mv.Gap.Seconds()})
+	}
+	switch mv.Exit {
+	case sm.ExitTop:
+		d.Top = append(d.Top, topSample{Hour: entryHour(h, mv.TopAt, mv.TopHas),
+			Key: topKey{S: mv.Top, E: ev.Type}, Soj: (ev.T - mv.TopAt).Seconds(), Has: mv.TopHas})
+		if mv.BotHas {
+			d.BotCensor = append(d.BotCensor, censorSample{Hour: uint8(mv.BotAt.HourOfDay()),
+				S: mv.Bottom, Dur: (ev.T - mv.BotAt).Seconds()})
+		}
+	case sm.ExitBottom:
+		d.Bot = append(d.Bot, botSample{Hour: entryHour(h, mv.BotAt, mv.BotHas),
+			Key: botKey{S: mv.Bottom, E: ev.Type}, Soj: (ev.T - mv.BotAt).Seconds(), Has: mv.BotHas})
+	case sm.Stay:
+		if mv.Violation {
+			d.Violations++
+		}
+	}
+	if mv.NewCell {
+		d.First = append(d.First, firstSample{Hour: h, E: ev.Type, State: mv.State,
+			Off: (ev.T - cp.Millis(ev.T.HourIndex())*cp.Hour).Seconds()})
+	}
+}
 
-// extractUE walks one UE's time-ordered events through the production
-// ueExtractor and collects every sample the fitting stage would see.
+// extractUE walks one UE's time-ordered events through sm.Walk and
+// collects every sample the fitting stage would see.
 func extractUE(m *sm.Machine, ue cp.UEID, evs []trace.Event) *ueData {
 	d := &ueData{UE: ue}
-	x := newUEExtractor(m, d)
+	w := sm.NewWalk(m)
 	for _, ev := range evs {
-		x.push(ev)
+		ready, _ := w.Push(ev)
+		for _, r := range ready {
+			d.add(r, w.Step(r))
+		}
 	}
-	x.finish()
+	for _, r := range w.Finish() {
+		d.add(r, w.Step(r))
+	}
 	return d
 }
 
@@ -177,18 +238,6 @@ func TestExtractUEFreeInterArrivals(t *testing.T) {
 	// EMM-ECM has no sub-structure: Category-2 events are not violations.
 	if d.Violations != 0 {
 		t.Fatalf("violations = %d", d.Violations)
-	}
-}
-
-func TestHasSubStructure(t *testing.T) {
-	if !hasSubStructure(sm.LTE2Level()) {
-		t.Fatal("LTE2Level should have sub-structure")
-	}
-	if !hasSubStructure(sm.FiveGSA()) {
-		t.Fatal("FiveGSA should have sub-structure (HO self-loop)")
-	}
-	if hasSubStructure(sm.EMMECM()) {
-		t.Fatal("EMMECM should not have sub-structure")
 	}
 }
 
@@ -402,4 +451,22 @@ func TestFitFirstEventModel(t *testing.T) {
 // clusterOptSmall scales the paper's thresholds down to test populations.
 func clusterOptSmall() cluster.Options {
 	return cluster.Options{ThetaN: 8}
+}
+
+// TestFitRefusesInvalidEventType: an in-memory trace can hold an event
+// type no trace decoder admits. The fit refuses it, naming the UE and
+// the type, wherever it falls in the UE's walk — in the undecided prefix
+// or after it.
+func TestFitRefusesInvalidEventType(t *testing.T) {
+	for name, first := range map[string]cp.EventType{"decided": cp.Attach, "undecided": cp.Handover} {
+		tr := trace.New()
+		if err := tr.SetDevice(3, cp.Phone); err != nil {
+			t.Fatal(err)
+		}
+		tr.Append(trace.Event{T: 10, UE: 3, Type: first})
+		tr.Append(trace.Event{T: 20, UE: 3, Type: cp.EventType(99)})
+		if _, err := Fit(tr, FitOptions{}); err == nil || !strings.Contains(err.Error(), "invalid type 99 for UE 3") {
+			t.Errorf("%s: Fit error %v, want one naming type 99 and UE 3", name, err)
+		}
+	}
 }

@@ -123,11 +123,11 @@ type partialMoment struct {
 	M2    float64 `json:"m2"`
 }
 
-// partialExtractor is one UE's in-flight extraction walk: the buffered
-// undecided prefix, the two machine levels, and the per-event-type
-// recency state. The fixed-length arrays are indexed by event type;
-// their length is pinned to the event-type count (a new event type is a
-// format break).
+// partialExtractor is one UE's in-flight sm.Walk, field by field — the
+// buffered undecided prefix, the two machine levels, and the
+// per-event-type recency state — and its sink's sample count (Seq).
+// The fixed-length arrays are indexed by event type; their length is
+// pinned to the event-type count (a new event type is a format break).
 type partialExtractor struct {
 	UE             cp.UEID        `json:"ue"`
 	Seq            uint32         `json:"seq,omitempty"`
@@ -209,13 +209,13 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 		sort.Slice(pd.UEs, func(i, j int) bool { return pd.UEs[i] < pd.UEs[j] })
 
 		for _, ue := range pd.UEs {
-			st := pf.exts[ue]
-			if st == nil {
+			sink := pf.exts[ue]
+			if sink == nil {
 				continue
 			}
-			pd.Extractors = append(pd.Extractors, encodeExtractor(ue, st))
-			pf.lay.encodeCounts(&pd.Counts, ue, st.sink)
-			pd.Moments = encodeMoments(pd.Moments, ue, st.sink)
+			pd.Extractors = append(pd.Extractors, encodeExtractor(ue, sink))
+			pf.lay.encodeCounts(&pd.Counts, ue, sink)
+			pd.Moments = encodeMoments(pd.Moments, ue, sink)
 		}
 
 		for _, k := range dp.poolKeys(&pf.lay) {
@@ -284,36 +284,36 @@ func encodeMoments(ms []partialMoment, ue cp.UEID, s *partialSink) []partialMome
 	return ms
 }
 
-func encodeExtractor(ue cp.UEID, st *ueFitState) partialExtractor {
-	x := st.ext
+// encodeExtractor writes the UE's walk, field by field, and its sink's
+// sample sequence number.
+func encodeExtractor(ue cp.UEID, s *partialSink) partialExtractor {
+	w := &s.walk
 	px := partialExtractor{
-		UE:        ue,
-		Seq:       st.sink.seq,
-		Decided:   x.decided,
-		Macro:     int(x.macro),
-		Bottom:    int(x.bottom),
-		MacroAtMS: int64(x.macroAt),
-		BotAtMS:   int64(x.botAt),
-		MacroHas:  x.macroHas,
-		BotHas:    x.botHas,
-		LastCell:  x.lastCell,
+		UE:             ue,
+		Seq:            s.seq,
+		Decided:        w.Decided,
+		Macro:          int(w.Macro),
+		Bottom:         int(w.Bottom),
+		MacroAtMS:      int64(w.MacroAt),
+		BotAtMS:        int64(w.BotAt),
+		MacroHas:       w.MacroHas,
+		BotHas:         w.BotHas,
+		LastOfTypeMS:   make([]int64, cp.NumEventTypes),
+		LastCellOfType: w.LastCellOfType[:],
+		SeenType:       w.SeenType[:],
+		LastCell:       w.LastCell,
 	}
-	for _, ev := range x.buf {
+	for _, ev := range w.Buf {
 		px.Buf = append(px.Buf, partialEvent{TMS: int64(ev.T), Type: ev.Type.String()})
 	}
-	px.LastOfTypeMS = make([]int64, cp.NumEventTypes)
-	px.LastCellOfType = make([]int, cp.NumEventTypes)
-	px.SeenType = make([]bool, cp.NumEventTypes)
-	for i := 0; i < cp.NumEventTypes; i++ {
-		px.LastOfTypeMS[i] = int64(x.lastOfType[i])
-		px.LastCellOfType[i] = x.lastCellOfType[i]
-		px.SeenType[i] = x.seenType[i]
+	for i, t := range w.LastOfType {
+		px.LastOfTypeMS[i] = int64(t)
 	}
 	return px
 }
 
 // DecodePartial reads one partialfit/1 document and reconstructs the
-// partial fit, mid-scan extractor state included. Decoding is strict:
+// partial fit, mid-scan walk state included. Decoding is strict:
 // unknown fields, unknown format tags, unknown names, unsorted or
 // inconsistent columns are all errors. The result behaves exactly like
 // the encoded partial — resume its source scan with AddSource, Merge it
@@ -366,8 +366,8 @@ func DecodePartial(r io.Reader) (*PartialFit, error) {
 			}
 			pf.register(ue, d)
 		}
-		// Counts and moments live on the extractors' sinks, so those
-		// come first.
+		// Counts and moments live on the UEs' sinks, which the
+		// extractors create, so those come first.
 		if err := decodeExtractors(d, pf, pd); err != nil {
 			return nil, err
 		}
@@ -426,11 +426,11 @@ func sinkOf(pf *PartialFit, d cp.DeviceType, pd partialDevice, ue cp.UEID, what 
 	if dev, ok := pf.devOf[ue]; !ok || dev != d {
 		return nil, fmt.Errorf("core: partial fit: %s for UE %d not of device %q", what, ue, pd.Device)
 	}
-	st := pf.exts[ue]
-	if st == nil {
+	sink := pf.exts[ue]
+	if sink == nil {
 		return nil, fmt.Errorf("core: partial fit: %s for UE %d, which has no extractor", what, ue)
 	}
-	return st.sink, nil
+	return sink, nil
 }
 
 func decodeCounts(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
@@ -609,29 +609,29 @@ func decodeExtractors(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
 		if px.Decided && len(px.Buf) != 0 {
 			return fmt.Errorf("core: partial fit: decided extractor for UE %d still buffers events", px.UE)
 		}
-		sink := &partialSink{pf: pf, d: d, ue: px.UE, seq: px.Seq}
-		x := newUEExtractor(pf.opt.Machine, sink)
-		x.decided = px.Decided
-		x.macro = cp.UEState(px.Macro)
-		x.bottom = sm.State(px.Bottom)
-		x.macroAt = cp.Millis(px.MacroAtMS)
-		x.botAt = cp.Millis(px.BotAtMS)
-		x.macroHas = px.MacroHas
-		x.botHas = px.BotHas
-		x.lastCell = px.LastCell
+		sink := &partialSink{pf: pf, d: d, ue: px.UE, seq: px.Seq, walk: sm.NewWalk(pf.opt.Machine)}
+		w := &sink.walk
+		w.Decided = px.Decided
+		w.Macro = cp.UEState(px.Macro)
+		w.Bottom = sm.State(px.Bottom)
+		w.MacroAt = cp.Millis(px.MacroAtMS)
+		w.BotAt = cp.Millis(px.BotAtMS)
+		w.MacroHas = px.MacroHas
+		w.BotHas = px.BotHas
+		w.LastCell = px.LastCell
 		for _, pe := range px.Buf {
 			e, err := cp.ParseEventType(pe.Type)
 			if err != nil {
 				return fmt.Errorf("core: partial fit: %w", err)
 			}
-			x.buf = append(x.buf, trace.Event{T: cp.Millis(pe.TMS), UE: px.UE, Type: e})
+			w.Buf = append(w.Buf, trace.Event{T: cp.Millis(pe.TMS), UE: px.UE, Type: e})
 		}
-		for j := 0; j < cp.NumEventTypes; j++ {
-			x.lastOfType[j] = cp.Millis(px.LastOfTypeMS[j])
-			x.lastCellOfType[j] = px.LastCellOfType[j]
-			x.seenType[j] = px.SeenType[j]
+		for j := range w.LastOfType {
+			w.LastOfType[j] = cp.Millis(px.LastOfTypeMS[j])
 		}
-		pf.exts[px.UE] = &ueFitState{ext: x, sink: sink}
+		copy(w.LastCellOfType[:], px.LastCellOfType)
+		copy(w.SeenType[:], px.SeenType)
+		pf.exts[px.UE] = sink
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ import (
 //     so the serial fold order is reconstructed at Build time no matter
 //     how the samples were scattered across partials;
 //   - serializable: Encode/DecodePartial round-trip the full mid-scan
-//     state (including each UE's extractor walk) through the strict,
+//     state (including each UE's walk) through the strict,
 //     versioned partialfit/1 format, so a killed fit resumes from its
 //     last checkpoint instead of restarting;
 //   - boundable: with FitOptions.SketchK > 0, sample pools are backed
@@ -54,19 +54,13 @@ type PartialFit struct {
 	devOf map[cp.UEID]cp.DeviceType
 	devs  [cp.NumDeviceTypes]*devPartial
 
-	exts map[cp.UEID]*ueFitState
+	exts map[cp.UEID]*partialSink // per UE: its walk and fold, from its first event
 
 	span       cp.Millis
 	consumed   int64 // events ingested via AddEvent; -1 once merged (not resumable)
 	violations int64
 	restored   bool // decoded from a checkpoint: AddSource verifies the registry
 	built      bool
-}
-
-// ueFitState pairs one UE's extractor walk with its tagging sink.
-type ueFitState struct {
-	ext  *ueExtractor
-	sink *partialSink
 }
 
 // devPartial is one device type's share of a partial fit. Its integer
@@ -472,17 +466,19 @@ func (w *welford) std() float64 {
 
 // ---- the tagging sink ----
 
-// partialSink implements sampleSink for one UE, tagging every retained
-// sample with (UE, seq) and routing it into the device's pools. seq
-// counts retained samples only, exactly like the serial fold retains
-// them, so (UE, seq) is shard-invariant: the same UE under the same
-// options emits the same tags in any process. The UE's integer tallies
-// and moments are the sink's own, so no per-event hash probe remains.
+// partialSink is one UE's share of a partial fit: its walk, and the fold
+// of the walk's moves into tallies and tagged samples. Every retained
+// sample is tagged (UE, seq), seq counting retained samples only, exactly
+// like the serial fold retains them, so (UE, seq) is shard-invariant: the
+// same UE under the same options emits the same tags in any process. The
+// UE's integer tallies and moments are the sink's own, so no per-event
+// hash probe remains.
 type partialSink struct {
-	pf  *PartialFit
-	d   cp.DeviceType
-	ue  cp.UEID
-	seq uint32
+	pf   *PartialFit
+	d    cp.DeviceType
+	ue   cp.UEID
+	seq  uint32
+	walk sm.Walk
 	// rows holds the UE's tally row per hour-of-day (slots per
 	// PartialFit.lay), allocated at the hour's first tally.
 	rows [HoursPerDay][]uint32
@@ -522,30 +518,6 @@ func (s *partialSink) sample(k poolKey, v float64) {
 	s.dev().addSample(&s.pf.lay, k, s.pf.opt.SketchK, s.ue, s.nextSeq(), v)
 }
 
-func (s *partialSink) countEvent(h int, e cp.EventType) {
-	// Only the two §5.3 feature counts are ever read back.
-	if e == cp.ServiceRequest || e == cp.S1ConnRelease {
-		s.tally(uint8(h), cntEvt, 0, uint8(e))
-	}
-}
-
-func (s *partialSink) top(sam topSample) {
-	s.tally(sam.Hour, cntTop, uint8(sam.Key.S), uint8(sam.Key.E))
-	if !sam.Has {
-		return
-	}
-	s.sample(poolKey{Hour: sam.Hour, Kind: poolTop, A: uint8(sam.Key.S), B: uint8(sam.Key.E)}, sam.Soj)
-	if s.pf.opt.SketchK > 0 {
-		switch sam.Key.S {
-		case cp.StateConnected:
-			s.moment(sam.Hour, true).add(sam.Soj)
-		case cp.StateIdle:
-			s.moment(sam.Hour, false).add(sam.Soj)
-		default: // DEREGISTERED sojourns are not clustering features (§5.3)
-		}
-	}
-}
-
 // moment returns the UE's CONNECTED (conn) or IDLE moments at hour h.
 func (s *partialSink) moment(h uint8, conn bool) *welford {
 	if s.mom == nil {
@@ -558,35 +530,81 @@ func (s *partialSink) moment(h uint8, conn bool) *welford {
 	return &s.mom[h][c]
 }
 
-func (s *partialSink) bot(sam botSample) {
-	s.tally(sam.Hour, cntBot, uint8(sam.Key.S), uint8(sam.Key.E))
-	if !sam.Has {
-		return
+// push feeds the UE's next event to its walk and folds every event the
+// walk makes ready. It reports false for an invalid event type.
+func (s *partialSink) push(ev trace.Event) bool {
+	ready, ok := s.walk.Push(ev)
+	for _, ev := range ready {
+		s.fold(ev, s.walk.Step(ev))
 	}
-	s.sample(poolKey{Hour: sam.Hour, Kind: poolBot, A: uint8(sam.Key.S), B: uint8(sam.Key.E)}, sam.Soj)
+	return ok
 }
 
-func (s *partialSink) botCensor(sam censorSample) {
-	s.sample(poolKey{Hour: sam.Hour, Kind: poolCensor, A: uint8(sam.S)}, sam.Dur)
+// finish folds the prefix of a UE that never had a Category-1 event.
+func (s *partialSink) finish() {
+	for _, ev := range s.walk.Finish() {
+		s.fold(ev, s.walk.Step(ev))
+	}
 }
 
-func (s *partialSink) free(sam iaSample) {
+// entryHour is the hour a sojourn is filed under: the hour its state was
+// entered at, because the generator draws a sojourn at entry; the
+// event's own hour h when the entry precedes the UE's first event.
+func entryHour(h uint8, at cp.Millis, known bool) uint8 {
+	if known {
+		return uint8(at.HourOfDay())
+	}
+	return h
+}
+
+// fold files what one event did: the §5.3 feature counts, the
+// free-process gap, the transition's count and sojourn (a top exit also
+// right-censors the bottom sojourn it cuts short, filed under that
+// sojourn's entry hour), a violation, and the first event of a cell with
+// the state after it.
+func (s *partialSink) fold(ev trace.Event, mv sm.Move) {
+	h, e := uint8(ev.T.HourOfDay()), ev.Type
+	if e == cp.ServiceRequest || e == cp.S1ConnRelease {
+		s.tally(h, cntEvt, 0, uint8(e))
+	}
 	// Only configured free-process events are retained; acc.build reads
-	// no others (the same memory discipline the streamed fit used).
-	if !s.pf.freeSet[sam.E] {
-		return
+	// no others.
+	if mv.HasGap && s.pf.freeSet[e] {
+		s.sample(poolKey{Hour: h, Kind: poolFree, B: uint8(e)}, mv.Gap.Seconds())
 	}
-	s.sample(poolKey{Hour: sam.Hour, Kind: poolFree, B: uint8(sam.E)}, sam.IA)
+	switch mv.Exit {
+	case sm.ExitTop:
+		eh := entryHour(h, mv.TopAt, mv.TopHas)
+		s.tally(eh, cntTop, uint8(mv.Top), uint8(e))
+		if mv.TopHas {
+			soj := (ev.T - mv.TopAt).Seconds()
+			s.sample(poolKey{Hour: eh, Kind: poolTop, A: uint8(mv.Top), B: uint8(e)}, soj)
+			// DEREGISTERED sojourns are not clustering features (§5.3).
+			if s.pf.opt.SketchK > 0 && mv.Top != cp.StateDeregistered {
+				s.moment(eh, mv.Top == cp.StateConnected).add(soj)
+			}
+		}
+		if mv.BotHas {
+			s.sample(poolKey{Hour: uint8(mv.BotAt.HourOfDay()), Kind: poolCensor, A: uint8(mv.Bottom)}, (ev.T - mv.BotAt).Seconds())
+		}
+	case sm.ExitBottom:
+		eh := entryHour(h, mv.BotAt, mv.BotHas)
+		s.tally(eh, cntBot, uint8(mv.Bottom), uint8(e))
+		if mv.BotHas {
+			s.sample(poolKey{Hour: eh, Kind: poolBot, A: uint8(mv.Bottom), B: uint8(e)}, (ev.T - mv.BotAt).Seconds())
+		}
+	case sm.Stay:
+		if mv.Violation {
+			s.pf.violations++
+		}
+	}
+	if mv.NewCell {
+		row := s.row(h)
+		row[s.pf.lay.slot(cntFirst, uint8(e), uint8(mv.State))]++
+		row[s.pf.lay.slot(cntWithEv, 0, 0)]++
+		s.sample(poolKey{Hour: h, Kind: poolFirst}, (ev.T - cp.Millis(ev.T.HourIndex())*cp.Hour).Seconds())
+	}
 }
-
-func (s *partialSink) first(sam firstSample) {
-	row := s.row(sam.Hour)
-	row[s.pf.lay.slot(cntFirst, uint8(sam.E), uint8(sam.State))]++
-	row[s.pf.lay.slot(cntWithEv, 0, 0)]++
-	s.sample(poolKey{Hour: sam.Hour, Kind: poolFirst}, sam.Off)
-}
-
-func (s *partialSink) violation() { s.pf.violations++ }
 
 // ---- construction and ingestion ----
 
@@ -603,7 +621,7 @@ func NewPartialFit(opt FitOptions) (*PartialFit, error) {
 		opt:   opt,
 		lay:   newLayout(opt.Machine.NumStates()),
 		devOf: make(map[cp.UEID]cp.DeviceType),
-		exts:  make(map[cp.UEID]*ueFitState),
+		exts:  make(map[cp.UEID]*partialSink),
 	}
 	for _, e := range opt.FreeEvents {
 		if e.Valid() {
@@ -635,17 +653,18 @@ func (pf *PartialFit) AddEvent(e trace.Event) error {
 	if pf.built {
 		return fmt.Errorf("core: partial fit already built")
 	}
-	st := pf.exts[e.UE]
-	if st == nil { // the UE's first event: the one time its device is looked up
+	s := pf.exts[e.UE]
+	if s == nil { // the UE's first event: the one time its device is looked up
 		d, ok := pf.devOf[e.UE]
 		if !ok {
 			return fmt.Errorf("core: event for unregistered UE %d", e.UE)
 		}
-		sink := &partialSink{pf: pf, d: d, ue: e.UE}
-		st = &ueFitState{sink: sink, ext: newUEExtractor(pf.opt.Machine, sink)}
-		pf.exts[e.UE] = st
+		s = &partialSink{pf: pf, d: d, ue: e.UE, walk: sm.NewWalk(pf.opt.Machine)}
+		pf.exts[e.UE] = s
 	}
-	st.ext.push(e)
+	if !s.push(e) {
+		return fmt.Errorf("core: event of invalid type %d for UE %d", e.Type, e.UE)
+	}
 	if e.T > pf.span {
 		pf.span = e.T
 	}
@@ -807,18 +826,18 @@ func (pf *PartialFit) Merge(other *PartialFit) error {
 			}
 		}
 	}
-	// Adopt other's in-flight extractors, re-pointing their sinks — and
-	// with them the UEs' tallies and moments — at the merged partial
-	// (ascending-UE order for a deterministic walk).
+	// Adopt other's sinks — and with them the UEs' walks, tallies and
+	// moments — re-pointed at the merged partial (ascending-UE order for
+	// a deterministic walk).
 	moved := make([]cp.UEID, 0, len(other.exts))
 	for ue := range other.exts {
 		moved = append(moved, ue)
 	}
 	slices.Sort(moved)
 	for _, ue := range moved {
-		st := other.exts[ue]
-		st.sink.pf = pf
-		pf.exts[ue] = st
+		s := other.exts[ue]
+		s.pf = pf
+		pf.exts[ue] = s
 	}
 	if other.span > pf.span {
 		pf.span = other.span
@@ -832,7 +851,7 @@ func (pf *PartialFit) Merge(other *PartialFit) error {
 // ---- building ----
 
 // Build finalizes the partial into a fitted ModelSet: it finishes every
-// UE's extractor walk, computes clustering features, runs the adaptive
+// UE's walk, computes clustering features, runs the adaptive
 // partition, splits the per-UE counts and (UE, seq)-ordered sample
 // pools per (hour, cluster), and fits every model with the same
 // acc.build as always. Build consumes the partial — a second call
@@ -846,7 +865,7 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 		return nil, fmt.Errorf("core: cannot fit an empty trace")
 	}
 	pf.built = true
-	// Finish every extractor in ascending UE order; a UE whose stream
+	// Finish every walk in ascending UE order; a UE whose stream
 	// had no Category-1 event resolves and flushes its buffered prefix
 	// here. (Sample identity is (UE, seq)-tagged, so the finish order
 	// cannot leak into the model — the sort just keeps the walk
@@ -857,7 +876,7 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 	}
 	slices.Sort(finishOrder)
 	for _, ue := range finishOrder {
-		pf.exts[ue].ext.finish()
+		pf.exts[ue].finish()
 	}
 	days := int((pf.span + cp.Day - 1) / cp.Day)
 	if days < 1 {
@@ -957,9 +976,7 @@ func splitByCluster(accs []*acc, k poolKey, items []pitem, ues []cp.UEID, cl []i
 func (pf *PartialFit) sinks(ues []cp.UEID) []*partialSink {
 	out := make([]*partialSink, len(ues))
 	for i, ue := range ues {
-		if st := pf.exts[ue]; st != nil {
-			out[i] = st.sink
-		}
+		out[i] = pf.exts[ue]
 	}
 	return out
 }

@@ -11,8 +11,8 @@ import (
 	"cptraffic/internal/trace"
 )
 
-// lte is the two-level machine whose bottom transitions QTransSojourn
-// quantities name.
+// lte is the two-level machine every UE's walk runs on, whose bottom
+// transitions QTransSojourn quantities name.
 var lte = sm.LTE2Level()
 
 // The dense quantity index: every Quantity the collector records has one
@@ -94,40 +94,21 @@ func (u *ueQuantities) features(h, days int) cluster.Features {
 }
 
 // ueCollector gathers one UE's quantities incrementally: push one event
-// at a time (in the UE's time order), then finish. Four strands share
-// the walk — per-type inter-arrivals and counts, macro and REGISTERED
-// sojourns, the two-level machine's bottom-transition sojourns, and the
-// macro-state breakdown — and every sample goes to one log of (key,
-// value) pairs in time order, which finish groups by key.
-//
-// The initial macro state is only decidable at the first Category-1
-// event (or, failing that, from whether the UE ever hands over), so
-// events buffer until the decision and replay through the same step
-// logic — identical to inferring it from the whole sequence, because the
-// first Category-1 event of the prefix is the first of the sequence.
-// The zero value is a collector for a UE with no events yet.
+// at a time (in the UE's time order), then finish. It folds the moves of
+// the UE's walk on the two-level machine — the walk the fit folds too —
+// into per-type inter-arrivals and counts, macro and REGISTERED
+// sojourns, bottom-transition sojourns and the macro-state breakdown.
+// Every sample goes to one log of (key, value) pairs in time order,
+// which finish groups by key.
 type ueCollector struct {
-	u *ueQuantities
+	u    *ueQuantities
+	walk sm.Walk
 
 	logKey []uint16
 	logVal []float64
 
-	decided bool
-	buf     []trace.Event
-
-	lastOfType     [cp.NumEventTypes]cp.Millis
-	lastCellOfType [cp.NumEventTypes]int
-	seen           [cp.NumEventTypes]bool
-
-	macro            cp.UEState
-	registered       bool
-	macroAt, regAt   cp.Millis
-	macroHas, regHas bool
-
-	botMacro cp.UEState
-	bottom   sm.State
-	botAt    cp.Millis
-	botHas   bool
+	regAt  cp.Millis // when the UE last registered or deregistered, if regHas
+	regHas bool
 }
 
 func (c *ueCollector) add(h, slot int, v float64) {
@@ -135,38 +116,23 @@ func (c *ueCollector) add(h, slot int, v float64) {
 	c.logVal = append(c.logVal, v)
 }
 
-func (c *ueCollector) push(ev trace.Event) {
-	if !c.decided {
-		c.buf = append(c.buf, ev)
-		if sm.Category1(ev.Type) {
-			c.start()
-		}
-		return
+// push feeds the UE's next event to its walk and folds every event the
+// walk makes ready. It reports false for an invalid event type.
+func (c *ueCollector) push(ev trace.Event) bool {
+	ready, ok := c.walk.Push(ev)
+	for _, ev := range ready {
+		c.fold(ev, c.walk.Step(ev))
 	}
-	c.step(ev)
+	return ok
 }
 
-// start fixes the initial macro state from the buffered prefix and
-// replays it.
-func (c *ueCollector) start() {
-	c.decided = true
-	macro := sm.InferMacroInitial(c.buf)
-	c.macro = macro
-	c.registered = macro.Registered()
-	c.botMacro = macro
-	c.bottom = lte.SubEntry(macro)
-	for _, ev := range c.buf {
-		c.step(ev)
-	}
-	c.buf = nil
-}
-
-// finish completes the collection: a stable counting sort groups the
+// finish completes the collection: it folds the prefix of a UE that
+// never had a Category-1 event, then a stable counting sort groups the
 // sample log by key into the UE's quantities. count is scratch of nQ·24
 // zeros, left zeroed.
 func (c *ueCollector) finish(count []int32) {
-	if !c.decided && len(c.buf) > 0 {
-		c.start()
+	for _, ev := range c.walk.Finish() {
+		c.fold(ev, c.walk.Step(ev))
 	}
 	u := c.u
 	for _, k := range c.logKey {
@@ -192,77 +158,38 @@ func (c *ueCollector) finish(count []int32) {
 	c.logKey, c.logVal = nil, nil
 }
 
-// step processes one event through all four strands.
-func (c *ueCollector) step(ev trace.Event) {
-	h := ev.T.HourOfDay()
-	cell := ev.T.HourIndex()
-
-	// Inter-arrivals and counts. Following the paper's preprocessing,
-	// the trace is divided into non-overlapping 1-hour intervals first:
-	// an inter-arrival sample exists only when both endpoints fall in
-	// the same interval.
-	if ev.Type.Valid() {
-		c.u.counts[h][ev.Type]++
-		if c.seen[ev.Type] && c.lastCellOfType[ev.Type] == cell {
-			c.add(h, int(ev.Type), (ev.T - c.lastOfType[ev.Type]).Seconds())
-		}
-		c.lastOfType[ev.Type] = ev.T
-		c.lastCellOfType[ev.Type] = cell
-		c.seen[ev.Type] = true
+// fold files what one event did. Every sample goes under the hour of the
+// event that ends it, a sojourn under its exit event's hour (the fit
+// files a sojourn under its entry hour instead). Following the paper's
+// preprocessing, an inter-arrival exists only when both events fall in
+// one (day, hour) cell.
+func (c *ueCollector) fold(ev trace.Event, mv sm.Move) {
+	h, e := ev.T.HourOfDay(), ev.Type
+	c.u.counts[h][e]++
+	if mv.HasGap {
+		c.add(h, int(e), mv.Gap.Seconds())
 	}
-
-	if sm.Category1(ev.Type) {
-		var next cp.UEState
-		//cplint:partial-ok guarded by sm.Category1: only the four Category-1 events reach this switch
-		switch ev.Type {
-		case cp.Attach, cp.ServiceRequest:
-			next = cp.StateConnected
-		case cp.Detach:
-			next = cp.StateDeregistered
-		case cp.S1ConnRelease:
-			next = cp.StateIdle
+	switch mv.Exit {
+	case sm.ExitTop:
+		if mv.TopHas {
+			c.add(h, qStateBase+int(mv.Top), (ev.T - mv.TopAt).Seconds())
 		}
-
-		// Macro-state and REGISTERED sojourns.
-		if next != c.macro {
-			if c.macroHas {
-				c.add(h, qStateBase+int(c.macro), (ev.T - c.macroAt).Seconds())
-			}
-			c.macro = next
-			c.macroAt, c.macroHas = ev.T, true
-		}
-		if next.Registered() != c.registered {
-			if c.regHas && c.registered {
+		// REGISTERED spans run from ATCH to DTCH.
+		if mv.Top.Registered() != mv.Macro.Registered() {
+			if c.regHas && mv.Top.Registered() {
 				c.add(h, qReg, (ev.T - c.regAt).Seconds())
 			}
-			c.registered = next.Registered()
 			c.regAt, c.regHas = ev.T, true
 		}
+	case sm.ExitBottom:
+		if mv.BotHas {
+			c.add(h, qTransBase+int(mv.Bottom)*cp.NumEventTypes+int(e), (ev.T - mv.BotAt).Seconds())
+		}
+	case sm.Stay: // nothing to file
 	}
-
 	// Breakdown: a Category-1 event counts in the state it establishes,
 	// any other in the state current when it fires.
-	if ev.Type.Valid() {
-		c.u.macro[ev.Type][c.macro]++
-	}
-
-	// A macro change re-enters the sub-machine; the event is not a
-	// bottom-level transition then.
-	if sm.Category1(ev.Type) && c.macro != c.botMacro {
-		c.botMacro = c.macro
-		c.bottom = lte.SubEntry(c.macro)
-		c.botAt, c.botHas = ev.T, true
-		return
-	}
-
-	// Bottom-level transition sojourns on the two-level machine.
-	if to, ok := lte.Next(c.bottom, ev.Type); ok && lte.Top(to) == c.botMacro {
-		if c.botHas {
-			c.add(h, qTransBase+int(c.bottom)*cp.NumEventTypes+int(ev.Type), (ev.T - c.botAt).Seconds())
-		}
-		c.bottom = to
-		c.botAt, c.botHas = ev.T, true
-	}
+	c.u.macro[e][mv.Macro]++
 }
 
 // Collection is one pass's worth of per-UE statistics over a trace: every
@@ -305,7 +232,7 @@ func Collect(src trace.EventSource) (*Collection, error) {
 	quantities := make([]ueQuantities, len(devs))
 	colls := make([]ueCollector, len(devs))
 	for i, d := range devs {
-		colls[i].u = &quantities[i]
+		colls[i] = ueCollector{u: &quantities[i], walk: sm.NewWalk(lte)}
 		col.data[d] = append(col.data[d], &quantities[i])
 	}
 	var hi cp.Millis // one past the latest event, as Trace.Span reports it
@@ -316,7 +243,9 @@ func Collect(src trace.EventSource) (*Collection, error) {
 				return fmt.Errorf("eval: event for unregistered UE %d", ue)
 			}
 			ev := trace.Event{T: b.T[i], UE: ue, Type: b.Type[i]}
-			colls[k].push(ev)
+			if !colls[k].push(ev) {
+				return fmt.Errorf("eval: event of invalid type %d for UE %d", ev.Type, ue)
+			}
 			if ev.T >= hi {
 				hi = ev.T + 1
 			}

@@ -399,6 +399,21 @@ func TestCollectRefusesMalformedSources(t *testing.T) {
 	}
 }
 
+// TestCollectRefusesInvalidEventType: an in-memory trace can hold an
+// event type no trace decoder admits; Collect refuses it, naming the UE
+// and the type, instead of skipping it.
+func TestCollectRefusesInvalidEventType(t *testing.T) {
+	tr := trace.New()
+	if err := tr.SetDevice(3, cp.Phone); err != nil {
+		t.Fatal(err)
+	}
+	tr.Append(trace.Event{T: 10, UE: 3, Type: cp.Handover})
+	tr.Append(trace.Event{T: 20, UE: 3, Type: cp.EventType(99)})
+	if _, err := Collect(tr); err == nil || !strings.Contains(err.Error(), "invalid type 99 for UE 3") {
+		t.Fatalf("Collect error %v, want one naming type 99 and UE 3", err)
+	}
+}
+
 // BenchmarkCollect times one Collect of a 2 000-UE, 24 h world
 // population, materialized once beforehand so the simulator's own time
 // is not counted, and reports ns and allocated bytes per event.

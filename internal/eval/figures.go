@@ -37,17 +37,7 @@ func pointProcess(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity) []float64 {
 				if !sm.Category1(ev.Type) {
 					continue
 				}
-				var next cp.UEState
-				//cplint:partial-ok guarded by sm.Category1: only the four Category-1 events reach this switch
-				switch ev.Type {
-				case cp.Attach, cp.ServiceRequest:
-					next = cp.StateConnected
-				case cp.Detach:
-					next = cp.StateDeregistered
-				case cp.S1ConnRelease:
-					next = cp.StateIdle
-				}
-				if next != cur {
+				if next := sm.MacroAfter(ev.Type); next != cur {
 					if cur == q.State {
 						times = append(times, ev.T.Seconds())
 					}

@@ -28,7 +28,11 @@ const (
 	QTransSojourn
 )
 
-// Quantity identifies one fitted quantity.
+// Quantity identifies one fitted quantity. Its samples are filed under
+// an hour of day: an inter-arrival under its second event's hour, and a
+// sojourn (QStateSojourn, QRegisteredSojourn, QTransSojourn) under the
+// hour of the event that exits it. The fit files a sojourn under the
+// hour it was entered instead (DESIGN.md, "One per-UE walk").
 type Quantity struct {
 	Kind  QuantityKind
 	Event cp.EventType // QInterArrival, QTransSojourn (trigger event)

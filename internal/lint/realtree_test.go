@@ -38,9 +38,15 @@ var treeSeeds = []treeSeed{
 		at: "_ = time.Now()",
 	},
 	{
-		analyzer: "exhaustive", file: "internal/eval/collect.go",
-		edits: [][2]string{{"\t\t//cplint:partial-ok guarded by sm.Category1", "\t\t// guarded by sm.Category1"}},
-		at:    "switch ev.Type {",
+		// sm.MacroAfter with its default arm dropped: Category-2 events
+		// fall through the switch.
+		analyzer: "exhaustive", file: "internal/sm/macro.go",
+		edits: [][2]string{{
+			"\tswitch e {\n\tcase cp.Attach, cp.ServiceRequest:\n\t\treturn cp.StateConnected\n\tcase cp.Detach:\n\t\treturn cp.StateDeregistered\n\tcase cp.S1ConnRelease:\n\t\treturn cp.StateIdle\n\tdefault: // Category-2 (HO, TAU): no macro transition to give\n\t\tpanic(\"sm: MacroAfter of Category-2 event\")\n\t}\n",
+			"\tswitch e {\n\tcase cp.Attach, cp.ServiceRequest:\n\t\treturn cp.StateConnected\n\tcase cp.Detach:\n\t\treturn cp.StateDeregistered\n\tcase cp.S1ConnRelease:\n\t\treturn cp.StateIdle\n\t}\n\tpanic(\"sm: MacroAfter of Category-2 event\")\n",
+		}},
+		at:  "switch e {",
+		sub: "missing Handover, TrackingAreaUpdate",
 	},
 	{
 		analyzer: "floatfold", file: "internal/core/fit.go",

@@ -57,7 +57,15 @@ type Machine struct {
 	// top level switches into that macro state (the sub-machine's entry
 	// point, e.g. CONNECTED enters SRV_REQ_S).
 	subEntry [cp.NumUEStates]State
+	// sub records whether some edge stays inside its macro state (see
+	// HasSubStructure); validate fills it.
+	sub bool
 }
+
+// HasSubStructure reports whether the machine has bottom-level edges:
+// edges that move between fine states of one macro state. The flat
+// EMM-ECM machine has none.
+func (m *Machine) HasSubStructure() bool { return m.sub }
 
 // SubEntry returns the fine state entered when the top level switches
 // into macro state top.
@@ -91,8 +99,9 @@ func (m *Machine) Next(s State, e cp.EventType) (State, bool) {
 // when an observed trace takes an edge the machine does not have.
 func (m *Machine) Forced(e cp.EventType) State { return m.forced[e] }
 
-// validate panics if the machine definition is internally inconsistent;
-// it runs once at package init for the built-in machines.
+// validate panics if the machine definition is internally inconsistent,
+// and otherwise fills in sub; it runs once at package init for the
+// built-in machines.
 func (m *Machine) validate() {
 	if len(m.Edges) != len(m.States) {
 		panic(fmt.Sprintf("sm: %s: %d edge lists for %d states", m.Name, len(m.Edges), len(m.States)))
@@ -109,6 +118,7 @@ func (m *Machine) validate() {
 					m.Name, m.States[s].Name, e.Event))
 			}
 			seen[e.Event] = true
+			m.sub = m.sub || m.States[e.To].Top == m.States[s].Top
 		}
 	}
 }

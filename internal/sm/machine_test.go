@@ -226,3 +226,15 @@ func TestEveryStateCanEventuallyDeregister(t *testing.T) {
 		}
 	}
 }
+
+func TestHasSubStructure(t *testing.T) {
+	if !LTE2Level().HasSubStructure() {
+		t.Fatal("LTE2Level should have sub-structure")
+	}
+	if !FiveGSA().HasSubStructure() {
+		t.Fatal("FiveGSA should have sub-structure (HO self-loop)")
+	}
+	if EMMECM().HasSubStructure() {
+		t.Fatal("EMMECM should not have sub-structure")
+	}
+}
