@@ -83,10 +83,13 @@ race:
 # and pointer of the model once and nothing per number, and core.Load adds
 # one compile of the model and nothing else; both trace writers' Write and
 # WriteBatch allocate nothing; the generator's per-UE state (ueGen)
-# stays within the 400 B that budget counts; and a decided sm.Walk — the
-# per-UE extraction fit and eval share — allocates nothing per event.
+# stays within the 400 B that budget counts; a decided sm.Walk — the
+# per-UE extraction fit and eval share — allocates nothing per event; and
+# an exact PartialFit retains at most 6 B of sample logs and hour bytes a
+# sample, none of which, nor any tally row, outlives Build
+# (TestPartialFitBytesPerSample).
 allocs:
-	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE|UEGenSize' ./internal/core/ ./internal/world/ ./internal/trace/ ./internal/sm/
+	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE|UEGenSize|BytesPerSample' ./internal/core/ ./internal/world/ ./internal/trace/ ./internal/sm/
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1

@@ -13,8 +13,8 @@ import (
 // The per-UE fit oracle: §5's extraction written out once more with
 // plain maps and slices, one UE's whole sequence at a time. It shares
 // with production only the machine tables and the initial-state rule;
-// not the streaming walk, the prefix buffer, the tally layout, the
-// pools or their (UE, seq) tags.
+// not the streaming walk, the prefix buffer, the tally layout or the
+// sample logs.
 
 // xKey names one (hour, key) cell of a UE's extraction. kind is a
 // count ("top", "bot", "first", "withEv", "evt") or a sample pool
@@ -26,7 +26,8 @@ type xKey struct {
 	a, b int
 }
 
-// extraction is one UE's counts and sample multisets per (hour, key).
+// extraction is one UE's counts and sample lists, in emission order, per
+// (hour, key) and per key over all hours.
 type extraction struct {
 	counts  map[xKey]int
 	samples map[xKey][]float64
@@ -34,6 +35,16 @@ type extraction struct {
 
 func newExtraction() *extraction {
 	return &extraction{counts: map[xKey]int{}, samples: map[xKey][]float64{}}
+}
+
+// sample appends v to k's list and to the list of k's pool over all
+// hours (hour -1), the order the global fallback reads: the per-hour
+// lists do not show how the UE's hours interleave, the hour-agnostic one
+// does.
+func (x *extraction) sample(k xKey, v float64) {
+	x.samples[k] = append(x.samples[k], v)
+	all := xKey{k.kind, -1, k.a, k.b}
+	x.samples[all] = append(x.samples[all], v)
 }
 
 // oracleMacro is the macro state each Category-1 event establishes; an
@@ -69,7 +80,7 @@ func oracleExtract(m *sm.Machine, free map[cp.EventType]bool, evs []trace.Event)
 		}
 		if prev, ok := lastOf[ev.Type]; ok && free[ev.Type] && prev.T.HourIndex() == cell {
 			k := xKey{"free", h, 0, int(ev.Type)}
-			x.samples[k] = append(x.samples[k], (ev.T - prev.T).Seconds())
+			x.sample(k, (ev.T - prev.T).Seconds())
 		}
 		lastOf[ev.Type] = ev
 		// A sojourn is filed under the hour its state was entered in, or
@@ -87,11 +98,11 @@ func oracleExtract(m *sm.Machine, free map[cp.EventType]bool, evs []trace.Event)
 			k := xKey{"top", entryHour(macroKnown, macroAt), int(macro), int(ev.Type)}
 			x.counts[k]++
 			if macroKnown {
-				x.samples[k] = append(x.samples[k], (ev.T - macroAt).Seconds())
+				x.sample(k, (ev.T - macroAt).Seconds())
 			}
 			if botKnown {
 				c := xKey{"censor", botAt.HourOfDay(), int(bottom), 0}
-				x.samples[c] = append(x.samples[c], (ev.T - botAt).Seconds())
+				x.sample(c, (ev.T - botAt).Seconds())
 			}
 			macro, bottom = next, m.SubEntry(next)
 			macroAt, botAt, macroKnown, botKnown = ev.T, ev.T, true, true
@@ -99,7 +110,7 @@ func oracleExtract(m *sm.Machine, free map[cp.EventType]bool, evs []trace.Event)
 			k := xKey{"bot", entryHour(botKnown, botAt), int(bottom), int(ev.Type)}
 			x.counts[k]++
 			if botKnown {
-				x.samples[k] = append(x.samples[k], (ev.T - botAt).Seconds())
+				x.sample(k, (ev.T - botAt).Seconds())
 			}
 			bottom, botAt, botKnown = to, ev.T, true
 		case sub && !cat1:
@@ -109,7 +120,7 @@ func oracleExtract(m *sm.Machine, free map[cp.EventType]bool, evs []trace.Event)
 			x.counts[xKey{"first", h, int(ev.Type), int(bottom)}]++
 			x.counts[xKey{"withEv", h, 0, 0}]++
 			k := xKey{"first", h, 0, 0}
-			x.samples[k] = append(x.samples[k], (ev.T - cp.Millis(cell)*cp.Hour).Seconds())
+			x.sample(k, (ev.T - cp.Millis(cell)*cp.Hour).Seconds())
 		}
 		lastCell = cell
 	}
@@ -118,8 +129,9 @@ func oracleExtract(m *sm.Machine, free map[cp.EventType]bool, evs []trace.Event)
 
 var cntKindNames = [numCntKinds]string{cntTop: "top", cntBot: "bot", cntFirst: "first", cntWithEv: "withEv", cntEvt: "evt"}
 
-// productionExtraction reads the UE's tallies and retained samples back
-// out of an ingested partial whose walks are finished.
+// productionExtraction reads the UE's tallies and logged samples back out
+// of an ingested partial whose walks are finished, the samples in the
+// order the UE's hour bytes interleave its logs.
 func productionExtraction(pf *PartialFit, ue cp.UEID) *extraction {
 	x := newExtraction()
 	s := fitSink(pf, ue)
@@ -139,24 +151,16 @@ func productionExtraction(pf *PartialFit, ue cp.UEID) *extraction {
 			}
 		}
 	}
-	dp := pf.devs[pf.devOf[ue]]
-	for i, p := range dp.pools {
-		if p == nil {
-			continue
-		}
-		pk := pf.lay.poolKeyAt(i)
-		k := xKey{poolKindNames[pk.Kind], int(pk.Hour), int(pk.A), int(pk.B)}
-		for _, it := range p.items {
-			if it.ue == ue {
-				x.samples[k] = append(x.samples[k], it.v)
-			}
-		}
-	}
+	s.eachSample(func(_ int, h, key byte, ms uint64) {
+		pk := pf.lay.poolKeyAt(int(key))
+		k := xKey{poolKindNames[pk.Kind], int(h), int(pk.A), int(pk.B)}
+		x.sample(k, seconds(ms))
+	})
 	return x
 }
 
 // diffExtractions describes the first (hour, key) where got and want
-// differ as multisets, or returns "".
+// differ — counts, or sample lists in order — or returns "".
 func diffExtractions(got, want *extraction) string {
 	for _, xs := range []*extraction{got, want} {
 		for k := range xs.counts {
@@ -165,11 +169,13 @@ func diffExtractions(got, want *extraction) string {
 			}
 		}
 		for k := range xs.samples {
-			g, w := slices.Clone(got.samples[k]), slices.Clone(want.samples[k])
-			slices.Sort(g)
-			slices.Sort(w)
-			if !slices.Equal(g, w) {
-				return fmt.Sprintf("samples %+v: %v, oracle %v", k, g, w)
+			if g, w := got.samples[k], want.samples[k]; !slices.Equal(g, w) {
+				i := 0
+				for i < min(len(g), len(w)) && g[i] == w[i] {
+					i++
+				}
+				return fmt.Sprintf("samples %+v: %d and %d long, first differing at %d: %v, oracle %v",
+					k, len(g), len(w), i, g[i:min(i+3, len(g))], w[i:min(i+3, len(w))])
 			}
 		}
 	}
@@ -233,9 +239,11 @@ func oracleCases(t *testing.T) map[string]*trace.Trace {
 }
 
 // TestExtractionMatchesPerUEOracle holds every UE's production
-// extraction — tallies and retained samples, per (hour, key), as
-// multisets — and the fit's violation count to the per-UE oracle, for
-// the two-level machine (Ours, V2) and the flat one (Base, V1).
+// extraction — tallies, and retained samples per (hour, key) as lists in
+// emission order — and the fit's violation count to the per-UE oracle,
+// for the two-level machine (Ours, V2) and the flat one (Base, V1). The
+// lists are ordered, so a sample logged under the wrong hour byte, or a
+// log read out of order, fails it as surely as a wrong value.
 func TestExtractionMatchesPerUEOracle(t *testing.T) {
 	free := []cp.EventType{cp.Handover, cp.TrackingAreaUpdate}
 	methods := map[string]FitOptions{

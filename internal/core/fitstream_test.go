@@ -233,8 +233,10 @@ func peakHeap(fn func()) uint64 {
 
 // streamPeakBudget bounds the streamed fit's peak heap growth on
 // TestFitStreamBoundedMemory's world (355 604 events, a 26 MB model),
-// which reads 42.1–45.4 MiB; the tree before Save streamed read 47.5–61.2.
-const streamPeakBudget = 52 << 20
+// which reads 25.4–26.1 MiB since samples are logged per UE and Build
+// frees each hour as it finishes it (42.1–45.4 with 16 B sample items
+// that lived through Save, under a 52 MiB budget).
+const streamPeakBudget = 30 << 20
 
 // liveHeap returns the bytes still reachable after a collection.
 func liveHeap() uint64 {
@@ -259,19 +261,21 @@ func (p *heapProbe) ScanBatches(fn func(*trace.Batch) error) error {
 
 // TestFitStreamBoundedMemory: a fit from a file never holds the file's
 // events. A peak cannot show that — on any world tier-1 can afford a fit
-// peaks in Build, where pools and model outweigh an event slice that is
+// peaks in Build, where samples and model outweigh an event slice that is
 // dead by then — so the gate looks at the live heap when the source's one
 // scan ends, inside Fit, where a materialized source is still reachable:
 //
 //   - from the FileSource it is below the same fit from the ReadAuto-ed
 //     trace by at least ¾ of the event slice (16 B an event);
 //   - from the FileSource it is, within ¼ of the event slice, what a
-//     PartialFit holds once AddSource has returned — the sample pools.
+//     PartialFit holds once AddSource has returned — the sample logs and
+//     tally rows.
 //     More, and the events are still held; less, and they went somewhere
 //     else first, to be ingested after the scan.
 //
 // Exact byte-identity forces the fit to retain every sojourn sample, so
-// the pools still grow with the trace (FitOptions.SketchK bounds them;
+// the logs still grow with the trace (TestPartialFitBytesPerSample gates
+// their bytes a sample; FitOptions.SketchK bounds them, and
 // TestFitSketchedBoundedMemory gates that). The peak gate stays beside the
 // two: Fit from the file and Save must peak inside streamPeakBudget.
 func TestFitStreamBoundedMemory(t *testing.T) {
@@ -332,21 +336,63 @@ func TestFitStreamBoundedMemory(t *testing.T) {
 	if err := pf.AddSource(src); err != nil {
 		t.Fatal(err)
 	}
-	pools := liveHeap() - base
+	held := liveHeap() - base
 	runtime.KeepAlive(pf)
 
 	mib := func(b uint64) float64 { return float64(b) / (1 << 20) }
-	t.Logf("%d events, an event slice of %.1f MiB; live when the scan ends: from the file %.1f MiB, from the read trace %.1f MiB; pools %.1f MiB; peak of the fit from the file, saved, %.1f MiB",
-		tr.Len(), mib(slice), mib(fileLive), mib(traceLive), mib(pools), mib(peak))
+	t.Logf("%d events, an event slice of %.1f MiB; live when the scan ends: from the file %.1f MiB, from the read trace %.1f MiB; the partial %.1f MiB; peak of the fit from the file, saved, %.1f MiB",
+		tr.Len(), mib(slice), mib(fileLive), mib(traceLive), mib(held), mib(peak))
 	if fileLive+slice*3/4 > traceLive {
 		t.Errorf("live when the scan ends: %d B from the file, %d B from the read trace — less than %d B (¾ of the event slice) apart",
 			fileLive, traceLive, slice*3/4)
 	}
-	if fileLive > pools+slice/4 || fileLive+slice/4 < pools {
-		t.Errorf("live when the file's scan ends: %d B, against %d B of pools — more than %d B (¼ of the event slice) apart",
-			fileLive, pools, slice/4)
+	if fileLive > held+slice/4 || fileLive+slice/4 < held {
+		t.Errorf("live when the file's scan ends: %d B, against %d B the partial holds — more than %d B (¼ of the event slice) apart",
+			fileLive, held, slice/4)
 	}
 	if peak > streamPeakBudget {
 		t.Errorf("fit from the file peaks at %d B, above the %d B budget", peak, streamPeakBudget)
+	}
+}
+
+// TestPartialFitBytesPerSample gates what an exact partial retains per
+// sample on TestFitStreamBoundedMemory's world once AddSource returns: the
+// capacity of its UEs' logs and hour bytes, at most 6 B a sample. Build
+// consumes the partial: it must leave no log, hour byte or tally row
+// behind.
+func TestPartialFitBytesPerSample(t *testing.T) {
+	tr := toyTrace(t, 256, 24*cp.Hour, 11)
+	pf, err := NewPartialFit(FitOptions{Cluster: clusterOptSmall(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.AddSource(tr); err != nil {
+		t.Fatal(err)
+	}
+	var sinks []*partialSink
+	var samples, logs, hours int
+	for _, s := range pf.exts {
+		sinks = append(sinks, s)
+		samples += int(s.seq)
+		for _, l := range s.logs {
+			logs += cap(l)
+		}
+		hours += cap(s.hours)
+	}
+	perSample := float64(logs+hours) / float64(samples)
+	t.Logf("%d samples: %.2f B of logs and %.2f B of hour bytes a sample", samples,
+		float64(logs)/float64(samples), float64(hours)/float64(samples))
+	if samples == 0 || perSample > 6 {
+		t.Errorf("exact partial retains %.2f B a sample over %d samples, above the 6 B budget", perSample, samples)
+	}
+	if _, err := pf.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sinks {
+		for h := range HoursPerDay {
+			if s.logs[h] != nil || s.rows[h] != nil || s.hours != nil {
+				t.Fatalf("UE %d: hour %d's log or tally row, or the hour bytes, outlive Build", s.ue, h)
+			}
+		}
 	}
 }
