@@ -256,24 +256,30 @@ func mergePartials(paths []string, out string) {
 		ms.Method, ms.MachineName, ms.NumModels(), len(paths), nUEs)
 }
 
-// writePartial encodes pf to path atomically (temp file + rename), so a
-// kill mid-checkpoint never leaves a truncated checkpoint behind.
+// writePartial encodes pf to path atomically (temp file, fsync, rename),
+// so neither a kill nor a host crash mid-checkpoint leaves a truncated
+// checkpoint behind, and a failed write leaves the previous checkpoint
+// and no temp file.
 func writePartial(pf *core.PartialFit, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := pf.Encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = pf.Encode(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp, path)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 func saveModel(ms *core.ModelSet, out string) {

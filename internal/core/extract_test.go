@@ -139,16 +139,9 @@ func productionExtraction(pf *PartialFit, ue cp.UEID) *extraction {
 		return x
 	}
 	for h, row := range s.rows {
-		if row == nil {
-			continue
-		}
-		for kind := uint8(0); kind < numCntKinds; kind++ {
-			for i, n := range row[pf.lay.off[kind]:pf.lay.off[kind+1]] {
-				if n > 0 {
-					a, b := pf.lay.key(kind, i)
-					x.counts[xKey{cntKindNames[kind], h, int(a), int(b)}] += int(n)
-				}
-			}
+		for _, t := range row {
+			kind, a, b := pf.lay.key(int(t.slot))
+			x.counts[xKey{cntKindNames[kind], h, int(a), int(b)}] += int(t.n)
 		}
 	}
 	s.eachSample(func(_ int, h, key byte, ms uint64) {

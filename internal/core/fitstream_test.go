@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cptraffic/internal/cp"
 	"cptraffic/internal/sm"
@@ -394,5 +395,37 @@ func TestPartialFitBytesPerSample(t *testing.T) {
 				t.Fatalf("UE %d: hour %d's log or tally row, or the hour bytes, outlive Build", s.ue, h)
 			}
 		}
+	}
+}
+
+// TestPartialFitBytesPerTally gates what an exact partial's tally rows
+// hold on TestFitStreamBoundedMemory's world once AddSource returns: the
+// rows' capacity, at most 12.5 B a count taken (10.9 measured). A count
+// is an 8 B entry of its UE-hour's sparse row. Dense rows, a uint32 for
+// each of the 105 slots, held 36.9 B a count here (11.4 counts a row),
+// and ≈ 53 B on a world whose UE-hours take ≈ 8.
+func TestPartialFitBytesPerTally(t *testing.T) {
+	tr := toyTrace(t, 256, 24*cp.Hour, 11)
+	pf, err := NewPartialFit(FitOptions{Cluster: clusterOptSmall(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.AddSource(tr); err != nil {
+		t.Fatal(err)
+	}
+	var rows, tallies, held int
+	for _, s := range pf.exts {
+		for _, r := range s.rows {
+			if r != nil {
+				rows++
+				tallies += len(r)
+				held += cap(r) * int(unsafe.Sizeof(r[0]))
+			}
+		}
+	}
+	perTally := float64(held) / float64(tallies)
+	t.Logf("%d rows hold %d counts taken (%.1f a row): %.2f B a count", rows, tallies, float64(tallies)/float64(rows), perTally)
+	if tallies == 0 || perTally > 12.5 {
+		t.Errorf("exact partial's tally rows hold %.2f B a count over %d counts, above the 12.5 B budget", perTally, tallies)
 	}
 }

@@ -277,17 +277,12 @@ func newPartialPool(k poolKey) *partialPool {
 func (l *layout) encodeCounts(c *partialCounts, ue cp.UEID, s *partialSink) {
 	for kind := uint8(0); kind < numCntKinds; kind++ {
 		for h, row := range s.rows {
-			if row == nil {
-				continue
-			}
-			for i, n := range row[l.off[kind]:l.off[kind+1]] {
-				if n == 0 {
-					continue
+			for _, t := range row {
+				if k, a, b := l.key(int(t.slot)); k == kind {
+					c.UE = append(c.UE, ue)
+					c.Key = append(c.Key, cntKey(kind, uint8(h), a, b))
+					c.N = append(c.N, int64(t.n))
 				}
-				a, b := l.key(kind, i)
-				c.UE = append(c.UE, ue)
-				c.Key = append(c.Key, cntKey(kind, uint8(h), a, b))
-				c.N = append(c.N, int64(n))
 			}
 		}
 	}
@@ -497,7 +492,8 @@ func decodeCounts(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
 		if c.N[i] <= 0 || c.N[i] > math.MaxUint32 {
 			return fmt.Errorf("core: partial fit: count %d out of range (0, %d]", c.N[i], uint32(math.MaxUint32))
 		}
-		sink.row(hour)[pf.lay.slot(kind, a, b)] = uint32(c.N[i])
+		// (ue, key) order puts each UE-hour's slots in ascending order.
+		sink.rows[hour] = append(sink.rows[hour], tally{slot: uint16(pf.lay.slot(kind, a, b)), n: uint32(c.N[i])})
 	}
 	return nil
 }

@@ -42,10 +42,12 @@ import (
 // UE's features, which only exist once all shards are merged. That is
 // why counts and samples are held per-(UE, hour), on each UE's sink —
 // Build splits them per cluster after assignment, freeing each hour as
-// it finishes it — and why the partial's memory is O(UEs + samples):
-// an exact sample takes about 5.5 B (a one-byte pool key and a uvarint of
-// milliseconds in its hour's log, and one hour byte), the sketch bounds
-// the sample term, and sharding bounds the UE term.
+// it finishes it — and why the partial's memory is O(UEs + tallies +
+// samples): a count a UE-hour took is an 8 B entry of its sparse tally
+// row (most are never taken and cost nothing), an exact sample about
+// 5.5 B (a one-byte pool key and a uvarint of milliseconds in its hour's
+// log, and one hour byte), the sketch bounds the sample term, and
+// sharding bounds the UE term.
 //
 // Fit is the thin driver over this type (NewPartialFit → AddSource →
 // Build); construct one directly to shard, checkpoint, or bound a fit.
@@ -101,14 +103,14 @@ func cntKey(kind, hour, a, b uint8) uint32 {
 // cntShape is one count kind's key space: a in [0, na), b in [b0, b0+nb).
 type cntShape struct{ na, b0, nb int }
 
-// layout places a fit's per-UE tally rows and its pool tables; both
-// depend on the machine's state count. A tally row holds one UE's counts
-// of one hour-of-day: kind after kind in count-kind order, each kind's
-// (a, b) keys a-major, so a walk of a kind's slots visits its keys in
-// ascending packed order. A slot of zero is a count never taken.
+// layout places a fit's count slots and its pool tables; both depend on
+// the machine's state count. Slots run kind after kind in count-kind
+// order, each kind's (a, b) keys a-major, so within one hour ascending
+// slots are ascending packed keys: the order partialfit/1 writes a
+// UE-hour's counts in, and decode appends them to its tally row in.
 type layout struct {
 	shape [numCntKinds]cntShape
-	off   [numCntKinds + 1]int // first slot of each kind; the last is the row length
+	off   [numCntKinds + 1]int // first slot of each kind; the last is the slot count
 	poolA int                  // pool-table stride of A: enough for a UE state and a machine state
 }
 
@@ -130,16 +132,13 @@ func newLayout(states int) layout {
 	return l
 }
 
-// rowLen is the length of one tally row.
-func (l *layout) rowLen() int { return l.off[numCntKinds] }
-
-// slot is the row index of count (kind, a, b), which must be valid.
+// slot is the slot of count (kind, a, b), which must be valid.
 func (l *layout) slot(kind, a, b uint8) int {
 	sh := &l.shape[kind]
 	return l.off[kind] + int(a)*sh.nb + int(b) - sh.b0
 }
 
-// valid reports whether (kind, a, b) names a slot of the row.
+// valid reports whether (kind, a, b) names a slot.
 func (l *layout) valid(kind, a, b uint8) bool {
 	if kind >= numCntKinds {
 		return false
@@ -148,31 +147,38 @@ func (l *layout) valid(kind, a, b uint8) bool {
 	return int(a) < sh.na && int(b) >= sh.b0 && int(b) < sh.b0+sh.nb
 }
 
-// key returns the (a, b) of the i-th slot of kind's stretch of the row.
-func (l *layout) key(kind uint8, i int) (a, b uint8) {
+// key inverts slot.
+func (l *layout) key(slot int) (kind, a, b uint8) {
+	for slot >= l.off[kind+1] {
+		kind++
+	}
 	sh := &l.shape[kind]
-	return uint8(i / sh.nb), uint8(sh.b0 + i%sh.nb)
+	i := slot - l.off[kind]
+	return kind, uint8(i / sh.nb), uint8(sh.b0 + i%sh.nb)
+}
+
+// tally is one count of a tally row: its layout slot, and how many times
+// it was taken.
+type tally struct {
+	slot uint16
+	n    uint32
 }
 
 // applyRow folds one tally row into an accumulator. cntEvt counts feed
 // clustering features only, never the accumulators.
-func (l *layout) applyRow(ac *acc, row []uint32) {
-	for kind := cntTop; kind < cntEvt; kind++ {
-		for i, n := range row[l.off[kind]:l.off[kind+1]] {
-			if n == 0 {
-				continue
-			}
-			a, b := l.key(kind, i)
-			switch kind {
-			case cntTop:
-				ac.TopCount[topKey{S: cp.UEState(a), E: cp.EventType(b)}] += int(n)
-			case cntBot:
-				ac.BotCount[botKey{S: sm.State(a), E: cp.EventType(b)}] += int(n)
-			case cntFirst:
-				ac.FirstCnt[firstCatKey{E: cp.EventType(a), S: sm.State(b)}] += int(n)
-			case cntWithEv:
-				ac.WithEv += int(n)
-			}
+func (l *layout) applyRow(ac *acc, row []tally) {
+	for _, t := range row {
+		kind, a, b := l.key(int(t.slot))
+		n := int(t.n)
+		switch kind {
+		case cntTop:
+			ac.TopCount[topKey{S: cp.UEState(a), E: cp.EventType(b)}] += n
+		case cntBot:
+			ac.BotCount[botKey{S: sm.State(a), E: cp.EventType(b)}] += n
+		case cntFirst:
+			ac.FirstCnt[firstCatKey{E: cp.EventType(a), S: sm.State(b)}] += n
+		case cntWithEv:
+			ac.WithEv += n
 		}
 	}
 }
@@ -319,9 +325,10 @@ type partialSink struct {
 	ue   cp.UEID
 	seq  uint32
 	walk sm.Walk
-	// rows holds the UE's tally row per hour-of-day (slots per
-	// PartialFit.lay), allocated at the hour's first tally.
-	rows [HoursPerDay][]uint32
+	// rows holds the UE's tally row per hour-of-day: only the counts
+	// taken, strictly ascending by PartialFit.lay slot (a UE-hour takes
+	// ≈ 8 of ≈ 105), allocated at the hour's first tally.
+	rows [HoursPerDay][]tally
 	// logs holds the UE's exact samples per pool hour in emission order,
 	// one record each: the pool's key byte, then the value in whole
 	// milliseconds as a uvarint. hours holds each sample's pool hour, in
@@ -337,20 +344,27 @@ type partialSink struct {
 	mom *[HoursPerDay][2]welford
 }
 
-// row returns the UE's tally row of hour h, allocating it at the hour's
-// first tally.
-func (s *partialSink) row(h uint8) []uint32 {
-	r := s.rows[h]
-	if r == nil {
-		r = make([]uint32, s.pf.lay.rowLen())
-		s.rows[h] = r
-	}
-	return r
-}
-
 // tally counts one (kind, a, b) observation at hour h.
 func (s *partialSink) tally(h, kind, a, b uint8) {
-	s.row(h)[s.pf.lay.slot(kind, a, b)]++
+	s.count(h, s.pf.lay.slot(kind, a, b))
+}
+
+// count adds one to slot's count in hour h's row: the entry, or a new
+// one inserted in slot order. A row starts with room for 8 entries.
+func (s *partialSink) count(h uint8, slot int) {
+	r := s.rows[h]
+	i := 0
+	for i < len(r) && int(r[i].slot) < slot {
+		i++
+	}
+	if i < len(r) && int(r[i].slot) == slot {
+		r[i].n++
+		return
+	}
+	if r == nil {
+		r = make([]tally, 0, 8)
+	}
+	s.rows[h] = slices.Insert(r, i, tally{slot: uint16(slot), n: 1})
 }
 
 // sample retains one sample of pool k: into the UE's logs, or in
@@ -481,9 +495,8 @@ func (s *partialSink) fold(ev trace.Event, mv sm.Move) {
 		}
 	}
 	if mv.NewCell {
-		row := s.row(h)
-		row[s.pf.lay.slot(cntFirst, uint8(e), uint8(mv.State))]++
-		row[s.pf.lay.slot(cntWithEv, 0, 0)]++
+		s.tally(h, cntFirst, uint8(e), uint8(mv.State))
+		s.tally(h, cntWithEv, 0, 0)
 		s.sample(poolKey{Hour: h, Kind: poolFirst}, ev.T-cp.Millis(ev.T.HourIndex())*cp.Hour)
 	}
 }
@@ -873,10 +886,8 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 			if s == nil {
 				continue
 			}
-			if s.rows[h] != nil {
-				lay.applyRow(accs[cl[i]], s.rows[h])
-				lay.applyRow(agg, s.rows[h])
-			}
+			lay.applyRow(accs[cl[i]], s.rows[h])
+			lay.applyRow(agg, s.rows[h])
 			for j, b := 0, s.logs[h]; j < len(b); j = skip(b, j) {
 				end[cl[i]*nk+int(b[j])]++
 				end[nc*nk+int(b[j])]++
@@ -936,9 +947,7 @@ func globalModel(pf *PartialFit, sinks []*partialSink, days int) *ClusterModel {
 			continue
 		}
 		for h, row := range s.rows {
-			if row != nil {
-				lay.applyRow(global, row)
-			}
+			lay.applyRow(global, row)
 			for j, b := 0, s.logs[h]; j < len(b); j = skip(b, j) {
 				size[b[j]]++
 			}
@@ -976,10 +985,15 @@ func (dp *devPartial) featureFn(pf *PartialFit, sinks []*partialSink, days int) 
 	srvSlot := pf.lay.slot(cntEvt, 0, uint8(cp.ServiceRequest))
 	relSlot := pf.lay.slot(cntEvt, 0, uint8(cp.S1ConnRelease))
 	perDay := func(i, h, slot int) float64 {
-		if sinks[i] == nil || sinks[i].rows[h] == nil {
+		if sinks[i] == nil {
 			return 0
 		}
-		return float64(sinks[i].rows[h][slot]) / float64(days)
+		for _, t := range sinks[i].rows[h] {
+			if int(t.slot) == slot {
+				return float64(t.n) / float64(days)
+			}
+		}
+		return 0
 	}
 	if pf.opt.SketchK > 0 {
 		return func(i, h int) cluster.Features {

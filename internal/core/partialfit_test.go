@@ -186,6 +186,62 @@ func TestPartialFitCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestPartialFitResumeEveryCheckpoint resumes from every checkpoint one
+// run takes, on TestPartialFitCheckpointResume's trace and option
+// variants, and requires each resumed fit's model bytes to equal the
+// uninterrupted Fit's. A decoded tally row takes further counts as the
+// resumed scan goes on, so decode's order and ingest's must agree at
+// every cut.
+func TestPartialFitResumeEveryCheckpoint(t *testing.T) {
+	tr := toyTrace(t, 48, 3*cp.Hour, 7)
+	// 28 checkpoints, each 44 events further into its 256-event batch
+	// than the one before, modulo the batch.
+	const every = 300
+	for _, base := range partialFitOptVariants() {
+		opt := base
+		opt.Workers = 1
+		ref, err := Fit(tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := modelBytes(t, ref)
+		pf, err := NewPartialFit(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ckpts [][]byte
+		err = pf.AddSourceWithCheckpoints(tr, every, func(int64) error {
+			var b bytes.Buffer
+			err := pf.Encode(&b)
+			ckpts = append(ckpts, b.Bytes())
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := int64(len(ckpts)); n != int64(tr.Len())/every || n < 4 {
+			t.Fatalf("method=%q: %d checkpoints of a %d-event trace at every %d", opt.Method, n, tr.Len(), every)
+		}
+		for i, ckpt := range ckpts {
+			resumed, err := DecodePartial(bytes.NewReader(ckpt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.AddSource(tr); err != nil {
+				t.Fatal(err)
+			}
+			ms, err := resumed.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want, modelBytes(t, ms)) {
+				t.Fatalf("method=%q: fit resumed from checkpoint %d (%d events) differs from the uninterrupted fit",
+					opt.Method, i+1, int64(i+1)*every)
+			}
+		}
+	}
+}
+
 // TestPartialCodecRoundTrip: a mid-scan or completed partial encodes to
 // one canonical byte stream that survives decode/encode byte-for-byte,
 // and the decoded partial builds the same model as the original fit.
