@@ -87,10 +87,12 @@ race:
 # per-UE extraction fit and eval share — allocates nothing per event; and
 # an exact PartialFit retains at most 6 B of sample logs and hour bytes a
 # sample, none of which, nor any tally row, outlives Build
-# (TestPartialFitBytesPerSample), and its sparse tally rows at most
-# 12.5 B a count taken (TestPartialFitBytesPerTally).
+# (TestPartialFitBytesPerSample), its sparse tally rows at most 11 B a
+# count taken (TestPartialFitBytesPerTally), and the live heap it adds at
+# most 10 % above what its sinks account for, so a partial that kept its
+# events fails (TestPartialFitHeldMatchesSinks).
 allocs:
-	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE|UEGenSize|BytesPerSample|BytesPerTally' ./internal/core/ ./internal/world/ ./internal/trace/ ./internal/sm/
+	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|BytesPerEvent|BytesPerUE|UEGenSize|BytesPerSample|BytesPerTally|HeldMatchesSinks' ./internal/core/ ./internal/world/ ./internal/trace/ ./internal/sm/
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1

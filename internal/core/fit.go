@@ -8,7 +8,6 @@ import (
 	"cptraffic/internal/cp"
 	"cptraffic/internal/par"
 	"cptraffic/internal/sm"
-	"cptraffic/internal/stats"
 	"cptraffic/internal/trace"
 )
 
@@ -109,38 +108,47 @@ type firstCatKey struct {
 	S sm.State
 }
 
-type acc struct {
-	TopCount  map[topKey]int
-	TopSoj    map[topKey][]float64
-	BotCount  map[botKey]int
-	BotSoj    map[botKey][]float64
-	BotCensor map[sm.State][]float64
-	FreeIA    map[cp.EventType][]float64
-	FirstCnt  map[firstCatKey]int
-	FirstOff  []float64
-	Cells     int // UE-day cells (PNone denominator)
-	WithEv    int // cells that had at least one event
-	NumUEs    int
+// accCounts is an accumulator's tallies, which a tally row fills
+// (layout.applyRow).
+type accCounts struct {
+	TopCount map[topKey]int
+	BotCount map[botKey]int
+	FirstCnt map[firstCatKey]int
+	Cells    int // UE-day cells (PNone denominator)
+	WithEv   int // cells that had at least one event
+	NumUEs   int
 }
 
-func newAcc() *acc {
-	return &acc{
-		TopCount:  make(map[topKey]int),
-		TopSoj:    make(map[topKey][]float64),
-		BotCount:  make(map[botKey]int),
-		BotSoj:    make(map[botKey][]float64),
-		BotCensor: make(map[sm.State][]float64),
-		FreeIA:    make(map[cp.EventType][]float64),
-		FirstCnt:  make(map[firstCatKey]int),
+// acc is one model's tallies and sample lists, each list a pool's
+// samples in (UE, seq) order.
+type acc[T sample] struct {
+	accCounts
+	TopSoj    map[topKey][]T
+	BotSoj    map[botKey][]T
+	BotCensor map[sm.State][]T
+	FreeIA    map[cp.EventType][]T
+	FirstOff  []T
+}
+
+func newAcc[T sample]() *acc[T] {
+	return &acc[T]{
+		accCounts: accCounts{
+			TopCount: make(map[topKey]int),
+			BotCount: make(map[botKey]int),
+			FirstCnt: make(map[firstCatKey]int),
+		},
+		TopSoj:    make(map[topKey][]T),
+		BotSoj:    make(map[botKey][]T),
+		BotCensor: make(map[sm.State][]T),
+		FreeIA:    make(map[cp.EventType][]T),
 	}
 }
 
 // build converts an accumulator into a ClusterModel. It consumes the
 // accumulator: the sample lists are the accumulator's own (setPool), so
-// the SojournTable fits sort them in place, through scratch
-// (stats.SortFloats' buffer, the caller's to reuse across accumulators
-// of one goroutine).
-func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterModel {
+// the SojournTable fits sort them in place, through sc (the caller's to
+// reuse across accumulators of one goroutine).
+func (a *acc[T]) build(m *sm.Machine, opt FitOptions, sc *fitScratch[T]) ClusterModel {
 	cm := ClusterModel{
 		Top:    make([]StateParam, cp.NumUEStates),
 		NumUEs: a.NumUEs,
@@ -168,7 +176,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterMo
 			cm.Top[k.S].Out = append(cm.Top[k.S].Out, TransitionParam{
 				Event:   k.E,
 				P:       p,
-				Sojourn: fitSojourn(a.TopSoj[k], opt.SojournKind, scratch),
+				Sojourn: fitSojourn(a.TopSoj[k], opt.SojournKind, sc),
 			})
 		}
 	}
@@ -187,7 +195,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterMo
 		// not map order: CensoredExpMLE sums their concatenation, and
 		// float summation order must not depend on map iteration for the
 		// model bytes to be reproducible.
-		firedBy := make([][][]float64, m.NumStates())
+		firedBy := make([][][]T, m.NumStates())
 		for s := 0; s < m.NumStates(); s++ {
 			for _, e := range cp.EventTypes {
 				if soj, ok := a.BotSoj[botKey{S: sm.State(s), E: e}]; ok {
@@ -206,7 +214,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterMo
 				cm.Bottom[k.S].Out = append(cm.Bottom[k.S].Out, TransitionParam{
 					Event:   k.E,
 					P:       p,
-					Sojourn: fitSojourn(a.BotSoj[k], opt.SojournKind, scratch),
+					Sojourn: fitSojourn(a.BotSoj[k], opt.SojournKind, sc),
 				})
 			}
 		}
@@ -217,17 +225,16 @@ func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterMo
 			censored := a.BotCensor[sm.State(s)]
 			switch opt.SojournKind {
 			case SojournExp: // the fits above leave exponential lists in order
-				fired := slices.Concat(firedBy[s]...)
-				if lambda, ok := stats.CensoredExpMLE(fired, censored); ok {
+				if lambda, ok := censoredExp(firedBy[s], censored, sc); ok {
 					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournExp, Lambda: lambda}
 				}
 			default:
 				// The table fits above sorted each list in place, so
 				// the state's delays are a merge away from sorted.
-				fired := stats.MergeSortedFloats(firedBy[s], scratch)
-				stats.SortFloats(censored, scratch)
-				if q, tail, ok := stats.KaplanMeierSorted(fired, censored); ok {
-					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournTable, Q: q.Q}
+				fired := mergeMillis(firedBy[s])
+				sortMillis(censored, &sc.sort)
+				if q, tail, ok := kaplanMeier(fired, censored); ok {
+					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournTable, Q: q}
 					cm.Bottom[s].PExit = tail
 				}
 			}
@@ -248,7 +255,7 @@ func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterMo
 		}
 		cm.Free = append(cm.Free, FreeProcess{
 			Event: e,
-			Inter: fitSojourn(ia, opt.SojournKind, scratch),
+			Inter: fitSojourn(ia, opt.SojournKind, sc),
 		})
 	}
 	// First-event model.
@@ -267,9 +274,50 @@ func (a *acc) build(m *sm.Machine, opt FitOptions, scratch *[]float64) ClusterMo
 			return cmp.Or(cmp.Compare(x.Event, y.Event), cmp.Compare(x.State, y.State))
 		})
 		cm.First.Cats = cats
-		cm.First.Offset = fitSojourn(a.FirstOff, SojournTable, scratch)
+		cm.First.Offset = fitSojourn(a.FirstOff, SojournTable, sc)
 	}
 	return cm
+}
+
+// sojourns calls fn on every sojourn model of cm: each transition's, each
+// bottom state's Kaplan–Meier marginal, each free process's and the
+// first-event offset.
+func (cm *ClusterModel) sojourns(fn func(*SojournModel)) {
+	for _, level := range [][]StateParam{cm.Top, cm.Bottom} {
+		for i := range level {
+			for j := range level[i].Out {
+				fn(&level[i].Out[j].Sojourn)
+			}
+			if level[i].Sojourn != nil {
+				fn(level[i].Sojourn)
+			}
+		}
+	}
+	for i := range cm.Free {
+		fn(&cm.Free[i].Inter)
+	}
+	fn(&cm.First.Offset)
+}
+
+// packGrids moves the quantile grids of cms into one exact-size
+// allocation: a model holds thousands of grids, and one allocation each
+// rounds each up to its size class. Each Q becomes its own three-index
+// slice of it, so an append to one cannot spill into a neighbour.
+func packGrids(cms ...*ClusterModel) {
+	n := 0
+	for _, cm := range cms {
+		cm.sojourns(func(s *SojournModel) { n += len(s.Q) })
+	}
+	packed := make([]float64, 0, n)
+	for _, cm := range cms {
+		cm.sojourns(func(s *SojournModel) {
+			if len(s.Q) > 0 {
+				at := len(packed)
+				packed = append(packed, s.Q...)
+				s.Q = packed[at:len(packed):len(packed)]
+			}
+		})
+	}
 }
 
 // sortTransitions orders one state's outgoing transitions by event. A
@@ -282,22 +330,18 @@ func sortTransitions(out []TransitionParam) {
 // --- clustering ---
 
 // clusterHours partitions a device type's UEs per hour-of-day, with
-// featAt supplying the clustering features of UE index i at hour h. Hours
-// are independent and every write is indexed by h; cluster.Partition
-// itself is deterministic (it sorts its input by UE id), so the result is
-// identical for any worker count. Both the in-memory and the streaming
-// fit run exactly this code.
-func clusterHours(ues []cp.UEID, opt FitOptions, featAt func(i, h int) cluster.Features) (assignments []map[cp.UEID]int, numClusters []int, weights [][]float64) {
-	assignments = make([]map[cp.UEID]int, HoursPerDay)
+// featAt supplying the clustering features of UE index i at hour h;
+// clusterOf[h][i] is UE index i's cluster at hour h. Hours are
+// independent and every write is indexed by h; cluster.Partition itself
+// is deterministic (it sorts its input by UE id), so the result is
+// identical for any worker count.
+func clusterHours(ues []cp.UEID, opt FitOptions, featAt func(i, h int) cluster.Features) (clusterOf [][]int32, numClusters []int, weights [][]float64) {
+	clusterOf = make([][]int32, HoursPerDay)
 	numClusters = make([]int, HoursPerDay)
 	weights = make([][]float64, HoursPerDay)
 	par.For(HoursPerDay, opt.Workers, func(h int) {
+		clusterOf[h] = make([]int32, len(ues))
 		if opt.NoClustering {
-			asg := make(map[cp.UEID]int, len(ues))
-			for _, ue := range ues {
-				asg[ue] = 0
-			}
-			assignments[h] = asg
 			numClusters[h] = 1
 			weights[h] = []float64{1}
 			return
@@ -307,23 +351,27 @@ func clusterHours(ues []cp.UEID, opt FitOptions, featAt func(i, h int) cluster.F
 			pts[i] = cluster.Point{UE: ue, F: featAt(i, h)}
 		}
 		cs := cluster.Partition(pts, opt.Cluster)
-		assignments[h] = cluster.Assignment(cs)
+		asg := cluster.Assignment(cs)
+		for i, ue := range ues {
+			clusterOf[h][i] = int32(asg[ue])
+		}
 		numClusters[h] = len(cs)
 		weights[h] = cluster.Weights(cs)
 	})
-	return assignments, numClusters, weights
+	return clusterOf, numClusters, weights
 }
 
 // buildPersonas deduplicates per-UE cluster-membership vectors into
 // weighted personas.
-func buildPersonas(ues []cp.UEID, assignments []map[cp.UEID]int) []Persona {
+func buildPersonas(clusterOf [][]int32) []Persona {
 	type key [HoursPerDay]int
 	counts := make(map[key]int)
 	order := []key{}
-	for _, ue := range ues {
+	ues := len(clusterOf[0])
+	for i := range ues {
 		var k key
 		for h := 0; h < HoursPerDay; h++ {
-			k[h] = assignments[h][ue]
+			k[h] = int(clusterOf[h][i])
 		}
 		if _, ok := counts[k]; !ok {
 			order = append(order, k)
@@ -333,7 +381,7 @@ func buildPersonas(ues []cp.UEID, assignments []map[cp.UEID]int) []Persona {
 	// order holds each distinct membership vector once, so no two tie.
 	slices.SortFunc(order, func(x, y key) int { return slices.Compare(x[:], y[:]) })
 	out := make([]Persona, len(order))
-	total := float64(len(ues))
+	total := float64(ues)
 	for i, k := range order {
 		cl := make([]int, HoursPerDay)
 		copy(cl, k[:])

@@ -164,9 +164,9 @@ type tally struct {
 	n    uint32
 }
 
-// applyRow folds one tally row into an accumulator. cntEvt counts feed
-// clustering features only, never the accumulators.
-func (l *layout) applyRow(ac *acc, row []tally) {
+// applyRow folds one tally row into an accumulator's counts. cntEvt
+// counts feed clustering features only, never the accumulators.
+func (l *layout) applyRow(ac *accCounts, row []tally) {
 	for _, t := range row {
 		kind, a, b := l.key(int(t.slot))
 		n := int(t.n)
@@ -262,7 +262,7 @@ func seconds(ms uint64) float64 { return cp.Millis(ms).Seconds() }
 // setPool installs vs as the accumulator's complete sample list for
 // pool k; every (accumulator, pool) pair is written once. An empty list
 // leaves the accumulator without an entry for the pool.
-func (a *acc) setPool(k poolKey, vs []float64) {
+func (a *acc[T]) setPool(k poolKey, vs []T) {
 	if len(vs) == 0 {
 		return
 	}
@@ -350,7 +350,9 @@ func (s *partialSink) tally(h, kind, a, b uint8) {
 }
 
 // count adds one to slot's count in hour h's row: the entry, or a new
-// one inserted in slot order. A row starts with room for 8 entries.
+// one inserted in slot order. A row starts with room for 8 entries and
+// grows by half (8, 12, 18, …): rows are held whole until Build, and
+// append's doubling would leave up to half of a long row spare.
 func (s *partialSink) count(h uint8, slot int) {
 	r := s.rows[h]
 	i := 0
@@ -361,8 +363,11 @@ func (s *partialSink) count(h uint8, slot int) {
 		r[i].n++
 		return
 	}
-	if r == nil {
+	switch {
+	case r == nil:
 		r = make([]tally, 0, 8)
+	case len(r) == cap(r):
+		r = append(make([]tally, 0, cap(r)+cap(r)/2), r...)
 	}
 	s.rows[h] = slices.Insert(r, i, tally{slot: uint16(slot), n: 1})
 }
@@ -783,16 +788,35 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 		Method:      pf.opt.Method,
 		Devices:     make([]*DeviceModel, cp.NumDeviceTypes),
 	}
+	// Every device's global fallback comes before any hour model. The
+	// hours free their logs and rows as the model grows, and a device's
+	// sinks go once its hours are built, so the model never grows beside
+	// a device's global lists or a finished device's sinks.
+	plans := make([]*hourPlan, cp.NumDeviceTypes)
 	for _, d := range cp.DeviceTypes {
 		dp := pf.devs[d]
 		if dp == nil || len(dp.ues) == 0 {
 			continue
 		}
 		slices.Sort(dp.ues)
-		dm := dp.build(pf, days)
+		dm, plan := dp.fitGlobal(pf, days)
 		dm.Share = float64(len(dp.ues)) / float64(total)
 		dm.TrainUEs = len(dp.ues)
-		ms.Devices[d] = dm
+		ms.Devices[d], plans[d] = dm, plan
+	}
+	for d, p := range plans {
+		switch {
+		case p == nil:
+			continue
+		case p.wide:
+			fitHours[int64](pf, p, days, ms.Devices[d])
+		default:
+			fitHours[uint32](pf, p, days, ms.Devices[d])
+		}
+		plans[d] = nil
+		for _, ue := range pf.devs[d].ues {
+			delete(pf.exts, ue)
+		}
 	}
 	pf.exts = nil
 	return ms, nil
@@ -837,46 +861,58 @@ func (dp *devPartial) logSketches(pf *PartialFit, sinks []*partialSink) {
 	}
 }
 
-// build fits one device type's model from its partial state. It reads
-// the UEs' logs three times — clustering features, the global fallback,
-// each hour's models — and frees them as it goes: the hour bytes after
-// the global fallback, an hour's logs and tally rows once that hour is
-// built.
-func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
+// hourPlan is what a device's hour models need of its first phase:
+// its UEs' sinks, each hour's clustering, and its list width.
+type hourPlan struct {
+	sinks       []*partialSink
+	clusterOf   [][]int32 // [h][i]: UE index i's cluster at hour h
+	numClusters []int
+	weights     [][]float64
+	wide        bool // some sample lies outside [0, 2^32) ms: int64 lists
+}
+
+// fitGlobal runs a device's first phase: its clustering features, the
+// adaptive partition, the personas and the global fallback, which frees
+// the UEs' hour bytes. The plan it returns is fitHours' input.
+func (dp *devPartial) fitGlobal(pf *PartialFit, days int) (*DeviceModel, *hourPlan) {
+	p := &hourPlan{sinks: pf.sinks(dp.ues)}
+	if dp.sketches != nil {
+		dp.logSketches(pf, p.sinks)
+	}
+	p.clusterOf, p.numClusters, p.weights = clusterHours(dp.ues, pf.opt, dp.featureFn(pf, p.sinks, days))
+	dm := &DeviceModel{
+		Personas: buildPersonas(p.clusterOf),
+		Hours:    make([]HourModel, HoursPerDay),
+	}
+	dm.Global, p.wide = globalModel(pf, p.sinks, days)
+	return dm, p
+}
+
+// fitHours fits a device's hour models from its UEs' logs and rows,
+// freeing each hour's once that hour is built, in lists of T.
+func fitHours[T sample](pf *PartialFit, p *hourPlan, days int, dm *DeviceModel) {
 	opt := pf.opt
 	lay := &pf.lay
-	ues := dp.ues
-	sinks := pf.sinks(ues)
-	if dp.sketches != nil {
-		dp.logSketches(pf, sinks)
-	}
-	assignments, numClusters, weights := clusterHours(ues, opt, dp.featureFn(pf, sinks, days))
-	dm := &DeviceModel{
-		Personas: buildPersonas(ues, assignments),
-		Hours:    make([]HourModel, HoursPerDay),
-		Global:   globalModel(pf, sinks, days),
-	}
+	sinks := p.sinks
 	nk := lay.poolsPerHour()
 	par.For(HoursPerDay, opt.Workers, func(h int) {
-		var sortBuf []float64 // this hour's value-sort buffer: its largest pool's worth
-		nc := numClusters[h]
-		accs := make([]*acc, nc+1) // the clusters', then the aggregate
+		var sc fitScratch[T] // this hour's buffers: its largest pool's worth
+		nc := p.numClusters[h]
+		accs := make([]*acc[T], nc+1) // the clusters', then the aggregate
 		for c := range accs {
-			accs[c] = newAcc()
+			accs[c] = newAcc[T]()
 		}
 		agg := accs[nc]
 		// NumUEs/Cells are functions of the assignments alone — every
 		// UE contributes whether or not it produced samples, exactly
 		// like the serial per-UE fold.
-		cl := make([]int, len(ues))
-		for i, ue := range ues {
-			c := assignments[h][ue]
-			cl[i] = c
+		cl := p.clusterOf[h]
+		for _, c := range cl {
 			accs[c].NumUEs++
 			accs[c].Cells += days
 		}
-		agg.NumUEs = len(ues)
-		agg.Cells = len(ues) * days
+		agg.NumUEs = len(sinks)
+		agg.Cells = len(sinks) * days
 		// Every sample goes to its cluster's list of its pool and to the
 		// aggregate's: the lists are counted, then filled UE by UE, each
 		// UE's samples in log order, so every list is in (UE, seq) order
@@ -886,10 +922,10 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 			if s == nil {
 				continue
 			}
-			lay.applyRow(accs[cl[i]], s.rows[h])
-			lay.applyRow(agg, s.rows[h])
+			lay.applyRow(&accs[cl[i]].accCounts, s.rows[h])
+			lay.applyRow(&agg.accCounts, s.rows[h])
 			for j, b := 0, s.logs[h]; j < len(b); j = skip(b, j) {
-				end[cl[i]*nk+int(b[j])]++
+				end[int(cl[i])*nk+int(b[j])]++
 				end[nc*nk+int(b[j])]++
 			}
 		}
@@ -898,16 +934,16 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 			end[x] = n
 			n += c
 		}
-		block := make([]float64, n)
+		block := make([]T, n)
 		for i, s := range sinks {
 			if s == nil {
 				continue
 			}
 			for j, b := 0, s.logs[h]; j < len(b); {
 				key, ms, next := record(b, j)
-				v := seconds(ms)
-				block[end[cl[i]*nk+int(key)]] = v
-				end[cl[i]*nk+int(key)]++
+				v := T(ms)
+				block[end[int(cl[i])*nk+int(key)]] = v
+				end[int(cl[i])*nk+int(key)]++
 				block[end[nc*nk+int(key)]] = v
 				end[nc*nk+int(key)]++
 				j = next
@@ -921,55 +957,73 @@ func (dp *devPartial) build(pf *PartialFit, days int) *DeviceModel {
 		}
 		hm := &dm.Hours[h]
 		hm.Clusters = make([]ClusterModel, nc)
+		cms := make([]*ClusterModel, nc+1)
 		for c := range hm.Clusters {
-			hm.Clusters[c] = accs[c].build(opt.Machine, opt, &sortBuf)
+			hm.Clusters[c] = accs[c].build(opt.Machine, opt, &sc)
+			cms[c] = &hm.Clusters[c]
 		}
-		a := agg.build(opt.Machine, opt, &sortBuf)
-		hm.Aggregate = &a
-		hm.Weights = weights[h]
+		a := agg.build(opt.Machine, opt, &sc)
+		hm.Aggregate, cms[nc] = &a, &a
+		hm.Weights = p.weights[h]
+		packGrids(cms...)
 	})
-	return dm
 }
 
 // globalModel fits a device's hour-agnostic fallback: every tally of
 // every hour, and each pool's samples across hours in (UE, seq) order —
 // one walk of each UE's hour bytes, into lists counted to size first.
-// The hour bytes are not read again, so it frees them.
-func globalModel(pf *PartialFit, sinks []*partialSink, days int) *ClusterModel {
-	lay := &pf.lay
-	global := newAcc()
-	global.NumUEs = len(sinks)
-	global.Cells = len(sinks) * days * HoursPerDay
-	lists := make([][]float64, lay.poolsPerHour())
-	size := make([]int, len(lists))
+// The size pass reads every value, so it also picks the device's list
+// width, which it reports (wide: int64). The hour bytes are not read
+// again, so it frees them.
+func globalModel(pf *PartialFit, sinks []*partialSink, days int) (g *ClusterModel, wide bool) {
+	size := make([]int, pf.lay.poolsPerHour())
 	for _, s := range sinks {
 		if s == nil {
 			continue
 		}
-		for h, row := range s.rows {
-			lay.applyRow(global, row)
-			for j, b := 0, s.logs[h]; j < len(b); j = skip(b, j) {
-				size[b[j]]++
+		for _, b := range s.logs {
+			for j := 0; j < len(b); {
+				key, ms, next := record(b, j)
+				size[key]++
+				wide = wide || ms >= 1<<32 // a negative value's two's complement too
+				j = next
 			}
 		}
 	}
+	if wide {
+		return globalOf[int64](pf, sinks, days, size), true
+	}
+	return globalOf[uint32](pf, sinks, days, size), false
+}
+
+// globalOf is globalModel's fit in lists of T, sized by size.
+func globalOf[T sample](pf *PartialFit, sinks []*partialSink, days int, size []int) *ClusterModel {
+	lay := &pf.lay
+	global := newAcc[T]()
+	global.NumUEs = len(sinks)
+	global.Cells = len(sinks) * days * HoursPerDay
+	lists := make([][]T, len(size))
 	for key, n := range size {
-		lists[key] = make([]float64, 0, n)
+		lists[key] = make([]T, 0, n)
 	}
 	for _, s := range sinks {
 		if s == nil {
 			continue
 		}
+		for _, row := range s.rows {
+			lay.applyRow(&global.accCounts, row)
+		}
 		s.eachSample(func(_ int, _, key byte, ms uint64) {
-			lists[key] = append(lists[key], seconds(ms))
+			lists[key] = append(lists[key], T(ms))
 		})
 		s.hours = nil
 	}
 	for key, l := range lists {
 		global.setPool(lay.poolKeyAt(key), l)
 	}
-	var sortBuf []float64
-	g := global.build(pf.opt.Machine, pf.opt, &sortBuf)
+	var sc fitScratch[T]
+	g := global.build(pf.opt.Machine, pf.opt, &sc)
+	packGrids(&g)
 	return &g
 }
 

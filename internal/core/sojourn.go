@@ -68,35 +68,37 @@ func (s SojournModel) Valid() bool {
 }
 
 // fitSojourn builds a sojourn model of the requested kind from observed
-// durations (seconds). It degrades gracefully: empty samples become a
-// 60-second point mass (never reached in practice because transitions are
-// only parameterized when observed), single-valued samples become point
-// masses, and exponential fits that are degenerate fall back to a point
-// mass at the sample mean.
+// durations (whole milliseconds; the model is in seconds). It degrades
+// gracefully: empty samples become a 60-second point mass (never reached
+// in practice because transitions are only parameterized when observed),
+// single-valued samples become point masses, and exponential fits that
+// are degenerate fall back to a point mass at the sample mean.
 //
 // The sample list is the caller's to give away: a SojournTable fit sorts
-// it in place (scratch is stats.SortFloats' buffer, reusable across
-// calls) rather than sorting a copy. A SojournExp fit folds the list in
-// the order given and leaves it alone.
-func fitSojourn(samples []float64, kind string, scratch *[]float64) SojournModel {
+// it in place (through sc's sort buffer, reusable across calls) rather
+// than sorting a copy. A SojournExp fit folds the list's seconds in the
+// order given and leaves it alone.
+func fitSojourn[T sample](samples []T, kind string, sc *fitScratch[T]) SojournModel {
 	if len(samples) == 0 {
 		return SojournModel{Kind: SojournConst, Value: 60}
 	}
+	first := secs(samples[0])
 	allEqual := true
 	for _, x := range samples[1:] {
-		if x != samples[0] {
+		if secs(x) != first {
 			allEqual = false
 			break
 		}
 	}
 	if allEqual {
-		return SojournModel{Kind: SojournConst, Value: samples[0]}
+		return SojournModel{Kind: SojournConst, Value: first}
 	}
 	switch kind {
 	case SojournExp:
-		fit, err := stats.FitExponential(samples)
+		xs := sc.images(samples)
+		fit, err := stats.FitExponential(xs)
 		if err != nil {
-			return SojournModel{Kind: SojournConst, Value: stats.Mean(samples)}
+			return SojournModel{Kind: SojournConst, Value: stats.Mean(xs)}
 		}
 		return SojournModel{Kind: SojournExp, Lambda: fit.Lambda}
 	default: // SojournTable
@@ -108,7 +110,7 @@ func fitSojourn(samples []float64, kind string, scratch *[]float64) SojournModel
 				n = 2
 			}
 		}
-		stats.SortFloats(samples, scratch)
-		return SojournModel{Kind: SojournTable, Q: stats.EmpiricalOfSorted(samples).QuantileTable(n).Q}
+		sortMillis(samples, &sc.sort)
+		return SojournModel{Kind: SojournTable, Q: quantileGrid(samples, n)}
 	}
 }

@@ -4,12 +4,13 @@ import (
 	"math"
 	"testing"
 
+	"cptraffic/internal/cp"
 	"cptraffic/internal/stats"
 )
 
 func TestFitSojournTable(t *testing.T) {
-	samples := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := fitSojourn(samples, SojournTable, new([]float64))
+	samples := []uint32{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000}
+	s := fitSojourn(samples, SojournTable, new(fitScratch[uint32]))
 	if s.Kind != SojournTable || !s.Valid() {
 		t.Fatalf("got %+v", s)
 	}
@@ -24,11 +25,11 @@ func TestFitSojournTable(t *testing.T) {
 
 func TestFitSojournExp(t *testing.T) {
 	r := stats.NewRNG(1)
-	samples := make([]float64, 1000)
+	samples := make([]uint32, 1000)
 	for i := range samples {
-		samples[i] = r.Exp(0.5)
+		samples[i] = uint32(cp.MillisFromSeconds(r.Exp(0.5)))
 	}
-	s := fitSojourn(samples, SojournExp, new([]float64))
+	s := fitSojourn(samples, SojournExp, new(fitScratch[uint32]))
 	if s.Kind != SojournExp {
 		t.Fatalf("kind = %q", s.Kind)
 	}
@@ -38,24 +39,25 @@ func TestFitSojournExp(t *testing.T) {
 }
 
 func TestFitSojournDegenerate(t *testing.T) {
-	if s := fitSojourn(nil, SojournTable, new([]float64)); s.Kind != SojournConst || s.Value != 60 {
+	sc := new(fitScratch[uint32])
+	if s := fitSojourn(nil, SojournTable, sc); s.Kind != SojournConst || s.Value != 60 {
 		t.Fatalf("empty -> %+v", s)
 	}
-	if s := fitSojourn([]float64{7, 7, 7}, SojournTable, new([]float64)); s.Kind != SojournConst || s.Value != 7 {
+	if s := fitSojourn([]uint32{7000, 7000, 7000}, SojournTable, sc); s.Kind != SojournConst || s.Value != 7 {
 		t.Fatalf("constant -> %+v", s)
 	}
-	if s := fitSojourn([]float64{3}, SojournExp, new([]float64)); s.Kind != SojournConst || s.Value != 3 {
+	if s := fitSojourn([]uint32{3000}, SojournExp, sc); s.Kind != SojournConst || s.Value != 3 {
 		t.Fatalf("single -> %+v", s)
 	}
 	// Exp fit of a degenerate (all-zero) sample falls back to const.
-	if s := fitSojourn([]float64{0, 0, 0.0}, SojournExp, new([]float64)); s.Kind != SojournConst {
+	if s := fitSojourn([]uint32{0, 0, 0}, SojournExp, sc); s.Kind != SojournConst {
 		t.Fatalf("zero-exp -> %+v", s)
 	}
 }
 
 func TestSojournSampleBounds(t *testing.T) {
 	r := stats.NewRNG(2)
-	table := fitSojourn([]float64{1, 2, 3, 4, 5}, SojournTable, new([]float64))
+	table := fitSojourn([]uint32{1000, 2000, 3000, 4000, 5000}, SojournTable, new(fitScratch[uint32]))
 	for i := 0; i < 1000; i++ {
 		x := table.Sample(r)
 		if x < 1 || x > 5 {

@@ -38,7 +38,7 @@ func (r denseRow) each(l *layout, fn func(kind, a, b uint8, n uint32)) {
 }
 
 // apply is applyRow over a dense row.
-func (r denseRow) apply(l *layout, ac *acc) {
+func (r denseRow) apply(l *layout, ac *accCounts) {
 	r.each(l, func(kind, a, b uint8, n uint32) {
 		switch kind {
 		case cntTop:
@@ -129,10 +129,10 @@ func TestTallyRowMatchesDense(t *testing.T) {
 			if !reflect.DeepEqual(denseRow(got), dense[h]) {
 				t.Fatalf("%s hour %d: sparse row holds %v, dense %v", m.Name, h, got, dense[h])
 			}
-			sparseAcc, denseAcc := newAcc(), newAcc()
-			lay.applyRow(sparseAcc, row)
+			sparseAcc, denseAcc := newAcc[uint32](), newAcc[uint32]()
+			lay.applyRow(&sparseAcc.accCounts, row)
 			if row != nil {
-				dense[h].apply(lay, denseAcc)
+				dense[h].apply(lay, &denseAcc.accCounts)
 			}
 			if !reflect.DeepEqual(sparseAcc, denseAcc) {
 				t.Fatalf("%s hour %d: applyRow fills %+v, the dense row %+v", m.Name, h, sparseAcc, denseAcc)

@@ -52,9 +52,9 @@ var treeSeeds = []treeSeed{
 		analyzer: "floatfold", file: "internal/core/fit.go",
 		edits: [][2]string{{
 			"\tvar topTotal [cp.NumUEStates]int\n",
-			"\tvar topTotal [cp.NumUEStates]int\n\tvar sojSum float64\n\tfor _, vs := range a.TopSoj {\n\t\tsojSum += vs[0]\n\t}\n\tcm.Top[0].PExit = sojSum\n",
+			"\tvar topTotal [cp.NumUEStates]int\n\tvar sojSum float64\n\tfor _, vs := range a.TopSoj {\n\t\tsojSum += float64(vs[0])\n\t}\n\tcm.Top[0].PExit = sojSum\n",
 		}},
-		at: "sojSum += vs[0]",
+		at: "sojSum += float64(vs[0])",
 	},
 	{
 		analyzer: "frozen", file: "internal/core/gen.go",

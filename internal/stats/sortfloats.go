@@ -120,73 +120,3 @@ func scatterFloats(dst, src []float64, next *[256]uint32, shift uint) {
 		next[b]++
 	}
 }
-
-// MergeSortedFloats returns the values of lists in exactly the order
-// SortFloats gives their concatenation. When every list ascends and no
-// key lies above infBits, key order is value order and equal values
-// have equal bits, so a merge of the lists is that order; otherwise the
-// concatenation goes to SortFloats (with scratch as its buffer). The
-// result is a new slice, except that a single non-empty list that
-// already qualifies is returned as it is. It consumes the lists slice,
-// not the values.
-func MergeSortedFloats(lists [][]float64, scratch *[]float64) []float64 {
-	n, live, mergeable := 0, 0, true
-	var only []float64
-	for _, l := range lists {
-		if len(l) == 0 {
-			continue
-		}
-		n += len(l)
-		live++
-		only = l
-		prev := uint64(0)
-		for _, x := range l {
-			k := math.Float64bits(x)
-			mergeable = mergeable && k <= infBits && prev <= k
-			prev = k
-		}
-	}
-	if mergeable && live <= 1 {
-		return only
-	}
-	out := make([]float64, 0, n)
-	if !mergeable {
-		for _, l := range lists {
-			out = append(out, l...)
-		}
-		SortFloats(out, scratch)
-		return out
-	}
-	heads := lists[:0]
-	for _, l := range lists {
-		if len(l) > 0 {
-			heads = append(heads, l)
-		}
-	}
-	// Each round moves the run of the list with the smallest head that
-	// does not pass the second-smallest head.
-	for len(heads) > 1 {
-		best, bound := 0, math.Inf(1)
-		for i := 1; i < len(heads); i++ {
-			switch x := heads[i][0]; {
-			case x < heads[best][0]:
-				best, bound = i, heads[best][0]
-			case x < bound:
-				bound = x
-			}
-		}
-		l := heads[best]
-		m := 1
-		for m < len(l) && l[m] <= bound {
-			m++
-		}
-		out = append(out, l[:m]...)
-		if m < len(l) {
-			heads[best] = l[m:]
-		} else {
-			heads[best] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-	}
-	return append(out, heads[0]...)
-}
