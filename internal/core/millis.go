@@ -15,10 +15,11 @@ import (
 // negative one an out-of-order source gives.
 //
 // Every float the fit derives from a list comes from the same operations
-// on the same operands as a fit over the lists' seconds images:
-// seconds is non-decreasing, so a list sorted as integers is sorted as
-// images, and the kernels below convert each value they read with secs
-// and compare images wherever the float kernels compared values.
+// on the same operands as a fit over the lists' seconds images: seconds
+// is non-decreasing, so a list sorted as integers is sorted as images,
+// and where the float kernels test values for equality (fitSojourn's
+// all-equal check, Kaplan–Meier's tie groups and risk set) the kernels
+// below compare images, converting with secs what they read.
 type sample interface{ uint32 | int64 }
 
 // secs is a list element as a sample: the bits seconds gives its log
