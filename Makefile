@@ -30,11 +30,11 @@ build:
 
 # The repo's own analyzers: determinism (detmap, detsource), enum
 # coverage (exhaustive), float-fold ordering (floatfold), model
-# immutability (frozen), hot-path allocation (hotalloc, plus its
-# call-graph-propagated form hotcall), par-pool write disjointness
-# (parshare), and the reused-buffer retention contract (retain) — nine,
+# immutability (frozen), allocation in //cplint:hotpath functions
+# (hotalloc), and the reused-buffer retention contract (retain) — seven,
 # each held by TestAnalyzersBiteOnRealTree to a violation seeded into the
-# real sources.
+# real sources. Allocation in a hot function's callees is the allocs
+# target's, and a par worker's shared write is the race target's.
 lint:
 	$(GO) run ./cmd/cplint ./...
 
@@ -68,10 +68,13 @@ bench-check:
 # The fitting, generation, simulation, and pass-rate pipelines all fan
 # out over worker pools; any change to them must stay race-clean. The
 # lint loader/analyzer fan-out is covered in -short mode (the full
-# fixture matrix is slow under the race detector).
+# fixture matrix is slow under the race detector). GOMAXPROCS=4 makes a
+# pool left at its default worker count (0: GOMAXPROCS) run four
+# goroutines on any runner: on one CPU it would run inline, and the
+# detector would have nothing to see.
 race:
-	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -short ./internal/lint/
+	GOMAXPROCS=4 $(GO) test -race $(RACE_PKGS)
+	GOMAXPROCS=4 $(GO) test -race -short ./internal/lint/
 
 # The allocation gates, which the race build disables itself, so they
 # need a non-race run: the compiled generator's and the world simulator's

@@ -1,7 +1,8 @@
 // Command cplint runs the repo's custom static-analysis suite: the
-// nine analyzers in internal/lint that turn the determinism,
-// state-machine, hot-path, immutability, buffer-retention, and
-// parallel-write invariants into build-time errors.
+// seven analyzers in internal/lint that turn the determinism,
+// state-machine, float-fold, hot-path, immutability and
+// buffer-retention invariants into build-time errors. Parallel writes
+// are the race detector's (make race).
 //
 // Usage:
 //

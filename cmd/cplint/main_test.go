@@ -102,10 +102,13 @@ func TestExitCodeCleanTree(t *testing.T) {
 
 func TestExitCodeUsageErrors(t *testing.T) {
 	dir := writeModule(t)
-	if code, _, stderr := runCplint(t, "-C", dir, "-only", "nosuch", "./..."); code != 2 {
-		t.Errorf("unknown -only: exit code = %d, want 2 (stderr %q)", code, stderr)
-	} else if !strings.Contains(stderr, `unknown analyzer "nosuch"`) {
-		t.Errorf("unknown -only stderr: %q", stderr)
+	// A deleted analyzer's name is as unknown as a name that never was.
+	for _, name := range []string{"nosuch", "hotcall", "parshare"} {
+		if code, _, stderr := runCplint(t, "-C", dir, "-only", name, "./..."); code != 2 {
+			t.Errorf("-only %s: exit code = %d, want 2 (stderr %q)", name, code, stderr)
+		} else if !strings.Contains(stderr, `unknown analyzer "`+name+`"`) {
+			t.Errorf("-only %s stderr: %q", name, stderr)
+		}
 	}
 	if code, _, _ := runCplint(t, "-badflag"); code != 2 {
 		t.Errorf("bad flag: exit code = %d, want 2", code)
@@ -122,9 +125,14 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"detmap", "detsource", "exhaustive", "floatfold", "frozen", "hotalloc", "hotcall", "parshare", "retain"} {
+	for _, name := range []string{"detmap", "detsource", "exhaustive", "floatfold", "frozen", "hotalloc", "retain"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout)
+		}
+	}
+	for _, name := range []string{"hotcall", "parshare"} {
+		if strings.Contains(stdout, name) {
+			t.Errorf("-list output names the deleted analyzer %q:\n%s", name, stdout)
 		}
 	}
 }
@@ -222,8 +230,8 @@ func TestSARIFReport(t *testing.T) {
 		t.Fatalf("unexpected SARIF envelope: version %q, %d runs", log.Version, len(log.Runs))
 	}
 	run := log.Runs[0]
-	if run.Tool.Driver.Name != "cplint" || len(run.Tool.Driver.Rules) != 9 {
-		t.Errorf("driver = %q with %d rules, want cplint with 9", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
+	if run.Tool.Driver.Name != "cplint" || len(run.Tool.Driver.Rules) != 7 {
+		t.Errorf("driver = %q with %d rules, want cplint with 7", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 1 || run.Results[0].RuleID != "exhaustive" {
 		t.Fatalf("unexpected results: %+v", run.Results)
@@ -235,13 +243,13 @@ func TestSARIFReport(t *testing.T) {
 }
 
 // TestFixCollisionRefused pins the cross-analyzer overlap policy of
-// ApplyFixes, which -fix exposes as exit 2: no pair of current
-// analyzers can naturally propose edits on the same span (hotcall
-// inserts at declarations, exhaustive inside switches, retain rewrites
-// the retaining expression), so the collision is fabricated — two
-// analyzers rewriting the same bytes must refuse the whole run before
-// any file is written, naming both analyzers, while a same-analyzer
-// overlap keeps the first edit and defers the rest.
+// ApplyFixes, which -fix exposes as exit 2: the two analyzers that
+// propose edits cannot naturally touch the same span (exhaustive edits
+// inside switches, retain rewrites the retaining expression), so the
+// collision is fabricated — two analyzers rewriting the same bytes must
+// refuse the whole run before any file is written, naming both
+// analyzers, while a same-analyzer overlap keeps the first edit and
+// defers the rest.
 func TestFixCollisionRefused(t *testing.T) {
 	dir := t.TempDir()
 	target := filepath.Join(dir, "clash.go")

@@ -65,17 +65,8 @@ func main() {
 		}
 		fmt.Printf("Scenario %s: %d UEs, %d events\n\n", s.Name, tr.NumUEs(), tr.Len())
 	} else {
-		r := os.Stdin
-		if *in != "-" {
-			f, err := os.Open(*in)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			r = f
-		}
 		var err error
-		tr, err = trace.ReadAuto(r)
+		tr, err = trace.ReadPath(*in)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -60,7 +59,7 @@ func main() {
 				Clustered: true, Cluster: cluster.Options{ThetaN: *thetaN},
 				MinSamples: *minN, Workers: *workers}))
 	case "fig3":
-		full, err := readTrace(*in)
+		full, err := trace.ReadPath(*in)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -114,47 +113,13 @@ func main() {
 	}
 }
 
-// collect gathers the trace's per-UE quantities in one pass: a file is
-// scanned incrementally, stdin read whole. A file out of canonical order
-// is collected again from the trace sorted in memory.
+// collect is eval.CollectPath, fatal on error.
 func collect(path string) *eval.Collection {
-	var src trace.EventSource
-	var err error
-	if path == "-" {
-		src, err = readTrace(path)
-	} else {
-		src, err = trace.NewFileSource(path)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	col, err := eval.Collect(src)
-	if errors.Is(err, trace.ErrNotCanonical) {
-		log.Printf("%v; collecting from the trace sorted in memory", err)
-		var tr *trace.Trace
-		if tr, err = readTrace(path); err == nil {
-			tr.Sort()
-			col, err = eval.Collect(tr)
-		}
-	}
+	col, err := eval.CollectPath(path, log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}
 	return col
-}
-
-// readTrace reads the whole trace at path ('-' for stdin) into memory.
-func readTrace(path string) (*trace.Trace, error) {
-	r := os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return trace.ReadAuto(r)
 }
 
 // renderRates prints one sweep's table. Devices absent from the trace

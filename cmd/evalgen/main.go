@@ -13,7 +13,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"log"
 	"os"
@@ -21,51 +20,7 @@ import (
 	"cptraffic/internal/cp"
 	"cptraffic/internal/eval"
 	"cptraffic/internal/report"
-	"cptraffic/internal/trace"
 )
-
-// collect gathers the trace's per-UE statistics in one pass: a file is
-// scanned incrementally, stdin ('-') read whole. A file out of canonical
-// order is collected again from the trace sorted in memory.
-func collect(path string) *eval.Collection {
-	var src trace.EventSource
-	var err error
-	if path == "-" {
-		src, err = readTrace(path)
-	} else {
-		src, err = trace.NewFileSource(path)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	col, err := eval.Collect(src)
-	if errors.Is(err, trace.ErrNotCanonical) {
-		log.Printf("%v; collecting from the trace sorted in memory", err)
-		var tr *trace.Trace
-		if tr, err = readTrace(path); err == nil {
-			tr.Sort()
-			col, err = eval.Collect(tr)
-		}
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	return col
-}
-
-// readTrace reads the whole trace at path ('-' for stdin) into memory.
-func readTrace(path string) (*trace.Trace, error) {
-	r := os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return trace.ReadAuto(r)
-}
 
 func main() {
 	log.SetFlags(0)
@@ -78,8 +33,14 @@ func main() {
 	if *realPath == "" || *synPath == "" {
 		log.Fatal("-real and -syn are required")
 	}
-	realCol := collect(*realPath)
-	synCol := collect(*synPath)
+	realCol, err := eval.CollectPath(*realPath, log.Printf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	synCol, err := eval.CollectPath(*synPath, log.Printf)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	macro := report.Table{
 		Title:  "Macroscopic — breakdown shares and differences (syn - real)",

@@ -199,16 +199,7 @@ func newFit(opt core.FitOptions, resume string) *core.PartialFit {
 // readSorted loads the whole trace at path ('-' for stdin) and puts it in
 // canonical order, whatever order it was written in.
 func readSorted(path string) (*trace.Trace, error) {
-	r := os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	tr, err := trace.ReadAuto(r)
+	tr, err := trace.ReadPath(path)
 	if err != nil {
 		return nil, err
 	}

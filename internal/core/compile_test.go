@@ -147,7 +147,9 @@ func withoutFreeAt(t *testing.T, ms *ModelSet, h int, e cp.EventType) *ModelSet 
 // TestUEGenSteadyStateAllocs is the allocation regression gate on the loop
 // production runs: the compiled generator's drainUntil, called the way the
 // streaming Source calls it — rising limits, a reused KeyRun already grown
-// past anything one call appends — must not allocate at all. The
+// past anything one call appends — must not allocate at all. It runs on an
+// ours model and on a Base one: ours arms no free-event clock, so only the
+// Base row runs drawFree and redrawOneFree's re-arming under the gate. The
 // interpreted oracle's Next must stay near zero (it reuses its queue
 // backing array; the historical g.queue = g.queue[1:] re-slice leaked
 // capacity and re-allocated on every flush). Skipped under the race
@@ -156,61 +158,77 @@ func TestUEGenSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	ms := fitToy(t, 40, 3*cp.Hour, 44, FitOptions{})
-	machine, err := ms.Machine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := compile(ms, machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dev cp.DeviceType = 255
-	for d := 0; d < cp.NumDeviceTypes; d++ {
-		if cm.dev(cp.DeviceType(d)) != nil {
-			dev = cp.DeviceType(d)
-			break
-		}
-	}
-	if dev == 255 {
-		t.Fatal("toy model has no device models")
-	}
 	const warmup, runs = 2000, 4000
 	end := 365 * cp.Day
+	// firstDevice compiles ms and returns its first device with a model.
+	firstDevice := func(t *testing.T, ms *ModelSet) (*compiledModel, *sm.Machine, cp.DeviceType) {
+		machine, err := ms.Machine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := compile(ms, machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < cp.NumDeviceTypes; d++ {
+			if cm.dev(cp.DeviceType(d)) != nil {
+				return cm, machine, cp.DeviceType(d)
+			}
+		}
+		t.Fatal("toy model has no device models")
+		return nil, nil, 0
+	}
+	ours := fitToy(t, 40, 3*cp.Hour, 44, FitOptions{})
 
 	t.Run("compiled", func(t *testing.T) {
-		lay, fits := trace.NewKeyLayout(0, end+windowOvershoot-1, 1)
-		if !fits {
-			t.Fatal("layout does not fit")
-		}
-		g := newUEGen(cm, cm.dev(dev), 1, stats.NewRNGVal(1), 0, end)
-		// Warm-up without Reset: the run grows to hold a month of keys,
-		// far more than the hour one measured call appends.
-		var run trace.KeyRun
-		limit := 30 * cp.Day
-		if g.drainUntil(limit, &lay, &run) == trace.NoPending || g.emitted < warmup {
-			t.Fatalf("generator exhausted or nearly silent: %d warm-up events", g.emitted)
-		}
-		before, alive := g.emitted, true
-		avg := testing.AllocsPerRun(runs, func() {
-			run.Reset()
-			limit += cp.Hour
-			if g.drainUntil(limit, &lay, &run) == trace.NoPending {
-				alive = false
-			}
-		})
-		if !alive {
-			t.Fatal("generator exhausted during measurement")
-		}
-		if n := g.emitted - before; n < runs {
-			t.Fatalf("%d measured calls delivered %d events; test is close to vacuous", runs, n)
-		}
-		if avg > 0 {
-			t.Errorf("steady-state drainUntil allocates %.4f allocs/call, want 0", avg)
+		for _, method := range []string{"ours", "base"} {
+			t.Run(method, func(t *testing.T) {
+				ms := ours
+				if method == "base" {
+					ms = fitToy(t, 40, 3*cp.Hour, 44, pinnedFitOptions("base"))
+				}
+				cm, _, dev := firstDevice(t, ms)
+				lay, fits := trace.NewKeyLayout(0, end+windowOvershoot-1, 1)
+				if !fits {
+					t.Fatal("layout does not fit")
+				}
+				g := newUEGen(cm, cm.dev(dev), 1, stats.NewRNGVal(1), 0, end)
+				// Warm-up without Reset: the run grows to hold a month of
+				// keys, far more than the hour one measured call appends.
+				var run trace.KeyRun
+				limit := 30 * cp.Day
+				if g.drainUntil(limit, &lay, &run) == trace.NoPending || g.emitted < warmup {
+					t.Fatalf("generator exhausted or nearly silent: %d warm-up events", g.emitted)
+				}
+				before, alive, armed := g.emitted, true, 0
+				avg := testing.AllocsPerRun(runs, func() {
+					run.Reset()
+					limit += cp.Hour
+					if g.drainUntil(limit, &lay, &run) == trace.NoPending {
+						alive = false
+					}
+					if g.freeOn != 0 {
+						armed++
+					}
+				})
+				if !alive {
+					t.Fatal("generator exhausted during measurement")
+				}
+				if n := g.emitted - before; n < runs {
+					t.Fatalf("%d measured calls delivered %d events; test is close to vacuous", runs, n)
+				}
+				if method == "base" && armed == 0 {
+					t.Fatal("no free-event clock was armed after any measured call; drawFree and redrawOneFree went ungated")
+				}
+				if avg > 0 {
+					t.Errorf("steady-state drainUntil allocates %.4f allocs/call, want 0", avg)
+				}
+			})
 		}
 	})
 	t.Run("interpreted", func(t *testing.T) {
-		it := newUEInterp(machine, ms.Device(dev), 1, stats.NewRNG(1), 0, end)
+		_, machine, dev := firstDevice(t, ours)
+		it := newUEInterp(machine, ours.Device(dev), 1, stats.NewRNG(1), 0, end)
 		for i := 0; i < warmup; i++ {
 			if _, ok := it.Next(); !ok {
 				t.Fatalf("generator exhausted after %d warm-up events", i)

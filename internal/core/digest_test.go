@@ -56,13 +56,11 @@ func pinnedFitOptions(method string) FitOptions {
 // pinnedLargeFitDigests are the same digests for toyTrace(400 UEs, 24 h,
 // seed 11), keyed the same way, recorded on the commit before Build's
 // value and count sorts became radix sorts. For ours/0 the small world
-// above hands stats.SortFloats 2 689 lists, 355 of them at or above the
-// radix cutoff and none longer than 2 707 values; this one hands it
-// 54 811, 6 418 above the cutoff (2.8 M of its 3.4 M values), the longest
-// 77 176 — hour and global pools where the radix passes and the skipped
-// constant bytes decide bytes (the comparison sort that finishes runs of
-// values a millionth apart finds none out of order in either world;
-// TestSortFloatsMatchesSlicesSort holds it). ours sorts in place on the
+// above sorts 2 689 lists, 355 of them at or above the radix cutoff and
+// none longer than 2 707 values; this one sorts 54 811, 6 418 above the
+// cutoff (2.8 M of its 3.4 M values), the longest 77 176 — hour and
+// global pools where the radix passes and the skipped constant bytes
+// decide bytes. ours sorts in place on the
 // SojournTable path; v2 sorts only the first-event offsets and must keep
 // folding in (UE, seq) order.
 var pinnedLargeFitDigests = map[string]string{

@@ -66,8 +66,8 @@ const millisRadixCutoff = 64
 func radixKey[T sample](v T) uint64 { return uint64(int64(v)) ^ 1<<63 }
 
 // sortMillis sorts xs ascending. Equal samples are equal integers, so the
-// sorted sequence is unique, and its images are what stats.SortFloats
-// leaves of the images. One sweep builds a histogram of each key byte
+// sorted sequence is unique, and its images are what slices.Sort leaves
+// of the images. One sweep builds a histogram of each key byte
 // and finds the already-sorted case; an LSD radix sort then orders the
 // key one byte per pass, low byte first, skipping a byte every key
 // shares. *scratch is the ping-pong buffer, grown as needed and reusable

@@ -42,8 +42,7 @@ func fitSojournFloats(samples []float64, kind string) SojournModel {
 		if len(samples) < n {
 			n = max(len(samples)+1, 2)
 		}
-		var scratch []float64
-		stats.SortFloats(samples, &scratch)
+		slices.Sort(samples)
 		return SojournModel{Kind: SojournTable, Q: stats.EmpiricalOfSorted(samples).QuantileTable(n).Q}
 	}
 }
@@ -145,7 +144,7 @@ func millisShapes[T sample](wide bool) map[string]func(r *rand.Rand) T {
 
 // TestMillisKernelsMatchFloat holds every millisecond kernel to its float
 // kernel on the seconds images of the same lists, bit for bit: the sort
-// (stats.SortFloats), the merge of ascending lists (SortFloats of their
+// (slices.Sort), the merge of ascending lists (slices.Sort of their
 // concatenation), the table and exponential fits (fitSojourn's float
 // form), the censored exponential MLE and Kaplan–Meier — on uint32 and
 // int64 lists, on ties, one value, all-equal lists, negative values,
@@ -159,7 +158,6 @@ func TestMillisKernelsMatchFloat(t *testing.T) {
 func checkMillisKernels[T sample](t *testing.T, wide bool) {
 	r := rand.New(rand.NewPCG(40, 2))
 	var sc fitScratch[T]
-	var floatScratch []float64
 	shapes := millisShapes[T](wide)
 	names := make([]string, 0, len(shapes))
 	for name := range shapes {
@@ -179,9 +177,9 @@ func checkMillisKernels[T sample](t *testing.T, wide bool) {
 			got := slices.Clone(xs)
 			sortMillis(got, &sc.sort)
 			want := imagesOf(xs)
-			stats.SortFloats(want, &floatScratch)
+			slices.Sort(want)
 			if !sameBits(imagesOf(got), want) {
-				t.Fatalf("%s: sortMillis's images differ from SortFloats'", tag)
+				t.Fatalf("%s: sortMillis's images differ from slices.Sort's", tag)
 			}
 
 			// Table and exponential fits.
@@ -205,7 +203,7 @@ func checkMillisKernels[T sample](t *testing.T, wide bool) {
 			}
 			merged := mergeMillis(slices.Clone(lists))
 			if !sameBits(imagesOf(merged), want) {
-				t.Fatalf("%s: mergeMillis of %d lists differs from SortFloats of their concatenation", tag, parts)
+				t.Fatalf("%s: mergeMillis of %d lists differs from slices.Sort of their concatenation", tag, parts)
 			}
 
 			// Kaplan–Meier and the censored exponential MLE, on fired and

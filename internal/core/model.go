@@ -298,7 +298,7 @@ func (e *modelEncoder) float(x float64) {
 	e.w.Write(b)
 }
 
-//cplint:coldpath the error path of a model that cannot be saved
+// unsupported records that x, which no JSON number spells, cannot be saved.
 func (e *modelEncoder) unsupported(x float64) {
 	e.num = e.num[:0]
 	if e.err == nil {

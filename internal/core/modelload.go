@@ -88,8 +88,6 @@ type modelDecoder struct {
 // more reads from r behind buf[pos:end], first moving the unconsumed
 // bytes to the front of the buffer; a single token longer than the
 // buffer doubles it. It reports whether any byte arrived.
-//
-//cplint:coldpath one refill per 64 KiB of model file
 func (d *modelDecoder) more() bool {
 	if d.rerr != nil {
 		return false
@@ -148,8 +146,6 @@ func (d *modelDecoder) eof() {
 
 // unexpected records that the next byte, or the end of the source, is
 // not what the document needs there.
-//
-//cplint:coldpath the error path of a malformed model file
 func (d *modelDecoder) unexpected(want string) {
 	switch {
 	case d.err != nil:
@@ -163,8 +159,6 @@ func (d *modelDecoder) unexpected(want string) {
 }
 
 // fail records an error about the token that starts at document offset at.
-//
-//cplint:coldpath the error path of a malformed model file
 func (d *modelDecoder) fail(at int64, format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%s at byte %d", fmt.Sprintf(format, args...), at)
@@ -273,7 +267,7 @@ func (d *modelDecoder) member(o *members) bool {
 	return true
 }
 
-//cplint:coldpath the error path of a malformed model file
+// badKey records that name is not one of keys.
 func (d *modelDecoder) badKey(keys []string, name string, at int64) {
 	for _, k := range keys {
 		if strings.EqualFold(k, name) {
@@ -379,8 +373,6 @@ func (d *modelDecoder) stringToken() (raw []byte, plain bool) {
 
 // unquote decodes a string token with escapes or non-ASCII bytes the way
 // modelEncoder.str encodes one: through encoding/json.
-//
-//cplint:coldpath a string encoding/json escapes: no fitted model holds one
 func (d *modelDecoder) unquote(raw []byte, at int64) string {
 	var s string
 	if err := json.Unmarshal(raw, &s); err != nil {
@@ -454,8 +446,6 @@ func (d *modelDecoder) number() []byte {
 
 // longNumber reads the rest of a number that runs past the lookahead —
 // the whole run of number bytes — and scans it.
-//
-//cplint:coldpath a number longer than any Save writes
 func (d *modelDecoder) longNumber() (b []byte, n int, ok bool) {
 	i := d.pos
 	for {
@@ -568,8 +558,6 @@ func (s *numDigits) exact() (float64, bool) {
 }
 
 // badNumber records that the bytes at d.pos are no JSON number.
-//
-//cplint:coldpath the error path of a malformed model file
 func (d *modelDecoder) badNumber() {
 	i := d.pos
 	for i < d.end && numByte[d.buf[i]] {
@@ -582,7 +570,7 @@ func (d *modelDecoder) badNumber() {
 	d.fail(d.off+int64(d.pos), "invalid number %q", d.buf[d.pos:i])
 }
 
-//cplint:coldpath the error path of a model file holding a number its field cannot
+// outOfRange records that the number tok does not fit its field's type.
 func (d *modelDecoder) outOfRange(tok []byte, into string) {
 	d.fail(d.off+int64(d.pos)-int64(len(tok)), "number %s does not fit %s", tok, into)
 }

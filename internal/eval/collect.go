@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -261,6 +262,33 @@ func Collect(src trace.EventSource) (*Collection, error) {
 	}
 	col.days = spanDays(hi)
 	return col, nil
+}
+
+// CollectPath is Collect over the trace at path: a file is scanned
+// incrementally and never held, stdin ("-") is read whole first. A file
+// out of canonical order is collected again from the trace sorted in
+// memory, and logf says so first.
+func CollectPath(path string, logf func(format string, args ...any)) (*Collection, error) {
+	var src trace.EventSource
+	var err error
+	if path == "-" {
+		src, err = trace.ReadPath(path)
+	} else {
+		src, err = trace.NewFileSource(path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	col, err := Collect(src)
+	if errors.Is(err, trace.ErrNotCanonical) {
+		logf("%v; collecting from the trace sorted in memory", err)
+		var tr *trace.Trace
+		if tr, err = trace.ReadPath(path); err == nil {
+			tr.Sort()
+			col, err = Collect(tr)
+		}
+	}
+	return col, err
 }
 
 // UEs returns the collected UEs of device type d, in ascending order.

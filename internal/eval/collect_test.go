@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -411,6 +414,40 @@ func TestCollectRefusesInvalidEventType(t *testing.T) {
 	tr.Append(trace.Event{T: 20, UE: 3, Type: cp.EventType(99)})
 	if _, err := Collect(tr); err == nil || !strings.Contains(err.Error(), "invalid type 99 for UE 3") {
 		t.Fatalf("Collect error %v, want one naming type 99 and UE 3", err)
+	}
+}
+
+// TestCollectPathResortsNonCanonicalFile: over a canonical file
+// CollectPath collects what Collect collects and says nothing; over the
+// same events written in reverse it says once that it is collecting from
+// the sorted trace, and collects the same.
+func TestCollectPathResortsNonCanonicalFile(t *testing.T) {
+	tr := worldTrace(t, 40, 6*cp.Hour, 1)
+	want := mustCollect(t, tr)
+	rev := &trace.Trace{Device: tr.Device, Events: slices.Clone(tr.Events)}
+	slices.Reverse(rev.Events)
+	for i, src := range []*trace.Trace{tr, rev} {
+		var buf bytes.Buffer
+		if err := trace.WriteTrace(&buf, src); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "t.trace")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var notes []string
+		got, err := CollectPath(path, func(format string, args ...any) {
+			notes = append(notes, format)
+		})
+		if err != nil {
+			t.Fatalf("file %d: %v", i, err)
+		}
+		if len(notes) != i || i == 1 && !strings.Contains(notes[0], "sorted in memory") {
+			t.Errorf("file %d: notes %q, want %d", i, notes, i)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("file %d: CollectPath differs from Collect of the trace", i)
+		}
 	}
 }
 

@@ -96,12 +96,13 @@ func TestDirectiveHygiene(t *testing.T) {
 
 	// Names the suite no longer knows: an annotation left behind in a
 	// tree must be reported, with the valid names, not pass as a comment.
-	const known = "(known: coldpath, hotpath, ordered-ok, partial-ok, retained-ok, reused)"
+	const known = "(known: hotpath, ordered-ok, partial-ok, retained-ok, reused)"
 	for _, stale := range []string{
 		"guardedby mu",
 		"unguarded-ok read before publication",
 		"leak-ok lives for the process",
 		"detached-ok outlives the request",
+		"coldpath the error path",
 	} {
 		fset, files := parseSrc(t, "package p\n\n//cplint:"+stale+"\nvar x int\n")
 		pkg := &Package{fset: fset, directives: parseDirectives(fset, files)}

@@ -8,12 +8,11 @@ import (
 	"sync"
 )
 
-// This file is the shared interprocedural substrate for the
-// call-graph-backed analyzers (retain, hotcall): a deterministic,
-// module-local call graph over the packages the loader already
-// type-checked, with class-hierarchy analysis (CHA) for interface
-// dispatch and flow-insensitive, bitmask-based escape summaries per
-// function.
+// This file is the interprocedural substrate of the call-graph-backed
+// analyzer, retain: a deterministic, module-local call graph over the
+// packages the loader already type-checked, with class-hierarchy
+// analysis (CHA) for interface dispatch and flow-insensitive,
+// bitmask-based escape summaries per function.
 //
 // Everything here is computed once, serially, before the per-package
 // analyzer fan-out (see AnalyzeWorkers), so the result — and therefore
@@ -49,24 +48,8 @@ type GraphFunc struct {
 	Decl *ast.FuncDecl
 	Pkg  *Package
 
-	Hot  bool // declared //cplint:hotpath
-	Cold bool // declared //cplint:coldpath
-
-	edges []callEdge
-	cold  []posRange // early-exit branch ranges of the body
-
 	sum retSummary
-
-	hotRoot bool       // a hot root itself
-	hotFrom *GraphFunc // BFS parent on the first hot chain that reached it
 }
-
-type callEdge struct {
-	pos     token.Pos
-	callees []*GraphFunc
-}
-
-type posRange struct{ from, to token.Pos }
 
 // retSummary is one function's escape summary in terms of its
 // receiver-first parameter list: bit i stands for parameter i (capped
@@ -91,10 +74,8 @@ func (s retSummary) equal(o retSummary) bool {
 }
 
 // buildGraph constructs the substrate: closure, function index, reused
-// types, call edges, escape summaries (to a global fixpoint), and the
-// hot-path reachability forest. It also claims the graph-level
-// directives (hotpath, coldpath, reused) so hygiene validation knows
-// they are attached.
+// types and escape summaries (to a global fixpoint). It also claims the
+// reused directives so hygiene validation knows they are attached.
 func buildGraph(pkgs []*Package) *Graph {
 	g := &Graph{
 		funcs:     make(map[*types.Func]*GraphFunc),
@@ -135,17 +116,12 @@ func buildGraph(pkgs []*Package) *Graph {
 	for _, pkg := range g.pkgs {
 		g.indexPackage(pkg)
 	}
-	for _, fn := range g.order {
-		fn.cold = coldRanges(fn.Decl.Body)
-		g.buildEdges(fn)
-	}
 	g.fixpointSummaries()
-	g.propagateHot()
 	return g
 }
 
 // indexPackage registers the package's function declarations and
-// reused-type markers, claiming hotpath/coldpath/reused directives.
+// reused-type markers, claiming the reused directives.
 func (g *Graph) indexPackage(pkg *Package) {
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -156,8 +132,6 @@ func (g *Graph) indexPackage(pkg *Package) {
 					continue
 				}
 				gf := &GraphFunc{Obj: obj, Decl: d, Pkg: pkg}
-				gf.Hot = claimDoc(pkg, DirHotPath, d.Doc, d.Pos()) != nil
-				gf.Cold = claimDoc(pkg, DirColdPath, d.Doc, d.Pos()) != nil
 				g.funcs[obj] = gf
 				g.order = append(g.order, gf)
 			case *ast.GenDecl:
@@ -294,20 +268,6 @@ func (g *Graph) implementers(m *types.Func) []*GraphFunc {
 	return out
 }
 
-// buildEdges records the call sites of one function body.
-func (g *Graph) buildEdges(fn *GraphFunc) {
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if rc := g.resolve(fn.Pkg, call); len(rc.callees) > 0 {
-			fn.edges = append(fn.edges, callEdge{pos: call.Pos(), callees: rc.callees})
-		}
-		return true
-	})
-}
-
 // fixpointSummaries computes every function's escape summary to a
 // global fixpoint: summaries only grow, functions are processed in
 // deterministic order, so the result is unique.
@@ -338,52 +298,6 @@ func (g *Graph) summarize(fn *GraphFunc) retSummary {
 	return t.sum
 }
 
-// propagateHot BFSes the //cplint:hotpath contract through the graph:
-// every function reachable from a hot root over non-cold call sites —
-// and not itself annotated hotpath or coldpath — gets a parent pointer
-// naming the first chain that reached it.
-func (g *Graph) propagateHot() {
-	var queue []*GraphFunc
-	for _, f := range g.order {
-		if f.Hot {
-			f.hotRoot = true
-			queue = append(queue, f)
-		}
-	}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		for _, e := range f.edges {
-			if f.coldAt(e.pos) {
-				continue
-			}
-			for _, c := range e.callees {
-				if c.hotRoot || c.Cold || c.hotFrom != nil {
-					continue
-				}
-				c.hotFrom = f
-				queue = append(queue, c)
-			}
-		}
-	}
-}
-
-// chainOf returns the hot call chain root → ... → f.
-func (g *Graph) chainOf(f *GraphFunc) []*GraphFunc {
-	var rev []*GraphFunc
-	for n := f; n != nil; n = n.hotFrom {
-		rev = append(rev, n)
-		if n.hotRoot {
-			break
-		}
-	}
-	out := make([]*GraphFunc, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
-}
-
 // displayName renders a function for diagnostics: Name or Type.Method.
 func (f *GraphFunc) displayName() string {
 	sig, _ := f.Obj.Type().(*types.Signature)
@@ -397,76 +311,6 @@ func (f *GraphFunc) displayName() string {
 		}
 	}
 	return f.Obj.Name()
-}
-
-func chainString(chain []*GraphFunc) string {
-	s := ""
-	for i, f := range chain {
-		if i > 0 {
-			s += " → "
-		}
-		s += f.displayName()
-	}
-	return s
-}
-
-func (f *GraphFunc) coldAt(pos token.Pos) bool {
-	for _, r := range f.cold {
-		if r.from <= pos && pos < r.to {
-			return true
-		}
-	}
-	return false
-}
-
-// coldRanges collects the early-exit branches of a body: if/else
-// blocks and switch/select clauses whose statement list ends by
-// returning or panicking. hotcall treats these as off the steady path
-// — error handling and one-shot growth allocate there without
-// poisoning the whole call chain. (Annotating a function
-// //cplint:hotpath explicitly re-enables strict, whole-body checking
-// via hotalloc.)
-func coldRanges(body *ast.BlockStmt) []posRange {
-	var out []posRange
-	add := func(list []ast.Stmt) {
-		if terminates(list) {
-			out = append(out, posRange{list[0].Pos(), list[len(list)-1].End()})
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.IfStmt:
-			add(n.Body.List)
-			if eb, ok := n.Else.(*ast.BlockStmt); ok {
-				add(eb.List)
-			}
-		case *ast.CaseClause:
-			add(n.Body)
-		case *ast.CommClause:
-			add(n.Body)
-		}
-		return true
-	})
-	return out
-}
-
-// terminates reports whether a statement list ends by returning or
-// panicking.
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	switch last := list[len(list)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := unparenExpr(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func unparenExpr(e ast.Expr) ast.Expr {

@@ -44,10 +44,6 @@ func TestHotAllocFixture(t *testing.T) {
 	runFixture(t, []*Analyzer{HotAlloc}, "cptraffic/internal/hot")
 }
 
-func TestParShareFixture(t *testing.T) {
-	runFixture(t, []*Analyzer{ParShare}, "cptraffic/internal/eval")
-}
-
 // TestRetainFixture covers the retain positive and negative space:
 // direct retention, field stores, the interprocedural callback →
 // helper → struct-field-store chain, CHA interface dispatch, channel
@@ -55,14 +51,6 @@ func TestParShareFixture(t *testing.T) {
 // copy idioms (AppendTo, CopyBatch, append(x[:0:0], x...)).
 func TestRetainFixture(t *testing.T) {
 	runFixture(t, []*Analyzer{Retain}, "cptraffic/internal/sink")
-}
-
-// TestHotCallFixture covers hot-path propagation: an allocation two
-// calls below the root is flagged with the chain named, early-exit
-// branches and //cplint:coldpath functions stay silent, and the chain
-// crosses module-local interface dispatch.
-func TestHotCallFixture(t *testing.T) {
-	runFixture(t, []*Analyzer{HotCall}, "cptraffic/internal/hotchain")
 }
 
 // TestTraceStubClean pins the negative space of the reuse contract:

@@ -75,14 +75,22 @@ func parClosureArg(info *types.Info, call *ast.CallExpr) *ast.FuncLit {
 		return nil
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || !isParPackage(fn.Pkg().Path()) {
+	if !ok || fn.Pkg() == nil || !pathHasSuffix(fn.Pkg().Path(), "internal/par") {
 		return nil
 	}
-	argPos, ok := parCallees[fn.Name()]
-	if !ok || argPos >= len(call.Args) {
+	var arg int
+	switch fn.Name() {
+	case "Do":
+		arg = 1 // Do(workers, fn)
+	case "For":
+		arg = 2 // For(n, workers, fn)
+	default:
 		return nil
 	}
-	lit, _ := call.Args[argPos].(*ast.FuncLit)
+	if arg >= len(call.Args) {
+		return nil
+	}
+	lit, _ := call.Args[arg].(*ast.FuncLit)
 	return lit
 }
 
@@ -167,8 +175,8 @@ func checkFoldParClosure(pass *Pass, lit *ast.FuncLit) {
 		return obj != nil && lit.Pos() <= obj.Pos() && obj.Pos() < lit.End()
 	}
 	// usesLocal treats any index touching a closure-local variable as
-	// index-disjoint, mirroring parshare's contract: the pool hands each
-	// worker a unique index, so slots addressed through it are private.
+	// index-disjoint, the par pool's contract: it hands each worker a
+	// unique index, so slots addressed through it are private.
 	usesLocal := func(e ast.Expr) bool {
 		ok := false
 		ast.Inspect(e, func(n ast.Node) bool {

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -53,34 +52,8 @@ func runHotAlloc(pass *Pass) error {
 	return nil
 }
 
-// An allocChecker runs the hot-path allocation checks over one
-// function body. hotalloc uses it directly (strict: every site in an
-// annotated body); hotcall reuses it for call-graph-propagated
-// functions with a cold-branch skip predicate and a chain-naming
-// suffix on every message.
-type allocChecker struct {
-	pass *Pass
-	skip func(token.Pos) bool            // nil: check every site
-	emit func(pos token.Pos, msg string) // final reporting hook
-}
-
-func (c *allocChecker) reportf(pos token.Pos, format string, args ...any) {
-	if c.skip != nil && c.skip(pos) {
-		return
-	}
-	c.emit(pos, fmt.Sprintf(format, args...))
-}
-
+// checkHotFunc runs the allocation checks over one annotated body.
 func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
-	c := &allocChecker{
-		pass: pass,
-		emit: func(pos token.Pos, msg string) { pass.Reportf(pos, "%s", msg) },
-	}
-	checkAllocBody(c, fd)
-}
-
-func checkAllocBody(c *allocChecker, fd *ast.FuncDecl) {
-	pass := c.pass
 	info := pass.Pkg.Info
 	fresh := freshSlices(info, fd)
 
@@ -93,20 +66,20 @@ func checkAllocBody(c *allocChecker, fd *ast.FuncDecl) {
 			}
 			return false
 		case *ast.FuncLit:
-			reportCaptures(c, fd, n)
+			reportCaptures(pass, fd, n)
 			// Still check the literal's body: it runs on the hot path.
 			walk(n.Body, inLoop)
 			return false
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && inLoop && isString(info.TypeOf(n)) {
-				c.reportf(n.OpPos, "string concatenation %s allocates on every loop iteration; use strconv.Append*/byte-slice building", types.ExprString(n))
+				pass.Reportf(n.OpPos, "string concatenation %s allocates on every loop iteration; use strconv.Append*/byte-slice building", types.ExprString(n))
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && inLoop && len(n.Lhs) == 1 && isString(info.TypeOf(n.Lhs[0])) {
-				c.reportf(n.TokPos, "string += %s allocates on every loop iteration", types.ExprString(n.Rhs[0]))
+				pass.Reportf(n.TokPos, "string += %s allocates on every loop iteration", types.ExprString(n.Rhs[0]))
 			}
 		case *ast.CallExpr:
-			checkHotCall(c, n, fresh)
+			checkHotCall(pass, n, fresh)
 		}
 		return true
 	}
@@ -155,10 +128,10 @@ func isNilNode(n ast.Node) bool {
 
 // checkHotCall flags fmt usage, make/new, appends to throwaway slices,
 // and interface boxing at call boundaries.
-func checkHotCall(c *allocChecker, call *ast.CallExpr, fresh map[types.Object]bool) {
-	info := c.pass.Pkg.Info
+func checkHotCall(pass *Pass, call *ast.CallExpr, fresh map[types.Object]bool) {
+	info := pass.Pkg.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		reportBoxingConversion(c, call)
+		reportBoxingConversion(pass, call)
 		return
 	}
 	switch fn := call.Fun.(type) {
@@ -166,16 +139,16 @@ func checkHotCall(c *allocChecker, call *ast.CallExpr, fresh map[types.Object]bo
 		if b, ok := info.Uses[fn].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
-				c.reportf(call.Pos(), "%s allocates; hot paths reuse receiver-owned buffers", types.ExprString(call))
+				pass.Reportf(call.Pos(), "%s allocates; hot paths reuse receiver-owned buffers", types.ExprString(call))
 			case "new":
-				c.reportf(call.Pos(), "%s allocates; hot paths reuse receiver-owned state", types.ExprString(call))
+				pass.Reportf(call.Pos(), "%s allocates; hot paths reuse receiver-owned state", types.ExprString(call))
 			case "append":
 				if len(call.Args) > 0 {
 					if root := exprRootObj(info, call.Args[0]); root != nil && fresh[root] {
-						c.reportf(call.Pos(), "append grows %s, a slice freshly allocated in this function; append into a reused buffer (field or buf[:0])", root.Name())
+						pass.Reportf(call.Pos(), "append grows %s, a slice freshly allocated in this function; append into a reused buffer (field or buf[:0])", root.Name())
 					}
 					if _, isLit := call.Args[0].(*ast.CompositeLit); isLit {
-						c.reportf(call.Pos(), "append to a composite literal allocates a throwaway slice")
+						pass.Reportf(call.Pos(), "append to a composite literal allocates a throwaway slice")
 					}
 				}
 			}
@@ -183,16 +156,16 @@ func checkHotCall(c *allocChecker, call *ast.CallExpr, fresh map[types.Object]bo
 		}
 	case *ast.SelectorExpr:
 		if obj, ok := info.Uses[fn.Sel].(*types.Func); ok && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
-			c.reportf(call.Pos(), "fmt.%s allocates (boxes operands, builds strings); use strconv.Append* into a reused buffer", obj.Name())
+			pass.Reportf(call.Pos(), "fmt.%s allocates (boxes operands, builds strings); use strconv.Append* into a reused buffer", obj.Name())
 			return
 		}
 	}
-	reportInterfaceArgs(c, call)
+	reportInterfaceArgs(pass, call)
 }
 
 // reportBoxingConversion flags explicit conversions to interface types.
-func reportBoxingConversion(c *allocChecker, call *ast.CallExpr) {
-	info := c.pass.Pkg.Info
+func reportBoxingConversion(pass *Pass, call *ast.CallExpr) {
+	info := pass.Pkg.Info
 	t := info.TypeOf(call)
 	if t == nil || len(call.Args) != 1 {
 		return
@@ -204,13 +177,13 @@ func reportBoxingConversion(c *allocChecker, call *ast.CallExpr) {
 	if at == nil || types.IsInterface(at) || isUntypedNil(info, call.Args[0]) {
 		return
 	}
-	c.reportf(call.Pos(), "conversion %s boxes a concrete value into an interface", types.ExprString(call))
+	pass.Reportf(call.Pos(), "conversion %s boxes a concrete value into an interface", types.ExprString(call))
 }
 
 // reportInterfaceArgs flags concrete values passed to interface
 // parameters (boxing at the call boundary).
-func reportInterfaceArgs(c *allocChecker, call *ast.CallExpr) {
-	info := c.pass.Pkg.Info
+func reportInterfaceArgs(pass *Pass, call *ast.CallExpr) {
+	info := pass.Pkg.Info
 	sig, ok := info.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return
@@ -243,7 +216,7 @@ func reportInterfaceArgs(c *allocChecker, call *ast.CallExpr) {
 		if _, isPtr := at.Underlying().(*types.Pointer); isPtr {
 			continue
 		}
-		c.reportf(arg.Pos(), "argument %s is boxed into interface %s", types.ExprString(arg), pt.String())
+		pass.Reportf(arg.Pos(), "argument %s is boxed into interface %s", types.ExprString(arg), pt.String())
 	}
 }
 
@@ -251,8 +224,8 @@ func reportInterfaceArgs(c *allocChecker, call *ast.CallExpr) {
 // enclosing function; the captured environment is heap-allocated, and
 // capturing a loop variable additionally pins one environment per
 // iteration.
-func reportCaptures(c *allocChecker, fd *ast.FuncDecl, lit *ast.FuncLit) {
-	info := c.pass.Pkg.Info
+func reportCaptures(pass *Pass, fd *ast.FuncDecl, lit *ast.FuncLit) {
+	info := pass.Pkg.Info
 	seen := map[types.Object]bool{}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -269,7 +242,7 @@ func reportCaptures(c *allocChecker, fd *ast.FuncDecl, lit *ast.FuncLit) {
 		if obj.Pos() >= fd.Pos() && obj.Pos() < fd.End() &&
 			!(obj.Pos() >= lit.Pos() && obj.Pos() < lit.End()) {
 			seen[obj] = true
-			c.reportf(id.Pos(), "closure captures %s, forcing a heap-allocated environment; pass it as a parameter or restructure without a closure", obj.Name())
+			pass.Reportf(id.Pos(), "closure captures %s, forcing a heap-allocated environment; pass it as a parameter or restructure without a closure", obj.Name())
 		}
 		return true
 	})

@@ -19,7 +19,7 @@ type Analyzer struct {
 	Run  func(*Pass) error
 
 	// NeedsGraph marks analyzers built on the module call graph
-	// (retain, hotcall). When any requested analyzer needs it, the
+	// (retain). When any requested analyzer needs it, the
 	// driver constructs one Graph over the whole package set — serially,
 	// before the per-package fan-out, so worker count cannot influence
 	// it — and threads it through Pass.Graph.
@@ -135,7 +135,7 @@ func inDetPackage(path string) bool {
 
 // All returns the full cplint suite in its canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{DetMap, DetSource, Exhaustive, FloatFold, Frozen, HotAlloc, HotCall, ParShare, Retain}
+	return []*Analyzer{DetMap, DetSource, Exhaustive, FloatFold, Frozen, HotAlloc, Retain}
 }
 
 // AnalyzeWorkers runs the given analyzers over the given packages and
@@ -213,7 +213,6 @@ const (
 	DirPartialOK  = "partial-ok"  // on an enum switch, float fold, or model write: partial behavior is argued by the reason
 	DirReused     = "reused"      // on a type decl: values are reused buffers; retain tracks their escape
 	DirRetainedOK = "retained-ok" // on an escaping statement: retention is argued safe by the reason
-	DirColdPath   = "coldpath"    // on a func decl: off the steady path; hotcall does not propagate into it
 )
 
 // A Directive is one parsed //cplint:<name> <reason> comment.
@@ -312,11 +311,10 @@ func claimDoc(pkg *Package, name string, doc *ast.CommentGroup, declPos token.Po
 // legitimately placed annotation a mistake).
 var directiveOwners = map[string][]string{
 	DirOrderedOK:  {"detmap", "floatfold"},
-	DirHotPath:    {"hotalloc", "hotcall"},
+	DirHotPath:    {"hotalloc"},
 	DirPartialOK:  {"exhaustive", "floatfold", "frozen"},
 	DirReused:     {"retain"},
 	DirRetainedOK: {"retain"},
-	DirColdPath:   {"hotcall"},
 }
 
 // reasonRequired lists the directives whose reason is mandatory: the
@@ -327,7 +325,6 @@ var reasonRequired = map[string]bool{
 	DirPartialOK:  true,
 	DirReused:     true,
 	DirRetainedOK: true,
-	DirColdPath:   true,
 }
 
 // attachWant describes, per directive, what kind of node the
@@ -338,7 +335,6 @@ var attachWant = map[string]string{
 	DirPartialOK:  "a partially-covered enum switch, an order-sensitive float fold, or a frozen-model write",
 	DirReused:     "a type declaration",
 	DirRetainedOK: "a statement that retains a reused buffer",
-	DirColdPath:   "a function declaration",
 }
 
 func validateDirectives(pkg *Package, ran []*Analyzer, report func(Diagnostic)) {
@@ -353,8 +349,8 @@ func validateDirectives(pkg *Package, ran []*Analyzer, report func(Diagnostic)) 
 			report(Diagnostic{
 				Analyzer: "cplint",
 				Pos:      pos(d),
-				Message: fmt.Sprintf("unknown directive //cplint:%s (known: %s, %s, %s, %s, %s, %s)",
-					d.Name, DirColdPath, DirHotPath, DirOrderedOK, DirPartialOK, DirRetainedOK, DirReused),
+				Message: fmt.Sprintf("unknown directive //cplint:%s (known: %s, %s, %s, %s, %s)",
+					d.Name, DirHotPath, DirOrderedOK, DirPartialOK, DirRetainedOK, DirReused),
 			})
 			continue
 		}

@@ -1,10 +1,9 @@
 // Package lint implements the cplint static-analysis suite: a small,
 // dependency-free clone of the golang.org/x/tools/go/analysis driver
-// plus the nine repo-specific analyzers (detmap, detsource,
-// exhaustive, floatfold, frozen, hotalloc, hotcall, parshare, retain)
-// that turn this repo's determinism, state-machine, hot-path, and
-// buffer-retention invariants into build errors. The call-graph-backed
-// analyzers (retain, hotcall) additionally share a deterministic
+// plus the seven repo-specific analyzers (detmap, detsource,
+// exhaustive, floatfold, frozen, hotalloc, retain) that turn this
+// repo's determinism, state-machine, hot-path, and buffer-retention
+// invariants into build errors. retain is built on a deterministic
 // interprocedural substrate; see callgraph.go.
 //
 // The framework mirrors the go/analysis API (Analyzer, Pass, Reportf)

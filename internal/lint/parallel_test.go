@@ -15,11 +15,9 @@ var allFixturePaths = []string{
 	"cptraffic/internal/cluster",
 	"cptraffic/internal/core",
 	"cptraffic/internal/cp",
-	"cptraffic/internal/eval",
 	"cptraffic/internal/ffold",
 	"cptraffic/internal/fiveg",
 	"cptraffic/internal/hot",
-	"cptraffic/internal/hotchain",
 	"cptraffic/internal/par",
 	"cptraffic/internal/report",
 	"cptraffic/internal/retainneg",
@@ -51,13 +49,11 @@ func TestAnalyzeWorkerCountIndependent(t *testing.T) {
 	if base == "" {
 		t.Fatal("fixture analysis produced no diagnostics; the comparison is vacuous")
 	}
-	// The call-graph-backed analyzers must be part of the comparison:
-	// their substrate is built once before the fan-out, and this is the
-	// test that pins that choice.
-	for _, name := range []string{" retain: ", " hotcall: "} {
-		if !strings.Contains(base, name) {
-			t.Errorf("baseline diagnostics carry no%sfindings; the call-graph coverage is vacuous", name)
-		}
+	// The call-graph-backed analyzer must be part of the comparison: its
+	// substrate is built once before the fan-out, and this is the test
+	// that pins that choice.
+	if !strings.Contains(base, " retain: ") {
+		t.Error("baseline diagnostics carry no retain findings; the call-graph coverage is vacuous")
 	}
 	for _, workers := range []int{0, 2, 3, 16} {
 		if got := diagString(AnalyzeWorkers(pkgs, All(), workers)); got != base {

@@ -67,17 +67,6 @@ var treeSeeds = []treeSeed{
 		at:    "_ = make([]cp.Millis, len(g.freeAt))",
 	},
 	{
-		analyzer: "hotcall", file: "internal/core/gen.go",
-		edits: [][2]string{{"\th := t.HourOfDay()\n\tcl := int16(-1)\n", "\th := t.HourOfDay()\n\t_ = make([]int16, h+1)\n\tcl := int16(-1)\n"}},
-		at:    "_ = make([]int16, h+1)",
-		sub:   "[hot chain: ueGen.drawTop → ueGen.cellAt → ueGen.resolveCell]",
-	},
-	{
-		analyzer: "parshare", file: "internal/core/fit.go",
-		edits: [][2]string{{"\t\t\tnumClusters[h] = 1\n", "\t\t\tnumClusters[0] = 1\n"}},
-		at:    "numClusters[0] = 1",
-	},
-	{
 		analyzer: "retain", file: "internal/core/partialfit.go",
 		edits: [][2]string{{
 			"\treturn src.ScanBatches(func(b *trace.Batch) error {\n",

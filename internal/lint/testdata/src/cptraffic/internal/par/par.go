@@ -1,6 +1,6 @@
 // Package par is a stub of the repo's worker pool with the same entry
-// points, so the parshare fixture can exercise closure inspection
-// without importing the real module from inside testdata.
+// points, so the floatfold fixture can exercise its worker-closure
+// check without importing the real module from inside testdata.
 package par
 
 // Do runs fn(w) for every worker w in [0, workers).

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -102,14 +103,13 @@ type Empirical struct {
 // NewEmpirical builds an empirical distribution from xs (which it copies
 // and sorts). It panics on an empty sample.
 func NewEmpirical(xs []float64) *Empirical {
-	s := append([]float64(nil), xs...)
-	var scratch []float64
-	SortFloats(s, &scratch)
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return EmpiricalOfSorted(s)
 }
 
 // EmpiricalOfSorted is NewEmpirical for a sample already in ascending
-// order (SortFloats' order), which it keeps instead of copying. It
+// order, which it keeps instead of copying. It
 // panics on an empty sample.
 func EmpiricalOfSorted(sorted []float64) *Empirical {
 	if len(sorted) == 0 {

@@ -270,9 +270,8 @@ func TestKaplanMeierMatchesSortSlice(t *testing.T) {
 func KaplanMeier(fired, censored []float64) (q *QuantileTable, tail float64, ok bool) {
 	f := slices.Clone(fired)
 	c := slices.Clone(censored)
-	var scratch []float64
-	SortFloats(f, &scratch)
-	SortFloats(c, &scratch)
+	slices.Sort(f)
+	slices.Sort(c)
 	return kaplanMeierSorted(f, c)
 }
 
@@ -288,7 +287,7 @@ func KaplanMeier(fired, censored []float64) (q *QuantileTable, tail float64, ok 
 // milliseconds (core's kaplanMeier), kept as the reference these tests
 // pin.
 //
-// Each side must be in ascending order (SortFloats' order); it is read
+// Each side must be in ascending order; it is read
 // without copying.
 func kaplanMeierSorted(f, c []float64) (q *QuantileTable, tail float64, ok bool) {
 	if len(f) == 0 {

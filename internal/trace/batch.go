@@ -65,8 +65,6 @@ func (b *Batch) Reset() {
 
 // Grow ensures the batch can hold at least n events without reallocating,
 // preserving current contents.
-//
-//cplint:coldpath one-shot growth to the high-water capacity; steady-state batches hit the early return and reuse the grown columns
 func (b *Batch) Grow(n int) {
 	if cap(b.T) >= n {
 		return

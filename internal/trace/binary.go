@@ -1,6 +1,9 @@
 package trace
 
-import "io"
+import (
+	"io"
+	"os"
+)
 
 // Binary trace format: a compact delta-encoded encoding for large traces
 // (a 380K-UE busy hour is ~6x smaller than in the text format).
@@ -56,4 +59,18 @@ func ReadAuto(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return collectScanner(sc)
+}
+
+// ReadPath is ReadAuto over the file at path, or over stdin when path is
+// "-".
+func ReadPath(path string) (*Trace, error) {
+	if path == "-" {
+		return ReadAuto(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadAuto(f)
 }
