@@ -181,29 +181,38 @@ func TestGenerateUnpackableSpan(t *testing.T) {
 // events (16 B) — measured 36.0, held to 48; it was 118 B when assembly
 // concatenated and sorted 16-byte events, and 68 B with packed keys but
 // no forecast. TotalAlloc counts bytes, not time, so the figures repeat
-// (to within a few KB of the runtime's own allocations).
+// (to within a few KB of the runtime's own allocations). Each budget
+// holds on an ours model and on a Base one (20.98 and 35.93 B/event),
+// whose free-event clocks draw the exponentials no ours cell samples.
 func TestGenerateBytesPerEvent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	ms := fitToy(t, 60, 3*cp.Hour, 10, FitOptions{})
+	models := map[string]*ModelSet{
+		"ours": fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions("ours")),
+		"base": fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions("base")),
+	}
 	for _, tc := range []struct {
 		workers int
 		budget  float64
 	}{{1, 24}, {2, 48}} {
 		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
-			opt := GenOptions{NumUEs: 20000, StartHour: 0, Duration: 2 * cp.Hour, Seed: 3, Workers: tc.workers}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			tr, err := Generate(ms, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tr.Events))
-			t.Logf("%d B / %d events = %.2f B/event", after.TotalAlloc-before.TotalAlloc, len(tr.Events), perEvent)
-			if perEvent > tc.budget {
-				t.Fatalf("allocated %.2f B/event, want <= %g", perEvent, tc.budget)
+			for _, method := range []string{"ours", "base"} {
+				t.Run(method, func(t *testing.T) {
+					opt := GenOptions{NumUEs: 20000, StartHour: 0, Duration: 2 * cp.Hour, Seed: 3, Workers: tc.workers}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					tr, err := Generate(models[method], opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runtime.ReadMemStats(&after)
+					perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tr.Events))
+					t.Logf("%d B / %d events = %.2f B/event", after.TotalAlloc-before.TotalAlloc, len(tr.Events), perEvent)
+					if perEvent > tc.budget {
+						t.Fatalf("allocated %.2f B/event, want <= %g", perEvent, tc.budget)
+					}
+				})
 			}
 		})
 	}
@@ -218,39 +227,45 @@ func TestGenerateBytesPerEvent(t *testing.T) {
 // and there is no per-UE run buffer; the loser tree's k × 64-event slab
 // made it 1.5 KiB per UE. The steady state allocates nothing, so allocations per
 // event are gated too. TotalAlloc counts bytes, not time, so the figures
-// repeat.
+// repeat. Both budgets hold on an ours model and on a Base one (528 B
+// per UE), whose free-event clocks draw the exponentials no ours cell
+// samples.
 func TestSourceScanBytesPerUE(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
-	ms := fitToy(t, 60, 3*cp.Hour, 10, FitOptions{})
-	opt := GenOptions{NumUEs: 20000, StartHour: 0, Duration: cp.Hour, Seed: 3}
-	src, err := NewSource(ms, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err = src.ScanBatches(func(b *trace.Batch) error {
-		events += b.Len()
-		return nil
-	})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if events == 0 {
-		t.Fatal("generated no events; test is vacuous")
-	}
-	perUE := float64(after.TotalAlloc-before.TotalAlloc) / float64(opt.NumUEs)
-	perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
-	t.Logf("%d B / %d UEs = %.1f B/UE; %d allocs / %d events = %.5f allocs/event",
-		after.TotalAlloc-before.TotalAlloc, opt.NumUEs, perUE, after.Mallocs-before.Mallocs, events, perEvent)
-	if perUE > 640 {
-		t.Fatalf("allocated %.1f B/UE, want <= 640", perUE)
-	}
-	if perEvent > 0.02 {
-		t.Fatalf("allocs/event = %.5f, want <= 0.02", perEvent)
+	for _, method := range []string{"ours", "base"} {
+		t.Run(method, func(t *testing.T) {
+			ms := fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions(method))
+			opt := GenOptions{NumUEs: 20000, StartHour: 0, Duration: cp.Hour, Seed: 3}
+			src, err := NewSource(ms, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err = src.ScanBatches(func(b *trace.Batch) error {
+				events += b.Len()
+				return nil
+			})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if events == 0 {
+				t.Fatal("generated no events; test is vacuous")
+			}
+			perUE := float64(after.TotalAlloc-before.TotalAlloc) / float64(opt.NumUEs)
+			perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
+			t.Logf("%d B / %d UEs = %.1f B/UE; %d allocs / %d events = %.5f allocs/event",
+				after.TotalAlloc-before.TotalAlloc, opt.NumUEs, perUE, after.Mallocs-before.Mallocs, events, perEvent)
+			if perUE > 640 {
+				t.Fatalf("allocated %.1f B/UE, want <= 640", perUE)
+			}
+			if perEvent > 0.02 {
+				t.Fatalf("allocs/event = %.5f, want <= 0.02", perEvent)
+			}
+		})
 	}
 }

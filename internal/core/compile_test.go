@@ -97,13 +97,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 // beside the machine.
 func fitBase(t *testing.T) *ModelSet {
 	t.Helper()
-	ms, err := Fit(toyTrace(t, 60, 3*cp.Hour, 43), FitOptions{
-		Machine:      sm.EMMECM(),
-		SojournKind:  SojournExp,
-		FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-		NoClustering: true,
-		Method:       "base",
-	})
+	ms, err := Fit(toyTrace(t, 60, 3*cp.Hour, 43), pinnedFitOptions("base"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cptraffic/internal/cp"
-	"cptraffic/internal/sm"
 )
 
 func TestDescribeRendersAllSections(t *testing.T) {
@@ -30,13 +29,7 @@ func TestDescribeRendersAllSections(t *testing.T) {
 
 func TestDescribeBaseShowsFreeProcesses(t *testing.T) {
 	tr := toyTrace(t, 45, 2*cp.Hour, 96)
-	ms, err := Fit(tr, FitOptions{
-		Machine:      sm.EMMECM(),
-		SojournKind:  SojournExp,
-		FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-		NoClustering: true,
-		Method:       "base",
-	})
+	ms, err := Fit(tr, pinnedFitOptions("base"))
 	if err != nil {
 		t.Fatal(err)
 	}

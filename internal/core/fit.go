@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"cptraffic/internal/cluster"
@@ -92,146 +91,75 @@ func Fit(src trace.EventSource, opt FitOptions) (*ModelSet, error) {
 
 // --- aggregation ---
 
-type topKey struct {
-	S cp.UEState
-	E cp.EventType
-}
-
-type botKey struct {
-	S sm.State
-	E cp.EventType
-}
-
-// firstCatKey keys first-event categories by (event, post-state).
-type firstCatKey struct {
-	E cp.EventType
-	S sm.State
-}
-
-// accCounts is an accumulator's tallies, which a tally row fills
-// (layout.applyRow).
+// accCounts is an accumulator's tallies: what its tally rows took,
+// summed per layout slot (addRow).
 type accCounts struct {
-	TopCount map[topKey]int
-	BotCount map[botKey]int
-	FirstCnt map[firstCatKey]int
-	Cells    int // UE-day cells (PNone denominator)
-	WithEv   int // cells that had at least one event
-	NumUEs   int
+	n      []int // by layout slot; the cntEvt slots feed no model
+	Cells  int   // UE-day cells (PNone denominator)
+	NumUEs int
 }
 
-// acc is one model's tallies and sample lists, each list a pool's
-// samples in (UE, seq) order.
-type acc[T sample] struct {
-	accCounts
-	TopSoj    map[topKey][]T
-	BotSoj    map[botKey][]T
-	BotCensor map[sm.State][]T
-	FreeIA    map[cp.EventType][]T
-	FirstOff  []T
-}
-
-func newAcc[T sample]() *acc[T] {
-	return &acc[T]{
-		accCounts: accCounts{
-			TopCount: make(map[topKey]int),
-			BotCount: make(map[botKey]int),
-			FirstCnt: make(map[firstCatKey]int),
-		},
-		TopSoj:    make(map[topKey][]T),
-		BotSoj:    make(map[botKey][]T),
-		BotCensor: make(map[sm.State][]T),
-		FreeIA:    make(map[cp.EventType][]T),
+// addRow folds one tally row into the counts.
+func (ac *accCounts) addRow(row []tally) {
+	for _, t := range row {
+		ac.n[t.slot] += int(t.n)
 	}
 }
 
-// build converts an accumulator into a ClusterModel. It consumes the
-// accumulator: the sample lists are the accumulator's own (setPool), so
-// the SojournTable fits sort them in place, through sc (the caller's to
+// acc is one model's tallies and sample lists. The lists share one
+// block: pool key x's list (x a log record's key byte) is
+// block[bound[x]:bound[x+1]], its samples in (UE, seq) order.
+type acc[T sample] struct {
+	accCounts
+	block []T
+	bound []int
+}
+
+// list returns pool key x's samples.
+func (a *acc[T]) list(x int) []T { return a.block[a.bound[x]:a.bound[x+1]:a.bound[x+1]] }
+
+// build converts an accumulator into a ClusterModel, walking its count
+// slots and pool keys in layout order. It consumes the accumulator: the
+// SojournTable fits sort its lists in place, through sc (the caller's to
 // reuse across accumulators of one goroutine).
-func (a *acc[T]) build(m *sm.Machine, opt FitOptions, sc *fitScratch[T]) ClusterModel {
+func (a *acc[T]) build(lay *layout, opt FitOptions, sc *fitScratch[T]) ClusterModel {
+	m := opt.Machine
 	cm := ClusterModel{
 		Top:    make([]StateParam, cp.NumUEStates),
 		NumUEs: a.NumUEs,
 	}
-	if m.HasSubStructure() {
-		cm.Bottom = make([]StateParam, m.NumStates())
-	}
-	// Top level: normalize counts per macro state.
-	var topTotal [cp.NumUEStates]int
-	for k, c := range a.TopCount {
-		topTotal[k.S] += c
-	}
-	// Emit transitions in fixed (state, event) order, not map order:
-	// fitSojourn's float folds must see each sample list at a
-	// reproducible point in the build, and the output is then sorted by
-	// construction rather than by the sortTransitions pass below.
-	for s := 0; s < cp.NumUEStates; s++ {
-		for _, e := range cp.EventTypes {
-			k := topKey{S: cp.UEState(s), E: e}
-			c, ok := a.TopCount[k]
-			if !ok {
-				continue
-			}
-			p := float64(c) / float64(topTotal[k.S])
-			cm.Top[k.S].Out = append(cm.Top[k.S].Out, TransitionParam{
-				Event:   k.E,
-				P:       p,
-				Sojourn: fitSojourn(a.TopSoj[k], opt.SojournKind, sc),
-			})
-		}
-	}
+	a.transitions(lay, cntTop, poolTop, cm.Top, opt.SojournKind, sc)
 	// Bottom level, with competing-risks censoring. The state-level
 	// delay marginal is estimated with Kaplan–Meier (SojournTable kind)
 	// or the censored exponential MLE (SojournExp kind); the race
 	// against the top level then re-applies the censoring naturally.
 	// PExit is the KM tail mass: the probability the sub-machine never
 	// fires within observable horizons.
-	if cm.Bottom != nil {
-		botTotal := make([]int, m.NumStates())
-		for k, c := range a.BotCount {
-			botTotal[k.S] += c
-		}
-		// Each state's fired-delay lists in fixed (state, event) order,
-		// not map order: CensoredExpMLE sums their concatenation, and
-		// float summation order must not depend on map iteration for the
-		// model bytes to be reproducible.
-		firedBy := make([][][]T, m.NumStates())
-		for s := 0; s < m.NumStates(); s++ {
-			for _, e := range cp.EventTypes {
-				if soj, ok := a.BotSoj[botKey{S: sm.State(s), E: e}]; ok {
-					firedBy[s] = append(firedBy[s], soj)
-				}
-			}
-		}
-		for s := 0; s < m.NumStates(); s++ {
-			for _, e := range cp.EventTypes {
-				k := botKey{S: sm.State(s), E: e}
-				c, ok := a.BotCount[k]
-				if !ok {
-					continue
-				}
-				p := float64(c) / float64(botTotal[k.S])
-				cm.Bottom[k.S].Out = append(cm.Bottom[k.S].Out, TransitionParam{
-					Event:   k.E,
-					P:       p,
-					Sojourn: fitSojourn(a.BotSoj[k], opt.SojournKind, sc),
-				})
-			}
-		}
-		for s := 0; s < m.NumStates(); s++ {
-			if len(firedBy[s]) == 0 {
+	if m.HasSubStructure() {
+		cm.Bottom = make([]StateParam, m.NumStates())
+		a.transitions(lay, cntBot, poolBot, cm.Bottom, opt.SojournKind, sc)
+		for s := range cm.Bottom {
+			// The state's fired-delay lists lie side by side in the
+			// block, in event order.
+			lo := lay.poolIndex(poolKey{Kind: poolBot, A: uint8(s)})
+			hi := lo + cp.NumEventTypes
+			if a.bound[lo] == a.bound[hi] {
 				continue
 			}
-			censored := a.BotCensor[sm.State(s)]
+			censored := a.list(lay.poolIndex(poolKey{Kind: poolCensor, A: uint8(s)}))
 			switch opt.SojournKind {
 			case SojournExp: // the fits above leave exponential lists in order
-				if lambda, ok := censoredExp(firedBy[s], censored, sc); ok {
+				if lambda, ok := censoredExp(a.block[a.bound[lo]:a.bound[hi]], censored, sc); ok {
 					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournExp, Lambda: lambda}
 				}
 			default:
 				// The table fits above sorted each list in place, so
 				// the state's delays are a merge away from sorted.
-				fired := mergeMillis(firedBy[s])
+				sc.lists = sc.lists[:0]
+				for x := lo; x < hi; x++ {
+					sc.lists = append(sc.lists, a.list(x))
+				}
+				fired := mergeMillis(sc.lists)
 				sortMillis(censored, &sc.sort)
 				if q, tail, ok := kaplanMeier(fired, censored); ok {
 					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournTable, Q: q}
@@ -240,16 +168,12 @@ func (a *acc[T]) build(m *sm.Machine, opt FitOptions, sc *fitScratch[T]) Cluster
 			}
 		}
 	}
-	// Deterministic transition order (by event) for reproducible output.
-	for i := range cm.Top {
-		sortTransitions(cm.Top[i].Out)
-	}
-	for i := range cm.Bottom {
-		sortTransitions(cm.Bottom[i].Out)
-	}
 	// Free processes.
 	for _, e := range opt.FreeEvents {
-		ia := a.FreeIA[e]
+		if !e.Valid() {
+			continue
+		}
+		ia := a.list(lay.poolIndex(poolKey{Kind: poolFree, B: uint8(e)}))
 		if len(ia) < 2 {
 			continue
 		}
@@ -258,25 +182,52 @@ func (a *acc[T]) build(m *sm.Machine, opt FitOptions, sc *fitScratch[T]) Cluster
 			Inter: fitSojourn(ia, opt.SojournKind, sc),
 		})
 	}
-	// First-event model.
-	if a.Cells > 0 && a.WithEv > 0 {
-		cm.First.PNone = 1 - float64(a.WithEv)/float64(a.Cells)
-		cats := make([]FirstCat, 0, len(a.FirstCnt))
-		for k, c := range a.FirstCnt {
-			cats = append(cats, FirstCat{
-				Event: k.E,
-				State: k.S,
-				P:     float64(c) / float64(a.WithEv),
-			})
+	// First-event model: its categories in slot order, which is
+	// (event, post-state) order, in a list of exactly their number.
+	withEv := a.n[lay.slot(cntWithEv, 0, 0)]
+	if a.Cells > 0 && withEv > 0 {
+		cm.First.PNone = 1 - float64(withEv)/float64(a.Cells)
+		first := a.n[lay.off[cntFirst]:lay.off[cntFirst+1]]
+		n := 0
+		for _, c := range first {
+			if c > 0 {
+				n++
+			}
 		}
-		// One category per FirstCnt map key, so (Event, State) never ties.
-		slices.SortFunc(cats, func(x, y FirstCat) int {
-			return cmp.Or(cmp.Compare(x.Event, y.Event), cmp.Compare(x.State, y.State))
-		})
-		cm.First.Cats = cats
-		cm.First.Offset = fitSojourn(a.FirstOff, SojournTable, sc)
+		cm.First.Cats = make([]FirstCat, 0, n)
+		for i, c := range first {
+			if c > 0 {
+				_, e, s := lay.key(lay.off[cntFirst] + i)
+				cm.First.Cats = append(cm.First.Cats, FirstCat{Event: cp.EventType(e), State: sm.State(s), P: float64(c) / float64(withEv)})
+			}
+		}
+		cm.First.Offset = fitSojourn(a.list(lay.poolIndex(poolKey{Kind: poolFirst})), SojournTable, sc)
 	}
 	return cm
+}
+
+// transitions fits one level's transitions: counts of count kind kind,
+// sojourns of pool kind pool, each state's events ascending. So Out is
+// in event order, and fitSojourn's float folds see each list at a fixed
+// point of the build.
+func (a *acc[T]) transitions(lay *layout, kind, pool uint8, level []StateParam, sojournKind string, sc *fitScratch[T]) {
+	for s := range level {
+		row := a.n[lay.slot(kind, uint8(s), 0):][:cp.NumEventTypes]
+		total := 0
+		for _, c := range row {
+			total += c
+		}
+		for e, c := range row {
+			if c == 0 {
+				continue
+			}
+			level[s].Out = append(level[s].Out, TransitionParam{
+				Event:   cp.EventType(e),
+				P:       float64(c) / float64(total),
+				Sojourn: fitSojourn(a.list(lay.poolIndex(poolKey{Kind: pool, A: uint8(s), B: uint8(e)})), sojournKind, sc),
+			})
+		}
+	}
 }
 
 // sojourns calls fn on every sojourn model of cm: each transition's, each
@@ -318,13 +269,6 @@ func packGrids(cms ...*ClusterModel) {
 			}
 		})
 	}
-}
-
-// sortTransitions orders one state's outgoing transitions by event. A
-// state has one transition per event (the count maps are keyed by
-// (state, event)), so the comparator never ties.
-func sortTransitions(out []TransitionParam) {
-	slices.SortFunc(out, func(x, y TransitionParam) int { return cmp.Compare(x.Event, y.Event) })
 }
 
 // --- clustering ---

@@ -12,6 +12,18 @@ import (
 	"cptraffic/internal/trace"
 )
 
+// topKey and botKey name a top or bottom transition: its state and the
+// event that fires it.
+type topKey struct {
+	S cp.UEState
+	E cp.EventType
+}
+
+type botKey struct {
+	S sm.State
+	E cp.EventType
+}
+
 // The samples one UE's walk yields, in the fit's terms: sojourns under
 // their entry hour (entryHour), the rest under the event's hour.
 type topSample struct {
@@ -311,13 +323,7 @@ func TestFitGlobalModelCoversActiveHours(t *testing.T) {
 
 func TestFitBaseUsesFreeProcesses(t *testing.T) {
 	tr := toyTrace(t, 45, 3*cp.Hour, 4)
-	ms, err := Fit(tr, FitOptions{
-		Machine:      sm.EMMECM(),
-		SojournKind:  SojournExp,
-		FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-		NoClustering: true,
-		Method:       "base",
-	})
+	ms, err := Fit(tr, pinnedFitOptions("base"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +369,7 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 	tr := toyTrace(t, 48, 3*cp.Hour, 7)
 	fits := []FitOptions{
 		{Cluster: clusterOptSmall()}, // "ours": two-level + quantile tables
-		{Machine: sm.EMMECM(), SojournKind: SojournExp,
-			FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-			NoClustering: true, Method: "base"}, // exercises CensoredExpMLE summation
+		pinnedFitOptions("base"),     // exercises CensoredExpMLE summation
 	}
 	for _, base := range fits {
 		var want []byte

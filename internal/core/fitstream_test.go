@@ -14,7 +14,6 @@ import (
 	"unsafe"
 
 	"cptraffic/internal/cp"
-	"cptraffic/internal/sm"
 	"cptraffic/internal/trace"
 )
 
@@ -111,9 +110,7 @@ func TestFitStreamMatchesInMemory(t *testing.T) {
 	}
 	fits := []FitOptions{
 		{Cluster: clusterOptSmall()}, // "ours": two-level + quantile tables
-		{Machine: sm.EMMECM(), SojournKind: SojournExp,
-			FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-			NoClustering: true, Method: "base"}, // free processes + censored MLE
+		pinnedFitOptions("base"),     // free processes + censored MLE
 	}
 	for name, tr := range traces {
 		path := traceFile(t, tr)

@@ -163,13 +163,7 @@ func TestGenerateBaseEmitsHOInIdle(t *testing.T) {
 	// The Base method must exhibit the paper's failure mode: HO events
 	// while IDLE, which the two-level model never produces.
 	src := toyTrace(t, 90, 3*cp.Hour, 16)
-	base, err := Fit(src, FitOptions{
-		Machine:      sm.EMMECM(),
-		SojournKind:  SojournExp,
-		FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-		NoClustering: true,
-		Method:       "base",
-	})
+	base, err := Fit(src, pinnedFitOptions("base"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,12 @@ type sample interface{ uint32 | int64 }
 func secs[T sample](v T) float64 { return seconds(uint64(v)) }
 
 // fitScratch is one goroutine's reusable buffers for fitting sample
-// lists: the radix sort's ping-pong buffer, and the seconds images the
-// exponential fits fold.
+// lists: the radix sort's ping-pong buffer, the seconds images the
+// exponential fits fold, and the lists a merge reads.
 type fitScratch[T sample] struct {
-	sort []T
-	secs []float64
+	sort  []T
+	secs  []float64
+	lists [][]T
 }
 
 // images returns the seconds images of lists' values, concatenated in
@@ -48,10 +49,10 @@ func (sc *fitScratch[T]) images(lists ...[]T) []float64 {
 }
 
 // censoredExp is stats.CensoredExpMLE over the seconds images of the
-// concatenated fired lists and of the censored list.
-func censoredExp[T sample](fired [][]T, censored []T, sc *fitScratch[T]) (lambda float64, ok bool) {
-	all := sc.images(append(fired[:len(fired):len(fired)], censored)...)
-	nf := len(all) - len(censored)
+// fired and of the censored list.
+func censoredExp[T sample](fired, censored []T, sc *fitScratch[T]) (lambda float64, ok bool) {
+	all := sc.images(fired, censored)
+	nf := len(fired)
 	return stats.CensoredExpMLE(all[:nf], all[nf:])
 }
 

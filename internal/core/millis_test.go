@@ -218,7 +218,7 @@ func checkMillisKernels[T sample](t *testing.T, wide bool) {
 				t.Fatalf("%s: kaplanMeier of %d fired, %d censored: ok %v tail %v, the float kernel ok %v tail %v (grids equal: %v)",
 					tag, len(fired), len(censored), gok, gtail, wok, wtail, sameBits(gq, wq))
 			}
-			gl, gok := censoredExp(lists[:1], censored, &sc)
+			gl, gok := censoredExp(lists[0], censored, &sc)
 			wl, wok := stats.CensoredExpMLE(imagesOf(fired), imagesOf(censored))
 			if gok != wok || math.Float64bits(gl) != math.Float64bits(wl) {
 				t.Fatalf("%s: censoredExp %v (ok %v), CensoredExpMLE %v (ok %v)", tag, gl, gok, wl, wok)

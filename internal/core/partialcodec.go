@@ -561,7 +561,7 @@ func decodePools(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
 		} else if pp.Event != "" {
 			return fmt.Errorf("core: partial fit: pool kind %q takes no event", pp.Kind)
 		}
-		if pi > 0 && prev.ord() >= k.ord() {
+		if pi > 0 && pf.lay.poolIndex(prev) >= pf.lay.poolIndex(k) {
 			return fmt.Errorf("core: partial fit: device %q pools not in canonical order", pd.Device)
 		}
 		prev = k

@@ -164,25 +164,6 @@ type tally struct {
 	n    uint32
 }
 
-// applyRow folds one tally row into an accumulator's counts. cntEvt
-// counts feed clustering features only, never the accumulators.
-func (l *layout) applyRow(ac *accCounts, row []tally) {
-	for _, t := range row {
-		kind, a, b := l.key(int(t.slot))
-		n := int(t.n)
-		switch kind {
-		case cntTop:
-			ac.TopCount[topKey{S: cp.UEState(a), E: cp.EventType(b)}] += n
-		case cntBot:
-			ac.BotCount[botKey{S: sm.State(a), E: cp.EventType(b)}] += n
-		case cntFirst:
-			ac.FirstCnt[firstCatKey{E: cp.EventType(a), S: sm.State(b)}] += n
-		case cntWithEv:
-			ac.WithEv += n
-		}
-	}
-}
-
 // ---- sample pools ----
 
 // Pool kinds.
@@ -210,12 +191,6 @@ func poolSalt(k poolKey) uint64 {
 	return uint64(k.Kind)<<24 | uint64(k.Hour)<<16 | uint64(k.A)<<8 | uint64(k.B)
 }
 
-// ord packs the key so that ascending ords are the canonical
-// (hour, kind, A, B) pool order; distinct keys have distinct ords.
-func (k poolKey) ord() uint32 {
-	return uint32(k.Hour)<<24 | uint32(k.Kind)<<16 | uint32(k.A)<<8 | uint32(k.B)
-}
-
 // poolsPerHour is the pool table's stride of one hour. A pool's index
 // within its hour is the key byte of its log records, so it stays below
 // 256 (NewPartialFit refuses a machine for which it would not).
@@ -225,8 +200,9 @@ func (l *layout) poolsPerHour() int { return numPoolKinds * l.poolA * cp.NumEven
 func (l *layout) poolTableLen() int { return HoursPerDay * l.poolsPerHour() }
 
 // poolIndex is k's slot in the pool table: (hour, kind, A, B) in mixed
-// radix, so ascending indices are ascending ords. A is below poolA and B
-// below cp.NumEventTypes for every key ingest or decode admits.
+// radix, so ascending indices are the canonical (hour, kind, A, B) pool
+// order. A is below poolA and B below cp.NumEventTypes for every key
+// ingest or decode admits.
 func (l *layout) poolIndex(k poolKey) int {
 	return ((int(k.Hour)*numPoolKinds+int(k.Kind))*l.poolA+int(k.A))*cp.NumEventTypes + int(k.B)
 }
@@ -258,27 +234,6 @@ func skip(b []byte, i int) int {
 // seconds is a logged value as a sample: the bits ingest would have
 // computed from the same milliseconds.
 func seconds(ms uint64) float64 { return cp.Millis(ms).Seconds() }
-
-// setPool installs vs as the accumulator's complete sample list for
-// pool k; every (accumulator, pool) pair is written once. An empty list
-// leaves the accumulator without an entry for the pool.
-func (a *acc[T]) setPool(k poolKey, vs []T) {
-	if len(vs) == 0 {
-		return
-	}
-	switch k.Kind {
-	case poolTop:
-		a.TopSoj[topKey{S: cp.UEState(k.A), E: cp.EventType(k.B)}] = vs
-	case poolBot:
-		a.BotSoj[botKey{S: sm.State(k.A), E: cp.EventType(k.B)}] = vs
-	case poolCensor:
-		a.BotCensor[sm.State(k.A)] = vs
-	case poolFree:
-		a.FreeIA[cp.EventType(k.B)] = vs
-	case poolFirst:
-		a.FirstOff = vs
-	}
-}
 
 // ---- streaming moments (sketched-mode clustering features) ----
 
@@ -894,15 +849,16 @@ func fitHours[T sample](pf *PartialFit, p *hourPlan, days int, dm *DeviceModel) 
 	opt := pf.opt
 	lay := &pf.lay
 	sinks := p.sinks
-	nk := lay.poolsPerHour()
+	nk, slots := lay.poolsPerHour(), lay.off[numCntKinds]
 	par.For(HoursPerDay, opt.Workers, func(h int) {
 		var sc fitScratch[T] // this hour's buffers: its largest pool's worth
 		nc := p.numClusters[h]
-		accs := make([]*acc[T], nc+1) // the clusters', then the aggregate
+		accs := make([]acc[T], nc+1) // the clusters', then the aggregate
+		counts := make([]int, len(accs)*slots)
 		for c := range accs {
-			accs[c] = newAcc[T]()
+			accs[c].n = counts[c*slots : (c+1)*slots : (c+1)*slots]
 		}
-		agg := accs[nc]
+		agg := &accs[nc]
 		// NumUEs/Cells are functions of the assignments alone — every
 		// UE contributes whether or not it produced samples, exactly
 		// like the serial per-UE fold.
@@ -916,67 +872,72 @@ func fitHours[T sample](pf *PartialFit, p *hourPlan, days int, dm *DeviceModel) 
 		// Every sample goes to its cluster's list of its pool and to the
 		// aggregate's: the lists are counted, then filled UE by UE, each
 		// UE's samples in log order, so every list is in (UE, seq) order
-		// and sized exactly. end[a*nk+key] is list (accs[a], key)'s end.
-		end := make([]int, len(accs)*nk)
+		// and sized exactly. List (accs[a], key) is list a*nk+key of one
+		// block, and accs[a]'s bounds are its run of the block's.
+		bound := make([]int, len(accs)*nk+1)
 		for i, s := range sinks {
 			if s == nil {
 				continue
 			}
-			lay.applyRow(&accs[cl[i]].accCounts, s.rows[h])
-			lay.applyRow(&agg.accCounts, s.rows[h])
+			accs[cl[i]].addRow(s.rows[h])
+			agg.addRow(s.rows[h])
 			for j, b := 0, s.logs[h]; j < len(b); j = skip(b, j) {
-				end[int(cl[i])*nk+int(b[j])]++
-				end[nc*nk+int(b[j])]++
+				bound[int(cl[i])*nk+int(b[j])+1]++
+				bound[nc*nk+int(b[j])+1]++
 			}
 		}
-		n := 0
-		for x, c := range end {
-			end[x] = n
-			n += c
-		}
-		block := make([]T, n)
+		block := newBlock[T](bound)
 		for i, s := range sinks {
 			if s == nil {
 				continue
 			}
 			for j, b := 0, s.logs[h]; j < len(b); {
 				key, ms, next := record(b, j)
-				v := T(ms)
-				block[end[int(cl[i])*nk+int(key)]] = v
-				end[int(cl[i])*nk+int(key)]++
-				block[end[nc*nk+int(key)]] = v
-				end[nc*nk+int(key)]++
+				x, y := int(cl[i])*nk+int(key)+1, nc*nk+int(key)+1
+				block[bound[x]], block[bound[y]] = T(ms), T(ms)
+				bound[x]++
+				bound[y]++
 				j = next
 			}
 			s.logs[h], s.rows[h] = nil, nil
 		}
-		start := 0
-		for x, e := range end {
-			accs[x/nk].setPool(lay.poolKeyAt(x%nk), block[start:e:e])
-			start = e
+		for c := range accs {
+			accs[c].block, accs[c].bound = block, bound[c*nk:(c+1)*nk+1]
 		}
 		hm := &dm.Hours[h]
 		hm.Clusters = make([]ClusterModel, nc)
 		cms := make([]*ClusterModel, nc+1)
 		for c := range hm.Clusters {
-			hm.Clusters[c] = accs[c].build(opt.Machine, opt, &sc)
+			hm.Clusters[c] = accs[c].build(lay, opt, &sc)
 			cms[c] = &hm.Clusters[c]
 		}
-		a := agg.build(opt.Machine, opt, &sc)
+		a := agg.build(lay, opt, &sc)
 		hm.Aggregate, cms[nc] = &a, &a
 		hm.Weights = p.weights[h]
 		packGrids(cms...)
 	})
 }
 
+// newBlock lays out lists whose lengths are counted at bound[x+1]: it
+// moves list x's start there and returns one block for every list. A
+// fill that writes list x's values at bound[x+1], advancing it, leaves
+// list x at block[bound[x]:bound[x+1]].
+func newBlock[T sample](bound []int) []T {
+	n := 0
+	for x := 1; x < len(bound); x++ {
+		n, bound[x] = n+bound[x], n
+	}
+	return make([]T, n)
+}
+
 // globalModel fits a device's hour-agnostic fallback: every tally of
 // every hour, and each pool's samples across hours in (UE, seq) order —
-// one walk of each UE's hour bytes, into lists counted to size first.
-// The size pass reads every value, so it also picks the device's list
-// width, which it reports (wide: int64). The hour bytes are not read
-// again, so it frees them.
+// one walk of each UE's hour bytes, into one block whose lists are
+// counted first. The count pass reads every value, so it also picks the
+// device's list width, which it reports (wide: int64). The hour bytes
+// are not read again, so it frees them.
 func globalModel(pf *PartialFit, sinks []*partialSink, days int) (g *ClusterModel, wide bool) {
-	size := make([]int, pf.lay.poolsPerHour())
+	bound := make([]int, pf.lay.poolsPerHour()+1)
 	for _, s := range sinks {
 		if s == nil {
 			continue
@@ -984,45 +945,45 @@ func globalModel(pf *PartialFit, sinks []*partialSink, days int) (g *ClusterMode
 		for _, b := range s.logs {
 			for j := 0; j < len(b); {
 				key, ms, next := record(b, j)
-				size[key]++
+				bound[int(key)+1]++
 				wide = wide || ms >= 1<<32 // a negative value's two's complement too
 				j = next
 			}
 		}
 	}
 	if wide {
-		return globalOf[int64](pf, sinks, days, size), true
+		return globalOf[int64](pf, sinks, days, bound), true
 	}
-	return globalOf[uint32](pf, sinks, days, size), false
+	return globalOf[uint32](pf, sinks, days, bound), false
 }
 
-// globalOf is globalModel's fit in lists of T, sized by size.
-func globalOf[T sample](pf *PartialFit, sinks []*partialSink, days int, size []int) *ClusterModel {
-	lay := &pf.lay
-	global := newAcc[T]()
-	global.NumUEs = len(sinks)
-	global.Cells = len(sinks) * days * HoursPerDay
-	lists := make([][]T, len(size))
-	for key, n := range size {
-		lists[key] = make([]T, 0, n)
+// globalOf is globalModel's fit in lists of T, whose lengths bound
+// counts as newBlock takes them.
+func globalOf[T sample](pf *PartialFit, sinks []*partialSink, days int, bound []int) *ClusterModel {
+	global := acc[T]{
+		accCounts: accCounts{
+			n:      make([]int, pf.lay.off[numCntKinds]),
+			Cells:  len(sinks) * days * HoursPerDay,
+			NumUEs: len(sinks),
+		},
+		block: newBlock[T](bound),
+		bound: bound,
 	}
 	for _, s := range sinks {
 		if s == nil {
 			continue
 		}
 		for _, row := range s.rows {
-			lay.applyRow(&global.accCounts, row)
+			global.addRow(row)
 		}
 		s.eachSample(func(_ int, _, key byte, ms uint64) {
-			lists[key] = append(lists[key], T(ms))
+			global.block[bound[int(key)+1]] = T(ms)
+			bound[int(key)+1]++
 		})
 		s.hours = nil
 	}
-	for key, l := range lists {
-		global.setPool(lay.poolKeyAt(key), l)
-	}
 	var sc fitScratch[T]
-	g := global.build(pf.opt.Machine, pf.opt, &sc)
+	g := global.build(&pf.lay, pf.opt, &sc)
 	packGrids(&g)
 	return &g
 }

@@ -57,6 +57,42 @@ func BenchmarkPartialFitBuild(b *testing.B) {
 	}
 }
 
+// TestPartialFitBuildAllocsPerModel gates what an exact Build allocates
+// on BenchmarkPartialFitBuild's world (ours, θn 30, one worker), per
+// fitted model (NumModels): at most 65 objects and 56 000 B. Counts and
+// samples are read from the layout's slots and pool keys into one count
+// slice and one sample block per hour, so a model costs 52.5 objects and
+// 54 076 B. Accumulators keyed by maps, with a list per pool, cost 80.8
+// objects and 55 980 B, and a fresh [][]T of the pool lists each hour
+// 59 956 B. Mallocs and TotalAlloc count objects and bytes, not time, so
+// the figures repeat.
+func TestPartialFitBuildAllocsPerModel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unstable under the race detector")
+	}
+	pf, err := NewPartialFit(FitOptions{Cluster: cluster.Options{ThetaN: 30}, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.AddSource(toyTrace(t, 300, 24*cp.Hour, 11)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ms, err := pf.Build()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := float64(ms.NumModels())
+	objects := float64(after.Mallocs-before.Mallocs) / models
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / models
+	t.Logf("%d models: %.1f objects and %.0f B a model", ms.NumModels(), objects, bytes)
+	if objects > 65 || bytes > 56000 {
+		t.Fatalf("Build allocates %.1f objects and %.0f B a model, want <= 65 and <= 56000", objects, bytes)
+	}
+}
+
 // BenchmarkPartialFitIngest times AddSource alone — the layer bench/
 // reports as core.fit.ingest.ns_per_event — for an exact and a sketched
 // fit of the same world as BenchmarkPartialFitBuild: every iteration

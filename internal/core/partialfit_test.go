@@ -20,10 +20,8 @@ import (
 func partialFitOptVariants() []FitOptions {
 	return []FitOptions{
 		{Cluster: clusterOptSmall()},
-		{Machine: sm.EMMECM(), SojournKind: SojournExp,
-			FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-			NoClustering: true, Method: "base"},
-		{Cluster: clusterOptSmall(), SketchK: 64, Method: "v2"},
+		pinnedFitOptions("base"),
+		{Cluster: clusterOptSmall(), SketchK: 64, Method: "ours"},
 	}
 }
 

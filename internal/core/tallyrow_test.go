@@ -37,19 +37,10 @@ func (r denseRow) each(l *layout, fn func(kind, a, b uint8, n uint32)) {
 	}
 }
 
-// apply is applyRow over a dense row.
+// apply is addRow over a dense row, at the slots denseSlot places.
 func (r denseRow) apply(l *layout, ac *accCounts) {
 	r.each(l, func(kind, a, b uint8, n uint32) {
-		switch kind {
-		case cntTop:
-			ac.TopCount[topKey{S: cp.UEState(a), E: cp.EventType(b)}] += int(n)
-		case cntBot:
-			ac.BotCount[botKey{S: sm.State(a), E: cp.EventType(b)}] += int(n)
-		case cntFirst:
-			ac.FirstCnt[firstCatKey{E: cp.EventType(a), S: sm.State(b)}] += int(n)
-		case cntWithEv:
-			ac.WithEv += int(n)
-		}
+		ac.n[denseSlot(l, kind, a, b)] += int(n)
 	})
 }
 
@@ -76,7 +67,7 @@ func encodeDense(l *layout, c *partialCounts, ue cp.UEID, rows *[HoursPerDay]den
 // from its own set of picked slots — none, a few, or as many picks as
 // there are slots — so rows range from absent through sparse to nearly
 // full. Every sparse row must be strictly ascending with no zero entry,
-// and hold exactly the dense row's counts; applyRow must fill the
+// and hold exactly the dense row's counts; addRow must fill the
 // accumulators the dense rows fill, and encodeCounts write the columns
 // they write.
 func TestTallyRowMatchesDense(t *testing.T) {
@@ -129,13 +120,13 @@ func TestTallyRowMatchesDense(t *testing.T) {
 			if !reflect.DeepEqual(denseRow(got), dense[h]) {
 				t.Fatalf("%s hour %d: sparse row holds %v, dense %v", m.Name, h, got, dense[h])
 			}
-			sparseAcc, denseAcc := newAcc[uint32](), newAcc[uint32]()
-			lay.applyRow(&sparseAcc.accCounts, row)
+			sparseAcc, denseAcc := accCounts{n: make([]int, slots)}, accCounts{n: make([]int, slots)}
+			sparseAcc.addRow(row)
 			if row != nil {
-				dense[h].apply(lay, &denseAcc.accCounts)
+				dense[h].apply(lay, &denseAcc)
 			}
 			if !reflect.DeepEqual(sparseAcc, denseAcc) {
-				t.Fatalf("%s hour %d: applyRow fills %+v, the dense row %+v", m.Name, h, sparseAcc, denseAcc)
+				t.Fatalf("%s hour %d: addRow fills %+v, the dense row %+v", m.Name, h, sparseAcc, denseAcc)
 			}
 		}
 		var sparseCols, denseCols partialCounts

@@ -13,8 +13,9 @@ import (
 // and multiplication are not associative, so the iteration or
 // scheduling order changes the last ulp of the result, which changes
 // the saved model bytes: exactly the drift class the fitting
-// pipeline's build() step once exhibited and now avoids by folding
-// over sorted keys.
+// pipeline's build() step once exhibited, when it summed sample lists in
+// map order. It holds no maps now: counts and samples sit at layout
+// slots and pool keys, which it reads in a fixed order.
 //
 // A fold is exempt when its target cannot carry state across
 // orderings: a variable declared inside the loop or closure, or a map

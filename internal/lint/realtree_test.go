@@ -49,12 +49,13 @@ var treeSeeds = []treeSeed{
 		sub: "missing Handover, TrackingAreaUpdate",
 	},
 	{
-		analyzer: "floatfold", file: "internal/core/fit.go",
+		// A float sum over the sinks, in map order, at the top of Build.
+		analyzer: "floatfold", file: "internal/core/partialfit.go",
 		edits: [][2]string{{
-			"\tvar topTotal [cp.NumUEStates]int\n",
-			"\tvar topTotal [cp.NumUEStates]int\n\tvar sojSum float64\n\tfor _, vs := range a.TopSoj {\n\t\tsojSum += float64(vs[0])\n\t}\n\tcm.Top[0].PExit = sojSum\n",
+			"\tfinishOrder := make([]cp.UEID, 0, len(pf.exts))\n",
+			"\tvar seqSum float64\n\tfor _, s := range pf.exts {\n\t\tseqSum += float64(s.seq)\n\t}\n\t_ = seqSum\n\tfinishOrder := make([]cp.UEID, 0, len(pf.exts))\n",
 		}},
-		at: "sojSum += float64(vs[0])",
+		at: "seqSum += float64(s.seq)",
 	},
 	{
 		analyzer: "frozen", file: "internal/core/gen.go",
