@@ -30,11 +30,12 @@ build:
 
 # The repo's own analyzers: determinism (detmap, detsource), enum
 # coverage (exhaustive), float-fold ordering (floatfold), model
-# immutability (frozen), allocation in //cplint:hotpath functions
-# (hotalloc), and the reused-buffer retention contract (retain) — seven,
-# each held by TestAnalyzersBiteOnRealTree to a violation seeded into the
-# real sources. Allocation in a hot function's callees is the allocs
-# target's, and a par worker's shared write is the race target's.
+# immutability (frozen) and allocation in //cplint:hotpath functions
+# (hotalloc) — six, each held by TestAnalyzersBiteOnRealTree to a
+# violation seeded into the real sources. Allocation in a hot function's
+# callees is the allocs target's, a par worker's shared write is the race
+# target's, and a batch kept past its callback is the test target's
+# (TestBatchConsumersCopy).
 lint:
 	$(GO) run ./cmd/cplint ./...
 
@@ -51,9 +52,10 @@ deadcode:
 fix:
 	$(GO) run ./cmd/cplint -fix ./...
 
-# The batchdebug pass is the runtime counterpart of the retain
-# analyzer: Batch.Reset poisons its columns, and the gated tests prove
-# a retaining consumer observes it (while the default build does not).
+# The batchdebug pass checks trace.Batch's reuse contract at run time:
+# Batch.Reset poisons its columns, the gated tests prove a retaining
+# consumer observes it (while the default build does not), and every
+# trace test that streams a source runs once more over poisoned batches.
 test:
 	$(GO) test ./...
 	$(GO) test -tags batchdebug ./internal/trace/

@@ -1,8 +1,9 @@
 // Command cplint runs the repo's custom static-analysis suite: the
-// seven analyzers in internal/lint that turn the determinism,
-// state-machine, float-fold, hot-path, immutability and
-// buffer-retention invariants into build-time errors. Parallel writes
-// are the race detector's (make race).
+// six analyzers in internal/lint that turn the determinism,
+// state-machine, float-fold, hot-path and immutability invariants into
+// build-time errors. Parallel writes are the race detector's (make
+// race), and a batch kept past its callback fails the copy-contract
+// test (TestBatchConsumersCopy).
 //
 // Usage:
 //
@@ -15,9 +16,9 @@
 // distinguish "invariant violated" from "could not analyze".
 //
 // -fix applies each diagnostic's suggested edit, gofmts the result,
-// and is idempotent: a second run finds the fixed sites clean. When two
-// different analyzers propose edits on overlapping spans, -fix refuses
-// before touching any file and exits 2 naming both analyzers.
+// and is idempotent: a second run finds the fixed sites clean. Of two
+// edits on overlapping spans it applies the first and leaves the other
+// to the next run.
 // -json writes the stable cplint/4 report to stdout; -sarif writes a
 // SARIF 2.1.0 log for GitHub code scanning to the named file. Both
 // are byte-deterministic for a given tree, independent of -workers.

@@ -103,7 +103,7 @@ func TestExitCodeCleanTree(t *testing.T) {
 func TestExitCodeUsageErrors(t *testing.T) {
 	dir := writeModule(t)
 	// A deleted analyzer's name is as unknown as a name that never was.
-	for _, name := range []string{"nosuch", "hotcall", "parshare"} {
+	for _, name := range []string{"nosuch", "hotcall", "parshare", "retain"} {
 		if code, _, stderr := runCplint(t, "-C", dir, "-only", name, "./..."); code != 2 {
 			t.Errorf("-only %s: exit code = %d, want 2 (stderr %q)", name, code, stderr)
 		} else if !strings.Contains(stderr, `unknown analyzer "`+name+`"`) {
@@ -125,12 +125,12 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"detmap", "detsource", "exhaustive", "floatfold", "frozen", "hotalloc", "retain"} {
+	for _, name := range []string{"detmap", "detsource", "exhaustive", "floatfold", "frozen", "hotalloc"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout)
 		}
 	}
-	for _, name := range []string{"hotcall", "parshare"} {
+	for _, name := range []string{"hotcall", "parshare", "retain"} {
 		if strings.Contains(stdout, name) {
 			t.Errorf("-list output names the deleted analyzer %q:\n%s", name, stdout)
 		}
@@ -230,8 +230,8 @@ func TestSARIFReport(t *testing.T) {
 		t.Fatalf("unexpected SARIF envelope: version %q, %d runs", log.Version, len(log.Runs))
 	}
 	run := log.Runs[0]
-	if run.Tool.Driver.Name != "cplint" || len(run.Tool.Driver.Rules) != 7 {
-		t.Errorf("driver = %q with %d rules, want cplint with 7", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
+	if run.Tool.Driver.Name != "cplint" || len(run.Tool.Driver.Rules) != 6 {
+		t.Errorf("driver = %q with %d rules, want cplint with 6", run.Tool.Driver.Name, len(run.Tool.Driver.Rules))
 	}
 	if len(run.Results) != 1 || run.Results[0].RuleID != "exhaustive" {
 		t.Fatalf("unexpected results: %+v", run.Results)
@@ -242,14 +242,11 @@ func TestSARIFReport(t *testing.T) {
 	}
 }
 
-// TestFixCollisionRefused pins the cross-analyzer overlap policy of
-// ApplyFixes, which -fix exposes as exit 2: the two analyzers that
-// propose edits cannot naturally touch the same span (exhaustive edits
-// inside switches, retain rewrites the retaining expression), so the
-// collision is fabricated — two analyzers rewriting the same bytes must
-// refuse the whole run before any file is written, naming both
-// analyzers, while a same-analyzer overlap keeps the first edit and
-// defers the rest.
+// TestFixCollisionRefused pins the overlap policy of ApplyFixes:
+// exhaustive, the one analyzer that proposes edits, never proposes two
+// on one span, so the collision is fabricated — of two edits rewriting
+// the same bytes the first is applied and the second deferred to the
+// next run, without an error.
 func TestFixCollisionRefused(t *testing.T) {
 	dir := t.TempDir()
 	target := filepath.Join(dir, "clash.go")
@@ -257,61 +254,40 @@ func TestFixCollisionRefused(t *testing.T) {
 	if err := os.WriteFile(target, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pos := func(offset, line int) lint.TextEdit {
+	pos := func(offset, line int, new string) lint.TextEdit {
 		return lint.TextEdit{
 			Pos: token.Position{Filename: target, Offset: offset, Line: line},
 			End: token.Position{Filename: target, Offset: offset + 1, Line: line},
-			New: "w",
+			New: new,
 		}
 	}
-	diag := func(analyzer string, e lint.TextEdit) lint.Diagnostic {
+	diag := func(e lint.TextEdit) lint.Diagnostic {
 		return lint.Diagnostic{
-			Analyzer: analyzer,
+			Analyzer: "exhaustive",
 			Pos:      e.Pos,
 			Message:  "fabricated",
 			Fixes:    []lint.SuggestedFix{{Message: "rewrite", Edits: []lint.TextEdit{e}}},
 		}
 	}
 
-	// Two analyzers, same span: refused, file untouched.
+	// Same span: the first edit wins, no error.
 	off := strings.Index(src, "v =")
 	files, applied, err := lint.ApplyFixes([]lint.Diagnostic{
-		diag("exhaustive", pos(off, 3)),
-		diag("retain", pos(off, 3)),
+		diag(pos(off, 3, "w")),
+		diag(pos(off, 3, "x")),
 	})
-	if err == nil {
-		t.Fatalf("overlapping cross-analyzer fixes applied: files=%v applied=%d", files, applied)
+	if err != nil {
+		t.Fatalf("an overlap should defer, not fail: %v", err)
 	}
-	for _, name := range []string{"exhaustive", "retain", "clash.go:3"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("collision error %q does not name %q", err, name)
-		}
+	if len(files) != 1 || applied != 1 {
+		t.Errorf("overlap: files=%v applied=%d, want 1 file 1 fix", files, applied)
 	}
 	after, rerr := os.ReadFile(target)
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	if string(after) != src {
-		t.Errorf("refused run still modified the file:\n%s", after)
-	}
-
-	// Same analyzer, same span: first edit wins, no error.
-	files, applied, err = lint.ApplyFixes([]lint.Diagnostic{
-		diag("exhaustive", pos(off, 3)),
-		diag("exhaustive", pos(off, 3)),
-	})
-	if err != nil {
-		t.Fatalf("same-analyzer overlap should defer, not fail: %v", err)
-	}
-	if len(files) != 1 || applied != 1 {
-		t.Errorf("same-analyzer overlap: files=%v applied=%d, want 1 file 1 fix", files, applied)
-	}
-	after, rerr = os.ReadFile(target)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if !strings.Contains(string(after), "w = 1") {
-		t.Errorf("kept edit not applied:\n%s", after)
+	if !strings.Contains(string(after), "var w = 1") {
+		t.Errorf("first edit not the one applied:\n%s", after)
 	}
 }
 

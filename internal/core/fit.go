@@ -21,7 +21,8 @@ type FitOptions struct {
 	SojournKind string
 	// FreeEvents lists event types modeled as free-running processes
 	// instead of sub-machine transitions; the Base and V1 methods use
-	// {HO, TAU} with the flat EMM-ECM machine.
+	// {HO, TAU} with the flat EMM-ECM machine. An undefined or repeated
+	// type is an error.
 	FreeEvents []cp.EventType
 	// NoClustering disables adaptive clustering (the Base method): all
 	// UEs of a device type form a single cluster.
@@ -170,9 +171,6 @@ func (a *acc[T]) build(lay *layout, opt FitOptions, sc *fitScratch[T]) ClusterMo
 	}
 	// Free processes.
 	for _, e := range opt.FreeEvents {
-		if !e.Valid() {
-			continue
-		}
 		ia := a.list(lay.poolIndex(poolKey{Kind: poolFree, B: uint8(e)}))
 		if len(ia) < 2 {
 			continue

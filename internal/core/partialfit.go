@@ -482,9 +482,13 @@ func NewPartialFit(opt FitOptions) (*PartialFit, error) {
 		return nil, fmt.Errorf("core: machine %q has %d states, more than a partial fit's key byte can address", opt.Machine.Name, opt.Machine.NumStates())
 	}
 	for _, e := range opt.FreeEvents {
-		if e.Valid() {
-			pf.freeSet[e] = true
+		switch {
+		case !e.Valid():
+			return nil, fmt.Errorf("core: FreeEvents: invalid event type %d", uint8(e))
+		case pf.freeSet[e]:
+			return nil, fmt.Errorf("core: FreeEvents: %v listed twice", e)
 		}
+		pf.freeSet[e] = true
 	}
 	return pf, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -324,6 +325,9 @@ func TestPartialCodecStrict(t *testing.T) {
 		"bad machine":   tamper(func(d map[string]any) { d["options"].(map[string]any)["machine"] = "NOPE" }),
 		"bad sojourn":   tamper(func(d map[string]any) { d["options"].(map[string]any)["sojourn_kind"] = "gamma" }),
 		"short theta_f": tamper(func(d map[string]any) { d["options"].(map[string]any)["theta_f"] = []any{1.0} }),
+		"free event twice": tamper(func(d map[string]any) {
+			d["options"].(map[string]any)["free_events"] = []any{cp.Handover.String(), cp.Handover.String()}
+		}),
 		"bad consumed":  tamper(func(d map[string]any) { d["events_consumed"] = -2 }),
 		"bad device":    tamper(func(d map[string]any) { dev(d)["device"] = "toaster" }),
 		"unsorted ues":  tamper(func(d map[string]any) { ues := dev(d)["ues"].([]any); ues[0], ues[1] = ues[1], ues[0] }),
@@ -531,6 +535,23 @@ func TestPartialFitRegistrationErrors(t *testing.T) {
 	}
 	if _, err := NewPartialFit(FitOptions{SketchK: -1}); err == nil {
 		t.Fatal("negative SketchK accepted")
+	}
+	base := pinnedFitOptions("base")
+	for name, c := range map[string]struct {
+		free []cp.EventType
+		want string
+	}{
+		"an invalid type": {append(slices.Clone(base.FreeEvents), cp.EventType(9)), "invalid event type 9"},
+		"HO twice":        {append(slices.Clone(base.FreeEvents), cp.Handover), "listed twice"},
+	} {
+		opt := base
+		opt.FreeEvents = c.free
+		if _, err := NewPartialFit(opt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("FreeEvents with %s: NewPartialFit returned %v, want a refusal naming %q", name, err, c.want)
+		}
+		if _, err := Fit(one, opt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("FreeEvents with %s: Fit returned %v, want a refusal naming %q", name, err, c.want)
+		}
 	}
 	empty, err := NewPartialFit(FitOptions{})
 	if err != nil {

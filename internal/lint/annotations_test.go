@@ -96,13 +96,15 @@ func TestDirectiveHygiene(t *testing.T) {
 
 	// Names the suite no longer knows: an annotation left behind in a
 	// tree must be reported, with the valid names, not pass as a comment.
-	const known = "(known: hotpath, ordered-ok, partial-ok, retained-ok, reused)"
+	const known = "(known: hotpath, ordered-ok, partial-ok)"
 	for _, stale := range []string{
 		"guardedby mu",
 		"unguarded-ok read before publication",
 		"leak-ok lives for the process",
 		"detached-ok outlives the request",
 		"coldpath the error path",
+		"reused the columns are overwritten after every callback",
+		"retained-ok drained before the next batch",
 	} {
 		fset, files := parseSrc(t, "package p\n\n//cplint:"+stale+"\nvar x int\n")
 		pkg := &Package{fset: fset, directives: parseDirectives(fset, files)}
@@ -113,47 +115,6 @@ func TestDirectiveHygiene(t *testing.T) {
 			!strings.Contains(got[0].Message, "unknown directive //cplint:"+name+" ") ||
 			!strings.HasSuffix(got[0].Message, known) {
 			t.Errorf("//cplint:%s: got %v, want one unknown-directive diagnostic on line 3 ending %q", stale, got, known)
-		}
-	}
-}
-
-// TestRetainDirectiveHygiene runs the full suite over the retain
-// negative-control fixture (outside the determinism-gated set): the
-// reasonless retained-ok, the unattached retained-ok, and the reused
-// marker on a non-type each produce exactly one diagnostic, and the
-// annotated escape itself stays suppressed.
-func TestRetainDirectiveHygiene(t *testing.T) {
-	l := fixtureLoader(t)
-	pkgs, err := l.LoadPaths("cptraffic/internal/retainneg")
-	if err != nil {
-		t.Fatalf("loading retain hygiene fixture: %v", err)
-	}
-	diags := AnalyzeWorkers(pkgs, All(), 0)
-
-	want := []struct {
-		line int
-		sub  string
-	}{
-		{17, "//cplint:retained-ok needs a reason"},
-		{21, "not attached to a statement that retains a reused buffer"},
-		{27, "not attached to a type declaration"},
-	}
-	if len(diags) != len(want) {
-		for _, d := range diags {
-			t.Logf("got: %s", d)
-		}
-		t.Fatalf("got %d diagnostics, want %d", len(diags), len(want))
-	}
-	for i, w := range want {
-		d := diags[i]
-		if d.Pos.Line != w.line || !strings.Contains(d.Message, w.sub) {
-			t.Errorf("diagnostic %d: got line %d %q, want line %d containing %q",
-				i, d.Pos.Line, d.Message, w.line, w.sub)
-		}
-	}
-	for _, d := range diags {
-		if strings.Contains(d.Message, "reused buffer escapes") {
-			t.Errorf("attached retained-ok failed to suppress the escape: %s", d)
 		}
 	}
 }

@@ -6,11 +6,9 @@ import (
 )
 
 // BenchmarkLintAnalyze records the analysis cost in the bench ledger:
-// each analyzer alone over the fixture tree (the call-graph-backed one,
-// retain, pays for the substrate, rebuilt per run), the seven-analyzer
-// suite over the same tree, and the suite over the real
-// module — so a structural regression in the interprocedural substrate
-// (fixpoint blowup, CHA over a huge candidate set) shows up in
+// each analyzer alone over the fixture tree, the six-analyzer suite
+// over the same tree, and the suite over the real module — so an
+// analyzer whose cost grows out of proportion shows up in
 // BENCH_<date>.json next to generation throughput. Type-checking is
 // setup, not measured: the ledger quantity is analysis.
 func BenchmarkLintAnalyze(b *testing.B) {

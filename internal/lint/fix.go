@@ -12,14 +12,11 @@ import (
 // applied per file from the highest offset down so earlier offsets
 // stay valid.
 //
-// Overlap policy: two edits from the SAME analyzer on the same span
-// keep the first in diagnostic order and drop the rest — the next run
+// Overlap policy: of two edits on the same span the first in
+// diagnostic order is kept and the rest are dropped — the next run
 // re-evaluates what is left, and running -fix to a fixed point is safe
-// because a fix resolves its diagnostic. Two edits from DIFFERENT
-// analyzers on the same span are refused outright, before any file is
-// written: neither analyzer can know what the merged text means, and
-// last-write-wins would silently corrupt one of the fixes. The error
-// names the file, line, and both analyzers so a human can pick.
+// because a fix resolves its diagnostic. Only exhaustive proposes
+// fixes, so overlapping edits always come from one analyzer.
 //
 // Returns the fixed file names (sorted) and the number of fixes
 // applied.
@@ -27,8 +24,6 @@ func ApplyFixes(diags []Diagnostic) (files []string, applied int, err error) {
 	type edit struct {
 		start, end int
 		new        string
-		analyzer   string
-		line       int
 	}
 	perFile := make(map[string][]edit)
 	for _, d := range diags {
@@ -36,8 +31,7 @@ func ApplyFixes(diags []Diagnostic) (files []string, applied int, err error) {
 			continue
 		}
 		for _, e := range d.Fixes[0].Edits {
-			perFile[e.Pos.Filename] = append(perFile[e.Pos.Filename],
-				edit{e.Pos.Offset, e.End.Offset, e.New, d.Analyzer, e.Pos.Line})
+			perFile[e.Pos.Filename] = append(perFile[e.Pos.Filename], edit{e.Pos.Offset, e.End.Offset, e.New})
 		}
 	}
 	for name := range perFile {
@@ -45,43 +39,27 @@ func ApplyFixes(diags []Diagnostic) (files []string, applied int, err error) {
 	}
 	sort.Strings(files)
 
-	// Validate every file before writing any: a cross-analyzer
-	// collision anywhere refuses the whole run, leaving the tree
-	// untouched.
-	keptPerFile := make(map[string][]edit, len(files))
+	var fixed []string
 	for _, name := range files {
 		edits := perFile[name]
 		// Stable order: by start offset, ties keep diagnostic order.
 		sort.SliceStable(edits, func(i, j int) bool { return edits[i].start < edits[j].start })
 		kept := edits[:0]
 		lastEnd := -1
-		lastBy := ""
 		for _, e := range edits {
-			overlaps := e.start < lastEnd
-			if overlaps && e.analyzer != lastBy {
-				return nil, 0, fmt.Errorf("%s:%d: overlapping fixes from analyzers %s and %s; apply one, re-run cplint, then the other",
-					name, e.line, lastBy, e.analyzer)
-			}
-			if overlaps || e.start < 0 || e.end < e.start {
-				continue // same-analyzer overlap or malformed: defer to the next run
+			if e.start < lastEnd || e.start < 0 || e.end < e.start {
+				continue // overlapping or malformed: defer to the next run
 			}
 			kept = append(kept, e)
 			lastEnd = e.end
-			lastBy = e.analyzer
 			if e.end == e.start {
 				lastEnd = e.end + 1 // two insertions at one point would reorder; keep the first
 			}
 		}
-		keptPerFile[name] = kept
-	}
-
-	var fixed []string
-	for _, name := range files {
 		src, err := os.ReadFile(name)
 		if err != nil {
 			return fixed, applied, err
 		}
-		kept := keptPerFile[name]
 		n := 0
 		out := src
 		for i := len(kept) - 1; i >= 0; i-- {

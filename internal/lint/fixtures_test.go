@@ -44,25 +44,6 @@ func TestHotAllocFixture(t *testing.T) {
 	runFixture(t, []*Analyzer{HotAlloc}, "cptraffic/internal/hot")
 }
 
-// TestRetainFixture covers the retain positive and negative space:
-// direct retention, field stores, the interprocedural callback →
-// helper → struct-field-store chain, CHA interface dispatch, channel
-// sends, goroutine captures — and, annotation-free, the sanctioned
-// copy idioms (AppendTo, CopyBatch, append(x[:0:0], x...)).
-func TestRetainFixture(t *testing.T) {
-	runFixture(t, []*Analyzer{Retain}, "cptraffic/internal/sink")
-}
-
-// TestTraceStubClean pins the negative space of the reuse contract:
-// the reused type's own methods (Reset, Append, AppendTo, CopyBatch)
-// write only through the receiver or copy idioms, so the full suite —
-// in the determinism-gated internal/trace path — reports nothing.
-func TestTraceStubClean(t *testing.T) {
-	if diags := runFixture(t, All(), "cptraffic/internal/trace"); len(diags) != 0 {
-		t.Errorf("trace stub should be clean, got %d diagnostics", len(diags))
-	}
-}
-
 // TestNonDetPackageIsExempt runs the whole suite over a package outside
 // the determinism-critical list: the order-sensitive map range and the
 // time.Now call must not be reported — but floatfold runs module-wide,

@@ -17,13 +17,6 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
-
-	// NeedsGraph marks analyzers built on the module call graph
-	// (retain). When any requested analyzer needs it, the
-	// driver constructs one Graph over the whole package set — serially,
-	// before the per-package fan-out, so worker count cannot influence
-	// it — and threads it through Pass.Graph.
-	NeedsGraph bool
 }
 
 // A Pass is one analyzer applied to one package.
@@ -31,11 +24,6 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-
-	// Graph is the shared call-graph/dataflow substrate, non-nil iff
-	// the analyzer set includes one with NeedsGraph. It is read-only
-	// during passes.
-	Graph *Graph
 
 	report func(Diagnostic)
 }
@@ -135,7 +123,7 @@ func inDetPackage(path string) bool {
 
 // All returns the full cplint suite in its canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{DetMap, DetSource, Exhaustive, FloatFold, Frozen, HotAlloc, Retain}
+	return []*Analyzer{DetMap, DetSource, Exhaustive, FloatFold, Frozen, HotAlloc}
 }
 
 // AnalyzeWorkers runs the given analyzers over the given packages and
@@ -148,22 +136,12 @@ func All() []*Analyzer {
 // reasons, annotations attached to nothing) is validated per package,
 // after every analyzer has had the chance to claim its directives.
 func AnalyzeWorkers(pkgs []*Package, analyzers []*Analyzer, workers int) []Diagnostic {
-	var graph *Graph
-	for _, a := range analyzers {
-		if a.NeedsGraph {
-			// Built once, serially, before the fan-out: the graph (and the
-			// directive claims it makes) is identical for any worker count,
-			// and passes only read it.
-			graph = buildGraph(pkgs)
-			break
-		}
-	}
 	perPkg := make([][]Diagnostic, len(pkgs))
 	par.For(len(pkgs), workers, func(i int) {
 		pkg := pkgs[i]
 		collect := func(d Diagnostic) { perPkg[i] = append(perPkg[i], d) }
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Fset: fsetOf(pkg), Pkg: pkg, Graph: graph, report: collect}
+			pass := &Pass{Analyzer: a, Fset: fsetOf(pkg), Pkg: pkg, report: collect}
 			if err := a.Run(pass); err != nil {
 				collect(Diagnostic{
 					Analyzer: a.Name,
@@ -208,11 +186,9 @@ func fsetOf(pkg *Package) *token.FileSet {
 
 // Directive names understood by the suite.
 const (
-	DirOrderedOK  = "ordered-ok"  // on a range-over-map: order-insensitivity is argued by the reason
-	DirHotPath    = "hotpath"     // on a func decl: the body must not allocate
-	DirPartialOK  = "partial-ok"  // on an enum switch, float fold, or model write: partial behavior is argued by the reason
-	DirReused     = "reused"      // on a type decl: values are reused buffers; retain tracks their escape
-	DirRetainedOK = "retained-ok" // on an escaping statement: retention is argued safe by the reason
+	DirOrderedOK = "ordered-ok" // on a range-over-map: order-insensitivity is argued by the reason
+	DirHotPath   = "hotpath"    // on a func decl: the body must not allocate
+	DirPartialOK = "partial-ok" // on an enum switch, float fold, or model write: partial behavior is argued by the reason
 )
 
 // A Directive is one parsed //cplint:<name> <reason> comment.
@@ -310,31 +286,25 @@ func claimDoc(pkg *Package, name string, doc *ast.CommentGroup, declPos token.Po
 // single-analyzer fixture test must not call another analyzer's
 // legitimately placed annotation a mistake).
 var directiveOwners = map[string][]string{
-	DirOrderedOK:  {"detmap", "floatfold"},
-	DirHotPath:    {"hotalloc"},
-	DirPartialOK:  {"exhaustive", "floatfold", "frozen"},
-	DirReused:     {"retain"},
-	DirRetainedOK: {"retain"},
+	DirOrderedOK: {"detmap", "floatfold"},
+	DirHotPath:   {"hotalloc"},
+	DirPartialOK: {"exhaustive", "floatfold", "frozen"},
 }
 
 // reasonRequired lists the directives whose reason is mandatory: the
-// annotation suppresses a finding (or, for reused, widens a contract),
-// so the justification must travel with it.
+// annotation suppresses a finding, so the justification must travel
+// with it.
 var reasonRequired = map[string]bool{
-	DirOrderedOK:  true,
-	DirPartialOK:  true,
-	DirReused:     true,
-	DirRetainedOK: true,
+	DirOrderedOK: true,
+	DirPartialOK: true,
 }
 
 // attachWant describes, per directive, what kind of node the
 // annotation must be attached to.
 var attachWant = map[string]string{
-	DirOrderedOK:  "a range-over-map statement",
-	DirHotPath:    "a function declaration",
-	DirPartialOK:  "a partially-covered enum switch, an order-sensitive float fold, or a frozen-model write",
-	DirReused:     "a type declaration",
-	DirRetainedOK: "a statement that retains a reused buffer",
+	DirOrderedOK: "a range-over-map statement",
+	DirHotPath:   "a function declaration",
+	DirPartialOK: "a partially-covered enum switch, an order-sensitive float fold, or a frozen-model write",
 }
 
 func validateDirectives(pkg *Package, ran []*Analyzer, report func(Diagnostic)) {
@@ -349,8 +319,8 @@ func validateDirectives(pkg *Package, ran []*Analyzer, report func(Diagnostic)) 
 			report(Diagnostic{
 				Analyzer: "cplint",
 				Pos:      pos(d),
-				Message: fmt.Sprintf("unknown directive //cplint:%s (known: %s, %s, %s, %s, %s)",
-					d.Name, DirHotPath, DirOrderedOK, DirPartialOK, DirRetainedOK, DirReused),
+				Message: fmt.Sprintf("unknown directive //cplint:%s (known: %s, %s, %s)",
+					d.Name, DirHotPath, DirOrderedOK, DirPartialOK),
 			})
 			continue
 		}

@@ -1,10 +1,10 @@
 // Package lint implements the cplint static-analysis suite: a small,
 // dependency-free clone of the golang.org/x/tools/go/analysis driver
-// plus the seven repo-specific analyzers (detmap, detsource,
-// exhaustive, floatfold, frozen, hotalloc, retain) that turn this
-// repo's determinism, state-machine, hot-path, and buffer-retention
-// invariants into build errors. retain is built on a deterministic
-// interprocedural substrate; see callgraph.go.
+// plus the six repo-specific analyzers (detmap, detsource,
+// exhaustive, floatfold, frozen, hotalloc) that turn this repo's
+// determinism, state-machine, float-fold, hot-path and immutability
+// invariants into build errors. Each analyzer runs on one package at a
+// time.
 //
 // The framework mirrors the go/analysis API (Analyzer, Pass, Reportf)
 // so the analyzers would port to the upstream driver verbatim, but it

@@ -20,11 +20,8 @@ var allFixturePaths = []string{
 	"cptraffic/internal/hot",
 	"cptraffic/internal/par",
 	"cptraffic/internal/report",
-	"cptraffic/internal/retainneg",
-	"cptraffic/internal/sink",
 	"cptraffic/internal/sm",
 	"cptraffic/internal/stats",
-	"cptraffic/internal/trace",
 	"cptraffic/internal/util",
 	"cptraffic/internal/world",
 }
@@ -38,7 +35,9 @@ func diagString(diags []Diagnostic) string {
 }
 
 // TestAnalyzeWorkerCountIndependent pins the satellite invariant: the
-// analysis fan-out must never change the output bytes.
+// analysis fan-out must never change the output bytes. Every one of the
+// six analyzers must report on the fixtures, or its part of the
+// comparison would be vacuous.
 func TestAnalyzeWorkerCountIndependent(t *testing.T) {
 	l := fixtureLoader(t)
 	pkgs, err := l.LoadPaths(allFixturePaths...)
@@ -49,11 +48,10 @@ func TestAnalyzeWorkerCountIndependent(t *testing.T) {
 	if base == "" {
 		t.Fatal("fixture analysis produced no diagnostics; the comparison is vacuous")
 	}
-	// The call-graph-backed analyzer must be part of the comparison: its
-	// substrate is built once before the fan-out, and this is the test
-	// that pins that choice.
-	if !strings.Contains(base, " retain: ") {
-		t.Error("baseline diagnostics carry no retain findings; the call-graph coverage is vacuous")
+	for _, a := range All() {
+		if !strings.Contains(base, " "+a.Name+": ") {
+			t.Errorf("baseline diagnostics carry no %s findings; its worker-count coverage is vacuous", a.Name)
+		}
 	}
 	for _, workers := range []int{0, 2, 3, 16} {
 		if got := diagString(AnalyzeWorkers(pkgs, All(), workers)); got != base {

@@ -23,11 +23,10 @@ import (
 // Edges are the identifiers a declaration names (go/types Uses), so a
 // function value stored in a table counts as reached. A method is also
 // reached when its type is reached and it implements a reached method
-// of a module interface (class-hierarchy analysis, as in callgraph.go)
-// or one of the standard-library interfaces in stdDispatch, which the
-// standard library calls on the program's behalf. The constants of a
-// group that uses iota are one node: deleting one would renumber the
-// rest.
+// of a module interface (class-hierarchy analysis) or one of the
+// standard-library interfaces in stdDispatch, which the standard
+// library calls on the program's behalf. The constants of a group that
+// uses iota are one node: deleting one would renumber the rest.
 
 // reachAllow lists the symbols kept although no program reaches them,
 // each with its reason. They are roots, so what they call needs no line

@@ -67,14 +67,6 @@ var treeSeeds = []treeSeed{
 		edits: [][2]string{{"\tkind := 0 // 0 none, 1 top, 2 bottom, 3 free\n", "\tkind := 0 // 0 none, 1 top, 2 bottom, 3 free\n\t_ = make([]cp.Millis, len(g.freeAt))\n"}},
 		at:    "_ = make([]cp.Millis, len(g.freeAt))",
 	},
-	{
-		analyzer: "retain", file: "internal/core/partialfit.go",
-		edits: [][2]string{{
-			"\treturn src.ScanBatches(func(b *trace.Batch) error {\n",
-			"\tvar kept []*trace.Batch\n\treturn src.ScanBatches(func(b *trace.Batch) error {\n\t\tkept = append(kept, b)\n",
-		}},
-		at: "kept = append(kept, b)",
-	},
 }
 
 // copyModule copies the module's go.mod and non-test Go sources — what

@@ -24,10 +24,10 @@ const DefaultBatchSize = 256
 // Batches handed to ScanBatches/WriteBatch callbacks are reused: the
 // columns are overwritten after the callback returns, so consumers must
 // copy (CopyBatches, AppendTo, append(col[:0:0], col...)) anything they
-// keep. cplint's retain analyzer enforces this contract; `-tags
-// batchdebug` additionally poisons the columns on Reset at runtime.
-//
-//cplint:reused ScanBatches/WriteBatch overwrite the columns after every callback; retained views read corrupted events
+// keep. Tests hold every production consumer to this: the root
+// package's TestBatchConsumersCopy feeds each one through a source that
+// overwrites its batch after every callback and after the scan, and
+// `-tags batchdebug` poisons the columns on Reset.
 type Batch struct {
 	T    []cp.Millis
 	UE   []cp.UEID

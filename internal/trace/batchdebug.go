@@ -4,8 +4,8 @@ package trace
 
 import "cptraffic/internal/cp"
 
-// Batch poison mode: the runtime counterpart of cplint's retain
-// analyzer. Reset scribbles sentinels over the full column capacity, so
+// Batch poison mode: the runtime check of Batch's reuse contract.
+// Reset scribbles sentinels over the full column capacity, so
 // a consumer that held on to a column view past its callback observes
 // values no generator produces — loudly, at the first reuse — instead
 // of silently reading the next batch's events. The shipped build

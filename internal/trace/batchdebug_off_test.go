@@ -10,8 +10,8 @@ import (
 
 // TestResetDoesNotScribble pins that the shipped build pays nothing
 // for the batchdebug counterpart: Reset only truncates, so the column
-// bytes (observable through a retained view, which cplint forbids in
-// checked code but tests may take) are untouched.
+// bytes (observable through a retained view, which Batch's contract
+// forbids in production code but tests may take) are untouched.
 func TestResetDoesNotScribble(t *testing.T) {
 	b := NewBatch(4)
 	for i := 0; i < 4; i++ {

@@ -8,11 +8,10 @@ import (
 	"cptraffic/internal/cp"
 )
 
-// TestResetPoisonsRetainedColumns is the runtime counterpart of the
-// retain lint invariant: a consumer that deliberately keeps a column
-// view across Reset — exactly what //cplint:reused forbids — reads the
-// poison sentinels, not the stale (or worse, silently refreshed)
-// events.
+// TestResetPoisonsRetainedColumns is the runtime check of Batch's
+// reuse contract: a consumer that deliberately keeps a column view
+// across Reset — exactly what the contract forbids — reads the poison
+// sentinels, not the stale (or worse, silently refreshed) events.
 func TestResetPoisonsRetainedColumns(t *testing.T) {
 	b := NewBatch(8)
 	for i := 0; i < 8; i++ {
