@@ -82,13 +82,17 @@ race:
 # need a non-race run: the compiled generator's and the world simulator's
 # steady-state drainUntil — the loop production runs — allocates nothing;
 # both Generates stay within 0.02 allocations per assembled event and
-# within 24 allocated bytes per event with one worker, 48 with two; one ScanBatches of either streaming Source stays within
-# 640 allocated bytes per UE; ModelSet.Save allocates its buffer and
+# within 24 allocated bytes per event with one worker, 48 with two; one
+# ScanBatches of the generator's Source stays within 360 allocated bytes
+# per UE and one of the world's within 640; a streamed window holds at
+# most 1.25 times its key target where the rate steps up fourfold after
+# a quiet stretch (TestWindowKeysBounded), since every window buffer is
+# sized by the largest window; ModelSet.Save allocates its buffer and
 # nothing that grows with the model; the model decoder allocates each slice
 # and pointer of the model once and nothing per number, and core.Load adds
 # one compile of the model and nothing else; both trace writers' Write and
 # WriteBatch allocate nothing; the generator's per-UE state (ueGen)
-# stays within the 400 B that budget counts; a decided sm.Walk — the
+# stays within the 192 B that budget counts; a decided sm.Walk — the
 # per-UE extraction fit and eval share — allocates nothing per event; and
 # an exact PartialFit retains at most 6 B of sample logs and hour bytes a
 # sample, none of which, nor any tally row, outlives Build
@@ -100,7 +104,7 @@ race:
 # map-keyed accumulators or per-hour slices of pool lists exceed
 # (TestPartialFitBuildAllocsPerModel).
 allocs:
-	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|AllocsPerModel|BytesPerEvent|BytesPerUE|UEGenSize|BytesPerSample|BytesPerTally|HeldMatchesSinks' ./internal/core/ ./internal/world/ ./internal/trace/ ./internal/sm/
+	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|AllocsPerModel|BytesPerEvent|BytesPerUE|UEGenSize|BytesPerSample|BytesPerTally|HeldMatchesSinks|WindowKeysBounded' ./internal/core/ ./internal/world/ ./internal/trace/ ./internal/sm/
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1

@@ -149,6 +149,9 @@ type cDevice struct {
 	personaCum []float64
 	personaCl  [][HoursPerDay]int16
 	cells      [HoursPerDay][]cCell
+	// clocks is whether some cell arms a free-running process (Base and
+	// V1 models): only then do the device's generators hold free clocks.
+	clocks bool
 }
 
 // compiledModel is a ModelSet lowered onto one machine: dense
@@ -289,6 +292,9 @@ func compileDevice(dm *DeviceModel, machine *sm.Machine) (*cDevice, error) {
 		}
 		if h < HoursPerDay {
 			cd.cells[h] = cells
+			for c := range cells {
+				cd.clocks = cd.clocks || len(cells[c].free) > 0
+			}
 		}
 	}
 	return cd, nil

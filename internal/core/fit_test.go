@@ -423,6 +423,45 @@ func TestFitEmptyTraceFails(t *testing.T) {
 	}
 }
 
+// TestFitNoEventsFails: a trace that registers UEs but holds no event is
+// refused by Build, through Fit and through a merge of two such partials,
+// and the refused partial is left as it was. A model fitted to it would
+// pass Validate, Save and Load and generate no event at all.
+func TestFitNoEventsFails(t *testing.T) {
+	registryOnly := func(ues ...cp.UEID) *trace.Trace {
+		tr := trace.New()
+		for _, ue := range ues {
+			tr.Device[ue] = cp.Phone
+		}
+		return tr
+	}
+	if _, err := Fit(registryOnly(0), FitOptions{}); err == nil || !strings.Contains(err.Error(), "no events") {
+		t.Fatalf("Fit on a registry-only trace: %v, want the no-events error", err)
+	}
+	pf, err := NewPartialFit(FitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewPartialFit(FitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.AddSource(registryOnly(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.AddSource(registryOnly(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.Merge(other); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := pf.Build(); err == nil || !strings.Contains(err.Error(), "3 UEs registered, none has an event") {
+			t.Fatalf("Build %d on a merge of event-less partials: %v, want the no-events error", i+1, err)
+		}
+	}
+}
+
 func TestFitFirstEventModel(t *testing.T) {
 	tr := toyTrace(t, 60, 2*cp.Hour, 5)
 	ms, err := Fit(tr, FitOptions{Cluster: clusterOptSmall()})

@@ -74,7 +74,7 @@ func Generate(ms *ModelSet, opt GenOptions) (*trace.Trace, error) {
 // Source is a generator-backed trace.EventSource: scanning it draws the
 // synthetic population on the fly, so a trace of any size can be fitted,
 // evaluated, or written to disk without ever materializing it. It holds
-// one ueGen (384 B) and one pending time per UE plus a window of events
+// one ueGen (168 B) and one pending time per UE plus a window of events
 // whose size does not depend on the population. Both Devices and the scans
 // re-derive the population from the seed, so the source is re-iterable and
 // successive passes agree. The options are validated and the model
@@ -252,7 +252,7 @@ type pending struct {
 // byte-identical traces.
 //
 // A Source holds one ueGen per UE, so the fields are packed:
-// TestUEGenSize keeps the struct at or below 400 B.
+// TestUEGenSize keeps the struct at or below 192 B.
 type ueGen struct {
 	cm *compiledModel
 	cd *cDevice
@@ -268,6 +268,25 @@ type ueGen struct {
 	topP    pending
 	botP    pending
 
+	// free[e] holds the next firing time of the free-running process of
+	// event type e while bit e of freeOn is set: the interpreter's map as
+	// a fixed array and a mask, so the race visits only armed clocks —
+	// none at all for models without free processes, whose generators
+	// have no array (init allocates one only for a device whose cells arm
+	// a clock, cDevice.clocks).
+	free *[cp.NumEventTypes]cp.Millis
+
+	// qt stamps the staging queue: queue holds the types of events
+	// already decided but not yet delivered, queue[i] stamped qt+i; qhead
+	// is the next to deliver, qlen the fill level. One startup or step
+	// call fills it from empty with events a millisecond apart (the case-1
+	// flush, then the top event), so one time stands for all of them, and
+	// the UE id they carry is ue. A step pushes at most windowOvershoot+1
+	// events (the flush guard in step bounds case 1) and the queue always
+	// drains fully between steps, so a fixed-size array suffices — no
+	// per-UE heap allocation at all.
+	qt cp.Millis
+
 	ue         cp.UEID
 	personaIdx int32
 	emitted    int32 // at most maxEventsPerUE plus one queue
@@ -275,22 +294,10 @@ type ueGen struct {
 	bottom     sm.State
 	started    bool
 	exhausted  bool
-	qhead      uint8 // see queue
+	qhead      uint8 // see qt
 	qlen       uint8
-
-	// freeOn has bit e set while the free-running process of event type
-	// e is armed, and freeAt holds its next firing time: the interpreter's
-	// map as a mask and a fixed array, so the race visits only armed
-	// clocks — none at all for models without free processes.
-	freeOn uint8
-	freeAt [cp.NumEventTypes]cp.Millis
-
-	// queue holds events already decided but not yet delivered; qhead is
-	// the next to deliver, qlen the fill level. A step pushes at most
-	// windowOvershoot+1 events (the flush guard in step bounds case 1)
-	// and the queue always drains fully between steps, so a fixed-size
-	// array suffices — no per-UE heap allocation at all.
-	queue [ueGenQueueCap]trace.Event
+	freeOn     uint8 // see free
+	queue      [ueGenQueueCap]cp.EventType
 }
 
 // freeOn has a bit for every event type: this fails to compile otherwise.
@@ -312,7 +319,11 @@ const ueGenQueueCap = 12
 // reuse one ueGen value — or a slab of them — across the whole
 // population instead of heap-allocating one per UE.
 func (g *ueGen) init(cm *compiledModel, cd *cDevice, ue cp.UEID, rng stats.RNG, t0, end cp.Millis) {
-	*g = ueGen{cm: cm, cd: cd, ue: ue, rng: rng, t0: t0, end: end, personaIdx: -1}
+	free := g.free // a clock array outlives its UE: drawFree sets a clock before arming it
+	*g = ueGen{cm: cm, cd: cd, ue: ue, rng: rng, t0: t0, end: end, personaIdx: -1, free: free}
+	if cd.clocks && free == nil {
+		g.free = new([cp.NumEventTypes]cp.Millis)
+	}
 	if len(cd.personaCum) > 0 {
 		g.personaIdx = int32(pickByCum(cd.personaCum, g.rng.Float64()))
 	}
@@ -357,17 +368,18 @@ func (g *ueGen) drainUntil(limit cp.Millis, lay *trace.KeyLayout, run *trace.Key
 		if g.qhead < g.qlen {
 			// Queued events deliver unconditionally; the safety cap only
 			// stops further stepping.
+			t := g.qt + cp.Millis(g.qhead)
 			q := g.queue[g.qhead:g.qlen]
 			n := len(q)
-			if q[n-1].T >= limit { // time-ordered: otherwise all of it is due
-				for n = 0; q[n].T < limit; n++ {
+			if t+cp.Millis(n-1) >= limit { // otherwise all of it is due
+				for n = 0; t+cp.Millis(n) < limit; n++ {
 				}
 			}
-			run.Append(lay, q[:n]...)
+			run.AppendTicks(lay, g.ue, t, q[:n])
 			g.emitted += int32(n)
 			if n < len(q) {
 				g.qhead += uint8(n)
-				return q[n].T
+				return t + cp.Millis(n)
 			}
 			g.qhead, g.qlen = 0, 0
 		}
@@ -413,9 +425,12 @@ func (g *ueGen) resolveCell(t cp.Millis) *cCell {
 	return g.cell
 }
 
+// push queues an event of type e, stamped a millisecond after the one
+// queued before it, or at qt if the queue is empty.
+//
 //cplint:hotpath writes into the fixed-size staging queue, no allocation ever
-func (g *ueGen) push(t cp.Millis, e cp.EventType) {
-	g.queue[g.qlen] = trace.Event{T: t, UE: g.ue, Type: e}
+func (g *ueGen) push(e cp.EventType) {
+	g.queue[g.qlen] = e
 	g.qlen++
 }
 
@@ -452,7 +467,8 @@ func (g *ueGen) startup() {
 		if t >= g.end {
 			break
 		}
-		g.push(t, cat.ev)
+		g.qt = t
+		g.push(cat.ev)
 		// The fitted category carries the post-event machine state
 		// (compile resolved the out-of-range → Forced fallback).
 		g.top = cat.top
@@ -484,14 +500,15 @@ func (g *ueGen) step() {
 	// ours/v2 model) there is nothing to scan.
 	for on := g.freeOn; on != 0; on &= on - 1 {
 		e := bits.TrailingZeros8(on)
-		if g.freeAt[e] < next {
-			next, kind, freeEv = g.freeAt[e], 3, cp.EventType(e)
+		if g.free[e] < next {
+			next, kind, freeEv = g.free[e], 3, cp.EventType(e)
 		}
 	}
 	if kind == 0 || next >= g.end {
 		g.exhausted = true
 		return
 	}
+	g.qt = next
 	switch kind {
 	case 1:
 		// The top event must be legal from the current bottom state
@@ -513,22 +530,22 @@ func (g *ueGen) step() {
 			} else {
 				break
 			}
-			g.push(at, ev)
+			g.push(ev)
 			g.bottom = to
 			at += cp.Millis(1)
 		}
-		g.push(at, g.topP.ev)
+		g.push(g.topP.ev)
 		g.top = g.topP.toTop
 		g.bottom = g.cm.subEntry[g.top]
 		g.drawTop(at)
 		g.drawBot(at)
 		g.drawFree(at)
 	case 2:
-		g.push(next, g.botP.ev)
+		g.push(g.botP.ev)
 		g.bottom = g.botP.toBot
 		g.drawBot(next)
 	case 3:
-		g.push(next, freeEv)
+		g.push(freeEv)
 		g.redrawOneFree(freeEv, next)
 	}
 }
@@ -611,7 +628,7 @@ func (g *ueGen) drawFree(now cp.Millis) {
 	free := g.cellAt(now).free
 	for i := range free {
 		fp := &free[i]
-		g.freeAt[fp.ev] = now + sojournMillis(fp.inter.sample(&g.rng))
+		g.free[fp.ev] = now + sojournMillis(fp.inter.sample(&g.rng))
 		g.freeOn |= 1 << fp.ev
 	}
 }
@@ -622,7 +639,7 @@ func (g *ueGen) redrawOneFree(e cp.EventType, now cp.Millis) {
 	for i := range free {
 		fp := &free[i]
 		if fp.ev == e {
-			g.freeAt[e] = now + sojournMillis(fp.inter.sample(&g.rng))
+			g.free[e] = now + sojournMillis(fp.inter.sample(&g.rng))
 			g.freeOn |= 1 << e
 			return
 		}

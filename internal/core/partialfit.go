@@ -716,7 +716,8 @@ func (pf *PartialFit) Merge(other *PartialFit) error {
 // splits the per-UE counts and samples per (hour, cluster) in (UE, seq)
 // order, and fits every model with the same acc.build as always. Build
 // consumes the partial — it frees each hour's samples and tallies once
-// that hour is built, and a second call errors.
+// that hour is built, and a second call errors. A partial with no UE, or
+// whose UEs have no event, is refused and left as it was.
 func (pf *PartialFit) Build() (*ModelSet, error) {
 	if pf.built {
 		return nil, fmt.Errorf("core: partial fit already built")
@@ -724,6 +725,9 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 	total := len(pf.devOf)
 	if total == 0 {
 		return nil, fmt.Errorf("core: cannot fit an empty trace")
+	}
+	if len(pf.exts) == 0 { // a model fitted to silence would generate nothing
+		return nil, fmt.Errorf("core: cannot fit a trace with no events (%d UEs registered, none has an event)", total)
 	}
 	pf.built = true
 	// Finish every walk in ascending UE order; a UE whose stream

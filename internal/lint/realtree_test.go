@@ -64,8 +64,8 @@ var treeSeeds = []treeSeed{
 	},
 	{
 		analyzer: "hotalloc", file: "internal/core/gen.go",
-		edits: [][2]string{{"\tkind := 0 // 0 none, 1 top, 2 bottom, 3 free\n", "\tkind := 0 // 0 none, 1 top, 2 bottom, 3 free\n\t_ = make([]cp.Millis, len(g.freeAt))\n"}},
-		at:    "_ = make([]cp.Millis, len(g.freeAt))",
+		edits: [][2]string{{"\tkind := 0 // 0 none, 1 top, 2 bottom, 3 free\n", "\tkind := 0 // 0 none, 1 top, 2 bottom, 3 free\n\t_ = make([]cp.Millis, len(g.free))\n"}},
+		at:    "_ = make([]cp.Millis, len(g.free))",
 	},
 }
 

@@ -325,8 +325,18 @@ func newStorm(tr *trace.Trace, cfg StormConfig) (*stormState, []trace.Event, err
 	if tr.Len() == 0 {
 		return nil, nil, fmt.Errorf("mcn: ReplayStorm needs a non-empty trace")
 	}
-	if !tr.Sorted() {
-		return nil, nil, fmt.Errorf("mcn: ReplayStorm needs a sorted trace")
+	// The one pass before the replay: the order check, and the events the
+	// replay keeps counted per type, from which the offered load follows.
+	var kept [cp.NumEventTypes]int
+	evs := tr.Events
+	for i, e := range evs {
+		if i > 0 && e.Before(evs[i-1]) {
+			return nil, nil, fmt.Errorf("mcn: ReplayStorm needs a sorted trace")
+		}
+		if e.Type == cp.TrackingAreaUpdate && SAMember(e.UE, cfg.SAShare) || !e.Type.Valid() {
+			continue // filtered, or no transactions
+		}
+		kept[e.Type]++
 	}
 	if cfg.SAShare < 0 || cfg.SAShare > 1 {
 		return nil, nil, fmt.Errorf("mcn: SAShare must be in [0, 1]")
@@ -376,7 +386,7 @@ func newStorm(tr *trace.Trace, cfg StormConfig) (*stormState, []trace.Event, err
 
 	// The report horizon covers the trace, every fault window, and every
 	// injected event.
-	lo, hi := tr.Span()
+	lo, hi := evs[0].T, evs[len(evs)-1].T+1
 	for _, f := range cfg.Faults {
 		if f.Start < lo {
 			lo = f.Start
@@ -403,21 +413,15 @@ func newStorm(tr *trace.Trace, cfg StormConfig) (*stormState, []trace.Event, err
 	// Resolve capacities: explicit entries as given, the rest derived
 	// from the healthy offered load (filtered + injected) with headroom.
 	s.cap = cfg.Capacity
-	var offered [NumNFs]int
-	countTx := func(e trace.Event) {
-		tx := Transactions(e.Type)
-		for n := 0; n < NumNFs; n++ {
-			offered[n] += tx[n]
-		}
-	}
-	for _, e := range tr.Events {
-		if SAMember(e.UE, cfg.SAShare) && e.Type == cp.TrackingAreaUpdate {
-			continue
-		}
-		countTx(e)
-	}
 	for _, e := range injected {
-		countTx(e)
+		kept[e.Type]++
+	}
+	var offered [NumNFs]int
+	for typ, k := range kept {
+		tx := Transactions(cp.EventType(typ))
+		for n := range offered {
+			offered[n] += k * tx[n]
+		}
 	}
 	for n := 0; n < NumNFs; n++ {
 		if s.cap[n] <= 0 {
@@ -456,7 +460,7 @@ func newStorm(tr *trace.Trace, cfg StormConfig) (*stormState, []trace.Event, err
 // every NF it touches, in the order the merged stream delivers them.
 func (s *stormState) process(e trace.Event, isInjected bool) {
 	rep := s.rep
-	if !isInjected && SAMember(e.UE, s.cfg.SAShare) && e.Type == cp.TrackingAreaUpdate {
+	if !isInjected && e.Type == cp.TrackingAreaUpdate && SAMember(e.UE, s.cfg.SAShare) {
 		rep.FilteredTAUs++
 		return
 	}

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cptraffic/internal/cp"
@@ -125,7 +126,7 @@ func (tr *Trace) UEs() []cp.UEID {
 	for ue := range tr.Device {
 		ids = append(ids, ue)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -98,16 +98,18 @@ func mergeOracle(t *testing.T, evs [][]Event) []Event {
 
 // assembleAll runs assembleWindows over the streams and checks it against
 // the merge, event for event, and that every batch but the last is full.
-func assembleAll(t *testing.T, name string, f *fakeStreams) {
+// It returns the assembler, whose window counts a test may read.
+func assembleAll(t *testing.T, name string, f *fakeStreams) *windowAssembler[fakeStream] {
 	t.Helper()
 	want := mergeOracle(t, f.evs)
 	var got []Event
 	var sizes []int
-	err := assembleWindows(func(b *Batch) error {
+	a := newWindowAssembler(func(b *Batch) error {
 		got = b.AppendTo(got)
 		sizes = append(sizes, b.Len())
 		return nil
-	}, f.streams(), ueMaxOf(f.evs), f.drain)
+	}, f.streams(), f.drain)
+	err := a.assemble(ueMaxOf(f.evs))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -119,6 +121,7 @@ func assembleAll(t *testing.T, name string, f *fakeStreams) {
 			t.Fatalf("%s: batch %d of %d holds %d events", name, i, len(sizes), n)
 		}
 	}
+	return a
 }
 
 // randomStreams builds k individually ordered streams of up to maxLen
@@ -210,6 +213,28 @@ func TestAssembleWindowsMatchesMerge(t *testing.T) {
 		assembleAll(t, "wide", newFakeStreams(evs))
 	})
 
+	t.Run("burst in one millisecond", func(t *testing.T) {
+		// A quiet minute, then more than a window's keys stamped in one
+		// millisecond, then the quiet again: a cut cannot split the
+		// millisecond, so it is a window of its own.
+		evs := steppedStreams(r, 40, 1, 3000, 20*3000, 0)
+		for i := range evs {
+			at := slices.IndexFunc(evs[i], func(e Event) bool { return e.T >= 30000 })
+			if at < 0 {
+				at = len(evs[i])
+			}
+			burst := make([]Event, bucketTarget/16)
+			for j := range burst {
+				burst[j] = Event{T: 30000, UE: cp.UEID(i), Type: cp.EventType(j * cp.NumEventTypes / len(burst))} // in canonical order
+			}
+			evs[i] = slices.Concat(evs[i][:at], burst, evs[i][at:])
+		}
+		a := assembleAll(t, "burst", newFakeStreams(evs))
+		if a.largest < 40*bucketTarget/16 {
+			t.Fatalf("largest window %d keys: the burst was split", a.largest)
+		}
+	})
+
 	t.Run("same event in two streams", func(t *testing.T) {
 		evs := randomStreams(r, 6, 200, 0, 1000)
 		evs[4] = slices.Clone(evs[1]) // every event of UE 1, twice
@@ -232,6 +257,74 @@ func TestAssembleWindowsMatchesMerge(t *testing.T) {
 		}
 		assembleAll(t, "far", newFakeStreams(evs))
 	})
+}
+
+// steppedStreams builds k streams whose events come at a gap of about
+// quiet/2 to 3·quiet/2 ms for quietFor ms, then four times as fast for
+// busyFor ms, cycles times over; stream i is UE i and starts at a random
+// phase.
+func steppedStreams(r *stats.RNG, k, cycles int, quiet, quietFor, busyFor cp.Millis) [][]Event {
+	evs := make([][]Event, k)
+	period := quietFor + busyFor
+	for i := range evs {
+		for t := cp.Millis(r.Intn(int(quiet))); t < cp.Millis(cycles)*period; {
+			evs[i] = append(evs[i], Event{T: t, UE: cp.UEID(i), Type: cp.EventType(r.Intn(cp.NumEventTypes))})
+			gap := quiet
+			if t%period >= quietFor {
+				gap /= 4
+			}
+			t += max(gap/2+cp.Millis(r.Intn(int(gap))), 1)
+		}
+	}
+	return evs
+}
+
+// windowBound is the most keys, in targets, a window may hold where the
+// sample's share of the keys holds from one window to the next.
+const windowBound = 1.25
+
+// TestWindowKeysBounded holds every window to windowBound targets of keys
+// where the rate steps up fourfold after a quiet stretch. A window's span
+// is the one that held a target of keys at the rate before, so the window
+// the step falls in would hold up to four targets: its buffers, and every
+// buffer after it, would be sized by that one window. The population
+// sizes cover both targets, bucketTarget and one key per stream, and the
+// lazy streams give pending times that are only lower bounds. The output
+// is held to the merge throughout, and the window count to the events
+// over the target, plus the doubling from a 1 ms span that the first
+// windows take.
+func TestWindowKeysBounded(t *testing.T) {
+	r := stats.NewRNG(11)
+	for _, tc := range []struct {
+		name          string
+		streams       int
+		cycles        int
+		quiet         cp.Millis // mean gap between a stream's events before the step
+		quietN, busyN cp.Millis // the stretches, in quiet gaps
+	}{
+		{"deep", 100, 3, 2000, 750, 250},  // 164 events a stream a window
+		{"wide", 20000, 2, 100_000, 6, 2}, // one
+	} {
+		evs := steppedStreams(r, tc.streams, tc.cycles, tc.quiet, tc.quietN*tc.quiet, tc.busyN*tc.quiet)
+		events := 0
+		for _, s := range evs {
+			events += len(s)
+		}
+		target := max(bucketTarget, tc.streams)
+		for _, lazy := range []bool{false, true} {
+			f := newFakeStreams(evs)
+			f.lazy = lazy
+			a := assembleAll(t, tc.name, f)
+			t.Logf("%s lazy=%v: %d events in %d windows, the largest %d keys (%.2f targets)",
+				tc.name, lazy, events, a.windows, a.largest, float64(a.largest)/float64(target))
+			if bound := int(windowBound * float64(target)); a.largest > bound {
+				t.Errorf("%s lazy=%v: a window held %d keys, want <= %d (%g targets of %d)", tc.name, lazy, a.largest, bound, windowBound, target)
+			}
+			if most := events/target*5/4 + 32; a.windows > most {
+				t.Errorf("%s lazy=%v: %d windows for %d events, want <= %d", tc.name, lazy, a.windows, events, most)
+			}
+		}
+	}
 }
 
 // TestAssembleWindowsStopsOnError pins the two ways an assembly ends
