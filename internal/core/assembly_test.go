@@ -232,8 +232,9 @@ func TestGenerateBytesPerEvent(t *testing.T) {
 // 640. Jobs are derived, not held (they were 40 B more), and there is no
 // per-UE run buffer; the loser tree's k × 64-event slab made it 1.5 KiB
 // per UE. The steady state allocates nothing, so allocations per event are
-// gated too; the Base row's clock arrays, one a UE, read 0.019 a event on
-// this hour. TotalAlloc counts bytes, not time, so the figures repeat.
+// gated too, at 0.001: the Base row's clock arrays come 256 to a chunk
+// (clockSlab), 0.00014 allocs a event on this hour, where one array a UE
+// read 0.019. TotalAlloc counts bytes, not time, so the figures repeat.
 // Both budgets hold on an ours model and on a Base one, whose free-event
 // clocks draw the exponentials no ours cell samples.
 func TestSourceScanBytesPerUE(t *testing.T) {
@@ -269,8 +270,51 @@ func TestSourceScanBytesPerUE(t *testing.T) {
 			if perUE > 360 {
 				t.Fatalf("allocated %.1f B/UE, want <= 360", perUE)
 			}
-			if perEvent > 0.02 {
-				t.Fatalf("allocs/event = %.5f, want <= 0.02", perEvent)
+			if perEvent > 0.001 {
+				t.Fatalf("allocs/event = %.5f, want <= 0.001", perEvent)
+			}
+		})
+	}
+}
+
+// TestGenerateSortsTimeBitsOnly holds the generator to the order the
+// assembly's time-bits sort relies on: each UE's events in canonical
+// order, UE after UE. On fitted Ours and Base models, and on tickModel,
+// whose UEs each have two events on one millisecond, the population's
+// Generate at workers {1, 3, 8} and its scan sort no bucket and no window
+// a second time (trace.Population.Resorted). A second sort gives the same
+// bytes, so only this count shows that the producers lost the order.
+func TestGenerateSortsTimeBitsOnly(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ms   *ModelSet
+		ues  int
+		dur  cp.Millis
+	}{
+		{"ours", fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions("ours")), 10000, cp.Hour}, // several buckets
+		{"base", fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions("base")), 10000, cp.Hour},
+		{"tick", tickModel(t), 40, 3500},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := planGeneration(c.ms, GenOptions{NumUEs: c.ues, StartHour: 22, Duration: c.dur, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pop := p.population()
+			for _, workers := range []int{1, 3, 8} {
+				tr, err := pop.Generate(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.Len() < 5*c.ues {
+					t.Fatalf("workers=%d: %d events for %d UEs; the case is vacuous", workers, tr.Len(), c.ues)
+				}
+			}
+			if err := pop.ScanBatches(func(*trace.Batch) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if b, w := pop.Resorted(); b != 0 || w != 0 {
+				t.Fatalf("%d buckets and %d windows sorted again on the whole key", b, w)
 			}
 		})
 	}

@@ -10,12 +10,15 @@ import (
 	"cptraffic/internal/trace"
 )
 
+// testClocks is the clock arrays of the generators tests make one by one.
+var testClocks clockSlab
+
 // newUEGen prepares a heap-allocated compiled generator; no work happens
 // until the first drainUntil. The persona pick consumes the stream's next
 // draw exactly like DeviceModel.pickPersona.
 func newUEGen(cm *compiledModel, cd *cDevice, ue cp.UEID, rng stats.RNG, t0, end cp.Millis) *ueGen {
 	g := &ueGen{}
-	g.init(cm, cd, ue, rng, t0, end)
+	g.init(cm, cd, ue, rng, t0, end, &testClocks)
 	return g
 }
 

@@ -75,6 +75,7 @@ func BenchmarkEngineStep(b *testing.B) {
 		pcm := p.cm
 		var run trace.KeyRun
 		var g ueGen
+		clocks := new(clockSlab)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i, events := 0, 0; events < b.N; i = (i + 1) % p.numUEs {
@@ -84,7 +85,7 @@ func BenchmarkEngineStep(b *testing.B) {
 				continue
 			}
 			run.Reset()
-			g.init(pcm, pcd, j.ue, j.rng, p.t0, p.end)
+			g.init(pcm, pcd, j.ue, j.rng, p.t0, p.end, clocks)
 			g.drainUntil(trace.NoPending, &lay, &run)
 			events += int(g.emitted)
 		}

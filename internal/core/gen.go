@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"cptraffic/internal/cp"
 	"cptraffic/internal/sm"
@@ -110,6 +111,7 @@ func (s *Source) ScanBatches(fn func(*trace.Batch) error) error {
 // per UE, initialized in place from the UE's derived job and drained by
 // the engine's one delivery loop.
 func (p *genPlan) population() *trace.Population[ueGen] {
+	clocks := new(clockSlab)
 	return &trace.Population[ueGen]{
 		N:      p.numUEs,
 		T0:     p.t0,
@@ -117,7 +119,7 @@ func (p *genPlan) population() *trace.Population[ueGen] {
 		Device: func(i int) cp.DeviceType { return p.job(i).dev },
 		Init: func(g *ueGen, i int) {
 			j := p.job(i)
-			g.init(p.cm, j.cd, j.ue, j.rng, p.t0, p.end)
+			g.init(p.cm, j.cd, j.ue, j.rng, p.t0, p.end, clocks)
 		},
 		Drain: (*ueGen).drainUntil,
 	}
@@ -272,8 +274,8 @@ type ueGen struct {
 	// event type e while bit e of freeOn is set: the interpreter's map as
 	// a fixed array and a mask, so the race visits only armed clocks —
 	// none at all for models without free processes, whose generators
-	// have no array (init allocates one only for a device whose cells arm
-	// a clock, cDevice.clocks).
+	// have no array (init takes one from a clockSlab only for a device
+	// whose cells arm a clock, cDevice.clocks).
 	free *[cp.NumEventTypes]cp.Millis
 
 	// qt stamps the staging queue: queue holds the types of events
@@ -317,16 +319,42 @@ const ueGenQueueCap = 12
 
 // init (re)initializes the generator in place, so per-worker code can
 // reuse one ueGen value — or a slab of them — across the whole
-// population instead of heap-allocating one per UE.
-func (g *ueGen) init(cm *compiledModel, cd *cDevice, ue cp.UEID, rng stats.RNG, t0, end cp.Millis) {
+// population instead of heap-allocating one per UE. A generator that
+// needs free-event clocks and has none takes an array from clocks.
+func (g *ueGen) init(cm *compiledModel, cd *cDevice, ue cp.UEID, rng stats.RNG, t0, end cp.Millis, clocks *clockSlab) {
 	free := g.free // a clock array outlives its UE: drawFree sets a clock before arming it
 	*g = ueGen{cm: cm, cd: cd, ue: ue, rng: rng, t0: t0, end: end, personaIdx: -1, free: free}
 	if cd.clocks && free == nil {
-		g.free = new([cp.NumEventTypes]cp.Millis)
+		g.free = clocks.take()
 	}
 	if len(cd.personaCum) > 0 {
 		g.personaIdx = int32(pickByCum(cd.personaCum, g.rng.Float64()))
 	}
+}
+
+// clockChunk is how many clock arrays a clockSlab allocates at once:
+// 12 KiB, so a scan of N Base UEs makes N/256 allocations, not N.
+const clockChunk = 256
+
+// clockSlab hands out the free-event clock arrays of one population's
+// generators a chunk at a time. A scan's slab of generators takes one
+// per UE; Generate's workers reuse theirs across their UEs and take one
+// each, concurrently, hence the lock.
+type clockSlab struct {
+	mu    sync.Mutex
+	chunk [][cp.NumEventTypes]cp.Millis
+}
+
+// take returns an unused clock array.
+func (c *clockSlab) take() *[cp.NumEventTypes]cp.Millis {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.chunk) == 0 {
+		c.chunk = make([][cp.NumEventTypes]cp.Millis, clockChunk)
+	}
+	a := &c.chunk[0]
+	c.chunk = c.chunk[1:]
+	return a
 }
 
 // pickByCum returns the first index whose cumulative probability

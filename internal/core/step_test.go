@@ -101,7 +101,7 @@ func TestPersonaPickMatchesInterpreter(t *testing.T) {
 		for seed := uint64(1); seed <= 3000; seed++ {
 			rng := stats.NewRNG(seed)
 			var g ueGen
-			g.init(cm, cd, 0, *rng, 0, cp.Hour)
+			g.init(cm, cd, 0, *rng, 0, cp.Hour, &testClocks)
 			if want := dm.pickPersona(rng); int(g.personaIdx) != want {
 				t.Fatalf("%s seed %d: persona %d, the interpreter's %d", name, seed, g.personaIdx, want)
 			}

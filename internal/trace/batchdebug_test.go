@@ -70,7 +70,7 @@ func TestAssembleWindowsPoisonsHandedOutBatch(t *testing.T) {
 	}
 	var retained []cp.Millis
 	calls := 0
-	err := assembleWindows(func(b *Batch) error {
+	_, err := assembleWindows(func(b *Batch) error {
 		if calls++; calls == 2 {
 			for i, v := range retained {
 				if v != PoisonMillis {

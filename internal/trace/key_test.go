@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -61,44 +62,76 @@ func loneRun(l *KeyLayout, evs []Event, c int) []KeyRun {
 	return []KeyRun{run}
 }
 
+// The orders TestAssembleKeysMatchesSort deals its events in.
+const (
+	// shuffled is the order of the draw: the events of one millisecond
+	// come in any (UE, type) order.
+	shuffled = iota
+	// ueMajor is the order every producer emits in: UE after UE, each
+	// UE's events in canonical order.
+	ueMajor
+	// descendingType is ueMajor with every UE's events of one millisecond
+	// in descending type order.
+	descendingType
+)
+
+// How many buckets TestAssembleKeysMatchesSort lets a case sort twice.
+const (
+	anyResorts  = iota // a random draw: its sparse buckets may happen to be in order
+	noResorts          // UE-major, or small enough to be comparison-sorted whole
+	someResorts        // keys of one millisecond out of order in some sorted bucket
+)
+
 // TestAssembleKeysMatchesSort is the kernel's oracle: assembleKeys over
 // packed runs must return exactly what Trace.Sort makes of the same
 // events, whatever the key width, the duplication, the skew across
 // top-digit buckets, the input size relative to the kernel's two size
-// thresholds, and the way the keys are dealt into runs. Every case runs
-// under each provisioning: several runs, a lone run one key short of
-// room for its partition, and a lone run with exactly that room, which
-// must be decoded over in place — the overlap of events and keys is
-// tightest there.
+// thresholds, the order the events come in, and the way the keys are
+// dealt into runs. Every case runs under each provisioning: several
+// runs, a lone run one key short of room for its partition, and a lone
+// run with exactly that room, which must be decoded over in place — the
+// overlap of events and keys is tightest there. The kernel sorts only the
+// time bits and checks the order as it decodes: UE-major input must pass
+// that check in every bucket, and input whose keys of one millisecond
+// come out of (UE, type) order must fail it somewhere, and be sorted
+// again on the whole key.
 func TestAssembleKeysMatchesSort(t *testing.T) {
 	const t0 = 36 * cp.Hour
 	cases := []struct {
-		name   string
-		n      int
-		tOff   int // events draw T from [t0+tOff, t0+tOff+tRange)
-		tRange int
-		tMax   cp.Millis
-		ueMax  cp.UEID
-		lens   []int // how the several runs are dealt (nil: thirds)
+		name    string
+		n       int
+		tOff    int // events draw T from [t0+tOff, t0+tOff+tRange)
+		tRange  int
+		tMax    cp.Millis
+		ueMax   cp.UEID
+		lens    []int // how the several runs are dealt (nil: thirds)
+		order   int
+		resorts int
 	}{
-		{"empty", 0, 0, 1, t0, 0, nil},
-		{"no-runs", 0, 0, 1, t0, 0, nil},
-		{"single", 1, 0, 64, t0 + 63, 3, nil},
-		{"two", 2, 0, 64, t0 + 63, 3, []int{1}},
-		{"one-digit", 5000, 0, 64, t0 + 63, 3, []int{100, 0, 2000}},                       // 6+2+3 = 11-bit key
-		{"two-digits", 5000, 0, 1 << 9, t0 + 1<<9 - 1, 255, []int{1, 1, 1}},               // 9+8+3 = 20 bits
-		{"four-digits", 50000, 0, 1 << 30, t0 + 1<<30 - 1, 1<<17 - 1, []int{7, 30000}},    // 30+17+3 = 50 bits
-		{"full-width", 20000, 0, 1 << 29, t0 + 1<<29 - 1, math.MaxUint32, []int{19999}},   // 29+32+3 = 64 bits
-		{"dupes", 40000, 0, 50, t0 + 49, 2, []int{0, 0, 13}},                              // few distinct keys, many copies
-		{"one-bucket", 40000, 0, 1000, t0 + 1<<30 - 1, 1<<17 - 1, []int{20000}},           // every key in top-digit bucket 0
-		{"last-bucket", 40000, 1<<30 - 1000, 1000, t0 + 1<<30 - 1, 1<<17 - 1, []int{777}}, // every key in the last bucket
-		{"narrower-than-top-digit", 70000, 0, 1, t0, 0, nil},                              // 3-bit key, 2-bit top digit
-		{"single-bucket", 9000, 0, 1 << 30, t0 + 1<<30 - 1, 1<<17 - 1, []int{3000}},       // no top digit, five odd-width passes
-		{"below-small-sort", smallSort - 1, 0, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}},
-		{"at-small-sort", smallSort, 0, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}},
-		{"above-small-sort", smallSort + 1, 0, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}},
-		{"below-bucket-target", bucketTarget - 1, 0, 1 << 20, t0 + 1<<20 - 1, 999, nil},
-		{"at-bucket-target", bucketTarget, 0, 1 << 20, t0 + 1<<20 - 1, 999, nil},
+		{"empty", 0, 0, 1, t0, 0, nil, shuffled, noResorts},
+		{"no-runs", 0, 0, 1, t0, 0, nil, shuffled, noResorts},
+		{"single", 1, 0, 64, t0 + 63, 3, nil, shuffled, noResorts},
+		{"two", 2, 0, 64, t0 + 63, 3, []int{1}, shuffled, noResorts},
+		{"one-digit", 5000, 0, 64, t0 + 63, 3, []int{100, 0, 2000}, shuffled, someResorts},                       // 6+2+3 = 11-bit key
+		{"two-digits", 5000, 0, 1 << 9, t0 + 1<<9 - 1, 255, []int{1, 1, 1}, shuffled, someResorts},               // 9+8+3 = 20 bits
+		{"four-digits", 50000, 0, 1 << 30, t0 + 1<<30 - 1, 1<<17 - 1, []int{7, 30000}, shuffled, anyResorts},     // 30+17+3 = 50 bits
+		{"full-width", 20000, 0, 1 << 29, t0 + 1<<29 - 1, math.MaxUint32, []int{19999}, shuffled, anyResorts},    // 29+32+3 = 64 bits
+		{"dupes", 40000, 0, 50, t0 + 49, 2, []int{0, 0, 13}, shuffled, someResorts},                              // few distinct keys, many copies
+		{"one-bucket", 40000, 0, 1000, t0 + 1<<30 - 1, 1<<17 - 1, []int{20000}, shuffled, someResorts},           // every key in top-digit bucket 0
+		{"last-bucket", 40000, 1<<30 - 1000, 1000, t0 + 1<<30 - 1, 1<<17 - 1, []int{777}, shuffled, someResorts}, // every key in the last bucket
+		{"narrower-than-top-digit", 70000, 0, 1, t0, 0, nil, shuffled, noResorts},                                // 3-bit key, all of it the top digit
+		{"single-bucket", 9000, 0, 1 << 30, t0 + 1<<30 - 1, 1<<17 - 1, []int{3000}, shuffled, anyResorts},        // no top digit, three time passes
+		{"below-small-sort", smallSort - 1, 0, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}, shuffled, noResorts},    // sorted whole
+		{"at-small-sort", smallSort, 0, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}, shuffled, anyResorts},          // the first radix-sorted size
+		{"above-small-sort", smallSort + 1, 0, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}, shuffled, anyResorts},
+		{"below-bucket-target", bucketTarget - 1, 0, 1 << 20, t0 + 1<<20 - 1, 999, nil, shuffled, anyResorts},
+		{"at-bucket-target", bucketTarget, 0, 1 << 20, t0 + 1<<20 - 1, 999, nil, shuffled, anyResorts},
+		{"shuffled-hour", 60000, 0, int(cp.Hour), t0 + cp.Hour - 1, 2999, nil, shuffled, someResorts},          // an hour of 3 000 UEs, dealt as drawn
+		{"ue-major-hour", 60000, 0, int(cp.Hour), t0 + cp.Hour - 1, 2999, []int{20000, 7}, ueMajor, noResorts}, // four buckets, two time passes each
+		{"ue-major-dense", 40000, 0, 50, t0 + 49, 999, []int{13, 20000}, ueMajor, noResorts},                   // 800 keys a millisecond, 40 a UE in 50 ms
+		{"ue-major-no-time-bits", 70000, 0, 1, t0, 999, nil, ueMajor, noResorts},                               // the top digit reaches the UE field
+		{"ue-major-small", smallSort - 1, 0, 1 << 20, t0 + 1<<20 - 1, 999, []int{100}, ueMajor, noResorts},
+		{"descending-type", 40000, 0, 2000, t0 + 1999, 99, []int{10000}, descendingType, someResorts}, // 400 events a UE in 2 s: tied pairs in every UE
 	}
 	provisions := []struct {
 		name string
@@ -131,11 +164,12 @@ func TestAssembleKeysMatchesSort(t *testing.T) {
 				Type: cp.EventType(r.Intn(cp.NumEventTypes)),
 			}
 		}
+		dealt(evs, tc.order)
 		want := Trace{Events: slices.Clone(evs)}
 		want.Sort()
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "no-runs" {
-				if got, ok := assembleKeys(&l, nil); !ok || len(got) != 0 {
+				if got, _, ok := assembleKeys(&l, nil); !ok || len(got) != 0 {
 					t.Fatalf("no runs assembled to %d events, ok=%v", len(got), ok)
 				}
 				return
@@ -144,12 +178,15 @@ func TestAssembleKeysMatchesSort(t *testing.T) {
 				t.Run(pv.name, func(t *testing.T) {
 					runs := pv.runs(&l, evs, tc.lens)
 					base := unsafe.Pointer(unsafe.SliceData(runs[0].keys))
-					got, ok := assembleKeys(&l, runs)
+					got, resorted, ok := assembleKeys(&l, runs)
 					if !ok {
 						t.Fatal("assembleKeys refused in-layout events")
 					}
 					if !slices.Equal(got, want.Events) {
 						t.Fatalf("assembleKeys differs from Trace.Sort (%d vs %d events)", len(got), len(want.Events))
+					}
+					if (tc.resorts == noResorts && resorted != 0) || (tc.resorts == someResorts && resorted == 0) {
+						t.Fatalf("%d buckets sorted again on the whole key, want %s", resorted, [...]string{"any", "none", "some"}[tc.resorts])
 					}
 					over, inPlace := unsafe.Pointer(unsafe.SliceData(got)) == base, pv.name == "lone-room"
 					if tc.n > 0 && over != inPlace {
@@ -164,6 +201,25 @@ func TestAssembleKeysMatchesSort(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dealt puts evs, drawn at random, into the given order.
+func dealt(evs []Event, order int) {
+	if order == shuffled {
+		return
+	}
+	slices.SortFunc(evs, func(a, b Event) int {
+		if a.UE != b.UE {
+			return cmp.Compare(a.UE, b.UE)
+		}
+		if a.T != b.T {
+			return cmp.Compare(a.T, b.T)
+		}
+		if order == descendingType {
+			return cmp.Compare(b.Type, a.Type)
+		}
+		return cmp.Compare(a.Type, b.Type)
+	})
 }
 
 // TestKeyRoundTrip packs and unpacks the corner of every field, on the
@@ -246,7 +302,7 @@ func TestKeyLayoutRefusals(t *testing.T) {
 		}
 		// One such event anywhere poisons its run, and the run the assembly.
 		runs := packRuns(&l, []Event{in, e, in}, []int{1})
-		if evs, ok := assembleKeys(&l, runs); ok || evs != nil {
+		if evs, _, ok := assembleKeys(&l, runs); ok || evs != nil {
 			t.Errorf("assembleKeys assembled a run holding %v", e)
 		}
 		if len(runs[1].keys) != 2 {
@@ -331,7 +387,7 @@ func TestKeyRunForecast(t *testing.T) {
 		}
 		late.forecast(ue+1, 2048, 1)
 	}
-	if evs, ok := assembleKeys(&l, []KeyRun{late}); !ok || len(evs) != 1024 {
+	if evs, _, ok := assembleKeys(&l, []KeyRun{late}); !ok || len(evs) != 1024 {
 		t.Fatalf("assembled %d events, ok=%v, want 1024", len(evs), ok)
 	}
 }

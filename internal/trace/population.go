@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"sync/atomic"
+
 	"cptraffic/internal/cp"
 	"cptraffic/internal/par"
 )
@@ -28,18 +30,26 @@ type Population[S any] struct {
 	// least limit — or NoPending once it is exhausted. It must never hand
 	// back an event older than one it has already delivered.
 	Drain func(s *S, limit cp.Millis, lay *KeyLayout, run *KeyRun) cp.Millis
+
+	// resorted counts the buckets (Generate) and windows (ScanBatches)
+	// sorted a second time, on the whole key, because a Drain broke the
+	// UE order the time-bits sort relies on (see Resorted).
+	resorted struct{ buckets, windows atomic.Int64 }
 }
 
 // Generate runs the population and returns the sorted trace. Each of
-// workers (0 means GOMAXPROCS) drains a stripe of UEs, each in one call,
-// into one run of packed 8-byte keys laid out over [T0, TMax] before any
-// event exists, and assembleKeys sorts the runs and decodes them into the
-// event slice. The key's integer order is the canonical order and the key
-// is the whole event, so the result is byte-identical to ScanBatches' and
-// does not depend on workers. A key that cannot fit 64 bits (a span of
-// centuries), or a run holding an event outside the span — a stream bug,
-// but one the windows order correctly all the same — takes ScanBatches,
-// whose keys are relative to each window, instead.
+// workers (0 means GOMAXPROCS) drains a contiguous block of UEs, each in
+// one call, into one run of packed 8-byte keys laid out over [T0, TMax]
+// before any event exists, and assembleKeys sorts the runs and decodes
+// them into the event slice. Taken in worker order, the runs hold the
+// keys UE after UE at every worker count, the order in which assembleKeys
+// need sort only their time bits. The key's integer order is the
+// canonical order and the key is the whole event, so the result is
+// byte-identical to ScanBatches' and does not depend on workers. A key
+// that cannot fit 64 bits (a span of centuries), or a run holding an
+// event outside the span — a stream bug, but one the windows order
+// correctly all the same — takes ScanBatches, whose keys are relative to
+// each window, instead.
 //
 // Memory: no per-UE state is held but the runs. With one worker the run
 // reserves twice its keys (KeyRun.forecast) and becomes the event slice's
@@ -56,18 +66,18 @@ func (p *Population[S]) Generate(workers int) (*Trace, error) {
 	workers = par.Workers(workers, p.N)
 	runs := make([]KeyRun, workers)
 	par.Do(workers, func(w int) {
-		// One stream and one run per worker, reused across its stripe; on
+		// One stream and one run per worker, reused across its block; on
 		// the heap (Drain is a func value), padded off other workers' lines.
 		st := new(struct {
 			s   S
 			run KeyRun
 			_   [64]byte
 		})
-		stripe := (p.N - w + workers - 1) / workers
-		for i, done := w, 1; i < p.N; i, done = i+workers, done+1 {
+		lo, hi := w*p.N/workers, (w+1)*p.N/workers
+		for i := lo; i < hi; i++ {
 			p.Init(&st.s, i)
 			p.Drain(&st.s, NoPending, &lay, &st.run)
-			st.run.forecast(done, stripe, workers)
+			st.run.forecast(i-lo+1, hi-lo, workers)
 		}
 		runs[w] = st.run
 	})
@@ -75,10 +85,12 @@ func (p *Population[S]) Generate(workers int) (*Trace, error) {
 	for i := 0; i < p.N; i++ {
 		tr.Device[cp.UEID(i)] = p.Device(i)
 	}
-	var ok bool
-	if tr.Events, ok = assembleKeys(&lay, runs); !ok {
+	evs, resorted, ok := assembleKeys(&lay, runs)
+	if !ok {
 		return Collect(p)
 	}
+	p.resorted.buckets.Add(int64(resorted))
+	tr.Events = evs
 	return tr, nil
 }
 
@@ -101,5 +113,18 @@ func (p *Population[S]) ScanBatches(fn func(*Batch) error) error {
 	for i := range streams {
 		p.Init(&streams[i], i)
 	}
-	return assembleWindows(fn, streams, cp.UEID(p.N-1), p.Drain)
+	resorted, err := assembleWindows(fn, streams, cp.UEID(p.N-1), p.Drain)
+	p.resorted.windows.Add(int64(resorted))
+	return err
+}
+
+// Resorted reports how many buckets Generate and how many windows
+// ScanBatches have sorted a second time, on the whole key, over the
+// population's life. Both sort only the time bits of keys they receive
+// UE after UE, each UE's in canonical order, and check the result; a
+// Drain that breaks that order costs a second sort but never a byte, so
+// this count is the only trace of it. The core and world tests hold the
+// real populations to zero.
+func (p *Population[S]) Resorted() (buckets, windows int64) {
+	return p.resorted.buckets.Load(), p.resorted.windows.Load()
 }

@@ -48,7 +48,9 @@ func generated(t *testing.T, pop *Population[fakeStream], workers int) []Event {
 // each other: Generate at several worker counts — one run assembled in
 // place and several assembled apart, the forecast reached — returns what
 // Collect reads through ScanBatches, and both are the loser tree's merge
-// of the streams; the registry is Devices'.
+// of the streams; the registry is Devices'. Each worker drains a
+// contiguous block of UEs, so at every worker count the runs come UE
+// after UE and neither assembly sorts a bucket or a window twice.
 func TestPopulationGenerateMatchesScan(t *testing.T) {
 	r := stats.NewRNG(11)
 	const t0 = 3 * cp.Hour
@@ -76,6 +78,9 @@ func TestPopulationGenerateMatchesScan(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				if got := generated(t, pop, workers); !slices.Equal(got, scanned.Events) {
 					t.Fatalf("workers=%d: Generate differs from ScanBatches (%d vs %d events)", workers, len(got), len(scanned.Events))
+				}
+				if b, w := pop.Resorted(); b != 0 || w != 0 {
+					t.Fatalf("workers=%d: %d buckets and %d windows sorted again on the whole key", workers, b, w)
 				}
 			}
 		})

@@ -14,9 +14,10 @@ import (
 // UE, each able to say when it fires next — without a merge: it advances
 // every stream through one time window [w0, w1) at a time, packs the
 // window's events into 8-byte keys relative to w0 (key.go), sorts them in
-// cache with the radix kernel assembleKeys uses, and decodes the sorted
-// keys a batch at a time into the columns it hands out, so no window-sized
-// column buffer exists.
+// cache with the radix kernel assembleKeys uses — on their time bits
+// alone, with the same order check and second sort (emitWindow) — and
+// decodes the sorted keys a batch at a time into the columns it hands
+// out, so no window-sized column buffer exists.
 //
 // Any window length gives the same bytes: every event with T < w1 is
 // emitted before any event with T >= w1, and inside a window the key's
@@ -83,8 +84,9 @@ type windowAssembler[S any] struct {
 	cols [2]Batch
 	cur  int
 	view Batch // the batch fn sees: a full cols[cur]
-	// windows counts the windows sorted, largest the most keys one held.
-	windows, largest int
+	// windows counts the windows sorted, largest the most keys one held,
+	// and resorted the windows sorted again on the whole key (emitWindow).
+	windows, largest, resorted int
 }
 
 // assembleWindows delivers the events of streams (ids at most ueMax) to fn
@@ -94,9 +96,12 @@ type windowAssembler[S any] struct {
 // is returned. A stream that breaks drain's contract — an event outside
 // the window it was asked for, above all one older than the window's
 // start, which would have to be emitted out of order — is an error, and
-// nothing is delivered after it.
-func assembleWindows[S any](fn func(*Batch) error, streams []S, ueMax cp.UEID, drain func(s *S, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis) error {
-	return newWindowAssembler(fn, streams, drain).assemble(ueMax)
+// nothing is delivered after it. It also returns how many windows it
+// sorted twice (emitWindow).
+func assembleWindows[S any](fn func(*Batch) error, streams []S, ueMax cp.UEID, drain func(s *S, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis) (resorted int, err error) {
+	a := newWindowAssembler(fn, streams, drain)
+	err = a.assemble(ueMax)
+	return a.resorted, err
 }
 
 // newWindowAssembler returns the assembler assembleWindows runs; a test
@@ -260,17 +265,26 @@ func (a *windowAssembler[S]) restart(w0, next cp.Millis, lay *KeyLayout) cp.Mill
 
 // emitWindow sorts the run's keys and hands them to fn decoded, in full
 // DefaultBatchSize batches; the events short of a full batch stay in cols
-// for the next window.
+// for the next window. The run holds the carried sample keys, then the
+// sample's, then the other streams': stream after stream, each in its own
+// order, and the carry holds keys older than any the sample drains after
+// it. So, as in assembleKeys, a stable sort on the time bits alone orders
+// the whole key, and a window the check finds out of order is sorted
+// again on every bit before any of it is decoded.
 func (a *windowAssembler[S]) emitWindow(lay *KeyLayout) error {
 	keys := a.run.keys
 	n := len(keys)
 	a.scratch = slices.Grow(a.scratch[:0], n)[:n]
-	passes, digit := passPlan(n, lay.bits)
-	need := passes << digit
-	if cap(a.hist) < need {
-		a.hist = make([]int32, need)
+	timeBits := newRadixPlan(n, lay.tShift, lay.bits)
+	a.hist = timeBits.grow(a.hist)
+	sorted, spare := timeBits.sort(keys, a.scratch, a.hist)
+	if !slices.IsSorted(sorted) {
+		allBits := newRadixPlan(n, 0, lay.bits)
+		a.hist = allBits.grow(a.hist)
+		sorted, _ = allBits.sort(sorted, spare, a.hist)
+		a.resorted++
 	}
-	for sorted := sortKeys(keys, a.scratch, a.hist[:need], passes, digit); len(sorted) > 0; {
+	for len(sorted) > 0 {
 		b := &a.cols[a.cur]
 		held := b.Len()
 		m := min(DefaultBatchSize-held, len(sorted))
@@ -284,28 +298,6 @@ func (a *windowAssembler[S]) emitWindow(lay *KeyLayout) error {
 		}
 	}
 	return nil
-}
-
-// sortKeys sorts keys by sortPasses and its last pass, and returns
-// whichever of keys and scratch then holds them.
-//
-//cplint:hotpath the window sort's last pass: one 8-byte store per key
-func sortKeys(keys, scratch []uint64, hist []int32, passes int, digit uint) []uint64 {
-	src, offs, shift := sortPasses(keys, scratch, hist, passes, digit)
-	if offs == nil {
-		return src
-	}
-	dst := scratch
-	if &src[0] == &scratch[0] { // offs is nil for an empty window
-		dst = keys
-	}
-	mask := uint64(1)<<digit - 1
-	for _, k := range src {
-		d := k >> shift & mask
-		dst[offs[d]] = k
-		offs[d]++
-	}
-	return dst
 }
 
 // decodeColumns unpacks keys into the columns of a batch.

@@ -98,7 +98,10 @@ func mergeOracle(t *testing.T, evs [][]Event) []Event {
 
 // assembleAll runs assembleWindows over the streams and checks it against
 // the merge, event for event, and that every batch but the last is full.
-// It returns the assembler, whose window counts a test may read.
+// Where the streams hold UEs in ascending order, as every production
+// population's do, it checks that no window was sorted twice: the time-bits
+// sort alone ordered every window, the cut and carried ones included. It
+// returns the assembler, whose window counts a test may read.
 func assembleAll(t *testing.T, name string, f *fakeStreams) *windowAssembler[fakeStream] {
 	t.Helper()
 	want := mergeOracle(t, f.evs)
@@ -121,7 +124,28 @@ func assembleAll(t *testing.T, name string, f *fakeStreams) *windowAssembler[fak
 			t.Fatalf("%s: batch %d of %d holds %d events", name, i, len(sizes), n)
 		}
 	}
+	if ueOrdered(f.evs) && a.resorted != 0 {
+		t.Fatalf("%s: %d of %d windows sorted again on the whole key, from streams in UE order", name, a.resorted, a.windows)
+	}
 	return a
+}
+
+// ueOrdered reports whether no stream holds a UE below one an earlier
+// stream holds: the order in which a window's keys need only their time
+// bits sorted.
+func ueOrdered(evs [][]Event) bool {
+	var top cp.UEID // the largest UE of the streams so far
+	for _, s := range evs {
+		for _, e := range s {
+			if e.UE < top {
+				return false
+			}
+		}
+		for _, e := range s {
+			top = max(top, e.UE)
+		}
+	}
+	return true
 }
 
 // randomStreams builds k individually ordered streams of up to maxLen
@@ -241,6 +265,27 @@ func TestAssembleWindowsMatchesMerge(t *testing.T) {
 		assembleAll(t, "duplicates", newFakeStreams(evs))
 	})
 
+	t.Run("streams out of UE order", func(t *testing.T) {
+		// Stream i is UE k-1-i: a millisecond's keys come in descending
+		// UE order, so the time-bits sort leaves windows out of order and
+		// they must be sorted again. The rate steps up fourfold, as in
+		// TestWindowKeysBounded, so cut and carried windows are among them.
+		const k = 100
+		evs := steppedStreams(r, k, 1, 2000, 750*2000, 250*2000)
+		for i := range evs {
+			for j := range evs[i] {
+				evs[i][j].UE = k - 1 - cp.UEID(i)
+			}
+		}
+		for _, lazy := range []bool{false, true} {
+			f := newFakeStreams(evs)
+			f.lazy = lazy
+			if a := assembleAll(t, "descending UEs", f); a.resorted == 0 {
+				t.Fatalf("lazy=%v: none of %d windows was sorted again; the case is vacuous", lazy, a.windows)
+			}
+		}
+	})
+
 	t.Run("span past 64 bits", func(t *testing.T) {
 		// T up to 2^60 with 21-bit UE ids: 60 + 21 + 3 bits, so the global
 		// layout Generate uses refuses; window-relative keys do not care.
@@ -336,7 +381,7 @@ func TestAssembleWindowsStopsOnError(t *testing.T) {
 	evs := randomStreams(r, 10, 400, 0, 3000)
 	boom := errors.New("boom")
 	calls := 0
-	err := assembleWindows(func(*Batch) error {
+	_, err := assembleWindows(func(*Batch) error {
 		if calls++; calls == 3 {
 			return boom
 		}
@@ -354,7 +399,7 @@ func TestAssembleWindowsStopsOnError(t *testing.T) {
 	}
 	back := []Event{{T: 6000, UE: 1, Type: cp.Attach}, {T: 10, UE: 1, Type: cp.Detach}}
 	var got []Event
-	err = assembleWindows(func(b *Batch) error {
+	_, err = assembleWindows(func(b *Batch) error {
 		got = b.AppendTo(got)
 		return nil
 	}, newFakeStreams([][]Event{good, back}).streams(), 1, (*fakeStream).drain)
@@ -367,7 +412,7 @@ func TestAssembleWindowsStopsOnError(t *testing.T) {
 
 	// A stream that answers the opening round with an event has no window
 	// to put it in.
-	err = assembleWindows(func(*Batch) error { return nil }, make([]int, 1), 0,
+	_, err = assembleWindows(func(*Batch) error { return nil }, make([]int, 1), 0,
 		func(_ *int, limit cp.Millis, l *KeyLayout, run *KeyRun) cp.Millis {
 			run.Append(l, Event{})
 			return NoPending

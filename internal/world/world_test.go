@@ -322,6 +322,35 @@ func TestSourceMatchesGenerate(t *testing.T) {
 	}
 }
 
+// TestGenerateSortsTimeBitsOnly holds the simulator to the order the
+// assembly's time-bits sort relies on: each UE's events in canonical
+// order, UE after UE. The population's Generate at workers {1, 3, 8} and
+// its scan sort no bucket and no window a second time
+// (trace.Population.Resorted); a second sort gives the same bytes, so only
+// this count shows that the order was lost.
+func TestGenerateSortsTimeBitsOnly(t *testing.T) {
+	opt := Options{NumUEs: 2000, Duration: 4 * cp.Hour, Offset: 8 * cp.Hour, Seed: 23}
+	pop, err := population(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3, 8} {
+		tr, err := pop.Generate(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() < 20*opt.NumUEs {
+			t.Fatalf("workers=%d: %d events for %d UEs; the case is vacuous", workers, tr.Len(), opt.NumUEs)
+		}
+	}
+	if err := pop.ScanBatches(func(*trace.Batch) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if b, w := pop.Resorted(); b != 0 || w != 0 {
+		t.Fatalf("%d buckets and %d windows sorted again on the whole key", b, w)
+	}
+}
+
 func TestSourceWithOffsetAndMix(t *testing.T) {
 	opt := Options{NumUEs: 60, Duration: 2 * cp.Hour, Offset: 30 * cp.Hour,
 		Seed: 22, Mix: []float64{1, 0, 0}}
