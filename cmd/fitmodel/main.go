@@ -53,7 +53,7 @@ func main() {
 	var (
 		in      = flag.String("i", "-", "input trace ('-' for stdin)")
 		out     = flag.String("o", "-", "output model JSON ('-' for stdout)")
-		method  = flag.String("method", "ours", "modeling method: base | v1 | v2 | ours")
+		method  = flag.String("method", "ours", "modeling method: "+strings.Join(baseline.Methods, " | "))
 		thetaN  = flag.Int("thetan", 100, "adaptive clustering θn (min cluster size)")
 		thetaF  = flag.Float64("thetaf", 5, "adaptive clustering θf (feature similarity)")
 		workers = flag.Int("workers", 0, "fitting worker count (0 = all CPUs); never changes the model")

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -76,5 +78,22 @@ func TestWritePartialSurvivesFullDisk(t *testing.T) {
 	}
 	if _, err := os.Lstat(dir + ".tmp"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("a failed rename leaves its temporary file: %v", err)
+	}
+}
+
+// TestUnknownMethodRefused runs fitmodel with a method outside Table 3: it
+// must fail before it opens its input, naming the methods it takes.
+func TestUnknownMethodRefused(t *testing.T) {
+	if os.Getenv("FITMODEL_RUN_MAIN") == "1" {
+		os.Args = []string{"fitmodel", "-method", "v3", "-i", "no-such.trace"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownMethodRefused$")
+	cmd.Env = append(os.Environ(), "FITMODEL_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	want := `unknown method "v3" (want one of base, v1, v2, ours)`
+	if err == nil || !strings.Contains(string(out), want) || strings.Contains(string(out), "no-such.trace") {
+		t.Fatalf("fitmodel -method v3 exited with %v and printed %q, want a failure naming %q", err, out, want)
 	}
 }

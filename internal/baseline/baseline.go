@@ -1,65 +1,28 @@
-// Package baseline configures the paper's comparison methods (Table 3):
-//
-//	method | state machine | distribution | UE clustering
-//	-------+---------------+--------------+--------------
-//	base   | EMM-ECM       | Poisson      | no
-//	v1     | EMM-ECM       | Poisson      | yes
-//	v2     | two-level     | Poisson      | yes
-//	ours   | two-level     | empirical CDF| yes
-//
-// The EMM-ECM methods model HO and TAU as free-running fitted-Poisson
-// processes, which is why they generate handovers while IDLE; the
-// two-level methods bind them to the sub-machines of Fig. 5.
+// Package baseline names the paper's comparison methods (Table 3) and
+// fits them side by side. What each method models — its state machine,
+// sojourn distribution, free-running events and clustering — is
+// core's Table 3, which core.NewPartialFit resolves from the name.
 package baseline
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/core"
-	"cptraffic/internal/cp"
-	"cptraffic/internal/sm"
 	"cptraffic/internal/trace"
 )
 
 // Methods lists the four modeling methods in presentation order.
-var Methods = []string{"base", "v1", "v2", "ours"}
+var Methods = core.Methods()
 
 // Options returns the core.FitOptions for one of the Table 3 methods.
 func Options(method string, clusterOpt cluster.Options) (core.FitOptions, error) {
-	switch method {
-	case "base":
-		return core.FitOptions{
-			Machine:      sm.EMMECM(),
-			SojournKind:  core.SojournExp,
-			FreeEvents:   []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-			NoClustering: true,
-			Method:       "base",
-		}, nil
-	case "v1":
-		return core.FitOptions{
-			Machine:     sm.EMMECM(),
-			SojournKind: core.SojournExp,
-			FreeEvents:  []cp.EventType{cp.Handover, cp.TrackingAreaUpdate},
-			Cluster:     clusterOpt,
-			Method:      "v1",
-		}, nil
-	case "v2":
-		return core.FitOptions{
-			Machine:     sm.LTE2Level(),
-			SojournKind: core.SojournExp,
-			Cluster:     clusterOpt,
-			Method:      "v2",
-		}, nil
-	case "ours":
-		return core.FitOptions{
-			Machine:     sm.LTE2Level(),
-			SojournKind: core.SojournTable,
-			Cluster:     clusterOpt,
-			Method:      "ours",
-		}, nil
+	if !slices.Contains(Methods, method) {
+		return core.FitOptions{}, fmt.Errorf("baseline: unknown method %q (want one of %s)", method, strings.Join(Methods, ", "))
 	}
-	return core.FitOptions{}, fmt.Errorf("baseline: unknown method %q", method)
+	return core.FitOptions{Method: method, Cluster: clusterOpt}, nil
 }
 
 // FitAll fits all four methods on the same training trace. workers
@@ -68,12 +31,7 @@ func Options(method string, clusterOpt cluster.Options) (core.FitOptions, error)
 func FitAll(tr *trace.Trace, clusterOpt cluster.Options, workers int) (map[string]*core.ModelSet, error) {
 	out := make(map[string]*core.ModelSet, len(Methods))
 	for _, m := range Methods {
-		opt, err := Options(m, clusterOpt)
-		if err != nil {
-			return nil, err
-		}
-		opt.Workers = workers
-		ms, err := core.Fit(tr, opt)
+		ms, err := core.Fit(tr, core.FitOptions{Method: m, Cluster: clusterOpt, Workers: workers})
 		if err != nil {
 			return nil, fmt.Errorf("baseline: fitting %s: %w", m, err)
 		}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"strings"
 	"testing"
 
 	"cptraffic/internal/cluster"
@@ -9,43 +10,69 @@ import (
 	"cptraffic/internal/world"
 )
 
+// TestOptionsMatchTable3 holds each method's fitted phone global
+// fallback to its Table 3 row: the machine, the sojourn family of the
+// top-level transitions, the free-running HO and TAU processes, and
+// clustering (Base fits one cluster an hour even at a θn that splits the
+// other methods'). Options passes the name and the clustering through
+// and refuses any other name.
 func TestOptionsMatchTable3(t *testing.T) {
+	tr, err := world.Generate(world.Options{NumUEs: 150, Duration: 12 * cp.Hour, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	co := cluster.Options{ThetaN: 10}
 	cases := []struct {
-		method       string
-		machine      string
-		kind         string
-		free         int
-		noClustering bool
+		method  string
+		machine string
+		kind    string
+		free    int
+		cluster bool
 	}{
-		{"base", "EMM-ECM", core.SojournExp, 2, true},
-		{"v1", "EMM-ECM", core.SojournExp, 2, false},
-		{"v2", "LTE-2LEVEL", core.SojournExp, 0, false},
-		{"ours", "LTE-2LEVEL", core.SojournTable, 0, false},
+		{"base", "EMM-ECM", core.SojournExp, 2, false},
+		{"v1", "EMM-ECM", core.SojournExp, 2, true},
+		{"v2", "LTE-2LEVEL", core.SojournExp, 0, true},
+		{"ours", "LTE-2LEVEL", core.SojournTable, 0, true},
 	}
 	for _, c := range cases {
 		opt, err := Options(c.method, co)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opt.Machine.Name != c.machine {
-			t.Errorf("%s: machine %s, want %s", c.method, opt.Machine.Name, c.machine)
+		if opt != (core.FitOptions{Method: c.method, Cluster: co}) {
+			t.Fatalf("%s: Options returned %+v", c.method, opt)
 		}
-		if opt.SojournKind != c.kind {
-			t.Errorf("%s: kind %s, want %s", c.method, opt.SojournKind, c.kind)
+		ms, err := core.Fit(tr, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(opt.FreeEvents) != c.free {
-			t.Errorf("%s: %d free events, want %d", c.method, len(opt.FreeEvents), c.free)
+		if ms.MachineName != c.machine || ms.Method != c.method {
+			t.Errorf("%s: machine %s, label %q", c.method, ms.MachineName, ms.Method)
 		}
-		if opt.NoClustering != c.noClustering {
-			t.Errorf("%s: NoClustering = %v", c.method, opt.NoClustering)
+		dm := ms.Device(cp.Phone)
+		g := dm.Global
+		kinds := map[string]bool{}
+		for _, sp := range g.Top {
+			for _, tp := range sp.Out {
+				kinds[tp.Sojourn.Kind] = true
+			}
 		}
-		if opt.Method != c.method {
-			t.Errorf("%s: label %q", c.method, opt.Method)
+		if !kinds[c.kind] {
+			t.Errorf("%s: top-level sojourn kinds %v, want %s among them", c.method, kinds, c.kind)
+		}
+		if len(g.Free) != c.free {
+			t.Errorf("%s: %d free processes, want %d", c.method, len(g.Free), c.free)
+		}
+		split := false
+		for _, hm := range dm.Hours {
+			split = split || len(hm.Clusters) > 1
+		}
+		if split != c.cluster {
+			t.Errorf("%s: some hour split into clusters: %v, want %v", c.method, split, c.cluster)
 		}
 	}
-	if _, err := Options("nope", co); err == nil {
-		t.Fatal("unknown method accepted")
+	if _, err := Options("nope", co); err == nil || !strings.Contains(err.Error(), "base, v1, v2, ours") {
+		t.Fatalf("unknown method: %v", err)
 	}
 }
 

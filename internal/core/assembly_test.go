@@ -189,8 +189,8 @@ func TestGenerateBytesPerEvent(t *testing.T) {
 		t.Skip("allocation counts are unstable under the race detector")
 	}
 	models := map[string]*ModelSet{
-		"ours": fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions("ours")),
-		"base": fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions("base")),
+		"ours": fitToy(t, 60, 3*cp.Hour, 10, fitOptions("ours")),
+		"base": fitToy(t, 60, 3*cp.Hour, 10, fitOptions("base")),
 	}
 	for _, tc := range []struct {
 		workers int
@@ -243,7 +243,7 @@ func TestSourceScanBytesPerUE(t *testing.T) {
 	}
 	for _, method := range []string{"ours", "base"} {
 		t.Run(method, func(t *testing.T) {
-			ms := fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions(method))
+			ms := fitToy(t, 60, 3*cp.Hour, 10, fitOptions(method))
 			opt := GenOptions{NumUEs: 20000, StartHour: 0, Duration: cp.Hour, Seed: 3}
 			src, err := NewSource(ms, opt)
 			if err != nil {
@@ -291,8 +291,8 @@ func TestGenerateSortsTimeBitsOnly(t *testing.T) {
 		ues  int
 		dur  cp.Millis
 	}{
-		{"ours", fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions("ours")), 10000, cp.Hour}, // several buckets
-		{"base", fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions("base")), 10000, cp.Hour},
+		{"ours", fitToy(t, 60, 3*cp.Hour, 10, fitOptions("ours")), 10000, cp.Hour}, // several buckets
+		{"base", fitToy(t, 60, 3*cp.Hour, 10, fitOptions("base")), 10000, cp.Hour},
 		{"tick", tickModel(t), 40, 3500},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -95,7 +95,7 @@ func TestGenerateAllocsPerEvent(t *testing.T) {
 	}
 	for _, method := range []string{"ours", "base"} {
 		t.Run(method, func(t *testing.T) {
-			ms := fitToy(t, 60, 3*cp.Hour, 10, pinnedFitOptions(method))
+			ms := fitToy(t, 60, 3*cp.Hour, 10, fitOptions(method))
 			opt := GenOptions{NumUEs: 200, StartHour: 0, Duration: 2 * cp.Hour, Seed: 3, Workers: 1}
 			warm, err := Generate(ms, opt)
 			if err != nil {

@@ -97,7 +97,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 // beside the machine.
 func fitBase(t *testing.T) *ModelSet {
 	t.Helper()
-	ms, err := Fit(toyTrace(t, 60, 3*cp.Hour, 43), pinnedFitOptions("base"))
+	ms, err := Fit(toyTrace(t, 60, 3*cp.Hour, 43), fitOptions("base"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestUEGenSteadyStateAllocs(t *testing.T) {
 			t.Run(method, func(t *testing.T) {
 				ms := ours
 				if method == "base" {
-					ms = fitToy(t, 40, 3*cp.Hour, 44, pinnedFitOptions("base"))
+					ms = fitToy(t, 40, 3*cp.Hour, 44, fitOptions("base"))
 				}
 				cm, _, dev := firstDevice(t, ms)
 				lay, fits := trace.NewKeyLayout(0, end+windowOvershoot-1, 1)
@@ -367,7 +367,7 @@ func TestCompiledCellsMatchResolvers(t *testing.T) {
 	models := map[string]*ModelSet{}
 	tr := toyTrace(t, 60, 6*cp.Hour, 11)
 	for _, method := range []string{"base", "v1", "v2", "ours"} {
-		ms, err := Fit(tr, pinnedFitOptions(method))
+		ms, err := Fit(tr, fitOptions(method))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestDescribeRendersAllSections(t *testing.T) {
 
 func TestDescribeBaseShowsFreeProcesses(t *testing.T) {
 	tr := toyTrace(t, 45, 2*cp.Hour, 96)
-	ms, err := Fit(tr, pinnedFitOptions("base"))
+	ms, err := Fit(tr, fitOptions("base"))
 	if err != nil {
 		t.Fatal(err)
 	}

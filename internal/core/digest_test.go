@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"cptraffic/internal/cp"
-	"cptraffic/internal/sm"
 	"cptraffic/internal/trace"
 )
 
@@ -36,21 +35,11 @@ var pinnedFitDigests = map[string]string{
 	"ours/256": "ed93e9fc46c64bd62bb35dbc48ca8056a431c637d6924fcd5fe0ffd3b21e5410",
 }
 
-// pinnedFitOptions mirrors baseline.Options (which core cannot import)
-// for the four Table 3 methods. The three SojournExp methods are the
-// ones whose float folds depend on the (UE, seq) sample order.
-func pinnedFitOptions(method string) FitOptions {
-	free := []cp.EventType{cp.Handover, cp.TrackingAreaUpdate}
-	switch method {
-	case "base":
-		return FitOptions{Machine: sm.EMMECM(), SojournKind: SojournExp, FreeEvents: free, NoClustering: true, Method: "base"}
-	case "v1":
-		return FitOptions{Machine: sm.EMMECM(), SojournKind: SojournExp, FreeEvents: free, Cluster: clusterOptSmall(), Method: "v1"}
-	case "v2":
-		return FitOptions{Machine: sm.LTE2Level(), SojournKind: SojournExp, Cluster: clusterOptSmall(), Method: "v2"}
-	default:
-		return FitOptions{Machine: sm.LTE2Level(), SojournKind: SojournTable, Cluster: clusterOptSmall(), Method: "ours"}
-	}
+// fitOptions returns a Table 3 method's options at the small worlds'
+// cluster threshold. The three SojournExp methods are the ones whose
+// float folds depend on the (UE, seq) sample order.
+func fitOptions(method string) FitOptions {
+	return FitOptions{Method: method, Cluster: clusterOptSmall()}
 }
 
 // pinnedLargeFitDigests are the same digests for toyTrace(400 UEs, 24 h,
@@ -90,7 +79,7 @@ func TestFitModelDigestPinned(t *testing.T) {
 	} {
 		for _, method := range []string{"base", "v1", "v2", "ours"} {
 			for _, k := range []int{0, 256} {
-				opt := pinnedFitOptions(method)
+				opt := fitOptions(method)
 				opt.SketchK = k
 				name := fmt.Sprintf("%s/%d", method, k)
 				want, ok := world.pinned[name]
@@ -245,7 +234,7 @@ func TestPartialCheckpointDigestPinned(t *testing.T) {
 	half := int64(tr.Len() / 2)
 	stop := errors.New("stop")
 	for _, c := range pinnedCheckpointDigests {
-		opt := pinnedFitOptions(c.method)
+		opt := fitOptions(c.method)
 		opt.SketchK = c.sketchK
 		pf, err := NewPartialFit(opt)
 		if err != nil {

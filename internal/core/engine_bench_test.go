@@ -5,7 +5,6 @@ import (
 
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/cp"
-	"cptraffic/internal/sm"
 	"cptraffic/internal/stats"
 	"cptraffic/internal/trace"
 	"cptraffic/internal/world"
@@ -104,21 +103,14 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // populationModel fits the generate workloads' model: the paper's method
-// (two-level machine, quantile-table sojourns, clustering at θn = 40) on a
-// simulated 400-UE × 1-day world.
+// ("ours", clustering at θn = 40) on a simulated 400-UE × 1-day world.
 func populationModel(tb testing.TB) *ModelSet {
 	tb.Helper()
 	tr, err := world.Generate(world.Options{NumUEs: 400, Duration: cp.Day, Seed: 3, Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ms, err := Fit(tr, FitOptions{
-		Machine:     sm.LTE2Level(),
-		SojournKind: SojournTable,
-		Cluster:     cluster.Options{ThetaN: 40},
-		Method:      "ours",
-		Workers:     1,
-	})
+	ms, err := Fit(tr, FitOptions{Method: "ours", Cluster: cluster.Options{ThetaN: 40}, Workers: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}

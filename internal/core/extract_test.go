@@ -238,17 +238,10 @@ func oracleCases(t *testing.T) map[string]*trace.Trace {
 // lists are ordered, so a sample logged under the wrong hour byte, or a
 // log read out of order, fails it as surely as a wrong value.
 func TestExtractionMatchesPerUEOracle(t *testing.T) {
-	free := []cp.EventType{cp.Handover, cp.TrackingAreaUpdate}
-	methods := map[string]FitOptions{
-		"ours": {Machine: sm.LTE2Level(), SojournKind: SojournTable},
-		"v2":   {Machine: sm.LTE2Level(), SojournKind: SojournExp},
-		"v1":   {Machine: sm.EMMECM(), SojournKind: SojournExp, FreeEvents: free},
-		"base": {Machine: sm.EMMECM(), SojournKind: SojournExp, FreeEvents: free, NoClustering: true},
-	}
 	for name, tr := range oracleCases(t) {
 		perUE := tr.PerUE()
-		for method, opt := range methods {
-			pf, err := NewPartialFit(opt)
+		for _, method := range Methods() {
+			pf, err := NewPartialFit(FitOptions{Method: method})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,12 +250,12 @@ func TestExtractionMatchesPerUEOracle(t *testing.T) {
 			}
 			finishWalks(pf)
 			freeSet := map[cp.EventType]bool{}
-			for _, e := range opt.FreeEvents {
-				freeSet[e] = true
+			for _, e := range cp.EventTypes {
+				freeSet[e] = pf.m.free[e]
 			}
 			violations, samples := 0, 0
 			for _, ue := range tr.UEs() {
-				want, v := oracleExtract(opt.Machine, freeSet, perUE[ue])
+				want, v := oracleExtract(pf.m.machine, freeSet, perUE[ue])
 				violations += v
 				for _, xs := range want.samples {
 					samples += len(xs)

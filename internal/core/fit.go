@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/cp"
@@ -12,25 +14,15 @@ import (
 
 // FitOptions configures the model-fitting pipeline.
 type FitOptions struct {
-	// Machine is the protocol state machine to fit against; nil means
-	// the LTE two-level machine.
-	Machine *sm.Machine
-	// SojournKind selects the sojourn distribution family: SojournTable
-	// (the paper's method, default) or SojournExp (the V2 ablation and
-	// the Poisson baselines).
-	SojournKind string
-	// FreeEvents lists event types modeled as free-running processes
-	// instead of sub-machine transitions; the Base and V1 methods use
-	// {HO, TAU} with the flat EMM-ECM machine. An undefined or repeated
-	// type is an error.
-	FreeEvents []cp.EventType
-	// NoClustering disables adaptive clustering (the Base method): all
-	// UEs of a device type form a single cluster.
-	NoClustering bool
-	// Cluster configures the adaptive clustering scheme (§5.3).
-	Cluster cluster.Options
-	// Method is a label stored in the model ("ours", "base", "v1", "v2").
+	// Method names one of the paper's fitting methods (Table 3, Methods):
+	// "base", "v1", "v2" or "ours" (the default, also for ""). It is the
+	// only modelling option: the method fixes the state machine, the
+	// sojourn family, the free-running events and whether UEs are
+	// clustered, and it labels the model.
 	Method string
+	// Cluster configures the adaptive clustering scheme (§5.3). A method
+	// that does not cluster (base) ignores it, and the fit zeroes it.
+	Cluster cluster.Options
 	// Workers bounds fitting concurrency; 0 means GOMAXPROCS. It never
 	// affects the fitted model, only the wall clock: the independent
 	// per-UE and per-(hour, cluster) fit units are distributed over the
@@ -47,17 +39,55 @@ type FitOptions struct {
 	SketchK int
 }
 
-func (o FitOptions) withDefaults() FitOptions {
-	if o.Machine == nil {
-		o.Machine = sm.LTE2Level()
+// method is one row of Table 3: what a fitting method models.
+type method struct {
+	name    string
+	machine *sm.Machine
+	sojourn string // SojournTable or SojournExp
+	// free marks the events modelled as free-running processes instead
+	// of sub-machine transitions.
+	free      [cp.NumEventTypes]bool
+	noCluster bool // all UEs of a device type form one cluster
+}
+
+// table3 is the paper's Table 3, in its presentation order:
+//
+//	method | state machine | distribution  | UE clustering
+//	-------+---------------+---------------+--------------
+//	base   | EMM-ECM       | Poisson       | no
+//	v1     | EMM-ECM       | Poisson       | yes
+//	v2     | two-level     | Poisson       | yes
+//	ours   | two-level     | empirical CDF | yes
+//
+// The EMM-ECM methods model HO and TAU as free-running fitted-Poisson
+// processes, which is why they generate handovers while IDLE; the
+// two-level methods bind them to the sub-machines of Fig. 5.
+var table3 = [...]method{
+	{name: "base", machine: sm.EMMECM(), sojourn: SojournExp, free: freeHOTAU, noCluster: true},
+	{name: "v1", machine: sm.EMMECM(), sojourn: SojournExp, free: freeHOTAU},
+	{name: "v2", machine: sm.LTE2Level(), sojourn: SojournExp},
+	{name: "ours", machine: sm.LTE2Level(), sojourn: SojournTable},
+}
+
+var freeHOTAU = [cp.NumEventTypes]bool{cp.Handover: true, cp.TrackingAreaUpdate: true}
+
+// Methods lists the fitting methods of Table 3 in presentation order.
+func Methods() []string {
+	names := make([]string, len(table3))
+	for i, m := range table3 {
+		names[i] = m.name
 	}
-	if o.SojournKind == "" {
-		o.SojournKind = SojournTable
+	return names
+}
+
+// methodNamed returns the Table 3 row of the named method.
+func methodNamed(name string) (*method, error) {
+	for i := range table3 {
+		if table3[i].name == name {
+			return &table3[i], nil
+		}
 	}
-	if o.Method == "" {
-		o.Method = "ours"
-	}
-	return o
+	return nil, fmt.Errorf("core: unknown method %q (want one of %s)", name, strings.Join(Methods(), ", "))
 }
 
 // HoursPerDay is the number of hour-of-day buckets models are fitted for.
@@ -123,22 +153,21 @@ func (a *acc[T]) list(x int) []T { return a.block[a.bound[x]:a.bound[x+1]:a.boun
 // slots and pool keys in layout order. It consumes the accumulator: the
 // SojournTable fits sort its lists in place, through sc (the caller's to
 // reuse across accumulators of one goroutine).
-func (a *acc[T]) build(lay *layout, opt FitOptions, sc *fitScratch[T]) ClusterModel {
-	m := opt.Machine
+func (a *acc[T]) build(lay *layout, m *method, sc *fitScratch[T]) ClusterModel {
 	cm := ClusterModel{
 		Top:    make([]StateParam, cp.NumUEStates),
 		NumUEs: a.NumUEs,
 	}
-	a.transitions(lay, cntTop, poolTop, cm.Top, opt.SojournKind, sc)
+	a.transitions(lay, cntTop, poolTop, cm.Top, m.sojourn, sc)
 	// Bottom level, with competing-risks censoring. The state-level
 	// delay marginal is estimated with Kaplan–Meier (SojournTable kind)
 	// or the censored exponential MLE (SojournExp kind); the race
 	// against the top level then re-applies the censoring naturally.
 	// PExit is the KM tail mass: the probability the sub-machine never
 	// fires within observable horizons.
-	if m.HasSubStructure() {
-		cm.Bottom = make([]StateParam, m.NumStates())
-		a.transitions(lay, cntBot, poolBot, cm.Bottom, opt.SojournKind, sc)
+	if m.machine.HasSubStructure() {
+		cm.Bottom = make([]StateParam, m.machine.NumStates())
+		a.transitions(lay, cntBot, poolBot, cm.Bottom, m.sojourn, sc)
 		for s := range cm.Bottom {
 			// The state's fired-delay lists lie side by side in the
 			// block, in event order.
@@ -148,7 +177,7 @@ func (a *acc[T]) build(lay *layout, opt FitOptions, sc *fitScratch[T]) ClusterMo
 				continue
 			}
 			censored := a.list(lay.poolIndex(poolKey{Kind: poolCensor, A: uint8(s)}))
-			switch opt.SojournKind {
+			switch m.sojourn {
 			case SojournExp: // the fits above leave exponential lists in order
 				if lambda, ok := censoredExp(a.block[a.bound[lo]:a.bound[hi]], censored, sc); ok {
 					cm.Bottom[s].Sojourn = &SojournModel{Kind: SojournExp, Lambda: lambda}
@@ -170,14 +199,17 @@ func (a *acc[T]) build(lay *layout, opt FitOptions, sc *fitScratch[T]) ClusterMo
 		}
 	}
 	// Free processes.
-	for _, e := range opt.FreeEvents {
+	for _, e := range cp.EventTypes {
+		if !m.free[e] {
+			continue
+		}
 		ia := a.list(lay.poolIndex(poolKey{Kind: poolFree, B: uint8(e)}))
 		if len(ia) < 2 {
 			continue
 		}
 		cm.Free = append(cm.Free, FreeProcess{
 			Event: e,
-			Inter: fitSojourn(ia, opt.SojournKind, sc),
+			Inter: fitSojourn(ia, m.sojourn, sc),
 		})
 	}
 	// First-event model: its categories in slot order, which is
@@ -277,13 +309,13 @@ func packGrids(cms ...*ClusterModel) {
 // independent and every write is indexed by h; cluster.Partition itself
 // is deterministic (it sorts its input by UE id), so the result is
 // identical for any worker count.
-func clusterHours(ues []cp.UEID, opt FitOptions, featAt func(i, h int) cluster.Features) (clusterOf [][]int32, numClusters []int, weights [][]float64) {
+func clusterHours(ues []cp.UEID, pf *PartialFit, featAt func(i, h int) cluster.Features) (clusterOf [][]int32, numClusters []int, weights [][]float64) {
 	clusterOf = make([][]int32, HoursPerDay)
 	numClusters = make([]int, HoursPerDay)
 	weights = make([][]float64, HoursPerDay)
-	par.For(HoursPerDay, opt.Workers, func(h int) {
+	par.For(HoursPerDay, pf.opt.Workers, func(h int) {
 		clusterOf[h] = make([]int32, len(ues))
-		if opt.NoClustering {
+		if pf.m.noCluster {
 			numClusters[h] = 1
 			weights[h] = []float64{1}
 			return
@@ -292,7 +324,7 @@ func clusterHours(ues []cp.UEID, opt FitOptions, featAt func(i, h int) cluster.F
 		for i, ue := range ues {
 			pts[i] = cluster.Point{UE: ue, F: featAt(i, h)}
 		}
-		cs := cluster.Partition(pts, opt.Cluster)
+		cs := cluster.Partition(pts, pf.opt.Cluster)
 		asg := cluster.Assignment(cs)
 		for i, ue := range ues {
 			clusterOf[h][i] = int32(asg[ue])

@@ -323,7 +323,7 @@ func TestFitGlobalModelCoversActiveHours(t *testing.T) {
 
 func TestFitBaseUsesFreeProcesses(t *testing.T) {
 	tr := toyTrace(t, 45, 3*cp.Hour, 4)
-	ms, err := Fit(tr, pinnedFitOptions("base"))
+	ms, err := Fit(tr, fitOptions("base"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestFitBaseUsesFreeProcesses(t *testing.T) {
 			}
 		}
 	}
-	// Exactly one cluster per hour (NoClustering).
+	// Exactly one cluster per hour: Base does not cluster.
 	for h := range dm.Hours {
 		if len(dm.Hours[h].Clusters) != 1 {
 			t.Fatalf("hour %d has %d clusters", h, len(dm.Hours[h].Clusters))
@@ -369,7 +369,7 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 	tr := toyTrace(t, 48, 3*cp.Hour, 7)
 	fits := []FitOptions{
 		{Cluster: clusterOptSmall()}, // "ours": two-level + quantile tables
-		pinnedFitOptions("base"),     // exercises CensoredExpMLE summation
+		fitOptions("base"),           // exercises CensoredExpMLE summation
 	}
 	for _, base := range fits {
 		var want []byte

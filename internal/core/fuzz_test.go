@@ -13,16 +13,19 @@ import (
 	"cptraffic/internal/trace"
 )
 
-// partialSeed encodes a PartialFit to bytes for the fuzz seed corpus,
-// failing the fuzz setup if construction or encoding breaks.
-func partialSeed(f *testing.F, build func(pf *PartialFit)) []byte {
+// partialSeed encodes a PartialFit with the given options, fed src
+// unless it is nil, to bytes for the fuzz seed corpus, failing the fuzz
+// setup if construction, ingestion or encoding breaks.
+func partialSeed(f *testing.F, opt FitOptions, src trace.EventSource) []byte {
 	f.Helper()
-	pf, err := NewPartialFit(FitOptions{})
+	pf, err := NewPartialFit(opt)
 	if err != nil {
 		f.Fatal(err)
 	}
-	if build != nil {
-		build(pf)
+	if src != nil {
+		if err := pf.AddSource(src); err != nil {
+			f.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := pf.Encode(&buf); err != nil {
@@ -33,7 +36,9 @@ func partialSeed(f *testing.F, build func(pf *PartialFit)) []byte {
 
 // FuzzDecodePartial feeds arbitrary bytes through the partial-fit
 // decoder, seeded with encodings of an empty fit and a small populated
-// one, and the populated one with a sample invariant broken. The
+// one, the populated one with a sample invariant broken, and the same
+// events fitted by Base (free events, no clustering in its options) and
+// by a sketched V1 (sketch pools and moments). The
 // invariants under test are round-trip stability — any input
 // DecodePartial accepts must Encode to bytes that decode and re-encode
 // identically, because the mergeable-checkpoint protocol (DESIGN.md)
@@ -41,23 +46,23 @@ func partialSeed(f *testing.F, build func(pf *PartialFit)) []byte {
 // and that an accepted input builds: decoded afresh, Build may refuse it
 // but must not panic.
 func FuzzDecodePartial(f *testing.F) {
-	f.Add(partialSeed(f, nil))
-	populated := partialSeed(f, func(pf *PartialFit) {
-		tr := &trace.Trace{
-			Device: map[cp.UEID]cp.DeviceType{1: cp.Phone, 2: cp.Phone, 3: cp.Phone},
-			Events: []trace.Event{
-				{T: 10, UE: 1, Type: cp.Attach},
-				{T: 20, UE: 2, Type: cp.Attach},
-				{T: 900, UE: 1, Type: cp.ServiceRequest},
-				{T: 2500, UE: 1, Type: cp.S1ConnRelease},
-				{T: 4000, UE: 2, Type: cp.TrackingAreaUpdate},
-			},
-		}
-		if err := pf.AddSource(tr); err != nil {
-			f.Fatal(err)
-		}
-	})
+	f.Add(partialSeed(f, FitOptions{}, nil))
+	tr := &trace.Trace{
+		Device: map[cp.UEID]cp.DeviceType{1: cp.Phone, 2: cp.Phone, 3: cp.Phone},
+		Events: []trace.Event{
+			{T: 10, UE: 1, Type: cp.Attach},
+			{T: 20, UE: 2, Type: cp.Attach},
+			{T: 900, UE: 1, Type: cp.ServiceRequest},
+			{T: 2500, UE: 1, Type: cp.S1ConnRelease},
+			{T: 3000, UE: 1, Type: cp.Handover},
+			{T: 4000, UE: 2, Type: cp.TrackingAreaUpdate},
+			{T: 5200, UE: 1, Type: cp.Handover},
+		},
+	}
+	populated := partialSeed(f, FitOptions{}, tr)
 	f.Add(populated)
+	f.Add(partialSeed(f, FitOptions{Method: "base"}, tr))
+	f.Add(partialSeed(f, FitOptions{Method: "v1", Cluster: clusterOptSmall(), SketchK: 64}, tr))
 	f.Add([]byte{})
 	f.Add([]byte("cppf"))
 	// The populated seed with each sample invariant DecodePartial checks
@@ -156,7 +161,7 @@ func FuzzLoadModel(f *testing.F) {
 		tr.Append(e)
 	}
 	for _, method := range []string{"base", "v1", "v2", "ours"} {
-		ms, err := Fit(tr, pinnedFitOptions(method))
+		ms, err := Fit(tr, fitOptions(method))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 
 	"cptraffic/internal/cp"
 	"cptraffic/internal/sm"
-	"cptraffic/internal/trace"
 )
 
 // fitToy fits a model on a toy world trace.
@@ -163,7 +162,7 @@ func TestGenerateBaseEmitsHOInIdle(t *testing.T) {
 	// The Base method must exhibit the paper's failure mode: HO events
 	// while IDLE, which the two-level model never produces.
 	src := toyTrace(t, 90, 3*cp.Hour, 16)
-	base, err := Fit(src, pinnedFitOptions("base"))
+	base, err := Fit(src, fitOptions("base"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,36 +310,5 @@ func TestNumModels(t *testing.T) {
 	// 3 device types x 24 hours x >=1 cluster.
 	if n < 3*24 {
 		t.Fatalf("NumModels = %d", n)
-	}
-}
-
-func TestGenerateFiveGSAModel(t *testing.T) {
-	// A 5G SA model (fitted via the SA machine on a TAU-free trace)
-	// generates with no TAU at all.
-	src := toyTrace(t, 60, 3*cp.Hour, 22)
-	// Drop TAU events to make the trace 5G-SA-like (the fiveg package
-	// does this properly; here we exercise the machinery).
-	sa := trace.New()
-	for ue, d := range src.Device {
-		sa.SetDevice(ue, d)
-	}
-	for _, e := range src.Events {
-		if e.Type != cp.TrackingAreaUpdate {
-			sa.Events = append(sa.Events, e)
-		}
-	}
-	ms, err := Fit(sa, FitOptions{Machine: sm.FiveGSA(), Cluster: clusterOptSmall(), Method: "5g-sa"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := Generate(ms, GenOptions{NumUEs: 100, Duration: cp.Hour, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := gen.CountByType(); c[cp.TrackingAreaUpdate] != 0 {
-		t.Fatalf("5G SA generated %d TAU events", c[cp.TrackingAreaUpdate])
-	}
-	if gen.Len() == 0 {
-		t.Fatal("no events")
 	}
 }

@@ -126,7 +126,7 @@ func TestSaveMatchesEncodingJSON(t *testing.T) {
 	tr := toyTrace(t, 60, 6*cp.Hour, 11)
 	for _, method := range []string{"base", "v1", "v2", "ours"} {
 		for _, k := range []int{0, 256} {
-			opt := pinnedFitOptions(method)
+			opt := fitOptions(method)
 			opt.SketchK = k
 			ms, err := Fit(tr, opt)
 			if err != nil {

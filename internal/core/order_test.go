@@ -73,7 +73,7 @@ func TestSojournStdsMatchesSort(t *testing.T) {
 		case 0:
 			k.Hour = uint8(r.Intn(HoursPerDay))
 		case 1:
-			k.Kind, k.A = poolBot, uint8(r.Intn(pf.opt.Machine.NumStates()))
+			k.Kind, k.A = poolBot, uint8(r.Intn(pf.m.machine.NumStates()))
 		}
 		ms := cp.Millis(r.Lognormal(10, 2))
 		samples = append(samples, tagged{ues[i], sinks[i].seq, k, ms.Seconds()})

@@ -43,18 +43,21 @@ type partialFile struct {
 }
 
 // partialOptions is the serialized form of FitOptions. Workers is
-// deliberately absent: it never affects the fitted bytes.
+// deliberately absent: it never affects the fitted bytes. Machine,
+// SojournKind, FreeEvents and NoClustering follow from Method (Table 3):
+// Encode writes its method's, and DecodePartial refuses any other.
 type partialOptions struct {
-	// Machine is the state-machine name ("LTE-2LEVEL", "EMM-ECM", "5G-SA").
+	// Machine is the method's state-machine name ("LTE-2LEVEL", "EMM-ECM").
 	Machine string `json:"machine"`
-	// Method is the model label ("ours", "base", "v1", "v2").
+	// Method is the fitting method ("ours", "base", "v1", "v2").
 	Method string `json:"method"`
-	// SojournKind is the sojourn family ("table" or "exp" spellings of
-	// SojournTable / SojournExp).
+	// SojournKind is the method's sojourn family ("table" or "exp"
+	// spellings of SojournTable / SojournExp).
 	SojournKind string `json:"sojourn_kind"`
-	// FreeEvents lists free-process event types by name, in option order.
+	// FreeEvents lists the method's free-process event types by name, in
+	// event-type order.
 	FreeEvents []string `json:"free_events,omitempty"`
-	// NoClustering disables adaptive clustering (the Base method).
+	// NoClustering is set for a method that does not cluster (base).
 	NoClustering bool `json:"no_clustering,omitempty"`
 	// ThetaF carries the four per-feature split thresholds (raw option
 	// values; zeros mean the cluster package defaults).
@@ -171,14 +174,10 @@ func poolKindByName(s string) (uint8, bool) {
 
 // Encode writes the partial's full state as one canonical partialfit/1
 // JSON document. A built partial cannot be encoded (Build consumes the
-// state), and neither can a partial whose machine is not one of the
-// named machines machineByName resolves.
+// state).
 func (pf *PartialFit) Encode(w io.Writer) error {
 	if pf.built {
 		return fmt.Errorf("core: cannot encode a built partial fit")
-	}
-	if _, err := machineByName(pf.opt.Machine.Name); err != nil {
-		return fmt.Errorf("core: cannot encode a partial fit over an unnamed custom machine: %w", err)
 	}
 	f := partialFile{
 		Format:         PartialFormatV1,
@@ -186,19 +185,11 @@ func (pf *PartialFit) Encode(w io.Writer) error {
 		EventsConsumed: pf.consumed,
 		Violations:     pf.violations,
 	}
-	f.Options = partialOptions{
-		Machine:      pf.opt.Machine.Name,
-		Method:       pf.opt.Method,
-		SojournKind:  pf.opt.SojournKind,
-		NoClustering: pf.opt.NoClustering,
-		ThetaF:       append([]float64(nil), pf.opt.Cluster.ThetaF[:]...),
-		ThetaN:       pf.opt.Cluster.ThetaN,
-		MaxDepth:     pf.opt.Cluster.MaxDepth,
-		SketchK:      pf.opt.SketchK,
-	}
-	for _, e := range pf.opt.FreeEvents {
-		f.Options.FreeEvents = append(f.Options.FreeEvents, e.String())
-	}
+	f.Options = pf.m.fileOptions()
+	f.Options.ThetaF = append([]float64(nil), pf.opt.Cluster.ThetaF[:]...)
+	f.Options.ThetaN = pf.opt.Cluster.ThetaN
+	f.Options.MaxDepth = pf.opt.Cluster.MaxDepth
+	f.Options.SketchK = pf.opt.SketchK
 	for _, d := range cp.DeviceTypes {
 		dp := pf.devs[d]
 		if dp == nil || len(dp.ues) == 0 {
@@ -357,11 +348,7 @@ func DecodePartial(r io.Reader) (*PartialFit, error) {
 	if f.Format != PartialFormatV1 {
 		return nil, fmt.Errorf("core: unknown partial-fit format %q (want %q)", f.Format, PartialFormatV1)
 	}
-	opt, err := decodePartialOptions(f.Options)
-	if err != nil {
-		return nil, err
-	}
-	pf, err := NewPartialFit(opt)
+	pf, err := decodePartialOptions(f.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -413,40 +400,57 @@ func DecodePartial(r io.Reader) (*PartialFit, error) {
 	return pf, nil
 }
 
-func decodePartialOptions(po partialOptions) (FitOptions, error) {
-	var opt FitOptions
-	m, err := machineByName(po.Machine)
-	if err != nil {
-		return opt, err
-	}
-	opt.Machine = m
-	opt.Method = po.Method
-	opt.SojournKind = po.SojournKind
-	switch po.SojournKind {
-	case SojournTable, SojournExp:
-	default:
-		return opt, fmt.Errorf("core: partial fit: unknown sojourn kind %q", po.SojournKind)
-	}
-	for _, name := range po.FreeEvents {
-		e, err := cp.ParseEventType(name)
-		if err != nil {
-			return opt, fmt.Errorf("core: partial fit: %w", err)
+// fileOptions returns the options fields that follow from the method.
+func (m *method) fileOptions() partialOptions {
+	po := partialOptions{Machine: m.machine.Name, Method: m.name, SojournKind: m.sojourn, NoClustering: m.noCluster}
+	for _, e := range cp.EventTypes {
+		if m.free[e] {
+			po.FreeEvents = append(po.FreeEvents, e.String())
 		}
-		opt.FreeEvents = append(opt.FreeEvents, e)
 	}
-	opt.NoClustering = po.NoClustering
-	if len(po.ThetaF) != len(opt.Cluster.ThetaF) {
-		return opt, fmt.Errorf("core: partial fit: theta_f needs %d entries, got %d",
-			len(opt.Cluster.ThetaF), len(po.ThetaF))
+	return po
+}
+
+// decodePartialOptions returns an empty partial fit with the file's
+// options, which must name a method and carry that method's machine,
+// sojourn family, free events and clustering flag.
+func decodePartialOptions(po partialOptions) (*PartialFit, error) {
+	m, err := methodNamed(po.Method)
+	if err != nil {
+		return nil, fmt.Errorf("core: partial fit: %w", err)
+	}
+	want := m.fileOptions()
+	mismatch := func(field string, got, want any) error {
+		return fmt.Errorf("core: partial fit: %s %v is not method %q's %v", field, got, m.name, want)
+	}
+	switch {
+	case po.Machine != want.Machine:
+		return nil, mismatch("machine", po.Machine, want.Machine)
+	case po.SojournKind != want.SojournKind:
+		return nil, mismatch("sojourn_kind", po.SojournKind, want.SojournKind)
+	case !slices.Equal(po.FreeEvents, want.FreeEvents):
+		return nil, mismatch("free_events", po.FreeEvents, want.FreeEvents)
+	case po.NoClustering != want.NoClustering:
+		return nil, mismatch("no_clustering", po.NoClustering, want.NoClustering)
 	}
 	var tf cluster.Features
-	copy(tf[:], po.ThetaF)
-	opt.Cluster = cluster.Options{ThetaF: tf, ThetaN: po.ThetaN, MaxDepth: po.MaxDepth}
-	if po.SketchK < 0 {
-		return opt, fmt.Errorf("core: partial fit: negative sketch_k %d", po.SketchK)
+	if len(po.ThetaF) != len(tf) {
+		return nil, fmt.Errorf("core: partial fit: theta_f needs %d entries, got %d", len(tf), len(po.ThetaF))
 	}
-	opt.SketchK = po.SketchK
-	return opt, nil
+	copy(tf[:], po.ThetaF)
+	opt := FitOptions{
+		Method:  m.name,
+		Cluster: cluster.Options{ThetaF: tf, ThetaN: po.ThetaN, MaxDepth: po.MaxDepth},
+		SketchK: po.SketchK,
+	}
+	pf, err := NewPartialFit(opt)
+	if err != nil {
+		return nil, fmt.Errorf("core: partial fit: %w", err)
+	}
+	if pf.opt.Cluster != opt.Cluster {
+		return nil, fmt.Errorf("core: partial fit: theta_f, theta_n and max_depth must be zero for method %q, which does not cluster", m.name)
+	}
+	return pf, nil
 }
 
 // sinkOf returns the sink of a UE of device d, or an error naming what
@@ -541,7 +545,7 @@ func decodePools(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
 		needState := kind == poolTop || kind == poolBot || kind == poolCensor
 		needEvent := kind == poolTop || kind == poolBot || kind == poolFree
 		if needState {
-			max := pf.opt.Machine.NumStates()
+			max := pf.m.machine.NumStates()
 			if kind == poolTop {
 				max = cp.NumUEStates
 			}
@@ -681,7 +685,7 @@ func decodeExtractors(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
 		if px.Macro < 0 || px.Macro >= cp.NumUEStates {
 			return fmt.Errorf("core: partial fit: extractor macro state %d out of range", px.Macro)
 		}
-		if px.Bottom < 0 || px.Bottom >= pf.opt.Machine.NumStates() {
+		if px.Bottom < 0 || px.Bottom >= pf.m.machine.NumStates() {
 			return fmt.Errorf("core: partial fit: extractor bottom state %d out of range", px.Bottom)
 		}
 		if len(px.LastOfTypeMS) != cp.NumEventTypes ||
@@ -692,7 +696,7 @@ func decodeExtractors(d cp.DeviceType, pf *PartialFit, pd partialDevice) error {
 		if px.Decided && len(px.Buf) != 0 {
 			return fmt.Errorf("core: partial fit: decided extractor for UE %d still buffers events", px.UE)
 		}
-		sink := &partialSink{pf: pf, d: d, ue: px.UE, seq: px.Seq, walk: sm.NewWalk(pf.opt.Machine)}
+		sink := &partialSink{pf: pf, d: d, ue: px.UE, seq: px.Seq, walk: sm.NewWalk(pf.m.machine)}
 		w := &sink.walk
 		w.Decided = px.Decided
 		w.Macro = cp.UEState(px.Macro)

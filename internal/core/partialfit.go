@@ -52,9 +52,9 @@ import (
 // Fit is the thin driver over this type (NewPartialFit → AddSource →
 // Build); construct one directly to shard, checkpoint, or bound a fit.
 type PartialFit struct {
-	opt     FitOptions
-	freeSet [cp.NumEventTypes]bool
-	lay     layout
+	opt FitOptions
+	m   *method // opt.Method's row of Table 3
+	lay layout
 
 	devOf map[cp.UEID]cp.DeviceType
 	devs  [cp.NumDeviceTypes]*devPartial
@@ -425,7 +425,7 @@ func (s *partialSink) fold(ev trace.Event, mv sm.Move) {
 	}
 	// Only configured free-process events are retained; acc.build reads
 	// no others.
-	if mv.HasGap && s.pf.freeSet[e] {
+	if mv.HasGap && s.pf.m.free[e] {
 		s.sample(poolKey{Hour: h, Kind: poolFree, B: uint8(e)}, mv.Gap)
 	}
 	switch mv.Exit {
@@ -463,34 +463,31 @@ func (s *partialSink) fold(ev trace.Event, mv sm.Move) {
 
 // ---- construction and ingestion ----
 
-// NewPartialFit returns an empty partial fit with the given options
-// (nil machine, empty sojourn kind and method default as in Fit).
+// NewPartialFit returns an empty partial fit with the given options. An
+// empty Method is "ours"; any other name outside Methods is an error.
 // SketchK > 0 selects bounded-memory mode: every sample pool keeps at
 // most SketchK observations in a mergeable bottom-k sketch.
 func NewPartialFit(opt FitOptions) (*PartialFit, error) {
-	opt = opt.withDefaults()
+	if opt.Method == "" {
+		opt.Method = "ours"
+	}
+	m, err := methodNamed(opt.Method)
+	if err != nil {
+		return nil, err
+	}
 	if opt.SketchK < 0 {
 		return nil, fmt.Errorf("core: negative SketchK %d", opt.SketchK)
 	}
-	pf := &PartialFit{
+	if m.noCluster {
+		opt.Cluster = cluster.Options{}
+	}
+	return &PartialFit{
 		opt:   opt,
-		lay:   newLayout(opt.Machine.NumStates()),
+		m:     m,
+		lay:   newLayout(m.machine.NumStates()),
 		devOf: make(map[cp.UEID]cp.DeviceType),
 		exts:  make(map[cp.UEID]*partialSink),
-	}
-	if pf.lay.poolsPerHour() > 256 {
-		return nil, fmt.Errorf("core: machine %q has %d states, more than a partial fit's key byte can address", opt.Machine.Name, opt.Machine.NumStates())
-	}
-	for _, e := range opt.FreeEvents {
-		switch {
-		case !e.Valid():
-			return nil, fmt.Errorf("core: FreeEvents: invalid event type %d", uint8(e))
-		case pf.freeSet[e]:
-			return nil, fmt.Errorf("core: FreeEvents: %v listed twice", e)
-		}
-		pf.freeSet[e] = true
-	}
-	return pf, nil
+	}, nil
 }
 
 func (pf *PartialFit) register(ue cp.UEID, d cp.DeviceType) {
@@ -524,7 +521,7 @@ func (pf *PartialFit) AddEvent(e trace.Event) error {
 		if !ok {
 			return fmt.Errorf("core: event for unregistered UE %d", e.UE)
 		}
-		s = &partialSink{pf: pf, d: d, ue: e.UE, walk: sm.NewWalk(pf.opt.Machine)}
+		s = &partialSink{pf: pf, d: d, ue: e.UE, walk: sm.NewWalk(pf.m.machine)}
 		pf.exts[e.UE] = s
 	}
 	if !s.push(e) {
@@ -616,25 +613,12 @@ func (pf *PartialFit) NumUEs() int { return len(pf.devOf) }
 // optionsMismatch explains why two partials cannot merge, or "".
 func optionsMismatch(a, b FitOptions) string {
 	switch {
-	case a.Machine != b.Machine && a.Machine.Name != b.Machine.Name:
-		return fmt.Sprintf("machine %q vs %q", a.Machine.Name, b.Machine.Name)
-	case a.SojournKind != b.SojournKind:
-		return fmt.Sprintf("sojourn kind %q vs %q", a.SojournKind, b.SojournKind)
-	case len(a.FreeEvents) != len(b.FreeEvents):
-		return "free events differ"
-	case a.NoClustering != b.NoClustering:
-		return "clustering flag differs"
-	case a.Cluster != b.Cluster:
-		return "cluster options differ"
 	case a.Method != b.Method:
 		return fmt.Sprintf("method %q vs %q", a.Method, b.Method)
+	case a.Cluster != b.Cluster:
+		return "cluster options differ"
 	case a.SketchK != b.SketchK:
 		return fmt.Sprintf("sketch k %d vs %d", a.SketchK, b.SketchK)
-	}
-	for i := range a.FreeEvents {
-		if a.FreeEvents[i] != b.FreeEvents[i] {
-			return "free events differ"
-		}
 	}
 	return ""
 }
@@ -711,6 +695,12 @@ func (pf *PartialFit) Merge(other *PartialFit) error {
 
 // ---- building ----
 
+// buildPhaseDone is called on Build's goroutine at the end of each of its
+// phases: the walks finished, each device's global fallback, each hour
+// model. A finished phase's scratch is garbage then, so tests read the
+// fit's live heap there. With Workers > 1 the hours call it concurrently.
+var buildPhaseDone = func() {}
+
 // Build finalizes the partial into a fitted ModelSet: it finishes every
 // UE's walk, computes clustering features, runs the adaptive partition,
 // splits the per-UE counts and samples per (hour, cluster) in (UE, seq)
@@ -742,12 +732,13 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 	for _, ue := range finishOrder {
 		pf.exts[ue].finish()
 	}
+	buildPhaseDone()
 	days := int((pf.span + cp.Day - 1) / cp.Day)
 	if days < 1 {
 		days = 1
 	}
 	ms := &ModelSet{
-		MachineName: pf.opt.Machine.Name,
+		MachineName: pf.m.machine.Name,
 		Method:      pf.opt.Method,
 		Devices:     make([]*DeviceModel, cp.NumDeviceTypes),
 	}
@@ -766,6 +757,7 @@ func (pf *PartialFit) Build() (*ModelSet, error) {
 		dm.Share = float64(len(dp.ues)) / float64(total)
 		dm.TrainUEs = len(dp.ues)
 		ms.Devices[d], plans[d] = dm, plan
+		buildPhaseDone()
 	}
 	for d, p := range plans {
 		switch {
@@ -842,7 +834,7 @@ func (dp *devPartial) fitGlobal(pf *PartialFit, days int) (*DeviceModel, *hourPl
 	if dp.sketches != nil {
 		dp.logSketches(pf, p.sinks)
 	}
-	p.clusterOf, p.numClusters, p.weights = clusterHours(dp.ues, pf.opt, dp.featureFn(pf, p.sinks, days))
+	p.clusterOf, p.numClusters, p.weights = clusterHours(dp.ues, pf, dp.featureFn(pf, p.sinks, days))
 	dm := &DeviceModel{
 		Personas: buildPersonas(p.clusterOf),
 		Hours:    make([]HourModel, HoursPerDay),
@@ -854,11 +846,10 @@ func (dp *devPartial) fitGlobal(pf *PartialFit, days int) (*DeviceModel, *hourPl
 // fitHours fits a device's hour models from its UEs' logs and rows,
 // freeing each hour's once that hour is built, in lists of T.
 func fitHours[T sample](pf *PartialFit, p *hourPlan, days int, dm *DeviceModel) {
-	opt := pf.opt
 	lay := &pf.lay
 	sinks := p.sinks
 	nk, slots := lay.poolsPerHour(), lay.off[numCntKinds]
-	par.For(HoursPerDay, opt.Workers, func(h int) {
+	par.For(HoursPerDay, pf.opt.Workers, func(h int) {
 		var sc fitScratch[T] // this hour's buffers: its largest pool's worth
 		nc := p.numClusters[h]
 		accs := make([]acc[T], nc+1) // the clusters', then the aggregate
@@ -916,13 +907,14 @@ func fitHours[T sample](pf *PartialFit, p *hourPlan, days int, dm *DeviceModel) 
 		hm.Clusters = make([]ClusterModel, nc)
 		cms := make([]*ClusterModel, nc+1)
 		for c := range hm.Clusters {
-			hm.Clusters[c] = accs[c].build(lay, opt, &sc)
+			hm.Clusters[c] = accs[c].build(lay, pf.m, &sc)
 			cms[c] = &hm.Clusters[c]
 		}
-		a := agg.build(lay, opt, &sc)
+		a := agg.build(lay, pf.m, &sc)
 		hm.Aggregate, cms[nc] = &a, &a
 		hm.Weights = p.weights[h]
 		packGrids(cms...)
+		buildPhaseDone()
 	})
 }
 
@@ -991,7 +983,7 @@ func globalOf[T sample](pf *PartialFit, sinks []*partialSink, days int, bound []
 		s.hours = nil
 	}
 	var sc fitScratch[T]
-	g := global.build(&pf.lay, pf.opt, &sc)
+	g := global.build(&pf.lay, pf.m, &sc)
 	packGrids(&g)
 	return &g
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -21,7 +22,7 @@ import (
 func partialFitOptVariants() []FitOptions {
 	return []FitOptions{
 		{Cluster: clusterOptSmall()},
-		pinnedFitOptions("base"),
+		fitOptions("base"),
 		{Cluster: clusterOptSmall(), SketchK: 64, Method: "ours"},
 	}
 }
@@ -288,7 +289,9 @@ func TestPartialCodecRoundTrip(t *testing.T) {
 }
 
 // TestPartialCodecStrict: the decoder rejects unknown fields, unknown
-// tags and names, broken canonical orders, and inconsistent columns.
+// tags and names, options that disagree with their method, broken
+// canonical orders, and inconsistent columns, each with an error naming
+// what it refuses.
 func TestPartialCodecStrict(t *testing.T) {
 	tr := edgeTrace(t)
 	pf, err := NewPartialFit(FitOptions{Cluster: clusterOptSmall()})
@@ -319,32 +322,48 @@ func TestPartialCodecStrict(t *testing.T) {
 	dev := func(doc map[string]any) map[string]any {
 		return doc["devices"].([]any)[0].(map[string]any)
 	}
-	cases := map[string][]byte{
-		"unknown field": tamper(func(d map[string]any) { d["surprise"] = 1 }),
-		"bad format":    tamper(func(d map[string]any) { d["format"] = "partialfit/99" }),
-		"bad machine":   tamper(func(d map[string]any) { d["options"].(map[string]any)["machine"] = "NOPE" }),
-		"bad sojourn":   tamper(func(d map[string]any) { d["options"].(map[string]any)["sojourn_kind"] = "gamma" }),
-		"short theta_f": tamper(func(d map[string]any) { d["options"].(map[string]any)["theta_f"] = []any{1.0} }),
-		"free event twice": tamper(func(d map[string]any) {
-			d["options"].(map[string]any)["free_events"] = []any{cp.Handover.String(), cp.Handover.String()}
-		}),
-		"bad consumed":  tamper(func(d map[string]any) { d["events_consumed"] = -2 }),
-		"bad device":    tamper(func(d map[string]any) { dev(d)["device"] = "toaster" }),
-		"unsorted ues":  tamper(func(d map[string]any) { ues := dev(d)["ues"].([]any); ues[0], ues[1] = ues[1], ues[0] }),
-		"count columns": tamper(func(d map[string]any) { c := dev(d)["counts"].(map[string]any); c["n"] = c["n"].([]any)[1:] }),
-		"bad pool kind": tamper(func(d map[string]any) { dev(d)["pools"].([]any)[0].(map[string]any)["kind"] = "median" }),
-		"bad pool hour": tamper(func(d map[string]any) { dev(d)["pools"].([]any)[0].(map[string]any)["hour"] = 24 }),
-		"exact moments": tamper(func(d map[string]any) {
+	opts := func(d map[string]any) map[string]any { return d["options"].(map[string]any) }
+	// Each case's refusal must name what was tampered with.
+	cases := map[string]struct {
+		doc  []byte
+		want string
+	}{
+		"unknown field":  {tamper(func(d map[string]any) { d["surprise"] = 1 }), `unknown field "surprise"`},
+		"bad format":     {tamper(func(d map[string]any) { d["format"] = "partialfit/99" }), `format "partialfit/99"`},
+		"unknown method": {tamper(func(d map[string]any) { opts(d)["method"] = "v3" }), `unknown method "v3" (want one of base, v1, v2, ours)`},
+		"no method":      {tamper(func(d map[string]any) { delete(opts(d), "method") }), `unknown method ""`},
+		// The fields that follow from the method, each flipped to
+		// another method's value or to no method's.
+		"machine":      {tamper(func(d map[string]any) { opts(d)["machine"] = "EMM-ECM" }), `machine EMM-ECM is not method "ours"'s LTE-2LEVEL`},
+		"bad machine":  {tamper(func(d map[string]any) { opts(d)["machine"] = "NOPE" }), `machine NOPE`},
+		"sojourn kind": {tamper(func(d map[string]any) { opts(d)["sojourn_kind"] = SojournExp }), `sojourn_kind exp is not method "ours"'s table`},
+		"bad sojourn":  {tamper(func(d map[string]any) { opts(d)["sojourn_kind"] = "gamma" }), `sojourn_kind gamma`},
+		"free events":  {tamper(func(d map[string]any) { opts(d)["free_events"] = []any{"HO", "TAU"} }), `free_events [HO TAU] is not method "ours"'s []`},
+		"clustering":   {tamper(func(d map[string]any) { opts(d)["no_clustering"] = true }), `no_clustering true is not method "ours"'s false`},
+		"base clustering options": {tamper(func(d map[string]any) {
+			o := opts(d)
+			o["method"], o["machine"], o["sojourn_kind"], o["free_events"], o["no_clustering"] = "base", "EMM-ECM", SojournExp, []any{"HO", "TAU"}, true
+		}), `theta_f, theta_n and max_depth must be zero for method "base"`},
+		"short theta_f": {tamper(func(d map[string]any) { opts(d)["theta_f"] = []any{1.0} }), "theta_f needs 4 entries"},
+		"free event twice": {tamper(func(d map[string]any) { opts(d)["free_events"] = []any{cp.Handover.String(), cp.Handover.String()} }),
+			`free_events [HO HO]`},
+		"bad consumed":  {tamper(func(d map[string]any) { d["events_consumed"] = -2 }), "events_consumed -2"},
+		"bad device":    {tamper(func(d map[string]any) { dev(d)["device"] = "toaster" }), "toaster"},
+		"unsorted ues":  {tamper(func(d map[string]any) { ues := dev(d)["ues"].([]any); ues[0], ues[1] = ues[1], ues[0] }), "UE list not strictly ascending"},
+		"count columns": {tamper(func(d map[string]any) { c := dev(d)["counts"].(map[string]any); c["n"] = c["n"].([]any)[1:] }), "count"},
+		"bad pool kind": {tamper(func(d map[string]any) { dev(d)["pools"].([]any)[0].(map[string]any)["kind"] = "median" }), "median"},
+		"bad pool hour": {tamper(func(d map[string]any) { dev(d)["pools"].([]any)[0].(map[string]any)["hour"] = 24 }), "hour"},
+		"exact moments": {tamper(func(d map[string]any) {
 			dev(d)["moments"] = []any{map[string]any{"ue": dev(d)["ues"].([]any)[0], "hour": 0, "count": 2, "mean": 1.0, "m2": 1.0}}
-		}),
-		"extractor array": tamper(func(d map[string]any) {
+		}), "moments"},
+		"extractor array": {tamper(func(d map[string]any) {
 			x := dev(d)["extractors"].([]any)[0].(map[string]any)
 			x["seen_type"] = x["seen_type"].([]any)[1:]
-		}),
+		}), "per-type arrays"},
 	}
-	for name, doc := range cases {
-		if _, err := DecodePartial(bytes.NewReader(doc)); err == nil {
-			t.Errorf("%s: decoder accepted the tampered document", name)
+	for name, c := range cases {
+		if _, err := DecodePartial(bytes.NewReader(c.doc)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: decoder returned %v, want a refusal naming %q", name, err, c.want)
 		}
 	}
 	// The canonical document itself must still decode.
@@ -536,21 +555,16 @@ func TestPartialFitRegistrationErrors(t *testing.T) {
 	if _, err := NewPartialFit(FitOptions{SketchK: -1}); err == nil {
 		t.Fatal("negative SketchK accepted")
 	}
-	base := pinnedFitOptions("base")
-	for name, c := range map[string]struct {
-		free []cp.EventType
-		want string
-	}{
-		"an invalid type": {append(slices.Clone(base.FreeEvents), cp.EventType(9)), "invalid event type 9"},
-		"HO twice":        {append(slices.Clone(base.FreeEvents), cp.Handover), "listed twice"},
-	} {
-		opt := base
-		opt.FreeEvents = c.free
-		if _, err := NewPartialFit(opt); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("FreeEvents with %s: NewPartialFit returned %v, want a refusal naming %q", name, err, c.want)
+	// Only the Table 3 names fit: a case variant, a machine's name or a
+	// label fiveg stamps on an adapted model are refused, with the list.
+	for _, method := range []string{"bogus", "Ours", "5g-sa", "ours+5g-sa"} {
+		want := fmt.Sprintf("unknown method %q (want one of base, v1, v2, ours)", method)
+		opt := FitOptions{Method: method, Cluster: clusterOptSmall()}
+		if _, err := NewPartialFit(opt); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("method %q: NewPartialFit returned %v, want %q", method, err, want)
 		}
-		if _, err := Fit(one, opt); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("FreeEvents with %s: Fit returned %v, want a refusal naming %q", name, err, c.want)
+		if _, err := Fit(one, opt); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("method %q: Fit returned %v, want %q", method, err, want)
 		}
 	}
 	empty, err := NewPartialFit(FitOptions{})
@@ -700,7 +714,7 @@ func TestFitSketchedBoundedMemory(t *testing.T) {
 	path := traceFile(t, tr)
 
 	run := func(opt FitOptions) uint64 {
-		return peakHeap(func() {
+		return livePeak(func(func()) {
 			src, err := trace.NewFileSource(path)
 			if err != nil {
 				t.Fatal(err)

@@ -78,7 +78,7 @@ func TestWideSamplesDigestPinned(t *testing.T) {
 	for key, want := range pinnedWideDigests {
 		parts := strings.Split(key, "/")
 		input := parts[0]
-		opt := pinnedFitOptions(parts[1])
+		opt := fitOptions(parts[1])
 		if parts[2] == "256" {
 			opt.SketchK = 256
 		}

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"io"
 
-	"cptraffic/internal/baseline"
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/core"
 	"cptraffic/internal/cp"
@@ -165,41 +164,12 @@ type ClusterOptions = cluster.Options
 
 // Methods lists the supported modeling methods: "base", "v1", "v2" (the
 // paper's comparison methods, Table 3) and "ours" (the contribution).
-func Methods() []string { return append([]string(nil), baseline.Methods...) }
+func Methods() []string { return core.Methods() }
 
-// FitOptions configures Fit beyond the per-method defaults.
-type FitOptions struct {
-	// Method is one of Methods(): "base", "v1", "v2" or "ours"
-	// (default).
-	Method string
-	// Cluster configures the adaptive clustering (§5.3).
-	Cluster ClusterOptions
-	// Workers bounds fitting concurrency; 0 means GOMAXPROCS. The
-	// fitted model is byte-identical for any worker count — Workers
-	// only changes the wall clock.
-	Workers int
-	// SketchK, when positive, bounds every sample pool to a k-item
-	// mergeable sketch, capping fit memory independently of trace
-	// length. Quantiles carry a distribution error of at most
-	// stats.SketchErrorBound(k). Sketched fits stay byte-deterministic
-	// across shard counts and merge orders, but differ from exact
-	// (SketchK == 0) fits. 0 keeps every sample.
-	SketchK int
-}
-
-func (opt FitOptions) lower() (core.FitOptions, error) {
-	method := opt.Method
-	if method == "" {
-		method = "ours"
-	}
-	copt, err := baseline.Options(method, opt.Cluster)
-	if err != nil {
-		return copt, err
-	}
-	copt.Workers = opt.Workers
-	copt.SketchK = opt.SketchK
-	return copt, nil
-}
+// FitOptions configures Fit: the Method (one of Methods, "ours" by
+// default), which alone decides what is modelled, and the clustering,
+// worker and sketch settings.
+type FitOptions = core.FitOptions
 
 // Fit estimates a traffic model from a source — a *Trace, a file
 // (NewFileSource), a simulator or a generator — in one scan, with explicit
@@ -208,13 +178,7 @@ func (opt FitOptions) lower() (core.FitOptions, error) {
 // samples) on top of what the source itself holds, and SketchK bounds the
 // sample term too. The fitted model is byte-identical for any source kind
 // and worker count.
-func Fit(src EventSource, opt FitOptions) (*Model, error) {
-	copt, err := opt.lower()
-	if err != nil {
-		return nil, err
-	}
-	return core.Fit(src, copt)
-}
+func Fit(src EventSource, opt FitOptions) (*Model, error) { return core.Fit(src, opt) }
 
 // FitModel estimates a traffic model from a source using the named method.
 func FitModel(src EventSource, method string, co ClusterOptions) (*Model, error) {
@@ -230,13 +194,7 @@ type PartialFit = core.PartialFit
 
 // NewPartialFit starts an empty partial fit. Partials only merge when
 // they were created with the same options (Workers excluded).
-func NewPartialFit(opt FitOptions) (*PartialFit, error) {
-	copt, err := opt.lower()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewPartialFit(copt)
-}
+func NewPartialFit(opt FitOptions) (*PartialFit, error) { return core.NewPartialFit(opt) }
 
 // LoadPartialFit reads a partialfit/1 checkpoint written with
 // (*PartialFit).Encode (see PARTIALFIT.md for the format). The result
