@@ -17,15 +17,11 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"math"
 	"os"
 
 	"cptraffic/internal/cluster"
-	"cptraffic/internal/cp"
 	"cptraffic/internal/eval"
-	"cptraffic/internal/report"
 	"cptraffic/internal/trace"
 )
 
@@ -41,75 +37,35 @@ func main() {
 	)
 	flag.Parse()
 
+	opt := eval.FitTestOptions{MinSamples: *minN, Workers: *workers}
+	clustered := opt
+	clustered.Clustered, clustered.Cluster = true, cluster.Options{ThetaN: *thetaN}
+	var err error
 	switch *exp {
 	case "table8":
-		qs := eval.Table8Quantities()
-		renderRates("Table 8 — no clustering", qs,
-			eval.PassRates(collect(*in), qs, eval.FitTestOptions{MinSamples: *minN, Workers: *workers}))
+		err = writeRates(*in, "Table 8 — no clustering", eval.Table8Quantities(), opt)
 	case "table9":
-		qs := eval.Table8Quantities()
-		renderRates("Table 9 — with adaptive clustering", qs,
-			eval.PassRates(collect(*in), qs, eval.FitTestOptions{
-				Clustered: true, Cluster: cluster.Options{ThetaN: *thetaN},
-				MinSamples: *minN, Workers: *workers}))
+		err = writeRates(*in, "Table 9 — with adaptive clustering", eval.Table8Quantities(), clustered)
 	case "table10":
-		qs := eval.Table10Quantities()
-		renderRates("Table 10 — second-level transitions", qs,
-			eval.PassRates(collect(*in), qs, eval.FitTestOptions{
-				Clustered: true, Cluster: cluster.Options{ThetaN: *thetaN},
-				MinSamples: *minN, Workers: *workers}))
+		err = writeRates(*in, "Table 10 — second-level transitions", eval.Table10Quantities(), clustered)
 	case "fig3":
-		full, err := trace.ReadPath(*in)
-		if err != nil {
-			log.Fatal(err)
+		full, rerr := trace.ReadPath(*in)
+		if rerr != nil {
+			log.Fatal(rerr)
 		}
 		_, hi := full.Span()
-		for _, q := range []eval.Quantity{
-			{Kind: eval.QStateSojourn, State: cp.StateConnected},
-			{Kind: eval.QStateSojourn, State: cp.StateIdle},
-			{Kind: eval.QInterArrival, Event: cp.Handover},
-			{Kind: eval.QInterArrival, Event: cp.TrackingAreaUpdate},
-		} {
-			phones := eval.UESet(full.UEsOfType(cp.Phone))
-			vt := eval.VarianceTimeFor(full, phones, q, hi)
-			fmt.Printf("# Figure 3 — %s (phones), mean log10 gap = %.2f\n", q, vt.LogGap)
-			scales := make([]float64, len(vt.Observed))
-			obs := make([]float64, len(vt.Observed))
-			ref := make([]float64, len(vt.Poisson))
-			for i := range vt.Observed {
-				scales[i] = vt.Observed[i].ScaleSec
-				obs[i] = vt.Observed[i].NormVar
-				ref[i] = vt.Poisson[i].NormVar
-			}
-			if err := report.Series(os.Stdout, []string{"scale_s", "observed", "poisson"}, scales, obs, ref); err != nil {
-				log.Fatal(err)
-			}
-		}
+		err = eval.WriteFigure3(os.Stdout, eval.Figure3(full, hi))
 	case "fig4":
-		qs := []eval.Quantity{
-			{Kind: eval.QStateSojourn, State: cp.StateConnected},
-			{Kind: eval.QStateSojourn, State: cp.StateIdle},
-			{Kind: eval.QInterArrival, Event: cp.Handover},
-			{Kind: eval.QInterArrival, Event: cp.TrackingAreaUpdate},
+		panels, ferr := eval.Figure4(collect(*in))
+		if ferr != nil {
+			log.Fatal(ferr)
 		}
-		for i, xs := range eval.QuantitySamples(collect(*in), cp.Phone, qs) {
-			q := qs[i]
-			if len(xs) < 2 {
-				continue
-			}
-			c, err := eval.CDFvsPoisson(xs)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("# Figure 4 — %s (phones): observed [%.2f, %.2f] s vs fitted [%.2f, %.2f] s\n",
-				q, c.MinObs, c.MaxObs, c.MinFit, c.MaxFit)
-			if err := report.Series(os.Stdout, []string{"x", "F_observed", "F_fitted"},
-				c.Sample.X, c.Sample.F, c.Fitted.F); err != nil {
-				log.Fatal(err)
-			}
-		}
+		err = eval.WriteFigure4(os.Stdout, panels)
 	default:
 		log.Fatalf("unknown experiment %q", *exp)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -122,34 +78,8 @@ func collect(path string) *eval.Collection {
 	return col
 }
 
-// renderRates prints one sweep's table. Devices absent from the trace
-// have no rate entries at all, so presence is read off the rates map
-// instead of needing the trace.
-func renderRates(title string, qs []eval.Quantity,
-	rates map[eval.DistTest]map[cp.DeviceType]map[eval.Quantity]float64) {
-	header := []string{"Test", "Device"}
-	for _, q := range qs {
-		header = append(header, q.String())
-	}
-	tbl := report.Table{Title: title, Header: header}
-	for t := 0; t < eval.NumDistTests; t++ {
-		for _, d := range cp.DeviceTypes {
-			if len(rates[eval.DistTest(t)][d]) == 0 {
-				continue
-			}
-			row := []string{eval.DistTest(t).String(), d.String()}
-			for _, q := range qs {
-				v := rates[eval.DistTest(t)][d][q]
-				if math.IsNaN(v) {
-					row = append(row, "-")
-				} else {
-					row = append(row, report.Pct(v))
-				}
-			}
-			tbl.AddRow(row...)
-		}
-	}
-	if err := tbl.Render(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
+// writeRates runs one pass-rate sweep over the trace at path and writes
+// its table.
+func writeRates(path, title string, qs []eval.Quantity, opt eval.FitTestOptions) error {
+	return eval.WritePassRates(os.Stdout, title, qs, eval.PassRates(collect(path), qs, opt))
 }

@@ -88,23 +88,6 @@ func (s *statCollector) register(ue cp.UEID, d cp.DeviceType) error {
 	return nil
 }
 
-// breakdownKey mirrors eval.ComputeBreakdown's row labels.
-func breakdownKey(e cp.EventType, st cp.UEState) string {
-	switch e {
-	case cp.Handover:
-		if st == cp.StateIdle {
-			return "HO (IDLE)"
-		}
-		return "HO (CONN.)"
-	case cp.TrackingAreaUpdate:
-		if st == cp.StateIdle {
-			return "TAU (IDLE)"
-		}
-		return "TAU (CONN.)"
-	}
-	return e.String()
-}
-
 func (s *statCollector) addBreakdown(d cp.DeviceType, key string, n int) {
 	if !d.Valid() || n == 0 {
 		return
@@ -136,12 +119,12 @@ func (s *statCollector) push(ev trace.Event) error {
 		if !u.decided {
 			u.decided = true
 			initial := sm.InferMacroInitial([]trace.Event{ev})
-			s.addBreakdown(u.dev, breakdownKey(cp.Handover, initial), u.pendHO)
-			s.addBreakdown(u.dev, breakdownKey(cp.TrackingAreaUpdate, initial), u.pendTAU)
+			s.addBreakdown(u.dev, eval.BreakdownKey(cp.Handover, initial), u.pendHO)
+			s.addBreakdown(u.dev, eval.BreakdownKey(cp.TrackingAreaUpdate, initial), u.pendTAU)
 			u.pendHO, u.pendTAU = 0, 0
 		}
 		u.macro = sm.MacroAfter(ev.Type)
-		s.addBreakdown(u.dev, breakdownKey(ev.Type, u.macro), 1)
+		s.addBreakdown(u.dev, eval.BreakdownKey(ev.Type, u.macro), 1)
 	} else if !u.decided {
 		switch ev.Type {
 		case cp.Handover:
@@ -150,7 +133,7 @@ func (s *statCollector) push(ev trace.Event) error {
 			u.pendTAU++
 		}
 	} else {
-		s.addBreakdown(u.dev, breakdownKey(ev.Type, u.macro), 1)
+		s.addBreakdown(u.dev, eval.BreakdownKey(ev.Type, u.macro), 1)
 	}
 
 	// Conformance replay.
@@ -180,8 +163,8 @@ func (s *statCollector) finish() {
 		if u.pendHO > 0 {
 			initial = cp.StateConnected
 		}
-		s.addBreakdown(u.dev, breakdownKey(cp.Handover, initial), u.pendHO)
-		s.addBreakdown(u.dev, breakdownKey(cp.TrackingAreaUpdate, initial), u.pendTAU)
+		s.addBreakdown(u.dev, eval.BreakdownKey(cp.Handover, initial), u.pendHO)
+		s.addBreakdown(u.dev, eval.BreakdownKey(cp.TrackingAreaUpdate, initial), u.pendTAU)
 		u.pendHO, u.pendTAU = 0, 0
 	}
 }

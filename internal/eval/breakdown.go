@@ -45,7 +45,7 @@ func ComputeBreakdown(col *Collection, d cp.DeviceType) Breakdown {
 	for _, u := range col.data[d] {
 		for _, e := range cp.EventTypes {
 			for s, c := range u.macro[e] {
-				counts[breakdownKey(e, cp.UEState(s))] += int(c)
+				counts[BreakdownKey(e, cp.UEState(s))] += int(c)
 				total += int(c)
 			}
 		}
@@ -59,7 +59,10 @@ func ComputeBreakdown(col *Collection, d cp.DeviceType) Breakdown {
 	return out
 }
 
-func breakdownKey(e cp.EventType, s cp.UEState) string {
+// BreakdownKey returns the breakdown row an event of type e counts in
+// when it is attributed to macro state s: HO and TAU split by state, the
+// Category-1 events one row each.
+func BreakdownKey(e cp.EventType, s cp.UEState) string {
 	switch e {
 	case cp.Handover:
 		if s == cp.StateIdle {

@@ -345,6 +345,76 @@ func TestVarianceTimeForBurstierThanPoisson(t *testing.T) {
 	}
 }
 
+// macroExits is the walk pointProcess ran before it folded sm.Walk's
+// ExitTop moves: the macro state inferred from the UE's whole sequence,
+// advanced by its Category-1 events, with a time at each exit from s.
+func macroExits(tr *trace.Trace, ues map[cp.UEID]bool, s cp.UEState) []float64 {
+	var times []float64
+	per := tr.PerUE()
+	for _, ue := range tr.UEs() {
+		evs := per[ue]
+		if (ues != nil && !ues[ue]) || len(evs) == 0 {
+			continue
+		}
+		cur := sm.InferMacroInitial(evs)
+		for _, ev := range evs {
+			if !sm.Category1(ev.Type) {
+				continue
+			}
+			if next := sm.MacroAfter(ev.Type); next != cur {
+				if cur == s {
+					times = append(times, ev.T.Seconds())
+				}
+				cur = next
+			}
+		}
+	}
+	return times
+}
+
+// TestPointProcessMatchesMacroWalk holds Figure 3's sojourn point
+// processes to macroExits on world traces, for every macro state, over
+// all UEs and over the phones, and on UEs whose Category-2 prefix, or
+// whole sequence, precedes any Category-1 event.
+func TestPointProcessMatchesMacroWalk(t *testing.T) {
+	E := func(t cp.Millis, ue cp.UEID, e cp.EventType) trace.Event { return trace.Event{T: t, UE: ue, Type: e} }
+	hand := trace.New()
+	for ue := cp.UEID(0); ue < 3; ue++ {
+		if err := hand.SetDevice(ue, cp.Phone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ev := range []trace.Event{
+		E(1000, 0, cp.Handover), E(2000, 0, cp.TrackingAreaUpdate), E(3000, 0, cp.S1ConnRelease),
+		E(4000, 0, cp.ServiceRequest), E(5000, 0, cp.Detach), E(6000, 0, cp.Attach),
+		E(1000, 1, cp.TrackingAreaUpdate), E(9000, 1, cp.ServiceRequest), E(9500, 1, cp.S1ConnRelease),
+		E(1500, 2, cp.Handover), E(2500, 2, cp.Handover),
+	} {
+		hand.Append(ev)
+	}
+	hand.Sort()
+	for name, tr := range map[string]*trace.Trace{
+		"world-1": worldTrace(t, 200, 26*cp.Hour, 1),
+		"world-2": worldTrace(t, 200, 6*cp.Hour, 2),
+		"hand":    hand,
+	} {
+		for _, ues := range []map[cp.UEID]bool{nil, UESet(tr.UEsOfType(cp.Phone))} {
+			n := 0
+			for s := cp.UEState(0); int(s) < cp.NumUEStates; s++ {
+				got := pointProcess(tr, ues, Quantity{Kind: QStateSojourn, State: s})
+				want := macroExits(tr, ues, s)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, %v: %d exit times, the macro walk %d", name, s, len(got), len(want))
+				}
+				n += len(got)
+			}
+			if n == 0 {
+				t.Fatalf("%s: no exits at all; the comparison is vacuous", name)
+			}
+		}
+	}
+}
+
 func TestCDFvsPoissonRanges(t *testing.T) {
 	so := StateSojourns(mustCollect(t, worldTrace(t, 300, 6*cp.Hour, 10)), cp.Phone, cp.StateConnected)
 	cmpResult, err := CDFvsPoisson(so)

@@ -2,11 +2,13 @@ package eval
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"cptraffic/internal/cluster"
 	"cptraffic/internal/cp"
 	"cptraffic/internal/par"
+	"cptraffic/internal/report"
 	"cptraffic/internal/sm"
 	"cptraffic/internal/stats"
 )
@@ -306,6 +308,37 @@ func PassRates(col *Collection, quantities []Quantity, opt FitTestOptions) map[D
 		}
 	}
 	return out
+}
+
+// WritePassRates writes a sweep's rates as one of Tables 8, 9 and 10: a
+// row per (test, device type), a column per quantity, "-" for a
+// quantity with no tested unit. A device type with no UEs in the
+// collection has no rates, and no rows.
+func WritePassRates(w io.Writer, title string, qs []Quantity,
+	rates map[DistTest]map[cp.DeviceType]map[Quantity]float64) error {
+	header := []string{"Test", "Device"}
+	for _, q := range qs {
+		header = append(header, q.String())
+	}
+	tbl := report.Table{Title: title, Header: header}
+	for t := 0; t < NumDistTests; t++ {
+		for _, d := range cp.DeviceTypes {
+			if len(rates[DistTest(t)][d]) == 0 {
+				continue
+			}
+			row := []string{DistTest(t).String(), d.String()}
+			for _, q := range qs {
+				v := rates[DistTest(t)][d][q]
+				if math.IsNaN(v) {
+					row = append(row, "-")
+				} else {
+					row = append(row, report.Pct(v))
+				}
+			}
+			tbl.AddRow(row...)
+		}
+	}
+	return tbl.Render(w)
 }
 
 // groupUEs forms the per-hour UE groups: one group of everyone (Table

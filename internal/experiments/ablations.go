@@ -101,42 +101,10 @@ func AblationTableResolution(l *Lab, w io.Writer) error {
 	return tbl.Render(w)
 }
 
-// AblationTwoLevelVsFlat isolates the two-level machine's contribution:
-// the share of total events each method emits as HO while IDLE — a
-// protocol impossibility that only the flat EMM-ECM methods produce.
-func AblationTwoLevelVsFlat(l *Lab, w io.Writer) error {
-	tbl := report.Table{
-		Title:  "Ablation — HO-in-IDLE leak (protocol violations) per method, scenario 1",
-		Header: []string{"Method", "Machine", "HO (IDLE) share"},
-	}
-	models, err := l.Models()
-	if err != nil {
-		return err
-	}
-	for _, m := range baseline.Methods {
-		gen, err := l.generatedCollection(m, 1)
-		if err != nil {
-			return err
-		}
-		total, leak := 0, 0.0
-		for _, d := range cp.DeviceTypes {
-			b := eval.ComputeBreakdown(gen, d)
-			leak += b.Share["HO (IDLE)"] * float64(b.Total)
-			total += b.Total
-		}
-		share := 0.0
-		if total > 0 {
-			share = leak / float64(total)
-		}
-		tbl.AddRow(m, models[m].MachineName, report.Pct(share))
-	}
-	return tbl.Render(w)
-}
-
-// HOIdleLeak returns each method's HO-in-IDLE share for programmatic
-// checks.
-func HOIdleLeak(l *Lab) (map[string]float64, error) {
-	out := map[string]float64{}
+// hoIdleLeak returns, per method, the share of its scenario-1 events
+// that are HO fired while IDLE.
+func hoIdleLeak(l *Lab) (map[string]float64, error) {
+	out := make(map[string]float64, len(baseline.Methods))
 	for _, m := range baseline.Methods {
 		gen, err := l.generatedCollection(m, 1)
 		if err != nil {
@@ -153,4 +121,26 @@ func HOIdleLeak(l *Lab) (map[string]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// AblationTwoLevelVsFlat isolates the two-level machine's contribution:
+// the share of total events each method emits as HO while IDLE — a
+// protocol impossibility that only the flat EMM-ECM methods produce.
+func AblationTwoLevelVsFlat(l *Lab, w io.Writer) error {
+	models, err := l.Models()
+	if err != nil {
+		return err
+	}
+	leak, err := hoIdleLeak(l)
+	if err != nil {
+		return err
+	}
+	tbl := report.Table{
+		Title:  "Ablation — HO-in-IDLE leak (protocol violations) per method, scenario 1",
+		Header: []string{"Method", "Machine", "HO (IDLE) share"},
+	}
+	for _, m := range baseline.Methods {
+		tbl.AddRow(m, models[m].MachineName, report.Pct(leak[m]))
+	}
+	return tbl.Render(w)
 }

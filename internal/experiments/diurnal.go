@@ -12,84 +12,73 @@ import (
 	"cptraffic/internal/world"
 )
 
-// DiurnalFidelity validates what the paper's one-hour scenarios do not:
-// the generator driven over a whole day, hour after hour (§7's "runs the
-// per-hour two-level state machine one after another"), must reproduce
-// the diurnal load curve. It synthesizes 24 hours from hour 0, compares
-// hourly event volumes against a held-out world day, and reports the
-// Pearson correlation of the two curves plus the per-hour relative
-// errors.
-func DiurnalFidelity(l *Lab, w io.Writer) error {
+// diurnalResult is what the diurnal fidelity table prints: the hourly
+// event volumes of a held-out world day and of a generated one, and the
+// Pearson correlation of the two curves.
+type diurnalResult struct {
+	ues       int
+	real, gen [24]float64
+	corr      float64
+}
+
+// diurnal synthesizes 24 hours from hour 0 with the Ours model and
+// simulates a held-out world day of as many UEs.
+func diurnal(l *Lab) (diurnalResult, error) {
+	res := diurnalResult{ues: l.Cfg.Scenario1UEs}
 	models, err := l.Models()
 	if err != nil {
-		return err
+		return res, err
 	}
-	ms := models["ours"]
-	n := l.Cfg.Scenario1UEs
-	gen, err := core.Generate(ms, core.GenOptions{
-		NumUEs:    n,
+	gen, err := core.Generate(models["ours"], core.GenOptions{
+		NumUEs:    res.ues,
 		StartHour: 0,
 		Duration:  cp.Day,
 		Seed:      l.Cfg.Seed + 1313,
 		Workers:   l.Cfg.Workers,
 	})
 	if err != nil {
-		return err
+		return res, err
 	}
 	real, err := world.Generate(world.Options{
-		NumUEs:   n,
+		NumUEs:   res.ues,
 		Duration: cp.Day,
 		Seed:     l.Cfg.Seed + 1414,
 		Workers:  l.Cfg.Workers,
 	})
 	if err != nil {
+		return res, err
+	}
+	res.real, res.gen = hourlyVolumes(real), hourlyVolumes(gen)
+	res.corr = pearson(res.real[:], res.gen[:])
+	return res, nil
+}
+
+// DiurnalFidelity validates what the paper's one-hour scenarios do not:
+// the generator driven over a whole day, hour after hour (§7's "runs the
+// per-hour two-level state machine one after another"), must reproduce
+// the diurnal load curve. It reports the hourly event volumes of the
+// generated and a real day, their Pearson correlation, and the per-hour
+// relative errors.
+func DiurnalFidelity(l *Lab, w io.Writer) error {
+	res, err := diurnal(l)
+	if err != nil {
 		return err
 	}
-
-	realHourly := hourlyVolumes(real)
-	genHourly := hourlyVolumes(gen)
-	corr := pearson(realHourly[:], genHourly[:])
-
 	tbl := report.Table{
-		Title:  fmt.Sprintf("Diurnal fidelity — 24h generation from hour 0, %d UEs (hourly volume correlation %.3f)", n, corr),
+		Title:  fmt.Sprintf("Diurnal fidelity — 24h generation from hour 0, %d UEs (hourly volume correlation %.3f)", res.ues, res.corr),
 		Header: []string{"Hour", "Real", "Generated", "Rel. error"},
 	}
 	for h := 0; h < 24; h++ {
 		relErr := math.NaN()
-		if realHourly[h] > 0 {
-			relErr = (genHourly[h] - realHourly[h]) / realHourly[h]
+		if res.real[h] > 0 {
+			relErr = (res.gen[h] - res.real[h]) / res.real[h]
 		}
 		tbl.AddRow(fmt.Sprintf("%02d", h),
-			fmt.Sprintf("%.0f", realHourly[h]),
-			fmt.Sprintf("%.0f", genHourly[h]),
+			fmt.Sprintf("%.0f", res.real[h]),
+			fmt.Sprintf("%.0f", res.gen[h]),
 			report.SignedPct(relErr))
 	}
 	return tbl.Render(w)
-}
-
-// DiurnalCorrelation returns just the hourly-volume correlation for
-// programmatic checks.
-func DiurnalCorrelation(l *Lab) (float64, error) {
-	models, err := l.Models()
-	if err != nil {
-		return 0, err
-	}
-	ms := models["ours"]
-	n := l.Cfg.Scenario1UEs
-	gen, err := core.Generate(ms, core.GenOptions{
-		NumUEs: n, StartHour: 0, Duration: cp.Day, Seed: l.Cfg.Seed + 1313,
-		Workers: l.Cfg.Workers,
-	})
-	if err != nil {
-		return 0, err
-	}
-	real, err := world.Generate(world.Options{NumUEs: n, Duration: cp.Day, Seed: l.Cfg.Seed + 1414, Workers: l.Cfg.Workers})
-	if err != nil {
-		return 0, err
-	}
-	r := hourlyVolumes(real)
-	g := hourlyVolumes(gen)
-	return pearson(r[:], g[:]), nil
 }
 
 // hourlyVolumes tallies a trace's events per hour-of-day.

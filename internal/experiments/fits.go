@@ -10,23 +10,46 @@ import (
 	"cptraffic/internal/report"
 )
 
+// figure2Events are the four dominant event types Figure 2 plots.
+var figure2Events = [...]cp.EventType{cp.ServiceRequest, cp.S1ConnRelease, cp.Handover, cp.TrackingAreaUpdate}
+
+// figure2Boxes are Figure 2's box statistics, by device type, event type
+// (figure2Events) and hour of day.
+type figure2Boxes [cp.NumDeviceTypes][len(figure2Events)][24]eval.BoxStats
+
+// figure2 computes the per-device-hour event-count distributions of the
+// training trace (per-day averages).
+func figure2(l *Lab) (*figure2Boxes, error) {
+	tr, err := l.Train()
+	if err != nil {
+		return nil, err
+	}
+	var out figure2Boxes
+	for _, d := range cp.DeviceTypes {
+		for i, e := range figure2Events {
+			hc := eval.HourCounts(tr, d, e, l.Cfg.Days)
+			for h := range hc {
+				out[d][i][h] = eval.ComputeBoxStats(hc[h])
+			}
+		}
+	}
+	return &out, nil
+}
+
 // Figure2 summarizes the per-device-hour event-count distributions (the
 // paper's box plots) for the four dominant event types.
 func Figure2(l *Lab, w io.Writer) error {
-	tr, err := l.Train()
+	boxes, err := figure2(l)
 	if err != nil {
 		return err
 	}
-	events := []cp.EventType{cp.ServiceRequest, cp.S1ConnRelease, cp.Handover, cp.TrackingAreaUpdate}
 	for _, d := range cp.DeviceTypes {
-		for _, e := range events {
-			hc := eval.HourCounts(tr, d, e, l.Cfg.Days)
+		for i, e := range figure2Events {
 			tbl := report.Table{
 				Title:  fmt.Sprintf("Figure 2 — %s per device-hour, %s (per-day averages)", e, d),
 				Header: []string{"Hour", "Min", "Q1", "Median", "Mean", "Q3", "Max"},
 			}
-			for h := 0; h < 24; h++ {
-				bs := eval.ComputeBoxStats(hc[h])
+			for h, bs := range boxes[d][i] {
 				tbl.AddRow(fmt.Sprintf("%02d", h),
 					fmt.Sprintf("%.2f", bs.Min), fmt.Sprintf("%.2f", bs.Q1),
 					fmt.Sprintf("%.2f", bs.Median), fmt.Sprintf("%.2f", bs.Mean),
@@ -40,106 +63,57 @@ func Figure2(l *Lab, w io.Writer) error {
 	return nil
 }
 
-// DiurnalSwing returns peak-to-trough mean event-rate ratios per device
-// type, the headline numbers of Figure 2.
-func DiurnalSwing(l *Lab) (map[cp.DeviceType]float64, error) {
-	tr, err := l.Train()
+// passRates runs the goodness-of-fit sweep of Tables 8-10 over the
+// training collection: one UE group per device type and hour, or the
+// adaptive clusters when clustered. A unit with fewer than minSamples
+// pooled samples is not tested.
+func passRates(l *Lab, qs []eval.Quantity, clustered bool, minSamples int) (map[eval.DistTest]map[cp.DeviceType]map[eval.Quantity]float64, error) {
+	col, err := l.trainCollection()
 	if err != nil {
 		return nil, err
 	}
-	out := map[cp.DeviceType]float64{}
-	for _, d := range cp.DeviceTypes {
-		hc := eval.HourCounts(tr, d, cp.ServiceRequest, l.Cfg.Days)
-		peak, trough := 0.0, math.Inf(1)
-		for h := 0; h < 24; h++ {
-			m := eval.ComputeBoxStats(hc[h]).Mean
-			if m > peak {
-				peak = m
-			}
-			if m < trough {
-				trough = m
-			}
-		}
-		if trough <= 0 {
-			trough = 1e-9
-		}
-		out[d] = peak / trough
+	opt := eval.FitTestOptions{MinSamples: minSamples, Workers: l.Cfg.Workers}
+	if clustered {
+		opt.Clustered, opt.Cluster = true, l.ClusterOptions()
 	}
-	return out, nil
+	return eval.PassRates(col, qs, opt), nil
 }
 
-// passRateTable renders one of the Tables 8/9/10.
-func passRateTable(w io.Writer, title string, qs []eval.Quantity,
-	rates map[eval.DistTest]map[cp.DeviceType]map[eval.Quantity]float64) error {
-	header := []string{"Test", "Device"}
-	for _, q := range qs {
-		header = append(header, q.String())
+// sweepTable writes one of Tables 8-10: the sweep over units of at least
+// 30 samples.
+func sweepTable(l *Lab, w io.Writer, title string, qs []eval.Quantity, clustered bool) error {
+	rates, err := passRates(l, qs, clustered, 30)
+	if err != nil {
+		return err
 	}
-	tbl := report.Table{Title: title, Header: header}
-	for t := 0; t < eval.NumDistTests; t++ {
-		for _, d := range cp.DeviceTypes {
-			row := []string{eval.DistTest(t).String(), d.String()}
-			for _, q := range qs {
-				v := rates[eval.DistTest(t)][d][q]
-				if math.IsNaN(v) {
-					row = append(row, "-")
-				} else {
-					row = append(row, report.Pct(v))
-				}
-			}
-			tbl.AddRow(row...)
-		}
-	}
-	return tbl.Render(w)
+	return eval.WritePassRates(w, title, qs, rates)
 }
 
 // Table8 runs the goodness-of-fit sweep without clustering.
 func Table8(l *Lab, w io.Writer) error {
-	col, err := l.trainCollection()
-	if err != nil {
-		return err
-	}
-	rates := eval.PassRates(col, eval.Table8Quantities(), eval.FitTestOptions{MinSamples: 30, Workers: l.Cfg.Workers})
-	return passRateTable(w, "Table 8 — % of 1-hour intervals passing, no clustering",
-		eval.Table8Quantities(), rates)
+	return sweepTable(l, w, "Table 8 — % of 1-hour intervals passing, no clustering", eval.Table8Quantities(), false)
 }
 
 // Table9 runs the sweep with the adaptive clustering.
 func Table9(l *Lab, w io.Writer) error {
-	col, err := l.trainCollection()
-	if err != nil {
-		return err
-	}
-	rates := eval.PassRates(col, eval.Table8Quantities(),
-		eval.FitTestOptions{Clustered: true, Cluster: l.ClusterOptions(), MinSamples: 30, Workers: l.Cfg.Workers})
-	return passRateTable(w, "Table 9 — % of 1-hour intervals passing, with adaptive clustering",
-		eval.Table8Quantities(), rates)
+	return sweepTable(l, w, "Table 9 — % of 1-hour intervals passing, with adaptive clustering", eval.Table8Quantities(), true)
 }
 
 // Table10 runs the sweep over the nine second-level transitions.
 func Table10(l *Lab, w io.Writer) error {
-	col, err := l.trainCollection()
-	if err != nil {
-		return err
-	}
-	rates := eval.PassRates(col, eval.Table10Quantities(),
-		eval.FitTestOptions{Clustered: true, Cluster: l.ClusterOptions(), MinSamples: 30, Workers: l.Cfg.Workers})
-	return passRateTable(w, "Table 10 — % of intervals passing, second-level transitions",
-		eval.Table10Quantities(), rates)
+	return sweepTable(l, w, "Table 10 — % of intervals passing, second-level transitions", eval.Table10Quantities(), true)
 }
 
 // PoissonPassRate returns the clustered Poisson K-S pass rate for one
 // quantity, averaged over device types — the reproduction's headline
 // negative result.
 func PoissonPassRate(l *Lab, q eval.Quantity) (float64, error) {
-	col, err := l.trainCollection()
+	// Only well-powered units count: K-S cannot reject anything on a
+	// handful of samples, and the paper's units pooled thousands.
+	rates, err := passRates(l, []eval.Quantity{q}, true, 40)
 	if err != nil {
 		return 0, err
 	}
-	// Only well-powered units count: K-S cannot reject anything on a
-	// handful of samples, and the paper's units pooled thousands.
-	rates := eval.PassRates(col, []eval.Quantity{q},
-		eval.FitTestOptions{Clustered: true, Cluster: l.ClusterOptions(), MinSamples: 40, Workers: l.Cfg.Workers})
 	var sum float64
 	n := 0
 	for _, d := range cp.DeviceTypes {
@@ -155,122 +129,64 @@ func PoissonPassRate(l *Lab, q eval.Quantity) (float64, error) {
 	return sum / float64(n), nil
 }
 
-// figure34Quantities are the four panels of Figures 3 and 4.
-func figure34Quantities() []eval.Quantity {
-	return []eval.Quantity{
-		{Kind: eval.QStateSojourn, State: cp.StateConnected},
-		{Kind: eval.QStateSojourn, State: cp.StateIdle},
-		{Kind: eval.QInterArrival, Event: cp.Handover},
-		{Kind: eval.QInterArrival, Event: cp.TrackingAreaUpdate},
+// figure3 computes the variance-time panels (observed vs fitted Poisson)
+// of the training trace's phones over its whole span.
+func figure3(l *Lab) ([]eval.VTComparison, error) {
+	tr, err := l.Train()
+	if err != nil {
+		return nil, err
 	}
+	return eval.Figure3(tr, cp.Millis(l.Cfg.Days)*cp.Day), nil
 }
 
 // Figure3 exports the variance-time curves (observed vs fitted Poisson)
 // for the CONNECTED/IDLE states and HO/TAU events of phones.
 func Figure3(l *Lab, w io.Writer) error {
-	tr, err := l.Train()
+	panels, err := figure3(l)
 	if err != nil {
 		return err
 	}
-	phones := eval.UESet(tr.UEsOfType(cp.Phone))
-	horizon := cp.Millis(l.Cfg.Days) * cp.Day
-	for _, q := range figure34Quantities() {
-		vt := eval.VarianceTimeFor(tr, phones, q, horizon)
-		fmt.Fprintf(w, "# Figure 3 — variance-time, %s (phones); mean log10 gap vs Poisson = %.2f, Hurst = %.2f\n",
-			q, vt.LogGap, vt.Hurst)
-		scales := make([]float64, len(vt.Observed))
-		obs := make([]float64, len(vt.Observed))
-		ref := make([]float64, len(vt.Poisson))
-		for i := range vt.Observed {
-			scales[i] = vt.Observed[i].ScaleSec
-			obs[i] = vt.Observed[i].NormVar
-			ref[i] = vt.Poisson[i].NormVar
-		}
-		if err := report.Series(w, []string{"scale_s", "observed", "poisson"}, scales, obs, ref); err != nil {
-			return err
-		}
-	}
-	return nil
+	return eval.WriteFigure3(w, panels)
 }
 
-// Figure3Gaps returns the log-gap per panel for programmatic checks.
-func Figure3Gaps(l *Lab) (map[string]float64, error) {
-	tr, err := l.Train()
+// figure4 computes the real-vs-fitted-Poisson CDF panels of the training
+// collection's phones.
+func figure4(l *Lab) ([]eval.FitCDFComparison, error) {
+	col, err := l.trainCollection()
 	if err != nil {
 		return nil, err
 	}
-	phones := eval.UESet(tr.UEsOfType(cp.Phone))
-	horizon := cp.Millis(l.Cfg.Days) * cp.Day
-	out := map[string]float64{}
-	for _, q := range figure34Quantities() {
-		out[q.String()] = eval.VarianceTimeFor(tr, phones, q, horizon).LogGap
-	}
-	return out, nil
+	return eval.Figure4(col)
 }
 
 // Figure4 exports the real-vs-fitted-Poisson CDF comparisons for the
 // same four quantities on phones, and prints the observed-vs-fitted
 // value ranges the paper quotes.
 func Figure4(l *Lab, w io.Writer) error {
-	col, err := l.trainCollection()
+	panels, err := figure4(l)
 	if err != nil {
 		return err
 	}
-	qs := figure34Quantities()
-	for i, xs := range eval.QuantitySamples(col, cp.Phone, qs) {
-		q := qs[i]
-		if len(xs) < 2 {
-			continue
-		}
-		c, err := eval.CDFvsPoisson(xs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "# Figure 4 — %s (phones): observed range [%.2f, %.2f] s, fitted exponential range [%.2f, %.2f] s\n",
-			q, c.MinObs, c.MaxObs, c.MinFit, c.MaxFit)
-		if err := report.Series(w, []string{"x", "F_observed", "F_fitted"},
-			c.Sample.X, c.Sample.F, c.Fitted.F); err != nil {
-			return err
-		}
-	}
-	return nil
+	return eval.WriteFigure4(w, panels)
 }
 
-// Figure4Ranges returns (observed max / fitted max) per panel.
-func Figure4Ranges(l *Lab) (map[string]float64, error) {
-	col, err := l.trainCollection()
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	qs := figure34Quantities()
-	for i, xs := range eval.QuantitySamples(col, cp.Phone, qs) {
-		q := qs[i]
-		if len(xs) < 2 {
-			continue
-		}
-		c, err := eval.CDFvsPoisson(xs)
-		if err != nil {
-			return nil, err
-		}
-		out[q.String()] = c.MaxObs / c.MaxFit
-	}
-	return out, nil
+// clusterRow is one device type's row of the §5.3 statistics.
+type clusterRow struct {
+	dev      cp.DeviceType
+	perHour  float64 // clusters per hour, averaged over the hours
+	personas int
+	models   int
 }
 
-// Clusters reports the adaptive clustering statistics of §5.3: clusters
-// per hour per device type and the total number of instantiated models.
-func Clusters(l *Lab, w io.Writer) error {
+// clusters computes the adaptive clustering statistics of the Ours
+// model: a row per device type and the total number of instantiated
+// models.
+func clusters(l *Lab) (rows []clusterRow, total int, err error) {
 	models, err := l.Models()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	ours := models["ours"]
-	tbl := report.Table{
-		Title:  "§5.3 — adaptive clustering statistics (method: ours)",
-		Header: []string{"Device", "Avg clusters/hour", "Personas", "Models"},
-	}
-	total := 0
 	for _, d := range cp.DeviceTypes {
 		dm := ours.Device(d)
 		if dm == nil {
@@ -281,23 +197,31 @@ func Clusters(l *Lab, w io.Writer) error {
 			n += len(dm.Hours[h].Clusters)
 		}
 		total += n
-		tbl.AddRow(d.String(),
-			fmt.Sprintf("%.1f", float64(n)/float64(len(dm.Hours))),
-			fmt.Sprintf("%d", len(dm.Personas)),
-			fmt.Sprintf("%d", n))
+		rows = append(rows, clusterRow{dev: d, perHour: float64(n) / float64(len(dm.Hours)), personas: len(dm.Personas), models: n})
+	}
+	return rows, total, nil
+}
+
+// Clusters reports the adaptive clustering statistics of §5.3: clusters
+// per hour per device type and the total number of instantiated models.
+func Clusters(l *Lab, w io.Writer) error {
+	rows, total, err := clusters(l)
+	if err != nil {
+		return err
+	}
+	tbl := report.Table{
+		Title:  "§5.3 — adaptive clustering statistics (method: ours)",
+		Header: []string{"Device", "Avg clusters/hour", "Personas", "Models"},
+	}
+	for _, r := range rows {
+		tbl.AddRow(r.dev.String(),
+			fmt.Sprintf("%.1f", r.perHour),
+			fmt.Sprintf("%d", r.personas),
+			fmt.Sprintf("%d", r.models))
 	}
 	if err := tbl.Render(w); err != nil {
 		return err
 	}
 	_, err = fmt.Fprintf(w, "Total instantiated (cluster, hour, device) models: %d (paper: 20,216 at 37K-UE scale)\n\n", total)
 	return err
-}
-
-// ClusterCounts returns the total model count.
-func ClusterCounts(l *Lab) (int, error) {
-	models, err := l.Models()
-	if err != nil {
-		return 0, err
-	}
-	return models["ours"].NumModels(), nil
 }

@@ -1,7 +1,10 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation on the world-simulator substrate. Each experiment renders
 // the same rows/series the paper reports; the per-experiment index lives
-// in DESIGN.md and measured-vs-paper numbers in EXPERIMENTS.md.
+// in DESIGN.md and measured-vs-paper numbers in EXPERIMENTS.md. Where a
+// shape test holds an experiment, one unexported function computes the
+// numbers its table prints; the exported renderer formats that result,
+// and the test reads the same result.
 //
 // All experiments run at a configurable scale. Absolute numbers differ
 // from the paper (its substrate was a production carrier trace; ours is

@@ -36,11 +36,40 @@ func Table1(l *Lab, w io.Writer) error {
 	return tbl.Render(w)
 }
 
+// breakdownResult is what Table 4 or 11 prints for one scenario: per
+// device type, the real busy-hour breakdown and each method's signed
+// differences from it, by method and row.
+type breakdownResult struct {
+	real  [cp.NumDeviceTypes]eval.Breakdown
+	diffs [cp.NumDeviceTypes]map[string]map[string]float64
+}
+
+// breakdown computes Table 4 (scenario 2) or Table 11 (scenario 1).
+func breakdown(l *Lab, scenario int) (breakdownResult, error) {
+	var res breakdownResult
+	realCol, err := l.realCollection(scenario)
+	if err != nil {
+		return res, err
+	}
+	for _, d := range cp.DeviceTypes {
+		res.real[d] = eval.ComputeBreakdown(realCol, d)
+		res.diffs[d] = make(map[string]map[string]float64, len(baseline.Methods))
+		for _, m := range baseline.Methods {
+			gen, err := l.generatedCollection(m, scenario)
+			if err != nil {
+				return res, err
+			}
+			res.diffs[d][m] = eval.BreakdownDiff(res.real[d], eval.ComputeBreakdown(gen, d))
+		}
+	}
+	return res, nil
+}
+
 // BreakdownTable regenerates Table 4 (scenario 2) or Table 11 (scenario
 // 1): signed differences between the real busy-hour breakdown and each
 // method's synthesized breakdown, per device type.
 func BreakdownTable(l *Lab, w io.Writer, scenario int) error {
-	realCol, err := l.realCollection(scenario)
+	res, err := breakdown(l, scenario)
 	if err != nil {
 		return err
 	}
@@ -54,18 +83,10 @@ func BreakdownTable(l *Lab, w io.Writer, scenario int) error {
 		Header: []string{"Device", "Row", "Real", "Base", "V1", "V2", "Ours"},
 	}
 	for _, d := range cp.DeviceTypes {
-		realB := eval.ComputeBreakdown(realCol, d)
-		diffs := map[string]map[string]float64{}
-		for _, m := range baseline.Methods {
-			gen, err := l.generatedCollection(m, scenario)
-			if err != nil {
-				return err
-			}
-			diffs[m] = eval.BreakdownDiff(realB, eval.ComputeBreakdown(gen, d))
-		}
+		diffs := res.diffs[d]
 		for _, k := range eval.BreakdownKeys {
 			tbl.AddRow(d.String(), k,
-				report.Pct(realB.Share[k]),
+				report.Pct(res.real[d].Share[k]),
 				report.SignedPct(diffs["base"][k]),
 				report.SignedPct(diffs["v1"][k]),
 				report.SignedPct(diffs["v2"][k]),
@@ -75,45 +96,32 @@ func BreakdownTable(l *Lab, w io.Writer, scenario int) error {
 	return tbl.Render(w)
 }
 
-// BreakdownErrors returns each method's maximum absolute breakdown error
-// per device type — the comparison the reproduction must preserve:
-// ours <= v2 < v1 < base.
-func BreakdownErrors(l *Lab, scenario int) (map[string]map[cp.DeviceType]float64, error) {
-	realCol, err := l.realCollection(scenario)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]map[cp.DeviceType]float64{}
-	for _, m := range baseline.Methods {
-		gen, err := l.generatedCollection(m, scenario)
-		if err != nil {
-			return nil, err
-		}
-		out[m] = map[cp.DeviceType]float64{}
-		for _, d := range cp.DeviceTypes {
-			realB := eval.ComputeBreakdown(realCol, d)
-			out[m][d] = eval.MaxAbsDiff(eval.BreakdownDiff(realB, eval.ComputeBreakdown(gen, d)))
-		}
-	}
-	return out, nil
+// fiveGBreakdown is one Table 7 network's trace as the table reads it:
+// per device type, the event shares and the event count they are
+// relative to.
+type fiveGBreakdown struct {
+	shares [cp.NumDeviceTypes][cp.NumEventTypes]float64
+	totals [cp.NumDeviceTypes]int
 }
 
-// Table7 regenerates the 5G projection: the LTE model is adapted to 5G
-// NSA (HO x4.6) and 5G SA (HO x3.0, TAU removed), multi-hour traces are
-// synthesized for all three, and the per-device breakdowns reported.
-func Table7(l *Lab, w io.Writer) error {
+// table7 computes the 5G projection: the LTE model is adapted to 5G NSA
+// (HO x4.6) and 5G SA (HO x3.0, TAU removed), and a 12-hour trace of
+// each of the three is synthesized and broken down: LTE, NSA and SA, the
+// table's column order.
+func table7(l *Lab) ([3]fiveGBreakdown, error) {
+	var out [3]fiveGBreakdown
 	models, err := l.Models()
 	if err != nil {
-		return err
+		return out, err
 	}
 	lte := models["ours"]
 	nsa, err := fiveg.ToNSA(lte, fiveg.NSAHandoverFactor)
 	if err != nil {
-		return err
+		return out, err
 	}
 	sa, err := fiveg.ToSA(lte, fiveg.SAHandoverFactor)
 	if err != nil {
-		return err
+		return out, err
 	}
 	genOpt := core.GenOptions{
 		NumUEs:    l.Cfg.Scenario1UEs,
@@ -122,18 +130,23 @@ func Table7(l *Lab, w io.Writer) error {
 		Seed:      l.Cfg.Seed + 77,
 		Workers:   l.Cfg.Workers,
 	}
-	traces := map[string]*core.ModelSet{"LTE": lte, "NSA": nsa, "SA": sa}
-	shares := map[string][cp.NumDeviceTypes][cp.NumEventTypes]float64{}
-	for name, ms := range traces {
+	for i, ms := range []*core.ModelSet{lte, nsa, sa} {
 		tr, err := core.Generate(ms, genOpt)
 		if err != nil {
-			return err
+			return out, err
 		}
-		var s [cp.NumDeviceTypes][cp.NumEventTypes]float64
 		for _, d := range cp.DeviceTypes {
-			s[d], _ = eval.SimpleBreakdown(tr, d)
+			out[i].shares[d], out[i].totals[d] = eval.SimpleBreakdown(tr, d)
 		}
-		shares[name] = s
+	}
+	return out, nil
+}
+
+// Table7 regenerates the 5G projection's per-device breakdowns.
+func Table7(l *Lab, w io.Writer) error {
+	nets, err := table7(l)
+	if err != nil {
+		return err
 	}
 	tbl := report.Table{
 		Title: "Table 7 — projected 5G NSA/SA breakdowns (plus the LTE reference)",
@@ -145,50 +158,11 @@ func Table7(l *Lab, w io.Writer) error {
 		label := fmt.Sprintf("%s/%s", e, name5g)
 		row := []string{label}
 		for _, d := range cp.DeviceTypes {
-			for _, net := range []string{"LTE", "NSA", "SA"} {
-				row = append(row, report.Pct(shares[net][d][e]))
+			for i := range nets {
+				row = append(row, report.Pct(nets[i].shares[d][e]))
 			}
 		}
 		tbl.AddRow(row...)
 	}
 	return tbl.Render(w)
-}
-
-// FiveGShares returns the HO shares per network mode for validation.
-func FiveGShares(l *Lab) (lteHO, nsaHO, saHO float64, err error) {
-	models, err := l.Models()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	lte := models["ours"]
-	nsa, err := fiveg.ToNSA(lte, fiveg.NSAHandoverFactor)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	sa, err := fiveg.ToSA(lte, fiveg.SAHandoverFactor)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	genOpt := core.GenOptions{
-		NumUEs: l.Cfg.Scenario1UEs, StartHour: 8, Duration: 4 * cp.Hour, Seed: l.Cfg.Seed + 78,
-		Workers: l.Cfg.Workers,
-	}
-	hoShare := func(ms *core.ModelSet) (float64, error) {
-		tr, err := core.Generate(ms, genOpt)
-		if err != nil {
-			return 0, err
-		}
-		if tr.Len() == 0 {
-			return 0, fmt.Errorf("experiments: empty 5G trace")
-		}
-		return float64(tr.CountByType()[cp.Handover]) / float64(tr.Len()), nil
-	}
-	if lteHO, err = hoShare(lte); err != nil {
-		return
-	}
-	if nsaHO, err = hoShare(nsa); err != nil {
-		return
-	}
-	saHO, err = hoShare(sa)
-	return
 }

@@ -19,21 +19,15 @@ func Table5(l *Lab, w io.Writer) error {
 		Header: []string{"Scenario", "Device", "Row", "V2", "Ours"},
 	}
 	for _, scenario := range []int{1, 2} {
-		realCol, err := l.realCollection(scenario)
-		if err != nil {
-			return err
-		}
 		for _, d := range cp.DeviceTypes {
-			v2Col, err := l.generatedCollection("v2", scenario)
+			v2, err := MicroDistancesFor(l, scenario, "v2", d)
 			if err != nil {
 				return err
 			}
-			oursCol, err := l.generatedCollection("ours", scenario)
+			ours, err := MicroDistancesFor(l, scenario, "ours", d)
 			if err != nil {
 				return err
 			}
-			v2 := eval.ComputeMicroDistances(realCol, v2Col, d)
-			ours := eval.ComputeMicroDistances(realCol, oursCol, d)
 			sc := fmt.Sprintf("%d", scenario)
 			tbl.AddRow(sc, d.String(), "SRV_REQ", report.Pct(v2.SrvReqPerUE), report.Pct(ours.SrvReqPerUE))
 			tbl.AddRow(sc, d.String(), "S1_CONN_REL", report.Pct(v2.S1RelPerUE), report.Pct(ours.S1RelPerUE))

@@ -33,32 +33,23 @@ import (
 // of its own. An entry whose symbol a program reaches, or which is
 // gone, fails the test, so the list cannot outlive its reasons.
 var reachAllow = map[string]string{
-	"cptraffic/internal/experiments.BreakdownErrors":    shapeMetric,
-	"cptraffic/internal/experiments.ClusterCounts":      shapeMetric,
-	"cptraffic/internal/experiments.DiurnalCorrelation": shapeMetric,
-	"cptraffic/internal/experiments.DiurnalSwing":       shapeMetric,
-	"cptraffic/internal/experiments.Figure3Gaps":        shapeMetric,
-	"cptraffic/internal/experiments.Figure4Ranges":      shapeMetric,
-	"cptraffic/internal/experiments.FiveGShares":        shapeMetric,
-	"cptraffic/internal/experiments.HOIdleLeak":         shapeMetric,
-	"cptraffic/internal/experiments.PoissonPassRate":    shapeMetric,
-	"cptraffic/internal/mcn.NFLoadSeries":               worklist,
-	"cptraffic/internal/sm.MacroBreakdown":              "oracle shared by eval, world and core tests",
-	"cptraffic/internal/sm.MacroSojourns":               "oracle shared by eval and sm tests",
-	"cptraffic/internal/stats.CountSeries":              worklist,
-	"cptraffic/internal/stats.HurstRS":                  worklist,
-	"cptraffic/internal/stats.RNG.Intn":                 "the seeded integer draw of tests in five packages",
-	"cptraffic/internal/stats.RNG.Shuffle":              "the seeded shuffle of the cluster and stats tests",
-	"cptraffic/internal/stats.SketchErrorBound":         "the documented error bound of a sketched fit, which the core and stats tests hold it to",
-	"cptraffic/internal/trace.KeyRun.Events":            "reads one drainUntil call's run in the engine drain tests of core and world",
-	"cptraffic/internal/trace.Population.Resorted":      "the count of second sorts the core and world tests hold the real populations to zero on",
-	"cptraffic/internal/trace.Trace.Append":             "builds the event-by-event trace fixtures of tests in four packages",
-	"cptraffic/internal/trace.batchingSink.SetDevice":   "BatchSink's method set; the adapter goes with ROADMAP item 5(d)",
+	"cptraffic/internal/experiments.PoissonPassRate":  "a paper-shape metric experiments_test holds (units of 40 samples, where Table 9 tests 30); the fidelity ledger (ROADMAP item 1) will record it",
+	"cptraffic/internal/mcn.NFLoadSeries":             worklist,
+	"cptraffic/internal/sm.MacroBreakdown":            "oracle shared by eval, world and core tests",
+	"cptraffic/internal/sm.MacroSojourns":             "oracle shared by eval and sm tests",
+	"cptraffic/internal/stats.CountSeries":            worklist,
+	"cptraffic/internal/stats.HurstRS":                worklist,
+	"cptraffic/internal/stats.RNG.Intn":               "the seeded integer draw of tests in five packages",
+	"cptraffic/internal/stats.RNG.Shuffle":            "the seeded shuffle of the cluster and stats tests",
+	"cptraffic/internal/stats.SketchErrorBound":       "the documented error bound of a sketched fit, which the core and stats tests hold it to",
+	"cptraffic/internal/trace.KeyRun.Events":          "reads one drainUntil call's run in the engine drain tests of core and world",
+	"cptraffic/internal/trace.Population.Resorted":    "the count of second sorts the core and world tests hold the real populations to zero on",
+	"cptraffic/internal/trace.Trace.Append":           "builds the event-by-event trace fixtures of tests in four packages",
+	"cptraffic/internal/trace.batchingSink.SetDevice": "BatchSink's method set; the adapter goes with ROADMAP item 5(d)",
 }
 
 const (
-	shapeMetric = "a paper-shape metric experiments_test holds; the fidelity ledger (ROADMAP item 1) will record it"
-	worklist    = "ROADMAP item 1(e)'s worklist: goes in the change that also deletes its tests, its only callers"
+	worklist = "ROADMAP item 1(e)'s worklist: goes in the change that also deletes its tests, its only callers"
 )
 
 // stdDispatch names the standard-library interfaces whose methods the

@@ -51,33 +51,20 @@ func Provision(tr *trace.Trace, cap Capacity) (ProvisionReport, error) {
 	var rep ProvisionReport
 	lo, hi := tr.Span()
 	rep.Span = (hi - lo).Seconds()
-
-	var free [NumNFs]float64 // time each server becomes free
-	delays := make([][]float64, NumNFs)
-	for _, ev := range tr.Events {
-		t := ev.T.Seconds()
-		tx := Transactions(ev.Type)
-		for n := 0; n < NumNFs; n++ {
-			for k := 0; k < tx[n]; k++ {
-				start := math.Max(t, free[n])
-				free[n] = start + 1/cap[n]
-				delays[n] = append(delays[n], start-t)
-				rep.PerNF[n].Transactions++
-			}
-		}
-	}
-	for n := 0; n < NumNFs; n++ {
+	for n, arr := range nfArrivals(tr) {
+		rep.PerNF[n].Transactions = len(arr)
 		if rep.Span > 0 {
-			offered := float64(rep.PerNF[n].Transactions) / rep.Span
+			offered := float64(len(arr)) / rep.Span
 			rep.PerNF[n].Utilization = offered / cap[n]
 		}
-		if len(delays[n]) == 0 {
+		if len(arr) == 0 {
 			continue
 		}
-		rep.PerNF[n].MeanDelay = stats.Mean(delays[n])
-		sort.Float64s(delays[n])
-		rep.PerNF[n].P99Delay = delays[n][int(0.99*float64(len(delays[n])-1))]
-		rep.PerNF[n].MaxDelay = delays[n][len(delays[n])-1]
+		delays := fifoDelays(arr, cap[n])
+		rep.PerNF[n].MeanDelay = stats.Mean(delays)
+		sort.Float64s(delays)
+		rep.PerNF[n].P99Delay = p99(delays)
+		rep.PerNF[n].MaxDelay = delays[len(delays)-1]
 	}
 	return rep, nil
 }
@@ -103,18 +90,7 @@ func SuggestCapacity(tr *trace.Trace, targetP99 float64) (Capacity, error) {
 		return Capacity{}, fmt.Errorf("mcn: degenerate trace span")
 	}
 
-	// Pre-extract each NF's arrival times once.
-	arrivals := make([][]float64, NumNFs)
-	for _, ev := range tr.Events {
-		t := ev.T.Seconds()
-		tx := Transactions(ev.Type)
-		for n := 0; n < NumNFs; n++ {
-			for k := 0; k < tx[n]; k++ {
-				arrivals[n] = append(arrivals[n], t)
-			}
-		}
-	}
-
+	arrivals := nfArrivals(tr)
 	var out Capacity
 	for n := 0; n < NumNFs; n++ {
 		if len(arrivals[n]) == 0 {
@@ -143,16 +119,44 @@ func SuggestCapacity(tr *trace.Trace, targetP99 float64) (Capacity, error) {
 	return out, nil
 }
 
-// p99At computes the p99 FIFO queueing delay for arrivals served at rate.
-func p99At(arrivals []float64, rate float64) float64 {
+// nfArrivals fans a sorted trace's events out into each network
+// function's transaction arrival times (seconds), in time order.
+func nfArrivals(tr *trace.Trace) [NumNFs][]float64 {
+	var out [NumNFs][]float64
+	for _, ev := range tr.Events {
+		t := ev.T.Seconds()
+		tx := Transactions(ev.Type)
+		for n := 0; n < NumNFs; n++ {
+			for k := 0; k < tx[n]; k++ {
+				out[n] = append(out[n], t)
+			}
+		}
+	}
+	return out
+}
+
+// fifoDelays returns the queueing delay of each arrival at a FIFO server
+// of the given rate.
+func fifoDelays(arrivals []float64, rate float64) []float64 {
 	service := 1 / rate
-	free := 0.0
+	free := 0.0 // when the server is next free
 	delays := make([]float64, len(arrivals))
 	for i, t := range arrivals {
 		start := math.Max(t, free)
 		free = start + service
 		delays[i] = start - t
 	}
+	return delays
+}
+
+// p99 is the 99th percentile of sorted delays.
+func p99(sorted []float64) float64 {
+	return sorted[int(0.99*float64(len(sorted)-1))]
+}
+
+// p99At computes the p99 FIFO queueing delay for arrivals served at rate.
+func p99At(arrivals []float64, rate float64) float64 {
+	delays := fifoDelays(arrivals, rate)
 	sort.Float64s(delays)
-	return delays[int(0.99*float64(len(delays)-1))]
+	return p99(delays)
 }
