@@ -93,7 +93,9 @@ race:
 # one compile of the model and nothing else; both trace writers' Write and
 # WriteBatch allocate nothing; the generator's per-UE state (ueGen)
 # stays within the 192 B that budget counts; a decided sm.Walk — the
-# per-UE extraction fit and eval share — allocates nothing per event; and
+# per-UE extraction fit and eval share — allocates nothing per event;
+# sm.Replay — the conformance check, one sm.Cursor step an event —
+# allocates nothing over a 1 000-event UE (TestReplayAllocs); and
 # an exact PartialFit retains at most 6 B of sample logs and hour bytes a
 # sample, none of which, nor any tally row, outlives Build
 # (TestPartialFitBytesPerSample), its sparse tally rows at most 11 B a
@@ -104,7 +106,7 @@ race:
 # map-keyed accumulators or per-hour slices of pool lists exceed
 # (TestPartialFitBuildAllocsPerModel).
 allocs:
-	$(GO) test -run 'SteadyStateAllocs|ModelLoadAllocs|AllocsPerEvent|AllocsPerModel|BytesPerEvent|BytesPerUE|UEGenSize|BytesPerSample|BytesPerTally|HeldMatchesSinks|WindowKeysBounded' ./internal/core/ ./internal/world/ ./internal/trace/ ./internal/sm/
+	$(GO) test -run 'SteadyStateAllocs|ReplayAllocs|ModelLoadAllocs|AllocsPerEvent|AllocsPerModel|BytesPerEvent|BytesPerUE|UEGenSize|BytesPerSample|BytesPerTally|HeldMatchesSinks|WindowKeysBounded' ./internal/core/ ./internal/world/ ./internal/trace/ ./internal/sm/
 
 # Coverage-guided fuzzing over every decoder of external input: the
 # scenario JSON parser (seeded from scenarios/*.json), the partialfit/1
@@ -146,10 +148,11 @@ shardcheck:
 	scripts/shardcheck.sh
 
 # The eval commands' one collection path through the real binaries:
-# evalfit table8/table9/table10/fig4 and evalgen on a small world trace as
-# a binary file, a text file, stdin, and a text copy with three ties out
-# of canonical order — every stdout identical, and the in-memory note on
-# stderr for the permuted copy only.
+# evalfit table8/table9/table10/fig3/fig4 and evalgen on a small world
+# trace as a binary file, a text file, stdin, and a text copy with three
+# ties out of canonical order — every stdout identical, and the in-memory
+# note on stderr for the permuted copy only — and evalfit fig3 on a copy
+# shifted by +18 h, identical too.
 evalcheck:
 	scripts/evalcheck.sh
 

@@ -12,7 +12,8 @@
 // (trace.FileSource) and never held, stdin (-i -) is read whole first. A
 // file out of canonical order is collected again from the trace sorted
 // in memory, with a note on stderr. fig3 reads the whole trace — its
-// variance-time curves need the event series.
+// variance-time curves need the event series, binned over the trace's
+// own window, from the hour of its first event to its last event.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"os"
 
 	"cptraffic/internal/cluster"
+	"cptraffic/internal/cp"
 	"cptraffic/internal/eval"
 	"cptraffic/internal/trace"
 )
@@ -53,8 +55,8 @@ func main() {
 		if rerr != nil {
 			log.Fatal(rerr)
 		}
-		_, hi := full.Span()
-		err = eval.WriteFigure3(os.Stdout, eval.Figure3(full, hi))
+		lo, hi := full.Span()
+		err = eval.WriteFigure3(os.Stdout, eval.Figure3(full, lo-lo%cp.Hour, hi))
 	case "fig4":
 		panels, ferr := eval.Figure4(collect(*in))
 		if ferr != nil {

@@ -33,7 +33,7 @@ import (
 )
 
 // ueStat is the per-UE state of the incremental statistics pass: the
-// macro tracker behind the HO/TAU breakdown split and the replay cursor
+// macro tracker behind the HO/TAU breakdown split and the sm.Cursor
 // behind the conformance check. Both need only the current state, so the
 // whole pass holds O(UEs) memory however long the trace is.
 type ueStat struct {
@@ -46,9 +46,7 @@ type ueStat struct {
 	macro           cp.UEState
 	pendHO, pendTAU int
 
-	// Conformance replay cursor (sm.Replay, incrementally).
-	started bool
-	cur     sm.State
+	conf sm.Cursor
 }
 
 // statCollector accumulates every tracestat figure in one pass over
@@ -66,7 +64,6 @@ type statCollector struct {
 	events     int
 	lo, hi     cp.Millis
 	violations int
-	checked    int
 }
 
 func newStatCollector(m *sm.Machine) *statCollector {
@@ -136,18 +133,9 @@ func (s *statCollector) push(ev trace.Event) error {
 		s.addBreakdown(u.dev, eval.BreakdownKey(ev.Type, u.macro), 1)
 	}
 
-	// Conformance replay.
-	if !u.started {
-		u.started = true
-		u.cur = sm.InferInitial(s.m, []trace.Event{ev})
-	}
-	next, ok := s.m.Next(u.cur, ev.Type)
-	if !ok {
+	if _, legal := u.conf.Step(s.m, ev.Type); !legal {
 		s.violations++
-		next = s.m.Forced(ev.Type)
 	}
-	u.cur = next
-	s.checked++
 	return nil
 }
 
@@ -268,7 +256,7 @@ func main() {
 	}
 
 	fmt.Printf("Conformance vs %s: %d violations across %d events\n",
-		m.Name, s.violations, s.checked)
+		m.Name, s.violations, s.events)
 
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)

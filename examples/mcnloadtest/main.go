@@ -45,10 +45,7 @@ func main() {
 		}
 		mme := mcn.New(sm.LTE2Level())
 		start := time.Now()
-		stats, err := mme.ProcessTrace(tr)
-		if err != nil {
-			log.Fatal(err)
-		}
+		stats := mme.ProcessTrace(tr)
 		elapsed := time.Since(start)
 		fmt.Printf("%10d %12d %14.1f %12d %12d %11v\n",
 			ues, stats.Processed, float64(stats.Processed)/3600,
@@ -72,10 +69,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := pool.ProcessTrace(tr)
-		if err != nil {
-			log.Fatal(err)
-		}
+		st := pool.ProcessTrace(tr)
 		fmt.Printf("  %d instances: total imbalance %.3f, busiest-minute imbalance %.3f\n",
 			n, st.Imbalance, st.PeakImbalance)
 	}

@@ -46,9 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	err = src.ScanBatches(trace.Unbatch(func(ev trace.Event) error {
-		if err := mme.Process(ev); err != nil {
-			return err
-		}
+		mme.Process(ev)
 		processed++
 		if ev.T-lastReport >= 10*cp.Minute {
 			lastReport = ev.T

@@ -123,34 +123,16 @@ func SimpleBreakdown(tr *trace.Trace, d cp.DeviceType) ([cp.NumEventTypes]float6
 }
 
 // HourCounts returns, for one device type and event type, the per-UE
-// event counts for every hour-of-day — the data behind the Figure 2 box
-// plots. Index: [hour][ue-index]; every UE of the device type appears in
-// every hour (zeros included), so box statistics cover silent UEs.
-func HourCounts(tr *trace.Trace, d cp.DeviceType, e cp.EventType, days int) [24][]float64 {
-	ues := tr.UEsOfType(d)
-	idx := make(map[cp.UEID]int, len(ues))
-	for i, ue := range ues {
-		idx[ue] = i
-	}
-	if days < 1 {
-		days = 1
-	}
-	var perHour [24][]int
-	for h := range perHour {
-		perHour[h] = make([]int, len(ues))
-	}
-	for _, ev := range tr.Events {
-		i, ok := idx[ev.UE]
-		if !ok || ev.Type != e {
-			continue
-		}
-		perHour[ev.T.HourOfDay()][i]++
-	}
+// event counts of col for every hour-of-day, averaged over its days —
+// the data behind the Figure 2 box plots. Index: [hour][ue-index]; every
+// UE of the device type appears in every hour (zeros included), so box
+// statistics cover silent UEs.
+func HourCounts(col *Collection, d cp.DeviceType, e cp.EventType) [24][]float64 {
 	var out [24][]float64
-	for h := range perHour {
-		out[h] = make([]float64, len(ues))
-		for i, c := range perHour[h] {
-			out[h][i] = float64(c) / float64(days)
+	for h := range out {
+		out[h] = make([]float64, len(col.data[d]))
+		for i, u := range col.data[d] {
+			out[h][i] = float64(u.counts[h][e]) / float64(col.days)
 		}
 	}
 	return out

@@ -104,12 +104,29 @@ func TestSimpleBreakdown(t *testing.T) {
 }
 
 func TestHourCountsAndBoxStats(t *testing.T) {
-	tr := worldTrace(t, 200, cp.Day, 3)
-	hc := HourCounts(tr, cp.Phone, cp.ServiceRequest, 1)
-	nPhones := len(tr.UEsOfType(cp.Phone))
+	tr := worldTrace(t, 200, 2*cp.Day, 3)
+	col := mustCollect(t, tr)
+	hc := HourCounts(col, cp.Phone, cp.ServiceRequest)
+	// Each phone's count is its SRV_REQs in the hour of day, by the
+	// trace's own events, over the trace's two days.
+	want := map[cp.UEID]*[24]float64{}
+	for _, ue := range tr.UEsOfType(cp.Phone) {
+		want[ue] = new([24]float64)
+	}
+	for _, ev := range tr.Events {
+		if w := want[ev.UE]; w != nil && ev.Type == cp.ServiceRequest {
+			w[ev.T.HourOfDay()] += 0.5
+		}
+	}
+	phones := col.UEs(cp.Phone)
 	for h := range hc {
-		if len(hc[h]) != nPhones {
-			t.Fatalf("hour %d has %d UEs, want %d", h, len(hc[h]), nPhones)
+		if len(hc[h]) != len(want) {
+			t.Fatalf("hour %d has %d UEs, want %d", h, len(hc[h]), len(want))
+		}
+		for i, ue := range phones {
+			if hc[h][i] != want[ue][h] {
+				t.Fatalf("UE %d, hour %d: %v SRV_REQ a day, the trace %v", ue, h, hc[h][i], want[ue][h])
+			}
 		}
 	}
 	// Daytime busier than pre-dawn.
@@ -333,7 +350,7 @@ func TestPassRatesDeterministicAcrossWorkers(t *testing.T) {
 func TestVarianceTimeForBurstierThanPoisson(t *testing.T) {
 	tr := worldTrace(t, 400, 12*cp.Hour, 9)
 	phones := UESet(tr.UEsOfType(cp.Phone))
-	vt := VarianceTimeFor(tr, phones, Quantity{Kind: QStateSojourn, State: cp.StateIdle}, 12*cp.Hour)
+	vt := VarianceTimeFor(tr, phones, Quantity{Kind: QStateSojourn, State: cp.StateIdle}, 0, 12*cp.Hour)
 	if math.IsNaN(vt.LogGap) {
 		t.Fatal("no variance-time data")
 	}
@@ -345,11 +362,54 @@ func TestVarianceTimeForBurstierThanPoisson(t *testing.T) {
 	}
 }
 
+// TestFigure3ShiftInvariant: Figure 3 over a trace's own window — from
+// the hour of its first event to one past its last — reads the same on
+// the trace shifted by whole hours, bit for bit. Binned from 0 instead,
+// a shifted copy spreads the same events over more, mostly empty, bins
+// and reads far burstier.
+func TestFigure3ShiftInvariant(t *testing.T) {
+	tr := worldTrace(t, 300, 6*cp.Hour, 12)
+	window := func(tr *trace.Trace) (lo, hi cp.Millis) {
+		lo, hi = tr.Span()
+		return lo - lo%cp.Hour, hi
+	}
+	lo, hi := window(tr)
+	if lo != 0 {
+		t.Fatalf("the world trace starts in hour %d", lo/cp.Hour)
+	}
+	want := Figure3(tr, lo, hi)
+	for _, shift := range []cp.Millis{cp.Hour, 18 * cp.Hour, 5*cp.Day + 7*cp.Hour} {
+		moved := trace.New()
+		if err := tr.Devices(moved.SetDevice); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range tr.Events {
+			ev.T += shift
+			moved.Append(ev)
+		}
+		lo, hi := window(moved)
+		got := Figure3(moved, lo, hi)
+		for i := range want {
+			g, w := got[i], want[i]
+			same := bits(g.LogGap) == bits(w.LogGap) && bits(g.Hurst) == bits(w.Hurst)
+			for j := range w.Observed {
+				same = same && bits(g.Observed[j].NormVar) == bits(w.Observed[j].NormVar) &&
+					bits(g.Poisson[j].NormVar) == bits(w.Poisson[j].NormVar)
+			}
+			if !same {
+				t.Fatalf("shift %v, %s: gap %v, Hurst %v; unshifted %v, %v", shift, w.Q, g.LogGap, g.Hurst, w.LogGap, w.Hurst)
+			}
+		}
+	}
+}
+
+func bits(x float64) uint64 { return math.Float64bits(x) }
+
 // macroExits is the walk pointProcess ran before it folded sm.Walk's
 // ExitTop moves: the macro state inferred from the UE's whole sequence,
 // advanced by its Category-1 events, with a time at each exit from s.
-func macroExits(tr *trace.Trace, ues map[cp.UEID]bool, s cp.UEState) []float64 {
-	var times []float64
+func macroExits(tr *trace.Trace, ues map[cp.UEID]bool, s cp.UEState) []cp.Millis {
+	var times []cp.Millis
 	per := tr.PerUE()
 	for _, ue := range tr.UEs() {
 		evs := per[ue]
@@ -363,7 +423,7 @@ func macroExits(tr *trace.Trace, ues map[cp.UEID]bool, s cp.UEState) []float64 {
 			}
 			if next := sm.MacroAfter(ev.Type); next != cur {
 				if cur == s {
-					times = append(times, ev.T.Seconds())
+					times = append(times, ev.T)
 				}
 				cur = next
 			}

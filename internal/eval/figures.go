@@ -22,13 +22,13 @@ func Figure34Quantities() []Quantity {
 	}
 }
 
-// pointProcess extracts the event times (seconds) of a quantity's point
+// pointProcess extracts the event times of a quantity's point
 // process, pooled over the given UEs, for variance-time analysis:
 // for QInterArrival quantities the occurrences of the event type, for
 // QStateSojourn the completions of visits to the state — the ExitTop
 // moves of the UE's walk that leave it.
-func pointProcess(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity) []float64 {
-	var times []float64
+func pointProcess(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity) []cp.Millis {
+	var times []cp.Millis
 	per := tr.PerUE()
 	for _, ue := range tr.UEs() {
 		evs := per[ue]
@@ -39,7 +39,7 @@ func pointProcess(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity) []float64 {
 		case QInterArrival:
 			for _, ev := range evs {
 				if ev.Type == q.Event {
-					times = append(times, ev.T.Seconds())
+					times = append(times, ev.T)
 				}
 			}
 		case QStateSojourn:
@@ -47,7 +47,7 @@ func pointProcess(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity) []float64 {
 			step := func(ready []trace.Event) {
 				for _, ev := range ready {
 					if mv := walk.Step(ev); mv.Exit == sm.ExitTop && mv.Top == q.State {
-						times = append(times, ev.T.Seconds())
+						times = append(times, ev.T)
 					}
 				}
 			}
@@ -77,14 +77,11 @@ type VTComparison struct {
 }
 
 // VarianceTimeFor computes a Figure 3 panel for one quantity over the
-// given UE subset (nil means all UEs) within [0, horizon).
-func VarianceTimeFor(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity, horizon cp.Millis) VTComparison {
+// given UE subset (nil means all UEs) within the window [lo, hi).
+func VarianceTimeFor(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity, lo, hi cp.Millis) VTComparison {
 	times := pointProcess(tr, ues, q)
-	horizonSec := horizon.Seconds()
-	opts := stats.VTOptions{}
-	obs := stats.VarianceTime(times, horizonSec, opts)
-	rate := float64(len(times)) / horizonSec
-	ref := stats.PoissonVarianceTime(rate, opts)
+	obs := stats.VarianceTime(times, lo, hi)
+	ref := stats.PoissonVarianceTime(float64(len(times)) / (hi - lo).Seconds())
 	return VTComparison{
 		Q:        q,
 		Observed: obs,
@@ -95,13 +92,14 @@ func VarianceTimeFor(tr *trace.Trace, ues map[cp.UEID]bool, q Quantity, horizon 
 }
 
 // Figure3 computes the Figure 3 panels, one per Figure34Quantities
-// entry, of the phones of tr within [0, horizon).
-func Figure3(tr *trace.Trace, horizon cp.Millis) []VTComparison {
+// entry, of the phones of tr within the window [lo, hi): the curves are
+// binned from lo, so a trace shifted with its window reads the same.
+func Figure3(tr *trace.Trace, lo, hi cp.Millis) []VTComparison {
 	phones := UESet(tr.UEsOfType(cp.Phone))
 	qs := Figure34Quantities()
 	out := make([]VTComparison, len(qs))
 	for i, q := range qs {
-		out[i] = VarianceTimeFor(tr, phones, q, horizon)
+		out[i] = VarianceTimeFor(tr, phones, q, lo, hi)
 	}
 	return out
 }

@@ -18,16 +18,16 @@ var figure2Events = [...]cp.EventType{cp.ServiceRequest, cp.S1ConnRelease, cp.Ha
 type figure2Boxes [cp.NumDeviceTypes][len(figure2Events)][24]eval.BoxStats
 
 // figure2 computes the per-device-hour event-count distributions of the
-// training trace (per-day averages).
+// training collection (per-day averages).
 func figure2(l *Lab) (*figure2Boxes, error) {
-	tr, err := l.Train()
+	col, err := l.trainCollection()
 	if err != nil {
 		return nil, err
 	}
 	var out figure2Boxes
 	for _, d := range cp.DeviceTypes {
 		for i, e := range figure2Events {
-			hc := eval.HourCounts(tr, d, e, l.Cfg.Days)
+			hc := eval.HourCounts(col, d, e)
 			for h := range hc {
 				out[d][i][h] = eval.ComputeBoxStats(hc[h])
 			}
@@ -136,7 +136,7 @@ func figure3(l *Lab) ([]eval.VTComparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	return eval.Figure3(tr, cp.Millis(l.Cfg.Days)*cp.Day), nil
+	return eval.Figure3(tr, 0, cp.Millis(l.Cfg.Days)*cp.Day), nil
 }
 
 // Figure3 exports the variance-time curves (observed vs fitted Poisson)

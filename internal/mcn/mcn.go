@@ -1,16 +1,14 @@
 // Package mcn implements a small mobile-core-network control-plane
 // simulator: an MME (4G) or AMF (5G) that consumes a control-plane trace
 // event by event, tracks every UE's protocol state, tallies transaction
-// counts and signaling load, and flags protocol violations.
+// counts and signaling load, and counts protocol violations by the one
+// conformance rule, sm.Cursor.
 //
 // It is the "driven system" for the use cases of paper §3.1 — evaluating
-// core designs and monitoring schemes under realistic control workload —
-// and doubles as an independent conformance checker for generated traces.
+// core designs and monitoring schemes under realistic control workload.
 package mcn
 
 import (
-	"fmt"
-
 	"cptraffic/internal/cp"
 	"cptraffic/internal/sm"
 	"cptraffic/internal/trace"
@@ -36,11 +34,8 @@ type Stats struct {
 // call New.
 type MME struct {
 	machine *sm.Machine
-	state   map[cp.UEID]sm.State
+	ues     map[cp.UEID]sm.Cursor
 	stats   Stats
-	// Strict makes Process return an error on protocol violations
-	// instead of recovering via the event's canonical post-state.
-	Strict bool
 }
 
 // New returns an MME enforcing the given state machine (use
@@ -48,77 +43,61 @@ type MME struct {
 func New(machine *sm.Machine) *MME {
 	return &MME{
 		machine: machine,
-		state:   make(map[cp.UEID]sm.State),
+		ues:     make(map[cp.UEID]sm.Cursor),
 	}
 }
 
-// Process consumes one control event. Unknown UEs are admitted in the
-// machine's initial (deregistered) state, except that the state of a UE
-// first seen mid-stream is inferred from its first event so replays of
-// trace slices do not storm the violation counter.
-func (m *MME) Process(e trace.Event) error {
-	cur, ok := m.state[e.UE]
-	if !ok {
-		cur = sm.InferInitial(m.machine, []trace.Event{{T: e.T, UE: e.UE, Type: e.Type}})
-		// Admit the UE in its inferred state so the population gauges
-		// stay balanced when it later releases or detaches.
-		if m.machine.Top(cur).Registered() {
-			m.stats.Registered++
-		}
-		if m.machine.Top(cur) == cp.StateConnected {
-			m.stats.Connected++
-			if m.stats.Connected > m.stats.PeakConnected {
-				m.stats.PeakConnected = m.stats.Connected
-			}
-		}
-	}
-	wasRegistered := m.machine.Top(cur).Registered()
-	wasConnected := m.machine.Top(cur) == cp.StateConnected
-
-	next, legal := m.machine.Next(cur, e.Type)
+// Process consumes one control event, one sm.Cursor step of its UE: a
+// UE first seen mid-stream is admitted in the state inferred from its
+// first event, so replays of trace slices do not storm the violation
+// counter, and an event the UE's state has no edge for is counted and
+// recovered via the event's canonical post-state.
+func (m *MME) Process(e trace.Event) {
+	c := m.ues[e.UE]
+	admit := !c.Started
+	from, legal := c.Step(m.machine, e.Type)
+	m.ues[e.UE] = c
 	if !legal {
 		m.stats.Violations++
-		if m.Strict {
-			return fmt.Errorf("mcn: UE %d: %s illegal in state %s",
-				e.UE, e.Type, m.machine.StateName(cur))
-		}
-		next = m.machine.Forced(e.Type)
 	}
-	m.state[e.UE] = next
 	m.stats.Processed++
-	if e.Type.Valid() {
-		m.stats.Transactions[e.Type]++
+	m.stats.Transactions[e.Type]++
+	// A UE admitted in its inferred state counts toward the gauges
+	// before it moves, so they stay balanced when it later releases or
+	// detaches.
+	if admit {
+		m.gauge(cp.StateDeregistered, m.machine.Top(from))
 	}
+	m.gauge(m.machine.Top(from), m.machine.Top(c.State))
+}
 
-	isRegistered := m.machine.Top(next).Registered()
-	isConnected := m.machine.Top(next) == cp.StateConnected
-	if isRegistered && !wasRegistered {
-		m.stats.Registered++
-	}
-	if !isRegistered && wasRegistered {
-		m.stats.Registered--
-	}
-	if isConnected && !wasConnected {
-		m.stats.Connected++
-		if m.stats.Connected > m.stats.PeakConnected {
-			m.stats.PeakConnected = m.stats.Connected
+// gauge moves the population gauges for one UE going from macro state a
+// to b.
+func (m *MME) gauge(a, b cp.UEState) {
+	if a.Registered() != b.Registered() {
+		if b.Registered() {
+			m.stats.Registered++
+		} else {
+			m.stats.Registered--
 		}
 	}
-	if !isConnected && wasConnected {
-		m.stats.Connected--
+	if (a == cp.StateConnected) != (b == cp.StateConnected) {
+		if b == cp.StateConnected {
+			m.stats.Connected++
+			m.stats.PeakConnected = max(m.stats.PeakConnected, m.stats.Connected)
+		} else {
+			m.stats.Connected--
+		}
 	}
-	return nil
 }
 
 // ProcessTrace consumes a whole (sorted) trace and returns the final
-// stats. In Strict mode it stops at the first violation.
-func (m *MME) ProcessTrace(tr *trace.Trace) (Stats, error) {
+// stats.
+func (m *MME) ProcessTrace(tr *trace.Trace) Stats {
 	for _, e := range tr.Events {
-		if err := m.Process(e); err != nil {
-			return m.stats, err
-		}
+		m.Process(e)
 	}
-	return m.stats, nil
+	return m.stats
 }
 
 // Stats returns a snapshot of the current counters.

@@ -54,7 +54,7 @@ type PoolStats struct {
 
 // ProcessTrace drives a whole (sorted) trace through the pool and
 // computes balance statistics.
-func (p *Pool) ProcessTrace(tr *trace.Trace) (PoolStats, error) {
+func (p *Pool) ProcessTrace(tr *trace.Trace) PoolStats {
 	n := len(p.instances)
 	lo, hi := tr.Span()
 	bins := int((hi-lo)/cp.Minute) + 1
@@ -64,9 +64,7 @@ func (p *Pool) ProcessTrace(tr *trace.Trace) (PoolStats, error) {
 	}
 	for _, e := range tr.Events {
 		i := p.shard(uint32(e.UE))
-		if err := p.instances[i].Process(e); err != nil {
-			return PoolStats{}, err
-		}
+		p.instances[i].Process(e)
 		perMinute[i][(e.T-lo)/cp.Minute]++
 	}
 	out := PoolStats{PerInstance: make([]Stats, n)}
@@ -101,5 +99,5 @@ func (p *Pool) ProcessTrace(tr *trace.Trace) (PoolStats, error) {
 	} else {
 		out.PeakImbalance = math.NaN()
 	}
-	return out, nil
+	return out
 }

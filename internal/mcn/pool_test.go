@@ -56,10 +56,7 @@ func TestPoolProcessTraceBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.ProcessTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := p.ProcessTrace(tr)
 	if st.Violations != 0 {
 		t.Fatalf("violations = %d", st.Violations)
 	}
@@ -85,10 +82,7 @@ func TestPoolEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.ProcessTrace(trace.New())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := p.ProcessTrace(trace.New())
 	if !math.IsNaN(st.Imbalance) || !math.IsNaN(st.PeakImbalance) {
 		t.Fatalf("empty-trace stats = %+v", st)
 	}
@@ -103,15 +97,9 @@ func TestPoolSingleInstanceMatchesMME(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := p.ProcessTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := p.ProcessTrace(tr)
 	m := New(sm.LTE2Level())
-	ms, err := m.ProcessTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := m.ProcessTrace(tr)
 	if ps.PerInstance[0] != ms {
 		t.Fatalf("pool-of-1 stats %+v != single MME %+v", ps.PerInstance[0], ms)
 	}

@@ -5,79 +5,67 @@ import (
 	"cptraffic/internal/trace"
 )
 
-// Transition records one step of a replay: the UE left From on Event at
-// time At and entered To, having stayed in From for Sojourn (valid only
-// when HasSojourn is true — the entry time of the very first state in a
-// trace slice is unknown).
-type Transition struct {
-	From       State
-	Event      cp.EventType
-	To         State
-	At         cp.Millis
-	Sojourn    cp.Millis
-	HasSojourn bool
-	// Forced marks transitions that did not follow a machine edge and
-	// were recovered via the canonical post-state of the event.
-	Forced bool
+// Cursor is one UE's place in a machine for the conformance check: its
+// fine state, and whether it has seen an event yet. The zero Cursor is a
+// UE with no events.
+type Cursor struct {
+	State   State
+	Started bool
+}
+
+// Step applies the conformance rule to the UE's next event e: a cursor
+// that has not started enters the state inferInitial gives e; then it
+// takes m's edge on e or, when the state has none, moves to e's canonical
+// post-state m.Forced(e), so one bad event cannot desynchronize the rest
+// of the UE. It returns the state it left and whether the edge was legal.
+//
+//cplint:hotpath one call per event of every conformance check
+func (c *Cursor) Step(m *Machine, e cp.EventType) (from State, legal bool) {
+	if !c.Started {
+		c.State, c.Started = inferInitial(m, e), true
+	}
+	from = c.State
+	if c.State, legal = m.Next(from, e); !legal {
+		c.State = m.Forced(e)
+	}
+	return from, legal
 }
 
 // ReplayResult is the outcome of replaying one UE's event sequence.
 type ReplayResult struct {
-	Transitions []Transition
 	// Violations counts events with no edge from the then-current state.
 	Violations int
-	// Final is the machine state after the last event.
-	Final State
 }
 
 // Replay walks a single UE's time-ordered events through machine m
-// starting from the given state. Events that do not correspond to an
-// outgoing edge are counted as violations and recovered by jumping to the
-// event's canonical post-state, so one bad event cannot desynchronize the
-// rest of the replay.
+// starting from the given state, one Cursor step an event, and counts
+// the events that took no edge.
 func Replay(m *Machine, initial State, evs []trace.Event) ReplayResult {
-	res := ReplayResult{Final: initial}
-	cur := initial
-	var enteredAt cp.Millis
-	hasEntry := false
+	c := Cursor{State: initial, Started: true}
+	var res ReplayResult
 	for _, ev := range evs {
-		next, ok := m.Next(cur, ev.Type)
-		tr := Transition{
-			From:  cur,
-			Event: ev.Type,
-			To:    next,
-			At:    ev.T,
-		}
-		if !ok {
+		if _, legal := c.Step(m, ev.Type); !legal {
 			res.Violations++
-			tr.Forced = true
-			tr.To = m.Forced(ev.Type)
 		}
-		if hasEntry {
-			tr.Sojourn = ev.T - enteredAt
-			tr.HasSojourn = true
-		}
-		res.Transitions = append(res.Transitions, tr)
-		cur = tr.To
-		enteredAt = ev.T
-		hasEntry = true
 	}
-	res.Final = cur
 	return res
 }
 
 // InferInitial guesses the state a UE occupied just before its first
-// observed event: the canonical predecessor of that event type. A UE with
-// no events is assumed DEREGISTERED only if the machine says so; callers
-// that know better (e.g. hour slices of a longer trace) should carry the
-// final state of the previous slice instead.
+// observed event (see inferInitial). A UE with no events is in the
+// machine's initial state; callers that know better (e.g. hour slices of
+// a longer trace) should carry the state of the previous slice instead.
 func InferInitial(m *Machine, evs []trace.Event) State {
 	if len(evs) == 0 {
 		return m.Initial
 	}
-	first := evs[0].Type
-	// Find a state that has an outgoing edge on the first event; prefer
-	// the canonical predecessors so replay starts violation-free.
+	return inferInitial(m, evs[0].Type)
+}
+
+// inferInitial is the canonical predecessor of a UE's first event type
+// first: a state with an outgoing edge on it, so the check starts
+// violation-free.
+func inferInitial(m *Machine, first cp.EventType) State {
 	switch first {
 	case cp.Attach:
 		return m.Initial

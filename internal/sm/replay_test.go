@@ -1,7 +1,7 @@
 package sm
 
 import (
-	"math"
+	"math/rand/v2"
 	"testing"
 
 	"cptraffic/internal/cp"
@@ -24,53 +24,44 @@ func evs(pairs ...interface{}) []trace.Event {
 func TestReplayCleanSequence(t *testing.T) {
 	m := LTE2Level()
 	seq := evs(
-		0.0, cp.Attach, // DEREG -> SRV_REQ_S
-		5.0, cp.Handover, // -> HO_S
-		8.0, cp.TrackingAreaUpdate, // -> TAU_S_CONN
-		20.0, cp.S1ConnRelease, // -> S1_REL_S_1
-		60.0, cp.TrackingAreaUpdate, // -> TAU_S_IDLE
-		61.0, cp.S1ConnRelease, // -> S1_REL_S_2
-		300.0, cp.ServiceRequest, // -> SRV_REQ_S
-		310.0, cp.Detach, // -> DEREG
+		0.0, cp.Attach,
+		5.0, cp.Handover,
+		8.0, cp.TrackingAreaUpdate,
+		20.0, cp.S1ConnRelease,
+		60.0, cp.TrackingAreaUpdate,
+		61.0, cp.S1ConnRelease,
+		300.0, cp.ServiceRequest,
+		310.0, cp.Detach,
 	)
-	res := Replay(m, LTEDeregistered, seq)
-	if res.Violations != 0 {
+	if res := Replay(m, LTEDeregistered, seq); res.Violations != 0 {
 		t.Fatalf("violations = %d", res.Violations)
 	}
-	if res.Final != LTEDeregistered {
-		t.Fatalf("final = %s", m.StateName(res.Final))
-	}
-	if len(res.Transitions) != 8 {
-		t.Fatalf("transitions = %d", len(res.Transitions))
-	}
-	if res.Transitions[0].HasSojourn {
-		t.Fatal("first transition must not have a sojourn")
-	}
-	// Sojourn of HO_S before TAU at t=8 is 3 seconds.
-	tr := res.Transitions[2]
-	if tr.From != LTEHoS || !tr.HasSojourn || tr.Sojourn != 3*cp.Second {
-		t.Fatalf("transition 2 = %+v", tr)
+	// The cursor walks Fig. 5's path and leaves each state it entered.
+	path := []State{LTEDeregistered, LTESrvReqS, LTEHoS, LTETauSConn, LTES1RelS1, LTETauSIdle, LTES1RelS2, LTESrvReqS, LTEDeregistered}
+	var c Cursor
+	for i, ev := range seq {
+		from, legal := c.Step(m, ev.Type)
+		if !legal || from != path[i] || c.State != path[i+1] {
+			t.Fatalf("event %d (%s): left %s for %s, legal %v; want %s for %s",
+				i, ev.Type, m.StateName(from), m.StateName(c.State), legal, m.StateName(path[i]), m.StateName(path[i+1]))
+		}
 	}
 }
 
 func TestReplayViolationRecovery(t *testing.T) {
 	m := LTE2Level()
-	// HO while DEREGISTERED is a violation; replay must record it and
-	// resynchronize to HO_S.
+	// HO while DEREGISTERED is a violation; the cursor must count it and
+	// resynchronize to HO_S, after which the S1_CONN_REL is legal.
 	seq := evs(0.0, cp.Handover, 1.0, cp.S1ConnRelease)
-	res := Replay(m, LTEDeregistered, seq)
-	if res.Violations != 1 {
+	if res := Replay(m, LTEDeregistered, seq); res.Violations != 1 {
 		t.Fatalf("violations = %d", res.Violations)
 	}
-	if !res.Transitions[0].Forced || res.Transitions[0].To != LTEHoS {
-		t.Fatalf("forced transition = %+v", res.Transitions[0])
+	c := Cursor{State: LTEDeregistered, Started: true}
+	if from, legal := c.Step(m, cp.Handover); legal || from != LTEDeregistered || c.State != LTEHoS {
+		t.Fatalf("forced step: left %s for %s, legal %v", m.StateName(from), m.StateName(c.State), legal)
 	}
-	// After recovery the S1_CONN_REL is legal.
-	if res.Transitions[1].Forced {
-		t.Fatal("second transition should be clean")
-	}
-	if res.Final != LTES1RelS1 {
-		t.Fatalf("final = %s", m.StateName(res.Final))
+	if _, legal := c.Step(m, cp.S1ConnRelease); !legal || c.State != LTES1RelS1 {
+		t.Fatalf("after recovery: %s, legal %v", m.StateName(c.State), legal)
 	}
 }
 
@@ -93,10 +84,14 @@ func TestInferInitial(t *testing.T) {
 			t.Errorf("InferInitial(%s) = %s, want %s", c.first, m.StateName(got), m.StateName(c.want))
 		}
 		// Replaying from the inferred state must not violate on the
-		// first event.
+		// first event, and a cursor that has not started infers it.
 		res := Replay(m, got, evs(0.0, c.first))
 		if res.Violations != 0 {
 			t.Errorf("InferInitial(%s) still violates", c.first)
+		}
+		var cur Cursor
+		if from, legal := cur.Step(m, c.first); !legal || from != c.want {
+			t.Errorf("a new cursor on %s left %s, legal %v", c.first, m.StateName(from), legal)
 		}
 	}
 	if InferInitial(m, nil) != m.Initial {
@@ -104,25 +99,25 @@ func TestInferInitial(t *testing.T) {
 	}
 }
 
-func TestSojournsByTransition(t *testing.T) {
-	m := LTE2Level()
-	seq := evs(
-		0.0, cp.Attach,
-		10.0, cp.S1ConnRelease,
-		40.0, cp.ServiceRequest,
-		45.0, cp.S1ConnRelease,
-		95.0, cp.ServiceRequest,
-	)
-	res := Replay(m, LTEDeregistered, seq)
-	if got := sojourns(res, LTESrvReqS, cp.S1ConnRelease); len(got) != 2 || got[0] != 10 || got[1] != 5 {
-		t.Fatalf("SRV_REQ_S on S1_CONN_REL: sojourns %v", got)
+// TestReplayAllocs: the conformance check allocates nothing, however
+// long the UE's sequence and however many of its events violate.
+func TestReplayAllocs(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 4))
+	seq := make([]trace.Event, 1000)
+	for i := range seq {
+		seq[i] = trace.Event{T: cp.Millis(i) * cp.Second, UE: 1, Type: cp.EventTypes[r.IntN(cp.NumEventTypes)]}
 	}
-	if got := sojourns(res, LTES1RelS1, cp.ServiceRequest); len(got) != 2 || got[0] != 30 || got[1] != 50 {
-		t.Fatalf("S1_REL_S1 on SRV_REQ: sojourns %v", got)
-	}
-	// The first event (Attach) has no sojourn.
-	if res.Transitions[0].HasSojourn {
-		t.Fatal("first event has a sojourn")
+	for _, m := range []*Machine{LTE2Level(), EMMECM(), FiveGSA()} {
+		var res ReplayResult
+		allocs := testing.AllocsPerRun(100, func() {
+			res = Replay(m, InferInitial(m, seq), seq)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %v allocations per replay of %d events, want 0", m.Name, allocs, len(seq))
+		}
+		if res.Violations == 0 {
+			t.Fatalf("%s: a random sequence replayed without violations", m.Name)
+		}
 	}
 }
 
@@ -194,28 +189,4 @@ func TestCountMacroEvents(t *testing.T) {
 	if counts[cp.ServiceRequest][cp.StateConnected] != 1 {
 		t.Fatalf("SRV_REQ counts = %v", counts[cp.ServiceRequest])
 	}
-}
-
-func TestReplaySojournSecondsPrecision(t *testing.T) {
-	m := EMMECM()
-	seq := []trace.Event{
-		{T: 0, UE: 1, Type: cp.Attach},
-		{T: 1, UE: 1, Type: cp.S1ConnRelease}, // 1 ms sojourn
-	}
-	res := Replay(m, EEDeregistered, seq)
-	if got := sojourns(res, EEConnected, cp.S1ConnRelease); len(got) != 1 || math.Abs(got[0]-0.001) > 1e-12 {
-		t.Fatalf("sojourn = %v, want [0.001]", got)
-	}
-}
-
-// sojourns returns, in seconds, the sojourns a replay observed before
-// leaving from on event e.
-func sojourns(res ReplayResult, from State, e cp.EventType) []float64 {
-	var out []float64
-	for _, tr := range res.Transitions {
-		if tr.HasSojourn && tr.From == from && tr.Event == e {
-			out = append(out, tr.Sojourn.Seconds())
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package sm
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -149,4 +150,61 @@ func TestWalkSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("decided walk: %v allocations per event, want 0", allocs)
 	}
 	_ = sink
+}
+
+func TestSojournsByTransition(t *testing.T) {
+	m := LTE2Level()
+	seq := evs(
+		0.0, cp.Attach,
+		5.0, cp.Handover,
+		8.0, cp.TrackingAreaUpdate,
+		10.0, cp.S1ConnRelease,
+		40.0, cp.ServiceRequest,
+		45.0, cp.S1ConnRelease,
+		95.0, cp.ServiceRequest,
+	)
+	if got := sojourns(t, m, seq, LTEHoS, cp.TrackingAreaUpdate); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("HO_S on TAU: sojourns %v", got)
+	}
+	if got := sojourns(t, m, seq, LTETauSConn, cp.S1ConnRelease); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("TAU_S_CONN on S1_CONN_REL: sojourns %v", got)
+	}
+	if got := sojourns(t, m, seq, LTESrvReqS, cp.S1ConnRelease); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("SRV_REQ_S on S1_CONN_REL: sojourns %v", got)
+	}
+	if got := sojourns(t, m, seq, LTES1RelS1, cp.ServiceRequest); len(got) != 2 || got[0] != 30 || got[1] != 50 {
+		t.Fatalf("S1_REL_S1 on SRV_REQ: sojourns %v", got)
+	}
+	// The first event (Attach) has no sojourn: DEREGISTERED's entry is
+	// unknown.
+	if got := sojourns(t, m, seq, LTEDeregistered, cp.Attach); len(got) != 0 {
+		t.Fatalf("DEREGISTERED on ATCH: sojourns %v", got)
+	}
+}
+
+func TestWalkSojournSecondsPrecision(t *testing.T) {
+	m := EMMECM()
+	seq := []trace.Event{
+		{T: 0, UE: 1, Type: cp.Attach},
+		{T: 1, UE: 1, Type: cp.S1ConnRelease}, // 1 ms sojourn
+	}
+	if got := sojourns(t, m, seq, EEConnected, cp.S1ConnRelease); len(got) != 1 || math.Abs(got[0]-0.001) > 1e-12 {
+		t.Fatalf("sojourn = %v, want [0.001]", got)
+	}
+}
+
+// sojourns returns, in seconds, the fine-state sojourns a walk of seq
+// observed before leaving from on event e: the time since the bottom
+// state's entry at every move that left it, by a bottom edge or cut short
+// by a top exit.
+func sojourns(t *testing.T, m *Machine, seq []trace.Event, from State, e cp.EventType) []float64 {
+	t.Helper()
+	var out []float64
+	got, moves := walkAll(t, m, seq)
+	for i, mv := range moves {
+		if mv.Exit != Stay && mv.BotHas && mv.Bottom == from && got[i].Type == e {
+			out = append(out, (got[i].T - mv.BotAt).Seconds())
+		}
+	}
+	return out
 }

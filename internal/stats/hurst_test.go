@@ -7,7 +7,7 @@ import (
 
 func TestHurstVTPoissonIsHalf(t *testing.T) {
 	// An exact Poisson variance-time curve has slope -1 -> H = 0.5.
-	curve := PoissonVarianceTime(3, VTOptions{})
+	curve := PoissonVarianceTime(3)
 	h := HurstVT(curve)
 	if math.Abs(h-0.5) > 1e-9 {
 		t.Fatalf("H = %v, want 0.5", h)
@@ -18,7 +18,7 @@ func TestHurstVTOnSimulatedProcesses(t *testing.T) {
 	const horizon = 50000.0
 	// Poisson arrivals: H ~ 0.5.
 	times := poissonArrivals(2, horizon, 51)
-	obs := VarianceTime(times, horizon, VTOptions{})
+	obs := varianceTime(times, horizon)
 	h := HurstVT(obs)
 	if math.Abs(h-0.5) > 0.1 {
 		t.Fatalf("Poisson H = %v, want ~0.5", h)
@@ -37,7 +37,7 @@ func TestHurstVTOnSimulatedProcesses(t *testing.T) {
 		}
 		t0 = end + r.Exp(1.0/500)
 	}
-	hb := HurstVT(VarianceTime(bursty, horizon, VTOptions{}))
+	hb := HurstVT(varianceTime(bursty, horizon))
 	if hb < 0.65 {
 		t.Fatalf("bursty H = %v, want > 0.65", hb)
 	}

@@ -1,6 +1,10 @@
 package stats
 
-import "math"
+import (
+	"math"
+
+	"cptraffic/internal/cp"
+)
 
 // Variance–time analysis (paper §4.2, Fig. 3): the timeline is divided
 // into fixed 100 ms bins; for each aggregation scale M seconds, events are
@@ -20,52 +24,46 @@ type VTPoint struct {
 	NormVar float64
 }
 
-// DefaultVTScales are the paper's aggregation scales: 1 s to 10³ s.
-var DefaultVTScales = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
+// vtScales are the paper's aggregation scales: 1 s to 10³ s.
+var vtScales = []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}
 
-// VTOptions configures VarianceTime.
-type VTOptions struct {
-	// BinWidthSec is the base bin width; 0 means the paper's 100 ms.
-	BinWidthSec float64
-	// Scales are the window lengths in seconds; nil means DefaultVTScales.
-	Scales []float64
+// vtBinSec is the paper's base bin width, 100 ms.
+const vtBinSec = 0.1
+
+// nanCurve is a curve with no defined point.
+func nanCurve() []VTPoint {
+	out := make([]VTPoint, len(vtScales))
+	for i, m := range vtScales {
+		out[i] = VTPoint{ScaleSec: m, NormVar: math.NaN()}
+	}
+	return out
 }
 
-// VarianceTime computes the variance–time curve of a point process whose
-// event times (in seconds, within [0, horizonSec)) are given. Events
-// outside the horizon are ignored.
-func VarianceTime(timesSec []float64, horizonSec float64, opts VTOptions) []VTPoint {
-	bw := opts.BinWidthSec
-	if bw <= 0 {
-		bw = 0.1
-	}
-	scales := opts.Scales
-	if scales == nil {
-		scales = DefaultVTScales
-	}
-	nBins := int(horizonSec / bw)
+// VarianceTime computes the variance–time curve of a point process
+// observed over the window [lo, hi): its event times are binned from lo,
+// and events outside the window are ignored. The curve reads only the
+// times relative to lo, so shifting the times and the window together
+// leaves it unchanged, bit for bit.
+func VarianceTime(times []cp.Millis, lo, hi cp.Millis) []VTPoint {
+	nBins := int((hi - lo).Seconds() / vtBinSec)
 	if nBins <= 0 {
-		out := make([]VTPoint, len(scales))
-		for i, m := range scales {
-			out[i] = VTPoint{ScaleSec: m, NormVar: math.NaN()}
-		}
-		return out
+		return nanCurve()
 	}
 	counts := make([]float64, nBins)
-	for _, t := range timesSec {
-		if t < 0 || t >= horizonSec {
+	for _, t := range times {
+		if t < lo || t >= hi {
 			continue
 		}
-		b := int(t / bw)
+		b := int((t - lo).Seconds() / vtBinSec)
 		if b >= nBins {
 			b = nBins - 1
 		}
 		counts[b]++
 	}
 
-	out := make([]VTPoint, 0, len(scales))
-	for _, m := range scales {
-		binsPerWin := int(m/bw + 0.5)
+	out := make([]VTPoint, 0, len(vtScales))
+	for _, m := range vtScales {
+		binsPerWin := int(m/vtBinSec + 0.5)
 		if binsPerWin < 1 {
 			binsPerWin = 1
 		}
@@ -97,23 +95,14 @@ func VarianceTime(timesSec []float64, horizonSec float64, opts VTOptions) []VTPo
 // with bin width b and window of m bins, Var(k) = rate*b/m and
 // Mean(k) = rate*b, so NormVar = 1/(rate*b*m) — the slope -1 reference
 // line of Fig. 3.
-func PoissonVarianceTime(rate float64, opts VTOptions) []VTPoint {
-	bw := opts.BinWidthSec
-	if bw <= 0 {
-		bw = 0.1
+func PoissonVarianceTime(rate float64) []VTPoint {
+	if rate <= 0 {
+		return nanCurve()
 	}
-	scales := opts.Scales
-	if scales == nil {
-		scales = DefaultVTScales
-	}
-	out := make([]VTPoint, len(scales))
-	for i, m := range scales {
-		binsPerWin := math.Max(1, math.Round(m/bw))
-		if rate <= 0 {
-			out[i] = VTPoint{ScaleSec: m, NormVar: math.NaN()}
-			continue
-		}
-		out[i] = VTPoint{ScaleSec: m, NormVar: 1 / (rate * bw * binsPerWin)}
+	out := make([]VTPoint, len(vtScales))
+	for i, m := range vtScales {
+		binsPerWin := math.Max(1, math.Round(m/vtBinSec))
+		out[i] = VTPoint{ScaleSec: m, NormVar: 1 / (rate * vtBinSec * binsPerWin)}
 	}
 	return out
 }

@@ -11,6 +11,9 @@
 #     collects again from the trace sorted in memory, saying so on stderr —
 #     on those runs and on no other. fig3 always reads the whole trace
 #     into memory as it stands, so none of its runs prints the note.
+#
+# fig3 bins the trace's own window, from the hour of its first event, so
+# it must also print the same on a text copy shifted by +18 h.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -37,6 +40,7 @@ awk '
 	echo "evalcheck: FAIL — fewer than three ties to swap in the world trace" >&2
 	exit 1
 }
+awk '$1 == "E" { $2 = sprintf("%d", $2 + 18 * 3600000) } { print }' "$tmp/world.txt" >"$tmp/shifted.txt"
 if cmp -s "$tmp/world.txt" "$tmp/ties.txt"; then
 	echo "evalcheck: FAIL — the tie-permuted copy equals the trace" >&2
 	exit 1
@@ -85,6 +89,9 @@ for exp in table8 table9 table10 fig3 fig4; do
 	run $note "$tmp/got" "$tmp/evalfit" -thetan 25 -exp $exp -i "$tmp/ties.txt"
 	same "evalfit -exp $exp of the tie-permuted text file" "$tmp/got"
 done
+run no "$tmp/want" "$tmp/evalfit" -exp fig3 -i "$tmp/world.trace"
+run no "$tmp/got" "$tmp/evalfit" -exp fig3 -i "$tmp/shifted.txt"
+same "evalfit -exp fig3 of the text copy shifted by +18 h" "$tmp/got"
 
 run no "$tmp/want" "$tmp/evalgen" -real "$tmp/world.trace" -syn "$tmp/syn.trace"
 run no "$tmp/got" "$tmp/evalgen" -real "$tmp/world.txt" -syn "$tmp/syn.trace"
@@ -94,4 +101,4 @@ same "evalgen from stdin" "$tmp/got"
 run yes "$tmp/got" "$tmp/evalgen" -real "$tmp/ties.txt" -syn "$tmp/syn.trace"
 same "evalgen of the tie-permuted text file" "$tmp/got"
 
-echo "evalcheck: OK — evalfit table8/table9/table10/fig3/fig4 and evalgen print the same output from a binary file, a text file, stdin and a tie-permuted text copy (collected from the sorted trace, with the note; fig3 read whole, without one)"
+echo "evalcheck: OK — evalfit table8/table9/table10/fig3/fig4 and evalgen print the same output from a binary file, a text file, stdin and a tie-permuted text copy (collected from the sorted trace, with the note; fig3 read whole, without one), and fig3 the same on a copy shifted by +18 h"
